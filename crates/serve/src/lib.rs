@@ -14,8 +14,10 @@
 //!   directly.
 //! * [`proto`] — the line-delimited JSON wire protocol: request parsing
 //!   and reply formatting, one dispatch point ([`proto::handle_line`]).
-//! * [`daemon`] — the socket front-end: Unix/TCP listeners, per
-//!   connection reader threads, and the batch/tick serve loop.
+//! * [`daemon`] — the socket front-end: Unix/TCP listeners and one
+//!   single-threaded serve loop that waits on every socket with `poll(2)`,
+//!   splits request lines in per-connection buffers, and alternates
+//!   request batches with rebalancer ticks.
 //! * [`telemetry`] — the live telemetry plane ([`ServeTelemetry`]):
 //!   windowed rates, latency digests, and per-class SLO accounting behind
 //!   the `stats` wire op, periodic trace-trailer snapshots, and the
