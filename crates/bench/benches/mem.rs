@@ -1,26 +1,21 @@
 //! **Memory-scale gate: bytes per user and steady-state allocation.**
 //!
-//! PR 9's tentpole claims the shard-owned pooled round is zero-copy and
-//! zero-alloc in steady state, and that the chunked executor's lazy
-//! materialization makes huge-`n` runs affordable. This bench measures
-//! both under the counting global allocator ([`qlb_obs::mem`]) instead of
-//! asserting them from the source:
+//! The shard-owned pooled round is claimed to be zero-copy and zero-alloc
+//! in steady state. This bench measures that under the counting global
+//! allocator ([`qlb_obs::mem`]) instead of asserting it from the source:
 //!
 //! * **`dense-seq`** — working set of one dense `State`; 32 warm decision
 //!   rounds (alloc-free by buffer reuse);
 //! * **`pooled-soa`** — working set of the `RoundView` + shard slots +
 //!   pool; 32 full steady-state rounds (decide → merge → apply → repair)
 //!   which must allocate **nothing**, so their peak is 0 bytes — the
-//!   committed ≤ 12 bytes/user acceptance gate at n = 10⁶;
-//! * **`chunked`** — resident bytes of the uniform hotspot start (~0) and
-//!   the whole-run peak to convergence including the final dense
-//!   materialization, the capacity-planning number for n = 10⁸.
+//!   committed ≤ 12 bytes/user acceptance gate at n = 10⁶.
 //!
 //! The measurements live in [`qlb_bench::checks`] so this bench and the
 //! `qlb-bench-check` regression gate count exactly the same allocations.
 //! Writes `BENCH_mem.json` at the repository root.
 
-use qlb_bench::checks::{measure_mem_chunked, measure_mem_dense, measure_mem_pooled, MemRow};
+use qlb_bench::checks::{measure_mem_dense, measure_mem_pooled, MemRow};
 
 #[global_allocator]
 static GLOBAL: qlb_obs::CountingAlloc = qlb_obs::CountingAlloc;
@@ -61,9 +56,8 @@ fn write_summary(rows: &[MemRow]) {
             "{{\n",
             "  \"bench\": \"memory footprint and steady-state allocation per executor\",\n",
             "  \"seed\": {},\n",
-            "  \"comment\": \"counting-allocator high-water marks; round executors measure 32 \
-             steady-state rounds after warm-up, chunked measures a whole hotspot run to \
-             convergence\",\n",
+            "  \"comment\": \"counting-allocator high-water marks over 32 steady-state \
+             rounds after warm-up\",\n",
             "  \"gates\": {{\n",
             "    \"pooled_round_peak_bytes_per_user_max\": {:.1},\n",
             "    \"pooled_steady_allocs_max\": 0\n",
@@ -82,11 +76,7 @@ fn write_summary(rows: &[MemRow]) {
 fn main() {
     let n = 1_000_000;
     let mut rows = Vec::new();
-    for row in [
-        measure_mem_dense(n),
-        measure_mem_pooled(n, 8),
-        measure_mem_chunked(n),
-    ] {
+    for row in [measure_mem_dense(n), measure_mem_pooled(n, 8)] {
         println!(
             "{:>10} n = {:>8}, {} threads: working set {:>7.2} B/user | region peak \
              {:>7.2} B/user ({} allocs)",

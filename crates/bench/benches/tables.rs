@@ -9,7 +9,7 @@ use qlb_core::{
     best_response_run, BlindUniform, ConditionalUniform, ResourceId, SlackDamped,
     SlackDampedCapacitySampling, State, ThresholdLevels,
 };
-use qlb_engine::{perturb_uniform, run, run_threaded, RunConfig};
+use qlb_engine::{perturb_uniform, run, Executor, RunConfig, WeightedConfig};
 use qlb_runtime::{run_distributed, RuntimeConfig};
 use qlb_workload::{CapacityDist, ClassSpec, Placement, Scenario};
 use std::hint::black_box;
@@ -267,12 +267,11 @@ fn bench_e10_threads(c: &mut Criterion) {
             b.iter_batched(
                 || state.clone(),
                 |s| {
-                    black_box(run_threaded(
+                    black_box(run(
                         &inst,
                         s,
                         &SlackDamped::default(),
-                        RunConfig::new(1, 100_000),
-                        threads,
+                        RunConfig::new(1, 100_000).with_executor(Executor::Threaded(threads)),
                     ))
                 },
                 BatchSize::SmallInput,
@@ -341,8 +340,7 @@ fn bench_e13_weighted(c: &mut Criterion) {
                     &inst,
                     s,
                     &WeightedSlackDamped::default(),
-                    1,
-                    100_000,
+                    WeightedConfig::new(1, 100_000),
                 ))
             },
             BatchSize::SmallInput,

@@ -46,9 +46,9 @@
 //! missing/corrupt baseline JSON.
 
 use qlb_bench::checks::{
-    measure_dispatch, measure_mem_chunked, measure_mem_dense, measure_mem_pooled, measure_obs,
-    measure_open_sparse, measure_scaling, measure_serve, measure_shard_timing, measure_spans,
-    measure_sparse, measure_weighted_sparse, measure_window, MemRow,
+    measure_dispatch, measure_mem_dense, measure_mem_pooled, measure_obs, measure_open_sparse,
+    measure_scaling, measure_serve, measure_shard_timing, measure_spans, measure_sparse,
+    measure_weighted_sparse, measure_window, MemRow,
 };
 use serde_json::{parse_value_str, Value};
 use std::process::exit;
@@ -465,9 +465,9 @@ fn check_serve(baseline: &Value, sizes: &[usize], tolerance: f64, gates: &mut Ve
 ///   under the committed `pooled_round_peak_bytes_per_user_max` budget
 ///   (12 bytes/user at n = 10⁶) — in `--quick` too: allocation counts
 ///   are exact, not timing-noisy, so there is no small-size variant;
-/// * a **regression cap** on every row's working-set bytes/user (and the
-///   chunked whole-run peak): measured ≤ committed × `growth`. Byte
-///   counts are deterministic for a fixed seed, so the cap is tight.
+/// * a **regression cap** on every row's working-set bytes/user:
+///   measured ≤ committed × `growth`. Byte counts are deterministic for a
+///   fixed seed, so the cap is tight.
 fn check_mem(baseline: &Value, growth: f64, gates: &mut Vec<Gate>) {
     let peak_cap = baseline
         .get("gates")
@@ -496,7 +496,6 @@ fn check_mem(baseline: &Value, growth: f64, gates: &mut Vec<Gate>) {
         let measured: MemRow = match executor.as_str() {
             "dense-seq" => measure_mem_dense(n),
             "pooled-soa" => measure_mem_pooled(n, threads),
-            "chunked" => measure_mem_chunked(n),
             other => {
                 gates.push(Gate {
                     name: format!("mem/{other}"),
@@ -507,9 +506,7 @@ fn check_mem(baseline: &Value, growth: f64, gates: &mut Vec<Gate>) {
             }
         };
         let ws = measured.working_set_bytes_per_user();
-        // absolute floor of 0.05 B/user so an essentially-zero committed
-        // working set (the chunked uniform start) stays checkable
-        let ws_cap = (committed_ws * growth).max(0.05);
+        let ws_cap = committed_ws * growth;
         gates.push(Gate {
             name: format!("mem/{executor}/n{n}/working_set"),
             passed: ws <= ws_cap,
@@ -518,40 +515,24 @@ fn check_mem(baseline: &Value, growth: f64, gates: &mut Vec<Gate>) {
                  (cap {ws_cap:.2} at growth {growth})"
             ),
         });
-        match executor.as_str() {
-            "pooled-soa" => {
-                gates.push(Gate {
-                    name: format!("mem/{executor}/n{n}/steady_allocs"),
-                    passed: measured.steady_allocs == 0,
-                    detail: format!(
-                        "{} allocations across 32 steady-state shard-owned rounds (must be 0)",
-                        measured.steady_allocs
-                    ),
-                });
-                let peak = measured.round_peak_bytes_per_user();
-                gates.push(Gate {
-                    name: format!("mem/{executor}/n{n}/round_peak"),
-                    passed: peak <= peak_cap,
-                    detail: format!(
-                        "steady-state round peak {peak:.2} B/user vs the hard \
-                         {peak_cap:.1} B/user acceptance gate"
-                    ),
-                });
-            }
-            "chunked" => {
-                let committed_peak = f64_field(row, "round_peak_bytes_per_user").unwrap_or(0.0);
-                let peak = measured.round_peak_bytes_per_user();
-                let cap = committed_peak * growth;
-                gates.push(Gate {
-                    name: format!("mem/{executor}/n{n}/run_peak"),
-                    passed: committed_peak > 0.0 && peak <= cap,
-                    detail: format!(
-                        "whole-run peak {peak:.2} B/user vs committed {committed_peak:.2} \
-                         (cap {cap:.2} at growth {growth})"
-                    ),
-                });
-            }
-            _ => {}
+        if executor == "pooled-soa" {
+            gates.push(Gate {
+                name: format!("mem/{executor}/n{n}/steady_allocs"),
+                passed: measured.steady_allocs == 0,
+                detail: format!(
+                    "{} allocations across 32 steady-state shard-owned rounds (must be 0)",
+                    measured.steady_allocs
+                ),
+            });
+            let peak = measured.round_peak_bytes_per_user();
+            gates.push(Gate {
+                name: format!("mem/{executor}/n{n}/round_peak"),
+                passed: peak <= peak_cap,
+                detail: format!(
+                    "steady-state round peak {peak:.2} B/user vs the hard \
+                     {peak_cap:.1} B/user acceptance gate"
+                ),
+            });
         }
     }
 }

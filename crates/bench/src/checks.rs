@@ -13,8 +13,8 @@ use qlb_core::{
     ActiveIndex, Move, ResourceId, RoundView, ShardDeltas, ShardScratch, SlackDamped, State,
 };
 use qlb_engine::{
-    run, run_observed, run_open_system, run_sparse, run_weighted_cfg, shard_bounds, shard_chunk,
-    shards_for, Executor, OpenConfig, RunConfig, WeightedConfig, WorkerPool,
+    run, run_observed, run_open_system, run_weighted, shard_bounds, shard_chunk, shards_for,
+    Executor, OpenConfig, RunConfig, WeightedConfig, WorkerPool,
 };
 use qlb_obs::{NoopSink, Recorder};
 use std::hint::black_box;
@@ -178,7 +178,12 @@ pub fn sparse_run_to_convergence(n: usize) -> (f64, f64) {
         let dense = run(&inst, start.clone(), &proto, cfg);
         dense_ms = dense_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
-        let sparse = run_sparse(&inst, start.clone(), &proto, cfg);
+        let sparse = run(
+            &inst,
+            start.clone(),
+            &proto,
+            cfg.with_executor(Executor::Sparse),
+        );
         sparse_ms = sparse_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert!(dense.converged && sparse.converged);
         assert_eq!(dense.state, sparse.state, "executors diverged");
@@ -206,7 +211,7 @@ pub fn tight_run_to_convergence(n: usize) -> (u64, f64, f64) {
     let dense = run(&inst, start.clone(), &proto, cfg);
     let dense_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = Instant::now();
-    let sparse = run_sparse(&inst, start, &proto, cfg);
+    let sparse = run(&inst, start, &proto, cfg.with_executor(Executor::Sparse));
     let sparse_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert!(dense.converged && sparse.converged);
     assert_eq!(dense.state, sparse.state, "executors diverged");
@@ -240,7 +245,7 @@ impl DispatchRow {
     }
 }
 
-/// The scoped-spawn round `run_threaded` used before the worker pool:
+/// The scoped-spawn round the threaded executor used before the worker pool:
 /// one fresh OS thread and one fresh move buffer per shard, every round.
 /// Kept here (only) as the bench baseline the pool is compared against.
 fn scoped_spawn_round<F: Fn(usize, &mut Vec<Move>) + Sync>(threads: usize, fill: &F) -> usize {
@@ -374,7 +379,7 @@ impl ScalingRow {
 /// Measure the SoA round kernel's scaling over the pinned endgame state at
 /// size `n`: one sequential dense reference, then the pooled
 /// [`RoundView`] round at each requested thread count — the exact decide
-/// path `run_threaded` executes per round (bitmap filter, batched RNG,
+/// path `Executor::Threaded` executes per round (bitmap filter, batched RNG,
 /// per-shard deltas), minus the coordinator merge (the round is re-decided
 /// from the same state every iteration, so there is nothing to merge).
 pub fn measure_scaling(n: usize, threads: &[usize], budget_ms: u64) -> Vec<ScalingRow> {
@@ -541,7 +546,7 @@ pub fn measure_weighted_sparse(n: usize) -> WeightedSparseRow {
     let mut rounds = 0u64;
     for _ in 0..2 {
         let t0 = Instant::now();
-        let dense = run_weighted_cfg(
+        let dense = run_weighted(
             &winst,
             start.clone(),
             &proto,
@@ -549,7 +554,7 @@ pub fn measure_weighted_sparse(n: usize) -> WeightedSparseRow {
         );
         dense_ms = dense_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
-        let sparse = run_weighted_cfg(
+        let sparse = run_weighted(
             &winst,
             start.clone(),
             &proto,
@@ -1255,11 +1260,9 @@ pub fn measure_spans(n: usize, requests: u64, reps: usize) -> SpansRow {
 /// the counting global allocator ([`qlb_obs::mem`]); the `mem` bench and
 /// `qlb-bench-check` both install it.
 ///
-/// The measured region differs by executor (and the JSON row says which):
-/// for the round executors (`dense-seq`, `pooled-soa`) it is 32
-/// steady-state rounds after warm-up — the tentpole's zero-copy claim —
-/// while for `chunked` it is a whole run to convergence from the hotspot
-/// start, the capacity-planning number for huge `n`.
+/// The measured region of both executors (`dense-seq`, `pooled-soa`) is
+/// 32 steady-state rounds after warm-up — the zero-copy claim of the
+/// shard-owned pooled round.
 #[derive(Debug, Clone)]
 pub struct MemRow {
     /// Which executor the row describes.
@@ -1268,8 +1271,8 @@ pub struct MemRow {
     pub n: usize,
     /// Worker threads (1 = sequential).
     pub threads: usize,
-    /// Live bytes the executor's state occupies (dense `State`, SoA view +
-    /// shard slots + pool buffers, or resident chunk bytes).
+    /// Live bytes the executor's state occupies (dense `State`, or SoA
+    /// view + shard slots + pool buffers).
     pub working_set_bytes: usize,
     /// Peak bytes allocated above the steady-state baseline across the
     /// measured region.
@@ -1335,7 +1338,7 @@ pub fn measure_mem_dense(n: usize) -> MemRow {
 /// unsatisfied bitmaps) plus per-shard delta/scratch slots, pool buffers,
 /// and the merged move buffer, all after warm-up; measured region = 32
 /// full steady-state rounds (decide → merge loads → apply → repair),
-/// exactly the phases `run_threaded`'s owned path executes, which must
+/// exactly the phases the untraced `Executor::Threaded` run executes, which must
 /// allocate **nothing** and therefore peak at 0 bytes.
 pub fn measure_mem_pooled(n: usize, threads: usize) -> MemRow {
     require_counting();
@@ -1400,31 +1403,6 @@ pub fn measure_mem_pooled(n: usize, threads: usize) -> MemRow {
         executor: "pooled-soa",
         n,
         threads,
-        working_set_bytes,
-        round_peak_bytes: mark.peak_since(),
-        steady_allocs: mark.allocs_since(),
-    }
-}
-
-/// Memory row of the chunked lazily-materialized executor: working set =
-/// resident chunk bytes of the hotspot start (uniform chunks, so ~0);
-/// measured region = the **whole run** to convergence, including the
-/// final dense `State` materialization — the honest peak a capacity plan
-/// for huge `n` must budget for.
-pub fn measure_mem_chunked(n: usize) -> MemRow {
-    require_counting();
-    let (inst, _) = crate::standard_pair(n, BENCH_SEED);
-    let proto = SlackDamped::default();
-    let mark = qlb_obs::MemMark::here();
-    let assign = qlb_engine::hotspot_chunked(&inst, ResourceId(0));
-    let working_set_bytes = assign.resident_bytes();
-    let (out, _assign) =
-        qlb_engine::run_chunked(&inst, assign, &proto, RunConfig::new(BENCH_SEED, 1_000_000));
-    assert!(out.converged, "chunked mem run must converge");
-    MemRow {
-        executor: "chunked",
-        n,
-        threads: 1,
         working_set_bytes,
         round_peak_bytes: mark.peak_since(),
         steady_allocs: mark.allocs_since(),

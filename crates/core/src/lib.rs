@@ -38,9 +38,6 @@
 //! * [`delta`] — delta-compressed, generation-stamped assignment
 //!   snapshots (varint run-length over changed user ranges) for trace
 //!   trailers, runtime state reconstruction, and serve-daemon export;
-//! * [`chunked`] — chunked, lazily-materialized assignment arrays with
-//!   optional file-backed spill, so huge-`n` runs hold memory
-//!   proportional to *touched* users;
 //! * [`baseline`] — centralized greedy assignment and sequential
 //!   best-response dynamics, the classical comparison points;
 //! * [`weighted`] — the weighted-demand (bin-packing-flavoured) extension
@@ -72,7 +69,6 @@
 
 pub mod active;
 pub mod baseline;
-pub mod chunked;
 pub mod convergence;
 pub mod delta;
 pub mod error;
@@ -90,7 +86,6 @@ pub mod weighted;
 pub mod prelude {
     pub use crate::active::ActiveIndex;
     pub use crate::baseline::{best_response_run, greedy_assign, BestResponseOutcome};
-    pub use crate::chunked::{ChunkedAssign, CHUNK_USERS};
     pub use crate::convergence::ConvergenceTracker;
     pub use crate::delta::{DeltaError, StateDelta};
     pub use crate::error::{Error, Result};

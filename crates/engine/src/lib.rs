@@ -1,34 +1,43 @@
 //! # qlb-engine — synchronous round engine for QoS load balancing
 //!
 //! Executes a `qlb-core` protocol over synchronous rounds, at laptop scale,
-//! with a family of executors that produce **bit-identical trajectories**:
+//! with a family of executors that produce **bit-identical trajectories**.
+//! Each driver has one entry pair — a plain function and an `_observed`
+//! twin taking a `qlb-obs` sink — and takes its executor from its config:
 //!
-//! * [`run()`](run()) — the sequential reference executor (allocation-free round
-//!   loop);
-//! * [`run_sparse`] — the active-set executor: `O(active)` rounds via an
-//!   incrementally maintained unsatisfied set;
-//! * [`run_threaded`] — round decisions over the struct-of-arrays
-//!   `RoundView` kernel, sharded on cache-line boundaries over a persistent
-//!   [`WorkerPool`] (long-lived parked workers, one epoch bump + unpark of
-//!   the non-empty shards per round); identical output is guaranteed by the
-//!   counter-based RNG streams of `qlb-rng` and verified by tests and
-//!   experiment E10;
-//! * [`run_sparse_threaded`] — the active-set walk sharded over the pool.
+//! * [`run()`](run()) / [`run_observed`] — the closed system of the paper,
+//!   configured by [`RunConfig`];
+//! * [`run_open_system`] / [`run_open_system_observed`] — users arriving
+//!   and departing while the protocol runs ([`open`]);
+//! * [`run_weighted`] / [`run_weighted_observed`] — the weighted-demand
+//!   extension ([`weighted`]);
+//! * [`run_with_churn`] / [`run_with_churn_observed`] — churn and
+//!   re-convergence episodes ([`dynamics`]).
 //!
-//! The engine also provides per-round [`trace`]s (potential decay, figure
-//! experiments), [`dynamics`] for churn/re-convergence experiments,
-//! [`open`] for open-system (arrival/departure) driving, [`large`] for
-//! huge-`n` runs over chunked assignments with optional file-backed
-//! spill, and [`weighted`] for the weighted-demand extension.
+//! The [`Executor`] is one of: the sequential dense reference scan; the
+//! sparse active-set walk (`O(active)` rounds via an incrementally
+//! maintained unsatisfied set); the struct-of-arrays `RoundView` kernel
+//! sharded on cache-line boundaries over a persistent [`WorkerPool`]
+//! (long-lived parked workers, one epoch bump + unpark of the non-empty
+//! shards per round); or the active-set walk sharded over the pool.
+//! Identical output is guaranteed by the counter-based RNG streams of
+//! `qlb-rng` and verified by tests and experiment E10. Runs can also
+//! record per-round [`trace`]s (potential decay, figure experiments).
 //!
 //! ```
 //! use qlb_core::prelude::*;
-//! use qlb_engine::{run, run_threaded, RunConfig};
+//! use qlb_engine::{run, Executor, RunConfig};
 //!
 //! let inst = Instance::uniform(512, 64, 10).unwrap();
 //! let start = State::all_on(&inst, ResourceId(0));
-//! let seq = run(&inst, start.clone(), &SlackDamped::default(), RunConfig::new(7, 10_000));
-//! let par = run_threaded(&inst, start, &SlackDamped::default(), RunConfig::new(7, 10_000), 4);
+//! let cfg = RunConfig::new(7, 10_000);
+//! let seq = run(&inst, start.clone(), &SlackDamped::default(), cfg);
+//! let par = run(
+//!     &inst,
+//!     start,
+//!     &SlackDamped::default(),
+//!     cfg.with_executor(Executor::Threaded(4)),
+//! );
 //! assert!(seq.converged);
 //! assert_eq!(seq.state, par.state); // bit-identical trajectories
 //! ```
@@ -36,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod dynamics;
-pub mod large;
 pub mod open;
 pub mod pool;
 pub mod run;
@@ -46,18 +54,10 @@ pub mod weighted;
 pub use dynamics::{
     perturb_uniform, run_with_churn, run_with_churn_observed, ChurnConfig, ChurnOutcome,
 };
-pub use large::{chunked_from_state, hotspot_chunked, run_chunked, run_chunked_observed};
 pub use open::{
     run_open_system, run_open_system_observed, OpenConfig, OpenOutcome, OpenRoundStats,
 };
 pub use pool::{shard_bounds, shard_chunk, shards_for, WorkerPool};
-pub use run::{
-    run, run_observed, run_sparse, run_sparse_observed, run_sparse_threaded,
-    run_sparse_threaded_observed, run_threaded, run_threaded_observed, Executor, RunConfig,
-    RunOutcome,
-};
+pub use run::{run, run_observed, Executor, RunConfig, RunOutcome};
 pub use trace::{RoundStats, Trace};
-pub use weighted::{
-    run_weighted, run_weighted_cfg, run_weighted_cfg_observed, run_weighted_observed,
-    WeightedConfig, WeightedOutcome,
-};
+pub use weighted::{run_weighted, run_weighted_observed, WeightedConfig, WeightedOutcome};

@@ -21,17 +21,13 @@
 //! occupants' satisfaction never changes), keeping every round
 //! `O(churn + active)` instead of `O(pool)`.
 
-use crate::pool::{shard_bounds, shard_chunk, shards_for, WorkerPool};
-use crate::run::{Executor, ViewShards};
+use crate::pool::{pool_for, shard_chunk, shards_for};
+use crate::run::{Executor, ViewShards, SPARSE_POOL_MIN_ACTIVE};
 use qlb_core::step::{decide_active_into, decide_round_into, decide_users_into};
 use qlb_core::{ActiveIndex, Instance, Move, Protocol, ResourceId, State, UserId};
 use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink};
 use qlb_rng::{Rng64, SplitMix64};
 use std::time::Instant;
-
-/// Below this many active users a pooled open-system round decides
-/// sequentially (same rationale as the closed-system threshold).
-const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 
 /// Configuration of an open-system run.
 #[derive(Debug, Clone, Copy)]
@@ -171,7 +167,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
     // Executor selection. The sparse index is unsound for protocols that
     // act while satisfied — those fall back to the dense scan, exactly as
     // the closed-system engine does.
-    let sparse_requested = matches!(cfg.executor, Executor::Sparse | Executor::SparseThreaded(_));
+    let sparse_requested = cfg.executor.is_sparse();
     let use_sparse = sparse_requested && !proto.acts_when_satisfied();
     if S::ENABLED && sparse_requested {
         sink.add(Counter::ExecutorSwitches, 1);
@@ -180,14 +176,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
             sparse: use_sparse,
         });
     }
-    let wpool = match cfg.executor {
-        Executor::Threaded(threads) | Executor::SparseThreaded(threads) => {
-            assert!(threads > 0, "need at least one thread");
-            let shards = shard_bounds(pool, threads).len();
-            (shards > 1).then(|| WorkerPool::new(shards))
-        }
-        _ => None,
-    };
+    let wpool = pool_for(cfg.executor, pool);
     // An open system starts all-parked (zero unsatisfied), so the index is
     // built upfront — there is no crowded warm-up phase to skip.
     let mut index = use_sparse.then(|| ActiveIndex::new(&inst, &state));
@@ -360,6 +349,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
                             &mut moves,
                             sink,
                             cfg.shard_timing,
+                            false,
                         );
                     }
                     None => {

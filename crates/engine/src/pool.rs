@@ -35,6 +35,7 @@
 //! lines of the struct-of-arrays assignment array ([`shard_chunk`]), so two
 //! shards never stream the same cache line.
 
+use crate::run::Executor;
 use qlb_core::Move;
 use qlb_obs::{Phase, Sink};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -414,6 +415,25 @@ pub fn shard_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// The pool a pooled executor runs on for `n` users: one shard per
+/// non-empty [`shard_bounds`] range, or `None` for the sequential
+/// executors and for populations a single shard covers (the sequential
+/// loop is then the same computation without the dispatch). More threads
+/// than shards would only park idle workers.
+///
+/// # Panics
+/// Panics on a pooled executor with zero threads.
+pub(crate) fn pool_for(executor: Executor, n: usize) -> Option<WorkerPool> {
+    match executor {
+        Executor::Dense | Executor::Sparse => None,
+        Executor::Threaded(threads) | Executor::SparseThreaded(threads) => {
+            assert!(threads > 0, "need at least one thread");
+            let shards = shards_for(n, threads);
+            (shards > 1).then(|| WorkerPool::new(shards))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,5 +698,25 @@ mod tests {
         assert_eq!(shards_for(10, 8), 1);
         assert_eq!(shards_for(0, 8), 1);
         assert_eq!(shards_for(17, 8), 2);
+    }
+
+    #[test]
+    fn pool_for_caps_threads_at_filled_shards() {
+        // 64 users fill 4 cache-line shards: 3 OS threads, not 127
+        let pool = pool_for(Executor::SparseThreaded(128), 64).unwrap();
+        assert!(pool.threads() <= 4, "{} shards", pool.threads());
+        assert_eq!(pool.threads(), shards_for(64, 128));
+        assert_eq!(pool_for(Executor::Threaded(128), 64).unwrap().threads(), 4);
+        assert_eq!(
+            pool_for(Executor::SparseThreaded(2), 125_000)
+                .unwrap()
+                .threads(),
+            2
+        );
+        // one shard, or a sequential executor: no pool at all
+        assert!(pool_for(Executor::Threaded(8), 10).is_none());
+        assert!(pool_for(Executor::SparseThreaded(1), 1_000).is_none());
+        assert!(pool_for(Executor::Sparse, 1_000).is_none());
+        assert!(pool_for(Executor::Dense, 1_000).is_none());
     }
 }

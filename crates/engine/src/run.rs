@@ -1,6 +1,6 @@
-//! The round loop: sequential, threaded, and sparse executors.
+//! The closed-system round loop and its executors.
 
-use crate::pool::{shard_bounds, shard_chunk, shards_for, WorkerPool};
+use crate::pool::{pool_for, shard_chunk, shards_for, WorkerPool};
 use crate::trace::Trace;
 use qlb_core::step::{decide_active_into, decide_round_into, decide_users_into};
 use qlb_core::{
@@ -15,7 +15,7 @@ use std::time::Instant;
 /// the per-user kernel is ~100 ns, so a sub-1024 batch is cheaper than one
 /// condvar dispatch. Purely a cost decision — shard outputs concatenate in
 /// user order either way, so the trajectory is unaffected.
-const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
+pub(crate) const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 
 /// Below this many moves the shard-owned executor applies the batch on the
 /// coordinator instead of waking the pool a second time: the in-place write
@@ -43,6 +43,9 @@ const OWNED_APPLY_MIN_BATCH: usize = 4096;
 ///   sharded over the pool while it is large and runs sequentially once it
 ///   is small — `O(active / threads)`/round, the same dense fallback rule
 ///   as [`Executor::Sparse`].
+///
+/// The pooled executors size their pool to the shards the population
+/// actually fills, and run sequentially when one shard covers it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
     /// Full `O(n)` scan per round (reference).
@@ -56,6 +59,13 @@ pub enum Executor {
     /// Active-set scan sharded over a persistent pool of this many threads
     /// (with the same automatic dense fallback as [`Executor::Sparse`]).
     SparseThreaded(usize),
+}
+
+impl Executor {
+    /// True for the active-set executors.
+    pub(crate) fn is_sparse(self) -> bool {
+        matches!(self, Executor::Sparse | Executor::SparseThreaded(_))
+    }
 }
 
 /// Configuration of one run.
@@ -79,10 +89,6 @@ pub struct RunConfig {
     /// (default on; irrelevant for sequential executors and disabled
     /// sinks).
     pub shard_timing: bool,
-    /// Spill cold assignment chunks to a temp file between rounds (only
-    /// meaningful for [`crate::large::run_chunked`]; spill directory from
-    /// `QLB_SPILL_DIR`, else the system temp dir).
-    pub spill: bool,
 }
 
 impl RunConfig {
@@ -96,15 +102,7 @@ impl RunConfig {
             executor: Executor::Dense,
             topk_resources: 0,
             shard_timing: true,
-            spill: false,
         }
-    }
-
-    /// Toggle chunk spilling for the chunked huge-`n` executor
-    /// (see [`RunConfig::spill`]).
-    pub fn with_spill(mut self, on: bool) -> Self {
-        self.spill = on;
-        self
     }
 
     /// Sample the `k` hottest resources at each observed round end
@@ -138,22 +136,6 @@ impl RunConfig {
         self.executor = executor;
         self
     }
-
-    /// Shorthand for [`RunConfig::with_executor`]`(`[`Executor::Sparse`]`)`.
-    pub fn sparse(self) -> Self {
-        self.with_executor(Executor::Sparse)
-    }
-
-    /// Shorthand for [`RunConfig::with_executor`]`(`[`Executor::Threaded`]`)`.
-    pub fn threaded(self, threads: usize) -> Self {
-        self.with_executor(Executor::Threaded(threads))
-    }
-
-    /// Shorthand for
-    /// [`RunConfig::with_executor`]`(`[`Executor::SparseThreaded`]`)`.
-    pub fn sparse_threaded(self, threads: usize) -> Self {
-        self.with_executor(Executor::SparseThreaded(threads))
-    }
 }
 
 /// Result of a run.
@@ -171,11 +153,30 @@ pub struct RunOutcome {
     pub trace: Option<Trace>,
 }
 
-/// Run a protocol sequentially until legal or out of rounds, using the
-/// executor selected by [`RunConfig::executor`] (dense by default).
+/// Run a protocol until legal or out of rounds, using the executor
+/// selected by [`RunConfig::executor`] (dense by default).
 ///
 /// The loop reuses one move buffer, so steady-state execution performs no
 /// allocation; with tracing enabled, the trace grows by one entry per round.
+///
+/// The sparse executors keep an [`ActiveIndex`] of the unsatisfied users
+/// and per-resource occupant lists. Applying a round's migrations changes
+/// the congestion of the touched resources only, and a user's satisfaction
+/// depends solely on its own resource's congestion — so the set is updated
+/// by rechecking just the occupants of touched resources, and convergence
+/// is set emptiness. Crowded rounds (most users unsatisfied, as from a
+/// hotspot start) are a loss for the index, so the sparse executors run
+/// **dense warm-up rounds** while batches stay large and build the index
+/// once a round's batch drops below `n / 8`. Both phases decide
+/// identically: decisions are pure functions of `(seed, user, round)` and
+/// start-of-round loads, satisfied users consume no randomness, and the
+/// active set is walked in user order.
+///
+/// The pooled executors run on one [`WorkerPool`] created per run, so
+/// every round is an epoch bump on parked workers, not a thread spawn.
+///
+/// # Panics
+/// Panics on a pooled executor with zero threads.
 pub fn run<P: Protocol + ?Sized>(
     inst: &Instance,
     state: State,
@@ -192,8 +193,13 @@ pub fn run<P: Protocol + ?Sized>(
 /// exactly [`run`]. With a recording sink (e.g. [`qlb_obs::Recorder`]) the
 /// loop emits per-round events (round start/end, migration batch,
 /// convergence check, executor switch), counters, gauges, and
-/// decide/apply/convergence phase timings. Observability is derived data
-/// only — the trajectory is bit-identical either way (property-tested).
+/// decide/apply/convergence phase timings; pooled rounds additionally
+/// split the decide phase into [`Phase::Compute`] and [`Phase::ForkJoin`].
+/// Observability is derived data only — the trajectory is bit-identical
+/// either way (property-tested).
+///
+/// # Panics
+/// Panics on a pooled executor with zero threads.
 pub fn run_observed<P: Protocol + ?Sized, S: Sink>(
     inst: &Instance,
     state: State,
@@ -201,37 +207,14 @@ pub fn run_observed<P: Protocol + ?Sized, S: Sink>(
     config: RunConfig,
     sink: &mut S,
 ) -> RunOutcome {
-    match config.executor {
-        Executor::Dense => run_dense(inst, state, proto, config, sink),
-        Executor::Sparse => run_sparse_observed(inst, state, proto, config, sink),
-        Executor::Threaded(threads) => {
-            run_threaded_observed(inst, state, proto, config, threads, sink)
+    let sparse = config.executor.is_sparse();
+    match pool_for(config.executor, inst.num_users()) {
+        // per-round trace entries need the dense State the owned loop drops
+        Some(pool) if !sparse && !config.record_trace => {
+            run_pooled_owned(inst, state, proto, config, sink, &pool)
         }
-        Executor::SparseThreaded(threads) => {
-            run_sparse_threaded_observed(inst, state, proto, config, threads, sink)
-        }
+        pool => run_core(inst, state, proto, config, sink, pool.as_ref(), sparse),
     }
-}
-
-fn run_dense<P: Protocol + ?Sized, S: Sink>(
-    inst: &Instance,
-    state: State,
-    proto: &P,
-    config: RunConfig,
-    sink: &mut S,
-) -> RunOutcome {
-    run_with_decider(
-        inst,
-        state,
-        proto,
-        config,
-        sink,
-        |inst, state, proto, seed, round, buf, sink| {
-            timed(sink, Phase::Decide, || {
-                decide_round_into(inst, state, proto, seed, round, buf)
-            });
-        },
-    )
 }
 
 /// The pooled dense decide path's owned state: the struct-of-arrays
@@ -259,6 +242,13 @@ impl ViewShards {
     /// shards), then merge the per-shard deltas so the view mirrors the
     /// post-round state. The move list in `buf` is byte-identical to the
     /// sequential scan's.
+    ///
+    /// With `owned_apply`, large migration batches are applied **by the
+    /// workers themselves**, each writing only its own cache-line-aligned
+    /// user range of the interior-mutable assignment array. The decide
+    /// dispatch drains shards in order and each shard emits moves in user
+    /// order, so `buf` is globally sorted by user index — each worker
+    /// recovers its slice with two binary searches.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn decide_round<P: Protocol + ?Sized, S: Sink>(
         &mut self,
@@ -270,57 +260,7 @@ impl ViewShards {
         buf: &mut Vec<Move>,
         sink: &mut S,
         shard_timing: bool,
-    ) {
-        let n = inst.num_users();
-        let chunk = shard_chunk(n, pool.threads());
-        let (view, slots) = (&self.view, &self.slots);
-        pool.decide_round_observed_on(
-            |shard, out| {
-                let lo = (shard * chunk).min(n);
-                let hi = ((shard + 1) * chunk).min(n);
-                if lo < hi {
-                    let mut slot = slots[shard].lock().unwrap();
-                    let (deltas, scratch) = &mut *slot;
-                    view.decide_shard_into(inst, proto, seed, round, lo, hi, out, scratch, deltas);
-                }
-            },
-            buf,
-            sink,
-            shard_timing,
-            shards_for(n, pool.threads()),
-        );
-        // Coordinator merge, ordered per the RoundView contract: every
-        // shard's loads first, then the assignment writes, then the bit
-        // repair of each shard's touched set (which needs final loads).
-        timed(sink, Phase::Apply, || {
-            for slot in &self.slots {
-                self.view.merge_loads(&slot.lock().unwrap().0);
-            }
-            self.view.apply_assignments(buf);
-            for slot in &self.slots {
-                self.view.repair_touched(inst, &mut slot.lock().unwrap().0);
-            }
-        });
-    }
-
-    /// [`ViewShards::decide_round`] for the shard-owned executor: large
-    /// migration batches are applied **by the workers themselves**, each
-    /// writing only its own cache-line-aligned user range of the interior-
-    /// mutable assignment array. The decide dispatch drains shards in
-    /// order and each shard emits moves in user order, so `buf` is
-    /// globally sorted by user index — each worker recovers its slice with
-    /// two binary searches, no extra bookkeeping, no array copy.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn decide_round_owned<P: Protocol + ?Sized, S: Sink>(
-        &mut self,
-        inst: &Instance,
-        proto: &P,
-        seed: u64,
-        round: u64,
-        pool: &WorkerPool,
-        buf: &mut Vec<Move>,
-        sink: &mut S,
-        shard_timing: bool,
+        owned_apply: bool,
     ) {
         let n = inst.num_users();
         let chunk = shard_chunk(n, pool.threads());
@@ -341,11 +281,14 @@ impl ViewShards {
             shard_timing,
             active,
         );
+        // Coordinator merge, ordered per the RoundView contract: every
+        // shard's loads first, then the assignment writes, then the bit
+        // repair of each shard's touched set (which needs final loads).
         timed(sink, Phase::Apply, || {
             for slot in &self.slots {
                 self.view.merge_loads(&slot.lock().unwrap().0);
             }
-            if buf.len() >= OWNED_APPLY_MIN_BATCH {
+            if owned_apply && buf.len() >= OWNED_APPLY_MIN_BATCH {
                 let view = &self.view;
                 let moves: &[Move] = buf;
                 pool.run_on(
@@ -370,19 +313,18 @@ impl ViewShards {
     }
 }
 
-/// The **shard-owned** pooled round loop: no dense [`State`] is kept at
-/// all. The struct-of-arrays [`RoundView`] is built once from the start
-/// state, the workers decide against it and apply their own ranges in
-/// place, and the coordinator holds only the `m` per-resource loads plus
-/// the per-(class, resource) unsatisfied bitmaps. Steady-state rounds are
-/// **zero-copy and zero-allocation** (asserted in the memory bench);
-/// memory cost beyond the view is `O(moves)` for the round's batch.
+/// The **shard-owned** pooled round loop of untraced [`Executor::Threaded`]
+/// runs: no dense [`State`] is kept at all. The struct-of-arrays
+/// [`RoundView`] is built once from the start state, the workers decide
+/// against it and apply their own ranges in place, and the coordinator
+/// holds only the `m` per-resource loads plus the per-(class, resource)
+/// unsatisfied bitmaps. Steady-state rounds are **zero-copy and
+/// zero-allocation** (asserted in the memory bench); memory cost beyond
+/// the view is `O(moves)` for the round's batch.
 ///
-/// Trajectory is bit-identical to [`run_pooled_dense`] — same decide
-/// kernel, same merge order, same cells written — the only difference is
-/// *who* writes the assignment array. Trace recording needs a dense
-/// [`State`] per round, so [`run_threaded_observed`] routes traced runs to
-/// [`run_pooled_dense`] instead.
+/// Trajectory is bit-identical to [`run_core`]'s pooled dense rounds —
+/// same decide kernel, same merge order, same cells written — the only
+/// difference is *who* writes the assignment array.
 fn run_pooled_owned<P: Protocol + ?Sized, S: Sink>(
     inst: &Instance,
     state: State,
@@ -412,7 +354,7 @@ fn run_pooled_owned<P: Protocol + ?Sized, S: Sink>(
                 active: entering,
             });
         }
-        vs.decide_round_owned(
+        vs.decide_round(
             inst,
             proto,
             config.seed,
@@ -421,6 +363,7 @@ fn run_pooled_owned<P: Protocol + ?Sized, S: Sink>(
             &mut moves,
             sink,
             config.shard_timing,
+            true,
         );
         if S::ENABLED {
             sink.add(Counter::DenseRounds, 1);
@@ -438,7 +381,7 @@ fn run_pooled_owned<P: Protocol + ?Sized, S: Sink>(
             } else {
                 vs.view.num_unsatisfied() as u64
             };
-            emit_round_end_loads(
+            emit_round_end(
                 inst,
                 vs.view.loads(),
                 sink,
@@ -461,144 +404,20 @@ fn run_pooled_owned<P: Protocol + ?Sized, S: Sink>(
     }
 }
 
-/// Dense round loop over a caller-provided persistent [`WorkerPool`]: the
-/// full user range is statically sharded once (on cache-line boundaries)
-/// and every round is one pool dispatch deciding against the
-/// struct-of-arrays [`RoundView`] — contiguous assignment/bitmap arrays
-/// instead of the pointer-rich [`State`], per-shard delta buffers instead
-/// of shared counters. No per-round allocation: the pool reuses its shard
-/// buffers, the view its arrays.
-fn run_pooled_dense<P: Protocol + ?Sized, S: Sink>(
+/// The round loop of every executor except the shard-owned one: dense
+/// rounds (sequential, or pooled over the SoA [`RoundView`] when `pool` is
+/// given) and, when `sparse`, active-set rounds once the batches shrink
+/// (see [`run`]).
+fn run_core<P: Protocol + ?Sized, S: Sink>(
     inst: &Instance,
-    state: State,
-    proto: &P,
-    config: RunConfig,
-    sink: &mut S,
-    pool: &WorkerPool,
-) -> RunOutcome {
-    let mut vs = ViewShards::new(inst, &state, pool.threads());
-    run_with_decider(
-        inst,
-        state,
-        proto,
-        config,
-        sink,
-        move |inst, state, proto, seed, round, buf, sink| {
-            if cfg!(debug_assertions) {
-                vs.view.assert_synced(inst, state);
-            }
-            vs.decide_round(
-                inst,
-                proto,
-                seed,
-                round,
-                pool,
-                buf,
-                sink,
-                config.shard_timing,
-            );
-        },
-    )
-}
-
-/// Run a protocol with the **sparse active-set executor**: each round
-/// visits only the currently unsatisfied users, making round cost
-/// `O(active)` instead of `O(n)`.
-///
-/// Exact mechanism: an [`ActiveIndex`] tracks the unsatisfied set and
-/// per-resource occupant lists. Applying a round's migrations changes the
-/// congestion of the touched resources only, and a user's satisfaction
-/// depends solely on its own resource's congestion — so the set is updated
-/// by rechecking just the occupants of touched resources. Convergence is
-/// detected in O(1) as set emptiness (equivalent to [`State::is_legal`]).
-///
-/// The trajectory is **bit-identical** to [`run`]'s dense executor:
-/// decisions are pure functions of `(seed, user, round)` and start-of-round
-/// loads, satisfied users consume no randomness, and the active set is
-/// walked in user order. Protocols that act while satisfied
-/// ([`Protocol::acts_when_satisfied`]) would make the active set unsound,
-/// so they **fall back to the dense executor** automatically — the result
-/// is identical either way; only the cost differs.
-///
-/// Crowded rounds (most users unsatisfied, as from a hotspot start) are a
-/// loss for the index: maintaining occupant lists under a near-`n`-sized
-/// batch costs more than the dense scan it replaces. The executor therefore
-/// runs **dense warm-up rounds** while batches stay large and builds the
-/// index only once a round's batch drops below `n / 8` — both phases decide
-/// identically, so the trajectory is unaffected.
-pub fn run_sparse<P: Protocol + ?Sized>(
-    inst: &Instance,
-    state: State,
-    proto: &P,
-    config: RunConfig,
-) -> RunOutcome {
-    run_sparse_observed(inst, state, proto, config, &mut NoopSink)
-}
-
-/// [`run_sparse`] with an observability sink attached (see
-/// [`run_observed`] for the contract). Additionally emits
-/// [`Event::ExecutorSwitch`] when the active-set index is built (or when
-/// the protocol forces the dense fallback) and tracks the active-set size
-/// gauge.
-pub fn run_sparse_observed<P: Protocol + ?Sized, S: Sink>(
-    inst: &Instance,
-    state: State,
-    proto: &P,
-    config: RunConfig,
-    sink: &mut S,
-) -> RunOutcome {
-    run_sparse_core(inst, state, proto, config, sink, None)
-}
-
-/// Run with the **pooled sparse executor** ([`Executor::SparseThreaded`]):
-/// the sparse active-set walk of [`run_sparse`], with large rounds (warm-up
-/// dense rounds and big active sets) sharded over a persistent
-/// [`WorkerPool`] and small ones decided sequentially. Same trajectory and
-/// same automatic dense fallback as [`run_sparse`].
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn run_sparse_threaded<P: Protocol + ?Sized>(
-    inst: &Instance,
-    state: State,
-    proto: &P,
-    config: RunConfig,
-    threads: usize,
-) -> RunOutcome {
-    run_sparse_threaded_observed(inst, state, proto, config, threads, &mut NoopSink)
-}
-
-/// [`run_sparse_threaded`] with an observability sink attached. Pooled
-/// rounds additionally split the decide phase into [`Phase::Compute`] and
-/// [`Phase::ForkJoin`].
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn run_sparse_threaded_observed<P: Protocol + ?Sized, S: Sink>(
-    inst: &Instance,
-    state: State,
-    proto: &P,
-    config: RunConfig,
-    threads: usize,
-    sink: &mut S,
-) -> RunOutcome {
-    assert!(threads > 0, "need at least one thread");
-    if threads == 1 {
-        return run_sparse_core(inst, state, proto, config, sink, None);
-    }
-    let pool = WorkerPool::new(threads);
-    run_sparse_core(inst, state, proto, config, sink, Some(&pool))
-}
-
-fn run_sparse_core<P: Protocol + ?Sized, S: Sink>(
-    inst: &Instance,
-    state: State,
+    mut state: State,
     proto: &P,
     config: RunConfig,
     sink: &mut S,
     pool: Option<&WorkerPool>,
+    sparse: bool,
 ) -> RunOutcome {
-    if proto.acts_when_satisfied() {
+    let sparse = if sparse && proto.acts_when_satisfied() {
         // the active set would be unsound; record the decision and run dense
         if S::ENABLED {
             sink.event(Event::ExecutorSwitch {
@@ -606,13 +425,11 @@ fn run_sparse_core<P: Protocol + ?Sized, S: Sink>(
                 sparse: false,
             });
         }
-        return match pool {
-            Some(pool) => run_pooled_dense(inst, state, proto, config, sink, pool),
-            None => run_dense(inst, state, proto, config, sink),
-        };
-    }
+        false
+    } else {
+        sparse
+    };
 
-    let mut state = state;
     let mut trace = config.record_trace.then(Trace::default);
     if let Some(t) = trace.as_mut() {
         t.record(inst, &state, 0, 0);
@@ -625,7 +442,8 @@ fn run_sparse_core<P: Protocol + ?Sized, S: Sink>(
     let unsat0 = state.num_unsatisfied(inst);
     // start sparse only if the initial state is already in the sparse
     // regime; otherwise warm up with dense rounds
-    let mut active: Option<ActiveIndex> = (unsat0 * 8 < n).then(|| ActiveIndex::new(inst, &state));
+    let mut active: Option<ActiveIndex> =
+        (sparse && unsat0 * 8 < n).then(|| ActiveIndex::new(inst, &state));
     if S::ENABLED && active.is_some() {
         sink.add(Counter::ExecutorSwitches, 1);
         sink.event(Event::ExecutorSwitch {
@@ -635,9 +453,9 @@ fn run_sparse_core<P: Protocol + ?Sized, S: Sink>(
     }
     let mut moves: Vec<Move> = Vec::new();
     let mut scratch: Vec<UserId> = Vec::new();
-    // SoA view of the dense warm-up rounds (pooled runs only); dropped at
-    // the switch to the sparse index
-    let mut warmup_view: Option<ViewShards> = None;
+    // SoA view of the pooled dense rounds; dropped at the switch to the
+    // sparse index
+    let mut dense_view: Option<ViewShards> = None;
     let mut rounds = 0u64;
     let mut migrations = 0u64;
     let mut converged = unsat0 == 0;
@@ -730,7 +548,7 @@ fn run_sparse_core<P: Protocol + ?Sized, S: Sink>(
             None => {
                 match pool {
                     Some(pool) => {
-                        let vs = warmup_view
+                        let vs = dense_view
                             .get_or_insert_with(|| ViewShards::new(inst, &state, pool.threads()));
                         if cfg!(debug_assertions) {
                             vs.view.assert_synced(inst, &state);
@@ -744,6 +562,7 @@ fn run_sparse_core<P: Protocol + ?Sized, S: Sink>(
                             &mut moves,
                             sink,
                             config.shard_timing,
+                            false,
                         );
                     }
                     None => {
@@ -762,9 +581,9 @@ fn run_sparse_core<P: Protocol + ?Sized, S: Sink>(
                 timed(sink, Phase::Apply, || state.apply_moves(inst, &moves));
                 // batch size tracks the active count for the damped
                 // kernels; once it shrinks, the index starts paying off
-                if moves.len() * 8 < n {
+                if sparse && moves.len() * 8 < n {
                     active = Some(ActiveIndex::new(inst, &state));
-                    warmup_view = None;
+                    dense_view = None;
                     if S::ENABLED {
                         sink.add(Counter::ExecutorSwitches, 1);
                         sink.event(Event::ExecutorSwitch {
@@ -789,7 +608,7 @@ fn run_sparse_core<P: Protocol + ?Sized, S: Sink>(
         });
         if S::ENABLED {
             // the index tracks the unsatisfied set exactly, so when it is
-            // live the count is O(1); the dense warm-up scans
+            // live the count is O(1); dense rounds scan
             let unsatisfied = match active.as_ref() {
                 Some(index) => index.num_active() as u64,
                 None if converged => 0,
@@ -797,7 +616,7 @@ fn run_sparse_core<P: Protocol + ?Sized, S: Sink>(
             };
             emit_round_end(
                 inst,
-                &state,
+                state.loads(),
                 sink,
                 rounds - 1,
                 moves.len() as u64,
@@ -822,100 +641,15 @@ fn run_sparse_core<P: Protocol + ?Sized, S: Sink>(
     }
 }
 
-/// Run a protocol with round decisions sharded over a persistent
-/// [`WorkerPool`] of `threads` threads.
-///
-/// Produces the **same trajectory** as [`run`] for the same config: user
-/// decisions are pure functions of `(seed, user, round)` and the
-/// start-of-round state, so sharding only changes who computes them. Shard
-/// results are concatenated in user order before application.
-///
-/// The pool (and its reusable per-shard move buffers) is created **once per
-/// run** and every round is dispatched as an epoch bump on parked workers —
-/// the earlier `std::thread::scope`-per-round executor paid `threads`
-/// thread spawns and fresh shard allocations every round, which dominated
-/// endgame rounds (measured in `BENCH_parallel.json`).
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn run_threaded<P: Protocol + ?Sized>(
-    inst: &Instance,
-    state: State,
-    proto: &P,
-    config: RunConfig,
-    threads: usize,
-) -> RunOutcome {
-    run_threaded_observed(inst, state, proto, config, threads, &mut NoopSink)
-}
-
-/// [`run_threaded`] with an observability sink attached (see
-/// [`run_observed`] for the contract). The decide phase covers the whole
-/// fork/join of a round's shards; pooled rounds additionally split it into
-/// [`Phase::Compute`] (longest shard) and [`Phase::ForkJoin`] (dispatch +
-/// join + drain overhead).
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn run_threaded_observed<P: Protocol + ?Sized, S: Sink>(
-    inst: &Instance,
-    state: State,
-    proto: &P,
-    config: RunConfig,
-    threads: usize,
-    sink: &mut S,
-) -> RunOutcome {
-    assert!(threads > 0, "need at least one thread");
-    // More threads than non-empty shards would park idle workers; size the
-    // pool to the real shard count, and skip the pool entirely when one
-    // shard (⇒ the sequential scan) covers everything.
-    let shards = shard_bounds(inst.num_users(), threads).len();
-    if shards <= 1 {
-        return run_dense(inst, state, proto, config, sink);
-    }
-    let pool = WorkerPool::new(shards);
-    if config.record_trace {
-        // per-round trace entries need a dense State alongside the view
-        run_pooled_dense(inst, state, proto, config, sink, &pool)
-    } else {
-        run_pooled_owned(inst, state, proto, config, sink, &pool)
-    }
-}
-
 /// Emit the post-round counters, gauges, and events. Everything here is
-/// *derived* from the already-updated state — it must never feed back into
-/// decisions. `unsatisfied` is passed in (the caller usually has it for
-/// free: the sparse index knows it in O(1), and the dense loops reuse it as
-/// the next round's `RoundStart` active count, halving the scans). With
-/// `topk > 0` the `topk` hottest resources are offered to the sink as a
-/// congestion sample.
+/// *derived* from the post-round congestion vector — it must never feed
+/// back into decisions. `unsatisfied` is passed in (the caller usually has
+/// it for free: the sparse index knows it in O(1), and the dense loops
+/// reuse it as the next round's `RoundStart` active count, halving the
+/// scans). With `topk > 0` the `topk` hottest resources are offered to the
+/// sink as a congestion sample.
 #[allow(clippy::too_many_arguments)]
 fn emit_round_end<S: Sink>(
-    inst: &Instance,
-    state: &State,
-    sink: &mut S,
-    round: u64,
-    batch: u64,
-    converged: bool,
-    unsatisfied: u64,
-    topk: usize,
-) {
-    emit_round_end_loads(
-        inst,
-        state.loads(),
-        sink,
-        round,
-        batch,
-        converged,
-        unsatisfied,
-        topk,
-    );
-}
-
-/// [`emit_round_end`] from a raw congestion vector — the shard-owned
-/// executor has no dense [`State`] to pass, and every emitted quantity is
-/// derivable from the loads alone.
-#[allow(clippy::too_many_arguments)]
-fn emit_round_end_loads<S: Sink>(
     inst: &Instance,
     loads: &[u32],
     sink: &mut S,
@@ -941,96 +675,6 @@ fn emit_round_end_loads<S: Sink>(
     sink.event(Event::ConvergenceCheck { round, converged });
     if topk > 0 {
         sink.topk(round, &qlb_obs::top_k_entries(loads, topk));
-    }
-}
-
-/// The dense round loop, generic over how a round is decided. The decider
-/// owns its own [`Phase::Decide`] emission (pooled deciders split it into
-/// compute and fork/join), which is why it receives the sink.
-fn run_with_decider<P, S, D>(
-    inst: &Instance,
-    mut state: State,
-    proto: &P,
-    config: RunConfig,
-    sink: &mut S,
-    mut decide: D,
-) -> RunOutcome
-where
-    P: Protocol + ?Sized,
-    S: Sink,
-    D: FnMut(&Instance, &State, &P, u64, u64, &mut Vec<Move>, &mut S),
-{
-    let mut trace = config.record_trace.then(Trace::default);
-    if let Some(t) = trace.as_mut() {
-        t.record(inst, &state, 0, 0);
-        if config.track_user_times {
-            t.record_user_times(inst, &state, 0);
-        }
-    }
-
-    let mut moves: Vec<Move> = Vec::new();
-    let mut rounds = 0u64;
-    let mut migrations = 0u64;
-    let mut converged = state.is_legal(inst);
-    // carried from round end to the next round start, so each round does
-    // one unsatisfied scan, not two
-    let mut entering = if S::ENABLED && !converged {
-        state.num_unsatisfied(inst) as u64
-    } else {
-        0
-    };
-
-    while !converged && rounds < config.max_rounds {
-        if S::ENABLED {
-            sink.event(Event::RoundStart {
-                round: rounds,
-                active: entering,
-            });
-        }
-        decide(inst, &state, proto, config.seed, rounds, &mut moves, sink);
-        if S::ENABLED {
-            sink.add(Counter::DenseRounds, 1);
-            sink.event(Event::MigrationBatch {
-                round: rounds,
-                size: moves.len() as u64,
-            });
-        }
-        timed(sink, Phase::Apply, || state.apply_moves(inst, &moves));
-        migrations += moves.len() as u64;
-        rounds += 1;
-        if let Some(t) = trace.as_mut() {
-            t.record(inst, &state, rounds, moves.len() as u64);
-            if config.track_user_times {
-                t.record_user_times(inst, &state, rounds);
-            }
-        }
-        converged = timed(sink, Phase::Convergence, || state.is_legal(inst));
-        if S::ENABLED {
-            let unsatisfied = if converged {
-                0
-            } else {
-                state.num_unsatisfied(inst) as u64
-            };
-            emit_round_end(
-                inst,
-                &state,
-                sink,
-                rounds - 1,
-                moves.len() as u64,
-                converged,
-                unsatisfied,
-                config.topk_resources,
-            );
-            entering = unsatisfied;
-        }
-    }
-
-    RunOutcome {
-        converged,
-        rounds,
-        migrations,
-        state,
-        trace,
     }
 }
 
@@ -1152,12 +796,11 @@ mod tests {
                 &SlackDamped::default(),
                 RunConfig::new(11, 10_000),
             );
-            let par = run_threaded(
+            let par = run(
                 &inst,
                 s1.clone(),
                 &SlackDamped::default(),
-                RunConfig::new(11, 10_000),
-                threads,
+                RunConfig::new(11, 10_000).with_executor(Executor::Threaded(threads)),
             );
             assert_eq!(seq.rounds, par.rounds, "threads={threads}");
             assert_eq!(seq.migrations, par.migrations, "threads={threads}");
@@ -1168,12 +811,11 @@ mod tests {
     #[test]
     fn threaded_more_threads_than_users() {
         let (inst, state) = hotspot(4, 2, 3);
-        let out = run_threaded(
+        let out = run(
             &inst,
             state,
             &SlackDamped::default(),
-            RunConfig::new(2, 1_000),
-            16,
+            RunConfig::new(2, 1_000).with_executor(Executor::Threaded(16)),
         );
         assert!(out.converged);
     }
@@ -1182,12 +824,11 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_panics() {
         let (inst, state) = hotspot(4, 2, 3);
-        let _ = run_threaded(
+        let _ = run(
             &inst,
             state,
             &SlackDamped::default(),
-            RunConfig::new(2, 10),
-            0,
+            RunConfig::new(2, 10).with_executor(Executor::Threaded(0)),
         );
     }
 
@@ -1255,29 +896,35 @@ mod tests {
         assert_eq!(out.state.num_unsatisfied(&inst), 1);
     }
 
+    /// Asserts two runs took the same trajectory, traces included.
+    fn assert_same_run(a: &RunOutcome, b: &RunOutcome, label: &str) {
+        assert_eq!(a.converged, b.converged, "{label}");
+        assert_eq!(a.rounds, b.rounds, "{label}");
+        assert_eq!(a.migrations, b.migrations, "{label}");
+        assert_eq!(a.state, b.state, "{label}");
+        let (at, bt) = (a.trace.as_ref(), b.trace.as_ref());
+        assert_eq!(at.map(|t| &t.rounds), bt.map(|t| &t.rounds), "{label}");
+        assert_eq!(
+            at.map(|t| &t.last_unsatisfied),
+            bt.map(|t| &t.last_unsatisfied),
+            "{label}"
+        );
+    }
+
     #[test]
     fn sparse_matches_dense_exactly() {
         let (inst, s1) = hotspot(500, 16, 40);
         for proto in qlb_core::registry(&inst) {
-            let dense = run(
+            let cfg = RunConfig::new(11, 2_000).with_user_times();
+            let dense = run(&inst, s1.clone(), proto.as_ref(), cfg);
+            let sparse = run(
                 &inst,
                 s1.clone(),
                 proto.as_ref(),
-                RunConfig::new(11, 2_000).with_trace(),
+                cfg.with_executor(Executor::Sparse),
             );
-            let sparse = run_sparse(
-                &inst,
-                s1.clone(),
-                proto.as_ref(),
-                RunConfig::new(11, 2_000).with_trace(),
-            );
-            let name = proto.name();
-            assert_eq!(dense.converged, sparse.converged, "{name}");
-            assert_eq!(dense.rounds, sparse.rounds, "{name}");
-            assert_eq!(dense.migrations, sparse.migrations, "{name}");
-            assert_eq!(dense.state, sparse.state, "{name}");
-            let (dt, st) = (dense.trace.unwrap(), sparse.trace.unwrap());
-            assert_eq!(dt.rounds.len(), st.rounds.len(), "{name}");
+            assert!(dense.trace.is_some(), "{}", proto.name());
+            assert_same_run(&dense, &sparse, proto.name());
         }
     }
 
@@ -1285,23 +932,24 @@ mod tests {
     fn pooled_executors_match_sequential_exactly() {
         let (inst, s1) = hotspot(500, 16, 40);
         for proto in qlb_core::registry(&inst) {
-            let dense = run(&inst, s1.clone(), proto.as_ref(), RunConfig::new(11, 2_000));
-            for exec in [
-                Executor::Threaded(3),
-                Executor::SparseThreaded(2),
-                Executor::SparseThreaded(8),
+            let name = proto.name();
+            // untraced Threaded runs take the shard-owned loop, traced ones
+            // the shared loop with a dense state
+            for cfg in [
+                RunConfig::new(11, 2_000),
+                RunConfig::new(11, 2_000).with_user_times(),
             ] {
-                let pooled = run(
-                    &inst,
-                    s1.clone(),
-                    proto.as_ref(),
-                    RunConfig::new(11, 2_000).with_executor(exec),
-                );
-                let name = proto.name();
-                assert_eq!(dense.converged, pooled.converged, "{name} {exec:?}");
-                assert_eq!(dense.rounds, pooled.rounds, "{name} {exec:?}");
-                assert_eq!(dense.migrations, pooled.migrations, "{name} {exec:?}");
-                assert_eq!(dense.state, pooled.state, "{name} {exec:?}");
+                let dense = run(&inst, s1.clone(), proto.as_ref(), cfg);
+                for exec in [
+                    Executor::Sparse,
+                    Executor::Threaded(3),
+                    Executor::SparseThreaded(2),
+                    Executor::SparseThreaded(8),
+                ] {
+                    let pooled = run(&inst, s1.clone(), proto.as_ref(), cfg.with_executor(exec));
+                    let label = format!("{name} {exec:?} traced={}", cfg.record_trace);
+                    assert_same_run(&dense, &pooled, &label);
+                }
             }
         }
     }
@@ -1310,12 +958,11 @@ mod tests {
     fn pooled_observed_splits_decide_phase() {
         let (inst, s1) = hotspot(300, 16, 24);
         let mut rec = Recorder::default();
-        let out = run_threaded_observed(
+        let out = run_observed(
             &inst,
             s1,
             &SlackDamped::default(),
-            RunConfig::new(5, 10_000),
-            4,
+            RunConfig::new(5, 10_000).with_executor(Executor::Threaded(4)),
             &mut rec,
         );
         assert!(out.converged);
@@ -1333,12 +980,11 @@ mod tests {
     #[test]
     fn sparse_threaded_more_threads_than_active_users() {
         let (inst, state) = hotspot(6, 3, 3);
-        let out = run_sparse_threaded(
+        let out = run(
             &inst,
             state,
             &SlackDamped::default(),
-            RunConfig::new(2, 1_000),
-            16,
+            RunConfig::new(2, 1_000).with_executor(Executor::SparseThreaded(16)),
         );
         assert!(out.converged);
     }
@@ -1356,7 +1002,7 @@ mod tests {
             &inst,
             s1,
             &SlackDamped::default(),
-            RunConfig::new(9, 10_000).sparse(),
+            RunConfig::new(9, 10_000).with_executor(Executor::Sparse),
         );
         assert!(dense.converged && sparse.converged);
         assert_eq!(dense.rounds, sparse.rounds);
@@ -1368,11 +1014,11 @@ mod tests {
     fn sparse_already_legal_returns_immediately() {
         let inst = Instance::uniform(8, 4, 3).unwrap();
         let state = State::round_robin(&inst);
-        let out = run_sparse(
+        let out = run(
             &inst,
             state,
             &SlackDamped::default(),
-            RunConfig::new(1, 100),
+            RunConfig::new(1, 100).with_executor(Executor::Sparse),
         );
         assert!(out.converged);
         assert_eq!(out.rounds, 0);
@@ -1433,11 +1079,11 @@ mod tests {
     fn observed_sparse_emits_executor_switch() {
         let (inst, s1) = hotspot(256, 32, 10);
         let mut rec = Recorder::default();
-        let out = run_sparse_observed(
+        let out = run_observed(
             &inst,
             s1.clone(),
             &SlackDamped::default(),
-            RunConfig::new(7, 10_000),
+            RunConfig::new(7, 10_000).with_executor(Executor::Sparse),
             &mut rec,
         );
         assert!(out.converged);
@@ -1466,22 +1112,32 @@ mod tests {
     #[test]
     fn observed_threaded_matches_sequential() {
         let (inst, s1) = hotspot(200, 16, 16);
-        let seq = run(
-            &inst,
-            s1.clone(),
-            &SlackDamped::default(),
+        // untraced Threaded runs take the shard-owned loop, traced ones the
+        // shared loop; both must emit exactly the dense event stream
+        for cfg in [
             RunConfig::new(3, 10_000),
-        );
-        let mut rec = Recorder::default();
-        let par = run_threaded_observed(
-            &inst,
-            s1,
-            &SlackDamped::default(),
-            RunConfig::new(3, 10_000),
-            4,
-            &mut rec,
-        );
-        assert_eq!(seq.state, par.state);
-        assert_eq!(rec.counter(Counter::Rounds), par.rounds);
+            RunConfig::new(3, 10_000).with_trace(),
+        ] {
+            let mut seq_rec = Recorder::default();
+            let seq = run_observed(
+                &inst,
+                s1.clone(),
+                &SlackDamped::default(),
+                cfg,
+                &mut seq_rec,
+            );
+            let mut rec = Recorder::default();
+            let par = run_observed(
+                &inst,
+                s1.clone(),
+                &SlackDamped::default(),
+                cfg.with_executor(Executor::Threaded(3)),
+                &mut rec,
+            );
+            assert_eq!(seq.state, par.state);
+            assert_eq!(rec.counter(Counter::Rounds), par.rounds);
+            let events = |r: &Recorder| r.events().iter().map(|(_, e)| e).collect::<Vec<_>>();
+            assert_eq!(events(&rec), events(&seq_rec));
+        }
     }
 }

@@ -8,8 +8,8 @@
 //! sparse executors are sound for **every** weighted protocol and need no
 //! dense fallback.
 
-use crate::pool::{shard_bounds, shard_chunk, shards_for, WorkerPool};
-use crate::run::Executor;
+use crate::pool::{pool_for, shard_chunk, shards_for, WorkerPool};
+use crate::run::{Executor, SPARSE_POOL_MIN_ACTIVE};
 use qlb_core::weighted::{
     decide_weighted_round_into, decide_weighted_users_into, WeightedActiveIndex, WeightedInstance,
     WeightedProtocol, WeightedRoundView, WeightedState,
@@ -18,10 +18,6 @@ use qlb_core::{Move, ShardDeltas, ShardScratch, UserId};
 use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Below this many active users a pooled weighted round decides
-/// sequentially (same rationale as the unit model's threshold).
-const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 
 /// The weighted pooled dense decide path's owned state: the SoA
 /// [`WeightedRoundView`] plus one `(deltas, scratch)` slot per shard —
@@ -130,21 +126,6 @@ impl WeightedConfig {
         self.shard_timing = on;
         self
     }
-
-    /// Shorthand for [`Executor::Sparse`].
-    pub fn sparse(self) -> Self {
-        self.with_executor(Executor::Sparse)
-    }
-
-    /// Shorthand for [`Executor::Threaded`].
-    pub fn threaded(self, threads: usize) -> Self {
-        self.with_executor(Executor::Threaded(threads))
-    }
-
-    /// Shorthand for [`Executor::SparseThreaded`].
-    pub fn sparse_threaded(self, threads: usize) -> Self {
-        self.with_executor(Executor::SparseThreaded(threads))
-    }
 }
 
 /// Result of a weighted run.
@@ -163,91 +144,43 @@ pub struct WeightedOutcome {
     pub state: WeightedState,
 }
 
-/// Run a weighted protocol until legal or out of rounds with the dense
-/// sequential executor (the decisions are order-independent exactly as in
-/// the unit model, so every other executor produces the same trajectory —
-/// select one via [`run_weighted_cfg`]).
+/// Run a weighted protocol until legal or out of rounds, using the
+/// executor selected by [`WeightedConfig::executor`]. The decisions are
+/// order-independent exactly as in the unit model, so every executor
+/// produces the same trajectory: sparse rounds cost `O(active)` instead of
+/// `O(n)` (with the same dense warm-up / batch-size switch rule as
+/// [`crate::run()`]), and the threaded variants shard rounds over a
+/// persistent [`WorkerPool`].
+///
+/// # Panics
+/// Panics on a pooled executor with zero threads.
 pub fn run_weighted<P: WeightedProtocol + ?Sized>(
     inst: &WeightedInstance,
     state: WeightedState,
     proto: &P,
-    seed: u64,
-    max_rounds: u64,
+    config: WeightedConfig,
 ) -> WeightedOutcome {
-    run_weighted_cfg(inst, state, proto, WeightedConfig::new(seed, max_rounds))
+    run_weighted_observed(inst, state, proto, config, &mut NoopSink)
 }
 
 /// [`run_weighted`] with an observability sink attached: per-round events,
-/// the weight-moved counter, and decide/apply/convergence phase timings.
-/// Derived data only — trajectories are bit-identical to [`run_weighted`].
-pub fn run_weighted_observed<P: WeightedProtocol + ?Sized, S: Sink>(
-    inst: &WeightedInstance,
-    state: WeightedState,
-    proto: &P,
-    seed: u64,
-    max_rounds: u64,
-    sink: &mut S,
-) -> WeightedOutcome {
-    run_weighted_cfg_observed(
-        inst,
-        state,
-        proto,
-        WeightedConfig::new(seed, max_rounds),
-        sink,
-    )
-}
-
-/// Run a weighted protocol with the executor selected by
-/// [`WeightedConfig::executor`]. All executors are bit-identical; sparse
-/// rounds cost `O(active)` instead of `O(n)` (with the same dense warm-up /
-/// batch-size switch rule as the unit model), and the threaded variants
-/// shard rounds over a persistent [`WorkerPool`].
-pub fn run_weighted_cfg<P: WeightedProtocol + ?Sized>(
-    inst: &WeightedInstance,
-    state: WeightedState,
-    proto: &P,
-    config: WeightedConfig,
-) -> WeightedOutcome {
-    run_weighted_cfg_observed(inst, state, proto, config, &mut NoopSink)
-}
-
-/// [`run_weighted_cfg`] with an observability sink attached. Pooled rounds
-/// split the decide phase into [`Phase::Compute`] and [`Phase::ForkJoin`].
+/// the weight-moved counter, and decide/apply/convergence phase timings;
+/// pooled rounds split the decide phase into [`Phase::Compute`] and
+/// [`Phase::ForkJoin`]. Derived data only — trajectories are bit-identical
+/// to [`run_weighted`].
 ///
 /// # Panics
-/// Panics if the executor is threaded with zero threads.
-pub fn run_weighted_cfg_observed<P: WeightedProtocol + ?Sized, S: Sink>(
-    inst: &WeightedInstance,
-    state: WeightedState,
-    proto: &P,
-    config: WeightedConfig,
-    sink: &mut S,
-) -> WeightedOutcome {
-    match config.executor {
-        Executor::Dense => run_weighted_core(inst, state, proto, config, sink, None, false),
-        Executor::Sparse => run_weighted_core(inst, state, proto, config, sink, None, true),
-        Executor::Threaded(threads) | Executor::SparseThreaded(threads) => {
-            assert!(threads > 0, "need at least one thread");
-            let sparse = matches!(config.executor, Executor::SparseThreaded(_));
-            let shards = shard_bounds(inst.num_users(), threads).len();
-            if shards <= 1 {
-                return run_weighted_core(inst, state, proto, config, sink, None, sparse);
-            }
-            let pool = WorkerPool::new(shards);
-            run_weighted_core(inst, state, proto, config, sink, Some(&pool), sparse)
-        }
-    }
-}
-
-fn run_weighted_core<P: WeightedProtocol + ?Sized, S: Sink>(
+/// Panics on a pooled executor with zero threads.
+pub fn run_weighted_observed<P: WeightedProtocol + ?Sized, S: Sink>(
     inst: &WeightedInstance,
     mut state: WeightedState,
     proto: &P,
     config: WeightedConfig,
     sink: &mut S,
-    pool: Option<&WorkerPool>,
-    use_sparse: bool,
 ) -> WeightedOutcome {
+    let pool = pool_for(config.executor, inst.num_users());
+    let pool = pool.as_ref();
+    let use_sparse = config.executor.is_sparse();
     let n = inst.num_users().max(1);
     let unsat0 = state.num_unsatisfied(inst);
     // sparse regime from the start ⇒ build the index immediately; otherwise
@@ -454,7 +387,12 @@ mod tests {
         // 96 users of weight 2, caps 6 × 64 resources → γ = 2
         let inst = WeightedInstance::new(vec![6; 64], vec![2; 96]).unwrap();
         let state = WeightedState::all_on(&inst, ResourceId(0));
-        let out = run_weighted(&inst, state, &WeightedSlackDamped::default(), 3, 10_000);
+        let out = run_weighted(
+            &inst,
+            state,
+            &WeightedSlackDamped::default(),
+            WeightedConfig::new(3, 10_000),
+        );
         assert!(out.converged, "took {} rounds", out.rounds);
         assert!(out.state.is_legal(&inst));
         assert_eq!(out.weight_moved, out.migrations * 2);
@@ -466,7 +404,12 @@ mod tests {
         weights.extend(vec![4u32; 30]); // total 240
         let inst = WeightedInstance::new(vec![10; 36], weights).unwrap(); // cap 360
         let state = WeightedState::all_on(&inst, ResourceId(0));
-        let out = run_weighted(&inst, state, &WeightedSlackDamped::default(), 5, 100_000);
+        let out = run_weighted(
+            &inst,
+            state,
+            &WeightedSlackDamped::default(),
+            WeightedConfig::new(5, 100_000),
+        );
         assert!(out.converged, "took {} rounds", out.rounds);
     }
 
@@ -474,7 +417,12 @@ mod tests {
     fn already_legal_is_zero_rounds() {
         let inst = WeightedInstance::new(vec![10, 10], vec![5, 5]).unwrap();
         let state = WeightedState::new(&inst, vec![ResourceId(0), ResourceId(1)]).unwrap();
-        let out = run_weighted(&inst, state, &WeightedConditional, 1, 100);
+        let out = run_weighted(
+            &inst,
+            state,
+            &WeightedConditional,
+            WeightedConfig::new(1, 100),
+        );
         assert!(out.converged);
         assert_eq!(out.rounds, 0);
         assert_eq!(out.weight_moved, 0);
@@ -484,7 +432,12 @@ mod tests {
     fn budget_respected() {
         let inst = WeightedInstance::new(vec![4; 16], vec![2; 24]).unwrap();
         let state = WeightedState::all_on(&inst, ResourceId(0));
-        let out = run_weighted(&inst, state, &WeightedSlackDamped::default(), 1, 1);
+        let out = run_weighted(
+            &inst,
+            state,
+            &WeightedSlackDamped::default(),
+            WeightedConfig::new(1, 1),
+        );
         assert_eq!(out.rounds, 1);
         assert!(!out.converged);
     }
@@ -493,8 +446,18 @@ mod tests {
     fn deterministic() {
         let inst = WeightedInstance::new(vec![8; 32], vec![3; 48]).unwrap();
         let s = WeightedState::all_on(&inst, ResourceId(0));
-        let a = run_weighted(&inst, s.clone(), &WeightedSlackDamped::default(), 9, 10_000);
-        let b = run_weighted(&inst, s, &WeightedSlackDamped::default(), 9, 10_000);
+        let a = run_weighted(
+            &inst,
+            s.clone(),
+            &WeightedSlackDamped::default(),
+            WeightedConfig::new(9, 10_000),
+        );
+        let b = run_weighted(
+            &inst,
+            s,
+            &WeightedSlackDamped::default(),
+            WeightedConfig::new(9, 10_000),
+        );
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.state, b.state);
     }
@@ -511,8 +474,7 @@ mod tests {
             &wi,
             WeightedState::all_on(&wi, ResourceId(0)),
             &WeightedSlackDamped::default(),
-            7,
-            10_000,
+            WeightedConfig::new(7, 10_000),
         );
         let u_out = crate::run(
             &ui,
@@ -535,13 +497,13 @@ mod tests {
         let protos: [&dyn WeightedProtocol; 2] =
             [&WeightedSlackDamped::default(), &WeightedConditional];
         for proto in protos {
-            let dense = run_weighted_cfg(&inst, s.clone(), proto, WeightedConfig::new(11, 10_000));
+            let dense = run_weighted(&inst, s.clone(), proto, WeightedConfig::new(11, 10_000));
             for exec in [
                 Executor::Sparse,
                 Executor::Threaded(3),
                 Executor::SparseThreaded(4),
             ] {
-                let other = run_weighted_cfg(
+                let other = run_weighted(
                     &inst,
                     s.clone(),
                     proto,
@@ -563,12 +525,12 @@ mod tests {
         let inst = WeightedInstance::new(vec![8; 32], vec![3; 48]).unwrap();
         let state = WeightedState::all_on(&inst, ResourceId(0));
         let mut rec = Recorder::default();
-        let out = run_weighted_cfg_observed(
+        let out = run_weighted_observed(
             &inst,
             state,
             &WeightedSlackDamped::default(),
             WeightedConfig::new(9, 10_000)
-                .threaded(3)
+                .with_executor(Executor::Threaded(3))
                 .with_topk_resources(4),
             &mut rec,
         );
@@ -597,11 +559,11 @@ mod tests {
         assignment.extend([ResourceId(0), ResourceId(0)]);
         let state = WeightedState::new(&inst, assignment).unwrap();
         let mut rec = Recorder::default();
-        let out = run_weighted_cfg_observed(
+        let out = run_weighted_observed(
             &inst,
             state,
             &WeightedSlackDamped::default(),
-            WeightedConfig::new(3, 10_000).sparse(),
+            WeightedConfig::new(3, 10_000).with_executor(Executor::Sparse),
             &mut rec,
         );
         assert!(out.converged);
@@ -617,11 +579,11 @@ mod tests {
     fn threads_beyond_users_collapse_to_sequential() {
         let inst = WeightedInstance::new(vec![4; 4], vec![2; 6]).unwrap();
         let state = WeightedState::all_on(&inst, ResourceId(0));
-        let out = run_weighted_cfg(
+        let out = run_weighted(
             &inst,
             state,
             &WeightedSlackDamped::default(),
-            WeightedConfig::new(2, 10_000).threaded(64),
+            WeightedConfig::new(2, 10_000).with_executor(Executor::Threaded(64)),
         );
         assert!(out.converged);
     }
@@ -631,11 +593,11 @@ mod tests {
     fn zero_threads_panics() {
         let inst = WeightedInstance::new(vec![4; 4], vec![2; 6]).unwrap();
         let state = WeightedState::all_on(&inst, ResourceId(0));
-        let _ = run_weighted_cfg(
+        let _ = run_weighted(
             &inst,
             state,
             &WeightedSlackDamped::default(),
-            WeightedConfig::new(2, 10).threaded(0),
+            WeightedConfig::new(2, 10).with_executor(Executor::Threaded(0)),
         );
     }
 }

@@ -14,7 +14,7 @@ use qlb_core::weighted::{
 };
 use qlb_core::{Instance, InstanceBuilder, ResourceId, State};
 use qlb_engine::{
-    run, run_open_system, run_weighted_cfg, Executor, OpenConfig, RunConfig, WeightedConfig,
+    run, run_open_system, run_weighted, Executor, OpenConfig, RunConfig, WeightedConfig,
 };
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
@@ -125,13 +125,13 @@ fn weighted_matches_dense_across_thread_counts() {
         [&WeightedSlackDamped::default(), &WeightedConditional];
     for proto in protos {
         let name = proto.name();
-        let dense = run_weighted_cfg(&inst, state.clone(), proto, WeightedConfig::new(23, 600));
+        let dense = run_weighted(&inst, state.clone(), proto, WeightedConfig::new(23, 600));
         for threads in THREADS {
             for exec in [
                 Executor::Threaded(threads),
                 Executor::SparseThreaded(threads),
             ] {
-                let pooled = run_weighted_cfg(
+                let pooled = run_weighted(
                     &inst,
                     state.clone(),
                     proto,

@@ -7,7 +7,7 @@
 //! ```text
 //! qlb-sim --preset flash-crowd                 # built-in demo scenario
 //! qlb-sim --scenario fleet.json --seed 7       # your scenario
-//! qlb-sim --scenario fleet.json --protocol conditional --executor runtime
+//! qlb-sim --scenario fleet.json --protocol conditional --driver runtime
 //! qlb-sim --emit-preset > fleet.json           # starting template
 //! ```
 
@@ -19,8 +19,8 @@ use qlb_core::{
     SlackDampedCapacitySampling, State, ThresholdLevels,
 };
 use qlb_engine::{
-    run_observed, run_open_system_observed, run_weighted_cfg_observed, Executor, OpenConfig,
-    RunConfig, WeightedConfig,
+    run_observed, run_open_system_observed, run_weighted_observed, Executor, OpenConfig, RunConfig,
+    WeightedConfig,
 };
 use qlb_obs::{replay::Summary, NoopSink, Recorder, Sink, StreamSink};
 use qlb_runtime::{run_distributed_observed, RuntimeConfig};
@@ -197,19 +197,9 @@ fn main() {
     // Driver (which engine loops the rounds: closed | open | weighted |
     // runtime) and executor (how one round is decided: dense | sparse |
     // threaded | sparse-threaded) are orthogonal flags — every driver
-    // accepts every executor. The pre-driver CLI spelled drivers as
-    // --executor values; those legacy spellings keep working.
-    let driver_flag = get("--driver");
-    let exec_flag = get("--executor").unwrap_or_else(|| "dense".into());
-    let (driver, exec_name) = match exec_flag.as_str() {
-        "engine" => (
-            driver_flag.unwrap_or_else(|| "closed".into()),
-            "dense".into(),
-        ),
-        "runtime" => ("runtime".into(), "dense".into()),
-        "open" => ("open".into(), "dense".into()),
-        _ => (driver_flag.unwrap_or_else(|| "closed".into()), exec_flag),
-    };
+    // accepts every executor.
+    let driver = get("--driver").unwrap_or_else(|| "closed".into());
+    let exec_name = get("--executor").unwrap_or_else(|| "dense".into());
     let threads: usize = get("--threads").map_or(4, |s| {
         s.parse().unwrap_or_else(|_| {
             eprintln!("bad --threads");
@@ -482,7 +472,7 @@ fn simulate<S: Sink>(
                 .with_executor(exec)
                 .with_topk_resources(open_cfg.topk_resources)
                 .with_shard_timing(open_cfg.shard_timing);
-            let out = run_weighted_cfg_observed(&winst, wstate, wproto.as_ref(), config, sink);
+            let out = run_weighted_observed(&winst, wstate, wproto.as_ref(), config, sink);
             println!(
                 "weighted model: total demand {total_w}, weight moved {}",
                 out.weight_moved
@@ -517,8 +507,7 @@ fn print_help() {
          EXECUTORS: dense (default) | sparse | threaded | sparse-threaded — how one round\n           \
          is decided; every driver accepts every executor, and every executor\n           \
          produces the same trajectory bit for bit. --threads N (default 4) sizes\n           \
-         the persistent worker pool for the threaded executors.\n           \
-         (Legacy spellings --executor engine|runtime|open still map to drivers.)\n\
+         the persistent worker pool for the threaded executors.\n\
          OPEN:      --rounds N --arrivals-per-round X --departure-prob P (open-system driver;\n           \
          the scenario supplies capacities and the user pool)\n\
          WEIGHTED:  --weight-max W (demands cycle 1..=W; capacities rescale to keep γ)\n\

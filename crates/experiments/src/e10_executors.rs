@@ -10,9 +10,7 @@
 use crate::ExperimentResult;
 use qlb_core::step::decide_round_into;
 use qlb_core::{Move, ResourceId, RoundView, ShardDeltas, ShardScratch, SlackDamped, State};
-use qlb_engine::{
-    run_observed, run_sparse_observed, shard_chunk, shards_for, Executor, RunConfig, WorkerPool,
-};
+use qlb_engine::{run_observed, shard_chunk, shards_for, Executor, RunConfig, WorkerPool};
 use qlb_obs::{Counter, Phase, Recorder};
 use qlb_runtime::{run_distributed, RuntimeConfig};
 use qlb_stats::Table;
@@ -156,11 +154,11 @@ pub fn run(quick: bool) -> ExperimentResult {
 
     let mut sparse_rec = Recorder::default();
     let t0 = Instant::now();
-    let sparse = run_sparse_observed(
+    let sparse = run_observed(
         &inst,
         start_state.clone(),
         &proto,
-        RunConfig::new(seed, max_rounds),
+        RunConfig::new(seed, max_rounds).with_executor(Executor::Sparse),
         &mut sparse_rec,
     );
     let ms = t0.elapsed().as_secs_f64() * 1e3;

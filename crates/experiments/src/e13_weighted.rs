@@ -13,7 +13,7 @@ use qlb_core::weighted::{
     first_fit_decreasing, WeightedInstance, WeightedSlackDamped, WeightedState,
 };
 use qlb_core::ResourceId;
-use qlb_engine::run_weighted;
+use qlb_engine::{run_weighted, WeightedConfig};
 use qlb_rng::{Rng64, SplitMix64};
 use qlb_stats::{Summary, Table};
 
@@ -88,8 +88,7 @@ pub fn run(quick: bool) -> ExperimentResult {
                 &inst,
                 state,
                 &WeightedSlackDamped::default(),
-                seed,
-                max_rounds,
+                WeightedConfig::new(seed, max_rounds),
             );
             if out.converged {
                 converged += 1;

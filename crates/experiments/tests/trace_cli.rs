@@ -1,7 +1,9 @@
 //! `qlb-trace` CLI contract tests: the `--follow` interval flags are
 //! validated (zero and non-numeric values are usage errors, exit 2), and a
 //! trace file deleted out from under `--follow` exits 2 immediately
-//! instead of idling out — both documented in `qlb-trace --help`.
+//! instead of idling out — both documented in `qlb-trace --help`. Also
+//! pins `qlb-sim`'s `--executor` contract: it names a round executor only,
+//! never a driver.
 
 use qlb_obs::{Event, Sink, StreamSink};
 use std::path::PathBuf;
@@ -10,6 +12,10 @@ use std::time::{Duration, Instant};
 
 fn trace_bin() -> &'static str {
     env!("CARGO_BIN_EXE_qlb-trace")
+}
+
+fn sim_bin() -> &'static str {
+    env!("CARGO_BIN_EXE_qlb-sim")
 }
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -126,4 +132,26 @@ fn deleting_the_trace_mid_follow_exits_2() {
         stderr.contains("deleted mid-follow"),
         "missing diagnostic: {stderr}"
     );
+}
+
+#[test]
+fn sim_executor_flag_rejects_driver_names() {
+    for args in [
+        vec!["--executor", "runtime"],
+        vec!["--executor", "open"],
+        vec!["--executor", "engine"],
+        vec!["--driver", "weighted", "--executor", "runtime"],
+    ] {
+        let out = Command::new(sim_bin())
+            .args(["--preset", "flash-crowd"])
+            .args(&args)
+            .output()
+            .expect("run qlb-sim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}; stderr: {stderr}");
+        assert!(
+            stderr.contains("unknown executor"),
+            "no diagnostic for {args:?}: {stderr}"
+        );
+    }
 }

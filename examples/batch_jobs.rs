@@ -14,7 +14,7 @@ use qoslb::core::weighted::{
     first_fit_decreasing, weight_counting_feasible, WeightedInstance, WeightedSlackDamped,
     WeightedState,
 };
-use qoslb::engine::run_weighted;
+use qoslb::engine::{run_weighted, WeightedConfig};
 use qoslb::prelude::*;
 use qoslb::rng::{Rng64, SplitMix64};
 
@@ -63,7 +63,12 @@ fn main() {
     // Online distributed: every job starts on machine 0 (a scheduler
     // outage dumped the whole queue on one box).
     let crowd = WeightedState::all_on(&inst, ResourceId(0));
-    let out = run_weighted(&inst, crowd, &WeightedSlackDamped::default(), 7, 100_000);
+    let out = run_weighted(
+        &inst,
+        crowd,
+        &WeightedSlackDamped::default(),
+        WeightedConfig::new(7, 100_000),
+    );
     assert!(out.converged);
     println!(
         "distributed recovery: {} rounds, {} migrations, {} core-moves \

@@ -63,9 +63,7 @@ pub use qlb_workload as workload;
 /// The types most applications need, in one import.
 pub mod prelude {
     pub use qlb_core::prelude::*;
-    pub use qlb_engine::{
-        run, run_observed, run_sparse, run_threaded, Executor, RunConfig, RunOutcome,
-    };
+    pub use qlb_engine::{run, run_observed, Executor, RunConfig, RunOutcome};
     pub use qlb_obs::{NoopSink, Recorder, Sink};
     pub use qlb_runtime::{run_distributed, DistributedOutcome, RuntimeConfig};
     pub use qlb_serve::{RejectReason, ServeConfig, ServeCore};

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: scenario → engine/runtime → legal state,
 //! with every executor agreeing on the trajectory.
 
-use qoslb::engine::{run, run_threaded, RunConfig};
+use qoslb::engine::{run, Executor, RunConfig};
 use qoslb::prelude::*;
 
 fn standard(n: usize, seed: u64) -> (Instance, State) {
@@ -38,7 +38,12 @@ fn all_three_executors_agree() {
     let cfg = RunConfig::new(9, 10_000);
 
     let seq = run(&inst, state.clone(), &proto, cfg);
-    let par = run_threaded(&inst, state.clone(), &proto, cfg, 4);
+    let par = run(
+        &inst,
+        state.clone(),
+        &proto,
+        cfg.with_executor(Executor::Threaded(4)),
+    );
     let dist = run_distributed(
         &inst,
         state,
@@ -234,10 +239,15 @@ fn lossy_runtime_pipeline() {
 #[test]
 fn weighted_pipeline() {
     use qoslb::core::weighted::{WeightedInstance, WeightedSlackDamped, WeightedState};
-    use qoslb::engine::run_weighted;
+    use qoslb::engine::{run_weighted, WeightedConfig};
     let inst = WeightedInstance::new(vec![20; 64], vec![3; 256]).unwrap(); // γ = 1.67
     let crowd = WeightedState::all_on(&inst, ResourceId(0));
-    let out = run_weighted(&inst, crowd, &WeightedSlackDamped::default(), 4, 100_000);
+    let out = run_weighted(
+        &inst,
+        crowd,
+        &WeightedSlackDamped::default(),
+        WeightedConfig::new(4, 100_000),
+    );
     assert!(out.converged);
     assert_eq!(out.state.overload(&inst), 0);
     assert_eq!(out.weight_moved, out.migrations * 3);

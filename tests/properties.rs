@@ -5,11 +5,11 @@ use qoslb::core::potential::unsatisfied_potential;
 use qoslb::core::step::decide_round;
 use qoslb::core::weighted::{WeightedInstance, WeightedSlackDamped, WeightedState};
 use qoslb::engine::{
-    perturb_uniform, run, run_observed, run_open_system, run_sparse_observed, run_weighted_cfg,
-    run_with_churn, ChurnConfig, OpenConfig, RunConfig, WeightedConfig,
+    perturb_uniform, run, run_observed, run_open_system, run_weighted, run_with_churn, ChurnConfig,
+    OpenConfig, RunConfig, WeightedConfig,
 };
 use qoslb::flow::{brute_force_feasible, flow_feasible};
-use qoslb::obs::{Counter, Recorder};
+use qoslb::obs::{Counter, Event, Recorder};
 use qoslb::prelude::*;
 use qoslb::workload::calibrate_slack;
 
@@ -200,21 +200,23 @@ proptest! {
         for proto in qoslb::core::protocol::registry(&inst) {
             let cfg = RunConfig::new(seed, budget);
             let dense = run(&inst, state.clone(), proto.as_ref(), cfg);
-            let sparse = run_sparse(&inst, state.clone(), proto.as_ref(), cfg);
+            let sparse = run(&inst, state.clone(), proto.as_ref(), cfg.with_executor(Executor::Sparse));
             let name = proto.name();
             prop_assert_eq!(dense.converged, sparse.converged, "{}", name);
             prop_assert_eq!(dense.rounds, sparse.rounds, "{}", name);
             prop_assert_eq!(dense.migrations, sparse.migrations, "{}", name);
             prop_assert_eq!(&dense.state, &sparse.state, "{}", name);
             // and the executor selector reaches the same place
-            let via_config = run(&inst, state.clone(), proto.as_ref(), cfg.sparse());
+            let via_config = run(&inst, state.clone(), proto.as_ref(), cfg.with_executor(Executor::Sparse));
             prop_assert_eq!(&via_config.state, &sparse.state, "{}", name);
         }
     }
 
     /// A protocol that acts while satisfied (graph diffusion) is unsound
-    /// for the active set; `run_sparse` must detect that and fall back to
-    /// the dense loop, so the trajectory still matches exactly.
+    /// for the active set; the sparse executor must detect that and fall
+    /// back to the dense loop, so the trajectory still matches exactly and
+    /// the recorded events are the dense run's behind one announcement of
+    /// the fallback.
     #[test]
     fn sparse_falls_back_for_acting_while_satisfied(
         (inst, state, seed) in small_instance(),
@@ -225,11 +227,23 @@ proptest! {
         );
         prop_assert!(proto.acts_when_satisfied());
         let cfg = RunConfig::new(seed, budget);
-        let dense = run(&inst, state.clone(), &proto, cfg);
-        let sparse = run_sparse(&inst, state, &proto, cfg);
+        let mut dense_rec = Recorder::default();
+        let dense = run_observed(&inst, state.clone(), &proto, cfg, &mut dense_rec);
+        let mut sparse_rec = Recorder::default();
+        let sparse = run_observed(
+            &inst,
+            state,
+            &proto,
+            cfg.with_executor(Executor::Sparse),
+            &mut sparse_rec,
+        );
         prop_assert_eq!(dense.rounds, sparse.rounds);
         prop_assert_eq!(dense.migrations, sparse.migrations);
         prop_assert_eq!(&dense.state, &sparse.state);
+        let events = |r: &Recorder| r.events().iter().map(|(_, e)| e).collect::<Vec<_>>();
+        let mut expected = vec![Event::ExecutorSwitch { round: 0, sparse: false }];
+        expected.extend(events(&dense_rec));
+        prop_assert_eq!(events(&sparse_rec), expected);
     }
 
     /// Attaching the qlb-obs recorder never perturbs a trajectory: for
@@ -255,7 +269,7 @@ proptest! {
             prop_assert_eq!(rec.counter(Counter::Migrations), plain.migrations, "{}", name);
 
             let mut rec = Recorder::default();
-            let sparse = run_sparse_observed(&inst, state.clone(), proto.as_ref(), cfg, &mut rec);
+            let sparse = run_observed(&inst, state.clone(), proto.as_ref(), cfg.with_executor(Executor::Sparse), &mut rec);
             prop_assert_eq!(&plain.state, &sparse.state, "sparse {}", name);
             prop_assert_eq!(plain.rounds, sparse.rounds, "sparse {}", name);
             prop_assert_eq!(
@@ -394,14 +408,14 @@ proptest! {
         let winst = WeightedInstance::new(caps, weights).unwrap();
         let start = WeightedState::new(&winst, state.assignment().to_vec()).unwrap();
         let proto = WeightedSlackDamped::default();
-        let dense = run_weighted_cfg(&winst, start.clone(), &proto, WeightedConfig::new(seed, budget));
+        let dense = run_weighted(&winst, start.clone(), &proto, WeightedConfig::new(seed, budget));
         for executor in [
             Executor::Sparse,
             Executor::Threaded(3),
             Executor::SparseThreaded(4),
         ] {
             let cfg = WeightedConfig::new(seed, budget).with_executor(executor);
-            let out = run_weighted_cfg(&winst, start.clone(), &proto, cfg);
+            let out = run_weighted(&winst, start.clone(), &proto, cfg);
             prop_assert_eq!(dense.converged, out.converged, "{:?}", executor);
             prop_assert_eq!(dense.rounds, out.rounds, "{:?}", executor);
             prop_assert_eq!(dense.migrations, out.migrations, "{:?}", executor);

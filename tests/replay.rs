@@ -2,7 +2,7 @@
 //! the same trajectory across executors, across repeated runs in one
 //! process, and across process invocations (pinned fingerprints).
 
-use qoslb::engine::{run, run_threaded, RunConfig};
+use qoslb::engine::{run, Executor, RunConfig};
 use qoslb::prelude::*;
 
 fn fingerprint(state: &State) -> u64 {
@@ -76,7 +76,12 @@ fn executors_replay_each_other() {
     let proto = SlackDamped::default();
     let seq = run(&inst, s.clone(), &proto, RunConfig::new(7, 10_000));
     for threads in [2usize, 5] {
-        let par = run_threaded(&inst, s.clone(), &proto, RunConfig::new(7, 10_000), threads);
+        let par = run(
+            &inst,
+            s.clone(),
+            &proto,
+            RunConfig::new(7, 10_000).with_executor(Executor::Threaded(threads)),
+        );
         assert_eq!(fingerprint(&par.state), fingerprint(&seq.state));
     }
     let dist = run_distributed(

@@ -5,7 +5,7 @@ use qoslb::core::weighted::{
     decide_weighted_round, first_fit_decreasing, weight_counting_feasible, WeightedInstance,
     WeightedSlackDamped, WeightedState,
 };
-use qoslb::engine::run_weighted;
+use qoslb::engine::{run_weighted, WeightedConfig};
 use qoslb::flow::brute_force_feasible;
 use qoslb::prelude::*;
 
@@ -32,7 +32,7 @@ proptest! {
     /// Total weight is conserved by any number of protocol rounds.
     #[test]
     fn weight_conservation((inst, state, seed) in small_weighted()) {
-        let out = run_weighted(&inst, state, &WeightedSlackDamped::default(), seed, 50);
+        let out = run_weighted(&inst, state, &WeightedSlackDamped::default(), WeightedConfig::new(seed, 50));
         let total: u64 = out.state.loads().iter().sum();
         prop_assert_eq!(total, inst.total_weight());
         out.state.debug_assert_invariants(&inst);
@@ -57,7 +57,7 @@ proptest! {
     /// weight_moved is consistent with migrations.
     #[test]
     fn weighted_runs_converge((inst, state, seed) in small_weighted()) {
-        let out = run_weighted(&inst, state, &WeightedSlackDamped::default(), seed, 20_000);
+        let out = run_weighted(&inst, state, &WeightedSlackDamped::default(), WeightedConfig::new(seed, 20_000));
         prop_assert!(out.converged, "generous slack must converge");
         prop_assert!(out.state.is_legal(&inst));
         prop_assert_eq!(out.state.overload(&inst), 0);
@@ -140,7 +140,12 @@ fn weighted_blocking_analogue() {
         ],
     )
     .unwrap();
-    let out = run_weighted(&inst, blocked, &WeightedSlackDamped::default(), 3, 2_000);
+    let out = run_weighted(
+        &inst,
+        blocked,
+        &WeightedSlackDamped::default(),
+        WeightedConfig::new(3, 2_000),
+    );
     assert!(!out.converged);
     assert_eq!(out.migrations, 0, "no 4-hole ever opens");
     assert_eq!(out.state.num_unsatisfied(&inst), 1);
