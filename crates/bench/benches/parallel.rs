@@ -11,8 +11,8 @@
 //! `scaling` section times the SoA two-pass kernel (bitmap filter, batched
 //! RNG, per-shard deltas) against the dense sequential reference at 1–8
 //! threads; the remaining sections time the sparse active-set paths of the
-//! open-system and weighted drivers on the endgame-heavy workloads they
-//! exist for.
+//! open-system driver and of weighted closed runs on the endgame-heavy
+//! workloads they exist for.
 //!
 //! The measurements live in [`qlb_bench::checks`] so this bench and the
 //! `qlb-bench-check` regression gate time exactly the same thing. Writes a

@@ -9,7 +9,7 @@ use qlb_core::{
     best_response_run, BlindUniform, ConditionalUniform, ResourceId, SlackDamped,
     SlackDampedCapacitySampling, State, ThresholdLevels,
 };
-use qlb_engine::{perturb_uniform, run, Executor, RunConfig, WeightedConfig};
+use qlb_engine::{perturb_uniform, run, Executor, RunConfig};
 use qlb_runtime::{run_distributed, RuntimeConfig};
 use qlb_workload::{CapacityDist, ClassSpec, Placement, Scenario};
 use std::hint::black_box;
@@ -329,18 +329,18 @@ fn bench_scenario_build(c: &mut Criterion) {
 }
 
 fn bench_e13_weighted(c: &mut Criterion) {
-    use qlb_core::weighted::{WeightedInstance, WeightedSlackDamped, WeightedState};
+    use qlb_core::weighted::WeightedInstance;
     let inst = WeightedInstance::new(vec![10; 128], vec![2; 512]).unwrap(); // γ = 1.25
-    let state = WeightedState::all_on(&inst, ResourceId(0));
+    let state = State::all_on(&inst, ResourceId(0));
     c.bench_function("e13_weighted_run", |b| {
         b.iter_batched(
             || state.clone(),
             |s| {
-                black_box(qlb_engine::run_weighted(
+                black_box(run(
                     &inst,
                     s,
-                    &WeightedSlackDamped::default(),
-                    WeightedConfig::new(1, 100_000),
+                    &SlackDamped::default(),
+                    RunConfig::new(1, 100_000),
                 ))
             },
             BatchSize::SmallInput,

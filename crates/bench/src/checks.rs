@@ -8,13 +8,13 @@
 //! local), and `qlb-bench-check` calls it to re-measure and compare.
 
 use qlb_core::step::{decide_active_into, decide_range_into, decide_round_into};
-use qlb_core::weighted::{WeightedInstance, WeightedSlackDamped, WeightedState};
+use qlb_core::weighted::WeightedInstance;
 use qlb_core::{
     ActiveIndex, Move, ResourceId, RoundView, ShardDeltas, ShardScratch, SlackDamped, State,
 };
 use qlb_engine::{
-    run, run_observed, run_open_system, run_weighted, shard_bounds, shard_chunk, shards_for,
-    Executor, OpenConfig, RunConfig, WeightedConfig, WorkerPool,
+    run, run_observed, run_open_system, shard_bounds, shard_chunk, shards_for, Executor,
+    OpenConfig, RunConfig, WorkerPool,
 };
 use qlb_obs::{NoopSink, Recorder};
 use std::hint::black_box;
@@ -536,29 +536,29 @@ pub fn measure_weighted_sparse(n: usize) -> WeightedSparseRow {
     let m = (n / 64).max(1);
     let weights: Vec<u32> = (0..n).map(|i| 1 + (i as u32 % 3)).collect();
     let total_w: u64 = weights.iter().map(|&w| w as u64).sum();
-    let per = ((1.005 * total_w as f64) / m as f64).ceil() as u64;
+    let per = ((1.005 * total_w as f64) / m as f64).ceil() as u32;
     let winst = WeightedInstance::new(vec![per; m], weights).expect("valid weighted instance");
-    let start = WeightedState::new(&winst, vec![ResourceId(0); n]).expect("valid start");
-    let proto = WeightedSlackDamped::default();
+    let start = State::new(&winst, vec![ResourceId(0); n]).expect("valid start");
+    let proto = SlackDamped::default();
 
     let mut dense_ms = f64::INFINITY;
     let mut sparse_ms = f64::INFINITY;
     let mut rounds = 0u64;
     for _ in 0..2 {
         let t0 = Instant::now();
-        let dense = run_weighted(
+        let dense = run(
             &winst,
             start.clone(),
             &proto,
-            WeightedConfig::new(BENCH_SEED, 1_000_000),
+            RunConfig::new(BENCH_SEED, 1_000_000),
         );
         dense_ms = dense_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
-        let sparse = run_weighted(
+        let sparse = run(
             &winst,
             start.clone(),
             &proto,
-            WeightedConfig::new(BENCH_SEED, 1_000_000).with_executor(Executor::Sparse),
+            RunConfig::new(BENCH_SEED, 1_000_000).with_executor(Executor::Sparse),
         );
         sparse_ms = sparse_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert!(dense.converged && sparse.converged);

@@ -87,7 +87,7 @@ mod tests {
     fn endgame_reaches_target_fraction() {
         let (inst, state) = endgame_pair(512, 1, 0.01);
         assert!(state.num_unsatisfied(&inst) <= 6);
-        state.debug_assert_invariants();
+        state.debug_assert_invariants(&inst);
     }
 
     #[test]
@@ -95,6 +95,6 @@ mod tests {
         let (inst, state) = half_converged(256, 1);
         assert!(state.load(ResourceId(0)) < 256);
         assert!(!state.is_legal(&inst) || state.is_legal(&inst)); // state is valid either way
-        state.debug_assert_invariants();
+        state.debug_assert_invariants(&inst);
     }
 }

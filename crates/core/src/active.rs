@@ -19,14 +19,16 @@
 //! the sparse executor uses to stay bit-identical to the dense one.
 
 use crate::ids::{ResourceId, UserId};
-use crate::instance::Instance;
+use crate::instance::{Demands, Instance};
 use crate::state::{Move, State};
 
 /// Sentinel for "not in the unsatisfied set".
 const NOT_ACTIVE: u32 = u32::MAX;
 
 /// Occupant lists plus the unsatisfied set, kept in sync with a [`State`]
-/// through [`ActiveIndex::apply_moves`].
+/// through [`ActiveIndex::apply_moves`]. Works for unit and weighted
+/// instances alike (see [`Demands`]): satisfaction is still a function of
+/// the user's resource's load alone.
 #[derive(Debug, Clone)]
 pub struct ActiveIndex {
     /// `occupants[r]` = users currently assigned to resource `r`.
@@ -48,17 +50,23 @@ pub struct ActiveIndex {
 
 impl ActiveIndex {
     /// Build the index for `state` in `O(n + m)`.
-    pub fn new(inst: &Instance, state: &State) -> Self {
+    pub fn new<I: Demands>(inst: &I, state: &State) -> Self {
         let n = state.num_users();
-        let m = inst.num_resources();
+        let m = inst.instance().num_resources();
         // pre-size each occupant list from the load vector: one exact
         // allocation per non-empty resource instead of repeated growth
-        // (the growth path costs ~5× on states spread over many resources)
-        let mut occupants: Vec<Vec<UserId>> = state
-            .loads()
-            .iter()
-            .map(|&l| Vec::with_capacity(l as usize))
-            .collect();
+        // (the growth path costs ~5× on states spread over many resources).
+        // A weighted load counts demand, not occupants, so it would
+        // over-allocate; weighted lists grow instead.
+        let mut occupants: Vec<Vec<UserId>> = if I::UNIT {
+            state
+                .loads()
+                .iter()
+                .map(|&l| Vec::with_capacity(l as usize))
+                .collect()
+        } else {
+            vec![Vec::new(); m]
+        };
         debug_assert_eq!(occupants.len(), m);
         let mut pos_in_resource = vec![0u32; n];
         for (idx, &r) in state.assignment().iter().enumerate() {
@@ -68,7 +76,7 @@ impl ActiveIndex {
         }
         let mut unsat = Vec::new();
         let mut unsat_pos = vec![NOT_ACTIVE; n];
-        for u in inst.users() {
+        for u in inst.instance().users() {
             if !state.is_satisfied(inst, u) {
                 unsat_pos[u.index()] = unsat.len() as u32;
                 unsat.push(u);
@@ -149,7 +157,7 @@ impl ActiveIndex {
     ///
     /// The batch must have been decided against the current `state`
     /// (synchronous-round semantics), exactly as for [`State::apply_moves`].
-    pub fn apply_moves(&mut self, inst: &Instance, state: &mut State, moves: &[Move]) {
+    pub fn apply_moves<I: Demands>(&mut self, inst: &I, state: &mut State, moves: &[Move]) {
         state.apply_moves(inst, moves);
 
         self.generation += 1;
@@ -226,6 +234,10 @@ impl ActiveIndex {
     }
 
     /// Move `u`'s occupancy record from `from` to `to`.
+    // `#[inline]` here and on `touch`/`set_active`: the generic
+    // `apply_moves` calling them per move is instantiated in the caller's
+    // crate, where a non-inline private helper stays an opaque call
+    #[inline]
     fn relocate(&mut self, u: UserId, from: ResourceId, to: ResourceId) {
         let p = self.pos_in_resource[u.index()] as usize;
         let list = &mut self.occupants[from.index()];
@@ -240,6 +252,7 @@ impl ActiveIndex {
     }
 
     /// Mark `r` touched once per batch.
+    #[inline]
     fn touch(&mut self, r: ResourceId) {
         if self.touched_stamp[r.index()] != self.generation {
             self.touched_stamp[r.index()] = self.generation;
@@ -248,6 +261,7 @@ impl ActiveIndex {
     }
 
     /// Insert into / remove from the unsatisfied set in O(1).
+    #[inline]
     fn set_active(&mut self, u: UserId, active: bool) {
         let p = self.unsat_pos[u.index()];
         if active {
@@ -269,7 +283,7 @@ impl ActiveIndex {
     ///
     /// # Panics
     /// Panics with a description of the first divergence found.
-    pub fn assert_consistent(&self, inst: &Instance, state: &State) {
+    pub fn assert_consistent<I: Demands>(&self, inst: &I, state: &State) {
         // occupant lists partition the users according to the assignment
         let mut seen = vec![false; state.num_users()];
         for (r, list) in self.occupants.iter().enumerate() {
@@ -288,7 +302,7 @@ impl ActiveIndex {
                 seen[u.index()] = true;
             }
             assert_eq!(
-                list.len() as u32,
+                list.iter().map(|&u| inst.weight(u)).sum::<u32>(),
                 state.load(ResourceId(r as u32)),
                 "occupancy of r{r} disagrees with load"
             );
@@ -301,7 +315,7 @@ impl ActiveIndex {
         got.sort_unstable();
         expected.sort_unstable();
         assert_eq!(got, expected, "unsatisfied set out of sync");
-        for u in inst.users() {
+        for u in inst.instance().users() {
             let p = self.unsat_pos[u.index()];
             if p == NOT_ACTIVE {
                 assert!(!self.unsat.contains(&u));

@@ -550,7 +550,7 @@ mod tests {
         let mut follower = old.clone();
         assert_eq!(d.apply_to_state(&mut follower, 0), Ok(1));
         assert_eq!(follower, new);
-        follower.debug_assert_invariants();
+        follower.debug_assert_invariants(&inst);
     }
 
     #[test]

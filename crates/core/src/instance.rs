@@ -361,6 +361,45 @@ impl Instance {
     }
 }
 
+/// Per-user demand on top of an [`Instance`]: the one model behind the
+/// unit and the weighted runs.
+///
+/// A user of demand `w_u` adds `w_u` to its resource's load, and is
+/// satisfied iff that total load is within its effective capacity. The
+/// unit model is the special case `w_u = 1`: [`Instance`] implements this
+/// trait with a constant weight and `UNIT = true`, so the generic state,
+/// index, view and round kernels compile to the unit code exactly.
+/// `WeightedInstance` (in `crate::weighted`) carries a weight vector.
+///
+/// Protocols still receive the plain [`Instance`] (via
+/// [`Demands::instance`]) plus the acting user's weight in its
+/// `LocalView`, which keeps `dyn Protocol` usable.
+pub trait Demands: Sync {
+    /// True iff every user has demand 1 — a compile-time switch for the
+    /// `O(m)` paths that count users by summing loads.
+    const UNIT: bool;
+
+    /// The capacities, classes and user count.
+    fn instance(&self) -> &Instance;
+
+    /// Demand of user `u`.
+    fn weight(&self, u: UserId) -> u32;
+}
+
+impl Demands for Instance {
+    const UNIT: bool = true;
+
+    #[inline]
+    fn instance(&self) -> &Instance {
+        self
+    }
+
+    #[inline]
+    fn weight(&self, _u: UserId) -> u32 {
+        1
+    }
+}
+
 /// Builder for multi-class instances.
 ///
 /// ```

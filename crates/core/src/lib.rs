@@ -22,7 +22,8 @@
 //!
 //! * [`ids`] — dense typed indices for users and resources;
 //! * [`instance`] — the static problem description (resources, users, QoS
-//!   classes) plus feasibility accounting;
+//!   classes) plus feasibility accounting, and the [`Demands`] trait that
+//!   makes unit demand the special case `w = 1` of the weighted model;
 //! * [`state`] — a dynamic assignment with incrementally-maintained loads;
 //! * [`potential`] — the Lyapunov functions used in convergence proofs;
 //! * [`objective`] — state-quality metrics (total latency, exact optimum)
@@ -40,8 +41,9 @@
 //!   trailers, runtime state reconstruction, and serve-daemon export;
 //! * [`baseline`] — centralized greedy assignment and sequential
 //!   best-response dynamics, the classical comparison points;
-//! * [`weighted`] — the weighted-demand (bin-packing-flavoured) extension
-//!   with its own kernels and offline baselines;
+//! * [`weighted`] — the weighted-demand (bin-packing-flavoured) instance
+//!   and its offline baselines; runs use the generic state, index, view
+//!   and kernels above;
 //! * [`convergence`] — legality/oscillation detection helpers.
 //!
 //! ## Quick start
@@ -90,7 +92,7 @@ pub mod prelude {
     pub use crate::delta::{DeltaError, StateDelta};
     pub use crate::error::{Error, Result};
     pub use crate::ids::{ClassId, ResourceId, UserId};
-    pub use crate::instance::{Instance, InstanceBuilder, QosClass, Resource};
+    pub use crate::instance::{Demands, Instance, InstanceBuilder, QosClass, Resource};
     pub use crate::potential::{
         max_overload, overload_potential, overload_potential_loads, quadratic_potential,
     };

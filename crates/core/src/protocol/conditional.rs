@@ -4,7 +4,8 @@ use super::{Decision, LocalView, Protocol};
 use qlb_rng::RoundStream;
 
 /// **Conditional uniform migration**: move iff the sampled resource had
-/// room (`x_q < c_q`) at the start of the round.
+/// room (`x_q < c_q`) at the start of the round — for a weighted user of
+/// demand `w`, iff its demand fit (`c_q − x_q ≥ w`).
 ///
 /// Smarter than [`super::BlindUniform`] — it never targets a visibly full
 /// resource — but it ignores *how many other users see the same gap*. When
@@ -21,7 +22,7 @@ impl Protocol for ConditionalUniform {
     }
 
     fn decide(&self, view: &LocalView, _rng: &mut RoundStream) -> Decision {
-        if view.target.id != view.own.id && view.target.has_room() {
+        if view.target.id != view.own.id && view.target.slack() >= view.weight {
             Decision::Move
         } else {
             Decision::Stay
@@ -52,6 +53,18 @@ mod tests {
         v.target.id = v.own.id;
         let mut rng = RoundStream::new(1, 1, 1);
         assert_eq!(p.decide(&v, &mut rng), Decision::Stay);
+    }
+
+    #[test]
+    fn moves_iff_demand_fits() {
+        let p = ConditionalUniform;
+        let mut v = view(20, 10, 8, 10); // target slack 2
+        let mut rng = RoundStream::new(1, 1, 1);
+        v.weight = 2;
+        assert_eq!(p.decide(&v, &mut rng), Decision::Move);
+        v.weight = 3;
+        assert_eq!(p.decide(&v, &mut rng), Decision::Stay);
+        assert_eq!(rng.draws(), 0);
     }
 
     #[test]

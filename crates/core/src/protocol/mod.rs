@@ -50,7 +50,8 @@ use qlb_rng::{Rng64, RoundStream};
 pub struct ResourceView {
     /// Which resource this view describes.
     pub id: ResourceId,
-    /// Congestion (number of users) at the start of the round.
+    /// Congestion (number of users, or their total demand for a weighted
+    /// instance) at the start of the round.
     pub load: u32,
     /// Effective capacity for the observing user's class; `0` = unusable.
     pub cap: u32,
@@ -79,6 +80,9 @@ pub struct LocalView {
     pub user: UserId,
     /// The user's QoS class.
     pub class: ClassId,
+    /// The user's demand: 1 in the unit model. A user fits on a resource
+    /// iff its weight is at most the resource's slack.
+    pub weight: u32,
     /// Synchronous round number.
     pub round: u64,
     /// The resource the user currently occupies.
@@ -198,6 +202,7 @@ pub(crate) mod test_support {
         LocalView {
             user: UserId(0),
             class: ClassId(0),
+            weight: 1,
             round: 0,
             own: ResourceView {
                 id: ResourceId(0),

@@ -14,6 +14,13 @@ use qlb_rng::{Rng64, RoundStream};
 /// where `x_q` is the start-of-round congestion and `c_q` the effective
 /// capacity for the user's class.
 ///
+/// With weighted users (`x_q` is then total demand) the user stays put,
+/// before any coin, unless its weight `w` fits: `c_q − x_q ≥ w`. The coin
+/// stays demand-independent, so the expected *weight* inflow into `q` is
+/// still proportional to its free capacity; a demand-proportional coin
+/// would let heavy users starve. For `w = 1` the fit check is the
+/// `x_q < c_q` condition above, so the unit rule is unchanged.
+///
 /// ### Why this damping
 ///
 /// Suppose `u` users are unsatisfied and sample uniformly among `m`
@@ -79,7 +86,7 @@ impl Protocol for SlackDamped {
     }
 
     fn decide(&self, view: &LocalView, rng: &mut RoundStream) -> Decision {
-        if view.target.id == view.own.id {
+        if view.target.id == view.own.id || view.target.slack() < view.weight {
             return Decision::Stay;
         }
         let p = self.migration_probability(view.target.load, view.target.cap);
@@ -144,6 +151,25 @@ mod tests {
         let mut rng = RoundStream::new(1, 1, 1);
         assert_eq!(p.decide(&v, &mut rng), Decision::Stay);
         assert_eq!(rng.draws(), 0, "stay on self-sample consumes no coin");
+    }
+
+    #[test]
+    fn nonfitting_demand_stays_without_coin() {
+        let p = SlackDamped::default();
+        let mut v = view(20, 10, 8, 10); // target slack 2
+        v.weight = 3;
+        let mut rng = RoundStream::new(1, 1, 1);
+        assert_eq!(p.decide(&v, &mut rng), Decision::Stay);
+        assert_eq!(rng.draws(), 0, "fit check consumes no randomness");
+        // a fitting demand flips the coin
+        v.weight = 2;
+        let _ = p.decide(&v, &mut rng);
+        assert_eq!(rng.draws(), 1);
+        // and moves with the demand-independent probability slack/cap
+        let mut v = view(20, 10, 5, 10);
+        v.weight = 2;
+        let freq = move_frequency(&p, &v, 40_000);
+        assert!((freq - 0.5).abs() < 0.01, "freq {freq}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::error::Result;
 use crate::ids::{ResourceId, UserId};
-use crate::instance::Instance;
+use crate::instance::{Demands, Instance};
 use qlb_rng::{Rng64, SplitMix64};
 
 /// A migration: `user` leaves `from` for `to`.
@@ -23,9 +23,14 @@ pub struct Move {
 /// An assignment of every user to a resource, with per-resource congestion
 /// kept incrementally.
 ///
+/// The load of a resource is the total demand on it: the user count in the
+/// unit model, the total weight for a weighted instance (see [`Demands`]).
+/// Methods taking an instance are generic over [`Demands`]; pass the same
+/// instance the state was built for.
+///
 /// Invariants (checked by `debug_assert_invariants` and the property tests):
-/// * `loads[r] = |{u : assignment[u] = r}|`,
-/// * `Σ_r loads[r] = n`.
+/// * `loads[r] = Σ_{u : assignment[u] = r} w_u`,
+/// * `Σ_r loads[r] = Σ_u w_u` (`= n` for unit demand).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct State {
     assignment: Vec<ResourceId>,
@@ -38,11 +43,12 @@ impl State {
     // ------------------------------------------------------------------
 
     /// Build a state from an explicit assignment vector.
-    pub fn new(inst: &Instance, assignment: Vec<ResourceId>) -> Result<State> {
-        inst.validate_assignment(&assignment)?;
-        let mut loads = vec![0u32; inst.num_resources()];
-        for &r in &assignment {
-            loads[r.index()] += 1;
+    pub fn new<I: Demands>(inst: &I, assignment: Vec<ResourceId>) -> Result<State> {
+        let base = inst.instance();
+        base.validate_assignment(&assignment)?;
+        let mut loads = vec![0u32; base.num_resources()];
+        for (u, &r) in assignment.iter().enumerate() {
+            loads[r.index()] += inst.weight(UserId(u as u32));
         }
         Ok(State { assignment, loads })
     }
@@ -50,14 +56,21 @@ impl State {
     /// Adversarial start: every user on one resource. This is the hotspot
     /// initial condition used in the convergence lower-bound discussions —
     /// a flash crowd hitting a single server.
-    pub fn all_on(inst: &Instance, r: ResourceId) -> State {
-        assert!(r.index() < inst.num_resources(), "resource out of range");
-        let n = inst.num_users();
-        let mut loads = vec![0u32; inst.num_resources()];
+    pub fn all_on<I: Demands>(inst: &I, r: ResourceId) -> State {
+        let base = inst.instance();
+        assert!(r.index() < base.num_resources(), "resource out of range");
+        let n = base.num_users();
+        let total = if I::UNIT {
+            n as u64
+        } else {
+            base.users().map(|u| inst.weight(u) as u64).sum()
+        };
+        let mut loads = vec![0u32; base.num_resources()];
         // the per-resource load counters are u32; a silent `as` cast here
-        // would wrap for n > u32::MAX and corrupt every load-derived count
-        loads[r.index()] = u32::try_from(n)
-            .unwrap_or_else(|_| panic!("user count {n} overflows the u32 load counters"));
+        // would wrap for a total demand > u32::MAX and corrupt every
+        // load-derived count
+        loads[r.index()] = u32::try_from(total)
+            .unwrap_or_else(|_| panic!("total demand {total} overflows the u32 load counters"));
         State {
             assignment: vec![r; n],
             loads,
@@ -67,14 +80,16 @@ impl State {
     /// Uniform random placement: each user independently on a uniform
     /// resource (the "birthday" start — the natural uncoordinated initial
     /// condition).
-    pub fn random(inst: &Instance, seed: u64) -> State {
-        let m = inst.num_resources();
+    pub fn random<I: Demands>(inst: &I, seed: u64) -> State {
+        let base = inst.instance();
+        let m = base.num_resources();
         let mut rng = SplitMix64::new(seed);
         let mut loads = vec![0u32; m];
-        let assignment: Vec<ResourceId> = (0..inst.num_users())
-            .map(|_| {
+        let assignment: Vec<ResourceId> = base
+            .users()
+            .map(|u| {
                 let r = ResourceId(rng.uniform_usize(m) as u32);
-                loads[r.index()] += 1;
+                loads[r.index()] += inst.weight(u);
                 r
             })
             .collect();
@@ -106,7 +121,7 @@ impl State {
         self.assignment[u.index()]
     }
 
-    /// Congestion of resource `r`.
+    /// Congestion (total demand) of resource `r`.
     #[inline]
     pub fn load(&self, r: ResourceId) -> u32 {
         self.loads[r.index()]
@@ -136,21 +151,25 @@ impl State {
 
     /// Is user `u` satisfied (its QoS constraint met at current congestion)?
     #[inline]
-    pub fn is_satisfied(&self, inst: &Instance, u: UserId) -> bool {
+    pub fn is_satisfied<I: Demands>(&self, inst: &I, u: UserId) -> bool {
+        let base = inst.instance();
         let r = self.assignment[u.index()];
-        inst.satisfies(inst.class_of(u), r, self.loads[r.index()])
+        base.satisfies(base.class_of(u), r, self.loads[r.index()])
     }
 
     /// Number of unsatisfied users.
     ///
-    /// Single-class fast path: a user's satisfaction depends only on its
-    /// resource's congestion, so every user on an unsatisfying resource is
-    /// unsatisfied — sum those congestions in `O(m)`. The general path
-    /// checks users in `O(n)`. This keeps per-round observability (which
-    /// reports this count at round start *and* end) off the `O(n)` scan.
-    pub fn num_unsatisfied(&self, inst: &Instance) -> usize {
-        if inst.num_classes() == 1 {
-            let caps = inst.cap_row(crate::ids::ClassId(0));
+    /// Unit single-class fast path: a user's satisfaction depends only on
+    /// its resource's congestion, so every user on an unsatisfying resource
+    /// is unsatisfied — sum those congestions in `O(m)`. With weights a
+    /// load counts demand, not users, so weighted instances (and
+    /// multi-class ones) check users in `O(n)`. This keeps per-round
+    /// observability (which reports this count at round start *and* end)
+    /// off the `O(n)` scan in the unit model.
+    pub fn num_unsatisfied<I: Demands>(&self, inst: &I) -> usize {
+        let base = inst.instance();
+        if I::UNIT && base.num_classes() == 1 {
+            let caps = base.cap_row(crate::ids::ClassId(0));
             return self
                 .loads
                 .iter()
@@ -159,15 +178,16 @@ impl State {
                 .map(|(&x, _)| x as usize)
                 .sum();
         }
-        inst.users()
+        base.users()
             .filter(|&u| !self.is_satisfied(inst, u))
             .count()
     }
 
     /// Collect the unsatisfied users (allocates; for hot paths iterate
     /// directly with [`State::is_satisfied`]).
-    pub fn unsatisfied(&self, inst: &Instance) -> Vec<UserId> {
-        inst.users()
+    pub fn unsatisfied<I: Demands>(&self, inst: &I) -> Vec<UserId> {
+        inst.instance()
+            .users()
             .filter(|&u| !self.is_satisfied(inst, u))
             .collect()
     }
@@ -175,17 +195,20 @@ impl State {
     /// A state is **legal** iff every user is satisfied.
     ///
     /// Single-class fast path: compares each resource's congestion against
-    /// its capacity in `O(m)`; the general path checks users in `O(n)`.
-    pub fn is_legal(&self, inst: &Instance) -> bool {
-        if inst.num_classes() == 1 {
-            let caps = inst.cap_row(crate::ids::ClassId(0));
+    /// its capacity in `O(m)` (sound for weights too: every user on a
+    /// resource shares its satisfaction); the general path checks users in
+    /// `O(n)`.
+    pub fn is_legal<I: Demands>(&self, inst: &I) -> bool {
+        let base = inst.instance();
+        if base.num_classes() == 1 {
+            let caps = base.cap_row(crate::ids::ClassId(0));
             return self
                 .loads
                 .iter()
                 .zip(caps)
                 .all(|(&x, &c)| x == 0 || (c > 0 && x <= c));
         }
-        inst.users().all(|u| self.is_satisfied(inst, u))
+        base.users().all(|u| self.is_satisfied(inst, u))
     }
 
     // ------------------------------------------------------------------
@@ -201,8 +224,7 @@ impl State {
     /// # Panics
     /// In debug builds, panics if a move's `from` disagrees with the state —
     /// that indicates an executor applied a stale decision.
-    pub fn apply_moves(&mut self, inst: &Instance, moves: &[Move]) {
-        let _ = inst; // reserved for future weighted users
+    pub fn apply_moves<I: Demands>(&mut self, inst: &I, moves: &[Move]) {
         for mv in moves {
             debug_assert_eq!(
                 self.assignment[mv.user.index()],
@@ -210,11 +232,12 @@ impl State {
                 "stale move for {}",
                 mv.user
             );
+            let w = inst.weight(mv.user);
             self.assignment[mv.user.index()] = mv.to;
-            self.loads[mv.from.index()] -= 1;
-            self.loads[mv.to.index()] += 1;
+            self.loads[mv.from.index()] -= w;
+            self.loads[mv.to.index()] += w;
         }
-        self.debug_assert_invariants();
+        self.debug_assert_invariants(inst);
     }
 
     /// Apply a single migration (sequential dynamics).
@@ -225,7 +248,8 @@ impl State {
     /// Remove user by swap-remove semantics is *not* supported: the dynamic
     /// churn driver in `qlb-engine` models departures by reassigning, which
     /// keeps ids dense and streams stable. This method re-homes user `u` to
-    /// resource `to` unconditionally (used by churn injection).
+    /// resource `to` unconditionally (used by churn injection). Unit demand
+    /// only: the churn, open-system and serve drivers take an [`Instance`].
     pub fn reassign(&mut self, u: UserId, to: ResourceId) {
         let from = self.assignment[u.index()];
         if from != to {
@@ -249,15 +273,17 @@ impl State {
 
     /// Check structural invariants; called after batch application in debug
     /// builds and from property tests.
-    pub fn debug_assert_invariants(&self) {
+    pub fn debug_assert_invariants<I: Demands>(&self, inst: &I) {
         #[cfg(debug_assertions)]
         {
             let mut recount = vec![0u32; self.loads.len()];
-            for &r in &self.assignment {
-                recount[r.index()] += 1;
+            for (u, &r) in self.assignment.iter().enumerate() {
+                recount[r.index()] += inst.weight(UserId(u as u32));
             }
             assert_eq!(recount, self.loads, "load cache out of sync");
         }
+        #[cfg(not(debug_assertions))]
+        let _ = inst;
     }
 }
 
@@ -267,6 +293,7 @@ mod tests {
     use crate::error::Error;
     use crate::ids::ClassId;
     use crate::instance::InstanceBuilder;
+    use crate::weighted::WeightedInstance;
 
     fn inst4() -> Instance {
         Instance::uniform(8, 4, 3).unwrap()
@@ -291,7 +318,7 @@ mod tests {
         .unwrap();
         assert_eq!(s.loads(), &[2, 3, 1, 2]);
         assert_eq!(s.num_users(), 8);
-        s.debug_assert_invariants();
+        s.debug_assert_invariants(&inst);
     }
 
     #[test]
@@ -343,7 +370,7 @@ mod tests {
         let c = State::random(&inst, 2);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        a.debug_assert_invariants();
+        a.debug_assert_invariants(&inst);
     }
 
     #[test]
@@ -455,7 +482,81 @@ mod tests {
         // no-op reassign
         s.reassign(UserId(5), ResourceId(3));
         assert_eq!(s.load(ResourceId(3)), 1);
-        s.debug_assert_invariants();
+        s.debug_assert_invariants(&inst);
+    }
+
+    fn weighted() -> WeightedInstance {
+        WeightedInstance::new(vec![10, 4], vec![3, 3, 2, 1]).unwrap()
+    }
+
+    #[test]
+    fn new_counts_weighted_loads() {
+        let inst = weighted();
+        let s = State::new(
+            &inst,
+            vec![ResourceId(0), ResourceId(1), ResourceId(0), ResourceId(1)],
+        )
+        .unwrap();
+        assert_eq!(s.loads(), &[5, 4]);
+        s.debug_assert_invariants(&inst);
+        assert!(State::new(&inst, vec![ResourceId(2); 4]).is_err());
+        assert_eq!(State::all_on(&inst, ResourceId(1)).loads(), &[0, 9]);
+        let r = State::random(&inst, 4);
+        assert_eq!(r, State::random(&inst, 4));
+        assert_ne!(r, State::random(&inst, 5));
+        r.debug_assert_invariants(&inst);
+    }
+
+    #[test]
+    fn weighted_satisfaction_is_total_weight_based() {
+        let inst = weighted();
+        // all on r1 (cap 4): total 9 > 4 → everyone unsatisfied; the count
+        // is of users (4), not of weight (9)
+        let s = State::all_on(&inst, ResourceId(1));
+        assert_eq!(s.num_unsatisfied(&inst), 4);
+        assert_eq!(s.unsatisfied(&inst).len(), 4);
+        assert!(!s.is_legal(&inst));
+        assert_eq!(crate::potential::overload_potential(inst.instance(), &s), 5);
+        // all on r0 (cap 10): total 9 ≤ 10 → legal
+        let s = State::all_on(&inst, ResourceId(0));
+        assert!(s.is_legal(&inst));
+        assert_eq!(s.num_unsatisfied(&inst), 0);
+        assert_eq!(crate::potential::overload_potential(inst.instance(), &s), 0);
+        // the unit view of the same loads would count weight on r1
+        let split = State::new(
+            &inst,
+            vec![ResourceId(1), ResourceId(0), ResourceId(1), ResourceId(0)],
+        )
+        .unwrap();
+        assert_eq!(split.loads(), &[4, 5]);
+        assert_eq!(split.num_unsatisfied(&inst), 2);
+    }
+
+    #[test]
+    fn weighted_apply_moves_moves_weight() {
+        let inst = weighted();
+        let mut s = State::all_on(&inst, ResourceId(1));
+        s.apply_moves(
+            &inst,
+            &[Move {
+                user: UserId(0), // weight 3
+                from: ResourceId(1),
+                to: ResourceId(0),
+            }],
+        );
+        assert_eq!(s.load(ResourceId(0)), 3);
+        assert_eq!(s.load(ResourceId(1)), 6);
+    }
+
+    #[test]
+    fn unit_weights_match_unit_model() {
+        let wi = WeightedInstance::unit(8, 4, 3).unwrap();
+        let ui = inst4();
+        let ws = State::all_on(&wi, ResourceId(0));
+        let us = State::all_on(&ui, ResourceId(0));
+        assert_eq!(ws, us);
+        assert_eq!(ws.num_unsatisfied(&wi), us.num_unsatisfied(&ui));
+        assert_eq!(State::random(&wi, 9), State::random(&ui, 9));
     }
 
     #[test]

@@ -7,10 +7,14 @@
 //! congestion and user-private random streams, decisions for different users
 //! are independent and can be computed in any order or in parallel; the
 //! result is identical by construction.
+//!
+//! Every kernel is generic over [`Demands`]: the unit
+//! [`Instance`](crate::Instance) compiles to the unit model, a weighted instance adds each user's demand
+//! to its [`LocalView`].
 
 use crate::active::ActiveIndex;
 use crate::ids::{ResourceId, UserId};
-use crate::instance::Instance;
+use crate::instance::Demands;
 use crate::protocol::{Decision, LocalView, Protocol, ResourceView};
 use crate::state::{Move, State};
 use qlb_rng::RoundStream;
@@ -26,8 +30,8 @@ use qlb_rng::RoundStream;
 /// `loads` must be the congestion vector at the start of the round and
 /// `own` the user's resource at the start of the round.
 #[inline]
-pub fn decide_user<P: Protocol + ?Sized>(
-    inst: &Instance,
+pub fn decide_user<I: Demands, P: Protocol + ?Sized>(
+    inst: &I,
     loads: &[u32],
     own: ResourceId,
     user: UserId,
@@ -35,8 +39,9 @@ pub fn decide_user<P: Protocol + ?Sized>(
     seed: u64,
     round: u64,
 ) -> Option<Move> {
-    let class = inst.class_of(user);
-    let own_cap = inst.cap(class, own);
+    let base = inst.instance();
+    let class = base.class_of(user);
+    let own_cap = base.cap(class, own);
     let own_load = loads[own.index()];
     // Satisfied ⇒ inactive, unless the kernel opts into acting while
     // satisfied (diffusion variants). (cap == 0 can never satisfy.)
@@ -58,8 +63,8 @@ pub fn decide_user<P: Protocol + ?Sized>(
 /// kernel ([`RoundView`](crate::RoundView)). Draw-for-draw identical to
 /// the tail of [`decide_user`] by construction.
 #[inline]
-pub fn decide_unsatisfied_user<P: Protocol + ?Sized>(
-    inst: &Instance,
+pub fn decide_unsatisfied_user<I: Demands, P: Protocol + ?Sized>(
+    inst: &I,
     loads: &[u32],
     own: ResourceId,
     user: UserId,
@@ -67,27 +72,29 @@ pub fn decide_unsatisfied_user<P: Protocol + ?Sized>(
     round: u64,
     rng: &mut RoundStream,
 ) -> Option<Move> {
-    let class = inst.class_of(user);
+    let base = inst.instance();
+    let class = base.class_of(user);
     if !proto.is_active(class, round) {
         return None;
     }
-    let target = proto.sample_target(inst, own, rng);
+    let target = proto.sample_target(base, own, rng);
     if target == own {
         return None;
     }
     let view = LocalView {
         user,
         class,
+        weight: inst.weight(user),
         round,
         own: ResourceView {
             id: own,
             load: loads[own.index()],
-            cap: inst.cap(class, own),
+            cap: base.cap(class, own),
         },
         target: ResourceView {
             id: target,
             load: loads[target.index()],
-            cap: inst.cap(class, target),
+            cap: base.cap(class, target),
         },
     };
     match proto.decide(&view, rng) {
@@ -104,8 +111,8 @@ pub fn decide_unsatisfied_user<P: Protocol + ?Sized>(
 ///
 /// `out` is cleared first; reusing one buffer across rounds keeps the hot
 /// loop allocation-free.
-pub fn decide_round_into<P: Protocol + ?Sized>(
-    inst: &Instance,
+pub fn decide_round_into<I: Demands, P: Protocol + ?Sized>(
+    inst: &I,
     state: &State,
     proto: &P,
     seed: u64,
@@ -124,8 +131,8 @@ pub fn decide_round_into<P: Protocol + ?Sized>(
 }
 
 /// Decide a full round sequentially (allocating convenience wrapper).
-pub fn decide_round<P: Protocol + ?Sized>(
-    inst: &Instance,
+pub fn decide_round<I: Demands, P: Protocol + ?Sized>(
+    inst: &I,
     state: &State,
     proto: &P,
     seed: u64,
@@ -155,8 +162,8 @@ pub fn decide_round<P: Protocol + ?Sized>(
 /// Debug builds panic if the protocol opts into acting while satisfied —
 /// callers must fall back to [`decide_round_into`] for such protocols.
 #[allow(clippy::too_many_arguments)]
-pub fn decide_active_into<P: Protocol + ?Sized>(
-    inst: &Instance,
+pub fn decide_active_into<I: Demands, P: Protocol + ?Sized>(
+    inst: &I,
     state: &State,
     active: &ActiveIndex,
     proto: &P,
@@ -189,8 +196,8 @@ pub fn decide_active_into<P: Protocol + ?Sized>(
 /// user's decision is a pure function of `(seed, user, round)` and the
 /// start-of-round loads. The same soundness condition applies: the protocol
 /// must not act while satisfied.
-pub fn decide_users_into<P: Protocol + ?Sized>(
-    inst: &Instance,
+pub fn decide_users_into<I: Demands, P: Protocol + ?Sized>(
+    inst: &I,
     state: &State,
     users: &[UserId],
     proto: &P,
@@ -217,8 +224,8 @@ pub fn decide_users_into<P: Protocol + ?Sized>(
 /// engine's agreement with the sequential one is experiment E10 and a
 /// property test).
 #[allow(clippy::too_many_arguments)]
-pub fn decide_range_into<P: Protocol + ?Sized>(
-    inst: &Instance,
+pub fn decide_range_into<I: Demands, P: Protocol + ?Sized>(
+    inst: &I,
     state: &State,
     proto: &P,
     seed: u64,
@@ -241,6 +248,7 @@ pub fn decide_range_into<P: Protocol + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::Instance;
     use crate::protocol::{BlindUniform, SlackDamped, ThresholdLevels};
 
     #[test]
@@ -343,6 +351,50 @@ mod tests {
             vec![Box::new(BlindUniform), Box::new(SlackDamped::default())];
         for p in &protos {
             let _ = decide_round(&inst, &state, p.as_ref(), 1, 0);
+        }
+    }
+
+    #[test]
+    fn weighted_moves_only_into_fitting_targets() {
+        use crate::protocol::ConditionalUniform;
+        use crate::weighted::WeightedInstance;
+        let inst = WeightedInstance::new(vec![6; 8], vec![2; 12]).unwrap(); // γ = 2
+        let state = State::all_on(&inst, ResourceId(0));
+        let protos: [&dyn Protocol; 2] = [&SlackDamped::default(), &ConditionalUniform];
+        for proto in protos {
+            for seed in 0..10 {
+                let moves = decide_round(&inst, &state, proto, seed, 0);
+                assert!(!moves.is_empty());
+                assert_eq!(moves, decide_round(&inst, &state, proto, seed, 0));
+                for mv in &moves {
+                    assert_eq!(mv.from, ResourceId(0));
+                    assert!(state.load(mv.to) + inst.weight(mv.user) <= 6);
+                }
+            }
+        }
+        // satisfied weighted users do nothing
+        let inst = WeightedInstance::new(vec![10, 10], vec![2, 2]).unwrap();
+        let state = State::new(&inst, vec![ResourceId(0), ResourceId(1)]).unwrap();
+        for seed in 0..10 {
+            assert!(decide_round(&inst, &state, &SlackDamped::default(), seed, 0).is_empty());
+        }
+    }
+
+    #[test]
+    fn unit_weights_decide_like_the_unit_model() {
+        use crate::weighted::WeightedInstance;
+        let wi = WeightedInstance::unit(64, 8, 4).unwrap();
+        let ui = Instance::uniform(64, 8, 4).unwrap();
+        let state = State::all_on(&ui, ResourceId(0));
+        for seed in 0..5 {
+            for round in 0..3 {
+                let proto = SlackDamped::default();
+                assert_eq!(
+                    decide_round(&wi, &state, &proto, seed, round),
+                    decide_round(&ui, &state, &proto, seed, round),
+                    "seed {seed} round {round}"
+                );
+            }
         }
     }
 

@@ -31,9 +31,12 @@
 //! ([`decide_unsatisfied_user`](crate::step::decide_unsatisfied_user)) on
 //! the same `(seed, user, round)` streams. Protocols that act while
 //! satisfied bypass the filter and run the unfiltered kernel.
+//!
+//! The view serves weighted instances too (see [`Demands`]): loads are
+//! total demand and shard deltas carry each mover's weight.
 
 use crate::ids::{ClassId, ResourceId, UserId};
-use crate::instance::Instance;
+use crate::instance::{Demands, Instance};
 use crate::protocol::Protocol;
 use crate::state::{Move, State};
 use crate::step::{decide_unsatisfied_user, decide_user};
@@ -225,16 +228,9 @@ impl ShardDeltas {
         }
     }
 
-    /// Record one unit-demand move.
+    /// Record one move of a user with demand `w`.
     #[inline]
-    pub fn record(&mut self, from: ResourceId, to: ResourceId) {
-        self.bump(from.0, -1);
-        self.bump(to.0, 1);
-    }
-
-    /// Record one weighted move of demand `w`.
-    #[inline]
-    pub fn record_weight(&mut self, from: ResourceId, to: ResourceId, w: u64) {
+    pub fn record(&mut self, from: ResourceId, to: ResourceId, w: u32) {
         self.bump(from.0, -(w as i64));
         self.bump(to.0, w as i64);
     }
@@ -293,7 +289,7 @@ pub struct RoundView {
 
 impl RoundView {
     /// Build the view of `state`.
-    pub fn new(inst: &Instance, state: &State) -> Self {
+    pub fn new<I: Demands>(inst: &I, state: &State) -> Self {
         let mut v = Self {
             assign: AlignedCellU32::default(),
             class_ids: AlignedU32::default(),
@@ -307,7 +303,8 @@ impl RoundView {
     }
 
     /// Rebuild from scratch (reusing storage).
-    pub fn rebuild(&mut self, inst: &Instance, state: &State) {
+    pub fn rebuild<I: Demands>(&mut self, inst: &I, state: &State) {
+        let inst = inst.instance();
         let n = inst.num_users();
         let m = inst.num_resources();
         self.classes = inst.num_classes();
@@ -381,9 +378,9 @@ impl RoundView {
     /// this view mirrors. `scratch` and `deltas` are this shard's private
     /// buffers; nothing outside them (and `out`) is written.
     #[allow(clippy::too_many_arguments)]
-    pub fn decide_shard_into<P: Protocol + ?Sized>(
+    pub fn decide_shard_into<I: Demands, P: Protocol + ?Sized>(
         &self,
-        inst: &Instance,
+        inst: &I,
         proto: &P,
         seed: u64,
         round: u64,
@@ -403,7 +400,7 @@ impl RoundView {
                 let user = UserId((lo + i) as u32);
                 let own = ResourceId(a);
                 if let Some(mv) = decide_user(inst, loads, own, user, proto, seed, round) {
-                    deltas.record(mv.from, mv.to);
+                    deltas.record(mv.from, mv.to, inst.weight(user));
                     out.push(mv);
                 }
             }
@@ -449,7 +446,7 @@ impl RoundView {
             if let Some(mv) =
                 decide_unsatisfied_user(inst, loads, own, user, proto, round, &mut rng)
             {
-                deltas.record(mv.from, mv.to);
+                deltas.record(mv.from, mv.to, inst.weight(user));
                 out.push(mv);
             }
         }
@@ -518,29 +515,38 @@ impl RoundView {
     }
 
     /// Number of unsatisfied users, computed from the view alone — the
-    /// shard-owned executor has no dense [`State`] to ask. Single-class:
-    /// `O(m)` (every user on an unsatisfying resource is unsatisfied, so
-    /// sum those loads). Multi-class: `O(n)` bit probes over the
-    /// assignment and class arrays.
-    pub fn num_unsatisfied(&self) -> usize {
-        let loads = self.loads.as_slice();
-        let unsat = self.unsat.as_slice();
-        if self.classes == 1 {
-            let bm = &unsat[..self.words];
-            return loads
+    /// shard-owned executor has no dense [`State`] to ask. The instance the
+    /// view mirrors picks the counting rule. Unit single-class: `O(m)`
+    /// (every user on an unsatisfying resource is unsatisfied, so sum those
+    /// loads). Weighted loads count demand, not users, so weighted and
+    /// multi-class views make `O(n)` bit probes over the assignment (and
+    /// class) arrays.
+    pub fn num_unsatisfied<I: Demands>(&self, _inst: &I) -> usize {
+        if I::UNIT && self.classes == 1 {
+            let bm = &self.unsat.as_slice()[..self.words];
+            return self
+                .loads
+                .as_slice()
                 .iter()
                 .enumerate()
                 .filter(|&(r, &x)| x > 0 && (bm[r >> 6] >> (r & 63)) & 1 != 0)
                 .map(|(_, &x)| x as usize)
                 .sum();
         }
+        self.probe_unsatisfied()
+    }
+
+    /// `O(n)` count of the users whose resource's bit is set.
+    fn probe_unsatisfied(&self) -> usize {
+        let unsat = self.unsat.as_slice();
         let assign = self.assign.as_slice();
         let classes = self.class_ids.as_slice();
         let words = self.words;
         (0..assign.len())
             .filter(|&i| {
                 let r = assign[i];
-                let k = classes[i] as usize;
+                // single-class views keep no class array
+                let k = classes.get(i).map_or(0, |&k| k as usize);
                 (unsat[k * words + (r >> 6) as usize] >> (r & 63)) & 1 != 0
             })
             .count()
@@ -558,13 +564,13 @@ impl RoundView {
                 .enumerate()
                 .all(|(r, &x)| x == 0 || (bm[r >> 6] >> (r & 63)) & 1 == 0);
         }
-        self.num_unsatisfied() == 0
+        self.probe_unsatisfied() == 0
     }
 
     /// Reconstruct a dense [`State`] from the view — the inverse of
     /// [`RoundView::new`], used by the shard-owned executor to hand a
     /// `State` back at run end. `O(n + m)`.
-    pub fn to_state(&self, inst: &Instance) -> State {
+    pub fn to_state<I: Demands>(&self, inst: &I) -> State {
         let assignment = self
             .assign
             .as_slice()
@@ -579,7 +585,8 @@ impl RoundView {
     /// Coordinator merge, phase 2 of 2: recompute the unsatisfied bits of
     /// one shard's touched resources (loads already final) and reset the
     /// shard's deltas for the next round.
-    pub fn repair_touched(&mut self, inst: &Instance, deltas: &mut ShardDeltas) {
+    pub fn repair_touched<I: Demands>(&mut self, inst: &I, deltas: &mut ShardDeltas) {
+        let inst = inst.instance();
         for i in 0..deltas.touched.len() {
             self.refresh_bits(inst, deltas.touched[i]);
         }
@@ -588,6 +595,7 @@ impl RoundView {
 
     /// Driver-side single-user reassignment (churn, arrivals, departures):
     /// mirrors [`State::reassign`], keeping loads and bitmap bits in sync.
+    /// Unit demand only, like the drivers that call it.
     pub fn reassign(&mut self, inst: &Instance, u: UserId, to: ResourceId) {
         let from = self.assign.as_slice()[u.index()];
         if from == to.0 {
@@ -603,7 +611,8 @@ impl RoundView {
 
     /// Debug check: the view mirrors `state` exactly (assignments, loads,
     /// and every bitmap bit). `O(n + m·classes)` — test/debug use only.
-    pub fn assert_synced(&self, inst: &Instance, state: &State) {
+    pub fn assert_synced<I: Demands>(&self, inst: &I, state: &State) {
+        let inst = inst.instance();
         assert_eq!(self.assign.len, state.num_users());
         for (u, &r) in state.assignment().iter().enumerate() {
             assert_eq!(self.assign.as_slice()[u], r.0, "assign[{u}]");
@@ -625,8 +634,9 @@ impl RoundView {
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
-    use crate::protocol::{registry, SlackDamped};
+    use crate::protocol::{registry, ConditionalUniform, SlackDamped};
     use crate::step::decide_range_into;
+    use crate::weighted::WeightedInstance;
 
     fn hotspot(n: usize, m: usize, cap: u32) -> (Instance, State) {
         let inst = Instance::uniform(n, m, cap).unwrap();
@@ -793,7 +803,7 @@ mod tests {
     fn view_legality_and_shard_owned_apply_match_state() {
         let (inst, mut state) = hotspot(300, 16, 24);
         let mut view = RoundView::new(&inst, &state);
-        assert_eq!(view.num_unsatisfied(), state.num_unsatisfied(&inst));
+        assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));
         assert!(!view.is_legal());
         let proto = SlackDamped::default();
         let mut scratch = ShardScratch::new();
@@ -827,7 +837,7 @@ mod tests {
             }
             view.repair_touched(&inst, &mut deltas);
             view.assert_synced(&inst, &state);
-            assert_eq!(view.num_unsatisfied(), state.num_unsatisfied(&inst));
+            assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));
             assert_eq!(view.is_legal(), state.is_legal(&inst));
             if view.is_legal() {
                 break;
@@ -847,23 +857,109 @@ mod tests {
             .unwrap();
         let state = State::all_on(&inst, ResourceId(0));
         let view = RoundView::new(&inst, &state);
-        assert_eq!(view.num_unsatisfied(), state.num_unsatisfied(&inst));
+        assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));
         assert_eq!(view.is_legal(), state.is_legal(&inst));
     }
 
     #[test]
     fn shard_deltas_generation_reset() {
         let mut d = ShardDeltas::new(4);
-        d.record(ResourceId(0), ResourceId(1));
-        d.record(ResourceId(2), ResourceId(1));
+        d.record(ResourceId(0), ResourceId(1), 1);
+        d.record(ResourceId(2), ResourceId(1), 1);
         assert_eq!(d.delta_of(0), -1);
         assert_eq!(d.delta_of(1), 2);
         assert_eq!(d.touched(), &[0, 1, 2]);
         d.advance();
         assert_eq!(d.touched(), &[] as &[u32]);
         assert_eq!(d.delta_of(1), 0);
-        d.record(ResourceId(3), ResourceId(0));
-        assert_eq!(d.delta_of(3), -1);
+        d.record(ResourceId(3), ResourceId(0), 4);
+        assert_eq!(d.delta_of(3), -4);
+        assert_eq!(d.delta_of(0), 4);
         assert_eq!(d.touched(), &[3, 0]);
+    }
+
+    /// Weights cycling 1..=4 over `n` users, 16 resources with room for the
+    /// total demand, everyone on resource 0.
+    fn weighted_crowd(n: usize) -> (WeightedInstance, State) {
+        let weights: Vec<u32> = (0..n).map(|i| 1 + (i % 4) as u32).collect();
+        let total: u32 = weights.iter().sum();
+        let inst = WeightedInstance::new(vec![total / 16; 16], weights).unwrap();
+        let state = State::all_on(&inst, ResourceId(0));
+        (inst, state)
+    }
+
+    #[test]
+    fn weighted_shard_kernel_matches_range_reference() {
+        let (inst, state) = weighted_crowd(300);
+        let view = RoundView::new(&inst, &state);
+        view.assert_synced(&inst, &state);
+        assert_eq!(view.num_unsatisfied(&inst), 300, "users, not weight");
+        let mut scratch = ShardScratch::new();
+        let mut deltas = ShardDeltas::new(inst.num_resources());
+        let protos: [&dyn Protocol; 2] = [&SlackDamped::default(), &ConditionalUniform];
+        for proto in protos {
+            for round in 0..4 {
+                let mut want = Vec::new();
+                decide_range_into(&inst, &state, proto, 7, round, 0, 300, &mut want);
+                let mut got = Vec::new();
+                for (lo, hi) in [(0, 100), (100, 101), (101, 300)] {
+                    view.decide_shard_into(
+                        &inst,
+                        proto,
+                        7,
+                        round,
+                        lo,
+                        hi,
+                        &mut got,
+                        &mut scratch,
+                        &mut deltas,
+                    );
+                }
+                assert_eq!(got, want, "{} round {round}", proto.name());
+                deltas.advance();
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_delta_merge_tracks_apply_moves() {
+        let (inst, mut state) = weighted_crowd(300);
+        let mut view = RoundView::new(&inst, &state);
+        let proto = SlackDamped::default();
+        let mut scratch = ShardScratch::new();
+        let mut deltas: Vec<ShardDeltas> = (0..2)
+            .map(|_| ShardDeltas::new(inst.num_resources()))
+            .collect();
+        for round in 0..40u64 {
+            let mut moves = Vec::new();
+            for (shard, (lo, hi)) in [(0, 150), (150, 300)].iter().enumerate() {
+                view.decide_shard_into(
+                    &inst,
+                    &proto,
+                    11,
+                    round,
+                    *lo,
+                    *hi,
+                    &mut moves,
+                    &mut scratch,
+                    &mut deltas[shard],
+                );
+            }
+            state.apply_moves(&inst, &moves);
+            for d in &deltas {
+                view.merge_loads(d);
+            }
+            view.apply_assignments(&moves);
+            for d in deltas.iter_mut() {
+                view.repair_touched(&inst, d);
+            }
+            view.assert_synced(&inst, &state);
+            assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));
+            assert_eq!(view.is_legal(), state.is_legal(&inst));
+            if state.is_legal(&inst) {
+                break;
+            }
+        }
+        assert_eq!(view.to_state(&inst), state);
     }
 }

@@ -1,9 +1,10 @@
 //! Offline baselines for the weighted model.
 
 use super::instance::WeightedInstance;
-use super::state::WeightedState;
 use crate::error::{Error, Result};
 use crate::ids::{ResourceId, UserId};
+use crate::instance::Demands;
+use crate::state::State;
 
 /// The counting bound `Σ w ≤ Σ c`: necessary, far from sufficient (bin
 /// packing): two weight-3 users do not fit into three capacity-2 bins.
@@ -19,12 +20,12 @@ pub fn weight_counting_feasible(inst: &WeightedInstance) -> bool {
 /// Success proves feasibility; failure does not refute it (bin-packing
 /// decision is NP-hard). For unit weights this degenerates to the exact
 /// counting criterion, like the unit-model greedy.
-pub fn first_fit_decreasing(inst: &WeightedInstance) -> Result<WeightedState> {
+pub fn first_fit_decreasing(inst: &WeightedInstance) -> Result<State> {
     let mut order: Vec<UserId> = inst.users().collect();
     // decreasing weight; ties by id for determinism
     order.sort_by_key(|&u| (std::cmp::Reverse(inst.weight(u)), u.0));
 
-    let mut remaining: Vec<u64> = inst.caps().to_vec();
+    let mut remaining: Vec<u32> = inst.caps().to_vec();
     let mut assignment = vec![ResourceId(0); inst.num_users()];
     for u in order {
         let w = inst.weight(u);
@@ -50,7 +51,7 @@ pub fn first_fit_decreasing(inst: &WeightedInstance) -> Result<WeightedState> {
             }
         }
     }
-    let state = WeightedState::new(inst, assignment)?;
+    let state = State::new(inst, assignment)?;
     debug_assert!(state.is_legal(inst));
     Ok(state)
 }
@@ -72,7 +73,7 @@ mod tests {
         let inst = WeightedInstance::new(vec![10, 10], vec![7, 3, 6, 4]).unwrap();
         let s = first_fit_decreasing(&inst).unwrap();
         assert!(s.is_legal(&inst));
-        assert_eq!(s.loads().iter().sum::<u64>(), 20);
+        assert_eq!(s.loads().iter().sum::<u32>(), 20);
         assert!(s.loads().iter().all(|&l| l == 10));
     }
 

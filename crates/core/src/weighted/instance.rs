@@ -1,14 +1,17 @@
 //! The weighted problem description.
 
 use crate::error::{Error, Result};
-use crate::ids::{ResourceId, UserId};
-use serde::{Deserialize, Serialize};
+use crate::ids::UserId;
+use crate::instance::{Demands, Instance};
 
-/// A weighted QoS load-balancing instance: per-resource capacities and
-/// per-user demands (single QoS class).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A weighted QoS load-balancing instance: a single-class [`Instance`]
+/// (per-resource capacities) plus per-user demands.
+///
+/// Loads stay `u32`: the constructor rejects a total demand above
+/// `u32::MAX`, and no resource can carry more than the total.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedInstance {
-    caps: Vec<u64>,
+    inst: Instance,
     weights: Vec<u32>,
 }
 
@@ -18,11 +21,9 @@ impl WeightedInstance {
     /// # Errors
     /// * [`Error::NoResources`] without resources;
     /// * [`Error::BadParameter`] for zero weights (a zero-demand user is
-    ///   meaningless and would break the fit-check semantics).
-    pub fn new(caps: Vec<u64>, weights: Vec<u32>) -> Result<Self> {
-        if caps.is_empty() {
-            return Err(Error::NoResources);
-        }
+    ///   meaningless and would break the fit-check semantics), more users
+    ///   than 32-bit ids, or a total demand above `u32::MAX`.
+    pub fn new(caps: Vec<u32>, weights: Vec<u32>) -> Result<Self> {
         if let Some(i) = weights.iter().position(|&w| w == 0) {
             return Err(Error::BadParameter {
                 detail: format!("user u{i} has zero weight"),
@@ -35,12 +36,19 @@ impl WeightedInstance {
                 detail: format!("{} users exceed the 32-bit user-id space", weights.len()),
             });
         }
-        Ok(Self { caps, weights })
+        let total: u64 = weights.iter().map(|&w| w as u64).sum();
+        if u32::try_from(total).is_err() {
+            return Err(Error::BadParameter {
+                detail: format!("total demand {total} overflows the u32 load counters"),
+            });
+        }
+        let inst = Instance::with_capacities(weights.len(), caps)?;
+        Ok(Self { inst, weights })
     }
 
     /// Uniform caps, unit weights: coincides with `Instance::uniform`
     /// semantics (used by the equivalence tests).
-    pub fn unit(n: usize, m: usize, cap: u64) -> Result<Self> {
+    pub fn unit(n: usize, m: usize, cap: u32) -> Result<Self> {
         Self::new(vec![cap; m], vec![1; n])
     }
 
@@ -53,36 +61,18 @@ impl WeightedInstance {
     /// Number of resources.
     #[inline]
     pub fn num_resources(&self) -> usize {
-        self.caps.len()
-    }
-
-    /// Capacity of resource `r`.
-    #[inline]
-    pub fn cap(&self, r: ResourceId) -> u64 {
-        self.caps[r.index()]
-    }
-
-    /// Demand of user `u`.
-    #[inline]
-    pub fn weight(&self, u: UserId) -> u64 {
-        self.weights[u.index()] as u64
+        self.inst.num_resources()
     }
 
     /// All capacities.
     #[inline]
-    pub fn caps(&self) -> &[u64] {
-        &self.caps
-    }
-
-    /// All weights.
-    #[inline]
-    pub fn weights(&self) -> &[u32] {
-        &self.weights
+    pub fn caps(&self) -> &[u32] {
+        self.inst.eff_cap_table()
     }
 
     /// Total capacity `Σ_r c_r`.
     pub fn total_capacity(&self) -> u64 {
-        self.caps.iter().sum()
+        self.inst.total_capacity()
     }
 
     /// Total demand `Σ_i w_i`.
@@ -101,47 +91,42 @@ impl WeightedInstance {
     }
 
     /// Largest user demand (0 for an empty instance).
-    pub fn max_weight(&self) -> u64 {
-        self.weights.iter().copied().max().unwrap_or(0) as u64
+    pub fn max_weight(&self) -> u32 {
+        self.weights.iter().copied().max().unwrap_or(0)
     }
 
     /// Iterator over user ids.
     pub fn users(&self) -> impl ExactSizeIterator<Item = UserId> {
-        (0..self.num_users() as u32).map(UserId)
+        self.inst.users()
+    }
+}
+
+impl Demands for WeightedInstance {
+    const UNIT: bool = false;
+
+    #[inline]
+    fn instance(&self) -> &Instance {
+        &self.inst
     }
 
-    /// Validate an assignment vector.
-    pub fn validate_assignment(&self, assignment: &[ResourceId]) -> Result<()> {
-        if assignment.len() != self.num_users() {
-            return Err(Error::BadAssignment {
-                detail: format!(
-                    "assignment has {} entries for {} users",
-                    assignment.len(),
-                    self.num_users()
-                ),
-            });
-        }
-        for (u, &r) in assignment.iter().enumerate() {
-            if r.index() >= self.num_resources() {
-                return Err(Error::BadAssignment {
-                    detail: format!("user u{u} assigned to out-of-range {r}"),
-                });
-            }
-        }
-        Ok(())
+    #[inline]
+    fn weight(&self, u: UserId) -> u32 {
+        self.weights[u.index()]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::ResourceId;
 
     #[test]
     fn accessors() {
         let inst = WeightedInstance::new(vec![10, 20], vec![3, 5, 1]).unwrap();
         assert_eq!(inst.num_users(), 3);
         assert_eq!(inst.num_resources(), 2);
-        assert_eq!(inst.cap(ResourceId(1)), 20);
+        assert_eq!(inst.instance().capacity(ResourceId(1)), 20);
+        assert_eq!(inst.caps(), &[10, 20]);
         assert_eq!(inst.weight(UserId(1)), 5);
         assert_eq!(inst.total_capacity(), 30);
         assert_eq!(inst.total_weight(), 9);
@@ -166,23 +151,23 @@ mod tests {
     }
 
     #[test]
+    fn total_demand_beyond_u32_rejected() {
+        // Σw = u32::MAX fits the load counters; one more unit does not
+        let fits = WeightedInstance::new(vec![1], vec![u32::MAX]).unwrap();
+        assert_eq!(fits.total_weight(), u32::MAX as u64);
+        assert!(matches!(
+            WeightedInstance::new(vec![1], vec![u32::MAX, 1]),
+            Err(Error::BadParameter { .. })
+        ));
+    }
+
+    #[test]
     fn unit_matches_uniform_semantics() {
         let w = WeightedInstance::unit(10, 4, 3).unwrap();
         assert_eq!(w.total_capacity(), 12);
         assert_eq!(w.total_weight(), 10);
         assert_eq!(w.max_weight(), 1);
-    }
-
-    #[test]
-    fn validate_assignment_checks() {
-        let inst = WeightedInstance::new(vec![5, 5], vec![2, 2]).unwrap();
-        assert!(inst
-            .validate_assignment(&[ResourceId(0), ResourceId(1)])
-            .is_ok());
-        assert!(inst.validate_assignment(&[ResourceId(0)]).is_err());
-        assert!(inst
-            .validate_assignment(&[ResourceId(0), ResourceId(7)])
-            .is_err());
+        assert_eq!(w.instance(), &Instance::uniform(10, 4, 3).unwrap());
     }
 
     #[test]

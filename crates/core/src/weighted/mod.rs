@@ -17,25 +17,15 @@
 //!   which gets exponentially rarer as the system fills — experiment E13
 //!   measures the degradation with weight skew.
 //!
-//! The module is deliberately self-contained (own instance/state/kernel
-//! types with `u64` load arithmetic) rather than threaded through the unit
-//! model's hot path, which stays allocation- and branch-lean.
+//! Unit demand is the special case `w_i = 1` of one model: the state,
+//! active index, round view, kernels and engine loop are generic over
+//! [`Demands`](crate::Demands), which [`WeightedInstance`] implements with
+//! its weight vector. `SlackDamped` and `ConditionalUniform` apply the fit
+//! check. This module keeps only what is weighted-specific: the instance
+//! and the offline baselines.
 
-mod active;
 mod baseline;
 mod instance;
-mod protocol;
-mod state;
-mod step;
-mod view;
 
-pub use active::WeightedActiveIndex;
 pub use baseline::{first_fit_decreasing, weight_counting_feasible};
 pub use instance::WeightedInstance;
-pub use protocol::{WeightedConditional, WeightedProtocol, WeightedSlackDamped, WeightedView};
-pub use state::WeightedState;
-pub use step::{
-    decide_weighted_range_into, decide_weighted_round, decide_weighted_round_into,
-    decide_weighted_unsatisfied_user, decide_weighted_user, decide_weighted_users_into,
-};
-pub use view::WeightedRoundView;

@@ -153,7 +153,7 @@ mod tests {
         let inst = Instance::uniform(32, 8, 5).unwrap();
         let mut state = State::round_robin(&inst);
         assert_eq!(perturb_uniform(&inst, &mut state, 1.0, 1), 32);
-        state.debug_assert_invariants();
+        state.debug_assert_invariants(&inst);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! twin taking a `qlb-obs` sink — and takes its executor from its config:
 //!
 //! * [`run()`](run()) / [`run_observed`] — the closed system of the paper,
-//!   configured by [`RunConfig`];
+//!   configured by [`RunConfig`]; generic over `qlb_core::Demands`, so the
+//!   same loop runs unit and weighted (`qlb_core::weighted`) instances;
 //! * [`run_open_system`] / [`run_open_system_observed`] — users arriving
 //!   and departing while the protocol runs ([`open`]);
-//! * [`run_weighted`] / [`run_weighted_observed`] — the weighted-demand
-//!   extension ([`weighted`]);
 //! * [`run_with_churn`] / [`run_with_churn_observed`] — churn and
 //!   re-convergence episodes ([`dynamics`]).
 //!
@@ -49,7 +48,6 @@ pub mod open;
 pub mod pool;
 pub mod run;
 pub mod trace;
-pub mod weighted;
 
 pub use dynamics::{
     perturb_uniform, run_with_churn, run_with_churn_observed, ChurnConfig, ChurnOutcome,
@@ -60,4 +58,3 @@ pub use open::{
 pub use pool::{shard_bounds, shard_chunk, shards_for, WorkerPool};
 pub use run::{run, run_observed, Executor, RunConfig, RunOutcome};
 pub use trace::{RoundStats, Trace};
-pub use weighted::{run_weighted, run_weighted_observed, WeightedConfig, WeightedOutcome};

@@ -1,10 +1,15 @@
 //! The closed-system round loop and its executors.
+//!
+//! One loop serves the unit and the weighted model: every entry point is
+//! generic over [`Demands`], so a plain [`Instance`](qlb_core::Instance)
+//! runs the unit model and a [`qlb_core::weighted::WeightedInstance`] the
+//! weighted one.
 
 use crate::pool::{pool_for, shard_chunk, shards_for, WorkerPool};
 use crate::trace::Trace;
 use qlb_core::step::{decide_active_into, decide_round_into, decide_users_into};
 use qlb_core::{
-    overload_potential_loads, ActiveIndex, Instance, Move, Protocol, RoundView, ShardDeltas,
+    overload_potential_loads, ActiveIndex, Demands, Move, Protocol, RoundView, ShardDeltas,
     ShardScratch, State, UserId,
 };
 use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink};
@@ -147,6 +152,10 @@ pub struct RunOutcome {
     pub rounds: u64,
     /// Total migrations applied.
     pub migrations: u64,
+    /// Total demand moved (`Σ` over migrations of the mover's weight) —
+    /// the transfer cost of the weighted model; equals `migrations` for
+    /// unit demand.
+    pub weight_moved: u64,
     /// The final state.
     pub state: State,
     /// Per-round trace if requested.
@@ -175,10 +184,14 @@ pub struct RunOutcome {
 /// The pooled executors run on one [`WorkerPool`] created per run, so
 /// every round is an epoch bump on parked workers, not a thread spawn.
 ///
+/// `inst` is an [`Instance`](qlb_core::Instance) (unit demand) or a
+/// weighted instance: the executors, index and view are the same, loads
+/// count demand, and [`RunOutcome::weight_moved`] reports the demand moved.
+///
 /// # Panics
 /// Panics on a pooled executor with zero threads.
-pub fn run<P: Protocol + ?Sized>(
-    inst: &Instance,
+pub fn run<I: Demands, P: Protocol + ?Sized>(
+    inst: &I,
     state: State,
     proto: &P,
     config: RunConfig,
@@ -195,20 +208,21 @@ pub fn run<P: Protocol + ?Sized>(
 /// convergence check, executor switch), counters, gauges, and
 /// decide/apply/convergence phase timings; pooled rounds additionally
 /// split the decide phase into [`Phase::Compute`] and [`Phase::ForkJoin`].
+/// Weighted runs also count [`Counter::WeightMoved`].
 /// Observability is derived data only — the trajectory is bit-identical
 /// either way (property-tested).
 ///
 /// # Panics
 /// Panics on a pooled executor with zero threads.
-pub fn run_observed<P: Protocol + ?Sized, S: Sink>(
-    inst: &Instance,
+pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
+    inst: &I,
     state: State,
     proto: &P,
     config: RunConfig,
     sink: &mut S,
 ) -> RunOutcome {
     let sparse = config.executor.is_sparse();
-    match pool_for(config.executor, inst.num_users()) {
+    match pool_for(config.executor, inst.instance().num_users()) {
         // per-round trace entries need the dense State the owned loop drops
         Some(pool) if !sparse && !config.record_trace => {
             run_pooled_owned(inst, state, proto, config, sink, &pool)
@@ -228,11 +242,12 @@ pub(crate) struct ViewShards {
 }
 
 impl ViewShards {
-    pub(crate) fn new(inst: &Instance, state: &State, shards: usize) -> Self {
+    pub(crate) fn new<I: Demands>(inst: &I, state: &State, shards: usize) -> Self {
+        let m = inst.instance().num_resources();
         Self {
             view: RoundView::new(inst, state),
             slots: (0..shards)
-                .map(|_| Mutex::new((ShardDeltas::new(inst.num_resources()), ShardScratch::new())))
+                .map(|_| Mutex::new((ShardDeltas::new(m), ShardScratch::new())))
                 .collect(),
         }
     }
@@ -250,9 +265,9 @@ impl ViewShards {
     /// order, so `buf` is globally sorted by user index — each worker
     /// recovers its slice with two binary searches.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn decide_round<P: Protocol + ?Sized, S: Sink>(
+    pub(crate) fn decide_round<I: Demands, P: Protocol + ?Sized, S: Sink>(
         &mut self,
-        inst: &Instance,
+        inst: &I,
         proto: &P,
         seed: u64,
         round: u64,
@@ -262,7 +277,7 @@ impl ViewShards {
         shard_timing: bool,
         owned_apply: bool,
     ) {
-        let n = inst.num_users();
+        let n = inst.instance().num_users();
         let chunk = shard_chunk(n, pool.threads());
         let active = shards_for(n, pool.threads());
         let (view, slots) = (&self.view, &self.slots);
@@ -325,8 +340,8 @@ impl ViewShards {
 /// Trajectory is bit-identical to [`run_core`]'s pooled dense rounds —
 /// same decide kernel, same merge order, same cells written — the only
 /// difference is *who* writes the assignment array.
-fn run_pooled_owned<P: Protocol + ?Sized, S: Sink>(
-    inst: &Instance,
+fn run_pooled_owned<I: Demands, P: Protocol + ?Sized, S: Sink>(
+    inst: &I,
     state: State,
     proto: &P,
     config: RunConfig,
@@ -340,9 +355,10 @@ fn run_pooled_owned<P: Protocol + ?Sized, S: Sink>(
     let mut moves: Vec<Move> = Vec::new();
     let mut rounds = 0u64;
     let mut migrations = 0u64;
+    let mut weight_moved = 0u64;
     let mut converged = vs.view.is_legal();
     let mut entering = if S::ENABLED && !converged {
-        vs.view.num_unsatisfied() as u64
+        vs.view.num_unsatisfied(inst) as u64
     } else {
         0
     };
@@ -372,14 +388,16 @@ fn run_pooled_owned<P: Protocol + ?Sized, S: Sink>(
                 size: moves.len() as u64,
             });
         }
+        let batch_weight = moved_weight(inst, &moves);
         migrations += moves.len() as u64;
+        weight_moved += batch_weight;
         rounds += 1;
         converged = timed(sink, Phase::Convergence, || vs.view.is_legal());
         if S::ENABLED {
             let unsatisfied = if converged {
                 0
             } else {
-                vs.view.num_unsatisfied() as u64
+                vs.view.num_unsatisfied(inst) as u64
             };
             emit_round_end(
                 inst,
@@ -387,6 +405,7 @@ fn run_pooled_owned<P: Protocol + ?Sized, S: Sink>(
                 sink,
                 rounds - 1,
                 moves.len() as u64,
+                batch_weight,
                 converged,
                 unsatisfied,
                 config.topk_resources,
@@ -399,6 +418,7 @@ fn run_pooled_owned<P: Protocol + ?Sized, S: Sink>(
         converged,
         rounds,
         migrations,
+        weight_moved,
         state: vs.view.to_state(inst),
         trace: None,
     }
@@ -408,8 +428,8 @@ fn run_pooled_owned<P: Protocol + ?Sized, S: Sink>(
 /// rounds (sequential, or pooled over the SoA [`RoundView`] when `pool` is
 /// given) and, when `sparse`, active-set rounds once the batches shrink
 /// (see [`run`]).
-fn run_core<P: Protocol + ?Sized, S: Sink>(
-    inst: &Instance,
+fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
+    inst: &I,
     mut state: State,
     proto: &P,
     config: RunConfig,
@@ -438,7 +458,7 @@ fn run_core<P: Protocol + ?Sized, S: Sink>(
         }
     }
 
-    let n = inst.num_users().max(1);
+    let n = inst.instance().num_users().max(1);
     let unsat0 = state.num_unsatisfied(inst);
     // start sparse only if the initial state is already in the sparse
     // regime; otherwise warm up with dense rounds
@@ -458,6 +478,7 @@ fn run_core<P: Protocol + ?Sized, S: Sink>(
     let mut dense_view: Option<ViewShards> = None;
     let mut rounds = 0u64;
     let mut migrations = 0u64;
+    let mut weight_moved = 0u64;
     let mut converged = unsat0 == 0;
     // carried between rounds (see `emit_round_end`): start count == the
     // previous round's end count
@@ -594,7 +615,9 @@ fn run_core<P: Protocol + ?Sized, S: Sink>(
                 }
             }
         }
+        let batch_weight = moved_weight(inst, &moves);
         migrations += moves.len() as u64;
+        weight_moved += batch_weight;
         rounds += 1;
         if let Some(t) = trace.as_mut() {
             t.record(inst, &state, rounds, moves.len() as u64);
@@ -620,6 +643,7 @@ fn run_core<P: Protocol + ?Sized, S: Sink>(
                 sink,
                 rounds - 1,
                 moves.len() as u64,
+                batch_weight,
                 converged,
                 unsatisfied,
                 config.topk_resources,
@@ -636,8 +660,19 @@ fn run_core<P: Protocol + ?Sized, S: Sink>(
         converged,
         rounds,
         migrations,
+        weight_moved,
         state,
         trace,
+    }
+}
+
+/// Total demand of a round's movers: the batch size for unit demand.
+#[inline]
+fn moved_weight<I: Demands>(inst: &I, moves: &[Move]) -> u64 {
+    if I::UNIT {
+        moves.len() as u64
+    } else {
+        moves.iter().map(|mv| inst.weight(mv.user) as u64).sum()
     }
 }
 
@@ -646,22 +681,29 @@ fn run_core<P: Protocol + ?Sized, S: Sink>(
 /// back into decisions. `unsatisfied` is passed in (the caller usually has
 /// it for free: the sparse index knows it in O(1), and the dense loops
 /// reuse it as the next round's `RoundStart` active count, halving the
-/// scans). With `topk > 0` the `topk` hottest resources are offered to the
-/// sink as a congestion sample.
+/// scans). `batch` is the round's migration count and `weight` the demand
+/// it moved; weighted runs count the latter as [`Counter::WeightMoved`].
+/// With `topk > 0` the `topk` hottest resources are offered to the sink as
+/// a congestion sample.
 #[allow(clippy::too_many_arguments)]
-fn emit_round_end<S: Sink>(
-    inst: &Instance,
+fn emit_round_end<I: Demands, S: Sink>(
+    inst: &I,
     loads: &[u32],
     sink: &mut S,
     round: u64,
     batch: u64,
+    weight: u64,
     converged: bool,
     unsatisfied: u64,
     topk: usize,
 ) {
-    let overload = (inst.num_classes() == 1).then(|| overload_potential_loads(inst, loads));
+    let base = inst.instance();
+    let overload = (base.num_classes() == 1).then(|| overload_potential_loads(base, loads));
     sink.add(Counter::Rounds, 1);
     sink.add(Counter::Migrations, batch);
+    if !I::UNIT {
+        sink.add(Counter::WeightMoved, weight);
+    }
     sink.set(Gauge::Unsatisfied, unsatisfied);
     if let Some(phi) = overload {
         sink.set(Gauge::Overload, phi);
@@ -681,7 +723,8 @@ fn emit_round_end<S: Sink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qlb_core::{BlindUniform, ResourceId, SlackDamped};
+    use qlb_core::weighted::WeightedInstance;
+    use qlb_core::{BlindUniform, ConditionalUniform, Instance, ResourceId, SlackDamped};
     use qlb_obs::Recorder;
 
     fn hotspot(n: usize, m: usize, cap: u32) -> (Instance, State) {
@@ -1073,6 +1116,9 @@ mod tests {
             .collect();
         assert_eq!(round_ends.len() as u64, observed.rounds);
         assert!(round_ends.windows(2).all(|w| w[0] + 1 == w[1]));
+        // unit runs move one unit of demand per migration, uncounted
+        assert_eq!(observed.weight_moved, observed.migrations);
+        assert_eq!(rec.counter(Counter::WeightMoved), 0);
     }
 
     #[test]
@@ -1139,5 +1185,155 @@ mod tests {
             let events = |r: &Recorder| r.events().iter().map(|(_, e)| e).collect::<Vec<_>>();
             assert_eq!(events(&rec), events(&seq_rec));
         }
+    }
+
+    /// `n` users of weight `w` on `m` resources of capacity `cap`, all on
+    /// resource 0.
+    fn weighted_hotspot(m: usize, cap: u32, weights: Vec<u32>) -> (WeightedInstance, State) {
+        let inst = WeightedInstance::new(vec![cap; m], weights).unwrap();
+        let state = State::all_on(&inst, ResourceId(0));
+        (inst, state)
+    }
+
+    /// 80 users of weight 1 and 20 of weight 4 (Σw = 160) on 24 × cap 8.
+    fn mixed_weights() -> Vec<u32> {
+        let mut weights = vec![1u32; 80];
+        weights.extend(vec![4u32; 20]);
+        weights
+    }
+
+    #[test]
+    fn weighted_runs_converge_and_count_weight() {
+        // 96 users of weight 2, caps 6 × 64 resources → γ = 2
+        let (inst, state) = weighted_hotspot(64, 6, vec![2; 96]);
+        let out = run(
+            &inst,
+            state,
+            &SlackDamped::default(),
+            RunConfig::new(3, 10_000),
+        );
+        assert!(out.converged, "took {} rounds", out.rounds);
+        assert!(out.state.is_legal(&inst));
+        assert_eq!(out.weight_moved, out.migrations * 2);
+
+        let mut weights = vec![1u32; 120];
+        weights.extend(vec![4u32; 30]); // total 240, cap 360
+        let (inst, state) = weighted_hotspot(36, 10, weights);
+        let out = run(
+            &inst,
+            state,
+            &SlackDamped::default(),
+            RunConfig::new(5, 100_000),
+        );
+        assert!(out.converged, "took {} rounds", out.rounds);
+
+        let inst = WeightedInstance::new(vec![10, 10], vec![5, 5]).unwrap();
+        let legal = State::new(&inst, vec![ResourceId(0), ResourceId(1)]).unwrap();
+        let out = run(&inst, legal, &ConditionalUniform, RunConfig::new(1, 100));
+        assert!(out.converged);
+        assert_eq!((out.rounds, out.weight_moved), (0, 0));
+
+        let (inst, state) = weighted_hotspot(16, 4, vec![2; 24]);
+        let out = run(&inst, state, &SlackDamped::default(), RunConfig::new(1, 1));
+        assert_eq!(out.rounds, 1);
+        assert!(!out.converged);
+    }
+
+    #[test]
+    fn weighted_executors_match_dense_exactly() {
+        let (inst, s1) = weighted_hotspot(24, 8, mixed_weights());
+        let protos: [&dyn Protocol; 2] = [&SlackDamped::default(), &ConditionalUniform];
+        for proto in protos {
+            let name = proto.name();
+            for cfg in [
+                RunConfig::new(11, 10_000),
+                RunConfig::new(11, 10_000).with_user_times(),
+            ] {
+                let dense = run(&inst, s1.clone(), proto, cfg);
+                for exec in [
+                    Executor::Sparse,
+                    Executor::Threaded(3),
+                    Executor::Threaded(64),
+                    Executor::SparseThreaded(4),
+                ] {
+                    let other = run(&inst, s1.clone(), proto, cfg.with_executor(exec));
+                    let label = format!("{name} {exec:?} traced={}", cfg.record_trace);
+                    assert_same_run(&dense, &other, &label);
+                    assert_eq!(dense.weight_moved, other.weight_moved, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unit_weights_reproduce_unit_model_run() {
+        let wi = WeightedInstance::unit(128, 16, 10).unwrap();
+        let (ui, start) = hotspot(128, 16, 10);
+        for exec in [Executor::Dense, Executor::Threaded(2)] {
+            let cfg = RunConfig::new(7, 10_000).with_executor(exec);
+            let w = run(&wi, start.clone(), &SlackDamped::default(), cfg);
+            let u = run(&ui, start.clone(), &SlackDamped::default(), cfg);
+            assert_eq!((w.rounds, w.migrations), (u.rounds, u.migrations));
+            assert_eq!(w.weight_moved, u.weight_moved);
+            assert_eq!(w.state, u.state);
+        }
+    }
+
+    #[test]
+    fn weighted_observed_run_emits_the_full_event_set() {
+        let (inst, s1) = weighted_hotspot(32, 8, vec![3; 48]);
+        let mut rec = Recorder::default();
+        let cfg = RunConfig::new(9, 10_000)
+            .with_executor(Executor::Threaded(3))
+            .with_topk_resources(4);
+        let out = run_observed(&inst, s1, &SlackDamped::default(), cfg, &mut rec);
+        assert!(out.converged);
+        assert_eq!(rec.counter(Counter::WeightMoved), out.weight_moved);
+        assert_eq!(out.weight_moved, 3 * out.migrations);
+        // overload is the weighted Σ(W − c)⁺ and reaches 0 at convergence
+        let overloads: Vec<Option<u64>> = rec
+            .events()
+            .iter()
+            .filter_map(|(_, e)| match e {
+                Event::RoundEnd { overload, .. } => Some(overload),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(overloads.len() as u64, out.rounds);
+        assert_eq!(overloads.last(), Some(&Some(0)));
+        let checks = rec
+            .events()
+            .iter()
+            .filter(|(_, e)| matches!(e, Event::ConvergenceCheck { .. }))
+            .count();
+        assert_eq!(checks as u64, out.rounds);
+        // top-k samples are descending by weighted load, ≤ k entries
+        let samples = rec.topk_series().samples();
+        let (round0, entries0) = &samples[0];
+        assert_eq!(*round0, 0);
+        assert!(!entries0.is_empty() && entries0.len() <= 4);
+        assert!(entries0.windows(2).all(|w| w[0].load >= w[1].load));
+        assert_eq!(rec.shard_timers().num_shards(), 3);
+    }
+
+    #[test]
+    fn weighted_sparse_start_counts_round_split() {
+        // endgame-shaped start: 3 weight-2 users on each of 64 cap-8
+        // resources (satisfied), plus 2 extra crowding resource 0 — only
+        // r0's 5 occupants are unsatisfied, so the run starts sparse
+        let inst = WeightedInstance::new(vec![8; 64], vec![2; 194]).unwrap();
+        let mut assignment: Vec<ResourceId> = (0..192).map(|i| ResourceId(i / 3)).collect();
+        assignment.extend([ResourceId(0), ResourceId(0)]);
+        let state = State::new(&inst, assignment).unwrap();
+        let mut rec = Recorder::default();
+        let cfg = RunConfig::new(3, 10_000).with_executor(Executor::Sparse);
+        let out = run_observed(&inst, state, &SlackDamped::default(), cfg, &mut rec);
+        assert!(out.converged);
+        assert_eq!(
+            rec.counter(Counter::DenseRounds) + rec.counter(Counter::SparseRounds),
+            out.rounds
+        );
+        assert!(rec.counter(Counter::SparseRounds) > 0, "never went sparse");
+        assert_eq!(rec.counter(Counter::WeightMoved), out.weight_moved);
     }
 }

@@ -1,6 +1,6 @@
 //! Per-round measurement traces.
 
-use qlb_core::{overload_potential, Instance, State};
+use qlb_core::{overload_potential, Demands, State};
 
 /// Snapshot of the system after one round (or of the initial state, for
 /// `round == 0` entries in a [`Trace`]).
@@ -29,8 +29,15 @@ pub struct Trace {
 }
 
 impl Trace {
-    pub(crate) fn record(&mut self, inst: &Instance, state: &State, round: u64, migrations: u64) {
-        let overload = (inst.num_classes() == 1).then(|| overload_potential(inst, state));
+    pub(crate) fn record<I: Demands>(
+        &mut self,
+        inst: &I,
+        state: &State,
+        round: u64,
+        migrations: u64,
+    ) {
+        let base = inst.instance();
+        let overload = (base.num_classes() == 1).then(|| overload_potential(base, state));
         self.rounds.push(RoundStats {
             round,
             unsatisfied: state.num_unsatisfied(inst) as u64,
@@ -39,11 +46,12 @@ impl Trace {
         });
     }
 
-    pub(crate) fn record_user_times(&mut self, inst: &Instance, state: &State, round: u64) {
+    pub(crate) fn record_user_times<I: Demands>(&mut self, inst: &I, state: &State, round: u64) {
+        let users = inst.instance().users();
         if self.last_unsatisfied.is_empty() {
-            self.last_unsatisfied = vec![None; inst.num_users()];
+            self.last_unsatisfied = vec![None; users.len()];
         }
-        for u in inst.users() {
+        for u in users {
             if !state.is_satisfied(inst, u) {
                 self.last_unsatisfied[u.index()] = Some(round);
             }
@@ -69,7 +77,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qlb_core::ResourceId;
+    use qlb_core::{Instance, ResourceId};
 
     #[test]
     fn record_tracks_rounds_and_overload() {

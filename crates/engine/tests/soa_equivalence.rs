@@ -9,13 +9,11 @@
 //! additionally run the drivers' internal `assert_synced` checks every
 //! pooled round, so a drifting view fails loudly here.
 
-use qlb_core::weighted::{
-    WeightedConditional, WeightedInstance, WeightedProtocol, WeightedSlackDamped, WeightedState,
+use qlb_core::weighted::WeightedInstance;
+use qlb_core::{
+    ConditionalUniform, Instance, InstanceBuilder, Protocol, ResourceId, SlackDamped, State,
 };
-use qlb_core::{Instance, InstanceBuilder, ResourceId, State};
-use qlb_engine::{
-    run, run_open_system, run_weighted, Executor, OpenConfig, RunConfig, WeightedConfig,
-};
+use qlb_engine::{run, run_open_system, Executor, OpenConfig, RunConfig};
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
@@ -120,22 +118,21 @@ fn weighted_matches_dense_across_thread_counts() {
     let mut weights = vec![1u32; 1200];
     weights.extend(vec![4u32; 300]); // total 2400
     let inst = WeightedInstance::new(vec![60; 48], weights).unwrap(); // cap 2880
-    let state = WeightedState::all_on(&inst, ResourceId(0));
-    let protos: [&dyn WeightedProtocol; 2] =
-        [&WeightedSlackDamped::default(), &WeightedConditional];
+    let state = State::all_on(&inst, ResourceId(0));
+    let protos: [&dyn Protocol; 2] = [&SlackDamped::default(), &ConditionalUniform];
     for proto in protos {
         let name = proto.name();
-        let dense = run_weighted(&inst, state.clone(), proto, WeightedConfig::new(23, 600));
+        let dense = run(&inst, state.clone(), proto, RunConfig::new(23, 600));
         for threads in THREADS {
             for exec in [
                 Executor::Threaded(threads),
                 Executor::SparseThreaded(threads),
             ] {
-                let pooled = run_weighted(
+                let pooled = run(
                     &inst,
                     state.clone(),
                     proto,
-                    WeightedConfig::new(23, 600).with_executor(exec),
+                    RunConfig::new(23, 600).with_executor(exec),
                 );
                 assert_eq!(dense.converged, pooled.converged, "{name} {exec:?}");
                 assert_eq!(dense.rounds, pooled.rounds, "{name} {exec:?}");

@@ -11,17 +11,12 @@
 //! qlb-sim --emit-preset > fleet.json           # starting template
 //! ```
 
-use qlb_core::weighted::{
-    WeightedConditional, WeightedInstance, WeightedProtocol, WeightedSlackDamped, WeightedState,
-};
+use qlb_core::weighted::WeightedInstance;
 use qlb_core::{
     BlindUniform, ClassId, ConditionalUniform, Instance, Protocol, SlackDamped,
     SlackDampedCapacitySampling, State, ThresholdLevels,
 };
-use qlb_engine::{
-    run_observed, run_open_system_observed, run_weighted_observed, Executor, OpenConfig, RunConfig,
-    WeightedConfig,
-};
+use qlb_engine::{run_observed, run_open_system_observed, Executor, OpenConfig, RunConfig};
 use qlb_obs::{replay::Summary, NoopSink, Recorder, Sink, StreamSink};
 use qlb_runtime::{run_distributed_observed, RuntimeConfig};
 use qlb_stats::sparkline_fit;
@@ -51,12 +46,59 @@ fn preset() -> Scenario {
     )
 }
 
+/// The flags `--help` documents that take a value.
+const VALUE_FLAGS: [&str; 18] = [
+    "--scenario",
+    "--preset",
+    "--seed",
+    "--protocol",
+    "--driver",
+    "--executor",
+    "--threads",
+    "--max-rounds",
+    "--topology",
+    "--rounds",
+    "--arrivals-per-round",
+    "--departure-prob",
+    "--weight-max",
+    "--metrics-out",
+    "--metrics-stream",
+    "--flush-every",
+    "--topk-resources",
+    "--shard-timing",
+];
+
+/// The flags `--help` documents that take no value.
+const SWITCHES: [&str; 3] = ["--emit-preset", "--metrics-summary", "--mem-summary"];
+
+/// Reject any argument `--help` does not document, and a value flag
+/// without its value, instead of silently running something else.
+fn check_args(args: &[String]) {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if VALUE_FLAGS.contains(&a) {
+            if i + 1 >= args.len() {
+                eprintln!("{a} needs a value; see qlb-sim --help");
+                exit(2);
+            }
+            i += 2;
+        } else if SWITCHES.contains(&a) {
+            i += 1;
+        } else {
+            eprintln!("unknown argument {a}; see qlb-sim --help");
+            exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         print_help();
         return;
     }
+    check_args(&args);
     if args.iter().any(|a| a == "--emit-preset") {
         println!("{}", preset().to_json());
         return;
@@ -74,9 +116,11 @@ fn main() {
             eprintln!("{e}");
             exit(2);
         })
-    } else if get("--preset").as_deref() == Some("flash-crowd")
-        || args.iter().any(|a| a == "--preset")
-    {
+    } else if let Some(name) = get("--preset") {
+        if name != "flash-crowd" {
+            eprintln!("unknown preset {name}; the built-in preset is flash-crowd");
+            exit(2);
+        }
         preset()
     } else {
         eprintln!("need --scenario FILE or --preset flash-crowd");
@@ -224,8 +268,9 @@ fn main() {
     };
     // Validate the sparse-soundness fallback up front and announce the
     // decision rather than leaving the silent in-engine fallback as the
-    // only record of it. (The weighted model has no acts-while-satisfied
-    // kernels, so its sparse path never falls back.)
+    // only record of it. (The weighted driver runs slack-damped or
+    // conditional, neither of which acts while satisfied, so its sparse
+    // path never falls back.)
     let sparse_requested = matches!(exec, Executor::Sparse | Executor::SparseThreaded(_));
     if sparse_requested && driver != "weighted" && proto.acts_when_satisfied() {
         println!(
@@ -444,23 +489,29 @@ fn simulate<S: Sink>(
             let n = inst.num_users();
             let weights: Vec<u32> = (0..n).map(|i| 1 + (i as u32 % weight_max)).collect();
             let total_w: u64 = weights.iter().map(|&w| w as u64).sum();
-            let caps: Vec<u64> = inst
+            let caps: Vec<u32> = inst
                 .cap_row(ClassId(0))
                 .iter()
-                .map(|&c| ((c as u64) * total_w).div_ceil(n as u64))
+                .map(|&c| {
+                    let lifted = ((c as u64) * total_w).div_ceil(n as u64);
+                    u32::try_from(lifted).unwrap_or_else(|_| {
+                        eprintln!("weighted lift failed: capacity {lifted} exceeds u32::MAX");
+                        exit(2);
+                    })
+                })
                 .collect();
             let winst = WeightedInstance::new(caps, weights).unwrap_or_else(|e| {
                 eprintln!("weighted lift failed: {e}");
                 exit(2);
             });
-            let wstate =
-                WeightedState::new(&winst, state.assignment().to_vec()).unwrap_or_else(|e| {
-                    eprintln!("weighted lift failed: {e}");
-                    exit(2);
-                });
-            let wproto: Box<dyn WeightedProtocol> = match proto_name {
-                "slack-damped" => Box::new(WeightedSlackDamped::default()),
-                "conditional" => Box::new(WeightedConditional),
+            let wstate = State::new(&winst, state.assignment().to_vec()).unwrap_or_else(|e| {
+                eprintln!("weighted lift failed: {e}");
+                exit(2);
+            });
+            let (damped, conditional) = (SlackDamped::default(), ConditionalUniform);
+            let wproto: &dyn Protocol = match proto_name {
+                "slack-damped" => &damped,
+                "conditional" => &conditional,
                 other => {
                     eprintln!(
                         "--driver weighted supports slack-damped | conditional (got {other})"
@@ -468,11 +519,11 @@ fn simulate<S: Sink>(
                     exit(2);
                 }
             };
-            let config = WeightedConfig::new(seed, max_rounds)
+            let config = RunConfig::new(seed, max_rounds)
                 .with_executor(exec)
                 .with_topk_resources(open_cfg.topk_resources)
                 .with_shard_timing(open_cfg.shard_timing);
-            let out = run_weighted_observed(&winst, wstate, wproto.as_ref(), config, sink);
+            let out = run_observed(&winst, wstate, wproto, config, sink);
             println!(
                 "weighted model: total demand {total_w}, weight moved {}",
                 out.weight_moved

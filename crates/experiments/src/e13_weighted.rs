@@ -1,19 +1,17 @@
 //! **E13 / Table 10 — weighted users (the bin-packing extension).**
 //!
 //! User `i` demands `w_i`; satisfaction is `Σ weights on r ≤ c_r`. The
-//! weighted slack-damped kernel migrates only where the demand fits, coin
-//! `(c−W)/c`. Expectations: convergence survives weight heterogeneity at
+//! slack-damped kernel migrates a weighted user only where its demand
+//! fits, coin `(c−W)/c`. Expectations: convergence survives weight heterogeneity at
 //! fixed slack, but degrades with skew (heavy users need large holes), and
 //! the offline best-fit-decreasing baseline keeps succeeding (it packs
 //! tightest-first). Weight distributions share a total demand so rows are
 //! comparable.
 
 use crate::ExperimentResult;
-use qlb_core::weighted::{
-    first_fit_decreasing, WeightedInstance, WeightedSlackDamped, WeightedState,
-};
-use qlb_core::ResourceId;
-use qlb_engine::{run_weighted, WeightedConfig};
+use qlb_core::weighted::{first_fit_decreasing, WeightedInstance};
+use qlb_core::{ResourceId, SlackDamped, State};
+use qlb_engine::RunConfig;
 use qlb_rng::{Rng64, SplitMix64};
 use qlb_stats::{Summary, Table};
 
@@ -49,7 +47,7 @@ pub fn run(quick: bool) -> ExperimentResult {
     } else {
         (16384, 1024, 10, 1_000_000)
     };
-    let cap = (w_total as f64 * 1.25 / m as f64).ceil() as u64; // γ = 1.25 on weight
+    let cap = (w_total as f64 * 1.25 / m as f64).ceil() as u32; // γ = 1.25 on weight
     let kinds = ["unit", "uniform 1..4", "heavy-tailed (20% w=8)"];
 
     let mut table = Table::new(
@@ -74,7 +72,7 @@ pub fn run(quick: bool) -> ExperimentResult {
         let mut rounds = Summary::new();
         let mut users = Summary::new();
         let mut moved_frac = Summary::new();
-        let mut max_w = 0u64;
+        let mut max_w = 0u32;
         let mut converged = 0u32;
         let mut bfd_ok = 0u32;
         for seed in 0..seeds as u64 {
@@ -83,12 +81,12 @@ pub fn run(quick: bool) -> ExperimentResult {
             users.push(inst.num_users() as f64);
             max_w = max_w.max(inst.max_weight());
             bfd_ok += first_fit_decreasing(&inst).is_ok() as u32;
-            let state = WeightedState::all_on(&inst, ResourceId(0));
-            let out = run_weighted(
+            let state = State::all_on(&inst, ResourceId(0));
+            let out = qlb_engine::run(
                 &inst,
                 state,
-                &WeightedSlackDamped::default(),
-                WeightedConfig::new(seed, max_rounds),
+                &SlackDamped::default(),
+                RunConfig::new(seed, max_rounds),
             );
             if out.converged {
                 converged += 1;

@@ -2,8 +2,9 @@
 //! validated (zero and non-numeric values are usage errors, exit 2), and a
 //! trace file deleted out from under `--follow` exits 2 immediately
 //! instead of idling out — both documented in `qlb-trace --help`. Also
-//! pins `qlb-sim`'s `--executor` contract: it names a round executor only,
-//! never a driver.
+//! pins `qlb-sim`'s argument contract: `--executor` names a round executor
+//! only, never a driver; unknown flags and presets are usage errors; and
+//! the weighted lift refuses capacities beyond the 32-bit load counters.
 
 use qlb_obs::{Event, Sink, StreamSink};
 use std::path::PathBuf;
@@ -154,4 +155,51 @@ fn sim_executor_flag_rejects_driver_names() {
             "no diagnostic for {args:?}: {stderr}"
         );
     }
+}
+
+/// Run `qlb-sim` and require a usage error (exit 2) whose stderr contains
+/// `diagnostic`.
+fn assert_sim_usage_error(args: &[&str], diagnostic: &str) {
+    let out = Command::new(sim_bin())
+        .args(args)
+        .output()
+        .expect("run qlb-sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}; stderr: {stderr}");
+    assert!(
+        stderr.contains(diagnostic),
+        "no diagnostic for {args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn sim_rejects_unknown_flags_and_presets() {
+    // a misspelled flag used to be ignored (running the dense executor)
+    assert_sim_usage_error(
+        &["--preset", "flash-crowd", "--exector", "sparse"],
+        "unknown argument --exector",
+    );
+    // an unknown preset used to run flash-crowd
+    assert_sim_usage_error(&["--preset", "nonsense"], "unknown preset nonsense");
+    assert_sim_usage_error(
+        &["--preset", "flash-crowd", "--seed"],
+        "--seed needs a value",
+    );
+}
+
+#[test]
+fn sim_weighted_lift_rejects_capacities_beyond_u32() {
+    // one resource of capacity 4·10⁹; demands 1 and 2 lift it to 6·10⁹
+    let path = temp_path("huge-scenario");
+    std::fs::write(
+        &path,
+        r#"{"name":"huge","n":2,"m":1,"capacity":{"Constant":{"cap":4000000000}},"slack_factor":2000000000.0,"placement":"Hotspot","classes":[]}"#,
+    )
+    .unwrap();
+    let scenario = path.to_str().unwrap();
+    assert_sim_usage_error(
+        &["--scenario", scenario, "--driver", "weighted"],
+        "weighted lift failed",
+    );
+    let _ = std::fs::remove_file(&path);
 }

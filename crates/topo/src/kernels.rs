@@ -350,6 +350,7 @@ mod tests {
         let view = LocalView {
             user: qlb_core::UserId(0),
             class: qlb_core::ClassId(0),
+            weight: 1,
             round: 0,
             own: qlb_core::ResourceView {
                 id: ResourceId(0),

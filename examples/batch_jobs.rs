@@ -1,30 +1,27 @@
 //! Batch jobs with heterogeneous core demands — the weighted model.
 //!
 //! A cluster of machines with `cores` slots each; jobs demand 1, 2 or 8
-//! cores and self-schedule with the weighted slack-damped protocol. A job
-//! is satisfied iff its machine is not oversubscribed. Demonstrates: the
-//! weighted extension, the best-fit-decreasing offline baseline, and the
-//! transfer-cost metric (total weight moved).
+//! cores and self-schedule with the slack-damped protocol, which moves a
+//! job only where its demand fits. A job is satisfied iff its machine is
+//! not oversubscribed. Demonstrates: a weighted instance running through
+//! the same `run` as the unit model, the best-fit-decreasing offline
+//! baseline, and the transfer-cost metric (total weight moved).
 //!
 //! ```text
 //! cargo run --release --example batch_jobs
 //! ```
 
-use qoslb::core::weighted::{
-    first_fit_decreasing, weight_counting_feasible, WeightedInstance, WeightedSlackDamped,
-    WeightedState,
-};
-use qoslb::engine::{run_weighted, WeightedConfig};
+use qoslb::core::weighted::{first_fit_decreasing, weight_counting_feasible};
 use qoslb::prelude::*;
 use qoslb::rng::{Rng64, SplitMix64};
 
 fn main() {
     let machines = 256;
-    let cores_per_machine = 32u64;
+    let cores_per_machine = 32u32;
 
     // Job mix: 70% single-core, 20% dual-core, 10% eight-core, drawn until
     // we reach 80% of cluster capacity (γ = 1.25).
-    let capacity = machines as u64 * cores_per_machine;
+    let capacity = machines as u64 * cores_per_machine as u64;
     let target_demand = capacity * 4 / 5;
     let mut rng = SplitMix64::new(2026);
     let mut weights: Vec<u32> = Vec::new();
@@ -62,12 +59,12 @@ fn main() {
 
     // Online distributed: every job starts on machine 0 (a scheduler
     // outage dumped the whole queue on one box).
-    let crowd = WeightedState::all_on(&inst, ResourceId(0));
-    let out = run_weighted(
+    let crowd = State::all_on(&inst, ResourceId(0));
+    let out = run(
         &inst,
         crowd,
-        &WeightedSlackDamped::default(),
-        WeightedConfig::new(7, 100_000),
+        &SlackDamped::default(),
+        RunConfig::new(7, 100_000),
     );
     assert!(out.converged);
     println!(
@@ -80,7 +77,7 @@ fn main() {
     );
 
     // Per-size settling check: large jobs are the slow ones.
-    for size in [1u64, 2, 8] {
+    for size in [1u32, 2, 8] {
         let satisfied = inst
             .users()
             .filter(|&u| inst.weight(u) == size)

@@ -8,8 +8,10 @@
 //! This crate is a facade: it re-exports the workspace crates so
 //! applications can depend on one name.
 //!
-//! * [`core`] (`qlb-core`) — model, protocols, potentials, baselines;
-//! * [`engine`] (`qlb-engine`) — sequential & threaded round executors;
+//! * [`core`] (`qlb-core`) — model (unit and weighted demand, one
+//!   `Demands` trait), protocols, potentials, baselines;
+//! * [`engine`] (`qlb-engine`) — sequential & threaded round executors,
+//!   one `run` for unit and weighted instances;
 //! * [`runtime`] (`qlb-runtime`) — message-passing actor runtime;
 //! * [`workload`] (`qlb-workload`) — scenario generators;
 //! * [`flow`] (`qlb-flow`) — max-flow feasibility substrate;
@@ -63,6 +65,7 @@ pub use qlb_workload as workload;
 /// The types most applications need, in one import.
 pub mod prelude {
     pub use qlb_core::prelude::*;
+    pub use qlb_core::weighted::WeightedInstance;
     pub use qlb_engine::{run, run_observed, Executor, RunConfig, RunOutcome};
     pub use qlb_obs::{NoopSink, Recorder, Sink};
     pub use qlb_runtime::{run_distributed, DistributedOutcome, RuntimeConfig};

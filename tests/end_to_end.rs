@@ -238,18 +238,18 @@ fn lossy_runtime_pipeline() {
 
 #[test]
 fn weighted_pipeline() {
-    use qoslb::core::weighted::{WeightedInstance, WeightedSlackDamped, WeightedState};
-    use qoslb::engine::{run_weighted, WeightedConfig};
+    use qoslb::core::potential::overload_potential;
+    use qoslb::core::weighted::WeightedInstance;
     let inst = WeightedInstance::new(vec![20; 64], vec![3; 256]).unwrap(); // γ = 1.67
-    let crowd = WeightedState::all_on(&inst, ResourceId(0));
-    let out = run_weighted(
+    let crowd = State::all_on(&inst, ResourceId(0));
+    let out = run(
         &inst,
         crowd,
-        &WeightedSlackDamped::default(),
-        WeightedConfig::new(4, 100_000),
+        &SlackDamped::default(),
+        RunConfig::new(4, 100_000),
     );
     assert!(out.converged);
-    assert_eq!(out.state.overload(&inst), 0);
+    assert_eq!(overload_potential(inst.instance(), &out.state), 0);
     assert_eq!(out.weight_moved, out.migrations * 3);
 }
 

@@ -3,10 +3,10 @@
 use proptest::prelude::*;
 use qoslb::core::potential::unsatisfied_potential;
 use qoslb::core::step::decide_round;
-use qoslb::core::weighted::{WeightedInstance, WeightedSlackDamped, WeightedState};
+use qoslb::core::weighted::WeightedInstance;
 use qoslb::engine::{
-    perturb_uniform, run, run_observed, run_open_system, run_weighted, run_with_churn, ChurnConfig,
-    OpenConfig, RunConfig, WeightedConfig,
+    perturb_uniform, run, run_observed, run_open_system, run_with_churn, ChurnConfig, OpenConfig,
+    RunConfig,
 };
 use qoslb::flow::{brute_force_feasible, flow_feasible};
 use qoslb::obs::{Counter, Event, Recorder};
@@ -37,6 +37,49 @@ fn small_instance() -> impl Strategy<Value = (Instance, State, u64)> {
         })
 }
 
+/// Lift a single-class instance into the weighted model: user `i` gets
+/// demand `1 + (i mod weight_max)` and capacities scale by the mean demand
+/// (the `qlb-sim --driver weighted` lift).
+fn lift_weighted(inst: &Instance, weight_max: u32) -> WeightedInstance {
+    let n = inst.num_users();
+    let weights: Vec<u32> = (0..n).map(|i| 1 + (i as u32 % weight_max)).collect();
+    let total_w: u64 = weights.iter().map(|&w| w as u64).sum();
+    let caps: Vec<u32> = inst
+        .cap_row(ClassId(0))
+        .iter()
+        .map(|&c| ((c as u64) * total_w).div_ceil(n as u64) as u32)
+        .collect();
+    WeightedInstance::new(caps, weights).unwrap()
+}
+
+/// Drive an [`ActiveIndex`] through protocol batches interleaved with
+/// arbitrary single-user hops, checking it against a brute-force
+/// recomputation after every batch.
+fn check_active_index<I: Demands>(inst: &I, mut state: State, seed: u64, hops: &[(usize, usize)]) {
+    let (n, m) = (inst.instance().num_users(), inst.instance().num_resources());
+    let mut index = ActiveIndex::new(inst, &state);
+    index.assert_consistent(inst, &state);
+
+    // interleave protocol rounds (realistic batches) with arbitrary
+    // single-user hops (adversarial batches)
+    for (round, &(u, r)) in hops.iter().enumerate() {
+        let batch = decide_round(inst, &state, &SlackDamped::default(), seed, round as u64);
+        index.apply_moves(inst, &mut state, &batch);
+        index.assert_consistent(inst, &state);
+
+        let user = UserId((u % n) as u32);
+        let from = state.resource_of(user);
+        let to = ResourceId((r % m) as u32);
+        if to != from {
+            index.apply_moves(inst, &mut state, &[Move { user, from, to }]);
+            index.assert_consistent(inst, &state);
+        }
+        // the O(1) emptiness check always agrees with legality
+        prop_assert_eq!(index.is_empty(), state.is_legal(inst));
+        prop_assert_eq!(index.num_active(), state.num_unsatisfied(inst));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -47,7 +90,7 @@ proptest! {
         let out = run(&inst, state, &SlackDamped::default(), RunConfig::new(seed, 50));
         let total: u32 = out.state.loads().iter().sum();
         prop_assert_eq!(total as usize, inst.num_users());
-        out.state.debug_assert_invariants();
+        out.state.debug_assert_invariants(&inst);
     }
 
     /// Φ = 0 exactly when the state is legal (single class).
@@ -389,33 +432,25 @@ proptest! {
         }
     }
 
-    /// The weighted engine's sparse and pooled executors reproduce the
-    /// weighted dense trajectory bit-for-bit.
+    /// The sparse and pooled executors reproduce the dense trajectory of a
+    /// weighted run bit-for-bit.
     #[test]
     fn weighted_executors_match_dense(
         (inst, state, seed) in small_instance(),
         budget in 1u64..200,
         weight_max in 1u32..6,
     ) {
-        let n = inst.num_users();
-        let weights: Vec<u32> = (0..n).map(|i| 1 + (i as u32 % weight_max)).collect();
-        let total_w: u64 = weights.iter().map(|&w| w as u64).sum();
-        let caps: Vec<u64> = inst
-            .cap_row(ClassId(0))
-            .iter()
-            .map(|&c| ((c as u64) * total_w).div_ceil(n as u64))
-            .collect();
-        let winst = WeightedInstance::new(caps, weights).unwrap();
-        let start = WeightedState::new(&winst, state.assignment().to_vec()).unwrap();
-        let proto = WeightedSlackDamped::default();
-        let dense = run_weighted(&winst, start.clone(), &proto, WeightedConfig::new(seed, budget));
+        let winst = lift_weighted(&inst, weight_max);
+        let start = State::new(&winst, state.assignment().to_vec()).unwrap();
+        let proto = SlackDamped::default();
+        let dense = run(&winst, start.clone(), &proto, RunConfig::new(seed, budget));
         for executor in [
             Executor::Sparse,
             Executor::Threaded(3),
             Executor::SparseThreaded(4),
         ] {
-            let cfg = WeightedConfig::new(seed, budget).with_executor(executor);
-            let out = run_weighted(&winst, start.clone(), &proto, cfg);
+            let cfg = RunConfig::new(seed, budget).with_executor(executor);
+            let out = run(&winst, start.clone(), &proto, cfg);
             prop_assert_eq!(dense.converged, out.converged, "{:?}", executor);
             prop_assert_eq!(dense.rounds, out.rounds, "{:?}", executor);
             prop_assert_eq!(dense.migrations, out.migrations, "{:?}", executor);
@@ -426,33 +461,16 @@ proptest! {
 
     /// The incrementally-maintained unsatisfied set equals a brute-force
     /// recomputation after arbitrary (valid) move sequences — both
-    /// protocol-decided batches and adversarial single reassignments.
+    /// protocol-decided batches and adversarial single reassignments — on
+    /// the unit instance and on its weighted lift (weights 1..=4).
     #[test]
     fn active_index_matches_brute_force(
         (inst, state, seed) in small_instance(),
         hops in proptest::collection::vec((0usize..4096, 0usize..4096), 1..24),
     ) {
-        let mut state = state;
-        let mut index = ActiveIndex::new(&inst, &state);
-        index.assert_consistent(&inst, &state);
-
-        // interleave protocol rounds (realistic batches) with arbitrary
-        // single-user hops (adversarial batches)
-        for (round, &(u, r)) in hops.iter().enumerate() {
-            let batch = decide_round(&inst, &state, &SlackDamped::default(), seed, round as u64);
-            index.apply_moves(&inst, &mut state, &batch);
-            index.assert_consistent(&inst, &state);
-
-            let user = UserId((u % inst.num_users()) as u32);
-            let from = state.resource_of(user);
-            let to = ResourceId((r % inst.num_resources()) as u32);
-            if to != from {
-                index.apply_moves(&inst, &mut state, &[Move { user, from, to }]);
-                index.assert_consistent(&inst, &state);
-            }
-            // the O(1) emptiness check always agrees with legality
-            prop_assert_eq!(index.is_empty(), state.is_legal(&inst));
-            prop_assert_eq!(index.num_active(), state.num_unsatisfied(&inst));
-        }
+        let winst = lift_weighted(&inst, 4);
+        let wstate = State::new(&winst, state.assignment().to_vec()).unwrap();
+        check_active_index(&inst, state, seed, &hops);
+        check_active_index(&winst, wstate, seed, &hops);
     }
 }
