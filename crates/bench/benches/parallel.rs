@@ -52,11 +52,11 @@ fn assert_no_alloc_per_round(n: usize, threads: usize) {
     };
     let mut out = Vec::new();
     for _ in 0..8 {
-        pool.decide_round(fill, &mut out, false); // warm-up: buffers grow once
+        pool.decide_round_on(fill, &mut out, false, threads); // warm-up: buffers grow once
     }
     let before = qlb_obs::mem::total_allocs();
     for _ in 0..32 {
-        pool.decide_round(fill, &mut out, false);
+        pool.decide_round_on(fill, &mut out, false, threads);
     }
     let after = qlb_obs::mem::total_allocs();
     assert_eq!(

@@ -280,7 +280,7 @@ pub fn measure_dispatch(threads: usize, budget_ms: u64) -> DispatchRow {
     let mut out = Vec::new();
     let pool_ns = ns_per_call(
         || {
-            pool.decide_round(noop, &mut out, false);
+            pool.decide_round_on(noop, &mut out, false, threads);
             black_box(out.len());
         },
         budget_ms,
@@ -338,7 +338,7 @@ pub fn measure_pool_round(n: usize, threads: usize, budget_ms: u64) -> PoolRound
     let pool = WorkerPool::new(shards);
     let pooled_round_ns = ns_per_call(
         || {
-            pool.decide_round(fill, &mut out, false);
+            pool.decide_round_on(fill, &mut out, false, shards);
             black_box(out.len());
         },
         budget_ms,

@@ -19,9 +19,13 @@
 //! sharded on cache-line boundaries over a persistent [`WorkerPool`]
 //! (long-lived parked workers, one epoch bump + unpark of the non-empty
 //! shards per round); or the active-set walk sharded over the pool.
-//! Identical output is guaranteed by the counter-based RNG streams of
-//! `qlb-rng` and verified by tests and experiment E10. Runs can also
-//! record per-round [`trace`]s (potential decay, figure experiments).
+//! Whatever the driver, one [`Stepper`] picks and runs each round's
+//! kernel: the closed loop, the open driver and the serving core's tick
+//! only say whether the active set or every user decides, then apply the
+//! moves their own way. Identical output is guaranteed by the
+//! counter-based RNG streams of `qlb-rng` and verified by tests and
+//! experiment E10. Runs can also record per-round [`trace`]s (potential
+//! decay, figure experiments).
 //!
 //! ```
 //! use qlb_core::prelude::*;
@@ -47,6 +51,7 @@ pub mod dynamics;
 pub mod open;
 pub mod pool;
 pub mod run;
+pub mod stepper;
 pub mod trace;
 
 pub use dynamics::{
@@ -57,4 +62,5 @@ pub use open::{
 };
 pub use pool::{shard_bounds, shard_chunk, shards_for, WorkerPool};
 pub use run::{run, run_observed, Executor, RunConfig, RunOutcome};
+pub use stepper::Stepper;
 pub use trace::{RoundStats, Trace};

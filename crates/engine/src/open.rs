@@ -21,13 +21,11 @@
 //! occupants' satisfaction never changes), keeping every round
 //! `O(churn + active)` instead of `O(pool)`.
 
-use crate::pool::{pool_for, shard_chunk, shards_for};
-use crate::run::{Executor, ViewShards, SPARSE_POOL_MIN_ACTIVE};
-use qlb_core::step::{decide_active_into, decide_round_into, decide_users_into};
-use qlb_core::{ActiveIndex, Instance, Move, Protocol, ResourceId, State, UserId};
+use crate::run::Executor;
+use crate::stepper::Stepper;
+use qlb_core::{ActiveIndex, Instance, Protocol, ResourceId, State, UserId};
 use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink};
 use qlb_rng::{Rng64, SplitMix64};
-use std::time::Instant;
 
 /// Configuration of an open-system run.
 #[derive(Debug, Clone, Copy)]
@@ -176,19 +174,10 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
             sparse: use_sparse,
         });
     }
-    let wpool = pool_for(cfg.executor, pool);
+    let mut stepper = Stepper::new(cfg.executor, pool, cfg.seed, cfg.shard_timing);
     // An open system starts all-parked (zero unsatisfied), so the index is
     // built upfront — there is no crowded warm-up phase to skip.
     let mut index = use_sparse.then(|| ActiveIndex::new(&inst, &state));
-    // Dense pooled runs decide against the SoA round view; churn
-    // reassignments are mirrored into it so it always reflects the state
-    // the next round decides from. (Parked users' bits stay 0 — the
-    // parking resource's infinite capacity always satisfies — so the
-    // kernel's bitmap pass filters them out at streaming speed.)
-    let mut dense_view: Option<ViewShards> = match (&wpool, use_sparse) {
-        (Some(wp), false) => Some(ViewShards::new(&inst, &state, wp.threads())),
-        _ => None,
-    };
 
     // Parked users as a LIFO stack; active set as a boolean map.
     let mut parked: Vec<UserId> = inst.users().collect();
@@ -197,8 +186,6 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
 
     let mut driver_rng = SplitMix64::new(qlb_rng::mix64_pair(cfg.seed, OPEN_SALT));
     let mut arrival_credit = 0.0f64;
-    let mut moves: Vec<Move> = Vec::new();
-    let mut scratch: Vec<UserId> = Vec::new();
     let mut changes: Vec<(UserId, ResourceId)> = Vec::new();
     let mut series = Vec::with_capacity(cfg.rounds as usize);
 
@@ -216,9 +203,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
                 Some(_) => changes.push((u, r)),
                 None => {
                     state.reassign(u, r);
-                    if let Some(vs) = dense_view.as_mut() {
-                        vs.view.reassign(&inst, u, r);
-                    }
+                    stepper.reassign(&inst, u, r);
                 }
             }
             arrived += 1;
@@ -240,9 +225,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
                     Some(_) => changes.push((u, parking)),
                     None => {
                         state.reassign(u, parking);
-                        if let Some(vs) = dense_view.as_mut() {
-                            vs.view.reassign(&inst, u, parking);
-                        }
+                        stepper.reassign(&inst, u, parking);
                     }
                 }
                 parked.push(u);
@@ -279,93 +262,12 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
             });
         }
         // One protocol round (parked users are satisfied and never act).
-        match index.as_ref() {
+        let moves = match index.as_mut() {
             Some(index) => {
-                let t0 = S::ENABLED.then(Instant::now);
-                match wpool.as_ref() {
-                    Some(wpool) if index.num_active() >= SPARSE_POOL_MIN_ACTIVE => {
-                        index.sorted_active_into(&mut scratch);
-                        let len = scratch.len();
-                        let chunk = shard_chunk(len, wpool.threads());
-                        let (state_ref, scratch_ref) = (&state, &scratch);
-                        // wake only the shards the batch fills
-                        wpool.decide_round_observed_on(
-                            |shard, out| {
-                                let lo = (shard * chunk).min(len);
-                                let hi = ((shard + 1) * chunk).min(len);
-                                if lo < hi {
-                                    decide_users_into(
-                                        &inst,
-                                        state_ref,
-                                        &scratch_ref[lo..hi],
-                                        proto,
-                                        cfg.seed,
-                                        round,
-                                        out,
-                                    );
-                                }
-                            },
-                            &mut moves,
-                            sink,
-                            cfg.shard_timing,
-                            shards_for(len, wpool.threads()),
-                        );
-                    }
-                    _ => {
-                        decide_active_into(
-                            &inst,
-                            &state,
-                            index,
-                            proto,
-                            cfg.seed,
-                            round,
-                            &mut moves,
-                            &mut scratch,
-                        );
-                        if let Some(t0) = t0 {
-                            sink.time(Phase::Decide, t0.elapsed().as_nanos() as u64);
-                        }
-                    }
-                }
+                let moves = stepper.decide_active(&inst, &state, index, proto, round, sink);
                 if S::ENABLED {
                     sink.add(Counter::SparseRounds, 1);
                 }
-            }
-            None => {
-                match wpool.as_ref() {
-                    Some(wpool) => {
-                        let vs = dense_view
-                            .as_mut()
-                            .expect("view built for dense pooled run");
-                        if cfg!(debug_assertions) {
-                            vs.view.assert_synced(&inst, &state);
-                        }
-                        vs.decide_round(
-                            &inst,
-                            proto,
-                            cfg.seed,
-                            round,
-                            wpool,
-                            &mut moves,
-                            sink,
-                            cfg.shard_timing,
-                            false,
-                        );
-                    }
-                    None => {
-                        timed(sink, Phase::Decide, || {
-                            decide_round_into(&inst, &state, proto, cfg.seed, round, &mut moves)
-                        });
-                    }
-                }
-                if S::ENABLED {
-                    sink.add(Counter::DenseRounds, 1);
-                }
-            }
-        }
-        debug_assert!(moves.iter().all(|mv| mv.from != parking));
-        match index.as_mut() {
-            Some(index) => {
                 // Protocol migrations are reassignment deltas too; the
                 // parking exemption keeps a stray move *into* parking from
                 // triggering an O(parked) occupant recheck.
@@ -374,11 +276,18 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
                 timed(sink, Phase::Apply, || {
                     index.apply_reassignments(&inst, &mut state, &changes, Some(parking))
                 });
+                moves
             }
             None => {
-                timed(sink, Phase::Apply, || state.apply_moves(&inst, &moves));
+                let moves = stepper.decide_round(&inst, &state, proto, round, sink);
+                if S::ENABLED {
+                    sink.add(Counter::DenseRounds, 1);
+                }
+                timed(sink, Phase::Apply, || state.apply_moves(&inst, moves));
+                moves
             }
-        }
+        };
+        debug_assert!(moves.iter().all(|mv| mv.from != parking));
 
         let unsatisfied = match index.as_ref() {
             Some(index) => index.num_active() as u64,

@@ -18,13 +18,13 @@
 //! * each worker owns a reusable `Vec<Move>` shard buffer that keeps its
 //!   capacity across rounds, so steady-state rounds allocate nothing;
 //! * per-shard profiling slots are cache-line-isolated atomics
-//!   ([`PaddedSlot`]) — the previous `Vec<Mutex<u64>>` packed eight
+//!   (`PaddedSlot`) — the previous `Vec<Mutex<u64>>` packed eight
 //!   hot-written slots into two cache lines, so every timed round
 //!   ping-ponged the lines across all workers;
 //! * jobs borrow the caller's stack (instance, state, protocol) for the
-//!   duration of one dispatch — the [`WorkerPool::run`] barrier returns
-//!   only after every worker has finished, which is what makes the borrow
-//!   sound.
+//!   duration of one dispatch — the [`WorkerPool::run_on`] barrier
+//!   returns only after every worker has finished, which is what makes the
+//!   borrow sound.
 //!
 //! The pool is deliberately *not* a work-stealing scheduler: round decisions
 //! are uniform-cost scans over contiguous shards, so static sharding (the
@@ -45,16 +45,17 @@ use std::time::Instant;
 
 /// Type-erased pointer to the per-dispatch job closure.
 ///
-/// The closure is borrowed from [`WorkerPool::run`]'s caller; the raw
+/// The closure is borrowed from [`WorkerPool::run_on`]'s caller; the raw
 /// pointer erases that lifetime so it can live in the shared slot. Safety
-/// rests on the dispatch barrier: `run` does not return until every worker
-/// has finished with the pointer.
+/// rests on the dispatch barrier: `run_on` does not return until every
+/// worker has finished with the pointer.
 struct Job {
     f: *const (dyn Fn(usize) + Sync),
 }
 
-// SAFETY: the pointee is `Sync` (bound enforced by `WorkerPool::run`) and
-// only dereferenced while the originating `run` call keeps the borrow alive.
+// SAFETY: the pointee is `Sync` (bound enforced by `WorkerPool::run_on`) and
+// only dereferenced while the originating `run_on` call keeps the borrow
+// alive.
 unsafe impl Send for Job {}
 
 /// Coordinator/worker shared state: the current job, its epoch, the number
@@ -98,11 +99,11 @@ const _: () = assert!(std::mem::size_of::<PaddedSlot>() == 128);
 
 /// A pool of long-lived worker threads executing one sharded job at a time.
 ///
-/// Created once per run; [`WorkerPool::run`] dispatches a closure to all
-/// shards (index `0..threads`) and blocks until every shard completed,
-/// [`WorkerPool::run_on`] to a prefix of them. The coordinator thread
-/// executes shard 0 itself, so a 1-thread pool spawns no OS threads at all
-/// and `run(f)` is exactly `f(0)`.
+/// Created once per run; [`WorkerPool::run_on`] dispatches a closure to a
+/// prefix `0..active` of the shards and blocks until every one of them
+/// completed. The coordinator thread executes shard 0 itself, so a
+/// 1-thread pool spawns no OS threads at all and `run_on(f, 1)` is exactly
+/// `f(0)`.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -116,8 +117,8 @@ pub struct WorkerPool {
     /// dispatch lock + unpark cost rather than a real wake.
     wake_ns: Vec<PaddedSlot>,
     /// Reusable (compute, wake) snapshot buffers for
-    /// [`WorkerPool::decide_round_observed`], so per-shard profiling adds
-    /// no steady-state allocation.
+    /// [`WorkerPool::decide_round_observed_on`], so per-shard profiling
+    /// adds no steady-state allocation.
     profile_scratch: Mutex<(Vec<u64>, Vec<u64>)>,
 }
 
@@ -164,18 +165,13 @@ impl WorkerPool {
         self.shards.len()
     }
 
-    /// Execute `f(shard)` for every shard index, in parallel, and return
-    /// once all shards completed. The closure may borrow the caller's stack
-    /// freely — the barrier keeps the borrow alive for exactly the dispatch.
-    pub fn run<F: Fn(usize) + Sync>(&self, f: &F) {
-        self.run_on(f, self.threads());
-    }
-
-    /// Execute `f(shard)` for shards `0..active` only, leaving the
-    /// remaining workers parked — the cheap dispatch for rounds whose work
-    /// fills fewer shards than the pool has. `active` is clamped to
-    /// `1..=threads()`; `run_on(f, 1)` is exactly `f(0)` with no wake at
-    /// all.
+    /// Execute `f(shard)` for shards `0..active`, in parallel, and return
+    /// once all of them completed, leaving the remaining workers parked —
+    /// rounds whose work fills fewer shards than the pool has wake only
+    /// those. The closure may borrow the caller's stack freely — the
+    /// barrier keeps the borrow alive for exactly the dispatch. `active` is
+    /// clamped to `1..=threads()`; `run_on(f, 1)` is exactly `f(0)` with
+    /// no wake at all.
     pub fn run_on<F: Fn(usize) + Sync>(&self, f: &F, active: usize) {
         let active = active.clamp(1, self.threads());
         if active == 1 {
@@ -266,14 +262,6 @@ impl WorkerPool {
         max_ns
     }
 
-    /// [`WorkerPool::decide_round_on`] over the full pool.
-    pub fn decide_round<F>(&self, fill: F, out: &mut Vec<Move>, timed: bool) -> u64
-    where
-        F: Fn(usize, &mut Vec<Move>) + Sync,
-    {
-        self.decide_round_on(fill, out, timed, self.threads())
-    }
-
     /// [`WorkerPool::decide_round_on`] with the observability emission all
     /// observed pooled drivers share: `Decide` is the round's wall time,
     /// `Compute` the longest single shard, `ForkJoin` the remainder
@@ -319,20 +307,6 @@ impl WorkerPool {
             }
             sink.shard_round(compute_v, wake_v);
         }
-    }
-
-    /// [`WorkerPool::decide_round_observed_on`] over the full pool.
-    pub fn decide_round_observed<S, F>(
-        &self,
-        fill: F,
-        out: &mut Vec<Move>,
-        sink: &mut S,
-        shard_timing: bool,
-    ) where
-        S: Sink,
-        F: Fn(usize, &mut Vec<Move>) + Sync,
-    {
-        self.decide_round_observed_on(fill, out, sink, shard_timing, self.threads());
     }
 }
 
@@ -444,9 +418,12 @@ mod tests {
         let pool = WorkerPool::new(4);
         let hits = [const { AtomicUsize::new(0) }; 4];
         for _ in 0..100 {
-            pool.run(&|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
+            pool.run_on(
+                &|i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                },
+                pool.threads(),
+            );
         }
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 100));
     }
@@ -468,9 +445,12 @@ mod tests {
         assert_eq!(hits[2].load(Ordering::Relaxed), 0);
         assert_eq!(hits[3].load(Ordering::Relaxed), 0);
         // the full pool still works after partial dispatches
-        pool.run(&|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
+        pool.run_on(
+            &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            },
+            pool.threads(),
+        );
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) >= 1));
         assert_eq!(hits[3].load(Ordering::Relaxed), 1);
     }
@@ -504,10 +484,13 @@ mod tests {
         let pool = WorkerPool::new(1);
         assert_eq!(pool.threads(), 1);
         let hit = AtomicUsize::new(0);
-        pool.run(&|i| {
-            assert_eq!(i, 0);
-            hit.fetch_add(1, Ordering::Relaxed);
-        });
+        pool.run_on(
+            &|i| {
+                assert_eq!(i, 0);
+                hit.fetch_add(1, Ordering::Relaxed);
+            },
+            pool.threads(),
+        );
         assert_eq!(hit.load(Ordering::Relaxed), 1);
     }
 
@@ -517,7 +500,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         let mut out = Vec::new();
         for round in 0..50u32 {
-            let max_ns = pool.decide_round(
+            let max_ns = pool.decide_round_on(
                 |shard, buf| {
                     for k in 0..=shard as u32 {
                         buf.push(Move {
@@ -529,6 +512,7 @@ mod tests {
                 },
                 &mut out,
                 round % 2 == 0,
+                pool.threads(),
             );
             let users: Vec<u32> = out.iter().map(|mv| mv.user.0).collect();
             assert_eq!(
@@ -554,7 +538,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         let mut out = Vec::new();
         // seed every shard's buffer with a full dispatch...
-        pool.decide_round(
+        pool.decide_round_on(
             |shard, buf| {
                 buf.push(Move {
                     user: UserId(shard as u32),
@@ -564,6 +548,7 @@ mod tests {
             },
             &mut out,
             false,
+            pool.threads(),
         );
         assert_eq!(out.len(), 4);
         // ...then a 2-shard round must not leak shard 2/3's stale moves
@@ -588,9 +573,12 @@ mod tests {
         let pool = WorkerPool::new(2);
         let data = [1u64, 2, 3, 4];
         let sums = [AtomicUsize::new(0), AtomicUsize::new(0)];
-        pool.run(&|i| {
-            sums[i].store(data.iter().sum::<u64>() as usize + i, Ordering::Relaxed);
-        });
+        pool.run_on(
+            &|i| {
+                sums[i].store(data.iter().sum::<u64>() as usize + i, Ordering::Relaxed);
+            },
+            pool.threads(),
+        );
         assert_eq!(sums[0].load(Ordering::Relaxed), 10);
         assert_eq!(sums[1].load(Ordering::Relaxed), 11);
     }
@@ -609,7 +597,7 @@ mod tests {
         let mut rec = Recorder::default();
         let mut out = Vec::new();
         for round in 0..20u32 {
-            pool.decide_round_observed(
+            pool.decide_round_observed_on(
                 |shard, buf| {
                     buf.push(Move {
                         user: UserId(shard as u32 * 10 + round),
@@ -620,6 +608,7 @@ mod tests {
                 &mut out,
                 &mut rec,
                 true,
+                pool.threads(),
             );
             assert_eq!(out.len(), 3);
         }
@@ -653,7 +642,7 @@ mod tests {
         use qlb_obs::NoopSink;
         let pool = WorkerPool::new(2);
         let mut out = Vec::new();
-        pool.decide_round_observed(|_, _| {}, &mut out, &mut NoopSink, true);
+        pool.decide_round_observed_on(|_, _| {}, &mut out, &mut NoopSink, true, pool.threads());
         // untimed path: the wake/compute slots were never written
         assert_eq!(pool.wake_ns[0].0.load(Ordering::Relaxed), 0);
         assert_eq!(pool.compute_ns[1].0.load(Ordering::Relaxed), 0);

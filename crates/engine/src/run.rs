@@ -5,28 +5,11 @@
 //! runs the unit model and a [`qlb_core::weighted::WeightedInstance`] the
 //! weighted one.
 
-use crate::pool::{pool_for, shard_chunk, shards_for, WorkerPool};
+use crate::pool::WorkerPool;
+use crate::stepper::{Stepper, ViewShards};
 use crate::trace::Trace;
-use qlb_core::step::{decide_active_into, decide_round_into, decide_users_into};
-use qlb_core::{
-    overload_potential_loads, ActiveIndex, Demands, Move, Protocol, RoundView, ShardDeltas,
-    ShardScratch, State, UserId,
-};
+use qlb_core::{overload_potential_loads, ActiveIndex, Demands, Move, Protocol, State};
 use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink};
-use std::sync::Mutex;
-use std::time::Instant;
-
-/// Below this many active users a pooled sparse round decides sequentially:
-/// the per-user kernel is ~100 ns, so a sub-1024 batch is cheaper than one
-/// condvar dispatch. Purely a cost decision — shard outputs concatenate in
-/// user order either way, so the trajectory is unaffected.
-pub(crate) const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
-
-/// Below this many moves the shard-owned executor applies the batch on the
-/// coordinator instead of waking the pool a second time: the in-place write
-/// is ~5 ns/move, so a small batch is cheaper than one dispatch round-trip.
-/// Purely a cost decision — both paths write the same cells.
-const OWNED_APPLY_MIN_BATCH: usize = 4096;
 
 /// Which round-execution strategy [`run`] uses.
 ///
@@ -222,123 +205,26 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
     sink: &mut S,
 ) -> RunOutcome {
     let sparse = config.executor.is_sparse();
-    match pool_for(config.executor, inst.instance().num_users()) {
-        // per-round trace entries need the dense State the owned loop drops
-        Some(pool) if !sparse && !config.record_trace => {
-            run_pooled_owned(inst, state, proto, config, sink, &pool)
-        }
-        pool => run_core(inst, state, proto, config, sink, pool.as_ref(), sparse),
+    let n = inst.instance().num_users();
+    let stepper = Stepper::new(config.executor, n, config.seed, config.shard_timing);
+    // per-round trace entries need the dense State the owned loop drops
+    if let (Some(pool), false, false) = (stepper.pool(), sparse, config.record_trace) {
+        return run_pooled_owned(inst, state, proto, config, sink, pool);
     }
-}
-
-/// The pooled dense decide path's owned state: the struct-of-arrays
-/// [`RoundView`] plus one `(deltas, scratch)` slot per shard. During a
-/// dispatch each shard locks only its own slot (uncontended by
-/// construction); between dispatches the coordinator folds the slots back
-/// into the view.
-pub(crate) struct ViewShards {
-    pub(crate) view: RoundView,
-    slots: Vec<Mutex<(ShardDeltas, ShardScratch)>>,
-}
-
-impl ViewShards {
-    pub(crate) fn new<I: Demands>(inst: &I, state: &State, shards: usize) -> Self {
-        let m = inst.instance().num_resources();
-        Self {
-            view: RoundView::new(inst, state),
-            slots: (0..shards)
-                .map(|_| Mutex::new((ShardDeltas::new(m), ShardScratch::new())))
-                .collect(),
-        }
-    }
-
-    /// One pooled dense round: decide all `n` users via the SoA two-pass
-    /// kernel (sharded on cache-line boundaries, waking only non-empty
-    /// shards), then merge the per-shard deltas so the view mirrors the
-    /// post-round state. The move list in `buf` is byte-identical to the
-    /// sequential scan's.
-    ///
-    /// With `owned_apply`, large migration batches are applied **by the
-    /// workers themselves**, each writing only its own cache-line-aligned
-    /// user range of the interior-mutable assignment array. The decide
-    /// dispatch drains shards in order and each shard emits moves in user
-    /// order, so `buf` is globally sorted by user index — each worker
-    /// recovers its slice with two binary searches.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn decide_round<I: Demands, P: Protocol + ?Sized, S: Sink>(
-        &mut self,
-        inst: &I,
-        proto: &P,
-        seed: u64,
-        round: u64,
-        pool: &WorkerPool,
-        buf: &mut Vec<Move>,
-        sink: &mut S,
-        shard_timing: bool,
-        owned_apply: bool,
-    ) {
-        let n = inst.instance().num_users();
-        let chunk = shard_chunk(n, pool.threads());
-        let active = shards_for(n, pool.threads());
-        let (view, slots) = (&self.view, &self.slots);
-        pool.decide_round_observed_on(
-            |shard, out| {
-                let lo = (shard * chunk).min(n);
-                let hi = ((shard + 1) * chunk).min(n);
-                if lo < hi {
-                    let mut slot = slots[shard].lock().unwrap();
-                    let (deltas, scratch) = &mut *slot;
-                    view.decide_shard_into(inst, proto, seed, round, lo, hi, out, scratch, deltas);
-                }
-            },
-            buf,
-            sink,
-            shard_timing,
-            active,
-        );
-        // Coordinator merge, ordered per the RoundView contract: every
-        // shard's loads first, then the assignment writes, then the bit
-        // repair of each shard's touched set (which needs final loads).
-        timed(sink, Phase::Apply, || {
-            for slot in &self.slots {
-                self.view.merge_loads(&slot.lock().unwrap().0);
-            }
-            if owned_apply && buf.len() >= OWNED_APPLY_MIN_BATCH {
-                let view = &self.view;
-                let moves: &[Move] = buf;
-                pool.run_on(
-                    &|shard| {
-                        let lo = (shard * chunk).min(n);
-                        let hi = ((shard + 1) * chunk).min(n);
-                        if lo < hi {
-                            let start = moves.partition_point(|mv| mv.user.index() < lo);
-                            let end = moves.partition_point(|mv| mv.user.index() < hi);
-                            view.apply_shard_assignments(lo, hi, &moves[start..end]);
-                        }
-                    },
-                    active,
-                );
-            } else {
-                self.view.apply_assignments(buf);
-            }
-            for slot in &self.slots {
-                self.view.repair_touched(inst, &mut slot.lock().unwrap().0);
-            }
-        });
-    }
+    run_core(inst, state, proto, config, sink, stepper, sparse)
 }
 
 /// The **shard-owned** pooled round loop of untraced [`Executor::Threaded`]
 /// runs: no dense [`State`] is kept at all. The struct-of-arrays
-/// [`RoundView`] is built once from the start state, the workers decide
-/// against it and apply their own ranges in place, and the coordinator
-/// holds only the `m` per-resource loads plus the per-(class, resource)
+/// [`RoundView`](qlb_core::RoundView) (in the [`Stepper`]'s view type) is
+/// built once from the start state, the workers decide against it and
+/// apply their own ranges in place, and the coordinator holds only the `m` per-resource loads plus the per-(class, resource)
 /// unsatisfied bitmaps. Steady-state rounds are **zero-copy and
 /// zero-allocation** (asserted in the memory bench); memory cost beyond
 /// the view is `O(moves)` for the round's batch.
 ///
-/// Trajectory is bit-identical to [`run_core`]'s pooled dense rounds —
-/// same decide kernel, same merge order, same cells written — the only
+/// Trajectory is bit-identical to the stepper's pooled full rounds — same
+/// decide kernel, same merge order, same cells written — the only
 /// difference is *who* writes the assignment array.
 fn run_pooled_owned<I: Demands, P: Protocol + ?Sized, S: Sink>(
     inst: &I,
@@ -424,17 +310,16 @@ fn run_pooled_owned<I: Demands, P: Protocol + ?Sized, S: Sink>(
     }
 }
 
-/// The round loop of every executor except the shard-owned one: dense
-/// rounds (sequential, or pooled over the SoA [`RoundView`] when `pool` is
-/// given) and, when `sparse`, active-set rounds once the batches shrink
-/// (see [`run`]).
+/// The round loop of every executor except the shard-owned one: full
+/// rounds and, when `sparse`, active-set rounds once the batches shrink
+/// (see [`run`]); `stepper` picks each round's kernel.
 fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
     inst: &I,
     mut state: State,
     proto: &P,
     config: RunConfig,
     sink: &mut S,
-    pool: Option<&WorkerPool>,
+    mut stepper: Stepper,
     sparse: bool,
 ) -> RunOutcome {
     let sparse = if sparse && proto.acts_when_satisfied() {
@@ -471,11 +356,6 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
             sparse: true,
         });
     }
-    let mut moves: Vec<Move> = Vec::new();
-    let mut scratch: Vec<UserId> = Vec::new();
-    // SoA view of the pooled dense rounds; dropped at the switch to the
-    // sparse index
-    let mut dense_view: Option<ViewShards> = None;
     let mut rounds = 0u64;
     let mut migrations = 0u64;
     let mut weight_moved = 0u64;
@@ -491,70 +371,9 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
                 active: entering,
             });
         }
-        match active.as_mut() {
+        let moves = match active.as_mut() {
             Some(index) => {
-                match pool {
-                    Some(pool) => {
-                        let t0 = S::ENABLED.then(Instant::now);
-                        index.sorted_active_into(&mut scratch);
-                        let len = scratch.len();
-                        if len >= SPARSE_POOL_MIN_ACTIVE {
-                            let chunk = shard_chunk(len, pool.threads());
-                            let (state_ref, scratch_ref) = (&state, &scratch);
-                            // wake only the shards the batch fills — small
-                            // active sets stop paying full-pool wake latency
-                            pool.decide_round_observed_on(
-                                |shard, out| {
-                                    let lo = (shard * chunk).min(len);
-                                    let hi = ((shard + 1) * chunk).min(len);
-                                    if lo < hi {
-                                        decide_users_into(
-                                            inst,
-                                            state_ref,
-                                            &scratch_ref[lo..hi],
-                                            proto,
-                                            config.seed,
-                                            rounds,
-                                            out,
-                                        );
-                                    }
-                                },
-                                &mut moves,
-                                sink,
-                                config.shard_timing,
-                                shards_for(len, pool.threads()),
-                            );
-                        } else {
-                            moves.clear();
-                            decide_users_into(
-                                inst,
-                                &state,
-                                &scratch,
-                                proto,
-                                config.seed,
-                                rounds,
-                                &mut moves,
-                            );
-                            if let Some(t0) = t0 {
-                                sink.time(Phase::Decide, t0.elapsed().as_nanos() as u64);
-                            }
-                        }
-                    }
-                    None => {
-                        timed(sink, Phase::Decide, || {
-                            decide_active_into(
-                                inst,
-                                &state,
-                                index,
-                                proto,
-                                config.seed,
-                                rounds,
-                                &mut moves,
-                                &mut scratch,
-                            )
-                        });
-                    }
-                }
+                let moves = stepper.decide_active(inst, &state, index, proto, rounds, sink);
                 if S::ENABLED {
                     sink.add(Counter::SparseRounds, 1);
                     sink.event(Event::MigrationBatch {
@@ -563,35 +382,12 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
                     });
                 }
                 timed(sink, Phase::Apply, || {
-                    index.apply_moves(inst, &mut state, &moves)
+                    index.apply_moves(inst, &mut state, moves)
                 });
+                moves
             }
             None => {
-                match pool {
-                    Some(pool) => {
-                        let vs = dense_view
-                            .get_or_insert_with(|| ViewShards::new(inst, &state, pool.threads()));
-                        if cfg!(debug_assertions) {
-                            vs.view.assert_synced(inst, &state);
-                        }
-                        vs.decide_round(
-                            inst,
-                            proto,
-                            config.seed,
-                            rounds,
-                            pool,
-                            &mut moves,
-                            sink,
-                            config.shard_timing,
-                            false,
-                        );
-                    }
-                    None => {
-                        timed(sink, Phase::Decide, || {
-                            decide_round_into(inst, &state, proto, config.seed, rounds, &mut moves)
-                        });
-                    }
-                }
+                let moves = stepper.decide_round(inst, &state, proto, rounds, sink);
                 if S::ENABLED {
                     sink.add(Counter::DenseRounds, 1);
                     sink.event(Event::MigrationBatch {
@@ -599,12 +395,11 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
                         size: moves.len() as u64,
                     });
                 }
-                timed(sink, Phase::Apply, || state.apply_moves(inst, &moves));
+                timed(sink, Phase::Apply, || state.apply_moves(inst, moves));
                 // batch size tracks the active count for the damped
                 // kernels; once it shrinks, the index starts paying off
                 if sparse && moves.len() * 8 < n {
                     active = Some(ActiveIndex::new(inst, &state));
-                    dense_view = None;
                     if S::ENABLED {
                         sink.add(Counter::ExecutorSwitches, 1);
                         sink.event(Event::ExecutorSwitch {
@@ -613,9 +408,10 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
                         });
                     }
                 }
+                moves
             }
-        }
-        let batch_weight = moved_weight(inst, &moves);
+        };
+        let batch_weight = moved_weight(inst, moves);
         migrations += moves.len() as u64;
         weight_moved += batch_weight;
         rounds += 1;

@@ -13,40 +13,66 @@ use qlb_core::weighted::WeightedInstance;
 use qlb_core::{
     ConditionalUniform, Instance, InstanceBuilder, Protocol, ResourceId, SlackDamped, State,
 };
-use qlb_engine::{run, run_open_system, Executor, OpenConfig, RunConfig};
+use qlb_engine::{run, run_observed, run_open_system, Executor, OpenConfig, RunConfig};
+use qlb_obs::{Counter, Phase, Recorder};
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 #[test]
 fn closed_registry_matches_dense_across_thread_counts() {
-    // large enough that the pooled branches actually shard (8 threads ⇒
-    // 208-user shards) and the sparse-threaded run crosses the 1024-active
-    // pooled threshold during warm-up
-    let inst = Instance::uniform(1600, 32, 120).unwrap();
-    let state = State::all_on(&inst, ResourceId(0));
-    for proto in qlb_core::registry(&inst) {
-        let name = proto.name();
-        let dense = run(
-            &inst,
-            state.clone(),
-            proto.as_ref(),
-            RunConfig::new(13, 400),
-        );
-        for threads in THREADS {
-            for exec in [
-                Executor::Threaded(threads),
-                Executor::SparseThreaded(threads),
-            ] {
-                let pooled = run(
-                    &inst,
-                    state.clone(),
-                    proto.as_ref(),
-                    RunConfig::new(13, 400).with_executor(exec),
-                );
-                assert_eq!(dense.converged, pooled.converged, "{name} {exec:?}");
-                assert_eq!(dense.rounds, pooled.rounds, "{name} {exec:?}");
-                assert_eq!(dense.migrations, pooled.migrations, "{name} {exec:?}");
-                assert_eq!(dense.state, pooled.state, "{name} {exec:?}");
+    // Two shapes. The hotspot is large enough that the pooled dense rounds
+    // actually shard (8 threads ⇒ 208-user shards), but most protocols
+    // converge from it in one or two dense rounds. From the random start
+    // (~5 000 of 12 000 users unsatisfied) the sparse executors switch to
+    // the active set after one to five dense rounds, and its first rounds
+    // still cross the 1024-active pooled threshold; the observed runs
+    // prove it.
+    let hotspot = Instance::uniform(1600, 32, 120).unwrap();
+    let spread = Instance::uniform(12_000, 1_200, 11).unwrap();
+    for (inst, state, pooled_sparse) in [
+        (&hotspot, State::all_on(&hotspot, ResourceId(0)), false),
+        (&spread, State::random(&spread, 5), true),
+    ] {
+        for proto in qlb_core::registry(inst) {
+            let name = proto.name();
+            let dense = run(inst, state.clone(), proto.as_ref(), RunConfig::new(13, 400));
+            for threads in THREADS {
+                for exec in [
+                    Executor::Threaded(threads),
+                    Executor::SparseThreaded(threads),
+                ] {
+                    let mut rec = Recorder::default();
+                    let pooled = run_observed(
+                        inst,
+                        state.clone(),
+                        proto.as_ref(),
+                        RunConfig::new(13, 400).with_executor(exec),
+                        &mut rec,
+                    );
+                    assert_eq!(dense.converged, pooled.converged, "{name} {exec:?}");
+                    assert_eq!(dense.rounds, pooled.rounds, "{name} {exec:?}");
+                    assert_eq!(dense.migrations, pooled.migrations, "{name} {exec:?}");
+                    assert_eq!(dense.state, pooled.state, "{name} {exec:?}");
+                    // A pooled dense round and a pooled sparse round each
+                    // record one `Compute` sample, a sequential sparse round
+                    // none: more samples than dense rounds means at least
+                    // one active-set round was sharded over the pool. Blind
+                    // scattering moves every unsatisfied user, so its batches
+                    // never drop below n/8 and it stays dense.
+                    let sharded_sparse = pooled_sparse
+                        && threads > 1
+                        && exec == Executor::SparseThreaded(threads)
+                        && name != "blind-uniform";
+                    if sharded_sparse {
+                        let compute = rec.timers().histogram(Phase::Compute).count();
+                        let dense_rounds = rec.counter(Counter::DenseRounds);
+                        assert!(
+                            compute > dense_rounds,
+                            "{name} {exec:?}: {compute} compute samples, \
+                             {dense_rounds} dense rounds"
+                        );
+                    }
+                }
             }
         }
     }

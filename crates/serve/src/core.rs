@@ -15,10 +15,9 @@
 //!   it and zero its effective capacity so the *protocol kernel itself*
 //!   migrates the occupants away over subsequent ticks;
 //! * [`tick`](ServeCore::tick) — run a bounded number of
-//!   sampling-protocol rounds through the existing executor kernels
-//!   (sparse decide, pooled SoA decide above the same threshold the
-//!   open-system driver uses), with the budget adapting to request
-//!   backlog;
+//!   sampling-protocol rounds, each the engine stepper's active-set round
+//!   (sharded over a worker pool when configured and the unsatisfied set
+//!   is large), with the budget adapting to request backlog;
 //! * the query accessors — per-resource congestion and per-class
 //!   satisfaction.
 //!
@@ -48,12 +47,11 @@
 //! counter-based `RoundStream(seed, user, round)` — so a fixed request
 //! sequence reproduces the exact trajectory, whatever the socket timing.
 
-use qlb_core::step::{decide_active_into, decide_users_into};
 use qlb_core::{
-    ActiveIndex, ClassId, ConditionalUniform, Instance, Move, Protocol, ResourceId,
-    RestrictTargets, SlackDamped, State, StateDelta, UserId,
+    ActiveIndex, ClassId, ConditionalUniform, Instance, Protocol, ResourceId, RestrictTargets,
+    SlackDamped, State, StateDelta, UserId,
 };
-use qlb_engine::{shard_chunk, shards_for, WorkerPool};
+use qlb_engine::{Executor, Stepper};
 use qlb_obs::{timed, Counter, Event, Gauge, Phase, Sink};
 use qlb_rng::{Rng64, SplitMix64};
 use qlb_workload::Scenario;
@@ -62,11 +60,6 @@ use std::time::Instant;
 /// Salt separating the placement-probe driver stream from protocol
 /// streams (same pattern as the open-system driver's `OPEN_SALT`).
 const SERVE_SALT: u64 = 0x5345_5256; // "SERV"
-
-/// Below this many unsatisfied users a pooled tick decides sequentially —
-/// the same crossover the open-system driver uses for its pooled sparse
-/// rounds.
-const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 
 /// Group-chain terminator for [`ServeCore::group_next`].
 const NO_NEXT: u32 = u32::MAX;
@@ -128,7 +121,8 @@ pub struct ServeConfig {
     /// Placement candidates sampled per request (best-of-`probes` by
     /// class headroom).
     pub probes: u32,
-    /// Worker threads for pooled decide rounds (0 = always sequential).
+    /// Worker threads for pooled decide rounds (0 or 1 = always
+    /// sequential).
     pub threads: usize,
 }
 
@@ -352,7 +346,7 @@ pub struct ServeCore {
     class_active: Vec<u64>,
     round: u64,
     place_rng: SplitMix64,
-    wpool: Option<WorkerPool>,
+    stepper: Stepper,
     // lifetime statistics (also exported as counters via the sink)
     placements: u64,
     rejects: u64,
@@ -360,9 +354,7 @@ pub struct ServeCore {
     departures: u64,
     drains: u64,
     migrations_total: u64,
-    // reusable round scratch
-    moves: Vec<Move>,
-    scratch: Vec<UserId>,
+    // reusable reassignment scratch
     changes: Vec<(UserId, ResourceId)>,
     /// Assignment at the last [`ServeCore::export_delta`] (the delta
     /// base), stamped with `export_gen`; starts at the initial state.
@@ -460,7 +452,9 @@ impl ServeCore {
             })
             .collect();
         let proto = cfg.protocol.build(real_m);
-        let wpool = (cfg.threads > 1).then(|| WorkerPool::new(cfg.threads));
+        // one thread gets no pool: the stepper then decides sequentially
+        let executor = Executor::SparseThreaded(cfg.threads.max(1));
+        let stepper = Stepper::new(executor, pool, cfg.seed, true);
         let state_base = state.assignment().iter().map(|r| r.0).collect();
         Self {
             inst,
@@ -481,15 +475,13 @@ impl ServeCore {
             class_active: vec![0; kk],
             round: 0,
             place_rng: SplitMix64::new(qlb_rng::mix64_pair(cfg.seed, SERVE_SALT)),
-            wpool,
+            stepper,
             placements: 0,
             rejects: 0,
             rejects_by_reason: [0; 3],
             departures: 0,
             drains: 0,
             migrations_total: 0,
-            moves: Vec::new(),
-            scratch: Vec::new(),
             changes: Vec::new(),
             export_base: state_base,
             export_gen: 0,
@@ -803,9 +795,8 @@ impl ServeCore {
         out
     }
 
-    /// One protocol round over the unsatisfied set — sequential sparse
-    /// decide below [`SPARSE_POOL_MIN_ACTIVE`], pooled SoA decide above
-    /// it, identical to the open-system driver's executor selection.
+    /// One protocol round over the unsatisfied set: the shared stepper's
+    /// active-set round, the same one the open-system driver runs.
     fn run_round<S: Sink>(&mut self, sink: &mut S, moves_out: Option<&mut Vec<MoveRecord>>) -> u64 {
         let round = self.round;
         self.round += 1;
@@ -815,67 +806,23 @@ impl ServeCore {
                 active: self.index.num_active() as u64,
             });
         }
-        let seed = self.cfg.seed;
-        let t0 = S::ENABLED.then(Instant::now);
-        match self.wpool.as_ref() {
-            Some(wpool) if self.index.num_active() >= SPARSE_POOL_MIN_ACTIVE => {
-                self.index.sorted_active_into(&mut self.scratch);
-                let len = self.scratch.len();
-                let chunk = shard_chunk(len, wpool.threads());
-                let (inst, state, proto) = (&self.inst, &self.state, &self.proto);
-                let scratch_ref = &self.scratch;
-                wpool.decide_round_observed_on(
-                    |shard, out| {
-                        let lo = (shard * chunk).min(len);
-                        let hi = ((shard + 1) * chunk).min(len);
-                        if lo < hi {
-                            decide_users_into(
-                                inst,
-                                state,
-                                &scratch_ref[lo..hi],
-                                proto,
-                                seed,
-                                round,
-                                out,
-                            );
-                        }
-                    },
-                    &mut self.moves,
-                    sink,
-                    true,
-                    shards_for(len, wpool.threads()),
-                );
-            }
-            _ => {
-                decide_active_into(
-                    &self.inst,
-                    &self.state,
-                    &self.index,
-                    &self.proto,
-                    seed,
-                    round,
-                    &mut self.moves,
-                    &mut self.scratch,
-                );
-                if let Some(t0) = t0 {
-                    sink.time(Phase::Decide, t0.elapsed().as_nanos() as u64);
-                }
-            }
-        }
-        let migrations = self.moves.len() as u64;
+        let (inst, state, index) = (&self.inst, &self.state, &self.index);
+        let moves = self
+            .stepper
+            .decide_active(inst, state, index, &self.proto, round, sink);
+        let migrations = moves.len() as u64;
         self.migrations_total += migrations;
         // Capture sources before the apply rewrites the assignment.
         if let Some(out) = moves_out {
-            out.extend(self.moves.iter().map(|mv| MoveRecord {
+            out.extend(moves.iter().map(|mv| MoveRecord {
                 user: mv.user,
                 from: self.state.resource_of(mv.user),
                 to: mv.to,
             }));
         }
         self.changes.clear();
-        self.changes
-            .extend(self.moves.iter().map(|mv| (mv.user, mv.to)));
-        let (inst, state, index) = (&self.inst, &mut self.state, &mut self.index);
+        self.changes.extend(moves.iter().map(|mv| (mv.user, mv.to)));
+        let (state, index) = (&mut self.state, &mut self.index);
         let (changes, parking) = (&self.changes, self.parking);
         timed(sink, Phase::Apply, || {
             index.apply_reassignments(inst, state, changes, Some(parking))
@@ -1347,6 +1294,57 @@ mod tests {
         // and new arrivals use the spare slots
         let p = c.place(ClassId(0), 1, &mut sink).unwrap();
         assert!(p.user.index() < 128);
+    }
+
+    #[test]
+    fn pooled_ticks_match_sequential_ticks() {
+        // A hotspot start leaves ~6 000 users unsatisfied, so the first
+        // ticks decide far above the 1024-active pooled threshold; the
+        // places between ticks add churn to the active set.
+        let sc = Scenario::single_class(
+            "serve-pooled",
+            6000,
+            400,
+            qlb_workload::CapacityDist::Constant { cap: 20 },
+            1.25,
+            qlb_workload::Placement::Hotspot,
+        );
+        let drive = |threads: usize| {
+            let cfg = ServeConfig::new(3).with_threads(threads);
+            let mut c = ServeCore::from_scenario(&sc, 3, 2000, cfg).unwrap();
+            assert!(c.unsatisfied() >= 1024);
+            let mut rec = Recorder::default();
+            let mut unsatisfied = Vec::new();
+            for tick in 0..40 {
+                if tick % 8 == 3 {
+                    for _ in 0..40 {
+                        let _ = c.place(ClassId(0), 1, &mut rec);
+                    }
+                }
+                c.tick(0, false, &mut rec);
+                unsatisfied.push(c.unsatisfied());
+            }
+            (c, rec, unsatisfied)
+        };
+        let events = |r: &Recorder| r.events().iter().map(|(_, e)| e).collect::<Vec<_>>();
+        let (seq, seq_rec, seq_unsat) = drive(0);
+        assert_eq!(seq_rec.timers().histogram(Phase::Compute).count(), 0);
+        for threads in [2, 3, 8] {
+            let (par, rec, unsat) = drive(threads);
+            assert_eq!(par.state(), seq.state(), "threads={threads}");
+            assert_eq!(
+                par.migrations_total(),
+                seq.migrations_total(),
+                "threads={threads}"
+            );
+            assert_eq!(unsat, seq_unsat, "threads={threads}");
+            assert_eq!(events(&rec), events(&seq_rec), "threads={threads}");
+            // the pooled branch was taken: only sharded rounds record Compute
+            assert!(
+                rec.timers().histogram(Phase::Compute).count() > 0,
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
