@@ -17,12 +17,12 @@ use qlb_core::{
     SlackDampedCapacitySampling, State, ThresholdLevels,
 };
 use qlb_engine::{run_observed, run_open_system_observed, Executor, OpenConfig, RunConfig};
-use qlb_obs::{replay::Summary, NoopSink, Recorder, Sink, StreamSink};
+use qlb_obs::{replay::Summary, NoopSink, Sink, StreamSink};
 use qlb_runtime::{run_distributed_observed, RuntimeConfig};
 use qlb_stats::sparkline_fit;
 use qlb_topo::{Graph, GraphDiffusion};
 use qlb_workload::{CapacityDist, Placement, Scenario};
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::process::exit;
 
 // Counting allocator so `--mem-summary` can report the process high-water
@@ -47,7 +47,7 @@ fn preset() -> Scenario {
 }
 
 /// The flags `--help` documents that take a value.
-const VALUE_FLAGS: [&str; 18] = [
+const VALUE_FLAGS: [&str; 16] = [
     "--scenario",
     "--preset",
     "--seed",
@@ -62,8 +62,6 @@ const VALUE_FLAGS: [&str; 18] = [
     "--departure-prob",
     "--weight-max",
     "--metrics-out",
-    "--metrics-stream",
-    "--flush-every",
     "--topk-resources",
     "--shard-timing",
 ];
@@ -202,23 +200,12 @@ fn main() {
         proto.name(),
     );
 
-    // Observability: --metrics-out dumps the run's JSONL trace post hoc,
-    // --metrics-stream writes the same JSONL *while the run executes*
-    // (tail it with qlb-trace --follow), and --metrics-summary replays the
-    // trace into a human-readable digest. Without any of them the run uses
-    // the NoopSink path (zero overhead).
+    // Observability: --metrics-out streams the run's JSONL trace to FILE
+    // while the run executes (tail it with qlb-trace --follow), and
+    // --metrics-summary replays the trace into a human-readable digest
+    // (streamed into memory when no file is named). Without either the run
+    // uses the NoopSink path (zero overhead).
     let metrics_out = get("--metrics-out");
-    let metrics_stream = get("--metrics-stream");
-    if metrics_out.is_some() && metrics_stream.is_some() {
-        eprintln!("--metrics-out and --metrics-stream are mutually exclusive");
-        exit(2);
-    }
-    let flush_every: u64 = get("--flush-every").map_or(qlb_obs::DEFAULT_FLUSH_EVERY, |s| {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("bad --flush-every");
-            exit(2)
-        })
-    });
     let metrics_summary = args.iter().any(|a| a == "--metrics-summary");
     // Profiling knobs: sample the k hottest resources at each round end and
     // toggle the per-shard compute/wake profile of pooled rounds. Both ride
@@ -316,12 +303,19 @@ fn main() {
     .with_topk_resources(topk_resources)
     .with_shard_timing(shard_timing);
 
-    let outcome = if let Some(path) = metrics_stream.as_deref() {
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create {path}: {e}");
-            exit(2);
-        });
-        let mut sink = StreamSink::with_flush_every(BufWriter::new(file), flush_every);
+    let outcome = if metrics_out.is_some() || metrics_summary {
+        let mut mem = Vec::new();
+        let writer: Box<dyn Write + '_> = match metrics_out.as_deref() {
+            Some(path) => {
+                let file = std::fs::File::create(path).unwrap_or_else(|e| {
+                    eprintln!("cannot create {path}: {e}");
+                    exit(2);
+                });
+                Box::new(BufWriter::new(file))
+            }
+            None => Box::new(&mut mem),
+        };
+        let mut sink = StreamSink::new(writer);
         let outcome = simulate(
             &inst,
             state,
@@ -335,52 +329,24 @@ fn main() {
             &mut sink,
         );
         if let Err(e) = sink.finish() {
-            eprintln!("error streaming metrics to {path}: {e}");
+            eprintln!("error streaming metrics: {e}");
             exit(2);
         }
-        println!("metrics streamed to {path}");
-        if metrics_summary {
-            // read the streamed file back — the same bytes any offline
-            // consumer (qlb-trace) would see
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot re-read {path}: {e}");
-                exit(2);
-            });
-            match Summary::from_jsonl(&text) {
-                Ok(summary) => print!("{}", summary.render()),
-                Err(e) => {
-                    eprintln!("internal error replaying metrics: {e}");
-                    exit(2);
-                }
-            }
-        }
-        outcome
-    } else if metrics_out.is_some() || metrics_summary {
-        let mut rec = Recorder::default();
-        let outcome = simulate(
-            &inst,
-            state,
-            proto.as_ref(),
-            &driver,
-            &proto_name,
-            weight_max,
-            seed,
-            max_rounds,
-            open_cfg,
-            &mut rec,
-        );
-        let jsonl = rec.to_jsonl();
         if let Some(path) = metrics_out.as_deref() {
-            std::fs::write(path, &jsonl).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                exit(2);
-            });
-            println!("metrics written to {path}");
+            println!("metrics streamed to {path}");
         }
         if metrics_summary {
-            // replay the exact bytes we would write — same parser as a
-            // later offline consumer of the JSONL file
-            match Summary::from_jsonl(&jsonl) {
+            // replay the streamed bytes — re-read from the file when there
+            // is one, so the digest sees what any offline consumer
+            // (qlb-trace) would
+            let text = match metrics_out.as_deref() {
+                Some(path) => std::fs::read_to_string(path).unwrap_or_else(|e| {
+                    eprintln!("cannot re-read {path}: {e}");
+                    exit(2);
+                }),
+                None => String::from_utf8(mem).expect("trace is UTF-8"),
+            };
+            match Summary::from_jsonl(&text) {
                 Ok(summary) => print!("{}", summary.render()),
                 Err(e) => {
                     eprintln!("internal error replaying metrics: {e}");
@@ -562,9 +528,9 @@ fn print_help() {
          OPEN:      --rounds N --arrivals-per-round X --departure-prob P (open-system driver;\n           \
          the scenario supplies capacities and the user pool)\n\
          WEIGHTED:  --weight-max W (demands cycle 1..=W; capacities rescale to keep γ)\n\
-         METRICS:   --metrics-out FILE.jsonl (dump events/counters/timers as JSONL post hoc)\n           \
-         --metrics-stream FILE.jsonl [--flush-every K] (write the JSONL while the\n           \
-         run executes; tail it with qlb-trace --follow)\n           \
+         METRICS:   --metrics-out FILE.jsonl (stream events/counters/timers as JSONL while\n           \
+         the run executes, flushed after every round; tail it with\n           \
+         qlb-trace --follow)\n           \
          --metrics-summary (replay the trace into a digest on stdout)\n\
          PROFILING: --topk-resources K (sample the K hottest resources each round; default 0)\n           \
          --shard-timing on|off (per-shard compute/wake profile of pooled rounds;\n           \

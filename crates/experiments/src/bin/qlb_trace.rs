@@ -1,8 +1,8 @@
 //! `qlb-trace` — inspect and compare JSONL metrics traces.
 //!
-//! The offline half of the streaming pipeline: `qlb-sim --metrics-stream
-//! run.jsonl` (or `--metrics-out`) writes the trace, `qlb-trace` reads it
-//! back through the same `qlb_obs::replay` code path.
+//! The offline half of the streaming pipeline: `qlb-sim --metrics-out
+//! run.jsonl` (or `qlb-serve --trace`) writes the trace, `qlb-trace` reads
+//! it back through the same `qlb_obs::replay` code path.
 //!
 //! ```text
 //! qlb-trace run.jsonl               # analyze a finished (or killed) run
@@ -1157,8 +1157,8 @@ fn print_help() {
          integer, else exit 2)\n  \
          --threshold PCT  compare: flag gated counters that grew more than PCT%\n                   \
          (default 10); wall-clock deltas are never gated\n\n\
-         Traces come from qlb-sim --metrics-stream FILE.jsonl (live) or\n\
-         --metrics-out FILE.jsonl (post hoc); both formats are identical.\n\
+         Traces come from qlb-sim --metrics-out FILE.jsonl or qlb-serve\n\
+         --trace FILE.jsonl, streamed while the run executes.\n\
          Record the profile inputs with qlb-sim --executor threaded\n\
          [--topk-resources K] [--shard-timing on|off].\n\n\
          EXIT STATUS: 0 clean; 1 incomplete trace (no end-of-run trailer —\n\

@@ -3,9 +3,13 @@
 //! trace file deleted out from under `--follow` exits 2 immediately
 //! instead of idling out — both documented in `qlb-trace --help`. Also
 //! pins `qlb-sim`'s argument contract: `--executor` names a round executor
-//! only, never a driver; unknown flags and presets are usage errors; and
-//! the weighted lift refuses capacities beyond the 32-bit load counters.
+//! only, never a driver; unknown flags (the removed `--metrics-stream` and
+//! `--flush-every` included) and presets are usage errors; the weighted
+//! lift refuses capacities beyond the 32-bit load counters; and
+//! `--metrics-out` streams a finished trace that agrees with the printed
+//! outcome.
 
+use qlb_obs::replay::Summary;
 use qlb_obs::{Event, Sink, StreamSink};
 use std::path::PathBuf;
 use std::process::Command;
@@ -27,7 +31,7 @@ fn temp_path(tag: &str) -> PathBuf {
 /// shape `--follow` sees while a run is still writing.
 fn write_partial_trace(path: &PathBuf) {
     let f = std::fs::File::create(path).unwrap();
-    let mut sink = StreamSink::with_flush_every(f, 1);
+    let mut sink = StreamSink::new(f);
     for round in 0..3u64 {
         sink.event(Event::RoundStart { round, active: 4 });
         sink.event(Event::RoundEnd {
@@ -185,6 +189,38 @@ fn sim_rejects_unknown_flags_and_presets() {
         &["--preset", "flash-crowd", "--seed"],
         "--seed needs a value",
     );
+    // the old post-hoc/stream split and its flush knob are gone
+    for flag in ["--metrics-stream", "--flush-every"] {
+        assert_sim_usage_error(
+            &["--preset", "flash-crowd", flag, "1"],
+            &format!("unknown argument {flag}"),
+        );
+    }
+}
+
+#[test]
+fn sim_metrics_out_streams_a_finished_trace() {
+    let path = temp_path("metrics-out");
+    let out = Command::new(sim_bin())
+        .args(["--preset", "flash-crowd", "--metrics-out"])
+        .arg(&path)
+        .output()
+        .expect("run qlb-sim");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    // "CONVERGED in R rounds with M migrations"
+    let printed: u64 = stdout
+        .split("CONVERGED in ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|r| r.parse().ok())
+        .unwrap_or_else(|| panic!("no outcome line: {stdout}"));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let summary = Summary::from_jsonl(&text).expect("trace replays");
+    assert!(summary.saw_trailer(), "finished run writes the trailer");
+    assert!(!summary.truncated);
+    assert_eq!(summary.rounds, printed, "trace rounds match stdout");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

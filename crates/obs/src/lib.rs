@@ -32,15 +32,18 @@
 //!   bounded [`SpanSeries`] and exported as trailer records — the
 //!   substrate of `qlb-trace spans` and the serve daemon's flight
 //!   recorder;
-//! * [`recorder`] — [`Recorder`], the everything-on implementation of
-//!   [`Sink`] (registry + ring buffer + timers), with a JSONL dump of the
-//!   whole run;
+//! * [`recorder`] — [`Recorder`], the one recording implementation of
+//!   [`Sink`] (registry + event log + timers + profiling series), generic
+//!   over where events go ([`EventLog`]): by default a bounded ring with a
+//!   JSONL dump of the whole run, and one end-of-run trailer for every
+//!   export;
 //! * [`replay`] — the summary printer: parses a JSONL dump back into a
 //!   [`replay::Summary`], so exported runs are inspectable offline; its
 //!   [`replay::TraceReader`] parses a still-growing stream incrementally;
-//! * [`stream`] — [`StreamSink`], the incremental JSONL exporter for
-//!   long-running drivers: events become lines as they happen, flushed at
-//!   round boundaries, with crash-tolerant framing the reader understands;
+//! * [`stream`] — [`StreamSink`], the [`Recorder`] over a [`JsonlLog`]:
+//!   events become JSONL lines as they happen, flushed after every round
+//!   end and churn episode, with crash-tolerant framing the reader
+//!   understands;
 //! * [`window`] — **windowed aggregation** for live telemetry: a
 //!   [`WindowedAggregator`] ring of fixed-width time buckets over the
 //!   dense counter/gauge ids plus windowed histogram merges (rolling
@@ -88,11 +91,11 @@ pub use event::{Event, EventRing};
 pub use mem::{CountingAlloc, MemMark};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::{top_k_entries, LatencyHists, ShardTimers, TopKEntry, TopKSeries};
-pub use recorder::{DeltaSeries, Recorder};
+pub use recorder::{DeltaSeries, EventLog, Recorder};
 pub use replay::TraceReader;
 pub use sink::{timed, DeltaSnapshot, NoopSink, Sink};
 pub use span::{SpanRecord, SpanSeries, DEFAULT_SPAN_CAP};
-pub use stream::{StreamSink, DEFAULT_FLUSH_EVERY};
+pub use stream::{JsonlLog, StreamSink};
 pub use timers::{Phase, PhaseTimers};
 pub use window::{
     ClassSlo, LatencyDigest, RateSample, StatsSeries, StatsSnapshot, WindowedAggregator,

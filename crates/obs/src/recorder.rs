@@ -1,5 +1,19 @@
-//! The everything-on [`Sink`]: registry + event ring + phase timers,
-//! exportable as JSONL.
+//! The recording [`Sink`]: registry + event log + phase timers, exportable
+//! as JSONL.
+//!
+//! One type, [`Recorder<L>`], holds every accumulator and implements
+//! [`Sink`] once; the two export modes differ only in where events go
+//! (the [`EventLog`] `L`):
+//!
+//! * `Recorder` (`L` = [`EventRing`]) keeps a bounded ring of recent
+//!   events and dumps the whole run post hoc with [`Recorder::to_jsonl`];
+//! * [`StreamSink<W>`](crate::StreamSink) (`L` =
+//!   [`JsonlLog<W>`](crate::JsonlLog)) writes each event as a JSONL line
+//!   while the run is in flight and the trailer on [`Recorder::finish`].
+//!
+//! Both end with the same trailer (`Recorder::write_trailer`), so a
+//! finished stream is byte-identical to the dump of a recorder whose ring
+//! never wrapped (property-tested).
 
 use crate::event::{Event, EventRing};
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -201,6 +215,38 @@ impl DeltaSeries {
     }
 }
 
+impl Record {
+    /// Append this record as one JSONL line, trailing newline included —
+    /// the single line writer behind every trace, dump, and black box.
+    pub fn write_line(&self, out: &mut String) {
+        out.push_str(&serde_json::to_string(self).expect("record serializes"));
+        out.push('\n');
+    }
+
+    /// A latency [`Histogram`] in its exported form (non-empty buckets
+    /// only, with derived p50/p95).
+    fn latency_hist(name: &str, h: &Histogram) -> Record {
+        Record::LatencyHist {
+            name: name.to_string(),
+            count: h.count(),
+            total_ns: h.sum(),
+            max_ns: h.max(),
+            p50_ns: h.quantile(0.50),
+            p95_ns: h.quantile(0.95),
+            buckets: h
+                .buckets()
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(i, &c)| HistBucket {
+                    bucket: i as u64,
+                    count: c,
+                })
+                .collect(),
+        }
+    }
+}
+
 /// Lowercase hex of a byte string (the trailer's payload encoding —
 /// JSONL lines must stay valid UTF-8).
 fn hex_encode(bytes: &[u8]) -> String {
@@ -212,13 +258,37 @@ fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
-/// A recording [`Sink`]: dense metrics, a bounded event ring, and phase
-/// timers, all in one place. Everything it holds is derived data — it can
-/// be attached to any run without changing the trajectory.
-#[derive(Debug, Clone, Default)]
-pub struct Recorder {
+/// Where a [`Recorder`] sends events: a bounded in-memory [`EventRing`]
+/// (dumped post hoc) or a [`JsonlLog`](crate::JsonlLog) (streamed as they
+/// happen).
+pub trait EventLog {
+    /// Take one event.
+    fn record(&mut self, event: Event);
+
+    /// `(recorded, dropped)`: events taken over the run, and how many of
+    /// them the log has since discarded — the trailer's
+    /// [`Record::RingInfo`].
+    fn accounting(&self) -> (u64, u64);
+}
+
+impl EventLog for EventRing {
+    #[inline]
+    fn record(&mut self, event: Event) {
+        self.push(event);
+    }
+
+    fn accounting(&self) -> (u64, u64) {
+        (self.total_recorded(), self.dropped())
+    }
+}
+
+/// A recording [`Sink`]: dense metrics, an event log, phase timers, and
+/// the profiling series, all in one place. Everything it holds is derived
+/// data — it can be attached to any run without changing the trajectory.
+#[derive(Debug, Clone)]
+pub struct Recorder<L = EventRing> {
+    pub(crate) events: L,
     metrics: MetricsRegistry,
-    events: EventRing,
     timers: PhaseTimers,
     shard_timers: ShardTimers,
     topk: TopKSeries,
@@ -228,12 +298,47 @@ pub struct Recorder {
     spans: SpanSeries,
 }
 
-impl Recorder {
+impl Default for Recorder<EventRing> {
+    fn default() -> Self {
+        Self::with_log(EventRing::default())
+    }
+}
+
+impl Recorder<EventRing> {
     /// A recorder whose event ring holds at most `capacity` events.
     pub fn with_ring_capacity(capacity: usize) -> Self {
+        Self::with_log(EventRing::with_capacity(capacity))
+    }
+
+    /// Dump the whole recording as JSONL: one [`Record`] per line —
+    /// retained events first (oldest to newest), then the end-of-run
+    /// trailer. The output parses back with
+    /// [`crate::replay::Summary::from_jsonl`], and — when the ring never
+    /// wrapped — is byte-identical to what a [`crate::StreamSink`] attached
+    /// to the same run writes (property-tested).
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        for (seq, event) in self.events.iter() {
+            Record::Event { seq, event }.write_line(&mut out);
+        }
+        self.write_trailer(&mut out);
+        out
+    }
+}
+
+impl<L> Recorder<L> {
+    /// A recorder sending events to `events`, every accumulator empty.
+    pub(crate) fn with_log(events: L) -> Self {
         Self {
-            events: EventRing::with_capacity(capacity),
-            ..Self::default()
+            events,
+            metrics: MetricsRegistry::default(),
+            timers: PhaseTimers::default(),
+            shard_timers: ShardTimers::default(),
+            topk: TopKSeries::default(),
+            latency: LatencyHists::default(),
+            stats: StatsSeries::default(),
+            deltas: DeltaSeries::default(),
+            spans: SpanSeries::default(),
         }
     }
 
@@ -247,8 +352,8 @@ impl Recorder {
         &mut self.metrics
     }
 
-    /// The event ring.
-    pub fn events(&self) -> &EventRing {
+    /// The event log (the ring, or the stream's writer state).
+    pub fn events(&self) -> &L {
         &self.events
     }
 
@@ -303,193 +408,95 @@ impl Recorder {
     pub fn gauge(&self, g: Gauge) -> u64 {
         self.metrics.gauge(g)
     }
-
-    /// Dump the whole recording as JSONL: one [`Record`] per line —
-    /// retained events first (oldest to newest), then the end-of-run
-    /// trailer (ring accounting, non-zero counters, gauges, and non-empty
-    /// phase aggregates). The output parses back with
-    /// [`crate::replay::Summary::from_jsonl`], and — when the ring never
-    /// wrapped — is byte-identical to what a [`crate::StreamSink`] attached
-    /// to the same run writes (property-tested).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (seq, event) in self.events.iter() {
-            push_record_line(&mut out, &Record::Event { seq, event });
-        }
-        write_trailer(
-            &mut out,
-            &self.metrics,
-            &self.timers,
-            &self.shard_timers,
-            &self.latency,
-            &self.topk,
-            &self.stats,
-            &self.deltas,
-            &self.spans,
-            self.events.total_recorded(),
-            self.events.dropped(),
-        );
-        out
-    }
 }
 
-/// Append one serialized [`Record`] line (with trailing newline) to `out`.
-pub(crate) fn push_record_line(out: &mut String, record: &Record) {
-    out.push_str(&serde_json::to_string(record).expect("record serializes"));
-    out.push('\n');
-}
-
-/// Serialize a latency [`Histogram`] into its exported [`Record`] form
-/// (non-empty buckets only, with derived p50/p95).
-pub(crate) fn latency_hist_record(name: &str, h: &Histogram) -> Record {
-    Record::LatencyHist {
-        name: name.to_string(),
-        count: h.count(),
-        total_ns: h.sum(),
-        max_ns: h.max(),
-        p50_ns: h.quantile(0.50),
-        p95_ns: h.quantile(0.95),
-        buckets: h
-            .buckets()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| HistBucket {
-                bucket: i as u64,
-                count: c,
-            })
-            .collect(),
-    }
-}
-
-/// Append the end-of-run trailer: ring accounting, then non-zero counters,
-/// gauges, non-empty phase aggregates, the per-shard profile (shard
-/// aggregates, skew and wake histograms), and the retained top-k series,
-/// in stable registry order. This is the single definition of the trailer
-/// layout — [`Recorder::to_jsonl`] and [`crate::StreamSink::finish`] both
-/// call it, so post-hoc dumps and streamed traces stay byte-compatible.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_trailer(
-    out: &mut String,
-    metrics: &MetricsRegistry,
-    timers: &PhaseTimers,
-    shard_timers: &ShardTimers,
-    latency: &LatencyHists,
-    topk: &TopKSeries,
-    stats: &StatsSeries,
-    deltas: &DeltaSeries,
-    spans: &SpanSeries,
-    recorded: u64,
-    dropped: u64,
-) {
-    push_record_line(out, &Record::RingInfo { recorded, dropped });
-    for &c in &Counter::ALL {
-        let value = metrics.counter(c);
-        if value > 0 {
-            push_record_line(
-                out,
-                &Record::Counter {
-                    name: c.name().to_string(),
-                    value,
-                },
-            );
+impl<L: EventLog> Recorder<L> {
+    /// Append the end-of-run trailer: ring accounting, then non-zero
+    /// counters, gauges, non-empty phase aggregates, the per-shard profile
+    /// (shard aggregates, skew and wake histograms), named latency
+    /// histograms, and the retained top-k, stats, delta, and span series,
+    /// in stable registry order. Both export modes end with it, so
+    /// post-hoc dumps and streamed traces stay byte-compatible.
+    pub(crate) fn write_trailer(&self, out: &mut String) {
+        let (recorded, dropped) = self.events.accounting();
+        Record::RingInfo { recorded, dropped }.write_line(out);
+        for &c in &Counter::ALL {
+            let value = self.metrics.counter(c);
+            if value > 0 {
+                let name = c.name().to_string();
+                Record::Counter { name, value }.write_line(out);
+            }
         }
-    }
-    for &g in &Gauge::ALL {
-        let value = metrics.gauge(g);
-        if value > 0 {
-            push_record_line(
-                out,
-                &Record::Gauge {
-                    name: g.name().to_string(),
-                    value,
-                },
-            );
+        for &g in &Gauge::ALL {
+            let value = self.metrics.gauge(g);
+            if value > 0 {
+                let name = g.name().to_string();
+                Record::Gauge { name, value }.write_line(out);
+            }
         }
-    }
-    for &p in &Phase::ALL {
-        let h = timers.histogram(p);
-        if h.count() > 0 {
-            push_record_line(
-                out,
-                &Record::Phase {
+        for &p in &Phase::ALL {
+            let h = self.timers.histogram(p);
+            if h.count() > 0 {
+                Record::Phase {
                     name: p.name().to_string(),
                     count: h.count(),
                     total_ns: h.sum(),
                     max_ns: h.max(),
-                },
-            );
+                }
+                .write_line(out);
+            }
         }
-    }
-    for shard in 0..shard_timers.num_shards() {
-        let (rounds, total_ns, max_ns) = shard_timers.shard(shard);
-        push_record_line(
-            out,
-            &Record::Shard {
+        let st = &self.shard_timers;
+        for shard in 0..st.num_shards() {
+            let (rounds, total_ns, max_ns) = st.shard(shard);
+            Record::Shard {
                 shard: shard as u64,
                 rounds,
                 total_ns,
                 max_ns,
-            },
-        );
-    }
-    if !shard_timers.is_empty() {
-        push_record_line(
-            out,
-            &Record::ShardUtil {
-                mean_round_pct: 100.0 * shard_timers.mean_round_utilization(),
-            },
-        );
-    }
-    for (name, h) in [
-        (SKEW_HIST_NAME, shard_timers.skew()),
-        (WAKE_HIST_NAME, shard_timers.dispatch()),
-    ] {
-        if h.count() > 0 {
-            push_record_line(out, &latency_hist_record(name, h));
+            }
+            .write_line(out);
         }
-    }
-    for (name, h) in latency.iter() {
-        if h.count() > 0 {
-            push_record_line(out, &latency_hist_record(name, h));
+        if !st.is_empty() {
+            let mean_round_pct = 100.0 * st.mean_round_utilization();
+            Record::ShardUtil { mean_round_pct }.write_line(out);
         }
-    }
-    for (round, entries) in topk.samples() {
-        push_record_line(
-            out,
-            &Record::TopK {
-                round: *round,
-                entries: entries.clone(),
-            },
-        );
-    }
-    for snap in stats.samples() {
-        push_record_line(out, &Record::StatsSnapshot { snap: snap.clone() });
-    }
-    for &(round, base_gen, gen, users, changed, ref bytes) in &deltas.items {
-        push_record_line(
-            out,
-            &Record::StateDelta {
+        let shard_hists = [(SKEW_HIST_NAME, st.skew()), (WAKE_HIST_NAME, st.dispatch())];
+        for (name, h) in shard_hists.into_iter().chain(self.latency.iter()) {
+            if h.count() > 0 {
+                Record::latency_hist(name, h).write_line(out);
+            }
+        }
+        for (round, entries) in self.topk.samples() {
+            let (round, entries) = (*round, entries.clone());
+            Record::TopK { round, entries }.write_line(out);
+        }
+        for snap in self.stats.samples() {
+            Record::StatsSnapshot { snap: snap.clone() }.write_line(out);
+        }
+        for &(round, base_gen, gen, users, changed, ref bytes) in &self.deltas.items {
+            Record::StateDelta {
                 round,
                 base_gen,
                 gen,
                 users,
                 changed,
                 hex: hex_encode(bytes),
-            },
-        );
-    }
-    for span in spans.iter() {
-        push_record_line(out, &Record::Span { span: span.clone() });
+            }
+            .write_line(out);
+        }
+        for span in self.spans.iter() {
+            Record::Span { span: span.clone() }.write_line(out);
+        }
     }
 }
 
-impl Sink for Recorder {
+impl<L: EventLog> Sink for Recorder<L> {
     const ENABLED: bool = true;
 
     #[inline]
     fn event(&mut self, ev: Event) {
-        self.events.push(ev);
+        self.events.record(ev);
     }
 
     #[inline]

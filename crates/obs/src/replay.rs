@@ -2,11 +2,11 @@
 //! [`Summary`].
 //!
 //! The dump format ([`crate::recorder::Record`] per line) is the contract
-//! between a run and later analysis: `qlb-sim --metrics-out run.jsonl`
-//! (post hoc) and `qlb-sim --metrics-stream run.jsonl` (incremental) both
-//! write it, and this module — the `qlb-trace` CLI, `--metrics-summary`,
-//! or any other JSONL consumer — reads it back. One parser serves three
-//! shapes of input:
+//! between a run and later analysis: [`crate::Recorder::to_jsonl`] (post
+//! hoc) and [`crate::StreamSink`] (incremental, `qlb-sim --metrics-out
+//! run.jsonl`) both write it, and this module — the `qlb-trace` CLI,
+//! `--metrics-summary`, or any other JSONL consumer — reads it back. One
+//! line parser ([`TraceReader`]) serves three shapes of input:
 //!
 //! * a **complete** dump (events + end-of-run trailer);
 //! * an **interrupted** stream (no trailer; counts fall back to the
@@ -164,23 +164,13 @@ impl Summary {
     /// [`Summary::truncated`]. Any other unparsable line is an error.
     pub fn from_jsonl(text: &str) -> Result<Summary, ReplayError> {
         let mut s = Summary::default();
-        let complete = text.ends_with('\n');
-        let last_idx = text.lines().count().saturating_sub(1);
-        for (idx, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<Record>(line) {
+        let mut reader = TraceReader::new();
+        reader.feed_with(text, |record| s.ingest(&record))?;
+        let tail = reader.pending();
+        if !tail.trim().is_empty() {
+            match serde_json::from_str::<Record>(tail) {
                 Ok(record) => s.ingest(&record),
-                Err(_) if idx == last_idx && !complete => {
-                    s.truncated = true;
-                }
-                Err(e) => {
-                    return Err(ReplayError {
-                        line: idx + 1,
-                        msg: e.to_string(),
-                    })
-                }
+                Err(_) => s.truncated = true,
             }
         }
         Ok(s)
@@ -486,21 +476,36 @@ impl TraceReader {
     /// and fails with its position, exactly as in
     /// [`Summary::from_jsonl`].
     pub fn feed(&mut self, chunk: &str, out: &mut Vec<Record>) -> Result<(), ReplayError> {
+        self.feed_with(chunk, |record| out.push(record))
+    }
+
+    /// [`TraceReader::feed`], handing each completed record to `emit`.
+    fn feed_with(&mut self, chunk: &str, mut emit: impl FnMut(Record)) -> Result<(), ReplayError> {
         self.partial.push_str(chunk);
-        while let Some(nl) = self.partial.find('\n') {
-            let line: String = self.partial.drain(..=nl).collect();
+        let Some(end) = self.partial.rfind('\n') else {
+            return Ok(());
+        };
+        // walk the complete lines by offset and drain them in one go: a
+        // drain per line would memmove the whole tail each time
+        let mut result = Ok(());
+        for line in self.partial[..end].split('\n') {
             self.lines_done += 1;
-            let line = line.trim_end_matches('\n');
             if line.trim().is_empty() {
                 continue;
             }
-            let record: Record = serde_json::from_str(line).map_err(|e| ReplayError {
-                line: self.lines_done,
-                msg: e.to_string(),
-            })?;
-            out.push(record);
+            match serde_json::from_str(line) {
+                Ok(record) => emit(record),
+                Err(e) => {
+                    result = Err(ReplayError {
+                        line: self.lines_done,
+                        msg: e.to_string(),
+                    });
+                    break;
+                }
+            }
         }
-        Ok(())
+        self.partial.drain(..=end);
+        result
     }
 
     /// The unterminated tail currently held back. Non-empty once the
@@ -690,6 +695,49 @@ mod tests {
         reader.feed("opped\":0}}\n", &mut records).unwrap();
         assert_eq!(records.len(), 1);
         assert!(reader.pending().is_empty());
+    }
+
+    #[test]
+    fn trace_reader_feed_is_linear_in_chunk_size() {
+        // `qlb-trace --follow` reads an existing trace as one chunk: a feed
+        // of 4n lines must cost about 4× a feed of n lines, not 16×
+        fn lines(n: u64) -> String {
+            let mut out = String::new();
+            for round in 0..n {
+                let event = Event::RoundEnd {
+                    round,
+                    migrations: 12_345,
+                    unsatisfied: 6_789,
+                    overload: Some(1_000_000 + round),
+                };
+                Record::Event { seq: round, event }.write_line(&mut out);
+            }
+            out
+        }
+        fn best_feed_secs(text: &str, n: u64) -> f64 {
+            let mut best = f64::INFINITY;
+            for _ in 0..3 {
+                let mut reader = TraceReader::new();
+                let mut records = Vec::new();
+                let start = std::time::Instant::now();
+                reader.feed(text, &mut records).unwrap();
+                best = best.min(start.elapsed().as_secs_f64());
+                assert!(reader.pending().is_empty());
+                assert_eq!(records.len() as u64, n, "every record comes back");
+                for (i, r) in records.iter().enumerate() {
+                    assert!(matches!(r, Record::Event { seq, .. } if *seq == i as u64));
+                }
+            }
+            best
+        }
+        let n = 10_000;
+        let small = best_feed_secs(&lines(n), n);
+        let large = best_feed_secs(&lines(4 * n), 4 * n);
+        assert!(
+            large < 8.0 * small,
+            "feed of {} lines took {large:.3} s vs {small:.3} s for {n}",
+            4 * n
+        );
     }
 
     #[test]

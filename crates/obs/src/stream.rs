@@ -1,19 +1,18 @@
 //! Incremental JSONL export: the streaming half of the observability
 //! stack.
 //!
-//! [`Recorder`] serializes a run *post hoc* — useless for the multi-hour
-//! open-system runs the roadmap calls for, where the interesting question
-//! is "what is the trajectory doing *right now*". [`StreamSink`] writes
-//! the same externally-tagged [`Record`] JSONL **while the run is in
-//! flight**: every event becomes a line as it happens, buffered in memory
-//! and pushed to the underlying writer at *round-shaped* flush points —
-//! after every `flush_every` [`Event::RoundEnd`]s and after every
-//! [`Event::ChurnEpisode`] — so a reader tailing the file always sees
-//! whole rounds.
+//! A post-hoc dump is useless for the multi-hour open-system runs the
+//! roadmap calls for, where the interesting question is "what is the
+//! trajectory doing *right now*". [`StreamSink`] is the [`Recorder`] with
+//! a [`JsonlLog`] in place of its event ring: every event becomes a
+//! [`Record`] line as it happens, buffered in memory and pushed to the
+//! underlying writer at *round-shaped* flush points — after every
+//! [`Event::RoundEnd`] and every [`Event::ChurnEpisode`] — so a reader
+//! tailing the file always sees whole rounds.
 //!
 //! ## Crash-tolerant framing
 //!
-//! The sink only ever hands the writer **complete lines**: the internal
+//! The log only ever hands the writer **complete lines**: the internal
 //! buffer is cut at newline boundaries, so the only way a file can end
 //! mid-record is the process dying inside a single `write(2)`. The replay
 //! reader ([`crate::replay::Summary::from_jsonl`]) treats an unparsable
@@ -21,177 +20,60 @@
 //! truncated tail to report and skip, not an error — while garbage in the
 //! middle of a stream still fails loudly.
 //!
-//! ## Relation to [`Recorder`]
+//! ## Relation to the ring-backed [`Recorder`]
 //!
-//! Counters, gauges, and phase timers accumulate in memory (their JSONL
-//! form is cumulative) and are written as the end-of-run trailer by
-//! [`StreamSink::finish`], through the same layout helper
-//! [`Recorder::to_jsonl`] uses. A finished streamed trace of a run is
-//! therefore **byte-identical** to the post-hoc dump of a [`Recorder`]
-//! attached to the same seeded run, as long as the recorder's ring never
-//! wrapped (the stream has no ring: nothing is ever dropped). The
-//! workspace property tests pin this.
-//!
-//! [`Recorder`]: crate::Recorder
+//! Counters, gauges, timers, and the profiling series accumulate in the
+//! same fields either way (their JSONL form is cumulative) and are written
+//! as the end-of-run trailer by [`Recorder::finish`] — the same trailer
+//! [`Recorder::to_jsonl`] ends with. A
+//! finished streamed trace of a run is therefore **byte-identical** to the
+//! post-hoc dump of a ring-backed recorder attached to the same seeded
+//! run, as long as the ring never wrapped (the stream has no ring: nothing
+//! is ever dropped). The workspace property tests pin this.
 
 use crate::event::Event;
-use crate::metrics::{Counter, Gauge, MetricsRegistry};
-use crate::profile::{LatencyHists, ShardTimers, TopKEntry, TopKSeries};
-use crate::recorder::{push_record_line, write_trailer, DeltaSeries, Record};
-use crate::sink::{DeltaSnapshot, Sink};
-use crate::span::{SpanRecord, SpanSeries};
-use crate::timers::{Phase, PhaseTimers};
-use crate::window::{StatsSeries, StatsSnapshot};
+use crate::recorder::{EventLog, Record, Recorder};
 use std::io::{self, Write};
 
-/// Default flush cadence: push buffered lines after every round.
-pub const DEFAULT_FLUSH_EVERY: u64 = 1;
-
-/// A [`Sink`] that streams events to a writer as JSONL while the run is in
-/// flight, and writes the cumulative metrics trailer on
-/// [`StreamSink::finish`].
+/// A [`Recorder`] that streams events to a writer as JSONL while the run
+/// is in flight, and writes the cumulative trailer on
+/// [`Recorder::finish`].
 ///
-/// I/O errors do not panic the instrumented run: the sink latches the
-/// first error, stops writing, and surfaces it from
-/// [`StreamSink::finish`] (or [`StreamSink::io_error`] mid-run).
+/// I/O errors do not panic the instrumented run: the log latches the
+/// first error, stops writing, and surfaces it from [`Recorder::finish`]
+/// (or [`JsonlLog::io_error`] mid-run).
+pub type StreamSink<W> = Recorder<JsonlLog<W>>;
+
+/// The streaming [`EventLog`]: each event becomes one [`Record::Event`]
+/// line, flushed to the writer after every round end and churn episode.
+/// Dropping it unfinished (e.g. a panicking run) still pushes the buffered
+/// complete lines — but *no trailer*, which is how a reader tells an
+/// interrupted run from a finished one.
 #[derive(Debug)]
-pub struct StreamSink<W: Write> {
-    /// `None` only transiently inside [`StreamSink::finish`] (the writer
-    /// is handed back to the caller, and `Drop` must not touch it again).
+pub struct JsonlLog<W: Write> {
+    /// `None` once [`Recorder::finish`] has handed the writer back.
     writer: Option<W>,
     /// Pending complete lines, cut only at newline boundaries.
     buf: String,
-    metrics: MetricsRegistry,
-    timers: PhaseTimers,
-    shard_timers: ShardTimers,
-    topk: TopKSeries,
-    latency: LatencyHists,
-    stats: StatsSeries,
-    deltas: DeltaSeries,
-    spans: SpanSeries,
-    next_seq: u64,
-    /// RoundEnd events seen since the last flush.
-    rounds_since_flush: u64,
-    flush_every: u64,
+    recorded: u64,
     failed: Option<io::Error>,
-    finished: bool,
 }
 
-impl<W: Write> StreamSink<W> {
-    /// A streaming sink flushing after every round
-    /// ([`DEFAULT_FLUSH_EVERY`]).
-    pub fn new(writer: W) -> Self {
-        Self::with_flush_every(writer, DEFAULT_FLUSH_EVERY)
-    }
-
-    /// A streaming sink flushing after every `flush_every` rounds (min 1).
-    /// Churn episodes always flush, whatever the cadence.
-    pub fn with_flush_every(writer: W, flush_every: u64) -> Self {
-        Self {
-            writer: Some(writer),
-            buf: String::new(),
-            metrics: MetricsRegistry::default(),
-            timers: PhaseTimers::default(),
-            shard_timers: ShardTimers::default(),
-            topk: TopKSeries::default(),
-            latency: LatencyHists::default(),
-            stats: StatsSeries::default(),
-            deltas: DeltaSeries::default(),
-            spans: SpanSeries::default(),
-            next_seq: 0,
-            rounds_since_flush: 0,
-            flush_every: flush_every.max(1),
-            failed: None,
-            finished: false,
-        }
-    }
-
-    /// Events streamed so far.
-    pub fn events_written(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// The cumulative metrics registry (same vocabulary as
-    /// [`crate::Recorder::metrics`]).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// The phase timers accumulated so far.
-    pub fn timers(&self) -> &PhaseTimers {
-        &self.timers
-    }
-
-    /// The per-shard profile accumulated so far (empty unless a pooled
-    /// executor ran with shard timing on).
-    pub fn shard_timers(&self) -> &ShardTimers {
-        &self.shard_timers
-    }
-
-    /// The named latency histograms accumulated so far (empty unless the
-    /// driver records any, e.g. the serve daemon's request latencies).
-    pub fn latency_hists(&self) -> &LatencyHists {
-        &self.latency
-    }
-
-    /// Shorthand for a cumulative counter value.
-    pub fn counter(&self, c: Counter) -> u64 {
-        self.metrics.counter(c)
-    }
-
-    /// The first I/O error hit while streaming, if any. Once set, the sink
-    /// stops writing (metrics keep accumulating) and
-    /// [`StreamSink::finish`] returns the error.
+impl<W: Write> JsonlLog<W> {
+    /// The first I/O error hit while streaming, if any. Once set, the log
+    /// stops writing (metrics keep accumulating) and [`Recorder::finish`]
+    /// returns the error.
     pub fn io_error(&self) -> Option<&io::Error> {
         self.failed.as_ref()
     }
 
     /// Push the buffered complete lines to the writer and flush it.
-    fn flush_buf(&mut self) {
-        let writer = match (&self.failed, self.writer.as_mut()) {
-            (None, Some(w)) => w,
-            _ => {
-                self.buf.clear();
-                self.rounds_since_flush = 0;
-                return;
-            }
-        };
-        let result = writer
-            .write_all(self.buf.as_bytes())
-            .and_then(|()| writer.flush());
+    fn flush(&mut self) {
+        if let (None, Some(w)) = (&self.failed, self.writer.as_mut()) {
+            let result = w.write_all(self.buf.as_bytes()).and_then(|()| w.flush());
+            self.failed = result.err();
+        }
         self.buf.clear();
-        if let Err(e) = result {
-            self.failed = Some(e);
-        }
-        self.rounds_since_flush = 0;
-    }
-
-    /// Write the end-of-run trailer (ring accounting with zero drops —
-    /// the stream keeps everything — then counters, gauges, and phase
-    /// aggregates), flush, and hand the writer back.
-    ///
-    /// # Errors
-    /// Returns the first I/O error hit at any point while streaming.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.finished = true;
-        write_trailer(
-            &mut self.buf,
-            &self.metrics,
-            &self.timers,
-            &self.shard_timers,
-            &self.latency,
-            &self.topk,
-            &self.stats,
-            &self.deltas,
-            &self.spans,
-            self.next_seq,
-            0,
-        );
-        self.flush_buf();
-        match self.failed.take() {
-            Some(e) => Err(e),
-            None => Ok(self.writer.take().expect("writer present until finish")),
-        }
     }
 
     #[cfg(test)]
@@ -200,83 +82,59 @@ impl<W: Write> StreamSink<W> {
     }
 }
 
-impl<W: Write> Sink for StreamSink<W> {
-    const ENABLED: bool = true;
-
-    fn event(&mut self, ev: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+impl<W: Write> EventLog for JsonlLog<W> {
+    fn record(&mut self, event: Event) {
+        let seq = self.recorded;
+        self.recorded += 1;
         if self.failed.is_none() {
-            push_record_line(&mut self.buf, &Record::Event { seq, event: ev });
+            Record::Event { seq, event }.write_line(&mut self.buf);
         }
-        match ev {
-            Event::RoundEnd { .. } => {
-                self.rounds_since_flush += 1;
-                if self.rounds_since_flush >= self.flush_every {
-                    self.flush_buf();
-                }
-            }
-            // churn episodes bound the interesting windows of a long run;
-            // always make them visible to a tailing reader immediately
-            Event::ChurnEpisode { .. } => self.flush_buf(),
-            _ => {}
+        // round ends make whole rounds visible to a tailing reader; churn
+        // episodes bound the interesting windows of a long run
+        if matches!(event, Event::RoundEnd { .. } | Event::ChurnEpisode { .. }) {
+            self.flush();
         }
     }
 
-    #[inline]
-    fn add(&mut self, c: Counter, delta: u64) {
-        self.metrics.add(c, delta);
-    }
-
-    #[inline]
-    fn set(&mut self, g: Gauge, value: u64) {
-        self.metrics.set(g, value);
-    }
-
-    #[inline]
-    fn time(&mut self, p: Phase, ns: u64) {
-        self.timers.record(p, ns);
-    }
-
-    #[inline]
-    fn shard_round(&mut self, compute_ns: &[u64], wake_ns: &[u64]) {
-        self.shard_timers.record_round(compute_ns, wake_ns);
-    }
-
-    #[inline]
-    fn topk(&mut self, round: u64, entries: &[TopKEntry]) {
-        self.topk.push(round, entries);
-    }
-
-    #[inline]
-    fn latency(&mut self, name: &'static str, ns: u64) {
-        self.latency.record(name, ns);
-    }
-
-    #[inline]
-    fn stats_snapshot(&mut self, snap: &StatsSnapshot) {
-        self.stats.push(snap);
-    }
-
-    #[inline]
-    fn delta_snapshot(&mut self, d: &DeltaSnapshot<'_>) {
-        self.deltas.push(d);
-    }
-
-    #[inline]
-    fn span(&mut self, s: &SpanRecord) {
-        self.spans.push(s);
+    fn accounting(&self) -> (u64, u64) {
+        (self.recorded, 0)
     }
 }
 
-impl<W: Write> Drop for StreamSink<W> {
-    /// Best-effort: push any buffered complete lines so a dropped (e.g.
-    /// panicking) run still leaves a parseable trace — but *no trailer*,
-    /// which is how a reader can tell an interrupted run from a finished
-    /// one.
+impl<W: Write> Drop for JsonlLog<W> {
     fn drop(&mut self) {
-        if !self.finished && !self.buf.is_empty() {
-            self.flush_buf();
+        if !self.buf.is_empty() {
+            self.flush();
+        }
+    }
+}
+
+impl<W: Write> Recorder<JsonlLog<W>> {
+    /// A streaming recorder writing to `writer`.
+    pub fn new(writer: W) -> Self {
+        Self::with_log(JsonlLog {
+            writer: Some(writer),
+            buf: String::new(),
+            recorded: 0,
+            failed: None,
+        })
+    }
+
+    /// Write the end-of-run trailer (ring accounting with zero drops —
+    /// the stream keeps everything — then the cumulative records), flush,
+    /// and hand the writer back.
+    ///
+    /// # Errors
+    /// Returns the first I/O error hit at any point while streaming.
+    pub fn finish(mut self) -> io::Result<W> {
+        let mut trailer = std::mem::take(&mut self.events.buf);
+        self.write_trailer(&mut trailer);
+        let log = &mut self.events;
+        log.buf = trailer;
+        log.flush();
+        match log.failed.take() {
+            Some(e) => Err(e),
+            None => Ok(log.writer.take().expect("writer present until finish")),
         }
     }
 }
@@ -285,7 +143,7 @@ impl<W: Write> Drop for StreamSink<W> {
 mod tests {
     use super::*;
     use crate::replay::Summary;
-    use crate::Recorder;
+    use crate::{Counter, Gauge, Phase, Sink, SpanRecord, TopKEntry};
 
     /// A writer that fails after `ok_writes` successful calls.
     struct FlakyWriter {
@@ -368,24 +226,32 @@ mod tests {
     }
 
     #[test]
-    fn flush_cadence_buffers_between_round_ends() {
-        let mut stream = StreamSink::with_flush_every(Vec::new(), 2);
-        drive(&mut stream, 1);
-        // one RoundEnd < flush_every: nothing pushed yet
-        assert!(stream.written().is_empty());
-        assert!(!stream.buf.is_empty());
-        drive(&mut stream, 1);
-        // second RoundEnd hits the cadence: buffer drained
-        assert!(!stream.written().is_empty());
-        assert!(stream.buf.is_empty());
+    fn round_end_flushes_and_other_events_buffer() {
+        let mut stream = StreamSink::new(Vec::new());
+        stream.event(Event::RoundStart {
+            round: 0,
+            active: 3,
+        });
+        // no round end yet: nothing pushed
+        assert!(stream.events().written().is_empty());
+        assert!(!stream.events.buf.is_empty());
+        stream.event(Event::RoundEnd {
+            round: 0,
+            migrations: 1,
+            unsatisfied: 2,
+            overload: None,
+        });
+        // the round end drains the buffer
+        assert!(!stream.events().written().is_empty());
+        assert!(stream.events.buf.is_empty());
     }
 
     #[test]
     fn flushes_end_on_line_boundaries() {
         let mut stream = StreamSink::new(Vec::new());
         drive(&mut stream, 3);
-        assert_eq!(stream.written().last(), Some(&b'\n'));
-        let text = std::str::from_utf8(stream.written()).unwrap();
+        assert_eq!(stream.events().written().last(), Some(&b'\n'));
+        let text = std::str::from_utf8(stream.events().written()).unwrap();
         // mid-run bytes (no trailer yet) parse as a valid, non-truncated
         // prefix of the run
         let s = Summary::from_jsonl(text).unwrap();
@@ -395,13 +261,13 @@ mod tests {
 
     #[test]
     fn churn_episode_forces_flush() {
-        let mut stream = StreamSink::with_flush_every(Vec::new(), 1_000);
+        let mut stream = StreamSink::new(Vec::new());
         stream.event(Event::ChurnEpisode {
             episode: 0,
             displaced: 7,
         });
-        assert!(!stream.written().is_empty());
-        assert!(stream.buf.is_empty());
+        assert!(!stream.events().written().is_empty());
+        assert!(stream.events.buf.is_empty());
     }
 
     #[test]
@@ -412,7 +278,7 @@ mod tests {
         };
         let mut stream = StreamSink::new(writer);
         drive(&mut stream, 3);
-        assert!(stream.io_error().is_some());
+        assert!(stream.events().io_error().is_some());
         // metrics still accumulate after the failure
         assert_eq!(stream.counter(Counter::Rounds), 3);
         assert!(stream.finish().is_err());
@@ -422,15 +288,20 @@ mod tests {
     fn drop_pushes_buffered_lines_without_trailer() {
         let mut written = Vec::new();
         {
-            // flush_every larger than the round count: everything is still
-            // buffered when the sink is dropped
-            let sink_writer = &mut written;
-            let mut stream = StreamSink::with_flush_every(sink_writer, 100);
+            let mut stream = StreamSink::new(&mut written);
             drive(&mut stream, 2);
+            // a round start after the last round end is still buffered
+            // when the sink is dropped
+            stream.event(Event::RoundStart {
+                round: 2,
+                active: 8,
+            });
+            assert!(!stream.events.buf.is_empty());
         }
         let text = String::from_utf8(written).unwrap();
         let s = Summary::from_jsonl(&text).unwrap();
         assert_eq!(s.events_by_kind["RoundEnd"], 2);
+        assert_eq!(s.events_by_kind["RoundStart"], 3);
         // no trailer: counters absent, ring accounting untouched
         assert!(s.counters.is_empty());
         assert_eq!(s.ring, (0, 0));

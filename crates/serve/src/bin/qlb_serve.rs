@@ -164,12 +164,11 @@ fn main() {
 
     // --- run, with or without a streaming trace ---
     let served = if let Some(path) = get("--trace") {
-        let flush_every = parse_u64("--flush-every", qlb_obs::DEFAULT_FLUSH_EVERY);
         let file = std::fs::File::create(&path).unwrap_or_else(|e| {
             eprintln!("cannot create {path}: {e}");
             exit(1)
         });
-        let mut sink = StreamSink::with_flush_every(BufWriter::new(file), flush_every);
+        let mut sink = StreamSink::new(BufWriter::new(file));
         let served = run_daemon_telemetry(core, listener, &mut sink, opts, tel_opts)
             .unwrap_or_else(|e| {
                 eprintln!("serve loop failed: {e}");
@@ -212,9 +211,10 @@ fn print_help() {
          --probes D (default 2) — placement candidates sampled per request\n\
          RUNTIME:   --seed N (default 0) --threads T (default 1; >1 enables pooled rounds)\n           \
          --batch B (default 256) --idle-ms MS (default 20)\n\
-         TRACE:     --trace FILE.jsonl [--flush-every K] — stream the obs trace; tail it\n           \
-         with `qlb-trace --follow FILE.jsonl` as a live dashboard. The trailer\n           \
-         carries request/placement latency histograms and admission counters.\n\
+         TRACE:     --trace FILE.jsonl — stream the obs trace, flushed after every\n           \
+         rebalance round; tail it with `qlb-trace --follow FILE.jsonl` as a live\n           \
+         dashboard. The trailer carries request/placement latency histograms\n           \
+         and admission counters.\n\
          TELEMETRY: --metrics-http ADDR — serve Prometheus text exposition at /metrics\n           \
          (answered from the serve loop itself; no extra writer threads)\n           \
          --stats-every N (default 32) — record a StatsSnapshot trailer record\n           \

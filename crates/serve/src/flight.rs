@@ -207,30 +207,22 @@ impl FlightRecorder {
             .filter(|r| matches!(r, Record::Span { .. }))
             .count() as u64;
         let mut out = String::new();
-        let line = |r: &Record, out: &mut String| {
-            out.push_str(&serde_json::to_string(r).expect("record serializes"));
-            out.push('\n');
-        };
-        line(
-            &Record::BlackBox {
-                trigger: trigger.to_string(),
-                tick,
-                uptime_ms,
-                spans,
-                dropped: self.dropped,
-            },
-            &mut out,
-        );
-        for r in &self.ring {
-            line(r, &mut out);
+        Record::BlackBox {
+            trigger: trigger.to_string(),
+            tick,
+            uptime_ms,
+            spans,
+            dropped: self.dropped,
         }
-        line(
-            &Record::RingInfo {
-                recorded: self.ring.len() as u64,
-                dropped: self.dropped,
-            },
-            &mut out,
-        );
+        .write_line(&mut out);
+        for r in &self.ring {
+            r.write_line(&mut out);
+        }
+        Record::RingInfo {
+            recorded: self.ring.len() as u64,
+            dropped: self.dropped,
+        }
+        .write_line(&mut out);
         let mut f = std::fs::File::create(&path)?;
         f.write_all(out.as_bytes())?;
         f.flush()?;

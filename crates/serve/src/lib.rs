@@ -31,9 +31,12 @@
 //! the matching load/smoke client used by CI and the benches.
 //!
 //! Observability reuses `qlb-obs` wholesale: hand the daemon a
-//! [`StreamSink`](qlb_obs::StreamSink) and `qlb-trace --follow` becomes
-//! the live ops dashboard, with request/placement latency histograms and
-//! admission counters riding the standard trace trailer.
+//! [`StreamSink`](qlb_obs::StreamSink) — the recording sink writing JSONL
+//! as it goes, flushed after every rebalance round — and `qlb-trace
+//! --follow` becomes the live ops dashboard, with request/placement
+//! latency histograms and admission counters riding the standard trace
+//! trailer. The flight recorder writes its black boxes with the same
+//! record-line writer ([`Record::write_line`](qlb_obs::recorder::Record::write_line)).
 
 #![warn(missing_docs)]
 

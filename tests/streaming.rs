@@ -93,9 +93,8 @@ fn stream_run(
     state: State,
     proto: &dyn qoslb::core::Protocol,
     cfg: RunConfig,
-    flush_every: u64,
 ) -> String {
-    let mut sink = StreamSink::with_flush_every(Vec::new(), flush_every);
+    let mut sink = StreamSink::new(Vec::new());
     run_observed(inst, state, proto, cfg, &mut sink);
     let bytes = sink.finish().expect("in-memory writer cannot fail");
     String::from_utf8(bytes).expect("trace is UTF-8")
@@ -108,14 +107,11 @@ proptest! {
     /// a `StreamSink` emits incrementally during the run is byte-for-byte
     /// identical to the post-hoc `Recorder::to_jsonl()` dump of the same
     /// seeded run (modulo the wall-clock phase timings, which are genuine
-    /// clock readings and differ across the two runs) — regardless of the
-    /// flush cadence, which only controls when bytes reach the writer,
-    /// never what they are.
+    /// clock readings and differ across the two runs).
     #[test]
     fn streamed_trace_matches_recorder_dump_bytes(
         (inst, state, seed) in small_instance(),
         budget in 1u64..200,
-        flush_every in 1u64..32,
     ) {
         for proto in qoslb::core::protocol::registry(&inst) {
             // dense sequential, and pooled with the profiling records on:
@@ -133,8 +129,7 @@ proptest! {
                 run_observed(&inst, state.clone(), proto.as_ref(), cfg, &mut rec);
                 let dump = rec.to_jsonl();
 
-                let streamed =
-                    stream_run(&inst, state.clone(), proto.as_ref(), cfg, flush_every);
+                let streamed = stream_run(&inst, state.clone(), proto.as_ref(), cfg);
                 prop_assert_eq!(
                     normalize_timings(&streamed),
                     normalize_timings(&dump),
@@ -181,7 +176,7 @@ proptest! {
         let cfg = RunConfig::new(seed, budget)
             .with_executor(Executor::Threaded(2))
             .with_topk_resources(2);
-        let full = stream_run(&inst, state, &SlackDamped::default(), cfg, 1);
+        let full = stream_run(&inst, state, &SlackDamped::default(), cfg);
 
         // chop `cut_back` bytes off the end, then make sure the cut is
         // mid-record (no trailing newline) — otherwise it is just a clean
@@ -270,7 +265,6 @@ proptest! {
         (inst, state, seed) in small_instance(),
         budget in 1u64..60,
         count in 1u64..40,
-        flush_every in 1u64..8,
     ) {
         let cfg = RunConfig::new(seed, budget);
         let proto = SlackDamped::default();
@@ -285,7 +279,7 @@ proptest! {
         }
         let dump = rec.to_jsonl();
 
-        let mut sink = StreamSink::with_flush_every(Vec::new(), flush_every);
+        let mut sink = StreamSink::new(Vec::new());
         run_observed(&inst, state.clone(), &proto, cfg, &mut sink);
         for s in &snaps {
             sink.stats_snapshot(s);
