@@ -3,27 +3,31 @@
 //! Dense round execution walks all `n` users even when only a handful are
 //! still unsatisfied, so the endgame of a run — the long tail where the last
 //! few users hunt for room — costs `O(n)` per round. [`ActiveIndex`] makes
-//! that tail `O(active)`: it keeps
+//! that tail `O(active)`: it keeps, on flat arrays only,
 //!
-//! * per-resource **occupant lists** (who is on each resource), and
-//! * the **unsatisfied set** as a swap-remove dense set with a position
-//!   index (O(1) insert, remove, and membership; O(active) iteration).
+//! * per-resource **occupant lists** as intrusive doubly-linked lists
+//!   (`head[r]`, `next[u]`, `prev[u]`), and
+//! * the **unsatisfied set** as a two-level bitset in user order: one bit
+//!   per user, one summary bit per nonzero 64-bit word, and a count.
 //!
-//! Both are maintained under a batch of [`Move`]s in time proportional to
-//! the occupancy of the *touched* resources only: a migration changes two
-//! congestion values, and a user's satisfaction depends solely on its own
-//! resource's congestion, so only occupants of a touched resource can flip.
+//! Both are maintained under a batch of [`Move`]s by the **recheck rule**:
+//! a user's satisfaction depends solely on its own resource's load and its
+//! class threshold, so a user who stayed put can flip only on a resource
+//! whose load crossed some class's threshold during the batch. Each touched
+//! resource's load is recorded at first touch; its occupants are rechecked
+//! only if `satisfies(k, r, old) != satisfies(k, r, new)` for some class
+//! `k`, and every mover is then rechecked on its own.
 //!
-//! Iteration order of the raw set is arbitrary (swap-remove scrambles it);
-//! [`ActiveIndex::sorted_active_into`] produces user order, which is what
-//! the sparse executor uses to stay bit-identical to the dense one.
+//! [`ActiveIndex::active`] and [`ActiveIndex::sorted_active_into`] produce
+//! user order by an ordered bit scan, which is what the sparse executor
+//! uses to stay bit-identical to the dense one.
 
-use crate::ids::{ResourceId, UserId};
+use crate::ids::{ClassId, ResourceId, UserId};
 use crate::instance::{Demands, Instance};
 use crate::state::{Move, State};
 
-/// Sentinel for "not in the unsatisfied set".
-const NOT_ACTIVE: u32 = u32::MAX;
+/// End of an occupant list.
+const NIL: u32 = u32::MAX;
 
 /// Occupant lists plus the unsatisfied set, kept in sync with a [`State`]
 /// through [`ActiveIndex::apply_moves`]. Works for unit and weighted
@@ -31,154 +35,139 @@ const NOT_ACTIVE: u32 = u32::MAX;
 /// the user's resource's load alone.
 #[derive(Debug, Clone)]
 pub struct ActiveIndex {
-    /// `occupants[r]` = users currently assigned to resource `r`.
-    occupants: Vec<Vec<UserId>>,
-    /// `pos_in_resource[u]` = index of `u` within its resource's occupant
-    /// list.
-    pos_in_resource: Vec<u32>,
-    /// The unsatisfied users, in arbitrary order.
-    unsat: Vec<UserId>,
-    /// `unsat_pos[u]` = index of `u` in `unsat`, or [`NOT_ACTIVE`].
-    unsat_pos: Vec<u32>,
-    /// Generation stamps marking resources touched by the current batch.
-    touched_stamp: Vec<u64>,
-    /// Scratch list of resources touched by the current batch.
-    touched: Vec<ResourceId>,
-    /// Current generation for `touched_stamp`.
-    generation: u64,
+    /// `head[r]` = first occupant of resource `r`, or [`NIL`].
+    head: Vec<u32>,
+    /// `next[u]` = the occupant after `u` on its resource, or [`NIL`].
+    next: Vec<u32>,
+    /// `prev[u]` = the occupant before `u` on its resource, or [`NIL`].
+    prev: Vec<u32>,
+    /// Bit `u % 64` of word `u / 64` is set iff `u` is unsatisfied.
+    bits: Vec<u64>,
+    /// Bit `w % 64` of word `w / 64` is set iff `bits[w] != 0`.
+    summary: Vec<u64>,
+    /// Number of set bits in `bits`.
+    count: usize,
+    /// `is_touched[r]` iff `r` is in `touched`.
+    is_touched: Vec<bool>,
+    /// Resources touched by the current batch, with their load at first
+    /// touch (the load before the batch).
+    touched: Vec<(ResourceId, u32)>,
 }
 
 impl ActiveIndex {
-    /// Build the index for `state` in `O(n + m)`.
+    /// Build the index for `state` in `O(n + m)`, with no per-resource
+    /// allocation.
     pub fn new<I: Demands>(inst: &I, state: &State) -> Self {
         let n = state.num_users();
         let m = inst.instance().num_resources();
-        // pre-size each occupant list from the load vector: one exact
-        // allocation per non-empty resource instead of repeated growth
-        // (the growth path costs ~5× on states spread over many resources).
-        // A weighted load counts demand, not occupants, so it would
-        // over-allocate; weighted lists grow instead.
-        let mut occupants: Vec<Vec<UserId>> = if I::UNIT {
-            state
-                .loads()
-                .iter()
-                .map(|&l| Vec::with_capacity(l as usize))
-                .collect()
-        } else {
-            vec![Vec::new(); m]
-        };
-        debug_assert_eq!(occupants.len(), m);
-        let mut pos_in_resource = vec![0u32; n];
-        for (idx, &r) in state.assignment().iter().enumerate() {
-            let list = &mut occupants[r.index()];
-            pos_in_resource[idx] = list.len() as u32;
-            list.push(UserId(idx as u32));
+        let mut head = vec![NIL; m];
+        let mut next = vec![NIL; n];
+        let mut prev = vec![NIL; n];
+        // pushing at the front in reverse user order leaves every list in
+        // user order
+        for (u, &r) in state.assignment().iter().enumerate().rev() {
+            let h = head[r.index()];
+            next[u] = h;
+            if h != NIL {
+                prev[h as usize] = u as u32;
+            }
+            head[r.index()] = u as u32;
         }
-        let mut unsat = Vec::new();
-        let mut unsat_pos = vec![NOT_ACTIVE; n];
-        for u in inst.instance().users() {
-            if !state.is_satisfied(inst, u) {
-                unsat_pos[u.index()] = unsat.len() as u32;
-                unsat.push(u);
+        // one word at a time, so each word is stored once
+        let mut bits = vec![0u64; n.div_ceil(64)];
+        for (w, word) in bits.iter_mut().enumerate() {
+            let lo = w * 64;
+            for u in lo..(lo + 64).min(n) {
+                if !state.is_satisfied(inst, UserId(u as u32)) {
+                    *word |= 1 << (u - lo);
+                }
             }
         }
+        let mut summary = vec![0u64; bits.len().div_ceil(64)];
+        for (w, &word) in bits.iter().enumerate() {
+            if word != 0 {
+                summary[w / 64] |= 1 << (w % 64);
+            }
+        }
+        let count = bits.iter().map(|w| w.count_ones() as usize).sum();
         Self {
-            occupants,
-            pos_in_resource,
-            unsat,
-            unsat_pos,
-            touched_stamp: vec![0; m],
+            head,
+            next,
+            prev,
+            bits,
+            summary,
+            count,
+            is_touched: vec![false; m],
             touched: Vec::new(),
-            generation: 0,
         }
     }
 
     /// Number of currently unsatisfied users.
     #[inline]
     pub fn num_active(&self) -> usize {
-        self.unsat.len()
+        self.count
     }
 
     /// True iff every user is satisfied — equivalent to
     /// [`State::is_legal`] on the synchronized state, in O(1).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.unsat.is_empty()
+        self.count == 0
     }
 
     /// Is `u` currently unsatisfied?
     #[inline]
     pub fn contains(&self, u: UserId) -> bool {
-        self.unsat_pos[u.index()] != NOT_ACTIVE
+        self.bits[u.index() / 64] & (1 << (u.index() % 64)) != 0
     }
 
-    /// The unsatisfied users in **arbitrary** order (O(active) to iterate).
-    #[inline]
-    pub fn active(&self) -> &[UserId] {
-        &self.unsat
+    /// The unsatisfied users in increasing user order, in
+    /// `O(n / 4096 + active)`.
+    pub fn active(&self) -> impl Iterator<Item = UserId> + '_ {
+        ones(&self.summary)
+            .flat_map(|w| Ones::at(self.bits[w], w))
+            .map(|u| UserId(u as u32))
     }
 
-    /// Users currently on resource `r`.
-    #[inline]
-    pub fn occupants(&self, r: ResourceId) -> &[UserId] {
-        &self.occupants[r.index()]
+    /// Users currently on resource `r`, in `O(occupancy)`. The order is
+    /// user order after [`ActiveIndex::new`] and arbitrary once users move.
+    pub fn occupants(&self, r: ResourceId) -> impl Iterator<Item = UserId> + '_ {
+        let mut u = self.head[r.index()];
+        std::iter::from_fn(move || {
+            (u != NIL).then(|| {
+                let cur = u;
+                u = self.next[cur as usize];
+                UserId(cur)
+            })
+        })
     }
 
-    /// Fill `buf` with the unsatisfied users in increasing user order.
-    ///
-    /// Small active sets are copied and sorted — `O(active · log active)`,
-    /// proportional to the active set, never to `n`. When the active set is
-    /// a sizeable fraction of `n` (early rounds of a crowded run) an ordered
-    /// `O(n)` membership sweep over the position index is cheaper than the
-    /// sort, so the method switches over; the produced order is identical.
+    /// Fill `buf` with the unsatisfied users in increasing user order —
+    /// the collected form of [`ActiveIndex::active`].
     pub fn sorted_active_into(&self, buf: &mut Vec<UserId>) {
         buf.clear();
-        let active = self.unsat.len();
-        // crossover: sort ~ active·log₂(active) vs sweep ~ n reads
-        let sweep_cheaper = active
-            .checked_mul(usize::BITS as usize - active.leading_zeros() as usize)
-            .is_none_or(|sort_work| sort_work / 4 > self.unsat_pos.len());
-        if sweep_cheaper {
-            buf.extend(
-                self.unsat_pos
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &p)| p != NOT_ACTIVE)
-                    .map(|(u, _)| UserId(u as u32)),
-            );
-        } else {
-            buf.extend_from_slice(&self.unsat);
-            buf.sort_unstable();
-        }
+        buf.reserve(self.count);
+        buf.extend(self.active());
     }
 
     /// Apply a batch of migrations to `state` and bring the index up to
-    /// date, in time `O(batch + Σ occupancy of touched resources)`.
+    /// date, in time `O(batch + Σ occupancy of resources whose load
+    /// crossed a class threshold)`.
     ///
     /// The batch must have been decided against the current `state`
     /// (synchronous-round semantics), exactly as for [`State::apply_moves`].
     pub fn apply_moves<I: Demands>(&mut self, inst: &I, state: &mut State, moves: &[Move]) {
-        state.apply_moves(inst, moves);
-
-        self.generation += 1;
-        debug_assert!(self.touched.is_empty());
         for mv in moves {
+            self.touch(mv.from, state.load(mv.from));
+            self.touch(mv.to, state.load(mv.to));
             self.relocate(mv.user, mv.from, mv.to);
-            self.touch(mv.from);
-            self.touch(mv.to);
         }
-
-        // Only occupants of resources whose congestion changed can flip
-        // satisfaction; recheck exactly those.
-        let touched = std::mem::take(&mut self.touched);
-        for &r in &touched {
-            for i in 0..self.occupants[r.index()].len() {
-                let u = self.occupants[r.index()][i];
-                self.set_active(u, !state.is_satisfied(inst, u));
-            }
+        state.apply_moves(inst, moves);
+        self.recheck_crossed(inst, state, None);
+        for mv in moves {
+            self.set_active(mv.user, !state.is_satisfied(inst, mv.user));
         }
-        self.touched = touched;
-        self.touched.clear();
+        self.debug_assert_synced(inst, state);
     }
 
     /// Apply a batch of **driver-side reassignments** (churn: arrivals,
@@ -187,14 +176,14 @@ impl ActiveIndex {
     /// Unlike [`ActiveIndex::apply_moves`], the changes need not reference
     /// start-of-round positions — each entry `(u, to)` re-homes `u` from
     /// wherever it currently is. Cost is `O(batch + Σ occupancy of touched
-    /// non-exempt resources)`.
+    /// non-exempt resources whose load crossed a class threshold)`.
     ///
     /// `exempt` marks a resource whose occupants' satisfaction can never
     /// change (an effectively infinite-capacity *parking* resource, as used
     /// by the open-system driver): its occupant list — typically the bulk
-    /// of the user population — is skipped during the recheck. The moved
-    /// users themselves are always rechecked individually, so a user parked
-    /// by this batch leaves the unsatisfied set correctly.
+    /// of the user population — is never rechecked. The moved users
+    /// themselves are always rechecked individually, so a user parked by
+    /// this batch leaves the unsatisfied set correctly.
     pub fn apply_reassignments(
         &mut self,
         inst: &Instance,
@@ -202,79 +191,156 @@ impl ActiveIndex {
         changes: &[(UserId, ResourceId)],
         exempt: Option<ResourceId>,
     ) {
-        self.generation += 1;
-        debug_assert!(self.touched.is_empty());
         for &(u, to) in changes {
             let from = state.resource_of(u);
             if from == to {
                 continue;
             }
+            self.touch(from, state.load(from));
+            self.touch(to, state.load(to));
             state.reassign(u, to);
             self.relocate(u, from, to);
-            self.touch(from);
-            self.touch(to);
         }
+        self.recheck_crossed(inst, state, exempt);
+        for &(u, _) in changes {
+            self.set_active(u, !state.is_satisfied(inst, u));
+        }
+        self.debug_assert_synced(inst, state);
+    }
 
+    /// Recheck the occupants of every touched resource but `exempt` whose
+    /// load crossed a class threshold, and clear the touched set.
+    // `#[inline]` here and on the helpers below: the generic
+    // `apply_moves` calling them is instantiated in the caller's crate,
+    // where a non-inline private helper stays an opaque call
+    #[inline]
+    fn recheck_crossed<I: Demands>(&mut self, inst: &I, state: &State, exempt: Option<ResourceId>) {
+        let base = inst.instance();
         let touched = std::mem::take(&mut self.touched);
-        for &r in &touched {
-            if Some(r) == exempt {
-                continue;
-            }
-            for i in 0..self.occupants[r.index()].len() {
-                let u = self.occupants[r.index()][i];
-                self.set_active(u, !state.is_satisfied(inst, u));
+        for &(r, old) in &touched {
+            self.is_touched[r.index()] = false;
+            let new = state.load(r);
+            if Some(r) != exempt && crosses_threshold(base, r, old, new) {
+                self.recheck_occupants(base, r, new);
             }
         }
         self.touched = touched;
         self.touched.clear();
-        // users that landed on the exempt resource were skipped above
-        for &(u, _) in changes {
-            self.set_active(u, !state.is_satisfied(inst, u));
+    }
+
+    /// Recheck every occupant of `r` at its current `load`.
+    #[inline]
+    fn recheck_occupants(&mut self, inst: &Instance, r: ResourceId, load: u32) {
+        let mut u = self.head[r.index()];
+        while u != NIL {
+            let k = inst.class_of(UserId(u));
+            self.set_active(UserId(u), !inst.satisfies(k, r, load));
+            u = self.next[u as usize];
         }
     }
 
-    /// Move `u`'s occupancy record from `from` to `to`.
-    // `#[inline]` here and on `touch`/`set_active`: the generic
-    // `apply_moves` calling them per move is instantiated in the caller's
-    // crate, where a non-inline private helper stays an opaque call
+    /// Move `u` from `from`'s occupant list to the front of `to`'s.
     #[inline]
     fn relocate(&mut self, u: UserId, from: ResourceId, to: ResourceId) {
-        let p = self.pos_in_resource[u.index()] as usize;
-        let list = &mut self.occupants[from.index()];
-        debug_assert_eq!(list[p], u, "occupant index out of sync");
-        list.swap_remove(p);
-        if let Some(&moved) = list.get(p) {
-            self.pos_in_resource[moved.index()] = p as u32;
+        let i = u.index();
+        let (p, nx) = (self.prev[i], self.next[i]);
+        if p == NIL {
+            debug_assert_eq!(self.head[from.index()], u.0, "occupant list out of sync");
+            self.head[from.index()] = nx;
+        } else {
+            self.next[p as usize] = nx;
         }
-        let dest = &mut self.occupants[to.index()];
-        self.pos_in_resource[u.index()] = dest.len() as u32;
-        dest.push(u);
+        if nx != NIL {
+            self.prev[nx as usize] = p;
+        }
+        let h = self.head[to.index()];
+        self.next[i] = h;
+        self.prev[i] = NIL;
+        if h != NIL {
+            self.prev[h as usize] = u.0;
+        }
+        self.head[to.index()] = u.0;
     }
 
-    /// Mark `r` touched once per batch.
+    /// Record `r`, at its current `load`, as touched — once per batch.
     #[inline]
-    fn touch(&mut self, r: ResourceId) {
-        if self.touched_stamp[r.index()] != self.generation {
-            self.touched_stamp[r.index()] = self.generation;
-            self.touched.push(r);
+    fn touch(&mut self, r: ResourceId, load: u32) {
+        if !self.is_touched[r.index()] {
+            self.is_touched[r.index()] = true;
+            self.touched.push((r, load));
         }
     }
 
     /// Insert into / remove from the unsatisfied set in O(1).
     #[inline]
     fn set_active(&mut self, u: UserId, active: bool) {
-        let p = self.unsat_pos[u.index()];
+        let w = u.index() / 64;
+        let bit = 1u64 << (u.index() % 64);
+        let old = self.bits[w];
+        if (old & bit != 0) == active {
+            return;
+        }
+        let new = old ^ bit;
+        self.bits[w] = new;
+        let summary_bit = 1u64 << (w % 64);
         if active {
-            if p == NOT_ACTIVE {
-                self.unsat_pos[u.index()] = self.unsat.len() as u32;
-                self.unsat.push(u);
+            self.count += 1;
+            self.summary[w / 64] |= summary_bit;
+        } else {
+            self.count -= 1;
+            if new == 0 {
+                self.summary[w / 64] &= !summary_bit;
             }
-        } else if p != NOT_ACTIVE {
-            self.unsat.swap_remove(p as usize);
-            if let Some(&moved) = self.unsat.get(p as usize) {
-                self.unsat_pos[moved.index()] = p;
+        }
+    }
+
+    /// In debug builds, recount the unsatisfied set from scratch in `O(n)`
+    /// and panic on any divergence — the recheck rule's self-check, in the
+    /// style of [`State::debug_assert_invariants`].
+    #[inline]
+    fn debug_assert_synced<I: Demands>(&self, inst: &I, state: &State) {
+        #[cfg(debug_assertions)]
+        self.assert_unsat_synced(inst, state);
+        #[cfg(not(debug_assertions))]
+        let _ = (inst, state);
+    }
+
+    /// The unsatisfied set, its summary level and its count all match a
+    /// fresh recomputation, in `O(n)`. The test is [`Instance::satisfies`]
+    /// written out over flat slices: it runs after every batch in debug
+    /// builds, where the calls would not be inlined.
+    fn assert_unsat_synced<I: Demands>(&self, inst: &I, state: &State) {
+        let base = inst.instance();
+        let (assignment, loads) = (state.assignment(), state.loads());
+        let (caps, m) = (base.eff_cap_table(), loads.len());
+        let single = base.num_classes() == 1;
+        let mut bits = vec![0u64; self.bits.len()];
+        let mut u = 0;
+        while u < assignment.len() {
+            let r = assignment[u].0 as usize;
+            let k = if single {
+                0
+            } else {
+                base.class_of(UserId(u as u32)).0 as usize
+            };
+            let c = caps[k * m + r];
+            if !(c > 0 && loads[r] <= c) {
+                bits[u / 64] |= 1 << (u % 64);
             }
-            self.unsat_pos[u.index()] = NOT_ACTIVE;
+            u += 1;
+        }
+        if let Some(w) = (0..bits.len()).find(|&w| bits[w] != self.bits[w]) {
+            let u = w * 64 + (bits[w] ^ self.bits[w]).trailing_zeros() as usize;
+            panic!("unsatisfied set out of sync at u{u}");
+        }
+        let count: u32 = bits.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(self.count, count as usize, "unsatisfied count stale");
+        for (w, &word) in bits.iter().enumerate() {
+            assert_eq!(
+                self.summary[w / 64] & (1 << (w % 64)) != 0,
+                word != 0,
+                "summary bit of word {w} stale"
+            );
         }
     }
 
@@ -286,54 +352,98 @@ impl ActiveIndex {
     pub fn assert_consistent<I: Demands>(&self, inst: &I, state: &State) {
         // occupant lists partition the users according to the assignment
         let mut seen = vec![false; state.num_users()];
-        for (r, list) in self.occupants.iter().enumerate() {
-            for (i, &u) in list.iter().enumerate() {
+        for r in inst.instance().resource_ids() {
+            let mut weight = 0u32;
+            let mut before = NIL;
+            for u in self.occupants(r) {
                 assert_eq!(
-                    state.resource_of(u).index(),
+                    state.resource_of(u),
                     r,
-                    "occupant list of r{r} holds {u} which is elsewhere"
+                    "occupant list of {r} holds {u} which is elsewhere"
                 );
-                assert_eq!(
-                    self.pos_in_resource[u.index()] as usize,
-                    i,
-                    "position index of {u} out of sync"
-                );
+                assert_eq!(self.prev[u.index()], before, "back link of {u} out of sync");
                 assert!(!seen[u.index()], "{u} occupies two lists");
                 seen[u.index()] = true;
+                weight += inst.weight(u);
+                before = u.0;
             }
             assert_eq!(
-                list.iter().map(|&u| inst.weight(u)).sum::<u32>(),
-                state.load(ResourceId(r as u32)),
-                "occupancy of r{r} disagrees with load"
+                weight,
+                state.load(r),
+                "occupancy of {r} disagrees with load"
             );
         }
         assert!(seen.iter().all(|&s| s), "occupant lists miss a user");
+        assert!(self.touched.is_empty(), "touched set left over");
+        self.assert_unsat_synced(inst, state);
+    }
+}
 
-        // unsatisfied set matches a fresh recomputation
-        let mut expected = state.unsatisfied(inst);
-        let mut got: Vec<UserId> = self.unsat.clone();
-        got.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(got, expected, "unsatisfied set out of sync");
-        for u in inst.instance().users() {
-            let p = self.unsat_pos[u.index()];
-            if p == NOT_ACTIVE {
-                assert!(!self.unsat.contains(&u));
-            } else {
-                assert_eq!(self.unsat[p as usize], u, "unsat position of {u} stale");
-            }
-        }
+/// Does some class's satisfaction on `r` differ between loads `a` and `b`?
+#[inline]
+fn crosses_threshold(inst: &Instance, r: ResourceId, a: u32, b: u32) -> bool {
+    a != b
+        && (0..inst.num_classes() as u32)
+            .any(|k| inst.satisfies(ClassId(k), r, a) != inst.satisfies(ClassId(k), r, b))
+}
+
+/// Indices of the set bits of `words`, in increasing order.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words
+        .iter()
+        .enumerate()
+        .flat_map(|(w, &word)| Ones::at(word, w))
+}
+
+/// The set bits of one word, as indices `64 · w + bit`.
+struct Ones {
+    word: u64,
+    base: usize,
+}
+
+impl Ones {
+    #[inline]
+    fn at(word: u64, w: usize) -> Self {
+        Self { word, base: w * 64 }
+    }
+}
+
+impl Iterator for Ones {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        (self.word != 0).then(|| {
+            let bit = self.word.trailing_zeros() as usize;
+            self.word &= self.word - 1;
+            self.base + bit
+        })
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let k = self.word.count_ones() as usize;
+        (k, Some(k))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::InstanceBuilder;
 
     fn inst_state() -> (Instance, State) {
         let inst = Instance::uniform(8, 4, 3).unwrap();
         let state = State::all_on(&inst, ResourceId(0));
         (inst, state)
+    }
+
+    fn mv(user: u32, from: u32, to: u32) -> Move {
+        Move {
+            user: UserId(user),
+            from: ResourceId(from),
+            to: ResourceId(to),
+        }
     }
 
     #[test]
@@ -355,18 +465,12 @@ mod tests {
         let (inst, mut state) = inst_state();
         let mut idx = ActiveIndex::new(&inst, &state);
         // move users 0..=2 off the hotspot; r1 ends at load 3 = cap
-        let moves: Vec<Move> = (0..3)
-            .map(|u| Move {
-                user: UserId(u),
-                from: ResourceId(0),
-                to: ResourceId(1),
-            })
-            .collect();
+        let moves: Vec<Move> = (0..3).map(|u| mv(u, 0, 1)).collect();
         idx.apply_moves(&inst, &mut state, &moves);
         idx.assert_consistent(&inst, &state);
         assert!(!idx.contains(UserId(0)), "mover landed within capacity");
         assert!(idx.contains(UserId(3)), "hotspot still overloaded");
-        assert_eq!(idx.occupants(ResourceId(1)).len(), 3);
+        assert_eq!(idx.occupants(ResourceId(1)).count(), 3);
     }
 
     #[test]
@@ -374,13 +478,7 @@ mod tests {
         let (inst, mut state) = inst_state();
         let mut idx = ActiveIndex::new(&inst, &state);
         // spread to loads [2, 2, 2, 2]: legal, set drains to empty
-        let moves: Vec<Move> = (2..8)
-            .map(|u| Move {
-                user: UserId(u),
-                from: ResourceId(0),
-                to: ResourceId(1 + ((u - 2) / 2)),
-            })
-            .collect();
+        let moves: Vec<Move> = (2..8).map(|u| mv(u, 0, 1 + (u - 2) / 2)).collect();
         idx.apply_moves(&inst, &mut state, &moves);
         idx.assert_consistent(&inst, &state);
         assert!(state.is_legal(&inst));
@@ -392,37 +490,123 @@ mod tests {
     fn sorted_iteration_is_user_order() {
         let (inst, mut state) = inst_state();
         let mut idx = ActiveIndex::new(&inst, &state);
-        // churn the set so the raw order scrambles
-        let moves: Vec<Move> = [5u32, 7, 1]
-            .iter()
-            .map(|&u| Move {
-                user: UserId(u),
-                from: ResourceId(0),
-                to: ResourceId(2),
-            })
-            .collect();
+        let moves: Vec<Move> = [5u32, 7, 1].iter().map(|&u| mv(u, 0, 2)).collect();
         idx.apply_moves(&inst, &mut state, &moves);
         let mut buf = Vec::new();
         idx.sorted_active_into(&mut buf);
-        let mut expected = buf.clone();
-        expected.sort_unstable();
-        assert_eq!(buf, expected);
         assert_eq!(buf, state.unsatisfied(&inst));
+        assert_eq!(idx.active().collect::<Vec<_>>(), buf);
         assert!(!buf.is_empty());
     }
 
     #[test]
-    fn sorted_iteration_sweep_path_matches() {
-        // 32 users all active: big enough that the ordered membership sweep
-        // kicks in instead of the copy-and-sort path
-        let inst = Instance::uniform(32, 16, 3).unwrap();
-        let state = State::all_on(&inst, ResourceId(0));
-        let idx = ActiveIndex::new(&inst, &state);
-        assert_eq!(idx.num_active(), 32);
-        let mut buf = Vec::new();
-        idx.sorted_active_into(&mut buf);
-        assert_eq!(buf, state.unsatisfied(&inst));
-        assert_eq!(buf, inst.users().collect::<Vec<_>>());
+    fn ordered_scan_crosses_words_and_summary_words() {
+        // 9000 users span 141 bit words and 3 summary words; the scan
+        // must visit exactly the unsatisfied users, in order, across
+        // word boundaries and summary words that go empty; r1 has cap 0,
+        // so whoever moves there is unsatisfied
+        let inst = Instance::with_capacities(9000, vec![9000, 0]).unwrap();
+        let mut state = State::all_on(&inst, ResourceId(0));
+        let mut idx = ActiveIndex::new(&inst, &state);
+        assert!(idx.is_empty());
+        let picks = [0u32, 63, 64, 4095, 4096, 4160, 8999];
+        let moves: Vec<Move> = picks.iter().map(|&u| mv(u, 0, 1)).collect();
+        idx.apply_moves(&inst, &mut state, &moves);
+        idx.assert_consistent(&inst, &state);
+        let got: Vec<u32> = idx.active().map(|u| u.0).collect();
+        assert_eq!(got, picks);
+        // drain the middle summary word back to empty
+        let back: Vec<Move> = [4096u32, 4160].iter().map(|&u| mv(u, 1, 0)).collect();
+        idx.apply_moves(&inst, &mut state, &back);
+        idx.assert_consistent(&inst, &state);
+        let got: Vec<u32> = idx.active().map(|u| u.0).collect();
+        assert_eq!(got, [0, 63, 64, 4095, 8999]);
+    }
+
+    #[test]
+    fn mover_without_threshold_crossing_leaves_and_joins() {
+        // cap 3 everywhere; r0 holds 5 (over), r1 holds 1 (under)
+        let inst = Instance::uniform(6, 2, 3).unwrap();
+        let r = |i| ResourceId(i);
+        let mut state = State::new(&inst, vec![r(0), r(0), r(0), r(0), r(0), r(1)]).unwrap();
+        let mut idx = ActiveIndex::new(&inst, &state);
+        assert_eq!(idx.num_active(), 5);
+        // r0 5 → 4 stays over cap, r1 1 → 2 stays under: no threshold is
+        // crossed, so only the mover recheck can drop user 0
+        idx.apply_moves(&inst, &mut state, &[mv(0, 0, 1)]);
+        assert!(!idx.contains(UserId(0)), "mover must leave the set");
+        assert_eq!(idx.num_active(), 4);
+        idx.assert_consistent(&inst, &state);
+        // r1 2 → 1 stays under, r0 4 → 5 stays over: the mover joins
+        idx.apply_moves(&inst, &mut state, &[mv(5, 1, 0)]);
+        assert!(idx.contains(UserId(5)), "mover must join the set");
+        assert_eq!(idx.num_active(), 5);
+        idx.assert_consistent(&inst, &state);
+    }
+
+    #[test]
+    fn only_the_strict_threshold_crossed() {
+        // lenient classes 0 and 2 (cap 4) around strict class 1 (cap 2),
+        // so a check of either end class alone misses the crossing; users
+        // 0–3 and 6 are lenient, users 4–5 strict
+        let inst = InstanceBuilder::new()
+            .speeds(vec![4.0, 4.0, 4.0])
+            .latency_class(1.0, 4)
+            .latency_class(0.5, 2)
+            .latency_class(1.0, 1)
+            .build()
+            .unwrap();
+        assert_eq!(inst.cap(ClassId(0), ResourceId(0)), 4);
+        assert_eq!(inst.cap(ClassId(1), ResourceId(0)), 2);
+        let r = |i| ResourceId(i);
+        // r0: lenient 0, strict 4 (load 2, both fine); r1: lenient 1–3 and
+        // strict 5 (load 4, only 5 over its cap); r2: lenient 6
+        let mut state = State::new(&inst, vec![r(0), r(1), r(1), r(1), r(0), r(1), r(2)]).unwrap();
+        let mut idx = ActiveIndex::new(&inst, &state);
+        assert_eq!(idx.active().collect::<Vec<_>>(), [UserId(5)]);
+        // lenient user 1 joins r0: 2 → 3 crosses the strict cap only, so
+        // staying strict user 4 must be rechecked and join the set
+        idx.apply_moves(&inst, &mut state, &[mv(1, 1, 0)]);
+        assert!(idx.contains(UserId(4)), "strict stayer over its cap");
+        assert!(!idx.contains(UserId(1)), "lenient mover within its cap");
+        idx.assert_consistent(&inst, &state);
+        // and back: 3 → 2 frees user 4 again
+        idx.apply_moves(&inst, &mut state, &[mv(0, 0, 2)]);
+        assert!(!idx.contains(UserId(4)), "strict stayer back within cap");
+        idx.assert_consistent(&inst, &state);
+    }
+
+    #[test]
+    fn load_that_leaves_and_returns_rechecks_only_movers() {
+        // cap 3 everywhere; r0 over at load 4, r1 and r2 under
+        let inst = Instance::uniform(7, 3, 3).unwrap();
+        let r = |i| ResourceId(i);
+        let mut state = State::new(&inst, vec![r(0), r(0), r(0), r(0), r(1), r(2), r(2)]).unwrap();
+        let mut idx = ActiveIndex::new(&inst, &state);
+        assert_eq!(idx.num_active(), 4);
+        // one user leaves r0 and one arrives: r0 ends where it started, so
+        // its stayers keep their state; the arriving user must join
+        idx.apply_moves(&inst, &mut state, &[mv(0, 0, 1), mv(5, 2, 0)]);
+        assert_eq!(state.load(r(0)), 4);
+        assert!(idx.contains(UserId(5)), "arrival on an overloaded resource");
+        assert!(
+            !idx.contains(UserId(0)),
+            "departure to a resource with room"
+        );
+        assert_eq!(idx.num_active(), 4);
+        idx.assert_consistent(&inst, &state);
+
+        // the same shape through reassignments, with r0 visiting load 3
+        // (within cap) mid-batch before returning to 4
+        let batch = [(UserId(1), r(2)), (UserId(0), r(0))];
+        idx.apply_reassignments(&inst, &mut state, &batch, None);
+        assert_eq!(state.load(r(0)), 4);
+        assert!(idx.contains(UserId(0)), "arrival on an overloaded resource");
+        assert!(
+            !idx.contains(UserId(1)),
+            "departure to a resource with room"
+        );
+        idx.assert_consistent(&inst, &state);
     }
 
     #[test]
@@ -465,7 +649,6 @@ mod tests {
 
     #[test]
     fn multi_class_satisfaction_tracked_per_class() {
-        use crate::instance::InstanceBuilder;
         // strict cap 2, lenient cap 4 on both channels
         let inst = InstanceBuilder::new()
             .speeds(vec![4.0, 4.0])
@@ -488,18 +671,10 @@ mod tests {
         let mut idx = ActiveIndex::new(&inst, &state);
         idx.assert_consistent(&inst, &state);
         // load 3 on r0 > strict cap 2, ≤ lenient cap 4: only user 0 active
-        assert_eq!(idx.active(), &[UserId(0)]);
+        assert_eq!(idx.active().collect::<Vec<_>>(), [UserId(0)]);
         // a lenient user joining r0 pushes load to 4: strict still the only
         // unsatisfied one (lenient cap is 4)
-        idx.apply_moves(
-            &inst,
-            &mut state,
-            &[Move {
-                user: UserId(3),
-                from: ResourceId(1),
-                to: ResourceId(0),
-            }],
-        );
+        idx.apply_moves(&inst, &mut state, &[mv(3, 1, 0)]);
         idx.assert_consistent(&inst, &state);
         assert_eq!(idx.num_active(), 1);
     }

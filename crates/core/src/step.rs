@@ -152,11 +152,11 @@ pub fn decide_round<I: Demands, P: Protocol + ?Sized>(
 /// consuming any randomness, so skipping them entirely changes nothing.
 /// Class gating ([`Protocol::is_active`]) is applied *inside*
 /// [`decide_user`], after the satisfaction check, so gated protocols remain
-/// sound here. Cost is `O(active · log active)` for the ordered walk plus
-/// the per-user kernel work, independent of `n`.
+/// sound here. Cost is `O(n / 4096 + active)` for the ordered bit scan of
+/// the active set plus the per-user kernel work.
 ///
 /// `active` must be in sync with `state` (see [`ActiveIndex::apply_moves`]);
-/// `scratch` is a reusable buffer for the sorted active set.
+/// `scratch` is a reusable buffer for the ordered active set.
 ///
 /// # Panics
 /// Debug builds panic if the protocol opts into acting while satisfied —

@@ -395,18 +395,22 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
                         size: moves.len() as u64,
                     });
                 }
-                timed(sink, Phase::Apply, || state.apply_moves(inst, moves));
                 // batch size tracks the active count for the damped
-                // kernels; once it shrinks, the index starts paying off
-                if sparse && moves.len() * 8 < n {
-                    active = Some(ActiveIndex::new(inst, &state));
-                    if S::ENABLED {
-                        sink.add(Counter::ExecutorSwitches, 1);
-                        sink.event(Event::ExecutorSwitch {
-                            round: rounds + 1,
-                            sparse: true,
-                        });
+                // kernels; once it shrinks, the index starts paying off.
+                // Its build is part of the switching round's apply.
+                let switch = sparse && moves.len() * 8 < n;
+                timed(sink, Phase::Apply, || {
+                    state.apply_moves(inst, moves);
+                    if switch {
+                        active = Some(ActiveIndex::new(inst, &state));
                     }
+                });
+                if switch && S::ENABLED {
+                    sink.add(Counter::ExecutorSwitches, 1);
+                    sink.event(Event::ExecutorSwitch {
+                        round: rounds + 1,
+                        sparse: true,
+                    });
                 }
                 moves
             }

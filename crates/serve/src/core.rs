@@ -922,7 +922,7 @@ impl ServeCore {
     pub fn class_unsatisfied_into(&self, out: &mut Vec<u64>) {
         out.clear();
         out.resize(self.inst.num_classes(), 0);
-        for &u in self.index.active() {
+        for u in self.index.active() {
             out[self.inst.class_of(u).index()] += 1;
         }
     }

@@ -37,6 +37,29 @@ fn small_instance() -> impl Strategy<Value = (Instance, State, u64)> {
         })
 }
 
+/// Strategy: a 2–3 class latency instance with distinct effective caps
+/// per class — thresholds drawn from {1, 1/2, 1/4} over speeds ≥ 4, in a
+/// rotated order so the strict class is not always class 0 — and a random
+/// start.
+fn multi_class_instance() -> impl Strategy<Value = (Instance, State, u64)> {
+    (
+        proptest::collection::vec(1usize..=24, 2..=3), // class sizes
+        proptest::collection::vec(4u32..=16, 1..=8),   // speeds
+        0usize..3,                                     // threshold rotation
+        0u64..=u64::MAX,                               // seed
+    )
+        .prop_map(|(sizes, speeds, rot, seed)| {
+            let mut builder =
+                InstanceBuilder::new().speeds(speeds.iter().map(|&s| s as f64).collect());
+            for (k, &count) in sizes.iter().enumerate() {
+                builder = builder.latency_class([1.0, 0.5, 0.25][(k + rot) % 3], count);
+            }
+            let inst = builder.build().unwrap();
+            let state = State::random(&inst, seed);
+            (inst, state, seed)
+        })
+}
+
 /// Lift a single-class instance into the weighted model: user `i` gets
 /// demand `1 + (i mod weight_max)` and capacities scale by the mean demand
 /// (the `qlb-sim --driver weighted` lift).
@@ -77,6 +100,33 @@ fn check_active_index<I: Demands>(inst: &I, mut state: State, seed: u64, hops: &
         // the O(1) emptiness check always agrees with legality
         prop_assert_eq!(index.is_empty(), state.is_legal(inst));
         prop_assert_eq!(index.num_active(), state.num_unsatisfied(inst));
+    }
+}
+
+/// Drive [`ActiveIndex::apply_reassignments`] with random re-homing
+/// batches over `inst` plus an exempt parking resource, each followed by
+/// one protocol round through `apply_moves` (the open driver's shape),
+/// checking the index against one built from scratch after every batch.
+fn check_reassignments(inst: &Instance, seed: u64, batches: &[Vec<(usize, usize)>]) {
+    let parked = inst.with_parking(&[]).unwrap();
+    let (n, m) = (parked.num_users(), parked.num_resources());
+    let parking = ResourceId((m - 1) as u32);
+    let mut state = State::all_on(&parked, parking);
+    let mut index = ActiveIndex::new(&parked, &state);
+    for (round, batch) in batches.iter().enumerate() {
+        let changes: Vec<(UserId, ResourceId)> = batch
+            .iter()
+            .map(|&(u, r)| (UserId((u % n) as u32), ResourceId((r % m) as u32)))
+            .collect();
+        index.apply_reassignments(&parked, &mut state, &changes, Some(parking));
+        index.assert_consistent(&parked, &state);
+        prop_assert!(index
+            .active()
+            .eq(ActiveIndex::new(&parked, &state).active()));
+
+        let moves = decide_round(&parked, &state, &SlackDamped::default(), seed, round as u64);
+        index.apply_moves(&parked, &mut state, &moves);
+        index.assert_consistent(&parked, &state);
     }
 }
 
@@ -462,15 +512,35 @@ proptest! {
     /// The incrementally-maintained unsatisfied set equals a brute-force
     /// recomputation after arbitrary (valid) move sequences — both
     /// protocol-decided batches and adversarial single reassignments — on
-    /// the unit instance and on its weighted lift (weights 1..=4).
+    /// the unit instance, on its weighted lift (weights 1..=4) and on a
+    /// 2–3 class instance with distinct caps per class.
     #[test]
     fn active_index_matches_brute_force(
         (inst, state, seed) in small_instance(),
+        (minst, mstate, mseed) in multi_class_instance(),
         hops in proptest::collection::vec((0usize..4096, 0usize..4096), 1..24),
     ) {
         let winst = lift_weighted(&inst, 4);
         let wstate = State::new(&winst, state.assignment().to_vec()).unwrap();
         check_active_index(&inst, state, seed, &hops);
         check_active_index(&winst, wstate, seed, &hops);
+        check_active_index(&minst, mstate, mseed, &hops);
+    }
+
+    /// Reassignment batches with an exempt parking resource (arrivals,
+    /// departures and hops, as the open and serve drivers issue them)
+    /// leave the index equal to one rebuilt from scratch, on unit and
+    /// multi-class instances.
+    #[test]
+    fn reassignments_match_rebuilt_index(
+        (inst, _state, seed) in small_instance(),
+        (minst, _mstate, mseed) in multi_class_instance(),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0usize..4096, 0usize..4096), 1..16),
+            1..12,
+        ),
+    ) {
+        check_reassignments(&inst, seed, &batches);
+        check_reassignments(&minst, mseed, &batches);
     }
 }
