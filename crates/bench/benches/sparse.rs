@@ -37,9 +37,9 @@ fn criterion_report(n: usize, c: &mut Criterion) {
         })
     });
     g.bench_function("sparse", |b| {
-        let (mut buf, mut tmp) = (Vec::new(), Vec::new());
+        let mut buf = Vec::new();
         b.iter(|| {
-            decide_active_into(&inst, &state, &index, &proto, SEED, 9, &mut buf, &mut tmp);
+            decide_active_into(&inst, &state, &index, &proto, SEED, 9, &mut buf);
             black_box(buf.len())
         })
     });

@@ -122,7 +122,6 @@ pub fn measure_sparse(n: usize, round_budget_ms: u64) -> SparseRow {
     let proto = SlackDamped::default();
     let index = ActiveIndex::new(&inst, &state);
     let mut moves = Vec::new();
-    let mut scratch = Vec::new();
 
     let dense_round_ns = ns_per_call(
         || {
@@ -133,16 +132,7 @@ pub fn measure_sparse(n: usize, round_budget_ms: u64) -> SparseRow {
     );
     let sparse_round_ns = ns_per_call(
         || {
-            decide_active_into(
-                &inst,
-                &state,
-                &index,
-                &proto,
-                BENCH_SEED,
-                9,
-                &mut moves,
-                &mut scratch,
-            );
+            decide_active_into(&inst, &state, &index, &proto, BENCH_SEED, 9, &mut moves);
             black_box(moves.len());
         },
         round_budget_ms,

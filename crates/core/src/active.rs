@@ -18,9 +18,32 @@
 //! only if `satisfies(k, r, old) != satisfies(k, r, new)` for some class
 //! `k`, and every mover is then rechecked on its own.
 //!
+//! # Shards
+//!
+//! The index is split into disjoint user ranges, one [`IndexShard`] each,
+//! aligned to 512 users so that no two shards share a cache line of the
+//! bitset. A shard owns everything per-user: its own occupant
+//! list heads (`head[r]` for *its* users on `r`), its slice of `next` and
+//! `prev`, its bit words with their summary and count, and the movers it
+//! has yet to take in. Only the `m` loads in [`State`] are shared, so the
+//! recheck rule splits in two:
+//!
+//! * the **coordinator half** ([`ActiveIndex::apply_staged`]) applies the
+//!   batch to `State` and turns the touched resources into the *crossing
+//!   list* — those whose load crossed a class threshold — in `O(batch)`;
+//! * the **shard half** ([`IndexShard::sync`]) relocates the shard's own
+//!   movers, rechecks its own occupants of the crossing list, and rechecks
+//!   its own movers.
+//!
+//! [`ActiveIndex::apply_moves`] and [`ActiveIndex::apply_reassignments`]
+//! compose the halves with the shards synced in order on the caller's
+//! thread. The engine's pooled sparse rounds instead sync every shard on
+//! its own pool worker, in the same dispatch that decides the shard's users
+//! ([`ActiveIndex::step_shards`]). [`ActiveIndex::new`] builds one shard.
+//!
 //! [`ActiveIndex::active`] and [`ActiveIndex::sorted_active_into`] produce
-//! user order by an ordered bit scan, which is what the sparse executor
-//! uses to stay bit-identical to the dense one.
+//! user order by an ordered bit scan of the shards in order, which is what
+//! the sparse executor uses to stay bit-identical to the dense one.
 
 use crate::ids::{ClassId, ResourceId, UserId};
 use crate::instance::{Demands, Instance};
@@ -29,145 +52,175 @@ use crate::state::{Move, State};
 /// End of an occupant list.
 const NIL: u32 = u32::MAX;
 
+/// Every shard but the last spans a multiple of this many users: eight
+/// 64-bit words, one cache line of the bitset.
+const SHARD_ALIGN: usize = 512;
+
 /// Occupant lists plus the unsatisfied set, kept in sync with a [`State`]
 /// through [`ActiveIndex::apply_moves`]. Works for unit and weighted
 /// instances alike (see [`Demands`]): satisfaction is still a function of
 /// the user's resource's load alone.
 #[derive(Debug, Clone)]
 pub struct ActiveIndex {
-    /// `head[r]` = first occupant of resource `r`, or [`NIL`].
-    head: Vec<u32>,
-    /// `next[u]` = the occupant after `u` on its resource, or [`NIL`].
-    next: Vec<u32>,
-    /// `prev[u]` = the occupant before `u` on its resource, or [`NIL`].
-    prev: Vec<u32>,
-    /// Bit `u % 64` of word `u / 64` is set iff `u` is unsatisfied.
-    bits: Vec<u64>,
-    /// Bit `w % 64` of word `w / 64` is set iff `bits[w] != 0`.
-    summary: Vec<u64>,
-    /// Number of set bits in `bits`.
-    count: usize,
+    /// The user ranges, in user order; trailing shards may be empty.
+    shards: Vec<IndexShard>,
+    /// Users per shard, a multiple of `SHARD_ALIGN`.
+    span: usize,
     /// `is_touched[r]` iff `r` is in `touched`.
     is_touched: Vec<bool>,
     /// Resources touched by the current batch, with their load at first
     /// touch (the load before the batch).
     touched: Vec<(ResourceId, u32)>,
+    /// Resources whose load crossed a class threshold in the last batch;
+    /// every shard rechecks its occupants of them at its next sync.
+    crossed: Vec<ResourceId>,
+    /// A batch was applied to the state and the shards have not synced.
+    unsynced: bool,
 }
 
 impl ActiveIndex {
-    /// Build the index for `state` in `O(n + m)`, with no per-resource
-    /// allocation.
+    /// Build a one-shard index for `state` in `O(n + m)`, with no
+    /// per-resource allocation.
     pub fn new<I: Demands>(inst: &I, state: &State) -> Self {
+        Self::with_shards(inst, state, 1)
+    }
+
+    /// Build an index of `shards` user ranges (at least one), the shards
+    /// one after another on the caller's thread.
+    pub fn with_shards<I: Demands>(inst: &I, state: &State, shards: usize) -> Self {
+        Self::build_with(inst, state, shards, |shards, build| {
+            shards.iter_mut().for_each(build)
+        })
+    }
+
+    /// Build an index of `shards` user ranges (at least one), handing the
+    /// per-shard build to `run`: it must call `build` exactly once on every
+    /// shard of the slice, in any order or in parallel. Each shard's build
+    /// is `O(its users + m)`.
+    ///
+    /// # Panics
+    /// Panics if `run` left a shard unbuilt.
+    pub fn build_with<I, R>(inst: &I, state: &State, shards: usize, run: R) -> Self
+    where
+        I: Demands,
+        R: FnOnce(&mut [IndexShard], &(dyn Fn(&mut IndexShard) + Sync)),
+    {
         let n = state.num_users();
         let m = inst.instance().num_resources();
-        let mut head = vec![NIL; m];
-        let mut next = vec![NIL; n];
-        let mut prev = vec![NIL; n];
-        // pushing at the front in reverse user order leaves every list in
-        // user order
-        for (u, &r) in state.assignment().iter().enumerate().rev() {
-            let h = head[r.index()];
-            next[u] = h;
-            if h != NIL {
-                prev[h as usize] = u as u32;
-            }
-            head[r.index()] = u as u32;
-        }
-        // one word at a time, so each word is stored once
-        let mut bits = vec![0u64; n.div_ceil(64)];
-        for (w, word) in bits.iter_mut().enumerate() {
-            let lo = w * 64;
-            for u in lo..(lo + 64).min(n) {
-                if !state.is_satisfied(inst, UserId(u as u32)) {
-                    *word |= 1 << (u - lo);
-                }
-            }
-        }
-        let mut summary = vec![0u64; bits.len().div_ceil(64)];
-        for (w, &word) in bits.iter().enumerate() {
-            if word != 0 {
-                summary[w / 64] |= 1 << (w % 64);
-            }
-        }
-        let count = bits.iter().map(|w| w.count_ones() as usize).sum();
+        let span = shard_span(n, shards);
+        let mut parts: Vec<IndexShard> = (0..shards.max(1))
+            .map(|s| IndexShard::unbuilt((s * span).min(n), ((s + 1) * span).min(n)))
+            .collect();
+        run(&mut parts, &|shard: &mut IndexShard| {
+            shard.build(inst, state)
+        });
+        assert!(
+            parts.iter().all(|s| s.head.len() == m),
+            "index shard left unbuilt"
+        );
         Self {
-            head,
-            next,
-            prev,
-            bits,
-            summary,
-            count,
+            shards: parts,
+            span,
             is_touched: vec![false; m],
             touched: Vec::new(),
+            crossed: Vec::new(),
+            unsynced: false,
         }
     }
 
-    /// Number of currently unsatisfied users.
+    /// The shards, in user order.
+    #[inline]
+    pub fn shards(&self) -> &[IndexShard] {
+        &self.shards
+    }
+
+    /// Number of shards.
+    #[inline]
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Number of shards that own at least one user (a prefix).
+    pub fn num_nonempty_shards(&self) -> usize {
+        self.shards.iter().filter(|s| s.lo < s.hi).count().max(1)
+    }
+
+    /// Number of unsatisfied users as of the last sync.
     #[inline]
     pub fn num_active(&self) -> usize {
-        self.count
+        self.shards.iter().map(|s| s.count).sum()
     }
 
     /// True iff every user is satisfied — equivalent to
-    /// [`State::is_legal`] on the synchronized state, in O(1).
+    /// [`State::is_legal`] on the synchronized state, in O(shards).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.shards.iter().all(|s| s.count == 0)
     }
 
     /// Is `u` currently unsatisfied?
     #[inline]
     pub fn contains(&self, u: UserId) -> bool {
-        self.bits[u.index() / 64] & (1 << (u.index() % 64)) != 0
+        self.shards[u.index() / self.span].contains(u)
     }
 
     /// The unsatisfied users in increasing user order, in
     /// `O(n / 4096 + active)`.
     pub fn active(&self) -> impl Iterator<Item = UserId> + '_ {
-        ones(&self.summary)
-            .flat_map(|w| Ones::at(self.bits[w], w))
-            .map(|u| UserId(u as u32))
+        self.shards.iter().flat_map(IndexShard::active)
     }
 
-    /// Users currently on resource `r`, in `O(occupancy)`. The order is
-    /// user order after [`ActiveIndex::new`] and arbitrary once users move.
+    /// Users currently on resource `r`, in `O(shards + occupancy)`. The
+    /// order is user order after a build and arbitrary once users move.
     pub fn occupants(&self, r: ResourceId) -> impl Iterator<Item = UserId> + '_ {
-        let mut u = self.head[r.index()];
-        std::iter::from_fn(move || {
-            (u != NIL).then(|| {
-                let cur = u;
-                u = self.next[cur as usize];
-                UserId(cur)
-            })
-        })
+        self.shards.iter().flat_map(move |s| s.occupants(r))
     }
 
     /// Fill `buf` with the unsatisfied users in increasing user order —
     /// the collected form of [`ActiveIndex::active`].
     pub fn sorted_active_into(&self, buf: &mut Vec<UserId>) {
         buf.clear();
-        buf.reserve(self.count);
+        buf.reserve(self.num_active());
         buf.extend(self.active());
     }
 
     /// Apply a batch of migrations to `state` and bring the index up to
     /// date, in time `O(batch + Σ occupancy of resources whose load
-    /// crossed a class threshold)`.
+    /// crossed a class threshold)`: both halves of the recheck rule, the
+    /// shards synced in order on the caller's thread.
     ///
     /// The batch must have been decided against the current `state`
     /// (synchronous-round semantics), exactly as for [`State::apply_moves`].
     pub fn apply_moves<I: Demands>(&mut self, inst: &I, state: &mut State, moves: &[Move]) {
         for mv in moves {
+            self.shard_mut(mv.user).movers.push(*mv);
+        }
+        self.apply_staged(inst, state, moves);
+        self.sync(inst, state);
+    }
+
+    /// The coordinator half of [`ActiveIndex::apply_moves`]: apply `moves`
+    /// to `state` and compute the crossing list, in `O(batch)`. Each mover
+    /// must already be staged in its shard ([`IndexShard::stage`]); the
+    /// index answers queries again once every shard has synced, through
+    /// [`ActiveIndex::step_shards`] or [`ActiveIndex::sync`].
+    ///
+    /// # Panics
+    /// Debug builds panic if the previous batch was never synced, or if
+    /// the shards hold a different number of movers than `moves`.
+    pub fn apply_staged<I: Demands>(&mut self, inst: &I, state: &mut State, moves: &[Move]) {
+        debug_assert!(!self.unsynced, "previous batch not synced");
+        debug_assert_eq!(
+            self.shards.iter().map(|s| s.movers.len()).sum::<usize>(),
+            moves.len(),
+            "staged movers disagree with the batch"
+        );
+        for mv in moves {
             self.touch(mv.from, state.load(mv.from));
             self.touch(mv.to, state.load(mv.to));
-            self.relocate(mv.user, mv.from, mv.to);
         }
         state.apply_moves(inst, moves);
-        self.recheck_crossed(inst, state, None);
-        for mv in moves {
-            self.set_active(mv.user, !state.is_satisfied(inst, mv.user));
-        }
-        self.debug_assert_synced(inst, state);
+        self.close_batch(inst.instance(), state, None);
     }
 
     /// Apply a batch of **driver-side reassignments** (churn: arrivals,
@@ -191,75 +244,64 @@ impl ActiveIndex {
         changes: &[(UserId, ResourceId)],
         exempt: Option<ResourceId>,
     ) {
-        for &(u, to) in changes {
-            let from = state.resource_of(u);
+        debug_assert!(!self.unsynced, "previous batch not synced");
+        for &(user, to) in changes {
+            let from = state.resource_of(user);
             if from == to {
                 continue;
             }
             self.touch(from, state.load(from));
             self.touch(to, state.load(to));
-            state.reassign(u, to);
-            self.relocate(u, from, to);
+            state.reassign(user, to);
+            self.shard_mut(user).movers.push(Move { user, from, to });
         }
-        self.recheck_crossed(inst, state, exempt);
-        for &(u, _) in changes {
-            self.set_active(u, !state.is_satisfied(inst, u));
-        }
-        self.debug_assert_synced(inst, state);
+        self.close_batch(inst, state, exempt);
+        self.sync(inst, state);
     }
 
-    /// Recheck the occupants of every touched resource but `exempt` whose
-    /// load crossed a class threshold, and clear the touched set.
+    /// Sync every shard with the applied batch, in order on the caller's
+    /// thread — the shard half of the recheck rule.
+    pub fn sync<I: Demands>(&mut self, inst: &I, state: &State) {
+        self.step_shards(|crossed, shards| {
+            for shard in shards {
+                shard.sync(inst, state, crossed);
+            }
+        });
+    }
+
+    /// Hand the crossing list and the shards to `f`, which must
+    /// [`IndexShard::sync`] every shard that owns users exactly once — on
+    /// any thread — and may then decide and stage the next batch per shard.
+    /// The crossing list is consumed.
+    pub fn step_shards<T>(&mut self, f: impl FnOnce(&[ResourceId], &mut [IndexShard]) -> T) -> T {
+        let out = f(&self.crossed, &mut self.shards);
+        self.crossed.clear();
+        self.unsynced = false;
+        out
+    }
+
+    /// The shard owning `u`.
+    #[inline]
+    fn shard_mut(&mut self, u: UserId) -> &mut IndexShard {
+        &mut self.shards[u.index() / self.span]
+    }
+
+    /// Turn the touched resources but `exempt` whose load crossed a class
+    /// threshold into the crossing list, and clear the touched set.
     // `#[inline]` here and on the helpers below: the generic
     // `apply_moves` calling them is instantiated in the caller's crate,
     // where a non-inline private helper stays an opaque call
     #[inline]
-    fn recheck_crossed<I: Demands>(&mut self, inst: &I, state: &State, exempt: Option<ResourceId>) {
-        let base = inst.instance();
-        let touched = std::mem::take(&mut self.touched);
-        for &(r, old) in &touched {
+    fn close_batch(&mut self, inst: &Instance, state: &State, exempt: Option<ResourceId>) {
+        debug_assert!(self.crossed.is_empty(), "crossing list left over");
+        for &(r, old) in &self.touched {
             self.is_touched[r.index()] = false;
-            let new = state.load(r);
-            if Some(r) != exempt && crosses_threshold(base, r, old, new) {
-                self.recheck_occupants(base, r, new);
+            if Some(r) != exempt && crosses_threshold(inst, r, old, state.load(r)) {
+                self.crossed.push(r);
             }
         }
-        self.touched = touched;
         self.touched.clear();
-    }
-
-    /// Recheck every occupant of `r` at its current `load`.
-    #[inline]
-    fn recheck_occupants(&mut self, inst: &Instance, r: ResourceId, load: u32) {
-        let mut u = self.head[r.index()];
-        while u != NIL {
-            let k = inst.class_of(UserId(u));
-            self.set_active(UserId(u), !inst.satisfies(k, r, load));
-            u = self.next[u as usize];
-        }
-    }
-
-    /// Move `u` from `from`'s occupant list to the front of `to`'s.
-    #[inline]
-    fn relocate(&mut self, u: UserId, from: ResourceId, to: ResourceId) {
-        let i = u.index();
-        let (p, nx) = (self.prev[i], self.next[i]);
-        if p == NIL {
-            debug_assert_eq!(self.head[from.index()], u.0, "occupant list out of sync");
-            self.head[from.index()] = nx;
-        } else {
-            self.next[p as usize] = nx;
-        }
-        if nx != NIL {
-            self.prev[nx as usize] = p;
-        }
-        let h = self.head[to.index()];
-        self.next[i] = h;
-        self.prev[i] = NIL;
-        if h != NIL {
-            self.prev[h as usize] = u.0;
-        }
-        self.head[to.index()] = u.0;
+        self.unsynced = true;
     }
 
     /// Record `r`, at its current `load`, as touched — once per batch.
@@ -271,11 +313,235 @@ impl ActiveIndex {
         }
     }
 
-    /// Insert into / remove from the unsatisfied set in O(1).
+    /// Brute-force consistency check against a from-scratch recomputation;
+    /// used by property tests and debug assertions. `O(n + shards · m)`.
+    /// Movers staged for a batch not yet applied are allowed: until
+    /// [`ActiveIndex::apply_staged`] the index still describes `state`.
+    ///
+    /// # Panics
+    /// Panics with a description of the first divergence found.
+    pub fn assert_consistent<I: Demands>(&self, inst: &I, state: &State) {
+        assert!(!self.unsynced, "applied batch not synced");
+        assert!(self.touched.is_empty(), "touched set left over");
+        let n = state.num_users();
+        for (s, shard) in self.shards.iter().enumerate() {
+            let want = (s * self.span).min(n)..((s + 1) * self.span).min(n);
+            assert_eq!(shard.range(), want, "shard {s} owns the wrong users");
+            shard.assert_consistent(inst, state);
+        }
+        assert_eq!(
+            self.shards.last().map(|s| s.hi),
+            Some(n),
+            "shards miss users"
+        );
+        for r in inst.instance().resource_ids() {
+            let weight: u32 = self.occupants(r).map(|u| inst.weight(u)).sum();
+            assert_eq!(
+                weight,
+                state.load(r),
+                "occupancy of {r} disagrees with load"
+            );
+        }
+    }
+}
+
+/// Users per shard when `n` users split into `shards` ranges: the even
+/// split rounded up to `SHARD_ALIGN`.
+fn shard_span(n: usize, shards: usize) -> usize {
+    n.div_ceil(shards.max(1))
+        .next_multiple_of(SHARD_ALIGN)
+        .max(SHARD_ALIGN)
+}
+
+/// One user range `[lo, hi)` of an [`ActiveIndex`], with everything the
+/// index keeps per user. Aligned to two cache lines so that neighbouring
+/// shards' counts, written on every set change, never share a line.
+#[derive(Debug, Clone)]
+#[repr(align(128))]
+pub struct IndexShard {
+    lo: usize,
+    hi: usize,
+    /// `head[r]` = first of this shard's occupants of resource `r`, or
+    /// [`NIL`].
+    head: Vec<u32>,
+    /// `next[u - lo]` = the shard's occupant after `u` on its resource, or
+    /// [`NIL`].
+    next: Vec<u32>,
+    /// `prev[u - lo]` = the shard's occupant before `u` on its resource,
+    /// or [`NIL`].
+    prev: Vec<u32>,
+    /// Bit `i % 64` of word `i / 64` is set iff user `lo + i` is
+    /// unsatisfied.
+    bits: Vec<u64>,
+    /// Bit `w % 64` of word `w / 64` is set iff `bits[w] != 0`.
+    summary: Vec<u64>,
+    /// Number of set bits in `bits`.
+    count: usize,
+    /// Movers of an applied or pending batch the shard has yet to relocate
+    /// and recheck.
+    movers: Vec<Move>,
+}
+
+impl IndexShard {
+    fn unbuilt(lo: usize, hi: usize) -> Self {
+        Self {
+            lo,
+            hi,
+            head: Vec::new(),
+            next: Vec::new(),
+            prev: Vec::new(),
+            bits: Vec::new(),
+            summary: Vec::new(),
+            count: 0,
+            movers: Vec::new(),
+        }
+    }
+
+    /// Build the lists and the bitset of users `[lo, hi)` of `state`.
+    fn build<I: Demands>(&mut self, inst: &I, state: &State) {
+        let (lo, len) = (self.lo, self.hi - self.lo);
+        let mut head = vec![NIL; inst.instance().num_resources()];
+        let mut next = vec![NIL; len];
+        let mut prev = vec![NIL; len];
+        // pushing at the front in reverse user order leaves every list in
+        // user order
+        for (i, &r) in state.assignment()[lo..self.hi].iter().enumerate().rev() {
+            let h = head[r.index()];
+            next[i] = h;
+            if h != NIL {
+                prev[h as usize - lo] = (lo + i) as u32;
+            }
+            head[r.index()] = (lo + i) as u32;
+        }
+        // one word at a time, so each word is stored once
+        let mut bits = vec![0u64; len.div_ceil(64)];
+        for (w, word) in bits.iter_mut().enumerate() {
+            let first = lo + w * 64;
+            for u in first..(first + 64).min(self.hi) {
+                if !state.is_satisfied(inst, UserId(u as u32)) {
+                    *word |= 1 << (u - first);
+                }
+            }
+        }
+        let mut summary = vec![0u64; bits.len().div_ceil(64)];
+        for (w, &word) in bits.iter().enumerate() {
+            if word != 0 {
+                summary[w / 64] |= 1 << (w % 64);
+            }
+        }
+        self.count = bits.iter().map(|w| w.count_ones() as usize).sum();
+        (self.head, self.next, self.prev) = (head, next, prev);
+        (self.bits, self.summary) = (bits, summary);
+    }
+
+    /// The users `[lo, hi)` this shard owns.
     #[inline]
-    fn set_active(&mut self, u: UserId, active: bool) {
-        let w = u.index() / 64;
-        let bit = 1u64 << (u.index() % 64);
+    pub fn range(&self) -> std::ops::Range<usize> {
+        self.lo..self.hi
+    }
+
+    #[inline]
+    fn contains(&self, u: UserId) -> bool {
+        let i = u.index() - self.lo;
+        self.bits[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The shard's unsatisfied users in increasing user order.
+    pub fn active(&self) -> impl Iterator<Item = UserId> + '_ {
+        let lo = self.lo;
+        ones(&self.summary)
+            .flat_map(|w| Ones::at(self.bits[w], w))
+            .map(move |i| UserId((lo + i) as u32))
+    }
+
+    /// The shard's users on resource `r`.
+    fn occupants(&self, r: ResourceId) -> impl Iterator<Item = UserId> + '_ {
+        let mut u = self.head[r.index()];
+        std::iter::from_fn(move || {
+            (u != NIL).then(|| {
+                let cur = u;
+                u = self.next[cur as usize - self.lo];
+                UserId(cur)
+            })
+        })
+    }
+
+    /// Stage moves of this shard's users, decided against the current
+    /// state, to be applied by [`ActiveIndex::apply_staged`] and taken in
+    /// at the next [`IndexShard::sync`].
+    pub fn stage(&mut self, moves: &[Move]) {
+        debug_assert!(
+            moves
+                .iter()
+                .all(|mv| self.range().contains(&mv.user.index())),
+            "staged a move of another shard's user"
+        );
+        self.movers.extend_from_slice(moves);
+    }
+
+    /// The shard half of the recheck rule, once the batch is applied to
+    /// `state`: relocate the shard's movers, recheck its occupants of every
+    /// `crossed` resource, then recheck its movers. `O(movers + Σ own
+    /// occupancy of crossed resources)`.
+    ///
+    /// Debug builds then recount the shard's set from scratch in
+    /// `O(hi - lo)` and panic on any divergence.
+    #[inline]
+    pub fn sync<I: Demands>(&mut self, inst: &I, state: &State, crossed: &[ResourceId]) {
+        let movers = std::mem::take(&mut self.movers);
+        for mv in &movers {
+            self.relocate(mv.user, mv.from, mv.to);
+        }
+        let base = inst.instance();
+        for &r in crossed {
+            let load = state.load(r);
+            let mut u = self.head[r.index()];
+            while u != NIL {
+                let k = base.class_of(UserId(u));
+                let i = u as usize - self.lo;
+                self.set_active(i, !base.satisfies(k, r, load));
+                u = self.next[i];
+            }
+        }
+        for mv in &movers {
+            self.set_active(
+                mv.user.index() - self.lo,
+                !state.is_satisfied(inst, mv.user),
+            );
+        }
+        self.movers = movers;
+        self.movers.clear();
+        self.debug_assert_synced(inst, state);
+    }
+
+    /// Move `u` from `from`'s occupant list to the front of `to`'s.
+    #[inline]
+    fn relocate(&mut self, u: UserId, from: ResourceId, to: ResourceId) {
+        let i = u.index() - self.lo;
+        let (p, nx) = (self.prev[i], self.next[i]);
+        if p == NIL {
+            debug_assert_eq!(self.head[from.index()], u.0, "occupant list out of sync");
+            self.head[from.index()] = nx;
+        } else {
+            self.next[p as usize - self.lo] = nx;
+        }
+        if nx != NIL {
+            self.prev[nx as usize - self.lo] = p;
+        }
+        let h = self.head[to.index()];
+        self.next[i] = h;
+        self.prev[i] = NIL;
+        if h != NIL {
+            self.prev[h as usize - self.lo] = u.0;
+        }
+        self.head[to.index()] = u.0;
+    }
+
+    /// Insert user `lo + i` into / remove it from the set in O(1).
+    #[inline]
+    fn set_active(&mut self, i: usize, active: bool) {
+        let w = i / 64;
+        let bit = 1u64 << (i % 64);
         let old = self.bits[w];
         if (old & bit != 0) == active {
             return;
@@ -294,9 +560,9 @@ impl ActiveIndex {
         }
     }
 
-    /// In debug builds, recount the unsatisfied set from scratch in `O(n)`
-    /// and panic on any divergence — the recheck rule's self-check, in the
-    /// style of [`State::debug_assert_invariants`].
+    /// In debug builds, recount the shard's set from scratch and panic on
+    /// any divergence — the recheck rule's self-check, in the style of
+    /// [`State::debug_assert_invariants`].
     #[inline]
     fn debug_assert_synced<I: Demands>(&self, inst: &I, state: &State) {
         #[cfg(debug_assertions)]
@@ -305,9 +571,9 @@ impl ActiveIndex {
         let _ = (inst, state);
     }
 
-    /// The unsatisfied set, its summary level and its count all match a
-    /// fresh recomputation, in `O(n)`. The test is [`Instance::satisfies`]
-    /// written out over flat slices: it runs after every batch in debug
+    /// The shard's set, its summary level and its count all match a fresh
+    /// recomputation, in `O(hi - lo)`. The test is [`Instance::satisfies`]
+    /// written out over flat slices: it runs after every sync in debug
     /// builds, where the calls would not be inlined.
     fn assert_unsat_synced<I: Demands>(&self, inst: &I, state: &State) {
         let base = inst.instance();
@@ -315,8 +581,7 @@ impl ActiveIndex {
         let (caps, m) = (base.eff_cap_table(), loads.len());
         let single = base.num_classes() == 1;
         let mut bits = vec![0u64; self.bits.len()];
-        let mut u = 0;
-        while u < assignment.len() {
+        for u in self.lo..self.hi {
             let r = assignment[u].0 as usize;
             let k = if single {
                 0
@@ -325,12 +590,11 @@ impl ActiveIndex {
             };
             let c = caps[k * m + r];
             if !(c > 0 && loads[r] <= c) {
-                bits[u / 64] |= 1 << (u % 64);
+                bits[(u - self.lo) / 64] |= 1 << ((u - self.lo) % 64);
             }
-            u += 1;
         }
         if let Some(w) = (0..bits.len()).find(|&w| bits[w] != self.bits[w]) {
-            let u = w * 64 + (bits[w] ^ self.bits[w]).trailing_zeros() as usize;
+            let u = self.lo + w * 64 + (bits[w] ^ self.bits[w]).trailing_zeros() as usize;
             panic!("unsatisfied set out of sync at u{u}");
         }
         let count: u32 = bits.iter().map(|w| w.count_ones()).sum();
@@ -344,37 +608,27 @@ impl ActiveIndex {
         }
     }
 
-    /// Brute-force consistency check against a from-scratch recomputation;
-    /// used by property tests and debug assertions. `O(n + m)`.
-    ///
-    /// # Panics
-    /// Panics with a description of the first divergence found.
-    pub fn assert_consistent<I: Demands>(&self, inst: &I, state: &State) {
-        // occupant lists partition the users according to the assignment
-        let mut seen = vec![false; state.num_users()];
+    /// The shard's lists hold exactly its users, each on its resource with
+    /// consistent back links, and its set matches a recount.
+    fn assert_consistent<I: Demands>(&self, inst: &I, state: &State) {
+        let mut seen = vec![false; self.hi - self.lo];
         for r in inst.instance().resource_ids() {
-            let mut weight = 0u32;
             let mut before = NIL;
             for u in self.occupants(r) {
+                assert!(self.range().contains(&u.index()), "{u} in a foreign shard");
                 assert_eq!(
                     state.resource_of(u),
                     r,
                     "occupant list of {r} holds {u} which is elsewhere"
                 );
-                assert_eq!(self.prev[u.index()], before, "back link of {u} out of sync");
-                assert!(!seen[u.index()], "{u} occupies two lists");
-                seen[u.index()] = true;
-                weight += inst.weight(u);
+                let i = u.index() - self.lo;
+                assert_eq!(self.prev[i], before, "back link of {u} out of sync");
+                assert!(!seen[i], "{u} occupies two lists");
+                seen[i] = true;
                 before = u.0;
             }
-            assert_eq!(
-                weight,
-                state.load(r),
-                "occupancy of {r} disagrees with load"
-            );
         }
         assert!(seen.iter().all(|&s| s), "occupant lists miss a user");
-        assert!(self.touched.is_empty(), "touched set left over");
         self.assert_unsat_synced(inst, state);
     }
 }
@@ -645,6 +899,44 @@ mod tests {
         );
         idx.assert_consistent(&inst, &state);
         assert!(idx.is_empty());
+    }
+
+    #[test]
+    fn shards_own_aligned_ranges_and_agree_with_one_shard() {
+        // 1300 users over 3 shards: spans of 512, the last one partial
+        let inst = Instance::with_capacities(1300, vec![420, 420, 420, 400]).unwrap();
+        let mut state = State::new(&inst, (0..1300).map(|u| ResourceId(u % 3)).collect()).unwrap();
+        let mut one = ActiveIndex::new(&inst, &state);
+        let mut three = ActiveIndex::with_shards(&inst, &state, 3);
+        let ranges: Vec<_> = three.shards().iter().map(IndexShard::range).collect();
+        assert_eq!(ranges, [0..512, 512..1024, 1024..1300]);
+        assert_eq!(three.num_nonempty_shards(), 3);
+        // occupant lists chain shard by shard, so a fresh build lists
+        // users in user order
+        assert!(three
+            .occupants(ResourceId(0))
+            .eq(one.occupants(ResourceId(0))));
+        three.assert_consistent(&inst, &state);
+        assert_eq!(three.num_active(), 1300, "r0..r2 hold 434/433/433");
+        // 40 users from all three ranges leave for r3, and each of r0..r2
+        // drops to exactly its cap of 420: every stayer in every shard is
+        // rechecked through the crossing list
+        let moves: Vec<Move> = (0..40)
+            .map(|i| {
+                let u = i * 32;
+                mv(u, u % 3, 3)
+            })
+            .collect();
+        let mut state1 = state.clone();
+        one.apply_moves(&inst, &mut state1, &moves);
+        three.apply_moves(&inst, &mut state, &moves);
+        three.assert_consistent(&inst, &state);
+        assert!(three.is_empty() && one.is_empty());
+        // more shards than 512-user ranges leaves trailing shards empty
+        let wide = ActiveIndex::with_shards(&inst, &state, 8);
+        assert_eq!(wide.num_shards(), 8);
+        assert_eq!(wide.num_nonempty_shards(), 3);
+        wide.assert_consistent(&inst, &state);
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub mod weighted;
 
 /// Convenient re-exports of the types almost every consumer needs.
 pub mod prelude {
-    pub use crate::active::ActiveIndex;
+    pub use crate::active::{ActiveIndex, IndexShard};
     pub use crate::baseline::{best_response_run, greedy_assign, BestResponseOutcome};
     pub use crate::convergence::ConvergenceTracker;
     pub use crate::delta::{DeltaError, StateDelta};

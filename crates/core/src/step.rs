@@ -12,7 +12,7 @@
 //! [`Instance`](crate::Instance) compiles to the unit model, a weighted instance adds each user's demand
 //! to its [`LocalView`].
 
-use crate::active::ActiveIndex;
+use crate::active::{ActiveIndex, IndexShard};
 use crate::ids::{ResourceId, UserId};
 use crate::instance::Demands;
 use crate::protocol::{Decision, LocalView, Protocol, ResourceView};
@@ -150,18 +150,16 @@ pub fn decide_round<I: Demands, P: Protocol + ?Sized>(
 /// never acts while satisfied ([`Protocol::acts_when_satisfied`] is
 /// `false`): satisfied users return `None` from [`decide_user`] before
 /// consuming any randomness, so skipping them entirely changes nothing.
-/// Class gating ([`Protocol::is_active`]) is applied *inside*
-/// [`decide_user`], after the satisfaction check, so gated protocols remain
-/// sound here. Cost is `O(n / 4096 + active)` for the ordered bit scan of
-/// the active set plus the per-user kernel work.
+/// Class gating ([`Protocol::is_active`]) is applied after the satisfaction
+/// gate, so gated protocols remain sound here. Cost is `O(n / 4096 +
+/// active)` for the ordered bit scan of the active set plus the per-user
+/// kernel work: [`decide_shard_into`] over the index's shards in order.
 ///
-/// `active` must be in sync with `state` (see [`ActiveIndex::apply_moves`]);
-/// `scratch` is a reusable buffer for the ordered active set.
+/// `active` must be in sync with `state` (see [`ActiveIndex::apply_moves`]).
 ///
 /// # Panics
 /// Debug builds panic if the protocol opts into acting while satisfied —
 /// callers must fall back to [`decide_round_into`] for such protocols.
-#[allow(clippy::too_many_arguments)]
 pub fn decide_active_into<I: Demands, P: Protocol + ?Sized>(
     inst: &I,
     state: &State,
@@ -170,25 +168,88 @@ pub fn decide_active_into<I: Demands, P: Protocol + ?Sized>(
     seed: u64,
     round: u64,
     out: &mut Vec<Move>,
-    scratch: &mut Vec<UserId>,
+) {
+    out.clear();
+    for shard in active.shards() {
+        decide_shard_into(inst, state, shard, proto, seed, round, out);
+    }
+}
+
+/// Users one block of [`decide_shard_into`] gathers before it folds their
+/// random-stream bases in one sweep: the block buffers stay on the stack.
+const SHARD_BLOCK: usize = 256;
+
+/// Decide the unsatisfied users of one index shard, in user order,
+/// appending migrations to `out` — the per-shard kernel of the sparse
+/// executors.
+///
+/// The shard's ordered bit scan fills blocks of up to 256 users; each block
+/// folds its [`RoundStream`] bases in one sweep (as
+/// [`qlb_rng::fill_round_bases`] does) and then runs
+/// [`decide_unsatisfied_user`] per user with no second satisfaction test:
+/// the shard, synced with `state`, holds exactly the unsatisfied users.
+/// Concatenating the shards' outputs in order reproduces the sequential
+/// active-set scan, since each decision is a pure function of
+/// `(seed, user, round)` and the start-of-round loads.
+///
+/// # Panics
+/// Debug builds panic if the protocol acts while satisfied, or if the
+/// shard holds a satisfied user.
+pub fn decide_shard_into<I: Demands, P: Protocol + ?Sized>(
+    inst: &I,
+    state: &State,
+    shard: &IndexShard,
+    proto: &P,
+    seed: u64,
+    round: u64,
+    out: &mut Vec<Move>,
 ) {
     debug_assert!(
         !proto.acts_when_satisfied(),
-        "sparse rounds are unsound for protocols that act while satisfied"
+        "active-set rounds are unsound for protocols that act while satisfied"
     );
-    out.clear();
-    active.sorted_active_into(scratch);
-    let loads = state.loads();
-    for &user in scratch.iter() {
-        let own = state.resource_of(user);
-        if let Some(mv) = decide_user(inst, loads, own, user, proto, seed, round) {
+    let mut block = [0u32; SHARD_BLOCK];
+    let mut len = 0;
+    for user in shard.active() {
+        block[len] = user.0;
+        len += 1;
+        if len == SHARD_BLOCK {
+            decide_block(inst, state, &block, proto, seed, round, out);
+            len = 0;
+        }
+    }
+    decide_block(inst, state, &block[..len], proto, seed, round, out);
+}
+
+/// One block of [`decide_shard_into`].
+#[inline]
+fn decide_block<I: Demands, P: Protocol + ?Sized>(
+    inst: &I,
+    state: &State,
+    users: &[u32],
+    proto: &P,
+    seed: u64,
+    round: u64,
+    out: &mut Vec<Move>,
+) {
+    let mut bases = [0u64; SHARD_BLOCK];
+    for (base, &u) in bases.iter_mut().zip(users) {
+        *base = RoundStream::base(seed, u as u64, round);
+    }
+    let (loads, assignment) = (state.loads(), state.assignment());
+    for (&u, &base) in users.iter().zip(&bases) {
+        let user = UserId(u);
+        let own = assignment[u as usize];
+        debug_assert!(!state.is_satisfied(inst, user), "{user} is satisfied");
+        let mut rng = RoundStream::from_base(base);
+        if let Some(mv) = decide_unsatisfied_user(inst, loads, own, user, proto, round, &mut rng) {
             out.push(mv);
         }
     }
 }
 
-/// Decide an explicit, already-ordered user list — the shard primitive of
-/// the **parallel sparse** executor.
+/// Decide an explicit, already-ordered user list, such as one slice of the
+/// sorted active set.
 ///
 /// `users` is one contiguous slice of the sorted active set (see
 /// [`ActiveIndex::sorted_active_into`]); concatenating the outputs of the

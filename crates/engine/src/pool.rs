@@ -16,7 +16,11 @@
 //!   shards leaves the other six workers parked instead of paying their
 //!   wake latency every round;
 //! * each worker owns a reusable `Vec<Move>` shard buffer that keeps its
-//!   capacity across rounds, so steady-state rounds allocate nothing;
+//!   capacity across rounds, so steady-state rounds allocate nothing, and
+//!   sits on its own cache lines (`ShardBuf`) like the profiling slots;
+//! * [`WorkerPool::run_each`] and [`WorkerPool::decide_each_observed`]
+//!   hand each shard one mutable item of a slice — the engine's index
+//!   shards — so per-shard state lives with the worker that uses it;
 //! * per-shard profiling slots are cache-line-isolated atomics
 //!   (`PaddedSlot`) — the previous `Vec<Mutex<u64>>` packed eight
 //!   hot-written slots into two cache lines, so every timed round
@@ -97,6 +101,35 @@ struct PaddedSlot(AtomicU64);
 
 const _: () = assert!(std::mem::size_of::<PaddedSlot>() == 128);
 
+/// A per-shard move buffer on its own pair of cache lines, padded as
+/// [`PaddedSlot`] is: every `push` writes the `Vec` header, so unpadded
+/// neighbouring shards' headers would share a line.
+#[repr(align(128))]
+#[derive(Default)]
+struct ShardBuf(Mutex<Vec<Move>>);
+
+const _: () = assert!(std::mem::size_of::<ShardBuf>() == 128);
+
+/// One mutable item per shard, shared with the dispatch closure.
+///
+/// [`WorkerPool::run_on`] calls its closure exactly once per shard index
+/// in `0..active`, and `active` never exceeds the item count, so every
+/// item is borrowed mutably by exactly one shard for the dispatch.
+struct PerShard<T>(*mut T);
+
+// SAFETY: each item is handed to one thread at a time (see above), which
+// needs only `T: Send`.
+unsafe impl<T: Send> Sync for PerShard<T> {}
+
+impl<T> PerShard<T> {
+    /// The item of `shard`; dereferencing it needs `shard` in bounds and
+    /// no other borrow of the item alive.
+    #[inline]
+    fn item(&self, shard: usize) -> *mut T {
+        self.0.wrapping_add(shard)
+    }
+}
+
 /// A pool of long-lived worker threads executing one sharded job at a time.
 ///
 /// Created once per run; [`WorkerPool::run_on`] dispatches a closure to a
@@ -108,7 +141,7 @@ pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     /// Per-shard reusable move buffers (index 0 = coordinator's shard).
-    shards: Vec<Mutex<Vec<Move>>>,
+    shards: Vec<ShardBuf>,
     /// Per-shard compute time of the last timed dispatch, in ns.
     compute_ns: Vec<PaddedSlot>,
     /// Per-shard dispatch wake latency of the last timed dispatch, in ns:
@@ -152,7 +185,7 @@ impl WorkerPool {
         Self {
             shared,
             workers,
-            shards: (0..threads).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..threads).map(|_| ShardBuf::default()).collect(),
             compute_ns: (0..threads).map(|_| PaddedSlot::default()).collect(),
             wake_ns: (0..threads).map(|_| PaddedSlot::default()).collect(),
             profile_scratch: Mutex::new((Vec::new(), Vec::new())),
@@ -209,6 +242,63 @@ impl WorkerPool {
         st.job = None;
     }
 
+    /// Run `f(&mut items[i])` on shard `i` for every item, in parallel, and
+    /// return once all of them completed — [`WorkerPool::run_on`] with one
+    /// item owned by each shard.
+    ///
+    /// # Panics
+    /// Panics if there are more items than shards.
+    pub fn run_each<T: Send, F: Fn(&mut T) + Sync + ?Sized>(&self, items: &mut [T], f: &F) {
+        let len = items.len();
+        assert!(len <= self.threads(), "more items than shards");
+        let items = PerShard(items.as_mut_ptr());
+        self.run_on(
+            &|shard| {
+                if shard < len {
+                    // SAFETY: `shard < len`, and `run_on` runs each shard
+                    // index once per dispatch
+                    f(unsafe { &mut *items.item(shard) })
+                }
+            },
+            len,
+        );
+    }
+
+    /// [`WorkerPool::decide_round_observed_on`] with one item owned by each
+    /// shard: shard `i` fills its buffer via `fill(&mut items[i], buf)`,
+    /// and the buffers concatenate into `out` in item order.
+    ///
+    /// # Panics
+    /// Panics if there are more items than shards.
+    pub fn decide_each_observed<T, S, F>(
+        &self,
+        items: &mut [T],
+        fill: F,
+        out: &mut Vec<Move>,
+        sink: &mut S,
+        shard_timing: bool,
+    ) where
+        T: Send,
+        S: Sink,
+        F: Fn(&mut T, &mut Vec<Move>) + Sync,
+    {
+        let len = items.len();
+        assert!(len <= self.threads(), "more items than shards");
+        let items = PerShard(items.as_mut_ptr());
+        self.decide_round_observed_on(
+            |shard, buf| {
+                if shard < len {
+                    // SAFETY: as in `run_each`
+                    fill(unsafe { &mut *items.item(shard) }, buf)
+                }
+            },
+            out,
+            sink,
+            shard_timing,
+            len,
+        );
+    }
+
     /// Dispatch one **decide round** over shards `0..active`: each shard
     /// fills its private reusable buffer via `fill(shard, buf)`, then the
     /// buffers are drained into `out` in shard order (shard 0 first) — the
@@ -239,7 +329,7 @@ impl WorkerPool {
                         .store(d0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 }
                 let t0 = timed.then(Instant::now);
-                let mut buf = self.shards[shard].lock().unwrap();
+                let mut buf = self.shards[shard].0.lock().unwrap();
                 buf.clear();
                 fill(shard, &mut buf);
                 drop(buf);
@@ -254,7 +344,7 @@ impl WorkerPool {
         out.clear();
         let mut max_ns = 0u64;
         for (i, shard) in self.shards.iter().take(active).enumerate() {
-            out.extend_from_slice(&shard.lock().unwrap());
+            out.extend_from_slice(&shard.0.lock().unwrap());
             if timed {
                 max_ns = max_ns.max(self.compute_ns[i].0.load(Ordering::Relaxed));
             }
@@ -477,6 +567,19 @@ mod tests {
         for (h, e) in hits.iter().zip(expected) {
             assert_eq!(h.load(Ordering::Relaxed), e);
         }
+    }
+
+    #[test]
+    fn run_each_visits_every_item_once() {
+        let pool = WorkerPool::new(3);
+        let mut items = [0usize; 3];
+        for _ in 0..20 {
+            pool.run_each(&mut items[..2], &|count: &mut usize| *count += 1);
+        }
+        // the item past the slice is left alone
+        assert_eq!(items, [20, 20, 0]);
+        pool.run_each(&mut items, &|count: &mut usize| *count += 1);
+        assert_eq!(items, [21, 21, 1]);
     }
 
     #[test]

@@ -164,6 +164,16 @@ pub struct RunOutcome {
 /// start-of-round loads, satisfied users consume no randomness, and the
 /// active set is walked in user order.
 ///
+/// The index has one shard — a user range — per pool shard. An active-set
+/// round is one step in which every shard first syncs with the previous
+/// round's batch (relocating its movers, rechecking its occupants of the
+/// resources whose load crossed a threshold, rechecking its movers) and
+/// then decides its own unsatisfied users; between steps the coordinator
+/// only applies the batch to the state. So a round ends — its convergence
+/// check and `RoundEnd` event — once the next step has synced, and a run
+/// whose budget ends in the sparse phase closes with one sync-only step,
+/// which is not a round.
+///
 /// The pooled executors run on one [`WorkerPool`] created per run, so
 /// every round is an epoch bump on parked workers, not a thread spawn.
 ///
@@ -348,7 +358,7 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
     // start sparse only if the initial state is already in the sparse
     // regime; otherwise warm up with dense rounds
     let mut active: Option<ActiveIndex> =
-        (sparse && unsat0 * 8 < n).then(|| ActiveIndex::new(inst, &state));
+        (sparse && unsat0 * 8 < n).then(|| stepper.build_index(inst, &state));
     if S::ENABLED && active.is_some() {
         sink.add(Counter::ExecutorSwitches, 1);
         sink.event(Event::ExecutorSwitch {
@@ -363,96 +373,139 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
     // carried between rounds (see `emit_round_end`): start count == the
     // previous round's end count
     let mut entering = unsat0 as u64;
+    // an active-set round whose end waits for the shards' sync: its batch
+    // size and weight
+    let mut open_round: Option<(u64, u64)> = None;
 
-    while !converged && rounds < config.max_rounds {
+    loop {
+        let Some(index) = active.as_mut() else {
+            if converged || rounds >= config.max_rounds {
+                break;
+            }
+            if S::ENABLED {
+                sink.event(Event::RoundStart {
+                    round: rounds,
+                    active: entering,
+                });
+            }
+            stepper.decide_round(inst, &state, proto, rounds, sink);
+            // reborrowed shared, so the switch below can build on the pool
+            let moves = stepper.moves();
+            if S::ENABLED {
+                sink.add(Counter::DenseRounds, 1);
+                sink.event(Event::MigrationBatch {
+                    round: rounds,
+                    size: moves.len() as u64,
+                });
+            }
+            // batch size tracks the active count for the damped kernels;
+            // once it shrinks, the index starts paying off. Its build is
+            // part of the switching round's apply.
+            let switch = sparse && moves.len() * 8 < n;
+            timed(sink, Phase::Apply, || {
+                state.apply_moves(inst, moves);
+                if switch {
+                    active = Some(stepper.build_index(inst, &state));
+                }
+            });
+            if switch && S::ENABLED {
+                sink.add(Counter::ExecutorSwitches, 1);
+                sink.event(Event::ExecutorSwitch {
+                    round: rounds + 1,
+                    sparse: true,
+                });
+            }
+            let batch = moves.len() as u64;
+            let batch_weight = moved_weight(inst, moves);
+            rounds += 1;
+            migrations += batch;
+            weight_moved += batch_weight;
+            record_trace(inst, &state, &config, trace.as_mut(), rounds, batch);
+            converged = timed(sink, Phase::Convergence, || match active.as_ref() {
+                Some(index) => index.is_empty(),
+                None => state.is_legal(inst),
+            });
+            if S::ENABLED {
+                // the index tracks the unsatisfied set exactly, so when it
+                // is live the count is O(1); dense rounds scan
+                let unsatisfied = match active.as_ref() {
+                    Some(index) => index.num_active() as u64,
+                    None if converged => 0,
+                    None => state.num_unsatisfied(inst) as u64,
+                };
+                let topk = config.topk_resources;
+                emit_round_end(
+                    inst,
+                    state.loads(),
+                    sink,
+                    rounds - 1,
+                    batch,
+                    batch_weight,
+                    converged,
+                    unsatisfied,
+                    topk,
+                );
+                entering = unsatisfied;
+                if let Some(index) = active.as_ref() {
+                    sink.set(Gauge::ActiveSetSize, index.num_active() as u64);
+                }
+            }
+            continue;
+        };
+
+        // An active-set round. The shards first sync with the previous
+        // round's batch — which ends that round — and then decide this one,
+        // in one step; a sync after the last budgeted round decides nothing.
+        if open_round.is_none() && (converged || rounds >= config.max_rounds) {
+            break;
+        }
+        let decide = rounds < config.max_rounds;
+        let moves = stepper.step_sparse(inst, &state, index, proto, rounds, decide, sink);
+        if let Some((batch, batch_weight)) = open_round.take() {
+            converged = timed(sink, Phase::Convergence, || index.is_empty());
+            if S::ENABLED {
+                let unsatisfied = index.num_active() as u64;
+                let topk = config.topk_resources;
+                emit_round_end(
+                    inst,
+                    state.loads(),
+                    sink,
+                    rounds - 1,
+                    batch,
+                    batch_weight,
+                    converged,
+                    unsatisfied,
+                    topk,
+                );
+                entering = unsatisfied;
+                sink.set(Gauge::ActiveSetSize, unsatisfied);
+            }
+            if converged || !decide {
+                debug_assert!(moves.is_empty(), "a legal state decided moves");
+                break;
+            }
+        }
         if S::ENABLED {
             sink.event(Event::RoundStart {
                 round: rounds,
                 active: entering,
             });
+            sink.add(Counter::SparseRounds, 1);
+            sink.event(Event::MigrationBatch {
+                round: rounds,
+                size: moves.len() as u64,
+            });
         }
-        let moves = match active.as_mut() {
-            Some(index) => {
-                let moves = stepper.decide_active(inst, &state, index, proto, rounds, sink);
-                if S::ENABLED {
-                    sink.add(Counter::SparseRounds, 1);
-                    sink.event(Event::MigrationBatch {
-                        round: rounds,
-                        size: moves.len() as u64,
-                    });
-                }
-                timed(sink, Phase::Apply, || {
-                    index.apply_moves(inst, &mut state, moves)
-                });
-                moves
-            }
-            None => {
-                let moves = stepper.decide_round(inst, &state, proto, rounds, sink);
-                if S::ENABLED {
-                    sink.add(Counter::DenseRounds, 1);
-                    sink.event(Event::MigrationBatch {
-                        round: rounds,
-                        size: moves.len() as u64,
-                    });
-                }
-                // batch size tracks the active count for the damped
-                // kernels; once it shrinks, the index starts paying off.
-                // Its build is part of the switching round's apply.
-                let switch = sparse && moves.len() * 8 < n;
-                timed(sink, Phase::Apply, || {
-                    state.apply_moves(inst, moves);
-                    if switch {
-                        active = Some(ActiveIndex::new(inst, &state));
-                    }
-                });
-                if switch && S::ENABLED {
-                    sink.add(Counter::ExecutorSwitches, 1);
-                    sink.event(Event::ExecutorSwitch {
-                        round: rounds + 1,
-                        sparse: true,
-                    });
-                }
-                moves
-            }
-        };
-        let batch_weight = moved_weight(inst, moves);
-        migrations += moves.len() as u64;
-        weight_moved += batch_weight;
-        rounds += 1;
-        if let Some(t) = trace.as_mut() {
-            t.record(inst, &state, rounds, moves.len() as u64);
-            if config.track_user_times {
-                t.record_user_times(inst, &state, rounds);
-            }
-        }
-        converged = timed(sink, Phase::Convergence, || match active.as_ref() {
-            Some(index) => index.is_empty(),
-            None => state.is_legal(inst),
+        timed(sink, Phase::Apply, || {
+            index.apply_staged(inst, &mut state, moves)
         });
-        if S::ENABLED {
-            // the index tracks the unsatisfied set exactly, so when it is
-            // live the count is O(1); dense rounds scan
-            let unsatisfied = match active.as_ref() {
-                Some(index) => index.num_active() as u64,
-                None if converged => 0,
-                None => state.num_unsatisfied(inst) as u64,
-            };
-            emit_round_end(
-                inst,
-                state.loads(),
-                sink,
-                rounds - 1,
-                moves.len() as u64,
-                batch_weight,
-                converged,
-                unsatisfied,
-                config.topk_resources,
-            );
-            entering = unsatisfied;
-            if let Some(index) = active.as_ref() {
-                sink.set(Gauge::ActiveSetSize, index.num_active() as u64);
-            }
-        }
+        let batch = moves.len() as u64;
+        let batch_weight = moved_weight(inst, moves);
+        rounds += 1;
+        migrations += batch;
+        weight_moved += batch_weight;
+        record_trace(inst, &state, &config, trace.as_mut(), rounds, batch);
+        open_round = Some((batch, batch_weight));
     }
 
     debug_assert_eq!(converged, state.is_legal(inst));
@@ -463,6 +516,23 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
         weight_moved,
         state,
         trace,
+    }
+}
+
+/// Append round `round`'s entry to the trace, if one is recorded.
+fn record_trace<I: Demands>(
+    inst: &I,
+    state: &State,
+    config: &RunConfig,
+    trace: Option<&mut Trace>,
+    round: u64,
+    batch: u64,
+) {
+    if let Some(t) = trace {
+        t.record(inst, state, round, batch);
+        if config.track_user_times {
+            t.record_user_times(inst, state, round);
+        }
     }
 }
 
@@ -1114,6 +1184,63 @@ mod tests {
         assert!(!entries0.is_empty() && entries0.len() <= 4);
         assert!(entries0.windows(2).all(|w| w[0].load >= w[1].load));
         assert_eq!(rec.shard_timers().num_shards(), 3);
+    }
+
+    /// A hotspot of 12 000 users (not a multiple of the 512-user index
+    /// shard) at slack 1.1, whose first active-set rounds hold more than
+    /// 1024 users, so the pooled executors run the fused sync-and-decide
+    /// dispatch. Every
+    /// executor ends on the same outcome with the same events — the
+    /// executor switch aside, which only the sparse ones take — both run
+    /// to legality and with a budget that ends inside the sparse phase.
+    #[test]
+    fn fused_sparse_dispatch_matches_sequential() {
+        let (inst, s1) = hotspot(12_000, 1_200, 11);
+        let events = |r: &Recorder| {
+            r.events()
+                .iter()
+                .map(|(_, e)| e)
+                .filter(|e| !matches!(e, Event::ExecutorSwitch { .. }))
+                .collect::<Vec<_>>()
+        };
+        let drive = |exec: Executor, budget: u64| {
+            let mut rec = Recorder::default();
+            let cfg = RunConfig::new(17, budget).with_executor(exec);
+            let out = run_observed(&inst, s1.clone(), &SlackDamped::default(), cfg, &mut rec);
+            (out, rec)
+        };
+        let (full, full_rec) = drive(Executor::Dense, 10_000);
+        assert!(full.converged);
+        let (_, sparse_rec) = drive(Executor::Sparse, 10_000);
+        let dense_rounds = sparse_rec.counter(Counter::DenseRounds);
+        let sparse_rounds = sparse_rec.counter(Counter::SparseRounds);
+        assert!(sparse_rounds > 4, "{sparse_rounds} active-set rounds");
+        // a budget that stops after half of the active-set rounds
+        let cut = dense_rounds + sparse_rounds / 2;
+        let (short, short_rec) = drive(Executor::Dense, cut);
+        assert!(!short.converged && short.rounds == cut);
+
+        for (want, want_rec, budget) in [(&full, &full_rec, 10_000), (&short, &short_rec, cut)] {
+            for exec in [
+                Executor::Sparse,
+                Executor::SparseThreaded(2),
+                Executor::SparseThreaded(3),
+            ] {
+                let (out, rec) = drive(exec, budget);
+                let label = format!("{exec:?} budget {budget}");
+                assert_same_run(want, &out, &label);
+                assert_eq!(events(&rec), events(want_rec), "{label}");
+                assert_eq!(rec.counter(Counter::Rounds), out.rounds, "{label}");
+                assert_eq!(rec.counter(Counter::ExecutorSwitches), 1, "{label}");
+                if exec != Executor::Sparse {
+                    // one Compute sample per pooled round: more than the
+                    // dense ones means active-set rounds were dispatched
+                    let compute = rec.timers().histogram(Phase::Compute).count();
+                    let dense = rec.counter(Counter::DenseRounds);
+                    assert!(compute > dense, "{label}: {compute} ≤ {dense}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,18 +12,22 @@
 
 use crate::pool::{pool_for, shard_chunk, shards_for, WorkerPool};
 use crate::run::Executor;
-use qlb_core::step::{decide_active_into, decide_round_into, decide_users_into};
+use qlb_core::step::{decide_round_into, decide_shard_into};
 use qlb_core::{
-    ActiveIndex, Demands, Instance, Move, Protocol, ResourceId, RoundView, ShardDeltas,
+    ActiveIndex, Demands, IndexShard, Instance, Move, Protocol, ResourceId, RoundView, ShardDeltas,
     ShardScratch, State, UserId,
 };
 use qlb_obs::{timed, Phase, Sink};
 use std::sync::Mutex;
 
-/// Below this many active users a pooled sparse round decides sequentially:
-/// the per-user kernel is ~100 ns, so a sub-1024 batch is cheaper than one
-/// condvar dispatch. Purely a cost decision — shard outputs concatenate in
-/// user order either way, so the trajectory is unaffected.
+/// Below this many active users (as of the last sync) an active-set round
+/// runs its shard steps inline on the coordinator instead of dispatching
+/// them. A sparse decision costs 20–40 ns (the 862 k sparse decisions of a
+/// `sim-crowded` run take 15–35 ms sequentially on a shared 2-core x86
+/// host), so 1024 of them cost 20–40 µs, about one condvar wake and join
+/// (a pooled round's `ForkJoin` averages about 55 µs there). Purely a cost
+/// decision — the shard outputs concatenate in user order either way, so
+/// the trajectory is unaffected.
 const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 
 /// Below this many moves the shard-owned executor applies the batch on the
@@ -32,18 +36,33 @@ const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 /// Purely a cost decision — both paths write the same cells.
 const OWNED_APPLY_MIN_BATCH: usize = 4096;
 
+/// What one active-set step does in each index shard after its sync.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ShardStep {
+    /// Sync only: the closing pass of a run's sparse phase.
+    Sync,
+    /// Decide the shard's users; the caller applies the moves eagerly.
+    Decide,
+    /// Decide and stage the moves in the shard for its next sync.
+    DecideStaged,
+}
+
 /// Decides one synchronous round for any driver.
 ///
 /// * [`Stepper::decide_active`] decides the unsatisfied users of an
-///   [`ActiveIndex`]: sharded over the pool when there is one and the set
-///   holds at least 1024 users, sequentially otherwise.
+///   [`ActiveIndex`], each index shard scanning and deciding its own users:
+///   on its own pool worker when the index has one shard per pool shard and
+///   the set held at least 1024 users at the last sync, inline otherwise.
 /// * [`Stepper::decide_round`] decides all `n` users: over the SoA
 ///   [`RoundView`] sharded across the pool when there is one, by the dense
 ///   reference scan otherwise.
 ///
 /// Both return the round's moves in user order, byte-identical whichever
 /// kernel ran, and record [`Phase::Decide`] (plus [`Phase::Compute`] and
-/// [`Phase::ForkJoin`] for pooled rounds) on the sink.
+/// [`Phase::ForkJoin`] for pooled rounds) on the sink. The closed loop's
+/// sparse rounds go through `Stepper::step_sparse`, which also syncs the
+/// shards with the previous batch in the same dispatch (see
+/// [`run`](crate::run::run)).
 pub struct Stepper {
     seed: u64,
     shard_timing: bool,
@@ -52,7 +71,6 @@ pub struct Stepper {
     /// step by them and by [`Stepper::reassign`]; an active-set round
     /// drops it, since the index's apply does not mirror into it.
     view: Option<ViewShards>,
-    sorted: Vec<UserId>,
     moves: Vec<Move>,
 }
 
@@ -70,7 +88,6 @@ impl Stepper {
             shard_timing,
             pool: pool_for(executor, n),
             view: None,
-            sorted: Vec::new(),
             moves: Vec::new(),
         }
     }
@@ -81,46 +98,108 @@ impl Stepper {
         self.pool.as_ref()
     }
 
+    /// The moves of the last decided round.
+    #[inline]
+    pub(crate) fn moves(&self) -> &[Move] {
+        &self.moves
+    }
+
+    /// Number of pool shards (1 without a pool): the shard count of the
+    /// indexes [`Stepper::build_index`] builds.
+    #[inline]
+    pub fn shards(&self) -> usize {
+        self.pool.as_ref().map_or(1, WorkerPool::threads)
+    }
+
+    /// Build the [`ActiveIndex`] of `state` with one shard per pool shard,
+    /// each shard built on its own worker.
+    pub fn build_index<I: Demands>(&self, inst: &I, state: &State) -> ActiveIndex {
+        ActiveIndex::build_with(inst, state, self.shards(), |shards, build| {
+            match self.pool.as_ref() {
+                Some(pool) => pool.run_each(shards, build),
+                None => shards.iter_mut().for_each(build),
+            }
+        })
+    }
+
     /// Decide round `round` for the users `index` holds unsatisfied, each
-    /// against `state`'s loads.
+    /// against `state`'s loads. `index` must be synced with `state`; the
+    /// caller applies the returned moves to both.
     pub fn decide_active<I: Demands, P: Protocol + ?Sized, S: Sink>(
         &mut self,
         inst: &I,
         state: &State,
-        index: &ActiveIndex,
+        index: &mut ActiveIndex,
         proto: &P,
         round: u64,
         sink: &mut S,
     ) -> &[Move] {
+        self.step_active(inst, state, index, proto, round, ShardStep::Decide, sink)
+    }
+
+    /// The closed loop's active-set step: every index shard syncs with the
+    /// batch last passed to [`ActiveIndex::apply_staged`], then — with
+    /// `decide` — decides round `round` for its users and stages the moves
+    /// for its next sync. One pool dispatch, or inline below
+    /// `SPARSE_POOL_MIN_ACTIVE`; either way it records [`Phase::Decide`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step_sparse<I: Demands, P: Protocol + ?Sized, S: Sink>(
+        &mut self,
+        inst: &I,
+        state: &State,
+        index: &mut ActiveIndex,
+        proto: &P,
+        round: u64,
+        decide: bool,
+        sink: &mut S,
+    ) -> &[Move] {
+        let step = if decide {
+            ShardStep::DecideStaged
+        } else {
+            ShardStep::Sync
+        };
+        self.step_active(inst, state, index, proto, round, step, sink)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn step_active<I: Demands, P: Protocol + ?Sized, S: Sink>(
+        &mut self,
+        inst: &I,
+        state: &State,
+        index: &mut ActiveIndex,
+        proto: &P,
+        round: u64,
+        step: ShardStep,
+        sink: &mut S,
+    ) -> &[Move] {
         self.view = None;
-        let seed = self.seed;
-        match self.pool.as_ref() {
-            Some(pool) if index.num_active() >= SPARSE_POOL_MIN_ACTIVE => {
-                index.sorted_active_into(&mut self.sorted);
-                let (users, len) = (&self.sorted, self.sorted.len());
-                let chunk = shard_chunk(len, pool.threads());
-                // wake only the shards the batch fills
-                pool.decide_round_observed_on(
-                    |shard, out| {
-                        let lo = (shard * chunk).min(len);
-                        let hi = ((shard + 1) * chunk).min(len);
-                        if lo < hi {
-                            decide_users_into(inst, state, &users[lo..hi], proto, seed, round, out);
-                        }
-                    },
-                    &mut self.moves,
-                    sink,
-                    self.shard_timing,
-                    shards_for(len, pool.threads()),
-                );
+        let (seed, shard_timing) = (self.seed, self.shard_timing);
+        let nonempty = index.num_nonempty_shards();
+        let pool = self.pool.as_ref().filter(|pool| {
+            (2..=pool.threads()).contains(&nonempty) && index.num_active() >= SPARSE_POOL_MIN_ACTIVE
+        });
+
+        let moves = &mut self.moves;
+        moves.clear();
+        index.step_shards(|crossed, shards| {
+            let shards = &mut shards[..nonempty];
+            let fill = |shard: &mut IndexShard, out: &mut Vec<Move>| {
+                shard.sync(inst, state, crossed);
+                if step != ShardStep::Sync {
+                    let start = out.len();
+                    decide_shard_into(inst, state, shard, proto, seed, round, out);
+                    if step == ShardStep::DecideStaged {
+                        shard.stage(&out[start..]);
+                    }
+                }
+            };
+            match pool {
+                Some(pool) => pool.decide_each_observed(shards, fill, moves, sink, shard_timing),
+                None => timed(sink, Phase::Decide, || {
+                    shards.iter_mut().for_each(|shard| fill(shard, moves))
+                }),
             }
-            _ => {
-                let (moves, sorted) = (&mut self.moves, &mut self.sorted);
-                timed(sink, Phase::Decide, || {
-                    decide_active_into(inst, state, index, proto, seed, round, moves, sorted)
-                });
-            }
-        }
+        });
         &self.moves
     }
 

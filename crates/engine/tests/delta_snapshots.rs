@@ -88,7 +88,6 @@ fn delta_chain_survives_churn_episodes_and_index_repair() {
     let mut index = ActiveIndex::new(&inst, &state);
     let mut chain = Vec::new();
     let mut moves = Vec::new();
-    let mut scratch = Vec::new();
     for round in 0..300u64 {
         let before = assignment_u32(&state);
         // churn episode every 40 rounds: displace users outside any
@@ -99,16 +98,7 @@ fn delta_chain_survives_churn_episodes_and_index_repair() {
             assert!(displaced > 0, "churn fraction never displaced anyone");
             index = ActiveIndex::new(&inst, &state);
         }
-        qlb_core::step::decide_active_into(
-            &inst,
-            &state,
-            &index,
-            &proto,
-            31,
-            round,
-            &mut moves,
-            &mut scratch,
-        );
+        qlb_core::step::decide_active_into(&inst, &state, &index, &proto, 31, round, &mut moves);
         index.apply_moves(&inst, &mut state, &moves);
         encode_step(&mut chain, &before, &assignment_u32(&state));
     }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use qoslb::core::potential::unsatisfied_potential;
-use qoslb::core::step::decide_round;
+use qoslb::core::step::{decide_round, decide_shard_into};
 use qoslb::core::weighted::WeightedInstance;
 use qoslb::engine::{
     perturb_uniform, run, run_observed, run_open_system, run_with_churn, ChurnConfig, OpenConfig,
@@ -127,6 +127,196 @@ fn check_reassignments(inst: &Instance, seed: u64, batches: &[Vec<(usize, usize)
         let moves = decide_round(&parked, &state, &SlackDamped::default(), seed, round as u64);
         index.apply_moves(&parked, &mut state, &moves);
         index.assert_consistent(&parked, &state);
+    }
+}
+
+/// Strategy: a single-class instance of 513–2047 users — never a multiple
+/// of 512, so the last index shard is partial — at slack 1.1 from a random
+/// start, and an index shard count of 1–4.
+fn sharded_instance() -> impl Strategy<Value = (Instance, State, u64, usize)> {
+    (
+        1usize..=3,      // whole 512-user blocks
+        1usize..512,     // users past them
+        2usize..=40,     // m
+        0u64..=u64::MAX, // seed
+        1usize..=4,      // shards
+    )
+        .prop_map(|(blocks, rem, m, seed, shards)| {
+            let n = 512 * blocks + rem;
+            let mut caps: Vec<u32> = (0..m as u32).map(|r| 1 + r % 7).collect();
+            calibrate_slack(&mut caps, n, 1.1);
+            let inst = Instance::with_capacities(n, caps).unwrap();
+            let state = State::random(&inst, seed);
+            (inst, state, seed, shards)
+        })
+}
+
+/// Strategy: a 2–3 class instance of the same sizes, its classes in
+/// user-id blocks with distinct thresholds (as in
+/// [`multi_class_instance`]), from a random start.
+fn sharded_multi_class_instance() -> impl Strategy<Value = (Instance, State, u64)> {
+    (
+        proptest::collection::vec(200usize..=800, 2..=3), // class sizes
+        proptest::collection::vec(8u32..=48, 4..=24),     // speeds
+        0usize..3,                                        // threshold rotation
+        0u64..=u64::MAX,                                  // seed
+    )
+        .prop_map(|(mut sizes, speeds, rot, seed)| {
+            if sizes.iter().sum::<usize>() % 512 == 0 {
+                sizes[0] += 1;
+            }
+            let mut builder =
+                InstanceBuilder::new().speeds(speeds.iter().map(|&s| s as f64).collect());
+            for (k, &count) in sizes.iter().enumerate() {
+                builder = builder.latency_class([1.0, 0.5, 0.25][(k + rot) % 3], count);
+            }
+            let inst = builder.build().unwrap();
+            let state = State::random(&inst, seed);
+            (inst, state, seed)
+        })
+}
+
+/// A batch of adversarial single-user hops decided against `state`: one
+/// move per distinct picked user whose pick names another resource, in
+/// user order as a decided round lists them.
+fn hop_batch(state: &State, m: usize, picks: &[(usize, usize)]) -> Vec<Move> {
+    let n = state.num_users();
+    let mut seen = std::collections::HashSet::new();
+    let mut batch: Vec<Move> = picks
+        .iter()
+        .filter_map(|&(u, r)| {
+            let user = UserId((u % n) as u32);
+            let (from, to) = (state.resource_of(user), ResourceId((r % m) as u32));
+            (from != to && seen.insert(user)).then_some(Move { user, from, to })
+        })
+        .collect();
+    batch.sort_by_key(|mv| mv.user);
+    batch
+}
+
+/// `index` describes `state` and answers every query as the one-shard
+/// `single` and a one-shard rebuild from scratch do.
+fn assert_same_index<I: Demands>(
+    inst: &I,
+    state: &State,
+    index: &ActiveIndex,
+    single: &ActiveIndex,
+) {
+    index.assert_consistent(inst, state);
+    let rebuilt = ActiveIndex::new(inst, state);
+    let occupants = |idx: &ActiveIndex, r| {
+        let mut users: Vec<UserId> = idx.occupants(r).collect();
+        users.sort();
+        users
+    };
+    for other in [single, &rebuilt] {
+        prop_assert!(index.active().eq(other.active()));
+        prop_assert_eq!(index.num_active(), other.num_active());
+        prop_assert_eq!(index.is_empty(), other.is_empty());
+        for r in inst.instance().resource_ids() {
+            prop_assert_eq!(
+                occupants(index, r),
+                occupants(other, r),
+                "occupants of {}",
+                r
+            );
+        }
+    }
+}
+
+/// Drive a `shards`-shard index and a one-shard index through the same
+/// batches — protocol rounds, with adversarial hops on odd rounds — and
+/// compare both with a rebuild after every batch.
+///
+/// Eagerly, the sharded index takes each batch through `apply_moves`.
+/// Deferred, it follows the engine's schedule: one step per round in which
+/// every shard syncs with the previous batch (in reverse shard order, as
+/// the order of shards must not matter), then decides its own users with
+/// the shard kernel or stages its hops; the coordinator then applies the
+/// batch with `apply_staged`. A final sync-only step closes the run.
+fn check_sharded_index<I: Demands>(
+    inst: &I,
+    start: State,
+    seed: u64,
+    shards: usize,
+    deferred: bool,
+    hops: &[Vec<(usize, usize)>],
+) {
+    let (m, proto) = (inst.instance().num_resources(), SlackDamped::default());
+    let mut state = start.clone();
+    let mut single_state = start;
+    let mut index = ActiveIndex::with_shards(inst, &state, shards);
+    let mut single = ActiveIndex::new(inst, &single_state);
+    prop_assert_eq!(index.num_shards(), shards);
+    assert_same_index(inst, &state, &index, &single);
+    for (round, picks) in hops.iter().enumerate() {
+        let round = round as u64;
+        let protocol = round.is_multiple_of(2);
+        let batch = if protocol {
+            decide_round(inst, &state, &proto, seed, round)
+        } else {
+            hop_batch(&state, m, picks)
+        };
+        if deferred {
+            let mut decided = Vec::new();
+            index.step_shards(|crossed, parts| {
+                for part in parts.iter_mut().rev() {
+                    part.sync(inst, &state, crossed);
+                }
+                for part in parts.iter_mut() {
+                    let from = decided.len();
+                    if protocol {
+                        decide_shard_into(inst, &state, part, &proto, seed, round, &mut decided);
+                    } else {
+                        let own = part.range();
+                        decided.extend(batch.iter().filter(|mv| own.contains(&mv.user.index())));
+                    }
+                    part.stage(&decided[from..]);
+                }
+            });
+            prop_assert_eq!(&decided, &batch, "round {}", round);
+            assert_same_index(inst, &state, &index, &single);
+            index.apply_staged(inst, &mut state, &batch);
+            single.apply_moves(inst, &mut single_state, &batch);
+        } else {
+            index.apply_moves(inst, &mut state, &batch);
+            single.apply_moves(inst, &mut single_state, &batch);
+            assert_same_index(inst, &state, &index, &single);
+        }
+        prop_assert_eq!(&state, &single_state);
+    }
+    if deferred {
+        index.sync(inst, &state);
+        assert_same_index(inst, &state, &index, &single);
+    }
+}
+
+/// Drive a `shards`-shard index and a one-shard index through the same
+/// reassignment batches over `inst` plus a parking resource, exempting it
+/// from rechecks or not, and compare both with a rebuild after every batch.
+fn check_sharded_reassignments(
+    inst: &Instance,
+    shards: usize,
+    exempt: bool,
+    batches: &[Vec<(usize, usize)>],
+) {
+    let parked = inst.with_parking(&[]).unwrap();
+    let (n, m) = (parked.num_users(), parked.num_resources());
+    let parking = ResourceId((m - 1) as u32);
+    let exempt = exempt.then_some(parking);
+    let mut state = State::all_on(&parked, parking);
+    let mut single_state = state.clone();
+    let mut index = ActiveIndex::with_shards(&parked, &state, shards);
+    let mut single = ActiveIndex::new(&parked, &single_state);
+    for batch in batches {
+        let changes: Vec<(UserId, ResourceId)> = batch
+            .iter()
+            .map(|&(u, r)| (UserId((u % n) as u32), ResourceId((r % m) as u32)))
+            .collect();
+        index.apply_reassignments(&parked, &mut state, &changes, exempt);
+        single.apply_reassignments(&parked, &mut single_state, &changes, exempt);
+        prop_assert_eq!(&state, &single_state);
+        assert_same_index(&parked, &state, &index, &single);
     }
 }
 
@@ -542,5 +732,33 @@ proptest! {
     ) {
         check_reassignments(&inst, seed, &batches);
         check_reassignments(&minst, mseed, &batches);
+    }
+
+    /// A sharded index — 1–4 shards over a population that is not a
+    /// multiple of the 512-user shard alignment — equals a one-shard index
+    /// and a rebuild after every batch, on unit, weighted-lift and 2–3
+    /// class instances: through eager `apply_moves`, through the engine's
+    /// deferred per-shard sync, and through `apply_reassignments` with and
+    /// without an exempt parking resource.
+    #[test]
+    fn sharded_index_matches_one_shard(
+        (inst, state, seed, shards) in sharded_instance(),
+        (minst, mstate, mseed) in sharded_multi_class_instance(),
+        hops in proptest::collection::vec(
+            proptest::collection::vec((0usize..1 << 16, 0usize..4096), 1..64),
+            1..10,
+        ),
+    ) {
+        let winst = lift_weighted(&inst, 4);
+        let wstate = State::new(&winst, state.assignment().to_vec()).unwrap();
+        for deferred in [false, true] {
+            check_sharded_index(&inst, state.clone(), seed, shards, deferred, &hops);
+            check_sharded_index(&winst, wstate.clone(), seed, shards, deferred, &hops);
+            check_sharded_index(&minst, mstate.clone(), mseed, shards, deferred, &hops);
+        }
+        for exempt in [false, true] {
+            check_sharded_reassignments(&inst, shards, exempt, &hops);
+            check_sharded_reassignments(&minst, shards, exempt, &hops);
+        }
     }
 }
