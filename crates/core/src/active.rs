@@ -446,6 +446,12 @@ impl IndexShard {
         self.bits[i / 64] & (1 << (i % 64)) != 0
     }
 
+    /// Number of the shard's users unsatisfied as of its last sync.
+    #[inline]
+    pub fn num_active(&self) -> usize {
+        self.count
+    }
+
     /// The shard's unsatisfied users in increasing user order.
     pub fn active(&self) -> impl Iterator<Item = UserId> + '_ {
         let lo = self.lo;

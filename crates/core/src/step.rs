@@ -208,10 +208,10 @@ pub fn decide_shard_into<I: Demands, P: Protocol + ?Sized>(
         !proto.acts_when_satisfied(),
         "active-set rounds are unsound for protocols that act while satisfied"
     );
-    let mut block = [0u32; SHARD_BLOCK];
+    let mut block = [UserId(0); SHARD_BLOCK];
     let mut len = 0;
     for user in shard.active() {
-        block[len] = user.0;
+        block[len] = user;
         len += 1;
         if len == SHARD_BLOCK {
             decide_block(inst, state, &block, proto, seed, round, out);
@@ -221,25 +221,24 @@ pub fn decide_shard_into<I: Demands, P: Protocol + ?Sized>(
     decide_block(inst, state, &block[..len], proto, seed, round, out);
 }
 
-/// One block of [`decide_shard_into`].
+/// One block of [`decide_shard_into`] or [`decide_users_into`].
 #[inline]
 fn decide_block<I: Demands, P: Protocol + ?Sized>(
     inst: &I,
     state: &State,
-    users: &[u32],
+    users: &[UserId],
     proto: &P,
     seed: u64,
     round: u64,
     out: &mut Vec<Move>,
 ) {
     let mut bases = [0u64; SHARD_BLOCK];
-    for (base, &u) in bases.iter_mut().zip(users) {
-        *base = RoundStream::base(seed, u as u64, round);
+    for (base, user) in bases.iter_mut().zip(users) {
+        *base = RoundStream::base(seed, user.0 as u64, round);
     }
     let (loads, assignment) = (state.loads(), state.assignment());
-    for (&u, &base) in users.iter().zip(&bases) {
-        let user = UserId(u);
-        let own = assignment[u as usize];
+    for (&user, &base) in users.iter().zip(&bases) {
+        let own = assignment[user.index()];
         debug_assert!(!state.is_satisfied(inst, user), "{user} is satisfied");
         let mut rng = RoundStream::from_base(base);
         if let Some(mv) = decide_unsatisfied_user(inst, loads, own, user, proto, round, &mut rng) {
@@ -255,8 +254,13 @@ fn decide_block<I: Demands, P: Protocol + ?Sized>(
 /// [`ActiveIndex::sorted_active_into`]); concatenating the outputs of the
 /// slices in order reproduces [`decide_active_into`] exactly, because each
 /// user's decision is a pure function of `(seed, user, round)` and the
-/// start-of-round loads. The same soundness condition applies: the protocol
-/// must not act while satisfied.
+/// start-of-round loads. The users run in blocks of 256 as in
+/// [`decide_shard_into`], with no second satisfaction test. The same
+/// soundness condition applies: the protocol must not act while satisfied.
+///
+/// # Panics
+/// Debug builds panic if the protocol acts while satisfied, or if `users`
+/// holds a satisfied user.
 pub fn decide_users_into<I: Demands, P: Protocol + ?Sized>(
     inst: &I,
     state: &State,
@@ -270,12 +274,8 @@ pub fn decide_users_into<I: Demands, P: Protocol + ?Sized>(
         !proto.acts_when_satisfied(),
         "active-set shards are unsound for protocols that act while satisfied"
     );
-    let loads = state.loads();
-    for &user in users {
-        let own = state.resource_of(user);
-        if let Some(mv) = decide_user(inst, loads, own, user, proto, seed, round) {
-            out.push(mv);
-        }
+    for block in users.chunks(SHARD_BLOCK) {
+        decide_block(inst, state, block, proto, seed, round, out);
     }
 }
 

@@ -16,14 +16,14 @@
 //! a small fraction of the user pool, so `O(pool)` dense rounds are almost
 //! entirely wasted scans of parked (always-satisfied) users. Arrivals,
 //! departures, **and** protocol migrations are all fed to the
-//! [`ActiveIndex`](qlb_core::ActiveIndex) as reassignment deltas with the
-//! parking resource exempted from occupant rechecks (its infinite capacity
-//! means its occupants' satisfaction never changes), keeping every round
+//! [`ActiveIndex`] as reassignment deltas with the parking resource
+//! exempted from occupant rechecks (its infinite capacity means its
+//! occupants' satisfaction never changes), keeping every round
 //! `O(churn + active)` instead of `O(pool)`.
 
 use crate::run::Executor;
 use crate::stepper::Stepper;
-use qlb_core::{Instance, Protocol, ResourceId, State, UserId};
+use qlb_core::{ActiveIndex, Instance, Protocol, ResourceId, State, UserId};
 use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink};
 use qlb_rng::{Rng64, SplitMix64};
 
@@ -176,9 +176,8 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
     }
     let mut stepper = Stepper::new(cfg.executor, pool, cfg.seed, cfg.shard_timing);
     // An open system starts all-parked (zero unsatisfied), so the index is
-    // built upfront — there is no crowded warm-up phase to skip. It has one
-    // shard per pool shard, so pooled rounds decide shard by shard.
-    let mut index = use_sparse.then(|| stepper.build_index(&inst, &state));
+    // built upfront — there is no crowded warm-up phase to skip.
+    let mut index = use_sparse.then(|| ActiveIndex::new(&inst, &state));
 
     // Parked users as a LIFO stack; active set as a boolean map.
     let mut parked: Vec<UserId> = inst.users().collect();

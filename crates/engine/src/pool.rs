@@ -18,7 +18,7 @@
 //! * each worker owns a reusable `Vec<Move>` shard buffer that keeps its
 //!   capacity across rounds, so steady-state rounds allocate nothing, and
 //!   sits on its own cache lines (`ShardBuf`) like the profiling slots;
-//! * [`WorkerPool::run_each`] and [`WorkerPool::decide_each_observed`]
+//! * [`WorkerPool::run_each`] and [`WorkerPool::decide_each_on`]
 //!   hand each shard one mutable item of a slice — the engine's index
 //!   shards — so per-shard state lives with the worker that uses it;
 //! * per-shard profiling slots are cache-line-isolated atomics
@@ -264,28 +264,27 @@ impl WorkerPool {
         );
     }
 
-    /// [`WorkerPool::decide_round_observed_on`] with one item owned by each
-    /// shard: shard `i` fills its buffer via `fill(&mut items[i], buf)`,
-    /// and the buffers concatenate into `out` in item order.
+    /// [`WorkerPool::decide_round_on`] with one item owned by each shard:
+    /// shard `i` fills its buffer via `fill(&mut items[i], buf)`, and the
+    /// buffers concatenate into `out` in item order.
     ///
     /// # Panics
     /// Panics if there are more items than shards.
-    pub fn decide_each_observed<T, S, F>(
+    pub fn decide_each_on<T, F>(
         &self,
         items: &mut [T],
         fill: F,
         out: &mut Vec<Move>,
-        sink: &mut S,
-        shard_timing: bool,
-    ) where
+        timed: bool,
+    ) -> u64
+    where
         T: Send,
-        S: Sink,
         F: Fn(&mut T, &mut Vec<Move>) + Sync,
     {
         let len = items.len();
         assert!(len <= self.threads(), "more items than shards");
         let items = PerShard(items.as_mut_ptr());
-        self.decide_round_observed_on(
+        self.decide_round_on(
             |shard, buf| {
                 if shard < len {
                     // SAFETY: as in `run_each`
@@ -293,10 +292,9 @@ impl WorkerPool {
                 }
             },
             out,
-            sink,
-            shard_timing,
+            timed,
             len,
-        );
+        )
     }
 
     /// Dispatch one **decide round** over shards `0..active`: each shard
@@ -381,7 +379,26 @@ impl WorkerPool {
         }
         let t0 = Instant::now();
         let max_ns = self.decide_round_on(fill, out, true, active);
-        let wall = t0.elapsed().as_nanos() as u64;
+        self.observe(
+            sink,
+            t0.elapsed().as_nanos() as u64,
+            max_ns,
+            active,
+            shard_timing,
+        );
+    }
+
+    /// Record one timed decide dispatch over shards `0..active` that took
+    /// `wall` ns, its slowest shard `max_ns`, as
+    /// [`WorkerPool::decide_round_observed_on`] does.
+    pub(crate) fn observe<S: Sink>(
+        &self,
+        sink: &mut S,
+        wall: u64,
+        max_ns: u64,
+        active: usize,
+        shard_timing: bool,
+    ) {
         let compute = max_ns.min(wall);
         sink.time(Phase::Decide, wall);
         sink.time(Phase::Compute, compute);

@@ -456,6 +456,7 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
         // An active-set round. The shards first sync with the previous
         // round's batch — which ends that round — and then decide this one,
         // in one step; a sync after the last budgeted round decides nothing.
+        // A step that decides no round records its time as `Apply`.
         if open_round.is_none() && (converged || rounds >= config.max_rounds) {
             break;
         }
@@ -1232,6 +1233,9 @@ mod tests {
                 assert_eq!(events(&rec), events(want_rec), "{label}");
                 assert_eq!(rec.counter(Counter::Rounds), out.rounds, "{label}");
                 assert_eq!(rec.counter(Counter::ExecutorSwitches), 1, "{label}");
+                // the closing sync of the sparse phase is not a round
+                let decides = rec.timers().histogram(Phase::Decide).count();
+                assert_eq!(decides, out.rounds, "{label}: Decide samples");
                 if exec != Executor::Sparse {
                     // one Compute sample per pooled round: more than the
                     // dense ones means active-set rounds were dispatched

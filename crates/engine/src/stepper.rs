@@ -12,22 +12,23 @@
 
 use crate::pool::{pool_for, shard_chunk, shards_for, WorkerPool};
 use crate::run::Executor;
-use qlb_core::step::{decide_round_into, decide_shard_into};
+use qlb_core::step::{decide_active_into, decide_round_into, decide_shard_into, decide_users_into};
 use qlb_core::{
     ActiveIndex, Demands, IndexShard, Instance, Move, Protocol, ResourceId, RoundView, ShardDeltas,
     ShardScratch, State, UserId,
 };
 use qlb_obs::{timed, Phase, Sink};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Below this many active users (as of the last sync) an active-set round
-/// runs its shard steps inline on the coordinator instead of dispatching
-/// them. A sparse decision costs 20–40 ns (the 862 k sparse decisions of a
-/// `sim-crowded` run take 15–35 ms sequentially on a shared 2-core x86
-/// host), so 1024 of them cost 20–40 µs, about one condvar wake and join
-/// (a pooled round's `ForkJoin` averages about 55 µs there). Purely a cost
-/// decision — the shard outputs concatenate in user order either way, so
-/// the trajectory is unaffected.
+/// runs on the coordinator instead of dispatching to the pool. A sparse
+/// decision costs 20–40 ns (the 862 k sparse decisions of a `sim-crowded`
+/// run take 15–35 ms sequentially on a shared 2-core x86 host), so 1024 of
+/// them cost 20–40 µs, about one condvar wake and join (a pooled round's
+/// `ForkJoin` averages about 55 µs there). Purely a cost decision — the
+/// shard outputs concatenate in user order either way, so the trajectory
+/// is unaffected.
 const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 
 /// Below this many moves the shard-owned executor applies the batch on the
@@ -36,33 +37,23 @@ const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 /// Purely a cost decision — both paths write the same cells.
 const OWNED_APPLY_MIN_BATCH: usize = 4096;
 
-/// What one active-set step does in each index shard after its sync.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ShardStep {
-    /// Sync only: the closing pass of a run's sparse phase.
-    Sync,
-    /// Decide the shard's users; the caller applies the moves eagerly.
-    Decide,
-    /// Decide and stage the moves in the shard for its next sync.
-    DecideStaged,
-}
-
 /// Decides one synchronous round for any driver.
 ///
-/// * [`Stepper::decide_active`] decides the unsatisfied users of an
-///   [`ActiveIndex`], each index shard scanning and deciding its own users:
-///   on its own pool worker when the index has one shard per pool shard and
-///   the set held at least 1024 users at the last sync, inline otherwise.
+/// * [`Stepper::decide_active`] decides the unsatisfied users of a synced
+///   [`ActiveIndex`]: the sorted set split evenly by count across the pool
+///   when there is one and the set holds at least 1024 users, sequentially
+///   otherwise. The open driver and the serving core use it.
+/// * `Stepper::step_sparse` is the closed loop's active-set step: every
+///   shard of an index built by `Stepper::build_index` syncs with the
+///   previous batch and then decides its own users, one shard per pool
+///   worker (see [`run`](crate::run::run)).
 /// * [`Stepper::decide_round`] decides all `n` users: over the SoA
 ///   [`RoundView`] sharded across the pool when there is one, by the dense
 ///   reference scan otherwise.
 ///
-/// Both return the round's moves in user order, byte-identical whichever
-/// kernel ran, and record [`Phase::Decide`] (plus [`Phase::Compute`] and
-/// [`Phase::ForkJoin`] for pooled rounds) on the sink. The closed loop's
-/// sparse rounds go through `Stepper::step_sparse`, which also syncs the
-/// shards with the previous batch in the same dispatch (see
-/// [`run`](crate::run::run)).
+/// Each returns the round's moves in user order, byte-identical whichever
+/// kernel ran, and records [`Phase::Decide`] (plus [`Phase::Compute`] and
+/// [`Phase::ForkJoin`] for pooled rounds) on the sink.
 pub struct Stepper {
     seed: u64,
     shard_timing: bool,
@@ -71,6 +62,7 @@ pub struct Stepper {
     /// step by them and by [`Stepper::reassign`]; an active-set round
     /// drops it, since the index's apply does not mirror into it.
     view: Option<ViewShards>,
+    sorted: Vec<UserId>,
     moves: Vec<Move>,
 }
 
@@ -88,6 +80,7 @@ impl Stepper {
             shard_timing,
             pool: pool_for(executor, n),
             view: None,
+            sorted: Vec::new(),
             moves: Vec::new(),
         }
     }
@@ -104,17 +97,11 @@ impl Stepper {
         &self.moves
     }
 
-    /// Number of pool shards (1 without a pool): the shard count of the
-    /// indexes [`Stepper::build_index`] builds.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkerPool::threads)
-    }
-
-    /// Build the [`ActiveIndex`] of `state` with one shard per pool shard,
-    /// each shard built on its own worker.
-    pub fn build_index<I: Demands>(&self, inst: &I, state: &State) -> ActiveIndex {
-        ActiveIndex::build_with(inst, state, self.shards(), |shards, build| {
+    /// Build the closed loop's [`ActiveIndex`] of `state` with one shard
+    /// per pool shard, each shard built on its own worker.
+    pub(crate) fn build_index<I: Demands>(&self, inst: &I, state: &State) -> ActiveIndex {
+        let shards = self.pool.as_ref().map_or(1, WorkerPool::threads);
+        ActiveIndex::build_with(inst, state, shards, |shards, build| {
             match self.pool.as_ref() {
                 Some(pool) => pool.run_each(shards, build),
                 None => shards.iter_mut().for_each(build),
@@ -123,25 +110,61 @@ impl Stepper {
     }
 
     /// Decide round `round` for the users `index` holds unsatisfied, each
-    /// against `state`'s loads. `index` must be synced with `state`; the
-    /// caller applies the returned moves to both.
+    /// against `state`'s loads. `index` must be synced with `state`.
+    ///
+    /// The pooled split is by count, not by index shard: the open driver
+    /// and the serving core take arrivals from the high end of the user
+    /// range, so their unsatisfied users crowd into the last user ranges.
     pub fn decide_active<I: Demands, P: Protocol + ?Sized, S: Sink>(
         &mut self,
         inst: &I,
         state: &State,
-        index: &mut ActiveIndex,
+        index: &ActiveIndex,
         proto: &P,
         round: u64,
         sink: &mut S,
     ) -> &[Move] {
-        self.step_active(inst, state, index, proto, round, ShardStep::Decide, sink)
+        self.view = None;
+        let seed = self.seed;
+        match self.pool.as_ref() {
+            Some(pool) if index.num_active() >= SPARSE_POOL_MIN_ACTIVE => {
+                index.sorted_active_into(&mut self.sorted);
+                let (users, len) = (&self.sorted, self.sorted.len());
+                let chunk = shard_chunk(len, pool.threads());
+                // wake only the shards the batch fills
+                pool.decide_round_observed_on(
+                    |shard, out| {
+                        let lo = (shard * chunk).min(len);
+                        let hi = ((shard + 1) * chunk).min(len);
+                        if lo < hi {
+                            decide_users_into(inst, state, &users[lo..hi], proto, seed, round, out);
+                        }
+                    },
+                    &mut self.moves,
+                    sink,
+                    self.shard_timing,
+                    shards_for(len, pool.threads()),
+                );
+            }
+            _ => {
+                let moves = &mut self.moves;
+                timed(sink, Phase::Decide, || {
+                    decide_active_into(inst, state, index, proto, seed, round, moves)
+                });
+            }
+        }
+        &self.moves
     }
 
-    /// The closed loop's active-set step: every index shard syncs with the
-    /// batch last passed to [`ActiveIndex::apply_staged`], then — with
-    /// `decide` — decides round `round` for its users and stages the moves
-    /// for its next sync. One pool dispatch, or inline below
-    /// `SPARSE_POOL_MIN_ACTIVE`; either way it records [`Phase::Decide`].
+    /// The closed loop's active-set step: every shard of `index` (built by
+    /// [`Stepper::build_index`]) syncs with the batch last passed to
+    /// [`ActiveIndex::apply_staged`], then — with `decide` — decides round
+    /// `round` for its users and stages the moves for its next sync. One
+    /// pool dispatch, or inline below `SPARSE_POOL_MIN_ACTIVE`.
+    ///
+    /// The step records a round's phases only when it decided one: a step
+    /// without `decide`, or one whose sync left no user unsatisfied, is
+    /// index maintenance and records its wall time as [`Phase::Apply`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step_sparse<I: Demands, P: Protocol + ?Sized, S: Sink>(
         &mut self,
@@ -151,25 +174,6 @@ impl Stepper {
         proto: &P,
         round: u64,
         decide: bool,
-        sink: &mut S,
-    ) -> &[Move] {
-        let step = if decide {
-            ShardStep::DecideStaged
-        } else {
-            ShardStep::Sync
-        };
-        self.step_active(inst, state, index, proto, round, step, sink)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn step_active<I: Demands, P: Protocol + ?Sized, S: Sink>(
-        &mut self,
-        inst: &I,
-        state: &State,
-        index: &mut ActiveIndex,
-        proto: &P,
-        round: u64,
-        step: ShardStep,
         sink: &mut S,
     ) -> &[Move] {
         self.view = None;
@@ -185,19 +189,30 @@ impl Stepper {
             let shards = &mut shards[..nonempty];
             let fill = |shard: &mut IndexShard, out: &mut Vec<Move>| {
                 shard.sync(inst, state, crossed);
-                if step != ShardStep::Sync {
+                if decide {
                     let start = out.len();
                     decide_shard_into(inst, state, shard, proto, seed, round, out);
-                    if step == ShardStep::DecideStaged {
-                        shard.stage(&out[start..]);
-                    }
+                    shard.stage(&out[start..]);
                 }
             };
-            match pool {
-                Some(pool) => pool.decide_each_observed(shards, fill, moves, sink, shard_timing),
-                None => timed(sink, Phase::Decide, || {
-                    shards.iter_mut().for_each(|shard| fill(shard, moves))
-                }),
+            let t0 = S::ENABLED.then(Instant::now);
+            let max_ns = match pool {
+                Some(pool) => pool.decide_each_on(shards, fill, moves, S::ENABLED),
+                None => {
+                    shards.iter_mut().for_each(|shard| fill(shard, moves));
+                    0
+                }
+            };
+            if let Some(t0) = t0 {
+                let wall = t0.elapsed().as_nanos() as u64;
+                let decided = decide && shards.iter().any(|shard| shard.num_active() > 0);
+                match pool {
+                    Some(pool) if decided => {
+                        pool.observe(sink, wall, max_ns, shards.len(), shard_timing)
+                    }
+                    _ if decided => sink.time(Phase::Decide, wall),
+                    _ => sink.time(Phase::Apply, wall),
+                }
             }
         });
         &self.moves

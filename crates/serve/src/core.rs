@@ -442,6 +442,7 @@ impl ServeCore {
             free[inst.class_of(u).index()].push(u);
         }
         // LIFO from the high end: pop order is descending user id.
+        let index = ActiveIndex::new(&inst, &state);
         let admit_cap = (0..kk)
             .map(|k| {
                 inst.cap_row(ClassId(k as u32))[..real_m]
@@ -454,8 +455,6 @@ impl ServeCore {
         // one thread gets no pool: the stepper then decides sequentially
         let executor = Executor::SparseThreaded(cfg.threads.max(1));
         let stepper = Stepper::new(executor, pool, cfg.seed, true);
-        // one index shard per pool shard
-        let index = stepper.build_index(&inst, &state);
         let state_base = state.assignment().iter().map(|r| r.0).collect();
         Self {
             inst,
@@ -696,7 +695,7 @@ impl ServeCore {
         // Zero the capacity and rebuild the unsatisfied index against the
         // drained instance — O(pool + m), once per drain request.
         self.inst = self.inst.with_resource_drained(r);
-        self.index = self.stepper.build_index(&self.inst, &self.state);
+        self.index = ActiveIndex::new(&self.inst, &self.state);
         let occupants = self.state.load(r);
         self.drained_done[r.index()] = occupants == 0;
         self.drains += 1;
@@ -807,7 +806,7 @@ impl ServeCore {
                 active: self.index.num_active() as u64,
             });
         }
-        let (inst, state, index) = (&self.inst, &self.state, &mut self.index);
+        let (inst, state, index) = (&self.inst, &self.state, &self.index);
         let moves = self
             .stepper
             .decide_active(inst, state, index, &self.proto, round, sink);
