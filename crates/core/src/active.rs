@@ -460,6 +460,31 @@ impl IndexShard {
             .map(move |i| UserId((lo + i) as u32))
     }
 
+    /// The shard's unsatisfied users in increasing user order as raw ids,
+    /// written into `buf` and passed to `f` one non-empty prefix at a time:
+    /// the block form of [`IndexShard::active`]. A bit word is never split
+    /// across two prefixes, so `buf` must hold at least 64 ids.
+    pub(crate) fn active_blocks(&self, buf: &mut [u32], mut f: impl FnMut(&[u32])) {
+        assert!(buf.len() >= 64, "a block holds at least one bit word");
+        let mut len = 0;
+        for w in ones(&self.summary) {
+            let mut word = self.bits[w];
+            if len + word.count_ones() as usize > buf.len() {
+                f(&buf[..len]);
+                len = 0;
+            }
+            let base = (self.lo + w * 64) as u32;
+            while word != 0 {
+                buf[len] = base + word.trailing_zeros();
+                word &= word - 1;
+                len += 1;
+            }
+        }
+        if len > 0 {
+            f(&buf[..len]);
+        }
+    }
+
     /// The shard's users on resource `r`.
     fn occupants(&self, r: ResourceId) -> impl Iterator<Item = UserId> + '_ {
         let mut u = self.head[r.index()];
@@ -781,6 +806,34 @@ mod tests {
         idx.assert_consistent(&inst, &state);
         let got: Vec<u32> = idx.active().map(|u| u.0).collect();
         assert_eq!(got, [0, 63, 64, 4095, 8999]);
+    }
+
+    #[test]
+    fn block_scan_concatenates_to_the_ordered_scan() {
+        // r1 has cap 0, so whoever moves there is unsatisfied. Every third
+        // of 9000 users gives 21 or 22 ids per bit word, so each buffer
+        // flushes before the word that would overflow it and never splits
+        // one; a lone user is one block of one id; nobody is no block.
+        let inst = Instance::with_capacities(9000, vec![9000, 0]).unwrap();
+        let every_third: Vec<u32> = (0..9000).step_by(3).collect();
+        for picks in [every_third, vec![4100], vec![]] {
+            let mut state = State::all_on(&inst, ResourceId(0));
+            let mut idx = ActiveIndex::new(&inst, &state);
+            let moves: Vec<Move> = picks.iter().map(|&u| mv(u, 0, 1)).collect();
+            idx.apply_moves(&inst, &mut state, &moves);
+            for cap in [64, 100, 256] {
+                let mut buf = vec![0; cap];
+                let mut got = Vec::new();
+                idx.shards()[0].active_blocks(&mut buf, |ids| {
+                    assert!(!ids.is_empty() && ids.len() <= cap);
+                    if let Some(&last) = got.last() {
+                        assert_ne!(last / 64, ids[0] / 64, "a bit word split across blocks");
+                    }
+                    got.extend_from_slice(ids);
+                });
+                assert_eq!(got, picks, "buffer of {cap}");
+            }
+        }
     }
 
     #[test]

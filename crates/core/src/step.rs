@@ -17,7 +17,7 @@ use crate::ids::{ResourceId, UserId};
 use crate::instance::Demands;
 use crate::protocol::{Decision, LocalView, Protocol, ResourceView};
 use crate::state::{Move, State};
-use qlb_rng::RoundStream;
+use qlb_rng::{fold_round_bases, RoundStream};
 
 /// Decide the action of a single user against start-of-round congestion.
 ///
@@ -176,18 +176,21 @@ pub fn decide_active_into<I: Demands, P: Protocol + ?Sized>(
 }
 
 /// Users one block of [`decide_shard_into`] gathers before it folds their
-/// random-stream bases in one sweep: the block buffers stay on the stack.
-const SHARD_BLOCK: usize = 256;
+/// random-stream bases in one call (as does pass 2 of
+/// [`RoundView::decide_shard_into`](crate::RoundView::decide_shard_into)):
+/// the block buffers stay on the stack.
+pub(crate) const SHARD_BLOCK: usize = 256;
 
 /// Decide the unsatisfied users of one index shard, in user order,
 /// appending migrations to `out` — the per-shard kernel of the sparse
 /// executors.
 ///
-/// The shard's ordered bit scan fills blocks of up to 256 users; each block
-/// folds its [`RoundStream`] bases in one sweep (as
-/// [`qlb_rng::fill_round_bases`] does) and then runs
-/// [`decide_unsatisfied_user`] per user with no second satisfaction test:
-/// the shard, synced with `state`, holds exactly the unsatisfied users.
+/// The shard's ordered bit scan writes blocks of up to 256 user ids
+/// straight from its bit words; each block folds its [`RoundStream`] bases
+/// with one call to [`qlb_rng::fold_round_bases`] (eight per instruction on
+/// AVX-512) and then runs [`decide_unsatisfied_user`] per user with no
+/// second satisfaction test: the shard, synced with `state`, holds exactly
+/// the unsatisfied users.
 /// Concatenating the shards' outputs in order reproduces the sequential
 /// active-set scan, since each decision is a pure function of
 /// `(seed, user, round)` and the start-of-round loads.
@@ -208,36 +211,30 @@ pub fn decide_shard_into<I: Demands, P: Protocol + ?Sized>(
         !proto.acts_when_satisfied(),
         "active-set rounds are unsound for protocols that act while satisfied"
     );
-    let mut block = [UserId(0); SHARD_BLOCK];
-    let mut len = 0;
-    for user in shard.active() {
-        block[len] = user;
-        len += 1;
-        if len == SHARD_BLOCK {
-            decide_block(inst, state, &block, proto, seed, round, out);
-            len = 0;
-        }
-    }
-    decide_block(inst, state, &block[..len], proto, seed, round, out);
+    let mut block = [0u32; SHARD_BLOCK];
+    shard.active_blocks(&mut block, |ids| {
+        decide_block(inst, state, ids, proto, seed, round, out)
+    });
 }
 
-/// One block of [`decide_shard_into`] or [`decide_users_into`].
+/// One block of at most [`SHARD_BLOCK`] user ids of [`decide_shard_into`]
+/// or [`decide_users_into`].
 #[inline]
 fn decide_block<I: Demands, P: Protocol + ?Sized>(
     inst: &I,
     state: &State,
-    users: &[UserId],
+    users: &[u32],
     proto: &P,
     seed: u64,
     round: u64,
     out: &mut Vec<Move>,
 ) {
     let mut bases = [0u64; SHARD_BLOCK];
-    for (base, user) in bases.iter_mut().zip(users) {
-        *base = RoundStream::base(seed, user.0 as u64, round);
-    }
+    let bases = &mut bases[..users.len()];
+    fold_round_bases(seed, round, users, bases);
     let (loads, assignment) = (state.loads(), state.assignment());
-    for (&user, &base) in users.iter().zip(&bases) {
+    for (&id, &base) in users.iter().zip(bases.iter()) {
+        let user = UserId(id);
         let own = assignment[user.index()];
         debug_assert!(!state.is_satisfied(inst, user), "{user} is satisfied");
         let mut rng = RoundStream::from_base(base);
@@ -274,8 +271,13 @@ pub fn decide_users_into<I: Demands, P: Protocol + ?Sized>(
         !proto.acts_when_satisfied(),
         "active-set shards are unsound for protocols that act while satisfied"
     );
-    for block in users.chunks(SHARD_BLOCK) {
-        decide_block(inst, state, block, proto, seed, round, out);
+    let mut block = [0u32; SHARD_BLOCK];
+    for chunk in users.chunks(SHARD_BLOCK) {
+        let ids = &mut block[..chunk.len()];
+        for (id, user) in ids.iter_mut().zip(chunk) {
+            *id = user.0;
+        }
+        decide_block(inst, state, ids, proto, seed, round, out);
     }
 }
 

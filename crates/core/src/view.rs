@@ -16,9 +16,10 @@
 //!   satisfaction test collapses to one aligned word fetch and a bit test;
 //! * a **two-pass shard kernel** ([`RoundView::decide_shard_into`]):
 //!   pass 1 streams the assignment array and collects the indices of
-//!   unsatisfied users into a small batch; pass 2 refills the shard's RNG
-//!   buffer from the batch in one sweep ([`qlb_rng::fill_round_bases`])
-//!   and runs the full protocol kernel on batch users only;
+//!   unsatisfied users into a small batch; pass 2 folds the batch's RNG
+//!   bases 256 users at a time into a stack buffer
+//!   ([`qlb_rng::fold_round_bases`], vectorised at run time) and runs the
+//!   full protocol kernel on batch users only;
 //! * **per-shard delta buffers** ([`ShardDeltas`]): shards record net
 //!   per-resource load deltas privately; the coordinator merges them after
 //!   the barrier ([`RoundView::merge_loads`] / [`RoundView::repair_touched`])
@@ -39,8 +40,8 @@ use crate::ids::{ClassId, ResourceId, UserId};
 use crate::instance::{Demands, Instance};
 use crate::protocol::Protocol;
 use crate::state::{Move, State};
-use crate::step::{decide_unsatisfied_user, decide_user};
-use qlb_rng::{fill_round_bases, RoundStream};
+use crate::step::{decide_unsatisfied_user, decide_user, SHARD_BLOCK};
+use qlb_rng::{fold_round_bases, RoundStream};
 use std::cell::UnsafeCell;
 
 /// One 64-byte cache line of `u32`s (16 lanes).
@@ -174,13 +175,12 @@ impl AlignedCellU32 {
     }
 }
 
-/// Per-shard reusable buffers of the two-pass kernel: the pass-1 batch of
-/// unsatisfied user indices and the batched RNG bases of pass 2. One per
-/// shard, reused every round — steady-state rounds allocate nothing.
+/// Per-shard reusable buffer of the two-pass kernel: the pass-1 batch of
+/// unsatisfied user indices. One per shard, reused every round —
+/// steady-state rounds allocate nothing.
 #[derive(Default)]
 pub struct ShardScratch {
     pub(crate) batch: Vec<u32>,
-    pub(crate) bases: Vec<u64>,
 }
 
 impl ShardScratch {
@@ -436,18 +436,22 @@ impl RoundView {
             }
         }
 
-        // Pass 2: batch-refill the shard's RNG bases, then run the
-        // post-gate kernel on the (small) batch only.
-        fill_round_bases(seed, round, &scratch.batch, &mut scratch.bases);
-        for (&idx, &base) in scratch.batch.iter().zip(&scratch.bases) {
-            let user = UserId(idx);
-            let own = ResourceId(assign[idx as usize]);
-            let mut rng = RoundStream::from_base(base);
-            if let Some(mv) =
-                decide_unsatisfied_user(inst, loads, own, user, proto, round, &mut rng)
-            {
-                deltas.record(mv.from, mv.to, inst.weight(user));
-                out.push(mv);
+        // Pass 2: fold one block of the batch's RNG bases, then run the
+        // post-gate kernel on that block's users only.
+        let mut bases = [0u64; SHARD_BLOCK];
+        for block in scratch.batch.chunks(SHARD_BLOCK) {
+            let bases = &mut bases[..block.len()];
+            fold_round_bases(seed, round, block, bases);
+            for (&idx, &base) in block.iter().zip(bases.iter()) {
+                let user = UserId(idx);
+                let own = ResourceId(assign[idx as usize]);
+                let mut rng = RoundStream::from_base(base);
+                if let Some(mv) =
+                    decide_unsatisfied_user(inst, loads, own, user, proto, round, &mut rng)
+                {
+                    deltas.record(mv.from, mv.to, inst.weight(user));
+                    out.push(mv);
+                }
             }
         }
     }

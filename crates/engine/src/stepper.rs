@@ -22,13 +22,16 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Below this many active users (as of the last sync) an active-set round
-/// runs on the coordinator instead of dispatching to the pool. A sparse
-/// decision costs 20–40 ns (the 862 k sparse decisions of a `sim-crowded`
-/// run take 15–35 ms sequentially on a shared 2-core x86 host), so 1024 of
-/// them cost 20–40 µs, about one condvar wake and join (a pooled round's
-/// `ForkJoin` averages about 55 µs there). Purely a cost decision — the
-/// shard outputs concatenate in user order either way, so the trajectory
-/// is unaffected.
+/// runs on the coordinator instead of dispatching to the pool. With the
+/// vectorised base fold a sequential sparse decision costs 14–15 ns
+/// (`decide_active_into` on `sim-crowded` seed-1 states after rounds 2, 5,
+/// 10 and 20, on a shared 2-vCPU Sapphire Rapids host with AVX-512; 19–20
+/// ns before, with the scalar fold), so 1024 of them cost about 15 µs,
+/// less than one condvar wake and join (a pooled round's `ForkJoin`
+/// averages about 55 µs there). A threshold of 4096 or 16384 made no difference that
+/// stood out of that host's noise, so it stays at 1024. Purely a cost
+/// decision — the shard outputs concatenate in user order either way, so
+/// the trajectory is unaffected.
 const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 
 /// Below this many moves the shard-owned executor applies the batch on the

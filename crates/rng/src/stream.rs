@@ -34,7 +34,7 @@ impl RoundStream {
     /// The folded base of the `(seed, stream, round)` stream — the only
     /// per-stream state. `from_base(base(s, u, t))` is exactly `new(s, u, t)`;
     /// splitting the two lets batch kernels precompute bases for a whole
-    /// block of users in one pass (see [`fill_round_bases`]) instead of
+    /// block of users in one pass (see [`fold_round_bases`]) instead of
     /// re-folding coordinates inside the per-user hot loop.
     #[inline]
     pub fn base(seed: u64, stream: u64, round: u64) -> u64 {
@@ -78,26 +78,77 @@ impl Rng64 for RoundStream {
     }
 }
 
-/// Fill `out` with the [`RoundStream::base`] of every stream id in
-/// `streams` for `(seed, round)` — the batched-RNG primitive of the SoA
-/// decide kernel. Each shard refills one small buffer per round from this
-/// and rebuilds streams with [`RoundStream::from_base`]; draw-for-draw the
-/// result is identical to constructing each stream with
-/// [`RoundStream::new`], so batching can never change a decision.
+/// Write the [`RoundStream::base`] of every stream id in `streams` for
+/// `(seed, round)` into the matching slot of `out` — the batched-RNG
+/// primitive of every batched decide kernel. Callers rebuild each stream
+/// with [`RoundStream::from_base`]; draw-for-draw the result is identical
+/// to constructing it with [`RoundStream::new`], so batching can never
+/// change a decision.
 ///
-/// `out` is cleared first; reusing one buffer keeps the hot loop
-/// allocation-free.
-pub fn fill_round_bases(seed: u64, round: u64, streams: &[u32], out: &mut Vec<u64>) {
-    out.clear();
-    out.reserve(streams.len());
-    for &s in streams {
-        out.push(RoundStream::base(seed, s as u64, round));
+/// The loop is compiled three times: for baseline x86-64, with AVX2 and
+/// with AVX-512F/DQ, whose `vpmullq` hashes eight bases per instruction.
+/// The widest path the CPU supports is picked at run time; off x86-64 only
+/// the plain loop exists.
+///
+/// # Panics
+/// If `streams` and `out` differ in length.
+pub fn fold_round_bases(seed: u64, round: u64, streams: &[u32], out: &mut [u64]) {
+    assert_eq!(streams.len(), out.len(), "one base slot per stream id");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+            // SAFETY: the CPU supports AVX-512F and AVX-512DQ (checked above).
+            return unsafe { fold_avx512(seed, round, streams, out) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2 (checked above).
+            return unsafe { fold_avx2(seed, round, streams, out) };
+        }
     }
+    fold_scalar(seed, round, streams, out)
+}
+
+/// The one body of [`fold_round_bases`], inlined into each compiled path.
+#[inline(always)]
+fn fold_body(seed: u64, round: u64, streams: &[u32], out: &mut [u64]) {
+    for (base, &s) in out.iter_mut().zip(streams) {
+        *base = RoundStream::base(seed, s as u64, round);
+    }
+}
+
+/// [`fold_body`] for baseline code generation.
+fn fold_scalar(seed: u64, round: u64, streams: &[u32], out: &mut [u64]) {
+    fold_body(seed, round, streams, out)
+}
+
+/// [`fold_body`] compiled for AVX2; call only on a CPU that has it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fold_avx2(seed: u64, round: u64, streams: &[u32], out: &mut [u64]) {
+    fold_body(seed, round, streams, out)
+}
+
+/// [`fold_body`] compiled for AVX-512F and AVX-512DQ; call only on a CPU
+/// that has both.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn fold_avx512(seed: u64, round: u64, streams: &[u32], out: &mut [u64]) {
+    fold_body(seed, round, streams, out)
+}
+
+/// Fill `out` with the [`RoundStream::base`] of every stream id in
+/// `streams` for `(seed, round)`: [`fold_round_bases`] into a growable
+/// buffer, whose old content is overwritten. Reusing one buffer keeps the
+/// hot loop allocation-free.
+pub fn fill_round_bases(seed: u64, round: u64, streams: &[u32], out: &mut Vec<u64>) {
+    out.resize(streams.len(), 0);
+    fold_round_bases(seed, round, streams, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     #[test]
@@ -182,6 +233,65 @@ mod tests {
             let mut fresh = RoundStream::new(42, u as u64, 6);
             assert_eq!(batched.next_u64(), fresh.next_u64());
         }
+    }
+
+    /// Stream ids biased toward the extremes `0` and `u32::MAX`.
+    fn stream_id() -> impl Strategy<Value = u32> {
+        (0u8..4, 0..=u32::MAX).prop_map(|(pick, id)| match pick {
+            0 => 0,
+            1 => u32::MAX,
+            _ => id,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Lengths up to 300 leave every 4- and 8-lane remainder and span
+        /// a whole 256-id block, so each compiled path runs its vector
+        /// loop as well as its tail.
+        #[test]
+        fn every_fold_path_matches_round_stream_base(
+            seed in 0..=u64::MAX,
+            round in 0..=u64::MAX,
+            streams in proptest::collection::vec(stream_id(), 0..=300usize),
+        ) {
+            let expect: Vec<u64> = streams
+                .iter()
+                .map(|&s| RoundStream::base(seed, s as u64, round))
+                .collect();
+            let mut out = vec![0; streams.len()];
+            fold_scalar(seed, round, &streams, &mut out);
+            prop_assert_eq!(&out, &expect);
+            #[cfg(target_arch = "x86_64")]
+            {
+                if is_x86_feature_detected!("avx2") {
+                    out.fill(0);
+                    // SAFETY: the CPU supports AVX2 (checked above).
+                    unsafe { fold_avx2(seed, round, &streams, &mut out) };
+                    prop_assert_eq!(&out, &expect);
+                }
+                if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+                    out.fill(0);
+                    // SAFETY: the CPU supports AVX-512F and AVX-512DQ
+                    // (checked above).
+                    unsafe { fold_avx512(seed, round, &streams, &mut out) };
+                    prop_assert_eq!(&out, &expect);
+                }
+            }
+            out.fill(0);
+            fold_round_bases(seed, round, &streams, &mut out);
+            prop_assert_eq!(&out, &expect);
+            let mut filled = vec![7; 5]; // stale content must be cleared
+            fill_round_bases(seed, round, &streams, &mut filled);
+            prop_assert_eq!(&filled, &expect);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one base slot per stream id")]
+    fn fold_rejects_mismatched_lengths() {
+        fold_round_bases(1, 2, &[3, 4], &mut [0; 3]);
     }
 
     #[test]
