@@ -1,6 +1,6 @@
 //! **Memory-scale gate: bytes per user and steady-state allocation.**
 //!
-//! The shard-owned pooled round is claimed to be zero-copy and zero-alloc
+//! The view-only pooled round is claimed to be zero-copy and zero-alloc
 //! in steady state. This bench measures that under the counting global
 //! allocator ([`qlb_obs::mem`]) instead of asserting it from the source:
 //!
@@ -96,7 +96,7 @@ fn main() {
         .expect("pooled row measured");
     assert_eq!(
         pooled.steady_allocs, 0,
-        "shard-owned pooled rounds allocated in steady state"
+        "view-only pooled rounds allocated in steady state"
     );
     assert!(
         pooled.round_peak_bytes_per_user() <= POOLED_ROUND_PEAK_PER_USER_MAX,

@@ -30,7 +30,7 @@
 //!   `BENCH_serve.json` (`floor_places_per_sec`, 50k/s), placement p95
 //!   latency must stay within `1/tolerance` of the committed value, and
 //!   the background rebalancer must never starve under backlog;
-//! * **memory** (`BENCH_mem.json`): the shard-owned pooled round must run
+//! * **memory** (`BENCH_mem.json`): the view-only pooled round must run
 //!   32 steady-state rounds with **zero** allocations and a round peak at
 //!   or under the committed 12 bytes/user acceptance budget (exact, so
 //!   enforced identically in `--quick`), and every executor's working-set
@@ -460,7 +460,7 @@ fn check_serve(baseline: &Value, sizes: &[usize], tolerance: f64, gates: &mut Ve
 /// Gates for `BENCH_mem.json`: re-measure each committed executor row at
 /// its committed size and enforce
 ///
-/// * the **hard acceptance gates** on the shard-owned pooled round —
+/// * the **hard acceptance gates** on the view-only pooled round —
 ///   zero steady-state allocations, and a steady-state round peak at or
 ///   under the committed `pooled_round_peak_bytes_per_user_max` budget
 ///   (12 bytes/user at n = 10⁶) — in `--quick` too: allocation counts
@@ -520,7 +520,7 @@ fn check_mem(baseline: &Value, growth: f64, gates: &mut Vec<Gate>) {
                 name: format!("mem/{executor}/n{n}/steady_allocs"),
                 passed: measured.steady_allocs == 0,
                 detail: format!(
-                    "{} allocations across 32 steady-state shard-owned rounds (must be 0)",
+                    "{} allocations across 32 steady-state view-only pooled rounds (must be 0)",
                     measured.steady_allocs
                 ),
             });
@@ -645,7 +645,7 @@ fn print_help() {
          span layer at --span-sample 64 (< 2%, ~0% disabled) (BENCH_obs.json);\n\
          serving throughput >= max(tolerance x committed, the 50k/s acceptance floor),\n\
          placement p95 within 1/tolerance of committed, and a never-starved rebalancer\n\
-         (BENCH_serve.json); zero-alloc shard-owned pooled rounds under the 12 B/user\n\
+         (BENCH_serve.json); zero-alloc view-only pooled rounds under the 12 B/user\n\
          round-peak acceptance gate plus working-set regression caps (BENCH_mem.json).\n\
          Measurements share code with the benches (qlb_bench::checks), so numbers are\n\
          comparable by construction."

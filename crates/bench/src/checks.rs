@@ -1252,7 +1252,7 @@ pub fn measure_spans(n: usize, requests: u64, reps: usize) -> SpansRow {
 ///
 /// The measured region of both executors (`dense-seq`, `pooled-soa`) is
 /// 32 steady-state rounds after warm-up — the zero-copy claim of the
-/// shard-owned pooled round.
+/// view-only pooled round.
 #[derive(Debug, Clone)]
 pub struct MemRow {
     /// Which executor the row describes.
@@ -1323,13 +1323,13 @@ pub fn measure_mem_dense(n: usize) -> MemRow {
     }
 }
 
-/// Memory row of the shard-owned pooled SoA executor — the tentpole gate.
-/// Working set = the `RoundView` (aligned assignment cells, loads,
+/// Memory row of the view-only pooled SoA executor — the tentpole gate.
+/// Working set = the `RoundView` (aligned assignment array, loads,
 /// unsatisfied bitmaps) plus per-shard delta/scratch slots, pool buffers,
 /// and the merged move buffer, all after warm-up; measured region = 32
 /// full steady-state rounds (decide → merge loads → apply → repair),
-/// exactly the phases the untraced `Executor::Threaded` run executes, which must
-/// allocate **nothing** and therefore peak at 0 bytes.
+/// exactly the phases of every pooled full round the engine's stepper
+/// runs, which must allocate **nothing** and therefore peak at 0 bytes.
 pub fn measure_mem_pooled(n: usize, threads: usize) -> MemRow {
     require_counting();
     let (inst, state) = crate::endgame_pair(n, BENCH_SEED, ACTIVE_FRAC);

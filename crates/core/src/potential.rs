@@ -24,8 +24,8 @@ pub fn overload_potential(inst: &Instance, state: &State) -> u64 {
     overload_potential_loads(inst, state.loads())
 }
 
-/// [`overload_potential`] computed from a raw congestion vector — the
-/// shard-owned executor keeps per-resource loads without a dense
+/// [`overload_potential`] computed from a raw congestion vector — a
+/// pooled full round keeps per-resource loads in its view without a dense
 /// [`State`], and its observability needs the same Lyapunov trace.
 ///
 /// # Panics

@@ -42,7 +42,6 @@ use crate::protocol::Protocol;
 use crate::state::{Move, State};
 use crate::step::{decide_unsatisfied_user, decide_user, SHARD_BLOCK};
 use qlb_rng::{fold_round_bases, RoundStream};
-use std::cell::UnsafeCell;
 
 /// One 64-byte cache line of `u32`s (16 lanes).
 #[repr(C, align(64))]
@@ -97,83 +96,6 @@ macro_rules! aligned_buf {
 
 aligned_buf!(AlignedU32, LineU32, u32, 16);
 aligned_buf!(AlignedU64, LineU64, u64, 8);
-
-/// One 64-byte cache line of interior-mutable `u32`s — the storage of the
-/// **shard-owned** assignment array, writable through a shared reference
-/// by the worker that owns the enclosing user range.
-#[repr(C, align(64))]
-struct CellLineU32(UnsafeCell<[u32; 16]>);
-
-// SAFETY: the buffer is shared across worker threads, but the round
-// protocol is phased: during a decide dispatch everyone only reads, and
-// during an apply dispatch each worker writes only its own disjoint,
-// line-aligned user range (`shard_chunk` rounds shard boundaries to whole
-// cache lines). The pool barrier separates the phases, so no element is
-// ever written concurrently with a read or another write.
-unsafe impl Sync for CellLineU32 {}
-
-const _: () = assert!(std::mem::size_of::<CellLineU32>() == 64);
-
-/// The shard-owned variant of `AlignedU32`: identical 64-byte-aligned
-/// layout, but elements may additionally be written **through `&self`**
-/// via [`AlignedCellU32::write`] under the phase discipline documented on
-/// [`CellLineU32`].
-#[derive(Default)]
-pub(crate) struct AlignedCellU32 {
-    lines: Vec<CellLineU32>,
-    len: usize,
-}
-
-impl AlignedCellU32 {
-    /// Resize to `len` elements, zero-filling fresh storage.
-    fn reset(&mut self, len: usize) {
-        self.lines.clear();
-        self.lines
-            .resize_with(len.div_ceil(16), || CellLineU32(UnsafeCell::new([0; 16])));
-        self.len = len;
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[u32] {
-        // SAFETY: `UnsafeCell<[u32; 16]>` has the layout of `[u32; 16]`
-        // and `CellLineU32` is `repr(C, align(64))` around it, so `lines`
-        // is `len.div_ceil(16) * 16 ≥ len` contiguous aligned `u32`s.
-        // Callers only hold the slice outside write phases (see
-        // `CellLineU32`), so no write aliases it.
-        unsafe { std::slice::from_raw_parts(self.lines.as_ptr() as *const u32, self.len) }
-    }
-
-    #[inline]
-    fn as_mut_slice(&mut self) -> &mut [u32] {
-        // SAFETY: as `as_slice`, and `&mut self` excludes all sharing.
-        unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr() as *mut u32, self.len) }
-    }
-
-    /// Read element `i` without forming a whole-buffer slice (usable while
-    /// *other* elements are being written by other shards).
-    ///
-    /// # Safety
-    /// No other thread may be writing element `i` concurrently.
-    #[inline]
-    unsafe fn read(&self, i: usize) -> u32 {
-        debug_assert!(i < self.len);
-        let line = &*self.lines.as_ptr().add(i >> 4);
-        (*line.0.get())[i & 15]
-    }
-
-    /// Write element `i` through a shared reference.
-    ///
-    /// # Safety
-    /// No other thread may read or write element `i` concurrently; the
-    /// workspace upholds this with disjoint line-aligned shard ranges and
-    /// the pool barrier between phases.
-    #[inline]
-    unsafe fn write(&self, i: usize, v: u32) {
-        debug_assert!(i < self.len);
-        let line = &*self.lines.as_ptr().add(i >> 4);
-        (*line.0.get())[i & 15] = v;
-    }
-}
 
 /// Per-shard reusable buffer of the two-pass kernel: the pass-1 batch of
 /// unsatisfied user indices. One per shard, reused every round —
@@ -264,17 +186,19 @@ impl ShardDeltas {
 
 /// The struct-of-arrays round view (see the module docs).
 ///
-/// Built once per run from `(instance, state)` and kept in sync
-/// incrementally: pooled rounds via [`RoundView::merge_loads`] +
-/// [`RoundView::apply_assignments`] + [`RoundView::repair_touched`], driver
-/// churn via [`RoundView::reassign`]. The capacity/alias tables themselves
-/// stay in the [`Instance`], shared by reference with every shard — the
-/// view holds only the per-round mutable arrays.
+/// Built once per run from `(instance, state)` and then **is** the round
+/// state of pooled full rounds (the dense [`State`] is dropped; see
+/// [`RoundView::to_state`] for the way back). It is updated incrementally:
+/// pooled rounds via [`RoundView::merge_loads`] +
+/// [`RoundView::apply_assignments`] + [`RoundView::repair_touched`] on the
+/// coordinator, driver churn via [`RoundView::reassign`]. The
+/// capacity/alias tables themselves stay in the [`Instance`], shared by
+/// reference with every shard — the view holds only the per-round mutable
+/// arrays.
 pub struct RoundView {
-    /// `assign[u]` = resource of user `u`. Shard-owned storage: during a
-    /// pooled apply phase each worker writes its own line-aligned range in
-    /// place ([`RoundView::apply_shard_assignments`]).
-    assign: AlignedCellU32,
+    /// `assign[u]` = resource of user `u`. Shards only read it; the
+    /// coordinator writes a round's moves after the barrier.
+    assign: AlignedU32,
     /// Class id per user; empty for single-class instances.
     class_ids: AlignedU32,
     /// Per-resource load copy.
@@ -290,53 +214,38 @@ pub struct RoundView {
 impl RoundView {
     /// Build the view of `state`.
     pub fn new<I: Demands>(inst: &I, state: &State) -> Self {
-        let mut v = Self {
-            assign: AlignedCellU32::default(),
-            class_ids: AlignedU32::default(),
-            loads: AlignedU32::default(),
-            unsat: AlignedU64::default(),
-            words: 0,
-            classes: 0,
-        };
-        v.rebuild(inst, state);
-        v
-    }
-
-    /// Rebuild from scratch (reusing storage).
-    pub fn rebuild<I: Demands>(&mut self, inst: &I, state: &State) {
         let inst = inst.instance();
         let n = inst.num_users();
         let m = inst.num_resources();
-        self.classes = inst.num_classes();
-        // pad each class's bitmap to a whole line so bitmaps never share one
-        self.words = m.div_ceil(64).next_multiple_of(8);
+        let classes = inst.num_classes();
+        let mut v = Self {
+            assign: AlignedU32::default(),
+            class_ids: AlignedU32::default(),
+            loads: AlignedU32::default(),
+            unsat: AlignedU64::default(),
+            // pad each class's bitmap to a whole line so bitmaps never
+            // share one
+            words: m.div_ceil(64).next_multiple_of(8),
+            classes,
+        };
 
-        self.assign.reset(n);
-        for (dst, &r) in self
-            .assign
-            .as_mut_slice()
-            .iter_mut()
-            .zip(state.assignment())
-        {
+        v.assign.reset(n);
+        for (dst, &r) in v.assign.as_mut_slice().iter_mut().zip(state.assignment()) {
             *dst = r.0;
         }
-        self.class_ids.reset(if self.classes > 1 { n } else { 0 });
-        if self.classes > 1 {
-            for (u, dst) in self.class_ids.as_mut_slice().iter_mut().enumerate() {
+        if classes > 1 {
+            v.class_ids.reset(n);
+            for (u, dst) in v.class_ids.as_mut_slice().iter_mut().enumerate() {
                 *dst = inst.class_of(UserId(u as u32)).0;
             }
         }
-        self.loads.reset(m);
-        self.loads.as_mut_slice().copy_from_slice(state.loads());
-        self.unsat.reset(self.classes * self.words);
+        v.loads.reset(m);
+        v.loads.as_mut_slice().copy_from_slice(state.loads());
+        v.unsat.reset(classes * v.words);
         for r in 0..m as u32 {
-            self.refresh_bits(inst, r);
+            v.refresh_bits(inst, r);
         }
-    }
-
-    /// The SoA assignment array (`assign[u]` = resource of user `u`).
-    pub fn assign(&self) -> &[u32] {
-        self.assign.as_slice()
+        v
     }
 
     /// The per-resource load copy.
@@ -479,48 +388,9 @@ impl RoundView {
         }
     }
 
-    /// Worker-side in-place assignment apply for the shard that **owns**
-    /// users `[lo, hi)`: writes the shard's own moves straight into its
-    /// slice of the assignment array, through a shared view reference.
-    ///
-    /// This is the shard-owned half of the zero-copy round: shard ranges
-    /// are disjoint and cache-line-aligned (the pool rounds shard
-    /// boundaries to whole lines), so concurrent shard applies never touch
-    /// the same line, and the pool barrier separates this write phase from
-    /// every reader. Each shard's decide output only contains its own
-    /// users, so the round's concatenated move list splits cleanly along
-    /// shard boundaries.
-    ///
-    /// # Panics
-    /// Debug builds panic on a move for a user outside `[lo, hi)` or one
-    /// whose `from` disagrees with the view (a stale move).
-    pub fn apply_shard_assignments(&self, lo: usize, hi: usize, moves: &[Move]) {
-        debug_assert!(lo <= hi && hi <= self.assign.len);
-        for mv in moves {
-            let u = mv.user.index();
-            debug_assert!(
-                (lo..hi).contains(&u),
-                "move for {} outside shard [{lo}, {hi})",
-                mv.user
-            );
-            // SAFETY: `u` lies in this shard's owned range; no other
-            // thread touches it during the apply phase (see above), which
-            // also makes the single-element read race-free.
-            unsafe {
-                debug_assert_eq!(self.assign.read(u), mv.from.0, "stale move");
-                self.assign.write(u, mv.to.0);
-            }
-        }
-    }
-
-    /// Number of users the view covers.
-    pub fn num_users(&self) -> usize {
-        self.assign.len
-    }
-
-    /// Number of unsatisfied users, computed from the view alone — the
-    /// shard-owned executor has no dense [`State`] to ask. The instance the
-    /// view mirrors picks the counting rule. Unit single-class: `O(m)`
+    /// Number of unsatisfied users, computed from the view alone — a
+    /// stepper that holds the view keeps no dense [`State`] to ask. The
+    /// instance the view was built for picks the counting rule. Unit single-class: `O(m)`
     /// (every user on an unsatisfying resource is unsatisfied, so sum those
     /// loads). Weighted loads count demand, not users, so weighted and
     /// multi-class views make `O(n)` bit probes over the assignment (and
@@ -572,8 +442,8 @@ impl RoundView {
     }
 
     /// Reconstruct a dense [`State`] from the view — the inverse of
-    /// [`RoundView::new`], used by the shard-owned executor to hand a
-    /// `State` back at run end. `O(n + m)`.
+    /// [`RoundView::new`], with which a stepper holding the view hands a
+    /// `State` back. `O(n + m)`.
     pub fn to_state<I: Demands>(&self, inst: &I) -> State {
         let assignment = self
             .assign
@@ -804,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn view_legality_and_shard_owned_apply_match_state() {
+    fn view_legality_matches_state() {
         let (inst, mut state) = hotspot(300, 16, 24);
         let mut view = RoundView::new(&inst, &state);
         assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));
@@ -815,9 +685,7 @@ mod tests {
         let bounds = [(0usize, 128usize), (128, 256), (256, 300)];
         for round in 0..60u64 {
             let mut moves = Vec::new();
-            let mut splits = Vec::new();
             for &(lo, hi) in &bounds {
-                let before = moves.len();
                 view.decide_shard_into(
                     &inst,
                     &proto,
@@ -829,16 +697,10 @@ mod tests {
                     &mut scratch,
                     &mut deltas,
                 );
-                splits.push(moves.len() - before);
             }
             state.apply_moves(&inst, &moves);
             view.merge_loads(&deltas);
-            // shard-owned apply: each shard writes its own slice in place
-            let mut off = 0;
-            for (&(lo, hi), &count) in bounds.iter().zip(&splits) {
-                view.apply_shard_assignments(lo, hi, &moves[off..off + count]);
-                off += count;
-            }
+            view.apply_assignments(&moves);
             view.repair_touched(&inst, &mut deltas);
             view.assert_synced(&inst, &state);
             assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));

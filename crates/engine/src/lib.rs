@@ -21,8 +21,11 @@
 //! shards per round); or the active-set walk sharded over the pool.
 //! Whatever the driver, one [`Stepper`] picks and runs each round's
 //! kernel: the closed loop, the open driver and the serving core's tick
-//! only say whether the active set or every user decides, then apply the
-//! moves their own way. Identical output is guaranteed by the
+//! only say whether the active set or every user decides. For full rounds
+//! the driver hands its state to the stepper, which keeps the one copy
+//! its kernel needs (the dense state, or with a pool only the SoA view)
+//! and applies the moves to it; active-set moves the driver applies to
+//! its own state and index. Identical output is guaranteed by the
 //! counter-based RNG streams of `qlb-rng` and verified by tests and
 //! experiment E10. Runs can also record per-round [`trace`]s (potential
 //! decay, figure experiments).

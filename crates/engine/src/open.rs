@@ -160,7 +160,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
     caps.push(u32::MAX);
     let parking = ResourceId(m as u32);
     let inst = Instance::with_capacities(pool, caps).expect("non-empty capacities");
-    let mut state = State::all_on(&inst, parking);
+    let state = State::all_on(&inst, parking);
 
     // Executor selection. The sparse index is unsound for protocols that
     // act while satisfied — those fall back to the dense scan, exactly as
@@ -176,8 +176,15 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
     }
     let mut stepper = Stepper::new(cfg.executor, pool, cfg.seed, cfg.shard_timing);
     // An open system starts all-parked (zero unsatisfied), so the index is
-    // built upfront — there is no crowded warm-up phase to skip.
-    let mut index = use_sparse.then(|| ActiveIndex::new(&inst, &state));
+    // built upfront — there is no crowded warm-up phase to skip. The sparse
+    // executors own the state with the index; the others hand it to the
+    // stepper, whose full rounds apply to it.
+    let mut sparse: Option<(ActiveIndex, State)> = None;
+    if use_sparse {
+        sparse = Some((ActiveIndex::new(&inst, &state), state));
+    } else {
+        stepper.hold(&inst, state);
+    }
 
     // Parked users as a LIFO stack; active set as a boolean map.
     let mut parked: Vec<UserId> = inst.users().collect();
@@ -199,17 +206,14 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
             let Some(u) = parked.pop() else { break };
             active[u.index()] = true;
             let r = ResourceId(driver_rng.uniform_usize(m) as u32);
-            match index.as_mut() {
+            match sparse {
                 Some(_) => changes.push((u, r)),
-                None => {
-                    state.reassign(u, r);
-                    stepper.reassign(&inst, u, r);
-                }
+                None => stepper.reassign(&inst, u, r),
             }
             arrived += 1;
         }
-        if let Some(index) = index.as_mut() {
-            index.apply_reassignments(&inst, &mut state, &changes, Some(parking));
+        if let Some((index, state)) = sparse.as_mut() {
+            index.apply_reassignments(&inst, state, &changes, Some(parking));
         }
         active_count += arrived;
         // Departures. The flag scan visits every pool slot, but the
@@ -221,19 +225,16 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
             if *is_active && driver_rng.bernoulli(cfg.departure_prob) {
                 let u = UserId(idx as u32);
                 *is_active = false;
-                match index.as_mut() {
+                match sparse {
                     Some(_) => changes.push((u, parking)),
-                    None => {
-                        state.reassign(u, parking);
-                        stepper.reassign(&inst, u, parking);
-                    }
+                    None => stepper.reassign(&inst, u, parking),
                 }
                 parked.push(u);
                 departed += 1;
             }
         }
-        if let Some(index) = index.as_mut() {
-            index.apply_reassignments(&inst, &mut state, &changes, Some(parking));
+        if let Some((index, state)) = sparse.as_mut() {
+            index.apply_reassignments(&inst, state, &changes, Some(parking));
         }
         active_count -= departed;
         if S::ENABLED {
@@ -255,16 +256,16 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
         if S::ENABLED {
             sink.event(Event::RoundStart {
                 round,
-                active: match index.as_ref() {
-                    Some(index) => index.num_active() as u64,
-                    None => state.num_unsatisfied(&inst) as u64,
+                active: match sparse.as_ref() {
+                    Some((index, _)) => index.num_active() as u64,
+                    None => stepper.num_unsatisfied(&inst) as u64,
                 },
             });
         }
         // One protocol round (parked users are satisfied and never act).
-        let moves = match index.as_mut() {
-            Some(index) => {
-                let moves = stepper.decide_active(&inst, &state, index, proto, round, sink);
+        let moves = match sparse.as_mut() {
+            Some((index, state)) => {
+                let moves = stepper.decide_active(&inst, state, index, proto, round, sink);
                 if S::ENABLED {
                     sink.add(Counter::SparseRounds, 1);
                 }
@@ -274,43 +275,46 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
                 changes.clear();
                 changes.extend(moves.iter().map(|mv| (mv.user, mv.to)));
                 timed(sink, Phase::Apply, || {
-                    index.apply_reassignments(&inst, &mut state, &changes, Some(parking))
+                    index.apply_reassignments(&inst, state, &changes, Some(parking))
                 });
                 moves
             }
             None => {
-                let moves = stepper.decide_round(&inst, &state, proto, round, sink);
                 if S::ENABLED {
                     sink.add(Counter::DenseRounds, 1);
                 }
-                timed(sink, Phase::Apply, || state.apply_moves(&inst, moves));
-                moves
+                stepper.full_round(&inst, proto, round, sink)
             }
         };
         debug_assert!(moves.iter().all(|mv| mv.from != parking));
+        let migrations = moves.len() as u64;
 
-        let unsatisfied = match index.as_ref() {
-            Some(index) => index.num_active() as u64,
-            None => state.num_unsatisfied(&inst) as u64,
+        let unsatisfied = match sparse.as_ref() {
+            Some((index, _)) => index.num_active() as u64,
+            None => stepper.num_unsatisfied(&inst) as u64,
         };
         if S::ENABLED {
             sink.add(Counter::Rounds, 1);
-            sink.add(Counter::Migrations, moves.len() as u64);
+            sink.add(Counter::Migrations, migrations);
             sink.set(Gauge::ActiveUsers, active_count);
             sink.set(Gauge::Unsatisfied, unsatisfied);
-            if let Some(index) = index.as_ref() {
+            if let Some((index, _)) = sparse.as_ref() {
                 sink.set(Gauge::ActiveSetSize, index.num_active() as u64);
             }
             sink.event(Event::RoundEnd {
                 round,
-                migrations: moves.len() as u64,
+                migrations,
                 unsatisfied,
                 overload: None,
             });
             if cfg.topk_resources > 0 {
                 // Slice off the parking resource (index m): its load is the
                 // parked population and would swamp any congestion sample.
-                let loads = &state.loads()[..m];
+                let loads = match sparse.as_ref() {
+                    Some((_, state)) => state.loads(),
+                    None => stepper.loads(),
+                };
+                let loads = &loads[..m];
                 sink.topk(round, &qlb_obs::top_k_entries(loads, cfg.topk_resources));
             }
         }

@@ -5,11 +5,11 @@
 //! runs the unit model and a [`qlb_core::weighted::WeightedInstance`] the
 //! weighted one.
 
-use crate::pool::WorkerPool;
-use crate::stepper::{Stepper, ViewShards};
+use crate::stepper::Stepper;
 use crate::trace::Trace;
 use qlb_core::{overload_potential_loads, ActiveIndex, Demands, Move, Protocol, State};
 use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink};
+use std::borrow::Cow;
 
 /// Which round-execution strategy [`run`] uses.
 ///
@@ -25,7 +25,7 @@ use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink};
 ///   ([`Protocol::acts_when_satisfied`]); [`run`] detects those and falls
 ///   back to dense automatically;
 /// * [`Executor::Threaded`] shards the dense scan over a persistent
-///   [`WorkerPool`] — `O(n / threads)`/round critical path, with one
+///   [`WorkerPool`](crate::pool::WorkerPool) — `O(n / threads)`/round critical path, with one
 ///   condvar dispatch (not `threads` thread spawns) of overhead per round;
 /// * [`Executor::SparseThreaded`] composes both: the active-set walk is
 ///   sharded over the pool while it is large and runs sequentially once it
@@ -174,7 +174,8 @@ pub struct RunOutcome {
 /// whose budget ends in the sparse phase closes with one sync-only step,
 /// which is not a round.
 ///
-/// The pooled executors run on one [`WorkerPool`] created per run, so
+/// The pooled executors run on one [`WorkerPool`](crate::pool::WorkerPool)
+/// created per run, so
 /// every round is an epoch bump on parked workers, not a thread spawn.
 ///
 /// `inst` is an [`Instance`](qlb_core::Instance) (unit demand) or a
@@ -214,125 +215,7 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
     config: RunConfig,
     sink: &mut S,
 ) -> RunOutcome {
-    let sparse = config.executor.is_sparse();
-    let n = inst.instance().num_users();
-    let stepper = Stepper::new(config.executor, n, config.seed, config.shard_timing);
-    // per-round trace entries need the dense State the owned loop drops
-    if let (Some(pool), false, false) = (stepper.pool(), sparse, config.record_trace) {
-        return run_pooled_owned(inst, state, proto, config, sink, pool);
-    }
-    run_core(inst, state, proto, config, sink, stepper, sparse)
-}
-
-/// The **shard-owned** pooled round loop of untraced [`Executor::Threaded`]
-/// runs: no dense [`State`] is kept at all. The struct-of-arrays
-/// [`RoundView`](qlb_core::RoundView) (in the [`Stepper`]'s view type) is
-/// built once from the start state, the workers decide against it and
-/// apply their own ranges in place, and the coordinator holds only the `m` per-resource loads plus the per-(class, resource)
-/// unsatisfied bitmaps. Steady-state rounds are **zero-copy and
-/// zero-allocation** (asserted in the memory bench); memory cost beyond
-/// the view is `O(moves)` for the round's batch.
-///
-/// Trajectory is bit-identical to the stepper's pooled full rounds — same
-/// decide kernel, same merge order, same cells written — the only
-/// difference is *who* writes the assignment array.
-fn run_pooled_owned<I: Demands, P: Protocol + ?Sized, S: Sink>(
-    inst: &I,
-    state: State,
-    proto: &P,
-    config: RunConfig,
-    sink: &mut S,
-    pool: &WorkerPool,
-) -> RunOutcome {
-    debug_assert!(!config.record_trace, "traced runs keep the dense state");
-    let mut vs = ViewShards::new(inst, &state, pool.threads());
-    drop(state); // from here the view IS the state
-
-    let mut moves: Vec<Move> = Vec::new();
-    let mut rounds = 0u64;
-    let mut migrations = 0u64;
-    let mut weight_moved = 0u64;
-    let mut converged = vs.view.is_legal();
-    let mut entering = if S::ENABLED && !converged {
-        vs.view.num_unsatisfied(inst) as u64
-    } else {
-        0
-    };
-
-    while !converged && rounds < config.max_rounds {
-        if S::ENABLED {
-            sink.event(Event::RoundStart {
-                round: rounds,
-                active: entering,
-            });
-        }
-        vs.decide_round(
-            inst,
-            proto,
-            config.seed,
-            rounds,
-            pool,
-            &mut moves,
-            sink,
-            config.shard_timing,
-            true,
-        );
-        if S::ENABLED {
-            sink.add(Counter::DenseRounds, 1);
-            sink.event(Event::MigrationBatch {
-                round: rounds,
-                size: moves.len() as u64,
-            });
-        }
-        let batch_weight = moved_weight(inst, &moves);
-        migrations += moves.len() as u64;
-        weight_moved += batch_weight;
-        rounds += 1;
-        converged = timed(sink, Phase::Convergence, || vs.view.is_legal());
-        if S::ENABLED {
-            let unsatisfied = if converged {
-                0
-            } else {
-                vs.view.num_unsatisfied(inst) as u64
-            };
-            emit_round_end(
-                inst,
-                vs.view.loads(),
-                sink,
-                rounds - 1,
-                moves.len() as u64,
-                batch_weight,
-                converged,
-                unsatisfied,
-                config.topk_resources,
-            );
-            entering = unsatisfied;
-        }
-    }
-
-    RunOutcome {
-        converged,
-        rounds,
-        migrations,
-        weight_moved,
-        state: vs.view.to_state(inst),
-        trace: None,
-    }
-}
-
-/// The round loop of every executor except the shard-owned one: full
-/// rounds and, when `sparse`, active-set rounds once the batches shrink
-/// (see [`run`]); `stepper` picks each round's kernel.
-fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
-    inst: &I,
-    mut state: State,
-    proto: &P,
-    config: RunConfig,
-    sink: &mut S,
-    mut stepper: Stepper,
-    sparse: bool,
-) -> RunOutcome {
-    let sparse = if sparse && proto.acts_when_satisfied() {
+    let sparse = if config.executor.is_sparse() && proto.acts_when_satisfied() {
         // the active set would be unsound; record the decision and run dense
         if S::ENABLED {
             sink.event(Event::ExecutorSwitch {
@@ -342,29 +225,33 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
         }
         false
     } else {
-        sparse
+        config.executor.is_sparse()
     };
 
     let mut trace = config.record_trace.then(Trace::default);
     if let Some(t) = trace.as_mut() {
-        t.record(inst, &state, 0, 0);
-        if config.track_user_times {
-            t.record_user_times(inst, &state, 0);
-        }
+        record_trace(t, inst, &state, &config, 0, 0);
     }
 
-    let n = inst.instance().num_users().max(1);
+    let n = inst.instance().num_users();
+    let mut stepper = Stepper::new(config.executor, n, config.seed, config.shard_timing);
+    let n = n.max(1);
     let unsat0 = state.num_unsatisfied(inst);
-    // start sparse only if the initial state is already in the sparse
-    // regime; otherwise warm up with dense rounds
-    let mut active: Option<ActiveIndex> =
-        (sparse && unsat0 * 8 < n).then(|| stepper.build_index(inst, &state));
-    if S::ENABLED && active.is_some() {
-        sink.add(Counter::ExecutorSwitches, 1);
-        sink.event(Event::ExecutorSwitch {
-            round: 0,
-            sparse: true,
-        });
+    // Start sparse only if the initial state is already in the sparse
+    // regime; otherwise warm up with full rounds, during which the stepper
+    // holds the state. The active-set rounds own the state with the index.
+    let mut active: Option<(ActiveIndex, State)> = None;
+    if sparse && unsat0 * 8 < n {
+        active = Some((stepper.build_index(inst, &state), state));
+        if S::ENABLED {
+            sink.add(Counter::ExecutorSwitches, 1);
+            sink.event(Event::ExecutorSwitch {
+                round: 0,
+                sparse: true,
+            });
+        }
+    } else {
+        stepper.hold(inst, state);
     }
     let mut rounds = 0u64;
     let mut migrations = 0u64;
@@ -378,7 +265,7 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
     let mut open_round: Option<(u64, u64)> = None;
 
     loop {
-        let Some(index) = active.as_mut() else {
+        let Some((index, state)) = active.as_mut() else {
             if converged || rounds >= config.max_rounds {
                 break;
             }
@@ -388,55 +275,59 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
                     active: entering,
                 });
             }
-            stepper.decide_round(inst, &state, proto, rounds, sink);
-            // reborrowed shared, so the switch below can build on the pool
-            let moves = stepper.moves();
+            let moves = stepper.full_round(inst, proto, rounds, sink);
+            let batch = moves.len() as u64;
+            let batch_weight = moved_weight(inst, moves);
             if S::ENABLED {
                 sink.add(Counter::DenseRounds, 1);
                 sink.event(Event::MigrationBatch {
                     round: rounds,
-                    size: moves.len() as u64,
+                    size: batch,
                 });
             }
             // batch size tracks the active count for the damped kernels;
-            // once it shrinks, the index starts paying off. Its build is
-            // part of the switching round's apply.
-            let switch = sparse && moves.len() * 8 < n;
-            timed(sink, Phase::Apply, || {
-                state.apply_moves(inst, moves);
-                if switch {
-                    active = Some(stepper.build_index(inst, &state));
-                }
-            });
-            if switch && S::ENABLED {
-                sink.add(Counter::ExecutorSwitches, 1);
-                sink.event(Event::ExecutorSwitch {
-                    round: rounds + 1,
-                    sparse: true,
+            // once it shrinks, the index starts paying off. The stepper
+            // hands the state back for it, and the build is part of the
+            // switching round's apply.
+            if sparse && batch * 8 < n as u64 {
+                timed(sink, Phase::Apply, || {
+                    let state = stepper.release(inst);
+                    active = Some((stepper.build_index(inst, &state), state));
                 });
+                if S::ENABLED {
+                    sink.add(Counter::ExecutorSwitches, 1);
+                    sink.event(Event::ExecutorSwitch {
+                        round: rounds + 1,
+                        sparse: true,
+                    });
+                }
             }
-            let batch = moves.len() as u64;
-            let batch_weight = moved_weight(inst, moves);
             rounds += 1;
             migrations += batch;
             weight_moved += batch_weight;
-            record_trace(inst, &state, &config, trace.as_mut(), rounds, batch);
+            if let Some(t) = trace.as_mut() {
+                let state = match active.as_ref() {
+                    Some((_, state)) => Cow::Borrowed(state),
+                    None => stepper.state(inst),
+                };
+                record_trace(t, inst, &state, &config, rounds, batch);
+            }
             converged = timed(sink, Phase::Convergence, || match active.as_ref() {
-                Some(index) => index.is_empty(),
-                None => state.is_legal(inst),
+                Some((index, _)) => index.is_empty(),
+                None => stepper.is_legal(inst),
             });
             if S::ENABLED {
                 // the index tracks the unsatisfied set exactly, so when it
-                // is live the count is O(1); dense rounds scan
-                let unsatisfied = match active.as_ref() {
-                    Some(index) => index.num_active() as u64,
-                    None if converged => 0,
-                    None => state.num_unsatisfied(inst) as u64,
+                // is live the count is O(1); full rounds count
+                let (unsatisfied, loads) = match active.as_ref() {
+                    Some((index, state)) => (index.num_active() as u64, state.loads()),
+                    None if converged => (0, stepper.loads()),
+                    None => (stepper.num_unsatisfied(inst) as u64, stepper.loads()),
                 };
                 let topk = config.topk_resources;
                 emit_round_end(
                     inst,
-                    state.loads(),
+                    loads,
                     sink,
                     rounds - 1,
                     batch,
@@ -446,7 +337,7 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
                     topk,
                 );
                 entering = unsatisfied;
-                if let Some(index) = active.as_ref() {
+                if let Some((index, _)) = active.as_ref() {
                     sink.set(Gauge::ActiveSetSize, index.num_active() as u64);
                 }
             }
@@ -461,7 +352,7 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
             break;
         }
         let decide = rounds < config.max_rounds;
-        let moves = stepper.step_sparse(inst, &state, index, proto, rounds, decide, sink);
+        let moves = stepper.step_sparse(inst, state, index, proto, rounds, decide, sink);
         if let Some((batch, batch_weight)) = open_round.take() {
             converged = timed(sink, Phase::Convergence, || index.is_empty());
             if S::ENABLED {
@@ -498,17 +389,23 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
             });
         }
         timed(sink, Phase::Apply, || {
-            index.apply_staged(inst, &mut state, moves)
+            index.apply_staged(inst, state, moves)
         });
         let batch = moves.len() as u64;
         let batch_weight = moved_weight(inst, moves);
         rounds += 1;
         migrations += batch;
         weight_moved += batch_weight;
-        record_trace(inst, &state, &config, trace.as_mut(), rounds, batch);
+        if let Some(t) = trace.as_mut() {
+            record_trace(t, inst, state, &config, rounds, batch);
+        }
         open_round = Some((batch, batch_weight));
     }
 
+    let state = match active {
+        Some((_, state)) => state,
+        None => stepper.release(inst),
+    };
     debug_assert_eq!(converged, state.is_legal(inst));
     RunOutcome {
         converged,
@@ -520,20 +417,18 @@ fn run_core<I: Demands, P: Protocol + ?Sized, S: Sink>(
     }
 }
 
-/// Append round `round`'s entry to the trace, if one is recorded.
+/// Append round `round`'s entry to the trace.
 fn record_trace<I: Demands>(
+    t: &mut Trace,
     inst: &I,
     state: &State,
     config: &RunConfig,
-    trace: Option<&mut Trace>,
     round: u64,
     batch: u64,
 ) {
-    if let Some(t) = trace {
-        t.record(inst, state, round, batch);
-        if config.track_user_times {
-            t.record_user_times(inst, state, round);
-        }
+    t.record(inst, state, round, batch);
+    if config.track_user_times {
+        t.record_user_times(inst, state, round);
     }
 }
 
@@ -847,8 +742,8 @@ mod tests {
         let (inst, s1) = hotspot(500, 16, 40);
         for proto in qlb_core::registry(&inst) {
             let name = proto.name();
-            // untraced Threaded runs take the shard-owned loop, traced ones
-            // the shared loop with a dense state
+            // untraced and traced: a traced pooled run snapshots the
+            // stepper's view for every trace entry
             for cfg in [
                 RunConfig::new(11, 2_000),
                 RunConfig::new(11, 2_000).with_user_times(),
@@ -863,6 +758,37 @@ mod tests {
                     let pooled = run(&inst, s1.clone(), proto.as_ref(), cfg.with_executor(exec));
                     let label = format!("{name} {exec:?} traced={}", cfg.record_trace);
                     assert_same_run(&dense, &pooled, &label);
+                }
+            }
+        }
+    }
+
+    /// A budget that ends inside the pooled full-round phase: the stepper
+    /// holds only the view when the budget runs out, and the `State` it
+    /// hands back equals the dense run's, traces included. After 1 round
+    /// both pooled executors still hold the view; after 2, `SparseThreaded`
+    /// has handed it back for its index build.
+    #[test]
+    fn pooled_budget_cut_in_full_rounds_matches_dense() {
+        let (inst, s1) = hotspot(500, 16, 33);
+        let proto = SlackDamped::default();
+        for budget in [1, 2] {
+            for cfg in [
+                RunConfig::new(11, budget),
+                RunConfig::new(11, budget).with_user_times(),
+            ] {
+                let dense = run(&inst, s1.clone(), &proto, cfg);
+                assert!(!dense.converged && dense.rounds == budget);
+                for exec in [Executor::Threaded(2), Executor::SparseThreaded(2)] {
+                    let label = format!("{exec:?} budget {budget} traced={}", cfg.record_trace);
+                    let mut rec = Recorder::default();
+                    let cfg = cfg.with_executor(exec);
+                    let out = run_observed(&inst, s1.clone(), &proto, cfg, &mut rec);
+                    assert_same_run(&dense, &out, &label);
+                    // every round was a pooled full round (`SparseThreaded`
+                    // switches to the index at the end of round 2)
+                    let compute = rec.timers().histogram(Phase::Compute).count();
+                    assert_eq!(compute, budget, "{label}");
                 }
             }
         }
@@ -1029,8 +955,8 @@ mod tests {
     #[test]
     fn observed_threaded_matches_sequential() {
         let (inst, s1) = hotspot(200, 16, 16);
-        // untraced Threaded runs take the shard-owned loop, traced ones the
-        // shared loop; both must emit exactly the dense event stream
+        // untraced and traced runs must both emit exactly the dense event
+        // stream
         for cfg in [
             RunConfig::new(3, 10_000),
             RunConfig::new(3, 10_000).with_trace(),

@@ -4,11 +4,12 @@
 //! unsatisfied user samples a target and flips its coin against the
 //! start-of-round loads. [`Stepper`] runs that step for the closed loop,
 //! the open-system driver and the serving core's tick. It owns everything
-//! the kernel choice needs — the optional [`WorkerPool`], the lazily built
-//! struct-of-arrays view of pooled full rounds, and the reusable move and
-//! sorted-active buffers — so a driver only says *which* users decide
-//! (the active set, or everyone) and then applies the returned moves its
-//! own way.
+//! the kernel choice needs — the optional [`WorkerPool`] and the reusable
+//! move and sorted-active buffers — and, while full rounds run, the round
+//! state itself: the dense [`State`] without a pool, the struct-of-arrays
+//! [`RoundView`] with one. A driver only says *which* users decide (the
+//! active set, or everyone); full rounds are applied by the stepper to the
+//! one copy it holds, active-set rounds by the driver to its own state.
 
 use crate::pool::{pool_for, shard_chunk, shards_for, WorkerPool};
 use crate::run::Executor;
@@ -18,6 +19,7 @@ use qlb_core::{
     ShardScratch, State, UserId,
 };
 use qlb_obs::{timed, Phase, Sink};
+use std::borrow::Cow;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -34,12 +36,6 @@ use std::time::Instant;
 /// the trajectory is unaffected.
 const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 
-/// Below this many moves the shard-owned executor applies the batch on the
-/// coordinator instead of waking the pool a second time: the in-place write
-/// is ~5 ns/move, so a small batch is cheaper than one dispatch round-trip.
-/// Purely a cost decision — both paths write the same cells.
-const OWNED_APPLY_MIN_BATCH: usize = 4096;
-
 /// Decides one synchronous round for any driver.
 ///
 /// * [`Stepper::decide_active`] decides the unsatisfied users of a synced
@@ -50,9 +46,12 @@ const OWNED_APPLY_MIN_BATCH: usize = 4096;
 ///   shard of an index built by `Stepper::build_index` syncs with the
 ///   previous batch and then decides its own users, one shard per pool
 ///   worker (see [`run`](crate::run::run)).
-/// * [`Stepper::decide_round`] decides all `n` users: over the SoA
-///   [`RoundView`] sharded across the pool when there is one, by the dense
-///   reference scan otherwise.
+/// * `Stepper::full_round` decides **and applies** a round of all `n`
+///   users on the state handed over by `Stepper::hold`: without a pool
+///   the stepper keeps that [`State`] and runs the dense reference scan;
+///   with one it keeps only a [`RoundView`] built from it, decides with the
+///   SoA kernel sharded across the pool and folds the shards' deltas back
+///   into the view. `Stepper::release` hands a [`State`] back.
 ///
 /// Each returns the round's moves in user order, byte-identical whichever
 /// kernel ran, and records [`Phase::Decide`] (plus [`Phase::Compute`] and
@@ -61,12 +60,19 @@ pub struct Stepper {
     seed: u64,
     shard_timing: bool,
     pool: Option<WorkerPool>,
-    /// SoA view of pooled full rounds: built at the first one and kept in
-    /// step by them and by [`Stepper::reassign`]; an active-set round
-    /// drops it, since the index's apply does not mirror into it.
-    view: Option<ViewShards>,
+    /// The round state of full rounds, between `Stepper::hold` and
+    /// `Stepper::release`.
+    held: Option<Held>,
     sorted: Vec<UserId>,
     moves: Vec<Move>,
+}
+
+/// The one copy of the round state a [`Stepper`] holds.
+enum Held {
+    /// No pool: the dense state.
+    Dense(State),
+    /// A pool: the SoA view; the dense state was dropped when it was built.
+    View(ViewShards),
 }
 
 impl Stepper {
@@ -82,22 +88,75 @@ impl Stepper {
             seed,
             shard_timing,
             pool: pool_for(executor, n),
-            view: None,
+            held: None,
             sorted: Vec::new(),
             moves: Vec::new(),
         }
     }
 
-    /// The worker pool, if rounds are sharded.
-    #[inline]
-    pub(crate) fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_ref()
+    /// Take over `state` for `Stepper::full_round`s. With a pool the
+    /// stepper builds a [`RoundView`] of it and drops the state, so one
+    /// copy of the round state exists either way.
+    ///
+    /// # Panics
+    /// Panics if the stepper already holds a state.
+    pub(crate) fn hold<I: Demands>(&mut self, inst: &I, state: State) {
+        assert!(self.held.is_none(), "the stepper already holds a state");
+        self.held = Some(match self.pool.as_ref() {
+            Some(pool) => Held::View(ViewShards::new(inst, &state, pool.threads())),
+            None => Held::Dense(state),
+        });
     }
 
-    /// The moves of the last decided round.
-    #[inline]
-    pub(crate) fn moves(&self) -> &[Move] {
-        &self.moves
+    /// Hand the held state back: the dense state itself, or the view's
+    /// [`RoundView::to_state`] (`O(n + m)`), after which the view is
+    /// dropped.
+    ///
+    /// # Panics
+    /// Panics if the stepper holds no state.
+    pub(crate) fn release<I: Demands>(&mut self, inst: &I) -> State {
+        match self.held.take().expect("the stepper holds no state") {
+            Held::Dense(state) => state,
+            Held::View(vs) => vs.view.to_state(inst),
+        }
+    }
+
+    /// The held round state.
+    fn held(&self) -> &Held {
+        self.held.as_ref().expect("the stepper holds no state")
+    }
+
+    /// Loads of the held state.
+    pub(crate) fn loads(&self) -> &[u32] {
+        match self.held() {
+            Held::Dense(state) => state.loads(),
+            Held::View(vs) => vs.view.loads(),
+        }
+    }
+
+    /// Is the held state legal?
+    pub(crate) fn is_legal<I: Demands>(&self, inst: &I) -> bool {
+        match self.held() {
+            Held::Dense(state) => state.is_legal(inst),
+            Held::View(vs) => vs.view.is_legal(),
+        }
+    }
+
+    /// Number of unsatisfied users in the held state.
+    pub(crate) fn num_unsatisfied<I: Demands>(&self, inst: &I) -> usize {
+        match self.held() {
+            Held::Dense(state) => state.num_unsatisfied(inst),
+            Held::View(vs) => vs.view.num_unsatisfied(inst),
+        }
+    }
+
+    /// The held state as a dense [`State`]: borrowed without a pool, an
+    /// `O(n + m)` snapshot of the view with one. For per-round traces.
+    pub(crate) fn state<I: Demands>(&self, inst: &I) -> Cow<'_, State> {
+        match self.held() {
+            Held::Dense(state) => Cow::Borrowed(state),
+            Held::View(vs) => Cow::Owned(vs.view.to_state(inst)),
+        }
     }
 
     /// Build the closed loop's [`ActiveIndex`] of `state` with one shard
@@ -127,7 +186,7 @@ impl Stepper {
         round: u64,
         sink: &mut S,
     ) -> &[Move] {
-        self.view = None;
+        debug_assert!(self.held.is_none(), "the driver holds the state");
         let seed = self.seed;
         match self.pool.as_ref() {
             Some(pool) if index.num_active() >= SPARSE_POOL_MIN_ACTIVE => {
@@ -179,7 +238,7 @@ impl Stepper {
         decide: bool,
         sink: &mut S,
     ) -> &[Move] {
-        self.view = None;
+        debug_assert!(self.held.is_none(), "the driver holds the state");
         let (seed, shard_timing) = (self.seed, self.shard_timing);
         let nonempty = index.num_nonempty_shards();
         let pool = self.pool.as_ref().filter(|pool| {
@@ -221,68 +280,78 @@ impl Stepper {
         &self.moves
     }
 
-    /// Decide round `round` for all users of `state`.
-    pub fn decide_round<I: Demands, P: Protocol + ?Sized, S: Sink>(
+    /// Decide round `round` for all users of the held state and apply the
+    /// moves to it, recording [`Phase::Apply`] for the apply.
+    ///
+    /// # Panics
+    /// Panics if the stepper holds no state.
+    pub(crate) fn full_round<I: Demands, P: Protocol + ?Sized, S: Sink>(
         &mut self,
         inst: &I,
-        state: &State,
         proto: &P,
         round: u64,
         sink: &mut S,
     ) -> &[Move] {
         let seed = self.seed;
-        match self.pool.as_ref() {
-            Some(pool) => {
-                let vs = self
-                    .view
-                    .get_or_insert_with(|| ViewShards::new(inst, state, pool.threads()));
-                if cfg!(debug_assertions) {
-                    vs.view.assert_synced(inst, state);
-                }
-                vs.decide_round(
+        let moves = &mut self.moves;
+        match self.held.as_mut().expect("the stepper holds no state") {
+            Held::Dense(state) => {
+                timed(sink, Phase::Decide, || {
+                    decide_round_into(inst, state, proto, seed, round, moves)
+                });
+                timed(sink, Phase::Apply, || state.apply_moves(inst, moves));
+            }
+            Held::View(vs) => {
+                let pool = self.pool.as_ref().expect("a view is held only with a pool");
+                vs.full_round(
                     inst,
                     proto,
                     seed,
                     round,
                     pool,
-                    &mut self.moves,
+                    moves,
                     sink,
                     self.shard_timing,
-                    false,
                 );
-            }
-            None => {
-                let moves = &mut self.moves;
-                timed(sink, Phase::Decide, || {
-                    decide_round_into(inst, state, proto, seed, round, moves)
-                });
+                if cfg!(debug_assertions) {
+                    // no second copy to compare against: recount instead
+                    vs.view.assert_synced(inst, &vs.view.to_state(inst));
+                }
             }
         }
         &self.moves
     }
 
-    /// Mirror a reassignment the driver made to its state (an arrival or a
-    /// departure) into the SoA view, if one is live.
+    /// Reassign `user` to `to` in the held state (an arrival or a
+    /// departure of the open driver).
+    ///
+    /// # Panics
+    /// Panics if the stepper holds no state.
     #[inline]
-    pub fn reassign(&mut self, inst: &Instance, user: UserId, to: ResourceId) {
-        if let Some(vs) = self.view.as_mut() {
-            vs.view.reassign(inst, user, to);
+    pub(crate) fn reassign(&mut self, inst: &Instance, user: UserId, to: ResourceId) {
+        match self.held.as_mut().expect("the stepper holds no state") {
+            Held::Dense(state) => state.reassign(user, to),
+            Held::View(vs) => vs.view.reassign(inst, user, to),
         }
     }
 }
+
+/// Why locking a shard slot can fail: a worker panicked in the decide
+/// kernel while it held the slot.
+const POISONED: &str = "a decide worker panicked holding its shard slot";
 
 /// The pooled full-round path's owned state: the struct-of-arrays
 /// [`RoundView`] plus one `(deltas, scratch)` slot per shard. During a
 /// dispatch each shard locks only its own slot (uncontended by
 /// construction); between dispatches the coordinator folds the slots back
 /// into the view.
-pub(crate) struct ViewShards {
-    pub(crate) view: RoundView,
+struct ViewShards {
+    view: RoundView,
     slots: Vec<Mutex<(ShardDeltas, ShardScratch)>>,
 }
 
 impl ViewShards {
-    pub(crate) fn new<I: Demands>(inst: &I, state: &State, shards: usize) -> Self {
+    fn new<I: Demands>(inst: &I, state: &State, shards: usize) -> Self {
         let m = inst.instance().num_resources();
         Self {
             view: RoundView::new(inst, state),
@@ -294,18 +363,11 @@ impl ViewShards {
 
     /// One pooled full round: decide all `n` users via the SoA two-pass
     /// kernel (sharded on cache-line boundaries, waking only non-empty
-    /// shards), then merge the per-shard deltas so the view mirrors the
+    /// shards), then merge the per-shard deltas so the view holds the
     /// post-round state. The move list in `buf` is byte-identical to the
     /// sequential scan's.
-    ///
-    /// With `owned_apply`, large migration batches are applied **by the
-    /// workers themselves**, each writing only its own cache-line-aligned
-    /// user range of the interior-mutable assignment array. The decide
-    /// dispatch drains shards in order and each shard emits moves in user
-    /// order, so `buf` is globally sorted by user index — each worker
-    /// recovers its slice with two binary searches.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn decide_round<I: Demands, P: Protocol + ?Sized, S: Sink>(
+    fn full_round<I: Demands, P: Protocol + ?Sized, S: Sink>(
         &mut self,
         inst: &I,
         proto: &P,
@@ -315,18 +377,16 @@ impl ViewShards {
         buf: &mut Vec<Move>,
         sink: &mut S,
         shard_timing: bool,
-        owned_apply: bool,
     ) {
         let n = inst.instance().num_users();
         let chunk = shard_chunk(n, pool.threads());
-        let active = shards_for(n, pool.threads());
         let (view, slots) = (&self.view, &self.slots);
         pool.decide_round_observed_on(
             |shard, out| {
                 let lo = (shard * chunk).min(n);
                 let hi = ((shard + 1) * chunk).min(n);
                 if lo < hi {
-                    let mut slot = slots[shard].lock().unwrap();
+                    let mut slot = slots[shard].lock().expect(POISONED);
                     let (deltas, scratch) = &mut *slot;
                     view.decide_shard_into(inst, proto, seed, round, lo, hi, out, scratch, deltas);
                 }
@@ -334,35 +394,19 @@ impl ViewShards {
             buf,
             sink,
             shard_timing,
-            active,
+            shards_for(n, pool.threads()),
         );
         // Coordinator merge, ordered per the RoundView contract: every
         // shard's loads first, then the assignment writes, then the bit
         // repair of each shard's touched set (which needs final loads).
         timed(sink, Phase::Apply, || {
             for slot in &self.slots {
-                self.view.merge_loads(&slot.lock().unwrap().0);
+                self.view.merge_loads(&slot.lock().expect(POISONED).0);
             }
-            if owned_apply && buf.len() >= OWNED_APPLY_MIN_BATCH {
-                let view = &self.view;
-                let moves: &[Move] = buf;
-                pool.run_on(
-                    &|shard| {
-                        let lo = (shard * chunk).min(n);
-                        let hi = ((shard + 1) * chunk).min(n);
-                        if lo < hi {
-                            let start = moves.partition_point(|mv| mv.user.index() < lo);
-                            let end = moves.partition_point(|mv| mv.user.index() < hi);
-                            view.apply_shard_assignments(lo, hi, &moves[start..end]);
-                        }
-                    },
-                    active,
-                );
-            } else {
-                self.view.apply_assignments(buf);
-            }
+            self.view.apply_assignments(buf);
             for slot in &self.slots {
-                self.view.repair_touched(inst, &mut slot.lock().unwrap().0);
+                self.view
+                    .repair_touched(inst, &mut slot.lock().expect(POISONED).0);
             }
         });
     }

@@ -111,7 +111,7 @@ fn delta_chain_survives_churn_episodes_and_index_repair() {
 }
 
 /// Nightly memory-scale smoke (run with `cargo test --release -- --ignored
-/// large_n`): the shard-owned pooled executor converges a 10⁷-user
+/// large_n`): the pooled executor converges a 10⁷-user
 /// hotspot run, and one whole-run delta reproduces its final assignment.
 #[test]
 #[ignore = "nightly large-n smoke: ~10^7 users, release build recommended"]

@@ -13,7 +13,7 @@
 //! The bench harness uses it two ways:
 //!
 //! * **zero-alloc proofs** — [`MemMark::allocs_since`] across a steady-state
-//!   pooled round must be 0 (the PR 4 proof, extended to the shard-owned
+//!   pooled round must be 0 (the PR 4 proof, extended to the pooled
 //!   round view);
 //! * **bytes-per-user gates** — [`MemMark::peak_since`] around a measured
 //!   region bounds the region's peak allocation, committed to

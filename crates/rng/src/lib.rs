@@ -36,7 +36,7 @@ mod xoshiro;
 
 pub use mix::{mix64, mix64_pair};
 pub use splitmix::SplitMix64;
-pub use stream::{fill_round_bases, fold_round_bases, RoundStream};
+pub use stream::{fold_round_bases, RoundStream};
 pub use xoshiro::Xoshiro256pp;
 
 /// A minimal 64-bit random generator interface with the derived draws every

@@ -136,15 +136,6 @@ fn fold_avx512(seed: u64, round: u64, streams: &[u32], out: &mut [u64]) {
     fold_body(seed, round, streams, out)
 }
 
-/// Fill `out` with the [`RoundStream::base`] of every stream id in
-/// `streams` for `(seed, round)`: [`fold_round_bases`] into a growable
-/// buffer, whose old content is overwritten. Reusing one buffer keeps the
-/// hot loop allocation-free.
-pub fn fill_round_bases(seed: u64, round: u64, streams: &[u32], out: &mut Vec<u64>) {
-    out.resize(streams.len(), 0);
-    fold_round_bases(seed, round, streams, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,19 +213,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fill_round_bases_matches_per_user_construction() {
-        let users: Vec<u32> = [3u32, 0, 17, 999_999, 17].into();
-        let mut bases = vec![1, 2, 3]; // stale content must be cleared
-        fill_round_bases(42, 6, &users, &mut bases);
-        assert_eq!(bases.len(), users.len());
-        for (&u, &b) in users.iter().zip(&bases) {
-            let mut batched = RoundStream::from_base(b);
-            let mut fresh = RoundStream::new(42, u as u64, 6);
-            assert_eq!(batched.next_u64(), fresh.next_u64());
-        }
-    }
-
     /// Stream ids biased toward the extremes `0` and `u32::MAX`.
     fn stream_id() -> impl Strategy<Value = u32> {
         (0u8..4, 0..=u32::MAX).prop_map(|(pick, id)| match pick {
@@ -282,9 +260,6 @@ mod tests {
             out.fill(0);
             fold_round_bases(seed, round, &streams, &mut out);
             prop_assert_eq!(&out, &expect);
-            let mut filled = vec![7; 5]; // stale content must be cleared
-            fill_round_bases(seed, round, &streams, &mut filled);
-            prop_assert_eq!(&filled, &expect);
         }
     }
 
