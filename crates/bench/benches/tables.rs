@@ -9,7 +9,7 @@ use qlb_core::{
     best_response_run, BlindUniform, ConditionalUniform, ResourceId, SlackDamped,
     SlackDampedCapacitySampling, State, ThresholdLevels,
 };
-use qlb_engine::{perturb_uniform, run, Executor, RunConfig};
+use qlb_engine::{perturb_uniform, run, run_observed, Executor, RunConfig, Trace};
 use qlb_runtime::{run_distributed, RuntimeConfig};
 use qlb_workload::{CapacityDist, ClassSpec, Placement, Scenario};
 use std::hint::black_box;
@@ -75,12 +75,10 @@ fn bench_e3_potential(c: &mut Criterion) {
         b.iter_batched(
             || state.clone(),
             |s| {
-                black_box(run(
-                    &inst,
-                    s,
-                    &SlackDamped::default(),
-                    RunConfig::new(1, 100_000).with_trace(),
-                ))
+                let mut trace = Trace::new(&inst, &s);
+                let cfg = RunConfig::new(1, 100_000);
+                let out = run_observed(&inst, s, &SlackDamped::default(), cfg, &mut trace);
+                black_box((out, trace))
             },
             BatchSize::SmallInput,
         )
@@ -308,12 +306,10 @@ fn bench_e12_fairness(c: &mut Criterion) {
         b.iter_batched(
             || state.clone(),
             |s| {
-                black_box(run(
-                    &inst,
-                    s,
-                    &SlackDamped::default(),
-                    RunConfig::new(1, 100_000).with_user_times(),
-                ))
+                let mut trace = Trace::with_settling_times(&inst, &s);
+                let cfg = RunConfig::new(1, 100_000);
+                let out = run_observed(&inst, s, &SlackDamped::default(), cfg, &mut trace);
+                black_box((out, trace))
             },
             BatchSize::SmallInput,
         )

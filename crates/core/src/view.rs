@@ -407,23 +407,24 @@ impl RoundView {
                 .map(|(_, &x)| x as usize)
                 .sum();
         }
-        self.probe_unsatisfied()
+        self.unsatisfied_users().count()
     }
 
-    /// `O(n)` count of the users whose resource's bit is set.
-    fn probe_unsatisfied(&self) -> usize {
+    /// The unsatisfied users in increasing order: an `O(n)` walk of the
+    /// assignment (and class) arrays probing each user's resource bit.
+    pub fn unsatisfied_users(&self) -> impl Iterator<Item = UserId> + '_ {
         let unsat = self.unsat.as_slice();
         let assign = self.assign.as_slice();
         let classes = self.class_ids.as_slice();
         let words = self.words;
         (0..assign.len())
-            .filter(|&i| {
+            .filter(move |&i| {
                 let r = assign[i];
                 // single-class views keep no class array
                 let k = classes.get(i).map_or(0, |&k| k as usize);
                 (unsat[k * words + (r >> 6) as usize] >> (r & 63)) & 1 != 0
             })
-            .count()
+            .map(|i| UserId(i as u32))
     }
 
     /// Is the mirrored state legal (every user satisfied)? Single-class:
@@ -438,7 +439,7 @@ impl RoundView {
                 .enumerate()
                 .all(|(r, &x)| x == 0 || (bm[r >> 6] >> (r & 63)) & 1 == 0);
         }
-        self.probe_unsatisfied() == 0
+        self.unsatisfied_users().next().is_none()
     }
 
     /// Reconstruct a dense [`State`] from the view — the inverse of
@@ -704,6 +705,8 @@ mod tests {
             view.repair_touched(&inst, &mut deltas);
             view.assert_synced(&inst, &state);
             assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));
+            let users: Vec<UserId> = view.unsatisfied_users().collect();
+            assert_eq!(users, state.unsatisfied(&inst));
             assert_eq!(view.is_legal(), state.is_legal(&inst));
             if view.is_legal() {
                 break;
@@ -724,6 +727,8 @@ mod tests {
         let state = State::all_on(&inst, ResourceId(0));
         let view = RoundView::new(&inst, &state);
         assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));
+        let users: Vec<UserId> = view.unsatisfied_users().collect();
+        assert_eq!(users, state.unsatisfied(&inst));
         assert_eq!(view.is_legal(), state.is_legal(&inst));
     }
 

@@ -27,8 +27,8 @@
 //! and applies the moves to it; active-set moves the driver applies to
 //! its own state and index. Identical output is guaranteed by the
 //! counter-based RNG streams of `qlb-rng` and verified by tests and
-//! experiment E10. Runs can also record per-round [`trace`]s (potential
-//! decay, figure experiments).
+//! experiment E10. A per-round [`Trace`] (potential decay, settling
+//! times, figure experiments) is a sink passed to [`run_observed`].
 //!
 //! ```
 //! use qlb_core::prelude::*;

@@ -6,10 +6,8 @@
 //! weighted one.
 
 use crate::stepper::Stepper;
-use crate::trace::Trace;
 use qlb_core::{overload_potential_loads, ActiveIndex, Demands, Move, Protocol, State};
-use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink};
-use std::borrow::Cow;
+use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink, UserWalk};
 
 /// Which round-execution strategy [`run`] uses.
 ///
@@ -63,10 +61,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Round budget; the run stops unconverged when exhausted.
     pub max_rounds: u64,
-    /// Record a per-round [`Trace`].
-    pub record_trace: bool,
-    /// Track per-user settling times (needs `record_trace`; O(n)/round).
-    pub track_user_times: bool,
     /// Round-execution strategy (default [`Executor::Dense`]).
     pub executor: Executor,
     /// Sample the `k` hottest resources at each observed round end
@@ -80,13 +74,11 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Plain config: given seed, round budget, no tracing, dense executor.
+    /// Plain config: given seed, round budget, dense executor.
     pub fn new(seed: u64, max_rounds: u64) -> Self {
         Self {
             seed,
             max_rounds,
-            record_trace: false,
-            track_user_times: false,
             executor: Executor::Dense,
             topk_resources: 0,
             shard_timing: true,
@@ -103,19 +95,6 @@ impl RunConfig {
     /// Toggle per-shard compute/wake profiling of observed pooled rounds.
     pub fn with_shard_timing(mut self, on: bool) -> Self {
         self.shard_timing = on;
-        self
-    }
-
-    /// Enable per-round tracing.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
-    /// Enable per-user settling-time tracking (implies tracing).
-    pub fn with_user_times(mut self) -> Self {
-        self.record_trace = true;
-        self.track_user_times = true;
         self
     }
 
@@ -141,15 +120,14 @@ pub struct RunOutcome {
     pub weight_moved: u64,
     /// The final state.
     pub state: State,
-    /// Per-round trace if requested.
-    pub trace: Option<Trace>,
 }
 
 /// Run a protocol until legal or out of rounds, using the executor
 /// selected by [`RunConfig::executor`] (dense by default).
 ///
 /// The loop reuses one move buffer, so steady-state execution performs no
-/// allocation; with tracing enabled, the trace grows by one entry per round.
+/// allocation. A per-round [`Trace`](crate::Trace) is a sink: pass it to
+/// [`run_observed`].
 ///
 /// The sparse executors keep an [`ActiveIndex`] of the unsatisfied users
 /// and per-resource occupant lists. Applying a round's migrations changes
@@ -202,7 +180,9 @@ pub fn run<I: Demands, P: Protocol + ?Sized>(
 /// convergence check, executor switch), counters, gauges, and
 /// decide/apply/convergence phase timings; pooled rounds additionally
 /// split the decide phase into [`Phase::Compute`] and [`Phase::ForkJoin`].
-/// Weighted runs also count [`Counter::WeightMoved`].
+/// Weighted runs also count [`Counter::WeightMoved`]. A
+/// [`Trace`](crate::Trace) is the sink that keeps the per-round series;
+/// `&mut (&mut trace, &mut recorder)` feeds it and a recorder at once.
 /// Observability is derived data only — the trajectory is bit-identical
 /// either way (property-tested).
 ///
@@ -227,11 +207,6 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
     } else {
         config.executor.is_sparse()
     };
-
-    let mut trace = config.record_trace.then(Trace::default);
-    if let Some(t) = trace.as_mut() {
-        record_trace(t, inst, &state, &config, 0, 0);
-    }
 
     let n = inst.instance().num_users();
     let mut stepper = Stepper::new(config.executor, n, config.seed, config.shard_timing);
@@ -305,13 +280,6 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
             rounds += 1;
             migrations += batch;
             weight_moved += batch_weight;
-            if let Some(t) = trace.as_mut() {
-                let state = match active.as_ref() {
-                    Some((_, state)) => Cow::Borrowed(state),
-                    None => stepper.state(inst),
-                };
-                record_trace(t, inst, &state, &config, rounds, batch);
-            }
             converged = timed(sink, Phase::Convergence, || match active.as_ref() {
                 Some((index, _)) => index.is_empty(),
                 None => stepper.is_legal(inst),
@@ -324,6 +292,10 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
                     None if converged => (0, stepper.loads()),
                     None => (stepper.num_unsatisfied(inst) as u64, stepper.loads()),
                 };
+                let users = |f: &mut dyn FnMut(u32)| match active.as_ref() {
+                    Some((index, _)) => index.active().for_each(|u| f(u.0)),
+                    None => stepper.unsatisfied_users(inst, f),
+                };
                 let topk = config.topk_resources;
                 emit_round_end(
                     inst,
@@ -334,6 +306,7 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
                     batch_weight,
                     converged,
                     unsatisfied,
+                    &users,
                     topk,
                 );
                 entering = unsatisfied;
@@ -367,6 +340,7 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
                     batch_weight,
                     converged,
                     unsatisfied,
+                    &|f| index.active().for_each(|u| f(u.0)),
                     topk,
                 );
                 entering = unsatisfied;
@@ -396,9 +370,6 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
         rounds += 1;
         migrations += batch;
         weight_moved += batch_weight;
-        if let Some(t) = trace.as_mut() {
-            record_trace(t, inst, state, &config, rounds, batch);
-        }
         open_round = Some((batch, batch_weight));
     }
 
@@ -413,22 +384,6 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
         migrations,
         weight_moved,
         state,
-        trace,
-    }
-}
-
-/// Append round `round`'s entry to the trace.
-fn record_trace<I: Demands>(
-    t: &mut Trace,
-    inst: &I,
-    state: &State,
-    config: &RunConfig,
-    round: u64,
-    batch: u64,
-) {
-    t.record(inst, state, round, batch);
-    if config.track_user_times {
-        t.record_user_times(inst, state, round);
     }
 }
 
@@ -449,8 +404,9 @@ fn moved_weight<I: Demands>(inst: &I, moves: &[Move]) -> u64 {
 /// reuse it as the next round's `RoundStart` active count, halving the
 /// scans). `batch` is the round's migration count and `weight` the demand
 /// it moved; weighted runs count the latter as [`Counter::WeightMoved`].
-/// With `topk > 0` the `topk` hottest resources are offered to the sink as
-/// a congestion sample.
+/// `users` walks the users left unsatisfied, for
+/// [`Sink::unsatisfied_users`]. With `topk > 0` the `topk` hottest
+/// resources are offered to the sink as a congestion sample.
 #[allow(clippy::too_many_arguments)]
 fn emit_round_end<I: Demands, S: Sink>(
     inst: &I,
@@ -461,6 +417,7 @@ fn emit_round_end<I: Demands, S: Sink>(
     weight: u64,
     converged: bool,
     unsatisfied: u64,
+    users: &UserWalk<'_>,
     topk: usize,
 ) {
     let base = inst.instance();
@@ -480,6 +437,7 @@ fn emit_round_end<I: Demands, S: Sink>(
         unsatisfied,
         overload,
     });
+    sink.unsatisfied_users(round, users);
     sink.event(Event::ConvergenceCheck { round, converged });
     if topk > 0 {
         sink.topk(round, &qlb_obs::top_k_entries(loads, topk));
@@ -489,6 +447,7 @@ fn emit_round_end<I: Demands, S: Sink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
     use qlb_core::weighted::WeightedInstance;
     use qlb_core::{BlindUniform, ConditionalUniform, Instance, ResourceId, SlackDamped};
     use qlb_obs::Recorder;
@@ -537,16 +496,24 @@ mod tests {
         assert_eq!(out.rounds, 1);
     }
 
+    /// A run with a settling-time trace attached.
+    fn traced<I: Demands, P: Protocol + ?Sized>(
+        inst: &I,
+        state: &State,
+        proto: &P,
+        cfg: RunConfig,
+    ) -> (RunOutcome, Trace) {
+        let mut trace = Trace::with_settling_times(inst, state);
+        let out = run_observed(inst, state.clone(), proto, cfg, &mut trace);
+        (out, trace)
+    }
+
     #[test]
     fn trace_has_initial_plus_per_round_entries() {
         let (inst, state) = hotspot(64, 8, 10);
-        let out = run(
-            &inst,
-            state,
-            &SlackDamped::default(),
-            RunConfig::new(3, 10_000).with_trace(),
-        );
-        let trace = out.trace.unwrap();
+        let cfg = RunConfig::new(3, 10_000);
+        let mut trace = Trace::new(&inst, &state);
+        let out = run_observed(&inst, state, &SlackDamped::default(), cfg, &mut trace);
         assert_eq!(trace.rounds.len() as u64, out.rounds + 1);
         assert_eq!(trace.rounds[0].round, 0);
         assert_eq!(trace.rounds[0].unsatisfied, 64);
@@ -561,13 +528,8 @@ mod tests {
     #[test]
     fn user_times_recorded() {
         let (inst, state) = hotspot(64, 8, 10);
-        let out = run(
-            &inst,
-            state,
-            &SlackDamped::default(),
-            RunConfig::new(3, 10_000).with_user_times(),
-        );
-        let trace = out.trace.unwrap();
+        let cfg = RunConfig::new(3, 10_000);
+        let (out, trace) = traced(&inst, &state, &SlackDamped::default(), cfg);
         let times = trace.settling_times();
         assert_eq!(times.len(), 64);
         assert!(times.iter().all(|&t| t <= out.rounds));
@@ -705,35 +667,30 @@ mod tests {
         assert_eq!(out.state.num_unsatisfied(&inst), 1);
     }
 
-    /// Asserts two runs took the same trajectory, traces included.
+    /// Asserts two runs took the same trajectory.
     fn assert_same_run(a: &RunOutcome, b: &RunOutcome, label: &str) {
         assert_eq!(a.converged, b.converged, "{label}");
         assert_eq!(a.rounds, b.rounds, "{label}");
         assert_eq!(a.migrations, b.migrations, "{label}");
         assert_eq!(a.state, b.state, "{label}");
-        let (at, bt) = (a.trace.as_ref(), b.trace.as_ref());
-        assert_eq!(at.map(|t| &t.rounds), bt.map(|t| &t.rounds), "{label}");
-        assert_eq!(
-            at.map(|t| &t.last_unsatisfied),
-            bt.map(|t| &t.last_unsatisfied),
-            "{label}"
-        );
+    }
+
+    /// Asserts two traces hold the same rounds and settling times.
+    fn assert_same_trace(a: &Trace, b: &Trace, label: &str) {
+        assert_eq!(a.rounds, b.rounds, "{label}");
+        assert_eq!(a.last_unsatisfied, b.last_unsatisfied, "{label}");
     }
 
     #[test]
     fn sparse_matches_dense_exactly() {
         let (inst, s1) = hotspot(500, 16, 40);
         for proto in qlb_core::registry(&inst) {
-            let cfg = RunConfig::new(11, 2_000).with_user_times();
-            let dense = run(&inst, s1.clone(), proto.as_ref(), cfg);
-            let sparse = run(
-                &inst,
-                s1.clone(),
-                proto.as_ref(),
-                cfg.with_executor(Executor::Sparse),
-            );
-            assert!(dense.trace.is_some(), "{}", proto.name());
+            let cfg = RunConfig::new(11, 2_000);
+            let (dense, dense_trace) = traced(&inst, &s1, proto.as_ref(), cfg);
+            let sparse_cfg = cfg.with_executor(Executor::Sparse);
+            let (sparse, sparse_trace) = traced(&inst, &s1, proto.as_ref(), sparse_cfg);
             assert_same_run(&dense, &sparse, proto.name());
+            assert_same_trace(&dense_trace, &sparse_trace, proto.name());
         }
     }
 
@@ -742,54 +699,52 @@ mod tests {
         let (inst, s1) = hotspot(500, 16, 40);
         for proto in qlb_core::registry(&inst) {
             let name = proto.name();
-            // untraced and traced: a traced pooled run snapshots the
-            // stepper's view for every trace entry
-            for cfg in [
-                RunConfig::new(11, 2_000),
-                RunConfig::new(11, 2_000).with_user_times(),
+            let cfg = RunConfig::new(11, 2_000);
+            let (dense, dense_trace) = traced(&inst, &s1, proto.as_ref(), cfg);
+            for exec in [
+                Executor::Sparse,
+                Executor::Threaded(3),
+                Executor::SparseThreaded(2),
+                Executor::SparseThreaded(8),
             ] {
-                let dense = run(&inst, s1.clone(), proto.as_ref(), cfg);
-                for exec in [
-                    Executor::Sparse,
-                    Executor::Threaded(3),
-                    Executor::SparseThreaded(2),
-                    Executor::SparseThreaded(8),
-                ] {
-                    let pooled = run(&inst, s1.clone(), proto.as_ref(), cfg.with_executor(exec));
-                    let label = format!("{name} {exec:?} traced={}", cfg.record_trace);
-                    assert_same_run(&dense, &pooled, &label);
-                }
+                let label = format!("{name} {exec:?}");
+                // with no sink, and with a trace fed by the pooled view
+                let plain = run(&inst, s1.clone(), proto.as_ref(), cfg.with_executor(exec));
+                assert_same_run(&dense, &plain, &label);
+                let (pooled, trace) = traced(&inst, &s1, proto.as_ref(), cfg.with_executor(exec));
+                assert_same_run(&dense, &pooled, &label);
+                assert_same_trace(&dense_trace, &trace, &label);
             }
         }
     }
 
     /// A budget that ends inside the pooled full-round phase: the stepper
     /// holds only the view when the budget runs out, and the `State` it
-    /// hands back equals the dense run's, traces included. After 1 round
-    /// both pooled executors still hold the view; after 2, `SparseThreaded`
-    /// has handed it back for its index build.
+    /// hands back equals the dense run's, and so does the trace a recorder
+    /// feeds beside it. After 1 round both pooled executors still hold the
+    /// view; after 2, `SparseThreaded` has handed it back for its index
+    /// build.
     #[test]
     fn pooled_budget_cut_in_full_rounds_matches_dense() {
         let (inst, s1) = hotspot(500, 16, 33);
         let proto = SlackDamped::default();
         for budget in [1, 2] {
-            for cfg in [
-                RunConfig::new(11, budget),
-                RunConfig::new(11, budget).with_user_times(),
-            ] {
-                let dense = run(&inst, s1.clone(), &proto, cfg);
-                assert!(!dense.converged && dense.rounds == budget);
-                for exec in [Executor::Threaded(2), Executor::SparseThreaded(2)] {
-                    let label = format!("{exec:?} budget {budget} traced={}", cfg.record_trace);
-                    let mut rec = Recorder::default();
-                    let cfg = cfg.with_executor(exec);
-                    let out = run_observed(&inst, s1.clone(), &proto, cfg, &mut rec);
-                    assert_same_run(&dense, &out, &label);
-                    // every round was a pooled full round (`SparseThreaded`
-                    // switches to the index at the end of round 2)
-                    let compute = rec.timers().histogram(Phase::Compute).count();
-                    assert_eq!(compute, budget, "{label}");
-                }
+            let cfg = RunConfig::new(11, budget);
+            let (dense, dense_trace) = traced(&inst, &s1, &proto, cfg);
+            assert!(!dense.converged && dense.rounds == budget);
+            for exec in [Executor::Threaded(2), Executor::SparseThreaded(2)] {
+                let label = format!("{exec:?} budget {budget}");
+                let mut rec = Recorder::default();
+                let mut trace = Trace::with_settling_times(&inst, &s1);
+                let cfg = cfg.with_executor(exec);
+                let mut both = (&mut rec, &mut trace);
+                let out = run_observed(&inst, s1.clone(), &proto, cfg, &mut both);
+                assert_same_run(&dense, &out, &label);
+                assert_same_trace(&dense_trace, &trace, &label);
+                // every round was a pooled full round (`SparseThreaded`
+                // switches to the index at the end of round 2)
+                let compute = rec.timers().histogram(Phase::Compute).count();
+                assert_eq!(compute, budget, "{label}");
             }
         }
     }
@@ -952,35 +907,36 @@ mod tests {
         );
     }
 
+    /// The pooled run emits exactly the dense event stream, and a recorder
+    /// paired with a trace records exactly what it records alone: the same
+    /// events, counters and gauges.
     #[test]
     fn observed_threaded_matches_sequential() {
         let (inst, s1) = hotspot(200, 16, 16);
-        // untraced and traced runs must both emit exactly the dense event
-        // stream
-        for cfg in [
-            RunConfig::new(3, 10_000),
-            RunConfig::new(3, 10_000).with_trace(),
-        ] {
-            let mut seq_rec = Recorder::default();
-            let seq = run_observed(
-                &inst,
-                s1.clone(),
-                &SlackDamped::default(),
-                cfg,
-                &mut seq_rec,
-            );
+        let proto = SlackDamped::default();
+        let events = |r: &Recorder| r.events().iter().map(|(_, e)| e).collect::<Vec<_>>();
+        let counters = |r: &Recorder| Counter::ALL.map(|c| r.counter(c));
+        let gauges = |r: &Recorder| Gauge::ALL.map(|g| r.gauge(g));
+        let cfg = RunConfig::new(3, 10_000);
+        let mut seq_rec = Recorder::default();
+        let seq = run_observed(&inst, s1.clone(), &proto, cfg, &mut seq_rec);
+        for exec in [Executor::Dense, Executor::Threaded(3)] {
+            let cfg = cfg.with_executor(exec);
             let mut rec = Recorder::default();
-            let par = run_observed(
-                &inst,
-                s1.clone(),
-                &SlackDamped::default(),
-                cfg.with_executor(Executor::Threaded(3)),
-                &mut rec,
-            );
-            assert_eq!(seq.state, par.state);
-            assert_eq!(rec.counter(Counter::Rounds), par.rounds);
-            let events = |r: &Recorder| r.events().iter().map(|(_, e)| e).collect::<Vec<_>>();
-            assert_eq!(events(&rec), events(&seq_rec));
+            let alone = run_observed(&inst, s1.clone(), &proto, cfg, &mut rec);
+            assert_eq!(seq.state, alone.state, "{exec:?}");
+            assert_eq!(rec.counter(Counter::Rounds), alone.rounds, "{exec:?}");
+            assert_eq!(events(&rec), events(&seq_rec), "{exec:?}");
+
+            let mut paired = Recorder::default();
+            let mut trace = Trace::with_settling_times(&inst, &s1);
+            let mut both = (&mut paired, &mut trace);
+            let out = run_observed(&inst, s1.clone(), &proto, cfg, &mut both);
+            assert_eq!(out.state, alone.state, "{exec:?}");
+            assert_eq!(events(&paired), events(&rec), "{exec:?}");
+            assert_eq!(counters(&paired), counters(&rec), "{exec:?}");
+            assert_eq!(gauges(&paired), gauges(&rec), "{exec:?}");
+            assert_eq!(trace.rounds.len() as u64, out.rounds + 1, "{exec:?}");
         }
     }
 
@@ -1042,22 +998,21 @@ mod tests {
         let protos: [&dyn Protocol; 2] = [&SlackDamped::default(), &ConditionalUniform];
         for proto in protos {
             let name = proto.name();
-            for cfg in [
-                RunConfig::new(11, 10_000),
-                RunConfig::new(11, 10_000).with_user_times(),
+            let cfg = RunConfig::new(11, 10_000);
+            let (dense, dense_trace) = traced(&inst, &s1, proto, cfg);
+            for exec in [
+                Executor::Sparse,
+                Executor::Threaded(3),
+                Executor::Threaded(64),
+                Executor::SparseThreaded(4),
             ] {
-                let dense = run(&inst, s1.clone(), proto, cfg);
-                for exec in [
-                    Executor::Sparse,
-                    Executor::Threaded(3),
-                    Executor::Threaded(64),
-                    Executor::SparseThreaded(4),
-                ] {
-                    let other = run(&inst, s1.clone(), proto, cfg.with_executor(exec));
-                    let label = format!("{name} {exec:?} traced={}", cfg.record_trace);
-                    assert_same_run(&dense, &other, &label);
-                    assert_eq!(dense.weight_moved, other.weight_moved, "{label}");
-                }
+                let label = format!("{name} {exec:?}");
+                let plain = run(&inst, s1.clone(), proto, cfg.with_executor(exec));
+                assert_same_run(&dense, &plain, &label);
+                let (other, trace) = traced(&inst, &s1, proto, cfg.with_executor(exec));
+                assert_same_run(&dense, &other, &label);
+                assert_same_trace(&dense_trace, &trace, &label);
+                assert_eq!(dense.weight_moved, other.weight_moved, "{label}");
             }
         }
     }

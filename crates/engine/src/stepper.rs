@@ -19,7 +19,6 @@ use qlb_core::{
     ShardScratch, State, UserId,
 };
 use qlb_obs::{timed, Phase, Sink};
-use std::borrow::Cow;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -150,12 +149,17 @@ impl Stepper {
         }
     }
 
-    /// The held state as a dense [`State`]: borrowed without a pool, an
-    /// `O(n + m)` snapshot of the view with one. For per-round traces.
-    pub(crate) fn state<I: Demands>(&self, inst: &I) -> Cow<'_, State> {
+    /// Pass each unsatisfied user of the held state to `f`, in increasing
+    /// order: an `O(n)` walk of the dense state's `is_satisfied`, or of
+    /// the view's bitmaps.
+    pub(crate) fn unsatisfied_users<I: Demands>(&self, inst: &I, f: &mut dyn FnMut(u32)) {
         match self.held() {
-            Held::Dense(state) => Cow::Borrowed(state),
-            Held::View(vs) => Cow::Owned(vs.view.to_state(inst)),
+            Held::Dense(state) => inst
+                .instance()
+                .users()
+                .filter(|&u| !state.is_satisfied(inst, u))
+                .for_each(|u| f(u.0)),
+            Held::View(vs) => vs.view.unsatisfied_users().for_each(|u| f(u.0)),
         }
     }
 

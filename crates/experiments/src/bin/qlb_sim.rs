@@ -16,7 +16,7 @@ use qlb_core::{
     BlindUniform, ClassId, ConditionalUniform, Instance, Protocol, SlackDamped,
     SlackDampedCapacitySampling, State, ThresholdLevels,
 };
-use qlb_engine::{run_observed, run_open_system_observed, Executor, OpenConfig, RunConfig};
+use qlb_engine::{run_observed, run_open_system_observed, Executor, OpenConfig, RunConfig, Trace};
 use qlb_obs::{replay::Summary, NoopSink, Sink, StreamSink};
 use qlb_runtime::{run_distributed_observed, RuntimeConfig};
 use qlb_stats::sparkline_fit;
@@ -406,12 +406,11 @@ fn simulate<S: Sink>(
     match driver {
         "closed" => {
             let config = RunConfig::new(seed, max_rounds)
-                .with_trace()
                 .with_executor(exec)
                 .with_topk_resources(open_cfg.topk_resources)
                 .with_shard_timing(open_cfg.shard_timing);
-            let out = run_observed(inst, state, proto, config, sink);
-            let trace = out.trace.expect("trace requested");
+            let mut trace = Trace::new(inst, &state);
+            let out = run_observed(inst, state, proto, config, &mut (&mut trace, sink));
             let unsat: Vec<f64> = trace.rounds.iter().map(|r| r.unsatisfied as f64).collect();
             println!("unsatisfied over rounds: {}", sparkline_fit(&unsat, 60));
             Some((out.converged, out.rounds, out.migrations))

@@ -7,9 +7,8 @@
 //! as a roughly constant ratio < 1 until the integer tail.
 
 use crate::ExperimentResult;
-use qlb_core::{overload_potential, SlackDamped};
-use qlb_engine::RunConfig;
-use qlb_obs::{Event, Recorder};
+use qlb_core::SlackDamped;
+use qlb_engine::{RunConfig, Trace};
 use qlb_stats::Table;
 use qlb_workload::{CapacityDist, Placement, Scenario};
 
@@ -29,21 +28,10 @@ pub fn run(quick: bool) -> ExperimentResult {
     );
     let (inst, state) = sc.build(seed).expect("feasible by construction");
     let proto = SlackDamped::default();
-    // Round 0 comes from the initial state; the per-round series comes
-    // from the observability sink's RoundEnd events rather than the
-    // engine's ad-hoc trace.
-    let phi0 = overload_potential(&inst, &state);
-    let unsat0 = state.num_unsatisfied(&inst);
-    let mut rec = Recorder::default();
-    let out = qlb_engine::run_observed(
-        &inst,
-        state,
-        &proto,
-        RunConfig::new(seed, 100_000),
-        &mut rec,
-    );
+    let mut trace = Trace::new(&inst, &state);
+    let cfg = RunConfig::new(seed, 100_000);
+    let out = qlb_engine::run_observed(&inst, state, &proto, cfg, &mut trace);
     assert!(out.converged, "E3 run must converge");
-    assert_eq!(rec.events().dropped(), 0, "E3 needs the full event stream");
 
     let mut table = Table::new(
         format!("Figure 1 — overload potential per round (slack-damped, n = {n}, γ = 1.25, seed {seed})"),
@@ -51,42 +39,24 @@ pub fn run(quick: bool) -> ExperimentResult {
     );
     let mut ratios = Vec::new();
     let mut prev_phi: Option<u64> = None;
-    {
-        let mut push_row = |round: u64, phi: u64, unsatisfied: u64, migrations: u64| {
-            let ratio = match prev_phi {
-                Some(p) if p > 0 => {
-                    let ratio = phi as f64 / p as f64;
-                    ratios.push(ratio);
-                    format!("{ratio:.3}")
-                }
-                _ => "—".to_string(),
-            };
-            table.row(vec![
-                round.to_string(),
-                phi.to_string(),
-                unsatisfied.to_string(),
-                migrations.to_string(),
-                ratio,
-            ]);
-            prev_phi = Some(phi);
-        };
-        push_row(0, phi0, unsat0 as u64, 0);
-        for (_, event) in rec.events().iter() {
-            if let Event::RoundEnd {
-                round,
-                migrations,
-                unsatisfied,
-                overload,
-            } = event
-            {
-                push_row(
-                    round + 1,
-                    overload.expect("single-class instance"),
-                    unsatisfied,
-                    migrations,
-                );
+    for r in &trace.rounds {
+        let phi = r.overload.expect("single-class instance");
+        let ratio = match prev_phi {
+            Some(p) if p > 0 => {
+                let ratio = phi as f64 / p as f64;
+                ratios.push(ratio);
+                format!("{ratio:.3}")
             }
-        }
+            _ => "—".to_string(),
+        };
+        table.row(vec![
+            r.round.to_string(),
+            phi.to_string(),
+            r.unsatisfied.to_string(),
+            r.migrations.to_string(),
+            ratio,
+        ]);
+        prev_phi = Some(phi);
     }
 
     // Geometric-regime check over the early rounds (before the integer

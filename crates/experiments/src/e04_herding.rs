@@ -23,7 +23,7 @@
 use crate::ExperimentResult;
 use qlb_core::{BlindUniform, ConditionalUniform, Protocol, SlackDamped};
 use qlb_core::{Instance, ResourceId, State};
-use qlb_engine::RunConfig;
+use qlb_engine::{RunConfig, Trace};
 use qlb_stats::{Summary, Table};
 
 /// Total overload created over a run: `Σ_t (Φ_{t+1} − Φ_t)⁺`.
@@ -77,13 +77,9 @@ pub fn run(quick: bool) -> ExperimentResult {
     let mut per_proto_series: Vec<Vec<u64>> = Vec::new();
     for (_, proto) in &protos {
         let (inst, state) = packed_state(m);
-        let out = qlb_engine::run(
-            &inst,
-            state,
-            proto.as_ref(),
-            RunConfig::new(0, cutoff).with_trace(),
-        );
-        let trace = out.trace.expect("trace requested");
+        let mut trace = Trace::new(&inst, &state);
+        let cfg = RunConfig::new(0, cutoff);
+        qlb_engine::run_observed(&inst, state, proto.as_ref(), cfg, &mut trace);
         per_proto_series.push(
             checkpoints
                 .iter()
@@ -130,13 +126,9 @@ pub fn run(quick: bool) -> ExperimentResult {
         let mut converged = 0u32;
         for seed in 0..seeds as u64 {
             let (inst, state) = packed_state(m);
-            let out = qlb_engine::run(
-                &inst,
-                state,
-                proto.as_ref(),
-                RunConfig::new(seed, cutoff).with_trace(),
-            );
-            let trace = out.trace.expect("trace requested");
+            let mut trace = Trace::new(&inst, &state);
+            let cfg = RunConfig::new(seed, cutoff);
+            let out = qlb_engine::run_observed(&inst, state, proto.as_ref(), cfg, &mut trace);
             let overloads: Vec<u64> = trace
                 .rounds
                 .iter()

@@ -8,7 +8,7 @@
 
 use crate::ExperimentResult;
 use qlb_core::SlackDamped;
-use qlb_engine::RunConfig;
+use qlb_engine::{RunConfig, Trace};
 use qlb_stats::{quantiles, Table};
 use qlb_workload::{CapacityDist, Placement, Scenario};
 
@@ -34,15 +34,11 @@ pub fn run(quick: bool) -> ExperimentResult {
     let mut max_rounds_seen = 0u64;
     for seed in 0..seeds as u64 {
         let (inst, state) = sc.build(seed).expect("feasible");
-        let out = qlb_engine::run(
-            &inst,
-            state,
-            &SlackDamped::default(),
-            RunConfig::new(seed, 100_000).with_user_times(),
-        );
+        let mut trace = Trace::with_settling_times(&inst, &state);
+        let cfg = RunConfig::new(seed, 100_000);
+        let out = qlb_engine::run_observed(&inst, state, &SlackDamped::default(), cfg, &mut trace);
         assert!(out.converged);
         max_rounds_seen = max_rounds_seen.max(out.rounds);
-        let trace = out.trace.expect("trace requested");
         all_times.extend(trace.settling_times().iter().map(|&t| t as f64));
     }
 

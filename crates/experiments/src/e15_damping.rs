@@ -18,7 +18,7 @@
 
 use crate::ExperimentResult;
 use qlb_core::{Instance, ResourceId, SlackDamped, State};
-use qlb_engine::RunConfig;
+use qlb_engine::{RunConfig, Trace};
 use qlb_stats::{Summary, Table};
 
 fn generous_pair(n: usize, seed: u64) -> (Instance, State) {
@@ -91,16 +91,10 @@ pub fn run(quick: bool) -> ExperimentResult {
         let mut thin_conv = 0u32;
         for seed in 0..seeds as u64 {
             let (inst, state) = packed_pair(m_packed);
-            let out = qlb_engine::run(
-                &inst,
-                state,
-                &proto,
-                RunConfig::new(seed, cutoff).with_trace(),
-            );
-            let series: Vec<u64> = out
-                .trace
-                .as_ref()
-                .expect("trace requested")
+            let mut trace = Trace::new(&inst, &state);
+            let cfg = RunConfig::new(seed, cutoff);
+            let out = qlb_engine::run_observed(&inst, state, &proto, cfg, &mut trace);
+            let series: Vec<u64> = trace
                 .rounds
                 .iter()
                 .map(|r| r.overload.expect("single class"))

@@ -25,7 +25,8 @@
 //! * [`sink`] — the [`Sink`] trait the instrumented crates emit through.
 //!   It is monomorphized into the round loops (no `dyn` on the hot path);
 //!   the default [`NoopSink`] has `ENABLED = false`, so every emission
-//!   site folds away at compile time and an unobserved run pays nothing;
+//!   site folds away at compile time and an unobserved run pays nothing.
+//!   A pair `(&mut A, &mut B)` of sinks is a sink that feeds both;
 //! * [`span`] — **causal request spans**: the per-operation
 //!   [`SpanRecord`] (op, verdict, probe evidence, per-phase wall-clock)
 //!   keyed by placement ticket, retained by the recording sinks in a
@@ -93,7 +94,7 @@ pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::{top_k_entries, LatencyHists, ShardTimers, TopKEntry, TopKSeries};
 pub use recorder::{DeltaSeries, EventLog, Recorder};
 pub use replay::TraceReader;
-pub use sink::{timed, DeltaSnapshot, NoopSink, Sink};
+pub use sink::{timed, DeltaSnapshot, NoopSink, Sink, UserWalk};
 pub use span::{SpanRecord, SpanSeries, DEFAULT_SPAN_CAP};
 pub use stream::{JsonlLog, StreamSink};
 pub use timers::{Phase, PhaseTimers};

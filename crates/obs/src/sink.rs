@@ -42,6 +42,10 @@ pub struct DeltaSnapshot<'a> {
     pub bytes: &'a [u8],
 }
 
+/// A walk over user ids: calling it passes each id, in increasing order,
+/// to its argument. See [`Sink::unsatisfied_users`].
+pub type UserWalk<'a> = dyn Fn(&mut dyn FnMut(u32)) + 'a;
+
 /// Consumer of observability emissions.
 ///
 /// Implementations must be pure observers: a sink receives derived
@@ -106,6 +110,45 @@ pub trait Sink {
     /// export it as trailer records.
     #[inline]
     fn span(&mut self, _s: &SpanRecord) {}
+
+    /// Offer the users left unsatisfied at the end of round `round`: the
+    /// closed round loop calls this beside each [`Event::RoundEnd`].
+    /// `users` walks them in increasing id order, calling its argument
+    /// once per user id, in `O(n)` or `O(active)`; it runs only if the
+    /// sink calls it, so ignoring the hook costs `O(1)`. Default: ignored
+    /// — only a trace of per-user settling times walks it.
+    #[inline]
+    fn unsatisfied_users(&mut self, _round: u64, _users: &UserWalk<'_>) {}
+}
+
+/// Forward each listed `Sink` method to both halves of a pair, `.0` first.
+macro_rules! forward_to_both {
+    ($($method:ident($($arg:ident: $ty:ty),*);)*) => {$(
+        fn $method(&mut self, $($arg: $ty),*) {
+            self.0.$method($($arg),*);
+            self.1.$method($($arg),*);
+        }
+    )*};
+}
+
+/// Two sinks as one: every emission goes to both, `.0` first. This is how
+/// a run feeds a per-round trace and a recorder at once.
+impl<A: Sink, B: Sink> Sink for (&mut A, &mut B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+
+    forward_to_both! {
+        event(ev: Event);
+        add(c: Counter, delta: u64);
+        set(g: Gauge, value: u64);
+        time(p: Phase, ns: u64);
+        shard_round(compute_ns: &[u64], wake_ns: &[u64]);
+        topk(round: u64, entries: &[TopKEntry]);
+        latency(name: &'static str, ns: u64);
+        stats_snapshot(snap: &StatsSnapshot);
+        delta_snapshot(d: &DeltaSnapshot<'_>);
+        span(s: &SpanRecord);
+        unsatisfied_users(round: u64, users: &UserWalk<'_>);
+    }
 }
 
 /// The default sink: records nothing, costs nothing.
@@ -168,6 +211,47 @@ mod tests {
         let mut s = NoopSink;
         let r = timed(&mut s, Phase::Decide, || 41 + 1);
         assert_eq!(r, 42);
+    }
+
+    /// Keeps what the hook offers.
+    #[derive(Default)]
+    struct UserLog(Vec<(u64, u32)>);
+
+    impl Sink for UserLog {
+        const ENABLED: bool = true;
+        fn event(&mut self, _ev: Event) {}
+        fn add(&mut self, _c: Counter, _delta: u64) {}
+        fn set(&mut self, _g: Gauge, _value: u64) {}
+        fn time(&mut self, _p: Phase, _ns: u64) {}
+        fn unsatisfied_users(&mut self, round: u64, users: &UserWalk<'_>) {
+            users(&mut |u| self.0.push((round, u)));
+        }
+    }
+
+    #[test]
+    fn pair_feeds_both_sides() {
+        const { assert!(!<(&mut NoopSink, &mut NoopSink)>::ENABLED) };
+        const { assert!(<(&mut NoopSink, &mut Recorder)>::ENABLED) };
+        let (mut a, mut b) = (UserLog::default(), UserLog::default());
+        (&mut a, &mut b).unsatisfied_users(3, &|f| [1, 4].into_iter().for_each(&mut *f));
+        assert_eq!(a.0, [(3, 1), (3, 4)]);
+        assert_eq!(b.0, a.0);
+
+        let mut rec = Recorder::default();
+        let mut pair = (&mut a, &mut rec);
+        pair.add(Counter::Rounds, 2);
+        pair.set(Gauge::Unsatisfied, 5);
+        pair.time(Phase::Apply, 7);
+        pair.event(Event::ConvergenceCheck {
+            round: 0,
+            converged: false,
+        });
+        pair.unsatisfied_users(4, &|f| f(9));
+        assert_eq!(rec.counter(Counter::Rounds), 2);
+        assert_eq!(rec.gauge(Gauge::Unsatisfied), 5);
+        assert_eq!(rec.timers().histogram(Phase::Apply).count(), 1);
+        assert_eq!(rec.events().len(), 1);
+        assert_eq!(a.0.last(), Some(&(4, 9)));
     }
 
     #[test]

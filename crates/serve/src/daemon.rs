@@ -600,10 +600,9 @@ impl Conn {
         });
     }
 
-    /// The text of a queued line; invalid UTF-8 is replaced, so the
-    /// parser rejects it with an `ok:false` reply.
-    fn line(&self, line: &Range<usize>) -> std::borrow::Cow<'_, str> {
-        String::from_utf8_lossy(&self.input[line.start - self.base..line.end - self.base])
+    /// The bytes of a queued line.
+    fn line(&self, line: &Range<usize>) -> &[u8] {
+        &self.input[line.start - self.base..line.end - self.base]
     }
 
     /// Append `parts` to the output and, when nothing was waiting before
@@ -789,7 +788,9 @@ pub fn run_daemon_telemetry<S: Sink>(
                 },
                 Some(line) => {
                     c.answered = line.end;
-                    let text = c.line(&line);
+                    // invalid UTF-8 is replaced, so the parser rejects it
+                    // with an `ok:false` reply
+                    let text = String::from_utf8_lossy(c.line(&line));
                     if spans.active() {
                         let ctx = spans.sample_next().map(|id| (id, &mut spans.trace));
                         let (reply, span) =

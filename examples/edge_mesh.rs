@@ -50,21 +50,11 @@ fn main() {
     // Diffusion: satisfied tasks drift toward less-loaded neighbours,
     // percolating the surplus across the mesh.
     let diffusion = GraphDiffusion::new(mesh.clone());
-    let out = run(
-        &inst,
-        crowd.clone(),
-        &diffusion,
-        RunConfig::new(5, 500_000).with_trace(),
-    );
+    let mut trace = Trace::new(&inst, &crowd);
+    let cfg = RunConfig::new(5, 500_000);
+    let out = run_observed(&inst, crowd.clone(), &diffusion, cfg, &mut trace);
     assert!(out.converged);
-    let unsat: Vec<f64> = out
-        .trace
-        .as_ref()
-        .unwrap()
-        .rounds
-        .iter()
-        .map(|r| r.unsatisfied as f64)
-        .collect();
+    let unsat: Vec<f64> = trace.rounds.iter().map(|r| r.unsatisfied as f64).collect();
     println!(
         "diffusion kernel: converged in {} rounds, {:.2} migrations/task",
         out.rounds,

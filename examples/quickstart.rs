@@ -29,12 +29,9 @@ fn main() {
         overload_potential(&inst, &start)
     );
 
-    let out = run(
-        &inst,
-        start,
-        &SlackDamped::default(),
-        RunConfig::new(42, 10_000).with_trace(),
-    );
+    let mut trace = Trace::new(&inst, &start);
+    let cfg = RunConfig::new(42, 10_000);
+    let out = run_observed(&inst, start, &SlackDamped::default(), cfg, &mut trace);
 
     assert!(out.converged, "γ = 1.25 converges fast");
     println!(
@@ -44,7 +41,6 @@ fn main() {
         out.migrations as f64 / n as f64
     );
 
-    let trace = out.trace.expect("trace requested");
     println!("\nround  Φ      unsatisfied  migrations");
     for r in &trace.rounds {
         println!(

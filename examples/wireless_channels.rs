@@ -55,16 +55,11 @@ fn main() {
     );
 
     let proto = ThresholdLevels::new(inst.num_classes() as u32);
-    let out = run(
-        &inst,
-        start,
-        &proto,
-        RunConfig::new(11, 50_000).with_trace(),
-    );
+    let mut trace = Trace::new(&inst, &start);
+    let out = run_observed(&inst, start, &proto, RunConfig::new(11, 50_000), &mut trace);
     assert!(out.converged, "authored to be feasible with margin");
 
     println!("round  unsatisfied  migrations  (classes alternate rounds)");
-    let trace = out.trace.expect("trace requested");
     for r in trace.rounds.iter().take(12) {
         println!(
             "{:>5}  {:>11}  {:>10}",

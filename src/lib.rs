@@ -66,7 +66,7 @@ pub use qlb_workload as workload;
 pub mod prelude {
     pub use qlb_core::prelude::*;
     pub use qlb_core::weighted::WeightedInstance;
-    pub use qlb_engine::{run, run_observed, Executor, RunConfig, RunOutcome};
+    pub use qlb_engine::{run, run_observed, Executor, RunConfig, RunOutcome, Trace};
     pub use qlb_obs::{NoopSink, Recorder, Sink};
     pub use qlb_runtime::{run_distributed, DistributedOutcome, RuntimeConfig};
     pub use qlb_serve::{RejectReason, ServeConfig, ServeCore};

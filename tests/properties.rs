@@ -454,20 +454,44 @@ proptest! {
     }
 
     /// Runs from any feasible start leave the state legal when converged,
-    /// and the trace's settling times are bounded by the round count.
+    /// and on every executor each trace entry and settling time equals
+    /// what plain dense runs cut at each budget show, counted on `State`
+    /// alone: `trace.rounds[t]` describes the state after `t` rounds. The
+    /// budgets end in full rounds and in the active-set phase alike.
     #[test]
-    fn trace_settling_bounded((inst, state, seed) in small_instance()) {
-        let out = run(
-            &inst,
-            state,
-            &SlackDamped::default(),
-            RunConfig::new(seed, 5_000).with_user_times(),
-        );
-        if out.converged {
-            prop_assert!(out.state.is_legal(&inst));
-            let trace = out.trace.unwrap();
-            for &t in &trace.settling_times() {
-                prop_assert!(t <= out.rounds);
+    fn trace_settling_bounded((inst, state, seed) in small_instance(), budget in 1u64..=40) {
+        let proto = SlackDamped::default();
+        let cut = |t| run(&inst, state.clone(), &proto, RunConfig::new(seed, t));
+        let oracle: Vec<RunOutcome> = (0..=budget).map(cut).collect();
+        for exec in [
+            Executor::Dense,
+            Executor::Sparse,
+            Executor::Threaded(2),
+            Executor::SparseThreaded(2),
+        ] {
+            let mut trace = Trace::with_settling_times(&inst, &state);
+            let cfg = RunConfig::new(seed, budget).with_executor(exec);
+            let out = run_observed(&inst, state.clone(), &proto, cfg, &mut trace);
+            prop_assert_eq!(trace.rounds.len() as u64, out.rounds + 1, "{:?}", exec);
+            let mut last = vec![None; inst.num_users()];
+            for (t, entry) in trace.rounds.iter().enumerate() {
+                let want = &oracle[t];
+                let moved_before = t.checked_sub(1).map_or(0, |p| oracle[p].migrations);
+                prop_assert_eq!(entry.round, t as u64, "{:?}", exec);
+                prop_assert_eq!(entry.unsatisfied, want.state.num_unsatisfied(&inst) as u64);
+                prop_assert_eq!(entry.overload, Some(overload_potential(&inst, &want.state)));
+                prop_assert_eq!(entry.migrations, want.migrations - moved_before);
+                for u in inst.users() {
+                    if !want.state.is_satisfied(&inst, u) {
+                        last[u.index()] = Some(t as u64);
+                    }
+                }
+            }
+            let settling: Vec<u64> = last.iter().map(|l| l.map_or(0, |t| t + 1)).collect();
+            prop_assert_eq!(&trace.settling_times(), &settling, "{:?}", exec);
+            if out.converged {
+                prop_assert!(out.state.is_legal(&inst));
+                prop_assert!(settling.iter().all(|&t| t <= out.rounds));
             }
         }
     }
