@@ -4,8 +4,10 @@
 //! in steady state. This bench measures that under the counting global
 //! allocator ([`qlb_obs::mem`]) instead of asserting it from the source:
 //!
-//! * **`dense-seq`** — working set of one dense `State`; 32 warm decision
-//!   rounds (alloc-free by buffer reuse);
+//! * **`dense-seq`** — working set of one dense `State`; 32 warm rounds of
+//!   the dense reference scan `decide_round_into` (alloc-free by buffer
+//!   reuse). It measures the tests' oracle, not the `Dense` executor,
+//!   which runs the view kernel below as one shard;
 //! * **`pooled-soa`** — working set of the `RoundView` + shard slots +
 //!   pool; 32 full steady-state rounds (decide → merge → apply → repair)
 //!   which must allocate **nothing**, so their peak is 0 bytes — the

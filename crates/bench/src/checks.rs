@@ -10,13 +10,16 @@
 use qlb_core::step::{decide_active_into, decide_range_into, decide_round_into};
 use qlb_core::weighted::WeightedInstance;
 use qlb_core::{
-    ActiveIndex, Move, ResourceId, RoundView, ShardDeltas, ShardScratch, SlackDamped, State,
+    ActiveIndex, Demands, Instance, Move, ResourceId, RoundView, ShardDeltas, ShardScratch,
+    SlackDamped, State, UserId,
 };
+use qlb_engine::open::{OpenRoundStats, OPEN_SALT};
 use qlb_engine::{
     run, run_observed, run_open_system, shard_bounds, shard_chunk, shards_for, Executor,
     OpenConfig, RunConfig, WorkerPool,
 };
 use qlb_obs::{NoopSink, Recorder};
+use qlb_rng::{mix64_pair, Rng64, SplitMix64};
 use std::hint::black_box;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -82,13 +85,13 @@ pub struct SparseRow {
     pub dense_round_ns: f64,
     /// Mean ns of one sparse (active-set) decision round, same state.
     pub sparse_round_ns: f64,
-    /// Best-of-2 dense full run to convergence, ms.
+    /// Best-of-2 dense-scan full run to convergence, ms.
     pub dense_run_ms: f64,
     /// Best-of-2 sparse full run to convergence, ms.
     pub sparse_run_ms: f64,
     /// Rounds of the tight-slack (γ = 1.001) run.
     pub tight_rounds: u64,
-    /// Dense tight-slack run, ms.
+    /// Dense-scan tight-slack run, ms.
     pub tight_dense_ms: f64,
     /// Sparse tight-slack run, ms.
     pub tight_sparse_ms: f64,
@@ -138,7 +141,10 @@ pub fn measure_sparse(n: usize, round_budget_ms: u64) -> SparseRow {
         round_budget_ms,
     );
 
-    let (dense_run_ms, sparse_run_ms) = sparse_run_to_convergence(n);
+    // the full run from the hotspot start amortizes the sparse executor's
+    // one-time O(n + m) index build over every round
+    let (inst, start) = crate::standard_pair(n, BENCH_SEED);
+    let (_, dense_run_ms, sparse_run_ms) = scan_vs_sparse(&inst, &start, 2);
     let (tight_rounds, tight_dense_ms, tight_sparse_ms) = tight_run_to_convergence(n);
 
     SparseRow {
@@ -154,31 +160,33 @@ pub fn measure_sparse(n: usize, round_budget_ms: u64) -> SparseRow {
     }
 }
 
-/// Full dense vs. sparse run to convergence from the hotspot start
-/// (amortizes the sparse executor's one-time O(n + m) index build over
-/// every round). Best of 2, ms.
-pub fn sparse_run_to_convergence(n: usize) -> (f64, f64) {
-    let (inst, start) = crate::standard_pair(n, BENCH_SEED);
+/// Best-of-`reps` wall times, ms, of the `Sparse` executor and of the
+/// dense scan the committed dense/sparse ratios measured (`Dense` before
+/// its full rounds moved to the SoA kernel), both run to convergence from
+/// `start`; asserts they agree and returns (rounds, dense ms, sparse ms).
+/// Not [`reference_run`](qlb_core::step::reference_run): it inlines
+/// `decide_user` and so runs the same scan about 3× faster in this crate.
+fn scan_vs_sparse<I: Demands>(inst: &I, start: &State, reps: usize) -> (u64, f64, f64) {
     let proto = SlackDamped::default();
-    let cfg = RunConfig::new(BENCH_SEED, 1_000_000);
-    let mut dense_ms = f64::INFINITY;
-    let mut sparse_ms = f64::INFINITY;
-    for _ in 0..2 {
+    let cfg = RunConfig::new(BENCH_SEED, 1_000_000).with_executor(Executor::Sparse);
+    let (mut rounds, mut dense_ms, mut sparse_ms) = (0, f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
         let t0 = Instant::now();
-        let dense = run(&inst, start.clone(), &proto, cfg);
+        let (mut dense, mut moves) = (start.clone(), Vec::new());
+        rounds = 0;
+        while rounds < cfg.max_rounds && !dense.is_legal(inst) {
+            decide_round_into(inst, &dense, &proto, BENCH_SEED, rounds, &mut moves);
+            dense.apply_moves(inst, &moves);
+            rounds += 1;
+        }
         dense_ms = dense_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
-        let sparse = run(
-            &inst,
-            start.clone(),
-            &proto,
-            cfg.with_executor(Executor::Sparse),
-        );
+        let sparse = run(inst, start.clone(), &proto, cfg);
         sparse_ms = sparse_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        assert!(dense.converged && sparse.converged);
-        assert_eq!(dense.state, sparse.state, "executors diverged");
+        assert!(sparse.converged && dense.is_legal(inst));
+        assert_eq!((dense, rounds), (sparse.state, sparse.rounds));
     }
-    (dense_ms, sparse_ms)
+    (rounds, dense_ms, sparse_ms)
 }
 
 /// The sparse executor's home turf: tight slack (γ = 1.001 ⇒ ~0.1 % free
@@ -194,19 +202,7 @@ pub fn tight_run_to_convergence(n: usize) -> (u64, f64, f64) {
         qlb_workload::Placement::Hotspot,
     );
     let (inst, _) = sc.build(BENCH_SEED).expect("feasible");
-    let start = State::all_on(&inst, qlb_core::ResourceId(0));
-    let proto = SlackDamped::default();
-    let cfg = RunConfig::new(BENCH_SEED, 1_000_000);
-    let t0 = Instant::now();
-    let dense = run(&inst, start.clone(), &proto, cfg);
-    let dense_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    let sparse = run(&inst, start, &proto, cfg.with_executor(Executor::Sparse));
-    let sparse_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(dense.converged && sparse.converged);
-    assert_eq!(dense.state, sparse.state, "executors diverged");
-    assert_eq!(dense.rounds, sparse.rounds);
-    (dense.rounds, dense_ms, sparse_ms)
+    scan_vs_sparse(&inst, &State::all_on(&inst, ResourceId(0)), 1)
 }
 
 // ---------------------------------------------------------------------
@@ -437,7 +433,7 @@ pub fn measure_scaling(n: usize, threads: &[usize], budget_ms: u64) -> Vec<Scali
         .collect()
 }
 
-/// Dense vs. sparse open-system driver on an endgame-heavy workload.
+/// Dense scan vs. sparse open-system driver on an endgame-heavy workload.
 #[derive(Debug, Clone)]
 pub struct OpenSparseRow {
     /// Resources.
@@ -448,7 +444,7 @@ pub struct OpenSparseRow {
     pub rounds: u64,
     /// Mean active users over the run.
     pub mean_active: f64,
-    /// Best-of-2 dense driver wall time, ms.
+    /// Best-of-2 dense-scan wall time, ms.
     pub dense_ms: f64,
     /// Best-of-2 sparse driver wall time, ms.
     pub sparse_ms: f64,
@@ -479,13 +475,13 @@ pub fn measure_open_sparse(m: usize, rounds: u64) -> OpenSparseRow {
     let mut mean_active = 0.0;
     for _ in 0..2 {
         let t0 = Instant::now();
-        let dense = run_open_system(&caps, pool, &proto, base);
+        let dense = open_scan(&caps, pool, base);
         dense_ms = dense_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
         let sparse = run_open_system(&caps, pool, &proto, base.with_executor(Executor::Sparse));
         sparse_ms = sparse_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(dense.series, sparse.series, "open drivers diverged");
-        mean_active = dense.mean_active;
+        assert_eq!(dense, sparse.series, "open drivers diverged");
+        mean_active = sparse.mean_active;
     }
     OpenSparseRow {
         m,
@@ -497,14 +493,61 @@ pub fn measure_open_sparse(m: usize, rounds: u64) -> OpenSparseRow {
     }
 }
 
-/// Dense vs. sparse weighted engine on a tight-slack run.
+/// [`run_open_system`] over a plain [`State`] with a dense scan per round
+/// ([`decide_round_into`] and [`State::apply_moves`]): the dense side the
+/// committed `open_sparse` ratio was measured against, before the `Dense`
+/// open driver's full rounds moved to the SoA kernel. The same parking
+/// resource, driver stream and protocol seed, so the series must match.
+fn open_scan(caps: &[u32], pool: usize, cfg: OpenConfig) -> Vec<OpenRoundStats> {
+    let (m, parking) = (caps.len(), ResourceId(caps.len() as u32));
+    let caps = caps.iter().copied().chain([u32::MAX]).collect();
+    let inst = Instance::with_capacities(pool, caps).expect("non-empty capacities");
+    let mut state = State::all_on(&inst, parking);
+    let mut parked: Vec<UserId> = inst.users().collect();
+    let mut active = vec![false; pool];
+    let mut rng = SplitMix64::new(mix64_pair(cfg.seed, OPEN_SALT));
+    let (mut credit, mut moves, mut series) = (0.0, Vec::new(), Vec::new());
+    for round in 0..cfg.rounds {
+        credit += cfg.arrivals_per_round;
+        while credit >= 1.0 {
+            credit -= 1.0;
+            let Some(u) = parked.pop() else { break };
+            active[u.index()] = true;
+            state.reassign(u, ResourceId(rng.uniform_usize(m) as u32));
+        }
+        for (idx, on) in active.iter_mut().enumerate() {
+            if *on && rng.bernoulli(cfg.departure_prob) {
+                *on = false;
+                state.reassign(UserId(idx as u32), parking);
+                parked.push(UserId(idx as u32));
+            }
+        }
+        decide_round_into(
+            &inst,
+            &state,
+            &SlackDamped::default(),
+            cfg.seed,
+            round,
+            &mut moves,
+        );
+        state.apply_moves(&inst, &moves);
+        series.push(OpenRoundStats {
+            round,
+            active: (pool - parked.len()) as u64,
+            unsatisfied: state.num_unsatisfied(&inst) as u64,
+        });
+    }
+    series
+}
+
+/// Dense scan vs. sparse weighted engine on a tight-slack run.
 #[derive(Debug, Clone)]
 pub struct WeightedSparseRow {
     /// Users.
     pub n: usize,
     /// Rounds to convergence (identical under both executors).
     pub rounds: u64,
-    /// Best-of-2 dense run, ms.
+    /// Best-of-2 dense-scan run, ms.
     pub dense_ms: f64,
     /// Best-of-2 sparse run, ms.
     pub sparse_ms: f64,
@@ -529,33 +572,7 @@ pub fn measure_weighted_sparse(n: usize) -> WeightedSparseRow {
     let per = ((1.005 * total_w as f64) / m as f64).ceil() as u32;
     let winst = WeightedInstance::new(vec![per; m], weights).expect("valid weighted instance");
     let start = State::new(&winst, vec![ResourceId(0); n]).expect("valid start");
-    let proto = SlackDamped::default();
-
-    let mut dense_ms = f64::INFINITY;
-    let mut sparse_ms = f64::INFINITY;
-    let mut rounds = 0u64;
-    for _ in 0..2 {
-        let t0 = Instant::now();
-        let dense = run(
-            &winst,
-            start.clone(),
-            &proto,
-            RunConfig::new(BENCH_SEED, 1_000_000),
-        );
-        dense_ms = dense_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        let t0 = Instant::now();
-        let sparse = run(
-            &winst,
-            start.clone(),
-            &proto,
-            RunConfig::new(BENCH_SEED, 1_000_000).with_executor(Executor::Sparse),
-        );
-        sparse_ms = sparse_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        assert!(dense.converged && sparse.converged);
-        assert_eq!(dense.state, sparse.state, "weighted executors diverged");
-        assert_eq!(dense.rounds, sparse.rounds);
-        rounds = dense.rounds;
-    }
+    let (rounds, dense_ms, sparse_ms) = scan_vs_sparse(&winst, &start, 2);
     WeightedSparseRow {
         n,
         rounds,
@@ -1294,9 +1311,11 @@ fn require_counting() {
     );
 }
 
-/// Memory row of the sequential dense executor: working set = one dense
-/// `State` clone; measured region = 32 warm decision rounds over the
-/// pinned endgame state (buffer reuse keeps them alloc-free too).
+/// Memory row of the dense reference scan (`decide_round_into` over a
+/// `State`, the tests' oracle; the `Dense` executor runs the view kernel
+/// as one shard instead): working set = one dense `State` clone; measured
+/// region = 32 warm decision rounds over the pinned endgame state (buffer
+/// reuse keeps them alloc-free too).
 pub fn measure_mem_dense(n: usize) -> MemRow {
     require_counting();
     let (inst, seed_state) = crate::endgame_pair(n, BENCH_SEED, ACTIVE_FRAC);

@@ -39,7 +39,11 @@ pub struct Bencher {
 
 impl Bencher {
     fn new(budget: Duration) -> Self {
-        Self { total: Duration::ZERO, iters: 0, budget }
+        Self {
+            total: Duration::ZERO,
+            iters: 0,
+            budget,
+        }
     }
 
     /// Time `routine` repeatedly until the budget is spent.
@@ -95,7 +99,9 @@ impl Default for Criterion {
             .ok()
             .and_then(|s| s.parse::<u64>().ok())
             .unwrap_or(60);
-        Self { budget: Duration::from_millis(ms) }
+        Self {
+            budget: Duration::from_millis(ms),
+        }
     }
 }
 
@@ -203,7 +209,9 @@ mod tests {
 
     #[test]
     fn harness_runs_and_reports() {
-        let mut c = Criterion { budget: Duration::from_millis(2) };
+        let mut c = Criterion {
+            budget: Duration::from_millis(2),
+        };
         let mut g = c.benchmark_group("g");
         g.throughput(Throughput::Elements(4)).sample_size(10);
         let mut calls = 0u64;
@@ -214,7 +222,11 @@ mod tests {
             })
         });
         g.bench_function("batched", |b| {
-            b.iter_batched(|| vec![1u32, 2, 3], |v| v.iter().sum::<u32>(), BatchSize::SmallInput)
+            b.iter_batched(
+                || vec![1u32, 2, 3],
+                |v| v.iter().sum::<u32>(),
+                BatchSize::SmallInput,
+            )
         });
         g.finish();
         assert!(calls > 0);

@@ -72,7 +72,9 @@ pub mod channel {
             ready: Condvar::new(),
         });
         (
-            Sender { shared: Arc::clone(&shared) },
+            Sender {
+                shared: Arc::clone(&shared),
+            },
             Receiver { shared },
         )
     }
@@ -94,7 +96,9 @@ pub mod channel {
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
             self.shared.state.lock().unwrap().senders += 1;
-            Self { shared: Arc::clone(&self.shared) }
+            Self {
+                shared: Arc::clone(&self.shared),
+            }
         }
     }
 
@@ -142,7 +146,9 @@ pub mod channel {
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
             self.shared.state.lock().unwrap().receivers += 1;
-            Self { shared: Arc::clone(&self.shared) }
+            Self {
+                shared: Arc::clone(&self.shared),
+            }
         }
     }
 
@@ -162,9 +168,10 @@ pub mod channel {
             for i in 0..5 {
                 tx.send(i).unwrap();
             }
-            assert_eq!((0..5).map(|_| rx.recv().unwrap()).collect::<Vec<_>>(), vec![
-                0, 1, 2, 3, 4
-            ]);
+            assert_eq!(
+                (0..5).map(|_| rx.recv().unwrap()).collect::<Vec<_>>(),
+                vec![0, 1, 2, 3, 4]
+            );
         }
 
         #[test]

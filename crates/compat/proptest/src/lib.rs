@@ -215,14 +215,14 @@ pub mod strategy {
         };
     }
 
-    tuple_strategy!(A/a);
-    tuple_strategy!(A/a, B/b);
-    tuple_strategy!(A/a, B/b, C/c);
-    tuple_strategy!(A/a, B/b, C/c, D/d);
-    tuple_strategy!(A/a, B/b, C/c, D/d, E/e);
-    tuple_strategy!(A/a, B/b, C/c, D/d, E/e, F/f);
-    tuple_strategy!(A/a, B/b, C/c, D/d, E/e, F/f, G/g);
-    tuple_strategy!(A/a, B/b, C/c, D/d, E/e, F/f, G/g, H/h);
+    tuple_strategy!(A / a);
+    tuple_strategy!(A / a, B / b);
+    tuple_strategy!(A / a, B / b, C / c);
+    tuple_strategy!(A / a, B / b, C / c, D / d);
+    tuple_strategy!(A / a, B / b, C / c, D / d, E / e);
+    tuple_strategy!(A / a, B / b, C / c, D / d, E / e, F / f);
+    tuple_strategy!(A / a, B / b, C / c, D / d, E / e, F / f, G / g);
+    tuple_strategy!(A / a, B / b, C / c, D / d, E / e, F / f, G / g, H / h);
 }
 
 /// Collection strategies (`proptest::collection::vec`).
@@ -246,13 +246,19 @@ pub mod collection {
     impl From<std::ops::Range<usize>> for SizeRange {
         fn from(r: std::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
-            Self { lo: r.start, hi: r.end - 1 }
+            Self {
+                lo: r.start,
+                hi: r.end - 1,
+            }
         }
     }
 
     impl From<std::ops::RangeInclusive<usize>> for SizeRange {
         fn from(r: std::ops::RangeInclusive<usize>) -> Self {
-            Self { lo: *r.start(), hi: *r.end() }
+            Self {
+                lo: *r.start(),
+                hi: *r.end(),
+            }
         }
     }
 
@@ -265,7 +271,10 @@ pub mod collection {
 
     /// A vector whose length and elements are independently random.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {

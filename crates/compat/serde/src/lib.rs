@@ -74,9 +74,7 @@ impl Value {
         match *self {
             Value::U64(x) => Some(x),
             Value::I64(x) => u64::try_from(x).ok(),
-            Value::F64(x) if x >= 0.0 && x.fract() == 0.0 && x <= u64::MAX as f64 => {
-                Some(x as u64)
-            }
+            Value::F64(x) if x >= 0.0 && x.fract() == 0.0 && x <= u64::MAX as f64 => Some(x as u64),
             _ => None,
         }
     }
@@ -290,7 +288,10 @@ mod tests {
 
     #[test]
     fn primitive_roundtrips() {
-        assert_eq!(u32::deserialize_value(&42u32.serialize_value()).unwrap(), 42);
+        assert_eq!(
+            u32::deserialize_value(&42u32.serialize_value()).unwrap(),
+            42
+        );
         assert_eq!(
             f64::deserialize_value(&1.5f64.serialize_value()).unwrap(),
             1.5

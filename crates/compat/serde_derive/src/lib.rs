@@ -18,9 +18,17 @@
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 enum Item {
-    NamedStruct { name: String, fields: Vec<String> },
-    NewtypeStruct { name: String },
-    Enum { name: String, variants: Vec<Variant> },
+    NamedStruct {
+        name: String,
+        fields: Vec<String>,
+    },
+    NewtypeStruct {
+        name: String,
+    },
+    Enum {
+        name: String,
+        variants: Vec<Variant>,
+    },
 }
 
 struct Variant {
@@ -98,7 +106,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             )
         }
     };
-    body.parse().expect("serde_derive: generated Serialize impl must parse")
+    body.parse()
+        .expect("serde_derive: generated Serialize impl must parse")
 }
 
 /// Derive the stand-in `serde::Deserialize`.
@@ -195,7 +204,8 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             )
         }
     };
-    body.parse().expect("serde_derive: generated Deserialize impl must parse")
+    body.parse()
+        .expect("serde_derive: generated Deserialize impl must parse")
 }
 
 // ---------------------------------------------------------------------
@@ -342,7 +352,10 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             None => {}
             Some(other) => panic!("serde_derive: expected `,` after variant, found {other}"),
         }
-        variants.push(Variant { name: vname, fields });
+        variants.push(Variant {
+            name: vname,
+            fields,
+        });
     }
     variants
 }

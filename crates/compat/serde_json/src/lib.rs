@@ -232,12 +232,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     }
 }
 
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: Value,
-) -> Result<Value, Error> {
+fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Value) -> Result<Value, Error> {
     if bytes[*pos..].starts_with(word.as_bytes()) {
         *pos += word.len();
         Ok(value)
@@ -275,14 +270,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| Error::new("truncated \\u escape"))?;
                         let code = u32::from_str_radix(
-                            std::str::from_utf8(hex)
-                                .map_err(|_| Error::new("bad \\u escape"))?,
+                            std::str::from_utf8(hex).map_err(|_| Error::new("bad \\u escape"))?,
                             16,
                         )
                         .map_err(|_| Error::new("bad \\u escape"))?;
                         out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| Error::new("bad \\u code point"))?,
+                            char::from_u32(code).ok_or_else(|| Error::new("bad \\u code point"))?,
                         );
                         *pos += 4;
                     }
@@ -292,8 +285,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
             }
             Some(_) => {
                 // Consume one UTF-8 character (input is a &str, so valid).
-                let s = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| Error::new("invalid utf-8"))?;
+                let s =
+                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| Error::new("invalid utf-8"))?;
                 let c = s.chars().next().unwrap();
                 out.push(c);
                 *pos += c.len_utf8();
@@ -318,8 +311,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
             _ => break,
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| Error::new("invalid number"))?;
+    let text =
+        std::str::from_utf8(&bytes[start..*pos]).map_err(|_| Error::new("invalid number"))?;
     if text.is_empty() || text == "-" {
         return Err(Error::new(format!("expected number at byte {start}")));
     }
@@ -359,7 +352,10 @@ mod tests {
     #[test]
     fn nested_roundtrip() {
         let v = Value::Object(vec![
-            ("xs".into(), Value::Array(vec![Value::U64(1), Value::F64(0.5)])),
+            (
+                "xs".into(),
+                Value::Array(vec![Value::U64(1), Value::F64(0.5)]),
+            ),
             ("name".into(), Value::String("q\"x".into())),
             ("none".into(), Value::Null),
         ]);

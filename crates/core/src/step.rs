@@ -107,10 +107,13 @@ pub fn decide_unsatisfied_user<I: Demands, P: Protocol + ?Sized>(
     }
 }
 
-/// Decide a full round sequentially, appending migrations to `out`.
+/// Decide a full round sequentially, appending migrations to `out`: the
+/// dense reference scan, one [`decide_user`] per user.
 ///
-/// `out` is cleared first; reusing one buffer across rounds keeps the hot
-/// loop allocation-free.
+/// No executor runs it: full rounds run the SoA kernel
+/// ([`RoundView::decide_shard_into`](crate::RoundView::decide_shard_into)),
+/// and [`reference_run`], the tests and the benches compare that kernel
+/// against this scan. `out` is cleared first.
 pub fn decide_round_into<I: Demands, P: Protocol + ?Sized>(
     inst: &I,
     state: &State,
@@ -141,6 +144,60 @@ pub fn decide_round<I: Demands, P: Protocol + ?Sized>(
     let mut out = Vec::new();
     decide_round_into(inst, state, proto, seed, round, &mut out);
     out
+}
+
+/// Result of a run: of [`reference_run`], and of every engine executor.
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// True iff a legal state was reached within the round budget.
+    pub converged: bool,
+    /// Rounds executed (0 if the initial state was already legal).
+    pub rounds: u64,
+    /// Total migrations applied.
+    pub migrations: u64,
+    /// Total demand moved (`Σ` over migrations of the mover's weight) —
+    /// the transfer cost of the weighted model; equals `migrations` for
+    /// unit demand.
+    pub weight_moved: u64,
+    /// The final state.
+    pub state: State,
+}
+
+/// The reference run: [`decide_round_into`] and [`State::apply_moves`],
+/// round after round, until `state` is legal or `max_rounds` rounds ran;
+/// `each_round` sees the state after every round and that round's moves.
+/// No executor runs this loop: it is the expected side the executors are
+/// tested (and E10 checks them) against. It shares only the per-user
+/// protocol step [`decide_unsatisfied_user`] with them, not their
+/// satisfaction filter, base fold, sharding, merge or apply.
+pub fn reference_run<I: Demands, P: Protocol + ?Sized>(
+    inst: &I,
+    mut state: State,
+    proto: &P,
+    seed: u64,
+    max_rounds: u64,
+    mut each_round: impl FnMut(&State, &[Move]),
+) -> RunOutcome {
+    let (mut rounds, mut migrations, mut weight_moved) = (0, 0, 0);
+    let mut moves = Vec::new();
+    while rounds < max_rounds && !state.is_legal(inst) {
+        decide_round_into(inst, &state, proto, seed, rounds, &mut moves);
+        state.apply_moves(inst, &moves);
+        rounds += 1;
+        migrations += moves.len() as u64;
+        weight_moved += moves
+            .iter()
+            .map(|mv| inst.weight(mv.user) as u64)
+            .sum::<u64>();
+        each_round(&state, &moves);
+    }
+    RunOutcome {
+        converged: state.is_legal(inst),
+        rounds,
+        migrations,
+        weight_moved,
+        state,
+    }
 }
 
 /// Decide a full round by visiting **only the unsatisfied users**, in user
@@ -282,10 +339,8 @@ pub fn decide_users_into<I: Demands, P: Protocol + ?Sized>(
 }
 
 /// Decide a contiguous user range `[lo, hi)` of a round, appending to `out`
-/// — the shard primitive of the threaded executor. Equivalent to the
-/// corresponding slice of [`decide_round_into`]'s output (the threaded
-/// engine's agreement with the sequential one is experiment E10 and a
-/// property test).
+/// — the reference for one shard of the SoA kernel. Equivalent to the
+/// corresponding slice of [`decide_round_into`]'s output.
 #[allow(clippy::too_many_arguments)]
 pub fn decide_range_into<I: Demands, P: Protocol + ?Sized>(
     inst: &I,

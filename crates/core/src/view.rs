@@ -1,7 +1,9 @@
-//! Cache-conscious struct-of-arrays round view — the hot decide kernel.
+//! Cache-conscious struct-of-arrays round view — the full-round kernel.
 //!
-//! The dense executors spend the round walking `n` users and asking, for
-//! each, "is your resource satisfying you?". In [`State`] that question
+//! A full round walks `n` users and asks each "is your resource
+//! satisfying you?". Every executor's full rounds run on this view, one
+//! inline shard without a pool and one shard per worker with one. In the
+//! dense [`State`] scan (the test reference) that question
 //! round-trips through `ResourceId` newtypes, a capacity-table lookup, and
 //! a scattered `loads[assign[u]]` read per user — ~memory-bound at
 //! `n = 10⁶`. This module restructures the walk around what the CPU
@@ -25,11 +27,11 @@
 //!   the barrier ([`RoundView::merge_loads`] / [`RoundView::repair_touched`])
 //!   — no shared counters, no atomics, no cross-shard write traffic.
 //!
-//! Bit-identity with the dense reference kernel is by construction: the
-//! pass-1 filter is *exactly* the "satisfied users do nothing and consume
-//! no randomness" gate of [`decide_user`](crate::step::decide_user), and
-//! pass 2 runs the same post-gate kernel
-//! ([`decide_unsatisfied_user`](crate::step::decide_unsatisfied_user)) on
+//! Bit-identity with the dense reference scan
+//! ([`decide_round_into`](crate::step::decide_round_into)) is by
+//! construction: the pass-1 filter is *exactly* the "satisfied users do
+//! nothing and consume no randomness" gate of [`decide_user`], and pass 2
+//! runs the same post-gate kernel ([`decide_unsatisfied_user`]) on
 //! the same `(seed, user, round)` streams. Protocols that act while
 //! satisfied bypass the filter and run the unfiltered kernel.
 //!
@@ -187,9 +189,9 @@ impl ShardDeltas {
 /// The struct-of-arrays round view (see the module docs).
 ///
 /// Built once per run from `(instance, state)` and then **is** the round
-/// state of pooled full rounds (the dense [`State`] is dropped; see
+/// state of full rounds (the dense [`State`] is dropped; see
 /// [`RoundView::to_state`] for the way back). It is updated incrementally:
-/// pooled rounds via [`RoundView::merge_loads`] +
+/// full rounds via [`RoundView::merge_loads`] +
 /// [`RoundView::apply_assignments`] + [`RoundView::repair_touched`] on the
 /// coordinator, driver churn via [`RoundView::reassign`]. The
 /// capacity/alias tables themselves stay in the [`Instance`], shared by

@@ -13,21 +13,21 @@
 //! * [`run_with_churn`] / [`run_with_churn_observed`] — churn and
 //!   re-convergence episodes ([`dynamics`]).
 //!
-//! The [`Executor`] is one of: the sequential dense reference scan; the
-//! sparse active-set walk (`O(active)` rounds via an incrementally
-//! maintained unsatisfied set); the struct-of-arrays `RoundView` kernel
-//! sharded on cache-line boundaries over a persistent [`WorkerPool`]
-//! (long-lived parked workers, one epoch bump + unpark of the non-empty
-//! shards per round); or the active-set walk sharded over the pool.
-//! Whatever the driver, one [`Stepper`] picks and runs each round's
-//! kernel: the closed loop, the open driver and the serving core's tick
-//! only say whether the active set or every user decides. For full rounds
-//! the driver hands its state to the stepper, which keeps the one copy
-//! its kernel needs (the dense state, or with a pool only the SoA view)
-//! and applies the moves to it; active-set moves the driver applies to
-//! its own state and index. Identical output is guaranteed by the
-//! counter-based RNG streams of `qlb-rng` and verified by tests and
-//! experiment E10. A per-round [`Trace`] (potential decay, settling
+//! The [`Executor`] is one of: the struct-of-arrays `RoundView` kernel
+//! run sequentially; the sparse active-set walk (`O(active)` rounds via
+//! an incrementally maintained unsatisfied set); the same `RoundView`
+//! kernel sharded on cache-line boundaries over a persistent
+//! [`WorkerPool`] (long-lived parked workers, one epoch bump + unpark of
+//! the non-empty shards per round); or the active-set walk sharded over
+//! the pool. Whatever the driver, one [`Stepper`] picks and runs each
+//! round's kernel: the closed loop, the open driver and the serving
+//! core's tick only say whether the active set or every user decides. For
+//! full rounds the driver hands its state to the stepper, which keeps
+//! only the SoA view of it and applies the moves to that; active-set
+//! moves the driver applies to its own state and index. Identical output
+//! is guaranteed by the counter-based RNG streams of `qlb-rng` and
+//! verified by tests and experiment E10 against the dense reference loop
+//! of `qlb_core::step`, which no executor runs. A per-round [`Trace`] (potential decay, settling
 //! times, figure experiments) is a sink passed to [`run_observed`].
 //!
 //! ```

@@ -163,7 +163,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
     let state = State::all_on(&inst, parking);
 
     // Executor selection. The sparse index is unsound for protocols that
-    // act while satisfied — those fall back to the dense scan, exactly as
+    // act while satisfied — those fall back to full rounds, exactly as
     // the closed-system engine does.
     let sparse_requested = cfg.executor.is_sparse();
     let use_sparse = sparse_requested && !proto.acts_when_satisfied();
@@ -208,7 +208,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
             let r = ResourceId(driver_rng.uniform_usize(m) as u32);
             match sparse {
                 Some(_) => changes.push((u, r)),
-                None => stepper.reassign(&inst, u, r),
+                None => stepper.view_mut().reassign(&inst, u, r),
             }
             arrived += 1;
         }
@@ -227,7 +227,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
                 *is_active = false;
                 match sparse {
                     Some(_) => changes.push((u, parking)),
-                    None => stepper.reassign(&inst, u, parking),
+                    None => stepper.view_mut().reassign(&inst, u, parking),
                 }
                 parked.push(u);
                 departed += 1;
@@ -258,7 +258,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
                 round,
                 active: match sparse.as_ref() {
                     Some((index, _)) => index.num_active() as u64,
-                    None => stepper.num_unsatisfied(&inst) as u64,
+                    None => stepper.view().num_unsatisfied(&inst) as u64,
                 },
             });
         }
@@ -291,7 +291,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
 
         let unsatisfied = match sparse.as_ref() {
             Some((index, _)) => index.num_active() as u64,
-            None => stepper.num_unsatisfied(&inst) as u64,
+            None => stepper.view().num_unsatisfied(&inst) as u64,
         };
         if S::ENABLED {
             sink.add(Counter::Rounds, 1);
@@ -312,7 +312,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
                 // parked population and would swamp any congestion sample.
                 let loads = match sparse.as_ref() {
                     Some((_, state)) => state.loads(),
-                    None => stepper.loads(),
+                    None => stepper.view().loads(),
                 };
                 let loads = &loads[..m];
                 sink.topk(round, &qlb_obs::top_k_entries(loads, cfg.topk_resources));
@@ -356,7 +356,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
 
 /// Salt separating the arrival/departure driver stream from protocol
 /// streams: changing the churn pattern never perturbs protocol coins.
-const OPEN_SALT: u64 = 0x4f50_454e; // "OPEN"
+pub const OPEN_SALT: u64 = 0x4f50_454e; // "OPEN"
 
 #[cfg(test)]
 mod tests {

@@ -6,6 +6,7 @@
 //! weighted one.
 
 use crate::stepper::Stepper;
+pub use qlb_core::step::RunOutcome;
 use qlb_core::{overload_potential_loads, ActiveIndex, Demands, Move, Protocol, State};
 use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink, UserWalk};
 
@@ -14,15 +15,16 @@ use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink, UserWalk};
 /// All executors produce **bit-identical trajectories** (same seed ⇒ same
 /// rounds, migrations, and final state); they differ only in cost:
 ///
-/// * [`Executor::Dense`] walks all `n` users each round — `O(n)`/round,
-///   the reference executor, sound for every protocol;
+/// * [`Executor::Dense`] walks all `n` users each round with the SoA
+///   [`RoundView`](qlb_core::RoundView) kernel as one shard —
+///   `O(n)`/round, sound for every protocol;
 /// * [`Executor::Sparse`] walks only the unsatisfied users via an
 ///   incrementally-maintained [`ActiveIndex`] — `O(active)`/round, a large
 ///   win in the endgame where few users remain unsatisfied. Unsound only
 ///   for protocols that act while satisfied
 ///   ([`Protocol::acts_when_satisfied`]); [`run`] detects those and falls
 ///   back to dense automatically;
-/// * [`Executor::Threaded`] shards the dense scan over a persistent
+/// * [`Executor::Threaded`] shards that kernel over a persistent
 ///   [`WorkerPool`](crate::pool::WorkerPool) — `O(n / threads)`/round critical path, with one
 ///   condvar dispatch (not `threads` thread spawns) of overhead per round;
 /// * [`Executor::SparseThreaded`] composes both: the active-set walk is
@@ -31,16 +33,18 @@ use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink, UserWalk};
 ///   as [`Executor::Sparse`].
 ///
 /// The pooled executors size their pool to the shards the population
-/// actually fills, and run sequentially when one shard covers it.
+/// actually fills, and run sequentially when one shard covers it. No
+/// executor is the reference: the tests and E10 compare each of them with
+/// the dense loop [`qlb_core::step::reference_run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
-    /// Full `O(n)` scan per round (reference).
+    /// Full `O(n)` scan per round.
     #[default]
     Dense,
     /// Active-set scan, `O(unsatisfied)` per round, with automatic dense
     /// fallback where unsound.
     Sparse,
-    /// Dense scan sharded over a persistent pool of this many threads.
+    /// Full scan sharded over a persistent pool of this many threads.
     Threaded(usize),
     /// Active-set scan sharded over a persistent pool of this many threads
     /// (with the same automatic dense fallback as [`Executor::Sparse`]).
@@ -103,23 +107,6 @@ impl RunConfig {
         self.executor = executor;
         self
     }
-}
-
-/// Result of a run.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// True iff a legal state was reached within the round budget.
-    pub converged: bool,
-    /// Rounds executed (0 if the initial state was already legal).
-    pub rounds: u64,
-    /// Total migrations applied.
-    pub migrations: u64,
-    /// Total demand moved (`Σ` over migrations of the mover's weight) —
-    /// the transfer cost of the weighted model; equals `migrations` for
-    /// unit demand.
-    pub weight_moved: u64,
-    /// The final state.
-    pub state: State,
 }
 
 /// Run a protocol until legal or out of rounds, using the executor
@@ -282,19 +269,21 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
             weight_moved += batch_weight;
             converged = timed(sink, Phase::Convergence, || match active.as_ref() {
                 Some((index, _)) => index.is_empty(),
-                None => stepper.is_legal(inst),
+                None => stepper.view().is_legal(),
             });
             if S::ENABLED {
                 // the index tracks the unsatisfied set exactly, so when it
                 // is live the count is O(1); full rounds count
                 let (unsatisfied, loads) = match active.as_ref() {
                     Some((index, state)) => (index.num_active() as u64, state.loads()),
-                    None if converged => (0, stepper.loads()),
-                    None => (stepper.num_unsatisfied(inst) as u64, stepper.loads()),
+                    None => (
+                        stepper.view().num_unsatisfied(inst) as u64,
+                        stepper.view().loads(),
+                    ),
                 };
                 let users = |f: &mut dyn FnMut(u32)| match active.as_ref() {
                     Some((index, _)) => index.active().for_each(|u| f(u.0)),
-                    None => stepper.unsatisfied_users(inst, f),
+                    None => stepper.view().unsatisfied_users().for_each(|u| f(u.0)),
                 };
                 let topk = config.topk_resources;
                 emit_round_end(
@@ -447,9 +436,12 @@ fn emit_round_end<I: Demands, S: Sink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Trace;
+    use crate::trace::{RoundStats, Trace};
+    use qlb_core::step::reference_run;
     use qlb_core::weighted::WeightedInstance;
-    use qlb_core::{BlindUniform, ConditionalUniform, Instance, ResourceId, SlackDamped};
+    use qlb_core::{
+        overload_potential, BlindUniform, ConditionalUniform, Instance, ResourceId, SlackDamped,
+    };
     use qlb_obs::Recorder;
 
     fn hotspot(n: usize, m: usize, cap: u32) -> (Instance, State) {
@@ -560,22 +552,19 @@ mod tests {
     #[test]
     fn threaded_matches_sequential_exactly() {
         let (inst, s1) = hotspot(500, 16, 40);
-        for threads in [1, 2, 3, 8] {
-            let seq = run(
-                &inst,
-                s1.clone(),
-                &SlackDamped::default(),
-                RunConfig::new(11, 10_000),
-            );
-            let par = run(
-                &inst,
-                s1.clone(),
-                &SlackDamped::default(),
-                RunConfig::new(11, 10_000).with_executor(Executor::Threaded(threads)),
-            );
-            assert_eq!(seq.rounds, par.rounds, "threads={threads}");
-            assert_eq!(seq.migrations, par.migrations, "threads={threads}");
-            assert_eq!(seq.state, par.state, "threads={threads}");
+        let proto = SlackDamped::default();
+        let cfg = RunConfig::new(11, 10_000);
+        let (want, _) = oracle(&inst, &s1, &proto, cfg);
+        assert!(want.converged);
+        for exec in [
+            Executor::Dense,
+            Executor::Threaded(1),
+            Executor::Threaded(2),
+            Executor::Threaded(3),
+            Executor::Threaded(8),
+        ] {
+            let out = run(&inst, s1.clone(), &proto, cfg.with_executor(exec));
+            assert_same_run(&want, &out, &format!("{exec:?}"));
         }
     }
 
@@ -672,7 +661,44 @@ mod tests {
         assert_eq!(a.converged, b.converged, "{label}");
         assert_eq!(a.rounds, b.rounds, "{label}");
         assert_eq!(a.migrations, b.migrations, "{label}");
+        assert_eq!(a.weight_moved, b.weight_moved, "{label}");
         assert_eq!(a.state, b.state, "{label}");
+    }
+
+    /// The expected side of the executor comparisons: the dense reference
+    /// loop of `qlb_core::step`, which shares no kernel with the
+    /// executors, and the settling-time trace it implies, counted on each
+    /// round's `State` with no sink involved.
+    fn oracle<I: Demands, P: Protocol + ?Sized>(
+        inst: &I,
+        state: &State,
+        proto: &P,
+        cfg: RunConfig,
+    ) -> (RunOutcome, Trace) {
+        let base = inst.instance();
+        let entry = |round, state: &State, migrations| RoundStats {
+            round,
+            unsatisfied: state.num_unsatisfied(inst) as u64,
+            overload: (base.num_classes() == 1).then(|| overload_potential(base, state)),
+            migrations,
+        };
+        let mut trace = Trace {
+            rounds: vec![entry(0, state, 0)],
+            last_unsatisfied: vec![None; base.num_users()],
+        };
+        let settle = |trace: &mut Trace, state: &State, round| {
+            for u in base.users().filter(|&u| !state.is_satisfied(inst, u)) {
+                trace.last_unsatisfied[u.index()] = Some(round);
+            }
+        };
+        settle(&mut trace, state, 0);
+        let (seed, budget) = (cfg.seed, cfg.max_rounds);
+        let want = reference_run(inst, state.clone(), proto, seed, budget, |s, moves| {
+            let round = trace.rounds.len() as u64;
+            trace.rounds.push(entry(round, s, moves.len() as u64));
+            settle(&mut trace, s, round);
+        });
+        (want, trace)
     }
 
     /// Asserts two traces hold the same rounds and settling times.
@@ -686,11 +712,13 @@ mod tests {
         let (inst, s1) = hotspot(500, 16, 40);
         for proto in qlb_core::registry(&inst) {
             let cfg = RunConfig::new(11, 2_000);
-            let (dense, dense_trace) = traced(&inst, &s1, proto.as_ref(), cfg);
-            let sparse_cfg = cfg.with_executor(Executor::Sparse);
-            let (sparse, sparse_trace) = traced(&inst, &s1, proto.as_ref(), sparse_cfg);
-            assert_same_run(&dense, &sparse, proto.name());
-            assert_same_trace(&dense_trace, &sparse_trace, proto.name());
+            let (want, want_trace) = oracle(&inst, &s1, proto.as_ref(), cfg);
+            for exec in [Executor::Dense, Executor::Sparse] {
+                let label = format!("{} {exec:?}", proto.name());
+                let (out, trace) = traced(&inst, &s1, proto.as_ref(), cfg.with_executor(exec));
+                assert_same_run(&want, &out, &label);
+                assert_same_trace(&want_trace, &trace, &label);
+            }
         }
     }
 
@@ -700,51 +728,57 @@ mod tests {
         for proto in qlb_core::registry(&inst) {
             let name = proto.name();
             let cfg = RunConfig::new(11, 2_000);
-            let (dense, dense_trace) = traced(&inst, &s1, proto.as_ref(), cfg);
+            let (want, want_trace) = oracle(&inst, &s1, proto.as_ref(), cfg);
             for exec in [
+                Executor::Dense,
                 Executor::Sparse,
                 Executor::Threaded(3),
                 Executor::SparseThreaded(2),
                 Executor::SparseThreaded(8),
             ] {
                 let label = format!("{name} {exec:?}");
-                // with no sink, and with a trace fed by the pooled view
+                // with no sink, and with a trace fed by the held view
                 let plain = run(&inst, s1.clone(), proto.as_ref(), cfg.with_executor(exec));
-                assert_same_run(&dense, &plain, &label);
+                assert_same_run(&want, &plain, &label);
                 let (pooled, trace) = traced(&inst, &s1, proto.as_ref(), cfg.with_executor(exec));
-                assert_same_run(&dense, &pooled, &label);
-                assert_same_trace(&dense_trace, &trace, &label);
+                assert_same_run(&want, &pooled, &label);
+                assert_same_trace(&want_trace, &trace, &label);
             }
         }
     }
 
-    /// A budget that ends inside the pooled full-round phase: the stepper
-    /// holds only the view when the budget runs out, and the `State` it
-    /// hands back equals the dense run's, and so does the trace a recorder
-    /// feeds beside it. After 1 round both pooled executors still hold the
-    /// view; after 2, `SparseThreaded` has handed it back for its index
-    /// build.
+    /// A budget that ends inside the full-round phase: the stepper holds
+    /// only the view when the budget runs out, and the `State` it hands
+    /// back equals the reference loop's, and so does the trace a recorder
+    /// feeds beside it. After 1 round every executor still holds the view;
+    /// after 2, `SparseThreaded` has handed it back for its index build.
     #[test]
     fn pooled_budget_cut_in_full_rounds_matches_dense() {
         let (inst, s1) = hotspot(500, 16, 33);
         let proto = SlackDamped::default();
         for budget in [1, 2] {
             let cfg = RunConfig::new(11, budget);
-            let (dense, dense_trace) = traced(&inst, &s1, &proto, cfg);
-            assert!(!dense.converged && dense.rounds == budget);
-            for exec in [Executor::Threaded(2), Executor::SparseThreaded(2)] {
+            let (want, want_trace) = oracle(&inst, &s1, &proto, cfg);
+            assert!(!want.converged && want.rounds == budget);
+            for exec in [
+                Executor::Dense,
+                Executor::Threaded(2),
+                Executor::SparseThreaded(2),
+            ] {
                 let label = format!("{exec:?} budget {budget}");
                 let mut rec = Recorder::default();
                 let mut trace = Trace::with_settling_times(&inst, &s1);
                 let cfg = cfg.with_executor(exec);
                 let mut both = (&mut rec, &mut trace);
                 let out = run_observed(&inst, s1.clone(), &proto, cfg, &mut both);
-                assert_same_run(&dense, &out, &label);
-                assert_same_trace(&dense_trace, &trace, &label);
-                // every round was a pooled full round (`SparseThreaded`
-                // switches to the index at the end of round 2)
+                assert_same_run(&want, &out, &label);
+                assert_same_trace(&want_trace, &trace, &label);
+                // every round was a full round, pooled but for `Dense`
+                // (`SparseThreaded` switches to the index at the end of
+                // round 2)
                 let compute = rec.timers().histogram(Phase::Compute).count();
-                assert_eq!(compute, budget, "{label}");
+                let pooled = if exec == Executor::Dense { 0 } else { budget };
+                assert_eq!(compute, pooled, "{label}");
             }
         }
     }
@@ -907,9 +941,10 @@ mod tests {
         );
     }
 
-    /// The pooled run emits exactly the dense event stream, and a recorder
-    /// paired with a trace records exactly what it records alone: the same
-    /// events, counters and gauges.
+    /// The sequential and the pooled run end where the reference loop
+    /// does and emit the same event stream, and a recorder paired with a
+    /// trace records exactly what it records alone: the same events,
+    /// counters and gauges, beside the reference loop's trace.
     #[test]
     fn observed_threaded_matches_sequential() {
         let (inst, s1) = hotspot(200, 16, 16);
@@ -918,15 +953,16 @@ mod tests {
         let counters = |r: &Recorder| Counter::ALL.map(|c| r.counter(c));
         let gauges = |r: &Recorder| Gauge::ALL.map(|g| r.gauge(g));
         let cfg = RunConfig::new(3, 10_000);
-        let mut seq_rec = Recorder::default();
-        let seq = run_observed(&inst, s1.clone(), &proto, cfg, &mut seq_rec);
+        let (want, want_trace) = oracle(&inst, &s1, &proto, cfg);
+        let mut seq_events = None;
         for exec in [Executor::Dense, Executor::Threaded(3)] {
             let cfg = cfg.with_executor(exec);
             let mut rec = Recorder::default();
             let alone = run_observed(&inst, s1.clone(), &proto, cfg, &mut rec);
-            assert_eq!(seq.state, alone.state, "{exec:?}");
+            assert_same_run(&want, &alone, &format!("{exec:?}"));
             assert_eq!(rec.counter(Counter::Rounds), alone.rounds, "{exec:?}");
-            assert_eq!(events(&rec), events(&seq_rec), "{exec:?}");
+            let seq_events = seq_events.get_or_insert_with(|| events(&rec));
+            assert_eq!(&events(&rec), seq_events, "{exec:?}");
 
             let mut paired = Recorder::default();
             let mut trace = Trace::with_settling_times(&inst, &s1);
@@ -936,7 +972,7 @@ mod tests {
             assert_eq!(events(&paired), events(&rec), "{exec:?}");
             assert_eq!(counters(&paired), counters(&rec), "{exec:?}");
             assert_eq!(gauges(&paired), gauges(&rec), "{exec:?}");
-            assert_eq!(trace.rounds.len() as u64, out.rounds + 1, "{exec:?}");
+            assert_same_trace(&want_trace, &trace, &format!("{exec:?}"));
         }
     }
 
@@ -999,8 +1035,9 @@ mod tests {
         for proto in protos {
             let name = proto.name();
             let cfg = RunConfig::new(11, 10_000);
-            let (dense, dense_trace) = traced(&inst, &s1, proto, cfg);
+            let (want, want_trace) = oracle(&inst, &s1, proto, cfg);
             for exec in [
+                Executor::Dense,
                 Executor::Sparse,
                 Executor::Threaded(3),
                 Executor::Threaded(64),
@@ -1008,11 +1045,10 @@ mod tests {
             ] {
                 let label = format!("{name} {exec:?}");
                 let plain = run(&inst, s1.clone(), proto, cfg.with_executor(exec));
-                assert_same_run(&dense, &plain, &label);
+                assert_same_run(&want, &plain, &label);
                 let (other, trace) = traced(&inst, &s1, proto, cfg.with_executor(exec));
-                assert_same_run(&dense, &other, &label);
-                assert_same_trace(&dense_trace, &trace, &label);
-                assert_eq!(dense.weight_moved, other.weight_moved, "{label}");
+                assert_same_run(&want, &other, &label);
+                assert_same_trace(&want_trace, &trace, &label);
             }
         }
     }

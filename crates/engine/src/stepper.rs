@@ -6,17 +6,22 @@
 //! the open-system driver and the serving core's tick. It owns everything
 //! the kernel choice needs — the optional [`WorkerPool`] and the reusable
 //! move and sorted-active buffers — and, while full rounds run, the round
-//! state itself: the dense [`State`] without a pool, the struct-of-arrays
-//! [`RoundView`] with one. A driver only says *which* users decide (the
-//! active set, or everyone); full rounds are applied by the stepper to the
-//! one copy it holds, active-set rounds by the driver to its own state.
+//! state itself as a struct-of-arrays [`RoundView`]. A driver only says
+//! *which* users decide (the active set, or everyone); full rounds are
+//! applied by the stepper to the one copy it holds, active-set rounds by
+//! the driver to its own state.
+//!
+//! Full rounds run one kernel, [`RoundView::decide_shard_into`]: over the
+//! pool's shards, or inline as one shard without a pool. The dense scan
+//! [`decide_round_into`](qlb_core::step::decide_round_into) is not run
+//! here; it is the reference the tests compare the kernel against.
 
 use crate::pool::{pool_for, shard_chunk, shards_for, WorkerPool};
 use crate::run::Executor;
-use qlb_core::step::{decide_active_into, decide_round_into, decide_shard_into, decide_users_into};
+use qlb_core::step::{decide_active_into, decide_shard_into, decide_users_into};
 use qlb_core::{
-    ActiveIndex, Demands, IndexShard, Instance, Move, Protocol, ResourceId, RoundView, ShardDeltas,
-    ShardScratch, State, UserId,
+    ActiveIndex, Demands, IndexShard, Move, Protocol, RoundView, ShardDeltas, ShardScratch, State,
+    UserId,
 };
 use qlb_obs::{timed, Phase, Sink};
 use std::sync::Mutex;
@@ -46,11 +51,11 @@ const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 ///   previous batch and then decides its own users, one shard per pool
 ///   worker (see [`run`](crate::run::run)).
 /// * `Stepper::full_round` decides **and applies** a round of all `n`
-///   users on the state handed over by `Stepper::hold`: without a pool
-///   the stepper keeps that [`State`] and runs the dense reference scan;
-///   with one it keeps only a [`RoundView`] built from it, decides with the
-///   SoA kernel sharded across the pool and folds the shards' deltas back
-///   into the view. `Stepper::release` hands a [`State`] back.
+///   users on the state handed over by `Stepper::hold`, of which the
+///   stepper keeps only a [`RoundView`]: the SoA kernel decides, sharded
+///   across the pool or as one inline shard without one, and the shards'
+///   deltas fold back into the view. `Stepper::view` reads it between
+///   rounds, and `Stepper::release` hands a [`State`] back.
 ///
 /// Each returns the round's moves in user order, byte-identical whichever
 /// kernel ran, and records [`Phase::Decide`] (plus [`Phase::Compute`] and
@@ -61,17 +66,9 @@ pub struct Stepper {
     pool: Option<WorkerPool>,
     /// The round state of full rounds, between `Stepper::hold` and
     /// `Stepper::release`.
-    held: Option<Held>,
+    held: Option<ViewShards>,
     sorted: Vec<UserId>,
     moves: Vec<Move>,
-}
-
-/// The one copy of the round state a [`Stepper`] holds.
-enum Held {
-    /// No pool: the dense state.
-    Dense(State),
-    /// A pool: the SoA view; the dense state was dropped when it was built.
-    View(ViewShards),
 }
 
 impl Stepper {
@@ -93,74 +90,45 @@ impl Stepper {
         }
     }
 
-    /// Take over `state` for `Stepper::full_round`s. With a pool the
-    /// stepper builds a [`RoundView`] of it and drops the state, so one
-    /// copy of the round state exists either way.
+    /// Take over `state` for `Stepper::full_round`s: build its
+    /// [`RoundView`], with one shard slot per pool shard (one without a
+    /// pool), and drop the state, so one copy of the round state exists.
     ///
     /// # Panics
     /// Panics if the stepper already holds a state.
     pub(crate) fn hold<I: Demands>(&mut self, inst: &I, state: State) {
         assert!(self.held.is_none(), "the stepper already holds a state");
-        self.held = Some(match self.pool.as_ref() {
-            Some(pool) => Held::View(ViewShards::new(inst, &state, pool.threads())),
-            None => Held::Dense(state),
-        });
+        let shards = self.pool.as_ref().map_or(1, WorkerPool::threads);
+        self.held = Some(ViewShards::new(inst, &state, shards));
     }
 
-    /// Hand the held state back: the dense state itself, or the view's
-    /// [`RoundView::to_state`] (`O(n + m)`), after which the view is
-    /// dropped.
+    /// Hand the held state back: the shard slots are dropped first, then
+    /// the view is rebuilt into a [`State`] ([`RoundView::to_state`],
+    /// `O(n + m)`) and dropped.
     ///
     /// # Panics
     /// Panics if the stepper holds no state.
     pub(crate) fn release<I: Demands>(&mut self, inst: &I) -> State {
-        match self.held.take().expect("the stepper holds no state") {
-            Held::Dense(state) => state,
-            Held::View(vs) => vs.view.to_state(inst),
-        }
+        let ViewShards { view, slots } = self.held.take().expect("the stepper holds no state");
+        drop(slots);
+        view.to_state(inst)
     }
 
     /// The held round state.
-    fn held(&self) -> &Held {
-        self.held.as_ref().expect("the stepper holds no state")
+    ///
+    /// # Panics
+    /// Panics if the stepper holds no state.
+    pub(crate) fn view(&self) -> &RoundView {
+        &self.held.as_ref().expect("the stepper holds no state").view
     }
 
-    /// Loads of the held state.
-    pub(crate) fn loads(&self) -> &[u32] {
-        match self.held() {
-            Held::Dense(state) => state.loads(),
-            Held::View(vs) => vs.view.loads(),
-        }
-    }
-
-    /// Is the held state legal?
-    pub(crate) fn is_legal<I: Demands>(&self, inst: &I) -> bool {
-        match self.held() {
-            Held::Dense(state) => state.is_legal(inst),
-            Held::View(vs) => vs.view.is_legal(),
-        }
-    }
-
-    /// Number of unsatisfied users in the held state.
-    pub(crate) fn num_unsatisfied<I: Demands>(&self, inst: &I) -> usize {
-        match self.held() {
-            Held::Dense(state) => state.num_unsatisfied(inst),
-            Held::View(vs) => vs.view.num_unsatisfied(inst),
-        }
-    }
-
-    /// Pass each unsatisfied user of the held state to `f`, in increasing
-    /// order: an `O(n)` walk of the dense state's `is_satisfied`, or of
-    /// the view's bitmaps.
-    pub(crate) fn unsatisfied_users<I: Demands>(&self, inst: &I, f: &mut dyn FnMut(u32)) {
-        match self.held() {
-            Held::Dense(state) => inst
-                .instance()
-                .users()
-                .filter(|&u| !state.is_satisfied(inst, u))
-                .for_each(|u| f(u.0)),
-            Held::View(vs) => vs.view.unsatisfied_users().for_each(|u| f(u.0)),
-        }
+    /// The held round state, for a driver's reassignments
+    /// ([`RoundView::reassign`]).
+    ///
+    /// # Panics
+    /// Panics if the stepper holds no state.
+    pub(crate) fn view_mut(&mut self) -> &mut RoundView {
+        &mut self.held.as_mut().expect("the stepper holds no state").view
     }
 
     /// Build the closed loop's [`ActiveIndex`] of `state` with one shard
@@ -296,47 +264,23 @@ impl Stepper {
         round: u64,
         sink: &mut S,
     ) -> &[Move] {
-        let seed = self.seed;
-        let moves = &mut self.moves;
-        match self.held.as_mut().expect("the stepper holds no state") {
-            Held::Dense(state) => {
-                timed(sink, Phase::Decide, || {
-                    decide_round_into(inst, state, proto, seed, round, moves)
-                });
-                timed(sink, Phase::Apply, || state.apply_moves(inst, moves));
-            }
-            Held::View(vs) => {
-                let pool = self.pool.as_ref().expect("a view is held only with a pool");
-                vs.full_round(
-                    inst,
-                    proto,
-                    seed,
-                    round,
-                    pool,
-                    moves,
-                    sink,
-                    self.shard_timing,
-                );
-                if cfg!(debug_assertions) {
-                    // no second copy to compare against: recount instead
-                    vs.view.assert_synced(inst, &vs.view.to_state(inst));
-                }
-            }
+        let vs = self.held.as_mut().expect("the stepper holds no state");
+        let pool = self.pool.as_ref();
+        vs.full_round(
+            inst,
+            proto,
+            self.seed,
+            round,
+            pool,
+            &mut self.moves,
+            sink,
+            self.shard_timing,
+        );
+        if cfg!(debug_assertions) {
+            // no second copy to compare against: recount instead
+            vs.view.assert_synced(inst, &vs.view.to_state(inst));
         }
         &self.moves
-    }
-
-    /// Reassign `user` to `to` in the held state (an arrival or a
-    /// departure of the open driver).
-    ///
-    /// # Panics
-    /// Panics if the stepper holds no state.
-    #[inline]
-    pub(crate) fn reassign(&mut self, inst: &Instance, user: UserId, to: ResourceId) {
-        match self.held.as_mut().expect("the stepper holds no state") {
-            Held::Dense(state) => state.reassign(user, to),
-            Held::View(vs) => vs.view.reassign(inst, user, to),
-        }
     }
 }
 
@@ -344,11 +288,10 @@ impl Stepper {
 /// kernel while it held the slot.
 const POISONED: &str = "a decide worker panicked holding its shard slot";
 
-/// The pooled full-round path's owned state: the struct-of-arrays
-/// [`RoundView`] plus one `(deltas, scratch)` slot per shard. During a
-/// dispatch each shard locks only its own slot (uncontended by
-/// construction); between dispatches the coordinator folds the slots back
-/// into the view.
+/// The full-round state: the struct-of-arrays [`RoundView`] plus one
+/// `(deltas, scratch)` slot per shard. During a pooled dispatch each shard
+/// locks only its own slot (uncontended by construction); between
+/// dispatches the coordinator folds the slots back into the view.
 struct ViewShards {
     view: RoundView,
     slots: Vec<Mutex<(ShardDeltas, ShardScratch)>>,
@@ -365,11 +308,12 @@ impl ViewShards {
         }
     }
 
-    /// One pooled full round: decide all `n` users via the SoA two-pass
-    /// kernel (sharded on cache-line boundaries, waking only non-empty
-    /// shards), then merge the per-shard deltas so the view holds the
-    /// post-round state. The move list in `buf` is byte-identical to the
-    /// sequential scan's.
+    /// One full round: decide all `n` users via the SoA two-pass kernel
+    /// (with a pool, sharded on cache-line boundaries, waking only
+    /// non-empty shards; without one, as one shard on the caller), then
+    /// merge the per-shard deltas so the view holds the post-round state.
+    /// The move list in `buf` is byte-identical to the dense reference
+    /// scan's.
     #[allow(clippy::too_many_arguments)]
     fn full_round<I: Demands, P: Protocol + ?Sized, S: Sink>(
         &mut self,
@@ -377,29 +321,34 @@ impl ViewShards {
         proto: &P,
         seed: u64,
         round: u64,
-        pool: &WorkerPool,
+        pool: Option<&WorkerPool>,
         buf: &mut Vec<Move>,
         sink: &mut S,
         shard_timing: bool,
     ) {
         let n = inst.instance().num_users();
-        let chunk = shard_chunk(n, pool.threads());
+        let threads = pool.map_or(1, WorkerPool::threads);
+        let chunk = shard_chunk(n, threads);
         let (view, slots) = (&self.view, &self.slots);
-        pool.decide_round_observed_on(
-            |shard, out| {
-                let lo = (shard * chunk).min(n);
-                let hi = ((shard + 1) * chunk).min(n);
-                if lo < hi {
-                    let mut slot = slots[shard].lock().expect(POISONED);
-                    let (deltas, scratch) = &mut *slot;
-                    view.decide_shard_into(inst, proto, seed, round, lo, hi, out, scratch, deltas);
-                }
-            },
-            buf,
-            sink,
-            shard_timing,
-            shards_for(n, pool.threads()),
-        );
+        let fill = |shard: usize, out: &mut Vec<Move>| {
+            let lo = (shard * chunk).min(n);
+            let hi = ((shard + 1) * chunk).min(n);
+            if lo < hi {
+                let mut slot = slots[shard].lock().expect(POISONED);
+                let (deltas, scratch) = &mut *slot;
+                view.decide_shard_into(inst, proto, seed, round, lo, hi, out, scratch, deltas);
+            }
+        };
+        match pool {
+            Some(pool) => {
+                let active = shards_for(n, threads);
+                pool.decide_round_observed_on(fill, buf, sink, shard_timing, active);
+            }
+            None => timed(sink, Phase::Decide, || {
+                buf.clear();
+                fill(0, buf);
+            }),
+        }
         // Coordinator merge, ordered per the RoundView contract: every
         // shard's loads first, then the assignment writes, then the bit
         // repair of each shard's touched set (which needs final loads).

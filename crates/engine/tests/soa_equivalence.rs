@@ -5,10 +5,14 @@
 //! per-shard delta merging. These tests pin the contract that makes it
 //! shippable: **every executor produces the byte-identical trajectory**,
 //! across the full protocol registry, thread counts {1, 2, 3, 8}, and all
-//! three drivers (closed, open-with-churn, weighted). Debug builds
-//! additionally run the drivers' internal `assert_synced` checks every
-//! pooled round, so a drifting view fails loudly here.
+//! three drivers (closed, open-with-churn, weighted). The expected side is
+//! a path that never touches the view: the dense reference loop
+//! (`qlb_core::step::reference_run`) for closed runs, the sparse executor
+//! (active-set kernel on the dense `State`) for the open driver. Debug
+//! builds additionally run the stepper's internal `assert_synced` check
+//! every full round, so a drifting view fails loudly here.
 
+use qlb_core::step::reference_run;
 use qlb_core::weighted::WeightedInstance;
 use qlb_core::{
     ConditionalUniform, Instance, InstanceBuilder, Protocol, ResourceId, SlackDamped, State,
@@ -16,7 +20,12 @@ use qlb_core::{
 use qlb_engine::{run, run_observed, run_open_system, Executor, OpenConfig, RunConfig};
 use qlb_obs::{Counter, Phase, Recorder};
 
-const THREADS: [usize; 4] = [1, 2, 3, 8];
+/// The executors under test: `Dense`, and both pooled executors at 1, 2, 3
+/// and 8 threads.
+fn executors() -> impl Iterator<Item = Executor> {
+    let pooled = [1, 2, 3, 8].map(|t| [Executor::Threaded(t), Executor::SparseThreaded(t)]);
+    std::iter::once(Executor::Dense).chain(pooled.into_iter().flatten())
+}
 
 #[test]
 fn closed_registry_matches_dense_across_thread_counts() {
@@ -35,43 +44,37 @@ fn closed_registry_matches_dense_across_thread_counts() {
     ] {
         for proto in qlb_core::registry(inst) {
             let name = proto.name();
-            let dense = run(inst, state.clone(), proto.as_ref(), RunConfig::new(13, 400));
-            for threads in THREADS {
-                for exec in [
-                    Executor::Threaded(threads),
-                    Executor::SparseThreaded(threads),
-                ] {
-                    let mut rec = Recorder::default();
-                    let pooled = run_observed(
-                        inst,
-                        state.clone(),
-                        proto.as_ref(),
-                        RunConfig::new(13, 400).with_executor(exec),
-                        &mut rec,
+            let want = reference_run(inst, state.clone(), proto.as_ref(), 13, 400, |_, _| {});
+            for exec in executors() {
+                let mut rec = Recorder::default();
+                let out = run_observed(
+                    inst,
+                    state.clone(),
+                    proto.as_ref(),
+                    RunConfig::new(13, 400).with_executor(exec),
+                    &mut rec,
+                );
+                assert_eq!(want.converged, out.converged, "{name} {exec:?}");
+                assert_eq!(want.rounds, out.rounds, "{name} {exec:?}");
+                assert_eq!(want.migrations, out.migrations, "{name} {exec:?}");
+                assert_eq!(want.state, out.state, "{name} {exec:?}");
+                // A pooled dense round and a pooled sparse round each
+                // record one `Compute` sample, a sequential sparse round
+                // none: more samples than dense rounds means at least one
+                // active-set round was sharded over the pool. Blind
+                // scattering moves every unsatisfied user, so its batches
+                // never drop below n/8 and it stays dense.
+                let sharded_sparse = pooled_sparse
+                    && matches!(exec, Executor::SparseThreaded(t) if t > 1)
+                    && name != "blind-uniform";
+                if sharded_sparse {
+                    let compute = rec.timers().histogram(Phase::Compute).count();
+                    let dense_rounds = rec.counter(Counter::DenseRounds);
+                    assert!(
+                        compute > dense_rounds,
+                        "{name} {exec:?}: {compute} compute samples, \
+                         {dense_rounds} dense rounds"
                     );
-                    assert_eq!(dense.converged, pooled.converged, "{name} {exec:?}");
-                    assert_eq!(dense.rounds, pooled.rounds, "{name} {exec:?}");
-                    assert_eq!(dense.migrations, pooled.migrations, "{name} {exec:?}");
-                    assert_eq!(dense.state, pooled.state, "{name} {exec:?}");
-                    // A pooled dense round and a pooled sparse round each
-                    // record one `Compute` sample, a sequential sparse round
-                    // none: more samples than dense rounds means at least
-                    // one active-set round was sharded over the pool. Blind
-                    // scattering moves every unsatisfied user, so its batches
-                    // never drop below n/8 and it stays dense.
-                    let sharded_sparse = pooled_sparse
-                        && threads > 1
-                        && exec == Executor::SparseThreaded(threads)
-                        && name != "blind-uniform";
-                    if sharded_sparse {
-                        let compute = rec.timers().histogram(Phase::Compute).count();
-                        let dense_rounds = rec.counter(Counter::DenseRounds);
-                        assert!(
-                            compute > dense_rounds,
-                            "{name} {exec:?}: {compute} compute samples, \
-                             {dense_rounds} dense rounds"
-                        );
-                    }
                 }
             }
         }
@@ -91,27 +94,14 @@ fn multi_class_registry_matches_dense_across_thread_counts() {
     let state = State::all_on(&inst, ResourceId(0));
     for proto in qlb_core::registry(&inst) {
         let name = proto.name();
-        let dense = run(
-            &inst,
-            state.clone(),
-            proto.as_ref(),
-            RunConfig::new(29, 200),
-        );
-        for threads in THREADS {
-            for exec in [
-                Executor::Threaded(threads),
-                Executor::SparseThreaded(threads),
-            ] {
-                let pooled = run(
-                    &inst,
-                    state.clone(),
-                    proto.as_ref(),
-                    RunConfig::new(29, 200).with_executor(exec),
-                );
-                assert_eq!(dense.rounds, pooled.rounds, "{name} {exec:?}");
-                assert_eq!(dense.migrations, pooled.migrations, "{name} {exec:?}");
-                assert_eq!(dense.state, pooled.state, "{name} {exec:?}");
-            }
+        let want = reference_run(&inst, state.clone(), proto.as_ref(), 29, 200, |_, _| {});
+        for exec in executors() {
+            let cfg = RunConfig::new(29, 200).with_executor(exec);
+            let out = run(&inst, state.clone(), proto.as_ref(), cfg);
+            assert_eq!(want.converged, out.converged, "{name} {exec:?}");
+            assert_eq!(want.rounds, out.rounds, "{name} {exec:?}");
+            assert_eq!(want.migrations, out.migrations, "{name} {exec:?}");
+            assert_eq!(want.state, out.state, "{name} {exec:?}");
         }
     }
 }
@@ -121,20 +111,21 @@ fn open_churn_matches_dense_across_thread_counts() {
     // heavy churn against a saturated system: arrivals/departures mutate
     // the assignment between every round, exercising the view's
     // reassignment mirroring, and the active population (≈ 2000 beyond
-    // round 50) crosses the sparse pooled threshold
+    // round 50) crosses the sparse pooled threshold. The sequential sparse
+    // run is the expected side: the reference loop has no arrivals, and the
+    // open driver's active-set rounds decide on the dense `State` with no
+    // view (no registry protocol acts while satisfied, which would send
+    // them back to full rounds).
     let caps = [8u32; 32];
     let cfg = OpenConfig::new(17, 120, 40.0, 0.02).with_warmup(30);
     for proto in qlb_core::registry(&Instance::with_capacities(4, caps.to_vec()).unwrap()) {
         let name = proto.name();
-        let dense = run_open_system(&caps, 3000, proto.as_ref(), cfg);
-        for threads in THREADS {
-            for exec in [
-                Executor::Threaded(threads),
-                Executor::SparseThreaded(threads),
-            ] {
-                let pooled = run_open_system(&caps, 3000, proto.as_ref(), cfg.with_executor(exec));
-                assert_eq!(dense.series, pooled.series, "{name} {exec:?}");
-            }
+        assert!(!proto.acts_when_satisfied(), "{name}");
+        let sparse = cfg.with_executor(Executor::Sparse);
+        let want = run_open_system(&caps, 3000, proto.as_ref(), sparse);
+        for exec in executors() {
+            let out = run_open_system(&caps, 3000, proto.as_ref(), cfg.with_executor(exec));
+            assert_eq!(want.series, out.series, "{name} {exec:?}");
         }
     }
 }
@@ -148,24 +139,15 @@ fn weighted_matches_dense_across_thread_counts() {
     let protos: [&dyn Protocol; 2] = [&SlackDamped::default(), &ConditionalUniform];
     for proto in protos {
         let name = proto.name();
-        let dense = run(&inst, state.clone(), proto, RunConfig::new(23, 600));
-        for threads in THREADS {
-            for exec in [
-                Executor::Threaded(threads),
-                Executor::SparseThreaded(threads),
-            ] {
-                let pooled = run(
-                    &inst,
-                    state.clone(),
-                    proto,
-                    RunConfig::new(23, 600).with_executor(exec),
-                );
-                assert_eq!(dense.converged, pooled.converged, "{name} {exec:?}");
-                assert_eq!(dense.rounds, pooled.rounds, "{name} {exec:?}");
-                assert_eq!(dense.migrations, pooled.migrations, "{name} {exec:?}");
-                assert_eq!(dense.weight_moved, pooled.weight_moved, "{name} {exec:?}");
-                assert_eq!(dense.state, pooled.state, "{name} {exec:?}");
-            }
+        let want = reference_run(&inst, state.clone(), proto, 23, 600, |_, _| {});
+        for exec in executors() {
+            let cfg = RunConfig::new(23, 600).with_executor(exec);
+            let out = run(&inst, state.clone(), proto, cfg);
+            assert_eq!(want.converged, out.converged, "{name} {exec:?}");
+            assert_eq!(want.rounds, out.rounds, "{name} {exec:?}");
+            assert_eq!(want.migrations, out.migrations, "{name} {exec:?}");
+            assert_eq!(want.weight_moved, out.weight_moved, "{name} {exec:?}");
+            assert_eq!(want.state, out.state, "{name} {exec:?}");
         }
     }
 }

@@ -3,12 +3,13 @@
 //! The determinism pillar: the sequential engine, the threaded engine (1–8
 //! threads) and the synchronous actor runtime must produce *identical*
 //! trajectories (rounds, migrations, final state) for the same seed, because
-//! decisions are pure functions of `(seed, user, round)`. The table asserts
-//! equivalence and reports wall-clock times (the HPC side: decision rounds
-//! are embarrassingly parallel).
+//! decisions are pure functions of `(seed, user, round)`. The expected side
+//! is the dense reference loop (`qlb_core::step::reference_run`), which no
+//! executor runs. The table asserts equivalence and reports wall-clock
+//! times (the HPC side: decision rounds are embarrassingly parallel).
 
 use crate::ExperimentResult;
-use qlb_core::step::decide_round_into;
+use qlb_core::step::{decide_round_into, reference_run};
 use qlb_core::{Move, ResourceId, RoundView, ShardDeltas, ShardScratch, SlackDamped, State};
 use qlb_engine::{run_observed, shard_chunk, shards_for, Executor, RunConfig, WorkerPool};
 use qlb_obs::{Counter, Phase, Recorder};
@@ -65,62 +66,69 @@ pub fn run(quick: bool) -> ExperimentResult {
         ],
     );
 
-    // Reference: sequential engine, with the observability sink attached
-    // so the phase breakdown below comes from qlb-obs timers.
-    let mut ref_rec = Recorder::default();
+    // Expected side: the dense reference loop, which shares no kernel
+    // with the executors.
     let t0 = Instant::now();
-    let reference = run_observed(
+    let reference = reference_run(
         &inst,
         start_state.clone(),
         &proto,
-        RunConfig::new(seed, max_rounds),
-        &mut ref_rec,
+        seed,
+        max_rounds,
+        |_, _| {},
     );
     let ref_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert!(reference.converged);
     table.row(vec![
-        "engine (sequential)".into(),
+        "reference loop (dense scan)".into(),
         reference.rounds.to_string(),
         reference.migrations.to_string(),
         "reference".into(),
         format!("{ref_ms:.1}"),
-        skew_cell(&ref_rec),
+        "—".into(),
     ]);
 
-    // Pooled rows run observed with per-shard timing on (the default) so
-    // the barrier-skew column comes from the same profile `qlb-trace
-    // profile` reports. The recorder overhead is a few percent (see
-    // BENCH_obs.json) and applies uniformly to the timed rows.
+    // Every executor row, checked against the reference loop. The rows
+    // run observed, so the phase breakdown below comes from qlb-obs
+    // timers and the barrier-skew column from the same per-shard profile
+    // `qlb-trace profile` reports; the recorder overhead is a few percent
+    // (see BENCH_obs.json) and applies uniformly to the timed rows.
     let mut all_equal = true;
+    let mut row = |name: String, rounds: u64, migrations: u64, state: &State, ms: f64, skew| {
+        let same = rounds == reference.rounds
+            && migrations == reference.migrations
+            && *state == reference.state;
+        all_equal &= same;
+        table.row(vec![
+            name,
+            rounds.to_string(),
+            migrations.to_string(),
+            if same { "yes" } else { "NO" }.into(),
+            format!("{ms:.1}"),
+            skew,
+        ]);
+    };
+    let observed = |executor| {
+        let mut rec = Recorder::default();
+        let cfg = RunConfig::new(seed, max_rounds).with_executor(executor);
+        let t0 = Instant::now();
+        let out = run_observed(&inst, start_state.clone(), &proto, cfg, &mut rec);
+        (out, rec, t0.elapsed().as_secs_f64() * 1e3)
+    };
+    let (out, seq_rec, ms) = observed(Executor::Dense);
+    let (name, skew) = ("engine (sequential)".into(), skew_cell(&seq_rec));
+    row(name, out.rounds, out.migrations, &out.state, ms, skew);
+
     let mut pooled_skew_rounds = 0u64;
     let mut util_8t = None;
     for threads in [1usize, 2, 4, 8] {
-        let mut rec = Recorder::default();
-        let t0 = Instant::now();
-        let out = run_observed(
-            &inst,
-            start_state.clone(),
-            &proto,
-            RunConfig::new(seed, max_rounds).with_executor(Executor::Threaded(threads)),
-            &mut rec,
-        );
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        let same = out.rounds == reference.rounds
-            && out.migrations == reference.migrations
-            && out.state == reference.state;
-        all_equal &= same;
+        let (out, rec, ms) = observed(Executor::Threaded(threads));
         pooled_skew_rounds += rec.shard_timers().rounds();
         if threads == 8 && rec.shard_timers().rounds() > 0 {
             util_8t = Some(100.0 * rec.shard_timers().mean_round_utilization());
         }
-        table.row(vec![
-            format!("engine ({threads} threads)"),
-            out.rounds.to_string(),
-            out.migrations.to_string(),
-            if same { "yes" } else { "NO" }.into(),
-            format!("{ms:.1}"),
-            skew_cell(&rec),
-        ]);
+        let (name, skew) = (format!("engine ({threads} threads)"), skew_cell(&rec));
+        row(name, out.rounds, out.migrations, &out.state, ms, skew);
     }
 
     // The combined executor: sparse active-set sharded across the
@@ -128,73 +136,22 @@ pub fn run(quick: bool) -> ExperimentResult {
     // Rounds below the pooling threshold run sequentially, so the skew
     // profile only covers the pooled prefix of the run.
     for threads in [2usize, 8] {
-        let mut rec = Recorder::default();
-        let t0 = Instant::now();
-        let out = run_observed(
-            &inst,
-            start_state.clone(),
-            &proto,
-            RunConfig::new(seed, max_rounds).with_executor(Executor::SparseThreaded(threads)),
-            &mut rec,
-        );
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        let same = out.rounds == reference.rounds
-            && out.migrations == reference.migrations
-            && out.state == reference.state;
-        all_equal &= same;
-        table.row(vec![
-            format!("engine (sparse, {threads} threads)"),
-            out.rounds.to_string(),
-            out.migrations.to_string(),
-            if same { "yes" } else { "NO" }.into(),
-            format!("{ms:.1}"),
-            skew_cell(&rec),
-        ]);
+        let (out, rec, ms) = observed(Executor::SparseThreaded(threads));
+        let name = format!("engine (sparse, {threads} threads)");
+        let skew = skew_cell(&rec);
+        row(name, out.rounds, out.migrations, &out.state, ms, skew);
     }
 
-    let mut sparse_rec = Recorder::default();
-    let t0 = Instant::now();
-    let sparse = run_observed(
-        &inst,
-        start_state.clone(),
-        &proto,
-        RunConfig::new(seed, max_rounds).with_executor(Executor::Sparse),
-        &mut sparse_rec,
-    );
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    let same = sparse.rounds == reference.rounds
-        && sparse.migrations == reference.migrations
-        && sparse.state == reference.state;
-    all_equal &= same;
-    table.row(vec![
-        "engine (sparse active-set)".into(),
-        sparse.rounds.to_string(),
-        sparse.migrations.to_string(),
-        if same { "yes" } else { "NO" }.into(),
-        format!("{ms:.1}"),
-        skew_cell(&sparse_rec),
-    ]);
+    let (out, sparse_rec, ms) = observed(Executor::Sparse);
+    let (name, skew) = ("engine (sparse active-set)".into(), skew_cell(&sparse_rec));
+    row(name, out.rounds, out.migrations, &out.state, ms, skew);
 
     let t0 = Instant::now();
-    let dist = run_distributed(
-        &inst,
-        start_state,
-        &proto,
-        RuntimeConfig::new(seed, max_rounds).with_shards(4, 2),
-    );
+    let cfg = RuntimeConfig::new(seed, max_rounds).with_shards(4, 2);
+    let out = run_distributed(&inst, start_state, &proto, cfg);
     let ms = t0.elapsed().as_secs_f64() * 1e3;
-    let same = dist.rounds == reference.rounds
-        && dist.migrations == reference.migrations
-        && dist.state == reference.state;
-    all_equal &= same;
-    table.row(vec![
-        "actor runtime (4×2 shards, sync)".into(),
-        dist.rounds.to_string(),
-        dist.migrations.to_string(),
-        if same { "yes" } else { "NO" }.into(),
-        format!("{ms:.1}"),
-        "—".into(),
-    ]);
+    let (name, skew) = ("actor runtime (4×2 shards, sync)".into(), "—".into());
+    row(name, out.rounds, out.migrations, &out.state, ms, skew);
 
     // Phase breakdown from the qlb-obs timers: where each executor's
     // round time actually goes.
@@ -202,7 +159,7 @@ pub fn run(quick: bool) -> ExperimentResult {
         "Table 8b — phase breakdown from qlb-obs timers (same runs)".to_string(),
         &["executor", "phase", "calls", "total (ms)", "share"],
     );
-    for (name, rec) in [("sequential", &ref_rec), ("sparse", &sparse_rec)] {
+    for (name, rec) in [("sequential", &seq_rec), ("sparse", &sparse_rec)] {
         let grand = rec.timers().grand_total_ns().max(1);
         for &p in &Phase::ALL {
             let h = rec.timers().histogram(p);
@@ -219,11 +176,12 @@ pub fn run(quick: bool) -> ExperimentResult {
         }
     }
 
-    // Table 8c — the SoA round-view kernel against the dense sequential
-    // decide on one endgame round (most users satisfied, where the bitmap
-    // pre-filter turns the round into a streaming scan). Decide phase
-    // only, same measurement the `parallel/scaling` gate of
-    // `qlb-bench-check` re-runs against `BENCH_parallel.json`.
+    // Table 8c — the SoA round-view kernel that every executor's full
+    // rounds run against the dense reference scan (the oracle's decide) on
+    // one endgame round (most users satisfied, where the bitmap pre-filter
+    // turns the round into a streaming scan). Decide phase only, same
+    // measurement the `parallel/scaling` gate of `qlb-bench-check` re-runs
+    // against `BENCH_parallel.json`.
     let endgame = qlb_engine::run(
         &inst,
         State::all_on(&inst, ResourceId(0)),
@@ -288,7 +246,7 @@ pub fn run(quick: bool) -> ExperimentResult {
 
     let notes = vec![
         format!(
-            "equivalence check: all executors bit-identical to the sequential reference: {}",
+            "equivalence check: all executors bit-identical to the dense reference loop: {}",
             if all_equal { "PASS" } else { "FAIL" }
         ),
         format!(
@@ -330,7 +288,8 @@ mod tests {
     fn quick_run_equivalence_passes() {
         let res = run(true);
         assert!(res.notes[0].contains("PASS"), "{:?}", res.notes);
-        assert_eq!(res.tables[0].num_rows(), 9);
+        // the reference loop, then nine executor rows
+        assert_eq!(res.tables[0].num_rows(), 10);
         // phase breakdown covers both observed executors, and the SoA
         // scaling table has one row per thread count
         assert_eq!(res.tables.len(), 3);
@@ -344,8 +303,8 @@ mod tests {
             .contains("speedup"));
         assert!(res.notes[1].contains("sparse"));
         // every genuinely pooled threaded row carries a numeric
-        // barrier-skew cell; single-thread rows fall back to the
-        // sequential scan and show "—" like the reference row
+        // barrier-skew cell; single-thread rows run without a pool and
+        // show "—" like the reference row
         let csv = res.tables[0].to_csv();
         assert!(csv.lines().next().unwrap().contains("barrier skew p95"));
         for line in csv

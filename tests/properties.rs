@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use qoslb::core::potential::unsatisfied_potential;
-use qoslb::core::step::{decide_round, decide_shard_into};
+use qoslb::core::step::{decide_round, decide_shard_into, reference_run};
 use qoslb::core::weighted::WeightedInstance;
 use qoslb::engine::{
     perturb_uniform, run, run_observed, run_open_system, run_with_churn, ChurnConfig, OpenConfig,
@@ -455,13 +455,14 @@ proptest! {
 
     /// Runs from any feasible start leave the state legal when converged,
     /// and on every executor each trace entry and settling time equals
-    /// what plain dense runs cut at each budget show, counted on `State`
-    /// alone: `trace.rounds[t]` describes the state after `t` rounds. The
-    /// budgets end in full rounds and in the active-set phase alike.
+    /// what the reference loop cut at each budget shows, counted on
+    /// `State` alone: `trace.rounds[t]` describes the state after `t`
+    /// rounds. The budgets end in full rounds and in the active-set phase
+    /// alike.
     #[test]
     fn trace_settling_bounded((inst, state, seed) in small_instance(), budget in 1u64..=40) {
         let proto = SlackDamped::default();
-        let cut = |t| run(&inst, state.clone(), &proto, RunConfig::new(seed, t));
+        let cut = |t| reference_run(&inst, state.clone(), &proto, seed, t, |_, _| {});
         let oracle: Vec<RunOutcome> = (0..=budget).map(cut).collect();
         for exec in [
             Executor::Dense,
@@ -496,26 +497,25 @@ proptest! {
         }
     }
 
-    /// The sparse active-set executor reproduces the dense trajectory
-    /// bit-for-bit, for **every** registered protocol kernel, across random
-    /// instances, seeds, and round budgets.
+    /// The dense and the sparse active-set executor reproduce the
+    /// reference loop's trajectory bit-for-bit, for **every** registered
+    /// protocol kernel, across random instances, seeds, and round budgets.
     #[test]
     fn sparse_executor_matches_dense(
         (inst, state, seed) in small_instance(),
         budget in 1u64..300,
     ) {
         for proto in qoslb::core::protocol::registry(&inst) {
-            let cfg = RunConfig::new(seed, budget);
-            let dense = run(&inst, state.clone(), proto.as_ref(), cfg);
-            let sparse = run(&inst, state.clone(), proto.as_ref(), cfg.with_executor(Executor::Sparse));
+            let want = reference_run(&inst, state.clone(), proto.as_ref(), seed, budget, |_, _| {});
             let name = proto.name();
-            prop_assert_eq!(dense.converged, sparse.converged, "{}", name);
-            prop_assert_eq!(dense.rounds, sparse.rounds, "{}", name);
-            prop_assert_eq!(dense.migrations, sparse.migrations, "{}", name);
-            prop_assert_eq!(&dense.state, &sparse.state, "{}", name);
-            // and the executor selector reaches the same place
-            let via_config = run(&inst, state.clone(), proto.as_ref(), cfg.with_executor(Executor::Sparse));
-            prop_assert_eq!(&via_config.state, &sparse.state, "{}", name);
+            for executor in [Executor::Dense, Executor::Sparse] {
+                let cfg = RunConfig::new(seed, budget).with_executor(executor);
+                let out = run(&inst, state.clone(), proto.as_ref(), cfg);
+                prop_assert_eq!(want.converged, out.converged, "{} {:?}", name, executor);
+                prop_assert_eq!(want.rounds, out.rounds, "{} {:?}", name, executor);
+                prop_assert_eq!(want.migrations, out.migrations, "{} {:?}", name, executor);
+                prop_assert_eq!(&want.state, &out.state, "{} {:?}", name, executor);
+            }
         }
     }
 
@@ -641,9 +641,10 @@ proptest! {
         prop_assert_eq!(dense.all_recovered, sparse.all_recovered);
     }
 
-    /// The persistent worker-pool executors reproduce the dense trajectory
-    /// bit-for-bit for **every** registered protocol kernel — including
-    /// pools far wider than the user count, where most shards are empty.
+    /// The persistent worker-pool executors, and the dense one, reproduce
+    /// the reference loop's trajectory bit-for-bit for **every** registered
+    /// protocol kernel — including pools far wider than the user count,
+    /// where most shards are empty.
     #[test]
     fn pooled_executors_match_dense(
         (inst, state, seed) in small_instance(),
@@ -652,8 +653,9 @@ proptest! {
     ) {
         for proto in qoslb::core::protocol::registry(&inst) {
             let name = proto.name();
-            let dense = run(&inst, state.clone(), proto.as_ref(), RunConfig::new(seed, budget));
+            let want = reference_run(&inst, state.clone(), proto.as_ref(), seed, budget, |_, _| {});
             for executor in [
+                Executor::Dense,
                 Executor::Threaded(threads),
                 Executor::SparseThreaded(threads),
                 // wider than any instance the strategy generates (n ≤ 64):
@@ -663,10 +665,10 @@ proptest! {
             ] {
                 let cfg = RunConfig::new(seed, budget).with_executor(executor);
                 let pooled = run(&inst, state.clone(), proto.as_ref(), cfg);
-                prop_assert_eq!(dense.converged, pooled.converged, "{} {:?}", name, executor);
-                prop_assert_eq!(dense.rounds, pooled.rounds, "{} {:?}", name, executor);
-                prop_assert_eq!(dense.migrations, pooled.migrations, "{} {:?}", name, executor);
-                prop_assert_eq!(&dense.state, &pooled.state, "{} {:?}", name, executor);
+                prop_assert_eq!(want.converged, pooled.converged, "{} {:?}", name, executor);
+                prop_assert_eq!(want.rounds, pooled.rounds, "{} {:?}", name, executor);
+                prop_assert_eq!(want.migrations, pooled.migrations, "{} {:?}", name, executor);
+                prop_assert_eq!(&want.state, &pooled.state, "{} {:?}", name, executor);
             }
         }
     }
@@ -696,7 +698,7 @@ proptest! {
         }
     }
 
-    /// The sparse and pooled executors reproduce the dense trajectory of a
+    /// Every executor reproduces the reference loop's trajectory of a
     /// weighted run bit-for-bit.
     #[test]
     fn weighted_executors_match_dense(
@@ -707,19 +709,20 @@ proptest! {
         let winst = lift_weighted(&inst, weight_max);
         let start = State::new(&winst, state.assignment().to_vec()).unwrap();
         let proto = SlackDamped::default();
-        let dense = run(&winst, start.clone(), &proto, RunConfig::new(seed, budget));
+        let want = reference_run(&winst, start.clone(), &proto, seed, budget, |_, _| {});
         for executor in [
+            Executor::Dense,
             Executor::Sparse,
             Executor::Threaded(3),
             Executor::SparseThreaded(4),
         ] {
             let cfg = RunConfig::new(seed, budget).with_executor(executor);
             let out = run(&winst, start.clone(), &proto, cfg);
-            prop_assert_eq!(dense.converged, out.converged, "{:?}", executor);
-            prop_assert_eq!(dense.rounds, out.rounds, "{:?}", executor);
-            prop_assert_eq!(dense.migrations, out.migrations, "{:?}", executor);
-            prop_assert_eq!(dense.weight_moved, out.weight_moved, "{:?}", executor);
-            prop_assert_eq!(&dense.state, &out.state, "{:?}", executor);
+            prop_assert_eq!(want.converged, out.converged, "{:?}", executor);
+            prop_assert_eq!(want.rounds, out.rounds, "{:?}", executor);
+            prop_assert_eq!(want.migrations, out.migrations, "{:?}", executor);
+            prop_assert_eq!(want.weight_moved, out.weight_moved, "{:?}", executor);
+            prop_assert_eq!(&want.state, &out.state, "{:?}", executor);
         }
     }
 
