@@ -8,8 +8,9 @@
 //!   the dense reference scan `decide_round_into` (alloc-free by buffer
 //!   reuse). It measures the tests' oracle, not the `Dense` executor,
 //!   which runs the view kernel below as one shard;
-//! * **`pooled-soa`** — working set of the `RoundView` + shard slots +
-//!   pool; 32 full steady-state rounds (decide → merge → apply → repair)
+//! * **`pooled-soa`** — working set the `RoundView` adds to the `State`
+//!   it takes over (the unsatisfied bitmaps) + shard slots + pool; 32
+//!   full steady-state rounds (decide → merge → apply → repair)
 //!   which must allocate **nothing**, so their peak is 0 bytes — the
 //!   committed ≤ 12 bytes/user acceptance gate at n = 10⁶.
 //!

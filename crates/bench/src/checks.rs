@@ -1343,12 +1343,13 @@ pub fn measure_mem_dense(n: usize) -> MemRow {
 }
 
 /// Memory row of the view-only pooled SoA executor — the tentpole gate.
-/// Working set = the `RoundView` (aligned assignment array, loads,
-/// unsatisfied bitmaps) plus per-shard delta/scratch slots, pool buffers,
-/// and the merged move buffer, all after warm-up; measured region = 32
-/// full steady-state rounds (decide → merge loads → apply → repair),
-/// exactly the phases of every pooled full round the engine's stepper
-/// runs, which must allocate **nothing** and therefore peak at 0 bytes.
+/// Working set = what the `RoundView` adds to the `State` it takes over
+/// (the unsatisfied bitmaps) plus per-shard delta/scratch slots, pool
+/// buffers, and the merged move buffer, all after warm-up; measured
+/// region = 32 full steady-state rounds (decide → merge loads → apply →
+/// repair), exactly the phases of every pooled full round the engine's
+/// stepper runs, which must allocate **nothing** and therefore peak at 0
+/// bytes.
 pub fn measure_mem_pooled(n: usize, threads: usize) -> MemRow {
     require_counting();
     let (inst, state) = crate::endgame_pair(n, BENCH_SEED, ACTIVE_FRAC);
@@ -1356,8 +1357,7 @@ pub fn measure_mem_pooled(n: usize, threads: usize) -> MemRow {
     let active = shards_for(n, threads);
     let chunk = shard_chunk(n, threads);
     let setup = qlb_obs::MemMark::here();
-    let mut view = RoundView::new(&inst, &state);
-    drop(state); // the view owns the round state from here on
+    let mut view = RoundView::from_state(&inst, state);
     let slots: Vec<Mutex<(ShardDeltas, ShardScratch)>> = (0..active)
         .map(|_| Mutex::new((ShardDeltas::new(inst.num_resources()), ShardScratch::new())))
         .collect();

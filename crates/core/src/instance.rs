@@ -49,7 +49,7 @@ pub struct Instance {
     resources: Vec<Resource>,
     classes: Vec<QosClass>,
     /// `class_of[u]` = QoS class of user `u`.
-    class_of: Vec<ClassId>,
+    pub(crate) class_of: Vec<ClassId>,
     /// Flattened `eff_cap[k * m + r]`.
     eff_cap: Vec<u32>,
 }

@@ -33,8 +33,8 @@ pub struct Move {
 /// * `Σ_r loads[r] = Σ_u w_u` (`= n` for unit demand).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct State {
-    assignment: Vec<ResourceId>,
-    loads: Vec<u32>,
+    pub(crate) assignment: Vec<ResourceId>,
+    pub(crate) loads: Vec<u32>,
 }
 
 impl State {

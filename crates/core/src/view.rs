@@ -9,13 +9,15 @@
 //! `n = 10⁶`. This module restructures the walk around what the CPU
 //! actually streams:
 //!
-//! * **SoA arrays** ([`RoundView`]): user assignments (and class ids for
-//!   multi-class instances) as contiguous, 64-byte-aligned `u32` arrays,
-//!   plus a load-array copy — sequential prefetchable reads;
-//! * **unsatisfied-resource bitmaps**: one bit per `(class, resource)`,
-//!   set iff a user of that class on that resource would be unsatisfied.
-//!   At `m = 125k` a class bitmap is ~15 KiB — it fits L1, so the per-user
-//!   satisfaction test collapses to one aligned word fetch and a bit test;
+//! * **flat arrays, read in place** ([`RoundView`]): the view owns the
+//!   round's [`State`] and streams its assignment (and, for multi-class
+//!   instances, the [`Instance`]'s per-user class ids) as contiguous
+//!   32-bit arrays — sequential prefetchable reads, no copy;
+//! * **unsatisfied-resource bitmaps**, the only thing the view adds to
+//!   the state: one bit per `(class, resource)`, set iff a user of that
+//!   class on that resource would be unsatisfied. At `m = 125k` a class
+//!   bitmap is ~15 KiB — it fits L1, so the per-user satisfaction test
+//!   collapses to one word fetch and a bit test;
 //! * a **two-pass shard kernel** ([`RoundView::decide_shard_into`]):
 //!   pass 1 streams the assignment array and collects the indices of
 //!   unsatisfied users into a small batch; pass 2 folds the batch's RNG
@@ -44,60 +46,6 @@ use crate::protocol::Protocol;
 use crate::state::{Move, State};
 use crate::step::{decide_unsatisfied_user, decide_user, SHARD_BLOCK};
 use qlb_rng::{fold_round_bases, RoundStream};
-
-/// One 64-byte cache line of `u32`s (16 lanes).
-#[repr(C, align(64))]
-#[derive(Clone, Copy)]
-struct LineU32([u32; 16]);
-
-/// One 64-byte cache line of `u64`s (8 lanes).
-#[repr(C, align(64))]
-#[derive(Clone, Copy)]
-struct LineU64([u64; 8]);
-
-const _: () = assert!(std::mem::size_of::<LineU32>() == 64);
-const _: () = assert!(std::mem::size_of::<LineU64>() == 64);
-
-macro_rules! aligned_buf {
-    ($Buf:ident, $Line:ident, $T:ty, $LANES:expr) => {
-        /// A `Vec`-backed array of `$T` whose storage starts on a 64-byte
-        /// boundary and is padded to whole cache lines.
-        #[derive(Default)]
-        pub(crate) struct $Buf {
-            lines: Vec<$Line>,
-            pub(crate) len: usize,
-        }
-
-        impl $Buf {
-            /// Resize to `len` elements, zero-filling fresh storage.
-            pub(crate) fn reset(&mut self, len: usize) {
-                self.lines.clear();
-                self.lines.resize(len.div_ceil($LANES), $Line([0; $LANES]));
-                self.len = len;
-            }
-
-            #[inline]
-            pub(crate) fn as_slice(&self) -> &[$T] {
-                // SAFETY: `$Line` is `#[repr(C, align(64))]` around
-                // `[$T; $LANES]` with size exactly 64, so `lines` is a
-                // contiguous array of `len.div_ceil($LANES) * $LANES ≥ len`
-                // properly-aligned `$T`s.
-                unsafe { std::slice::from_raw_parts(self.lines.as_ptr() as *const $T, self.len) }
-            }
-
-            #[inline]
-            pub(crate) fn as_mut_slice(&mut self) -> &mut [$T] {
-                // SAFETY: as `as_slice`, and we hold `&mut self`.
-                unsafe {
-                    std::slice::from_raw_parts_mut(self.lines.as_mut_ptr() as *mut $T, self.len)
-                }
-            }
-        }
-    };
-}
-
-aligned_buf!(AlignedU32, LineU32, u32, 16);
-aligned_buf!(AlignedU64, LineU64, u64, 8);
 
 /// Per-shard reusable buffer of the two-pass kernel: the pass-1 batch of
 /// unsatisfied user indices. One per shard, reused every round —
@@ -186,78 +134,73 @@ impl ShardDeltas {
     }
 }
 
-/// The struct-of-arrays round view (see the module docs).
+/// The round state of full rounds plus its unsatisfied-resource bitmaps
+/// (see the module docs).
 ///
-/// Built once per run from `(instance, state)` and then **is** the round
-/// state of full rounds (the dense [`State`] is dropped; see
-/// [`RoundView::to_state`] for the way back). It is updated incrementally:
-/// full rounds via [`RoundView::merge_loads`] +
-/// [`RoundView::apply_assignments`] + [`RoundView::repair_touched`] on the
-/// coordinator, driver churn via [`RoundView::reassign`]. The
-/// capacity/alias tables themselves stay in the [`Instance`], shared by
-/// reference with every shard — the view holds only the per-round mutable
-/// arrays.
+/// Owns the [`State`] it is built from ([`RoundView::from_state`], or
+/// [`RoundView::new`] from a copy) and hands it back with
+/// [`RoundView::into_state`]; [`RoundView::state`] reads it in between.
+/// It is updated incrementally: full rounds via [`RoundView::merge_loads`],
+/// [`RoundView::apply_assignments`] and [`RoundView::repair_touched`] on
+/// the coordinator, driver churn via [`RoundView::reassign`]. The
+/// capacity/alias tables and the users' class ids stay in the
+/// [`Instance`], shared by reference with every shard.
 pub struct RoundView {
-    /// `assign[u]` = resource of user `u`. Shards only read it; the
-    /// coordinator writes a round's moves after the barrier.
-    assign: AlignedU32,
-    /// Class id per user; empty for single-class instances.
-    class_ids: AlignedU32,
-    /// Per-resource load copy.
-    loads: AlignedU32,
+    /// The round state. Shards only read it; the coordinator writes a
+    /// round's moves after the barrier.
+    state: State,
     /// `classes` bitmaps of `words` words each: bit `r` of bitmap `k` is
     /// set iff a class-`k` user on `r` would be **unsatisfied**.
-    unsat: AlignedU64,
-    /// Words per class bitmap, padded to a whole cache line.
+    unsat: Vec<u64>,
+    /// Words per class bitmap.
     words: usize,
     classes: usize,
 }
 
 impl RoundView {
-    /// Build the view of `state`.
+    /// Build the view of a copy of `state`, for callers that keep their
+    /// own. `O(n + m·K)`.
     pub fn new<I: Demands>(inst: &I, state: &State) -> Self {
+        Self::from_state(inst, state.clone())
+    }
+
+    /// Take over `state` and build its bitmaps. `O(m·K)`.
+    ///
+    /// # Panics
+    /// Panics if `state` does not have one load per resource of `inst`.
+    pub fn from_state<I: Demands>(inst: &I, state: State) -> Self {
         let inst = inst.instance();
-        let n = inst.num_users();
         let m = inst.num_resources();
+        // the kernel's unchecked bitmap reads rely on every assigned
+        // resource being below `m`
+        assert_eq!(state.loads.len(), m, "state built for another instance");
         let classes = inst.num_classes();
+        let words = m.div_ceil(64);
         let mut v = Self {
-            assign: AlignedU32::default(),
-            class_ids: AlignedU32::default(),
-            loads: AlignedU32::default(),
-            unsat: AlignedU64::default(),
-            // pad each class's bitmap to a whole line so bitmaps never
-            // share one
-            words: m.div_ceil(64).next_multiple_of(8),
+            state,
+            unsat: vec![0; classes * words],
+            words,
             classes,
         };
-
-        v.assign.reset(n);
-        for (dst, &r) in v.assign.as_mut_slice().iter_mut().zip(state.assignment()) {
-            *dst = r.0;
-        }
-        if classes > 1 {
-            v.class_ids.reset(n);
-            for (u, dst) in v.class_ids.as_mut_slice().iter_mut().enumerate() {
-                *dst = inst.class_of(UserId(u as u32)).0;
-            }
-        }
-        v.loads.reset(m);
-        v.loads.as_mut_slice().copy_from_slice(state.loads());
-        v.unsat.reset(classes * v.words);
         for r in 0..m as u32 {
             v.refresh_bits(inst, r);
         }
         v
     }
 
-    /// The per-resource load copy.
-    pub fn loads(&self) -> &[u32] {
-        self.loads.as_slice()
+    /// The round state.
+    pub fn state(&self) -> &State {
+        &self.state
+    }
+
+    /// Hand the round state back. `O(1)`.
+    pub fn into_state(self) -> State {
+        self.state
     }
 
     /// Whether bit `r` of class `k`'s bitmap is set (unsatisfying).
     pub fn is_unsat(&self, k: ClassId, r: ResourceId) -> bool {
-        let w = self.unsat.as_slice()[k.0 as usize * self.words + (r.0 >> 6) as usize];
+        let w = self.unsat[k.0 as usize * self.words + (r.0 >> 6) as usize];
         (w >> (r.0 & 63)) & 1 != 0
     }
 
@@ -265,14 +208,11 @@ impl RoundView {
     /// the current load.
     #[inline]
     fn refresh_bits(&mut self, inst: &Instance, r: u32) {
-        let load = self.loads.as_slice()[r as usize];
-        let words = self.words;
-        let unsat = self.unsat.as_mut_slice();
+        let load = self.state.loads[r as usize];
+        let bit = 1u64 << (r & 63);
         for k in 0..self.classes {
-            let cap = inst.cap(ClassId(k as u32), ResourceId(r));
-            let word = &mut unsat[k * words + (r >> 6) as usize];
-            let bit = 1u64 << (r & 63);
-            if cap > 0 && load <= cap {
+            let word = &mut self.unsat[k * self.words + (r >> 6) as usize];
+            if inst.satisfies(ClassId(k as u32), ResourceId(r), load) {
                 *word &= !bit;
             } else {
                 *word |= bit;
@@ -285,9 +225,13 @@ impl RoundView {
     /// load effects into `deltas`.
     ///
     /// Identical output to
-    /// [`decide_range_into`](crate::step::decide_range_into) on the state
-    /// this view mirrors. `scratch` and `deltas` are this shard's private
-    /// buffers; nothing outside them (and `out`) is written.
+    /// [`decide_range_into`](crate::step::decide_range_into) on the held
+    /// state. `scratch` and `deltas` are this shard's private buffers;
+    /// nothing outside them (and `out`) is written.
+    ///
+    /// # Panics
+    /// Panics if `inst` has another class count than the view was built
+    /// for.
     #[allow(clippy::too_many_arguments)]
     pub fn decide_shard_into<I: Demands, P: Protocol + ?Sized>(
         &self,
@@ -301,15 +245,19 @@ impl RoundView {
         scratch: &mut ShardScratch,
         deltas: &mut ShardDeltas,
     ) {
-        debug_assert!(lo <= hi && hi <= self.assign.len);
-        let assign = self.assign.as_slice();
-        let loads = self.loads.as_slice();
+        let base = inst.instance();
+        assert_eq!(
+            base.num_classes(),
+            self.classes,
+            "view built for another instance"
+        );
+        let assign = &self.state.assignment[lo..hi];
+        let loads = self.state.loads();
         if proto.acts_when_satisfied() {
             // The filter would drop satisfied users the protocol wants to
             // see; run the unfiltered reference kernel per user instead.
-            for (i, &a) in assign[lo..hi].iter().enumerate() {
+            for (i, &own) in assign.iter().enumerate() {
                 let user = UserId((lo + i) as u32);
-                let own = ResourceId(a);
                 if let Some(mv) = decide_user(inst, loads, own, user, proto, seed, round) {
                     deltas.record(mv.from, mv.to, inst.weight(user));
                     out.push(mv);
@@ -322,27 +270,29 @@ impl RoundView {
         // unsatisfied bit is set — exactly the users the dense kernel would
         // not early-return for.
         scratch.batch.clear();
-        let unsat = self.unsat.as_slice();
         if self.classes == 1 {
-            let bm = &unsat[..self.words];
-            for (i, &r) in assign[lo..hi].iter().enumerate() {
-                // SAFETY: `r < m` (state invariant) so `r >> 6 < words`.
+            let bm = &self.unsat[..self.words];
+            for (i, &ResourceId(r)) in assign.iter().enumerate() {
+                // SAFETY: `r < m` (state invariant, and `from_state`
+                // checked the state has `m` loads) so `r >> 6 < words`.
                 let w = unsafe { *bm.get_unchecked((r >> 6) as usize) };
                 if (w >> (r & 63)) & 1 != 0 {
                     scratch.batch.push((lo + i) as u32);
                 }
             }
         } else {
-            let classes = self.class_ids.as_slice();
-            let words = self.words;
-            for idx in lo..hi {
-                let r = assign[idx];
-                let k = classes[idx] as usize;
-                // SAFETY: `k < classes` and `r < m`, so the flat index is
-                // within `classes * words`.
-                let w = unsafe { *unsat.get_unchecked(k * words + (r >> 6) as usize) };
+            let class_of = &base.class_of[lo..hi];
+            for (i, (&ResourceId(r), &ClassId(k))) in assign.iter().zip(class_of).enumerate() {
+                // SAFETY: `k < classes` (instance invariant, and the class
+                // count was checked above) and `r < m`, so the flat index
+                // is within `classes * words`.
+                let w = unsafe {
+                    *self
+                        .unsat
+                        .get_unchecked(k as usize * self.words + (r >> 6) as usize)
+                };
                 if (w >> (r & 63)) & 1 != 0 {
-                    scratch.batch.push(idx as u32);
+                    scratch.batch.push((lo + i) as u32);
                 }
             }
         }
@@ -355,7 +305,7 @@ impl RoundView {
             fold_round_bases(seed, round, block, bases);
             for (&idx, &base) in block.iter().zip(bases.iter()) {
                 let user = UserId(idx);
-                let own = ResourceId(assign[idx as usize]);
+                let own = self.state.assignment[idx as usize];
                 let mut rng = RoundStream::from_base(base);
                 if let Some(mv) =
                     decide_unsatisfied_user(inst, loads, own, user, proto, round, &mut rng)
@@ -368,95 +318,47 @@ impl RoundView {
     }
 
     /// Coordinator merge, phase 1 of 2: fold one shard's load deltas into
-    /// the view. Call once per shard, **all shards before any
+    /// the state. Call once per shard, **all shards before any
     /// [`RoundView::repair_touched`]** — a resource touched by two shards
     /// must see both deltas before its bit is recomputed.
     pub fn merge_loads(&mut self, deltas: &ShardDeltas) {
-        let loads = self.loads.as_mut_slice();
         for &r in &deltas.touched {
-            let l = &mut loads[r as usize];
+            let l = &mut self.state.loads[r as usize];
             let next = *l as i64 + deltas.delta[r as usize];
             debug_assert!((0..=u32::MAX as i64).contains(&next), "load underflow");
             *l = next as u32;
         }
     }
 
-    /// Apply the round's concatenated moves to the assignment array.
+    /// Apply the round's concatenated moves to the assignment.
+    ///
+    /// # Panics
+    /// Panics on a move to a resource the state does not have.
     pub fn apply_assignments(&mut self, moves: &[Move]) {
-        let assign = self.assign.as_mut_slice();
+        let m = self.state.loads.len();
+        let assign = &mut self.state.assignment;
         for mv in moves {
-            debug_assert_eq!(assign[mv.user.index()], mv.from.0, "stale move");
-            assign[mv.user.index()] = mv.to.0;
+            debug_assert_eq!(assign[mv.user.index()], mv.from, "stale move");
+            // the kernel's unchecked bitmap reads rely on this
+            assert!(mv.to.index() < m, "move to a resource out of range");
+            assign[mv.user.index()] = mv.to;
         }
-    }
-
-    /// Number of unsatisfied users, computed from the view alone — a
-    /// stepper that holds the view keeps no dense [`State`] to ask. The
-    /// instance the view was built for picks the counting rule. Unit single-class: `O(m)`
-    /// (every user on an unsatisfying resource is unsatisfied, so sum those
-    /// loads). Weighted loads count demand, not users, so weighted and
-    /// multi-class views make `O(n)` bit probes over the assignment (and
-    /// class) arrays.
-    pub fn num_unsatisfied<I: Demands>(&self, _inst: &I) -> usize {
-        if I::UNIT && self.classes == 1 {
-            let bm = &self.unsat.as_slice()[..self.words];
-            return self
-                .loads
-                .as_slice()
-                .iter()
-                .enumerate()
-                .filter(|&(r, &x)| x > 0 && (bm[r >> 6] >> (r & 63)) & 1 != 0)
-                .map(|(_, &x)| x as usize)
-                .sum();
-        }
-        self.unsatisfied_users().count()
     }
 
     /// The unsatisfied users in increasing order: an `O(n)` walk of the
-    /// assignment (and class) arrays probing each user's resource bit.
-    pub fn unsatisfied_users(&self) -> impl Iterator<Item = UserId> + '_ {
-        let unsat = self.unsat.as_slice();
-        let assign = self.assign.as_slice();
-        let classes = self.class_ids.as_slice();
-        let words = self.words;
-        (0..assign.len())
-            .filter(move |&i| {
-                let r = assign[i];
-                // single-class views keep no class array
-                let k = classes.get(i).map_or(0, |&k| k as usize);
-                (unsat[k * words + (r >> 6) as usize] >> (r & 63)) & 1 != 0
-            })
-            .map(|i| UserId(i as u32))
-    }
-
-    /// Is the mirrored state legal (every user satisfied)? Single-class:
-    /// `O(m)`; multi-class: `O(n)`. Agrees with [`State::is_legal`] on the
-    /// state the view mirrors.
-    pub fn is_legal(&self) -> bool {
-        if self.classes == 1 {
-            let loads = self.loads.as_slice();
-            let bm = &self.unsat.as_slice()[..self.words];
-            return loads
-                .iter()
-                .enumerate()
-                .all(|(r, &x)| x == 0 || (bm[r >> 6] >> (r & 63)) & 1 == 0);
-        }
-        self.unsatisfied_users().next().is_none()
-    }
-
-    /// Reconstruct a dense [`State`] from the view — the inverse of
-    /// [`RoundView::new`], with which a stepper holding the view hands a
-    /// `State` back. `O(n + m)`.
-    pub fn to_state<I: Demands>(&self, inst: &I) -> State {
-        let assignment = self
-            .assign
-            .as_slice()
+    /// assignment (and the instance's class ids) probing each user's
+    /// resource bit.
+    pub fn unsatisfied_users<'a, I: Demands>(
+        &'a self,
+        inst: &'a I,
+    ) -> impl Iterator<Item = UserId> + 'a {
+        let class_of = &inst.instance().class_of;
+        self.state
+            .assignment
             .iter()
-            .map(|&r| ResourceId(r))
-            .collect();
-        let state = State::new(inst, assignment).expect("view invariant: assignment valid");
-        debug_assert_eq!(state.loads(), self.loads.as_slice(), "view loads drifted");
-        state
+            .enumerate()
+            .filter(move |&(u, &r)| self.is_unsat(class_of[u], r))
+            .map(|(u, _)| UserId(u as u32))
     }
 
     /// Coordinator merge, phase 2 of 2: recompute the unsatisfied bits of
@@ -464,44 +366,47 @@ impl RoundView {
     /// shard's deltas for the next round.
     pub fn repair_touched<I: Demands>(&mut self, inst: &I, deltas: &mut ShardDeltas) {
         let inst = inst.instance();
-        for i in 0..deltas.touched.len() {
-            self.refresh_bits(inst, deltas.touched[i]);
+        for &r in &deltas.touched {
+            self.refresh_bits(inst, r);
         }
         deltas.advance();
     }
 
     /// Driver-side single-user reassignment (churn, arrivals, departures):
-    /// mirrors [`State::reassign`], keeping loads and bitmap bits in sync.
+    /// [`State::reassign`] plus the bits of the two resources it touches.
     /// Unit demand only, like the drivers that call it.
     pub fn reassign(&mut self, inst: &Instance, u: UserId, to: ResourceId) {
-        let from = self.assign.as_slice()[u.index()];
-        if from == to.0 {
+        let from = self.state.resource_of(u);
+        if from == to {
             return;
         }
-        self.assign.as_mut_slice()[u.index()] = to.0;
-        let loads = self.loads.as_mut_slice();
-        loads[from as usize] -= 1;
-        loads[to.0 as usize] += 1;
-        self.refresh_bits(inst, from);
+        self.state.reassign(u, to);
+        self.refresh_bits(inst, from.0);
         self.refresh_bits(inst, to.0);
     }
 
-    /// Debug check: the view mirrors `state` exactly (assignments, loads,
-    /// and every bitmap bit). `O(n + m·classes)` — test/debug use only.
-    pub fn assert_synced<I: Demands>(&self, inst: &I, state: &State) {
-        let inst = inst.instance();
-        assert_eq!(self.assign.len, state.num_users());
-        for (u, &r) in state.assignment().iter().enumerate() {
-            assert_eq!(self.assign.as_slice()[u], r.0, "assign[{u}]");
+    /// Consistency check: the loads equal a recount of the assignment, and
+    /// every bitmap bit equals `!`[`Instance::satisfies`] at its resource's
+    /// load. `O(n + m·K)` — test/debug use only.
+    pub fn assert_consistent<I: Demands>(&self, inst: &I) {
+        let base = inst.instance();
+        assert_eq!(self.state.num_users(), base.num_users(), "user count");
+        let mut recount = vec![0u32; base.num_resources()];
+        for (u, &r) in self.state.assignment.iter().enumerate() {
+            recount[r.index()] += inst.weight(UserId(u as u32));
         }
-        assert_eq!(self.loads.as_slice(), state.loads());
+        assert_eq!(
+            self.state.loads, recount,
+            "loads drifted from the assignment"
+        );
         for k in 0..self.classes {
-            for r in 0..inst.num_resources() {
+            for (r, &load) in recount.iter().enumerate() {
                 let (k, r) = (ClassId(k as u32), ResourceId(r as u32));
-                let cap = inst.cap(k, r);
-                let load = state.loads()[r.index()];
-                let satisfied = cap > 0 && load <= cap;
-                assert_eq!(self.is_unsat(k, r), !satisfied, "bit ({k:?}, {r:?})");
+                assert_eq!(
+                    self.is_unsat(k, r),
+                    !base.satisfies(k, r, load),
+                    "bit ({k:?}, {r:?})"
+                );
             }
         }
     }
@@ -522,27 +427,11 @@ mod tests {
     }
 
     #[test]
-    fn aligned_buffers_are_line_aligned_and_zeroed() {
-        let mut b = AlignedU32::default();
-        b.reset(37);
-        assert_eq!(b.as_slice().len(), 37);
-        assert!(b.as_slice().iter().all(|&x| x == 0));
-        assert_eq!(b.as_slice().as_ptr() as usize % 64, 0);
-        let mut w = AlignedU64::default();
-        w.reset(9);
-        assert_eq!(w.as_slice().len(), 9);
-        assert_eq!(w.as_slice().as_ptr() as usize % 64, 0);
-        // stale content must not survive a reset
-        b.as_mut_slice()[5] = 7;
-        b.reset(64);
-        assert!(b.as_slice().iter().all(|&x| x == 0));
-    }
-
-    #[test]
     fn view_mirrors_state_and_bitmap_matches_satisfaction() {
         let (inst, state) = hotspot(100, 16, 5);
         let view = RoundView::new(&inst, &state);
-        view.assert_synced(&inst, &state);
+        assert_eq!(view.state(), &state);
+        view.assert_consistent(&inst);
         // resource 0 overloaded (100 > 5) ⇒ unsatisfied; the rest empty
         // with positive cap ⇒ satisfied
         assert!(view.is_unsat(ClassId(0), ResourceId(0)));
@@ -591,36 +480,45 @@ mod tests {
 
     #[test]
     fn multi_class_kernel_matches_dense_reference() {
+        // 300 users over ten speed-60 resources: the strict class's cap is
+        // 30, the lenient class's 60, so in a random placement many
+        // resources satisfy one class and not the other
         let inst = InstanceBuilder::new()
-            .speeds(vec![4.0, 4.0, 8.0])
-            .latency_class(0.5, 40)
-            .latency_class(1.0, 60)
+            .speeds(vec![60.0; 10])
+            .latency_class(0.5, 140)
+            .latency_class(1.0, 160)
             .build()
             .unwrap();
-        let state = State::all_on(&inst, ResourceId(0));
-        let view = RoundView::new(&inst, &state);
-        view.assert_synced(&inst, &state);
+        let n = inst.num_users();
         let mut scratch = ShardScratch::new();
         let mut deltas = ShardDeltas::new(inst.num_resources());
-        for proto in registry(&inst) {
-            for round in 0..4 {
-                let n = inst.num_users();
-                let mut want = Vec::new();
-                decide_range_into(&inst, &state, proto.as_ref(), 3, round, 0, n, &mut want);
-                let mut got = Vec::new();
-                view.decide_shard_into(
-                    &inst,
-                    proto.as_ref(),
-                    3,
-                    round,
-                    0,
-                    n,
-                    &mut got,
-                    &mut scratch,
-                    &mut deltas,
-                );
-                assert_eq!(got, want, "{} round {round}", proto.name());
-                deltas.advance();
+        for state in [State::all_on(&inst, ResourceId(0)), State::random(&inst, 5)] {
+            let view = RoundView::new(&inst, &state);
+            view.assert_consistent(&inst);
+            for proto in registry(&inst) {
+                for round in 0..4 {
+                    let mut want = Vec::new();
+                    decide_range_into(&inst, &state, proto.as_ref(), 3, round, 0, n, &mut want);
+                    // uneven shards, the last across the class boundary:
+                    // the kernel reads the instance's class ids at each
+                    // shard's offset
+                    let mut got = Vec::new();
+                    for (lo, hi) in [(0, 128), (128, 129), (129, n)] {
+                        view.decide_shard_into(
+                            &inst,
+                            proto.as_ref(),
+                            3,
+                            round,
+                            lo,
+                            hi,
+                            &mut got,
+                            &mut scratch,
+                            &mut deltas,
+                        );
+                    }
+                    assert_eq!(got, want, "{} round {round}", proto.name());
+                    deltas.advance();
+                }
             }
         }
     }
@@ -657,7 +555,8 @@ mod tests {
             for d in deltas.iter_mut() {
                 view.repair_touched(&inst, d);
             }
-            view.assert_synced(&inst, &state);
+            assert_eq!(view.state(), &state);
+            view.assert_consistent(&inst);
             if state.is_legal(&inst) {
                 break;
             }
@@ -667,12 +566,16 @@ mod tests {
 
     #[test]
     fn reassign_keeps_view_synced() {
-        let (inst, mut state) = hotspot(64, 8, 10);
+        // twelve users on resource 0 (cap 10): the moves below flip its
+        // bit from the `from` side (11 → 10), then from the `to` side
+        // (10 → 11), then from the `from` side again
+        let (inst, mut state) = hotspot(12, 4, 10);
         let mut view = RoundView::new(&inst, &state);
-        for (u, to) in [(0u32, 3u32), (1, 3), (2, 7), (0, 1), (5, 0)] {
+        for (u, to) in [(0u32, 1u32), (1, 2), (2, 3), (1, 0), (2, 0), (3, 3)] {
             state.reassign(UserId(u), ResourceId(to));
             view.reassign(&inst, UserId(u), ResourceId(to));
-            view.assert_synced(&inst, &state);
+            assert_eq!(view.state(), &state);
+            view.assert_consistent(&inst);
         }
     }
 
@@ -680,8 +583,9 @@ mod tests {
     fn view_legality_matches_state() {
         let (inst, mut state) = hotspot(300, 16, 24);
         let mut view = RoundView::new(&inst, &state);
-        assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));
-        assert!(!view.is_legal());
+        let users: Vec<UserId> = view.unsatisfied_users(&inst).collect();
+        assert_eq!(users, state.unsatisfied(&inst));
+        assert!(!users.is_empty());
         let proto = SlackDamped::default();
         let mut scratch = ShardScratch::new();
         let mut deltas = ShardDeltas::new(inst.num_resources());
@@ -705,17 +609,16 @@ mod tests {
             view.merge_loads(&deltas);
             view.apply_assignments(&moves);
             view.repair_touched(&inst, &mut deltas);
-            view.assert_synced(&inst, &state);
-            assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));
-            let users: Vec<UserId> = view.unsatisfied_users().collect();
+            assert_eq!(view.state(), &state);
+            view.assert_consistent(&inst);
+            let users: Vec<UserId> = view.unsatisfied_users(&inst).collect();
             assert_eq!(users, state.unsatisfied(&inst));
-            assert_eq!(view.is_legal(), state.is_legal(&inst));
-            if view.is_legal() {
+            if users.is_empty() {
                 break;
             }
         }
-        assert!(view.is_legal(), "sanity: run converges");
-        assert_eq!(view.to_state(&inst), state);
+        assert!(state.is_legal(&inst), "sanity: run converges");
+        assert_eq!(view.into_state(), state);
     }
 
     #[test]
@@ -728,10 +631,8 @@ mod tests {
             .unwrap();
         let state = State::all_on(&inst, ResourceId(0));
         let view = RoundView::new(&inst, &state);
-        assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));
-        let users: Vec<UserId> = view.unsatisfied_users().collect();
+        let users: Vec<UserId> = view.unsatisfied_users(&inst).collect();
         assert_eq!(users, state.unsatisfied(&inst));
-        assert_eq!(view.is_legal(), state.is_legal(&inst));
     }
 
     #[test]
@@ -765,8 +666,12 @@ mod tests {
     fn weighted_shard_kernel_matches_range_reference() {
         let (inst, state) = weighted_crowd(300);
         let view = RoundView::new(&inst, &state);
-        view.assert_synced(&inst, &state);
-        assert_eq!(view.num_unsatisfied(&inst), 300, "users, not weight");
+        view.assert_consistent(&inst);
+        assert_eq!(
+            view.unsatisfied_users(&inst).count(),
+            300,
+            "users, not weight"
+        );
         let mut scratch = ShardScratch::new();
         let mut deltas = ShardDeltas::new(inst.num_resources());
         let protos: [&dyn Protocol; 2] = [&SlackDamped::default(), &ConditionalUniform];
@@ -826,13 +731,14 @@ mod tests {
             for d in deltas.iter_mut() {
                 view.repair_touched(&inst, d);
             }
-            view.assert_synced(&inst, &state);
-            assert_eq!(view.num_unsatisfied(&inst), state.num_unsatisfied(&inst));
-            assert_eq!(view.is_legal(), state.is_legal(&inst));
+            assert_eq!(view.state(), &state);
+            view.assert_consistent(&inst);
+            let users: Vec<UserId> = view.unsatisfied_users(&inst).collect();
+            assert_eq!(users, state.unsatisfied(&inst));
             if state.is_legal(&inst) {
                 break;
             }
         }
-        assert_eq!(view.to_state(&inst), state);
+        assert_eq!(view.into_state(), state);
     }
 }

@@ -22,9 +22,10 @@
 //! the pool. Whatever the driver, one [`Stepper`] picks and runs each
 //! round's kernel: the closed loop, the open driver and the serving
 //! core's tick only say whether the active set or every user decides. For
-//! full rounds the driver hands its state to the stepper, which keeps
-//! only the SoA view of it and applies the moves to that; active-set
-//! moves the driver applies to its own state and index. Identical output
+//! full rounds the driver hands its state to the stepper, which moves it
+//! into a `RoundView` (the state plus its unsatisfied-resource bitmaps),
+//! applies the moves to it in place and hands it back; active-set moves
+//! the driver applies to its own state and index. Identical output
 //! is guaranteed by the counter-based RNG streams of `qlb-rng` and
 //! verified by tests and experiment E10 against the dense reference loop
 //! of `qlb_core::step`, which no executor runs. A per-round [`Trace`] (potential decay, settling

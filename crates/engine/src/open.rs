@@ -258,7 +258,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
                 round,
                 active: match sparse.as_ref() {
                     Some((index, _)) => index.num_active() as u64,
-                    None => stepper.view().num_unsatisfied(&inst) as u64,
+                    None => stepper.view().state().num_unsatisfied(&inst) as u64,
                 },
             });
         }
@@ -291,7 +291,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
 
         let unsatisfied = match sparse.as_ref() {
             Some((index, _)) => index.num_active() as u64,
-            None => stepper.view().num_unsatisfied(&inst) as u64,
+            None => stepper.view().state().num_unsatisfied(&inst) as u64,
         };
         if S::ENABLED {
             sink.add(Counter::Rounds, 1);
@@ -312,7 +312,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
                 // parked population and would swamp any congestion sample.
                 let loads = match sparse.as_ref() {
                     Some((_, state)) => state.loads(),
-                    None => stepper.view().loads(),
+                    None => stepper.view().state().loads(),
                 };
                 let loads = &loads[..m];
                 sink.topk(round, &qlb_obs::top_k_entries(loads, cfg.topk_resources));

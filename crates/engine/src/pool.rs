@@ -35,9 +35,9 @@
 //! same partition the scoped executor used) is both optimal and — more
 //! importantly — **deterministic**: shard boundaries never depend on timing,
 //! so concatenating shard outputs in index order reproduces the sequential
-//! move list byte for byte. Shard boundaries are rounded up to 64-byte
-//! lines of the struct-of-arrays assignment array ([`shard_chunk`]), so two
-//! shards never stream the same cache line.
+//! move list byte for byte. Shard boundaries are rounded up to 16 users
+//! ([`shard_chunk`]), 64 bytes of the 32-bit assignment array that
+//! workers only read.
 
 use crate::run::Executor;
 use qlb_core::Move;
@@ -469,9 +469,10 @@ fn worker_loop(shared: &Shared, index: usize) {
 }
 
 /// The shard size the pooled executors use for a round over `len` items on
-/// a `threads`-shard pool: the near-equal split, rounded **up to 16 items
-/// (one 64-byte cache line of the `u32` SoA arrays)** so consecutive
-/// shards never stream the same line of the assignment array.
+/// a `threads`-shard pool: the near-equal split, rounded **up to 16
+/// items** (64 bytes of a 32-bit array). No two workers write one line
+/// either way: workers only read the assignment and write their own
+/// buffers, and the coordinator writes the assignment after the barrier.
 pub fn shard_chunk(len: usize, threads: usize) -> usize {
     len.div_ceil(threads.max(1)).max(1).next_multiple_of(16)
 }

@@ -253,7 +253,7 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
             // switching round's apply.
             if sparse && batch * 8 < n as u64 {
                 timed(sink, Phase::Apply, || {
-                    let state = stepper.release(inst);
+                    let state = stepper.release();
                     active = Some((stepper.build_index(inst, &state), state));
                 });
                 if S::ENABLED {
@@ -269,21 +269,21 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
             weight_moved += batch_weight;
             converged = timed(sink, Phase::Convergence, || match active.as_ref() {
                 Some((index, _)) => index.is_empty(),
-                None => stepper.view().is_legal(),
+                None => stepper.view().state().is_legal(inst),
             });
             if S::ENABLED {
                 // the index tracks the unsatisfied set exactly, so when it
                 // is live the count is O(1); full rounds count
                 let (unsatisfied, loads) = match active.as_ref() {
                     Some((index, state)) => (index.num_active() as u64, state.loads()),
-                    None => (
-                        stepper.view().num_unsatisfied(inst) as u64,
-                        stepper.view().loads(),
-                    ),
+                    None => {
+                        let state = stepper.view().state();
+                        (state.num_unsatisfied(inst) as u64, state.loads())
+                    }
                 };
                 let users = |f: &mut dyn FnMut(u32)| match active.as_ref() {
                     Some((index, _)) => index.active().for_each(|u| f(u.0)),
-                    None => stepper.view().unsatisfied_users().for_each(|u| f(u.0)),
+                    None => stepper.view().unsatisfied_users(inst).for_each(|u| f(u.0)),
                 };
                 let topk = config.topk_resources;
                 emit_round_end(
@@ -364,7 +364,7 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
 
     let state = match active {
         Some((_, state)) => state,
-        None => stepper.release(inst),
+        None => stepper.release(),
     };
     debug_assert_eq!(converged, state.is_legal(inst));
     RunOutcome {

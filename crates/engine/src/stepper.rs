@@ -6,10 +6,11 @@
 //! the open-system driver and the serving core's tick. It owns everything
 //! the kernel choice needs — the optional [`WorkerPool`] and the reusable
 //! move and sorted-active buffers — and, while full rounds run, the round
-//! state itself as a struct-of-arrays [`RoundView`]. A driver only says
-//! *which* users decide (the active set, or everyone); full rounds are
-//! applied by the stepper to the one copy it holds, active-set rounds by
-//! the driver to its own state.
+//! state itself: the driver's [`State`], moved into a [`RoundView`] that
+//! adds only the unsatisfied-resource bitmaps. A driver only says *which*
+//! users decide (the active set, or everyone); full rounds are applied by
+//! the stepper to the one copy it holds, active-set rounds by the driver
+//! to its own state.
 //!
 //! Full rounds run one kernel, [`RoundView::decide_shard_into`]: over the
 //! pool's shards, or inline as one shard without a pool. The dense scan
@@ -51,11 +52,11 @@ const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 ///   previous batch and then decides its own users, one shard per pool
 ///   worker (see [`run`](crate::run::run)).
 /// * `Stepper::full_round` decides **and applies** a round of all `n`
-///   users on the state handed over by `Stepper::hold`, of which the
-///   stepper keeps only a [`RoundView`]: the SoA kernel decides, sharded
-///   across the pool or as one inline shard without one, and the shards'
-///   deltas fold back into the view. `Stepper::view` reads it between
-///   rounds, and `Stepper::release` hands a [`State`] back.
+///   users on the state handed over by `Stepper::hold`, which the stepper
+///   keeps inside a [`RoundView`]: the SoA kernel decides, sharded across
+///   the pool or as one inline shard without one, and the shards' deltas
+///   fold back into the state in place. `Stepper::view` reads it between
+///   rounds, and `Stepper::release` hands the [`State`] back.
 ///
 /// Each returns the round's moves in user order, byte-identical whichever
 /// kernel ran, and records [`Phase::Decide`] (plus [`Phase::Compute`] and
@@ -90,28 +91,33 @@ impl Stepper {
         }
     }
 
-    /// Take over `state` for `Stepper::full_round`s: build its
-    /// [`RoundView`], with one shard slot per pool shard (one without a
-    /// pool), and drop the state, so one copy of the round state exists.
+    /// Take over `state` for `Stepper::full_round`s: move it into a
+    /// [`RoundView`] ([`RoundView::from_state`], `O(m·K)`: only the
+    /// bitmaps are built), with one shard slot per pool shard (one without
+    /// a pool).
     ///
     /// # Panics
     /// Panics if the stepper already holds a state.
     pub(crate) fn hold<I: Demands>(&mut self, inst: &I, state: State) {
         assert!(self.held.is_none(), "the stepper already holds a state");
         let shards = self.pool.as_ref().map_or(1, WorkerPool::threads);
-        self.held = Some(ViewShards::new(inst, &state, shards));
+        let m = inst.instance().num_resources();
+        self.held = Some(ViewShards {
+            view: RoundView::from_state(inst, state),
+            slots: (0..shards)
+                .map(|_| Mutex::new((ShardDeltas::new(m), ShardScratch::new())))
+                .collect(),
+        });
     }
 
-    /// Hand the held state back: the shard slots are dropped first, then
-    /// the view is rebuilt into a [`State`] ([`RoundView::to_state`],
-    /// `O(n + m)`) and dropped.
+    /// Hand the held state back ([`RoundView::into_state`], `O(1)`),
+    /// dropping the bitmaps and the shard slots.
     ///
     /// # Panics
     /// Panics if the stepper holds no state.
-    pub(crate) fn release<I: Demands>(&mut self, inst: &I) -> State {
-        let ViewShards { view, slots } = self.held.take().expect("the stepper holds no state");
-        drop(slots);
-        view.to_state(inst)
+    pub(crate) fn release(&mut self) -> State {
+        let held = self.held.take().expect("the stepper holds no state");
+        held.view.into_state()
     }
 
     /// The held round state.
@@ -277,8 +283,7 @@ impl Stepper {
             self.shard_timing,
         );
         if cfg!(debug_assertions) {
-            // no second copy to compare against: recount instead
-            vs.view.assert_synced(inst, &vs.view.to_state(inst));
+            vs.view.assert_consistent(inst);
         }
         &self.moves
     }
@@ -288,30 +293,20 @@ impl Stepper {
 /// kernel while it held the slot.
 const POISONED: &str = "a decide worker panicked holding its shard slot";
 
-/// The full-round state: the struct-of-arrays [`RoundView`] plus one
-/// `(deltas, scratch)` slot per shard. During a pooled dispatch each shard
-/// locks only its own slot (uncontended by construction); between
-/// dispatches the coordinator folds the slots back into the view.
+/// The full-round state: the [`RoundView`] holding the round's [`State`]
+/// plus one `(deltas, scratch)` slot per shard. During a pooled dispatch
+/// each shard locks only its own slot (uncontended by construction);
+/// between dispatches the coordinator folds the slots back into the view.
 struct ViewShards {
     view: RoundView,
     slots: Vec<Mutex<(ShardDeltas, ShardScratch)>>,
 }
 
 impl ViewShards {
-    fn new<I: Demands>(inst: &I, state: &State, shards: usize) -> Self {
-        let m = inst.instance().num_resources();
-        Self {
-            view: RoundView::new(inst, state),
-            slots: (0..shards)
-                .map(|_| Mutex::new((ShardDeltas::new(m), ShardScratch::new())))
-                .collect(),
-        }
-    }
-
     /// One full round: decide all `n` users via the SoA two-pass kernel
     /// (with a pool, sharded on cache-line boundaries, waking only
     /// non-empty shards; without one, as one shard on the caller), then
-    /// merge the per-shard deltas so the view holds the post-round state.
+    /// merge the per-shard deltas so the held state is the post-round one.
     /// The move list in `buf` is byte-identical to the dense reference
     /// scan's.
     #[allow(clippy::too_many_arguments)]

@@ -9,8 +9,8 @@
 //! a path that never touches the view: the dense reference loop
 //! (`qlb_core::step::reference_run`) for closed runs, the sparse executor
 //! (active-set kernel on the dense `State`) for the open driver. Debug
-//! builds additionally run the stepper's internal `assert_synced` check
-//! every full round, so a drifting view fails loudly here.
+//! builds additionally run the stepper's `RoundView::assert_consistent`
+//! check every full round, so drifting loads or bitmaps fail loudly here.
 
 use qlb_core::step::reference_run;
 use qlb_core::weighted::WeightedInstance;
@@ -84,7 +84,7 @@ fn closed_registry_matches_dense_across_thread_counts() {
 #[test]
 fn multi_class_registry_matches_dense_across_thread_counts() {
     // two QoS classes over shared channels: the kernel's per-class bitmap
-    // indexing (class_ids array) is live on this shape
+    // indexing is live on this shape
     let inst = InstanceBuilder::new()
         .speeds(vec![12.0; 24])
         .latency_class(0.5, 400) // strict: cap 6 per channel
