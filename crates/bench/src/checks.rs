@@ -1278,8 +1278,8 @@ pub struct MemRow {
     pub n: usize,
     /// Worker threads (1 = sequential).
     pub threads: usize,
-    /// Live bytes the executor's state occupies (dense `State`, or SoA
-    /// view + shard slots + pool buffers).
+    /// Live bytes the executor holds: the round `State`, the bitmaps its
+    /// view adds, the shard slots and, pooled, the pool buffers.
     pub working_set_bytes: usize,
     /// Peak bytes allocated above the steady-state baseline across the
     /// measured region.
@@ -1311,57 +1311,40 @@ fn require_counting() {
     );
 }
 
-/// Memory row of the dense reference scan (`decide_round_into` over a
-/// `State`, the tests' oracle; the `Dense` executor runs the view kernel
-/// as one shard instead): working set = one dense `State` clone; measured
-/// region = 32 warm decision rounds over the pinned endgame state (buffer
-/// reuse keeps them alloc-free too).
+/// Memory row of the `Dense` executor: the view kernel run inline as one
+/// shard with one `(deltas, scratch)` slot and no pool, as the engine's
+/// stepper runs it; the row is otherwise measured as
+/// [`measure_mem_pooled`]'s.
 pub fn measure_mem_dense(n: usize) -> MemRow {
-    require_counting();
-    let (inst, seed_state) = crate::endgame_pair(n, BENCH_SEED, ACTIVE_FRAC);
-    let proto = SlackDamped::default();
-    let setup = qlb_obs::MemMark::here();
-    let state = seed_state.clone();
-    let working_set_bytes = setup.live_since();
-    let mut moves = Vec::new();
-    for _ in 0..4 {
-        decide_round_into(&inst, &state, &proto, BENCH_SEED, 9, &mut moves);
-    }
-    let mark = qlb_obs::MemMark::here();
-    for _ in 0..32 {
-        decide_round_into(&inst, &state, &proto, BENCH_SEED, 9, &mut moves);
-        black_box(moves.len());
-    }
-    MemRow {
-        executor: "dense-seq",
-        n,
-        threads: 1,
-        working_set_bytes,
-        round_peak_bytes: mark.peak_since(),
-        steady_allocs: mark.allocs_since(),
-    }
+    measure_mem_view(n, 1, "dense-seq")
 }
 
 /// Memory row of the view-only pooled SoA executor — the tentpole gate.
-/// Working set = what the `RoundView` adds to the `State` it takes over
-/// (the unsatisfied bitmaps) plus per-shard delta/scratch slots, pool
+/// Working set = the round `State` the `RoundView` takes over, the
+/// unsatisfied bitmaps it adds, per-shard delta/scratch slots, pool
 /// buffers, and the merged move buffer, all after warm-up; measured
 /// region = 32 full steady-state rounds (decide → merge loads → apply →
 /// repair), exactly the phases of every pooled full round the engine's
 /// stepper runs, which must allocate **nothing** and therefore peak at 0
 /// bytes.
 pub fn measure_mem_pooled(n: usize, threads: usize) -> MemRow {
+    measure_mem_view(n, threads, "pooled-soa")
+}
+
+/// The full rounds of the stepper over `threads` shards (inline as one
+/// shard when one shard covers the population or `threads` is 1).
+fn measure_mem_view(n: usize, threads: usize, executor: &'static str) -> MemRow {
     require_counting();
-    let (inst, state) = crate::endgame_pair(n, BENCH_SEED, ACTIVE_FRAC);
+    let (inst, seed_state) = crate::endgame_pair(n, BENCH_SEED, ACTIVE_FRAC);
     let proto = SlackDamped::default();
     let active = shards_for(n, threads);
     let chunk = shard_chunk(n, threads);
     let setup = qlb_obs::MemMark::here();
-    let mut view = RoundView::from_state(&inst, state);
+    let mut view = RoundView::from_state(&inst, seed_state.clone());
     let slots: Vec<Mutex<(ShardDeltas, ShardScratch)>> = (0..active)
         .map(|_| Mutex::new((ShardDeltas::new(inst.num_resources()), ShardScratch::new())))
         .collect();
-    let pool = WorkerPool::new(active);
+    let pool = (active > 1).then(|| WorkerPool::new(active));
     let mut out = Vec::new();
 
     let mut round = 0u64;
@@ -1372,22 +1355,26 @@ pub fn measure_mem_pooled(n: usize, threads: usize) -> MemRow {
             let slots_ref = &slots;
             let inst_ref = &inst;
             let proto_ref = &proto;
-            pool.decide_round_on(
-                |shard, buf| {
-                    let lo = (shard * chunk).min(n);
-                    let hi = ((shard + 1) * chunk).min(n);
-                    if lo < hi {
-                        let mut slot = slots_ref[shard].lock().unwrap();
-                        let (deltas, scratch) = &mut *slot;
-                        view_ref.decide_shard_into(
-                            inst_ref, proto_ref, BENCH_SEED, r, lo, hi, buf, scratch, deltas,
-                        );
-                    }
-                },
-                out,
-                false,
-                active,
-            );
+            let fill = |shard: usize, buf: &mut Vec<Move>| {
+                let lo = (shard * chunk).min(n);
+                let hi = ((shard + 1) * chunk).min(n);
+                if lo < hi {
+                    let mut slot = slots_ref[shard].lock().unwrap();
+                    let (deltas, scratch) = &mut *slot;
+                    view_ref.decide_shard_into(
+                        inst_ref, proto_ref, BENCH_SEED, r, lo, hi, buf, scratch, deltas,
+                    );
+                }
+            };
+            match &pool {
+                Some(pool) => {
+                    pool.decide_round_on(fill, out, false, active);
+                }
+                None => {
+                    out.clear();
+                    fill(0, out);
+                }
+            }
         }
         for slot in &slots {
             view.merge_loads(&slot.lock().unwrap().0);
@@ -1409,7 +1396,7 @@ pub fn measure_mem_pooled(n: usize, threads: usize) -> MemRow {
         black_box(out.len());
     }
     MemRow {
-        executor: "pooled-soa",
+        executor,
         n,
         threads,
         working_set_bytes,

@@ -20,13 +20,13 @@
 //!
 //! # Shards
 //!
-//! The index is split into disjoint user ranges, one [`IndexShard`] each,
-//! aligned to 512 users so that no two shards share a cache line of the
-//! bitset. A shard owns everything per-user: its own occupant
-//! list heads (`head[r]` for *its* users on `r`), its slice of `next` and
-//! `prev`, its bit words with their summary and count, and the movers it
-//! has yet to take in. Only the `m` loads in [`State`] are shared, so the
-//! recheck rule splits in two:
+//! The index is split into disjoint user ranges, one [`IndexShard`] each.
+//! Every bound is a multiple of 512 users (or `n`), so that no two shards
+//! share a cache line of the bitset. A shard owns everything per-user: its
+//! own occupant list heads (`head[r]` for *its* users on `r`), its slice of
+//! `next` and `prev`, its bit words with their summary and count, and the
+//! movers it has yet to take in. Only the `m` loads in [`State`] are shared,
+//! so the recheck rule splits in two:
 //!
 //! * the **coordinator half** ([`ActiveIndex::apply_staged`]) applies the
 //!   batch to `State` and turns the touched resources into the *crossing
@@ -35,11 +35,13 @@
 //!   movers, rechecks its own occupants of the crossing list, and rechecks
 //!   its own movers.
 //!
-//! [`ActiveIndex::apply_moves`] and [`ActiveIndex::apply_reassignments`]
-//! compose the halves with the shards synced in order on the caller's
-//! thread. The engine's pooled sparse rounds instead sync every shard on
-//! its own pool worker, in the same dispatch that decides the shard's users
-//! ([`ActiveIndex::step_shards`]). [`ActiveIndex::new`] builds one shard.
+//! [`ActiveIndex::apply_moves`] composes the halves with the shards synced
+//! in order on the caller's thread; [`ActiveIndex::apply_reassignments`]
+//! relocates each user as it re-homes it, then rechecks. The engine's
+//! sparse rounds instead sync every shard on its own pool worker, in the
+//! dispatch that decides the shard's users ([`ActiveIndex::step_shards`]).
+//! A build splits the users evenly ([`ActiveIndex::new`] builds one
+//! shard); [`ActiveIndex::resplit`] moves the bounds to the unsatisfied.
 //!
 //! [`ActiveIndex::active`] and [`ActiveIndex::sorted_active_into`] produce
 //! user order by an ordered bit scan of the shards in order, which is what
@@ -52,7 +54,7 @@ use crate::state::{Move, State};
 /// End of an occupant list.
 const NIL: u32 = u32::MAX;
 
-/// Every shard but the last spans a multiple of this many users: eight
+/// Every shard bound but `n` is a multiple of this many users: eight
 /// 64-bit words, one cache line of the bitset.
 const SHARD_ALIGN: usize = 512;
 
@@ -62,10 +64,9 @@ const SHARD_ALIGN: usize = 512;
 /// the user's resource's load alone.
 #[derive(Debug, Clone)]
 pub struct ActiveIndex {
-    /// The user ranges, in user order; trailing shards may be empty.
+    /// The user ranges, in user order: contiguous, covering `[0, n)`, each
+    /// bound a multiple of `SHARD_ALIGN` or `n`; any shard may be empty.
     shards: Vec<IndexShard>,
-    /// Users per shard, a multiple of `SHARD_ALIGN`.
-    span: usize,
     /// `is_touched[r]` iff `r` is in `touched`.
     is_touched: Vec<bool>,
     /// Resources touched by the current batch, with their load at first
@@ -106,21 +107,35 @@ impl ActiveIndex {
         R: FnOnce(&mut [IndexShard], &(dyn Fn(&mut IndexShard) + Sync)),
     {
         let n = state.num_users();
+        // the even split, rounded up to whole blocks
+        let span = n.div_ceil(shards.max(1)).next_multiple_of(SHARD_ALIGN);
+        let lows: Vec<usize> = (0..shards.max(1)).map(|s| (s * span).min(n)).collect();
+        Self::build_at(inst, state, &lows, run)
+    }
+
+    /// [`ActiveIndex::build_with`] with the shards starting at `lows`
+    /// (increasing from 0).
+    fn build_at<I, R>(inst: &I, state: &State, lows: &[usize], run: R) -> Self
+    where
+        I: Demands,
+        R: FnOnce(&mut [IndexShard], &(dyn Fn(&mut IndexShard) + Sync)),
+    {
         let m = inst.instance().num_resources();
-        let span = shard_span(n, shards);
-        let mut parts: Vec<IndexShard> = (0..shards.max(1))
-            .map(|s| IndexShard::unbuilt((s * span).min(n), ((s + 1) * span).min(n)))
+        let his = lows[1..].iter().copied().chain([state.num_users()]);
+        let mut shards: Vec<IndexShard> = lows
+            .iter()
+            .zip(his)
+            .map(|(&lo, hi)| IndexShard::unbuilt(lo, hi))
             .collect();
-        run(&mut parts, &|shard: &mut IndexShard| {
+        run(&mut shards, &|shard: &mut IndexShard| {
             shard.build(inst, state)
         });
         assert!(
-            parts.iter().all(|s| s.head.len() == m),
+            shards.iter().all(|s| s.head.len() == m),
             "index shard left unbuilt"
         );
         Self {
-            shards: parts,
-            span,
+            shards,
             is_touched: vec![false; m],
             touched: Vec::new(),
             crossed: Vec::new(),
@@ -128,21 +143,46 @@ impl ActiveIndex {
         }
     }
 
+    /// Move the shard bounds to the unsatisfied users: if the busiest shard
+    /// holds more than `factor` times the mean, and bounds at the quantiles
+    /// of the unsatisfied users, rounded to multiples of 512, would cut its
+    /// count by as much, rebuild every shard of `state` there through `run`
+    /// (as in [`ActiveIndex::build_with`]) and return true. The first test
+    /// costs `O(shards)`, the second `O(n / 4096 + active)` and keeps a
+    /// crowd that 512-user blocks cannot spread from rebuilding round after
+    /// round. The rebuild takes in any batch the shards have not synced.
+    pub fn resplit<I, R>(&mut self, inst: &I, state: &State, factor: f64, run: R) -> bool
+    where
+        I: Demands,
+        R: FnOnce(&mut [IndexShard], &(dyn Fn(&mut IndexShard) + Sync)),
+    {
+        let (parts, total) = (self.shards.len(), self.num_active());
+        let busiest = self.shards.iter().map(|s| s.count).max().unwrap_or(0) as f64;
+        if busiest <= factor * total as f64 / parts as f64 {
+            return false;
+        }
+        let mut lows = vec![0];
+        for (i, u) in self.active().enumerate() {
+            while lows.len() < parts && i == lows.len() * total / parts {
+                let low = (u.index() + SHARD_ALIGN / 2) / SHARD_ALIGN * SHARD_ALIGN;
+                lows.push(low.min(state.num_users()));
+            }
+        }
+        let mut counts = vec![0; parts];
+        for u in self.active() {
+            counts[lows.partition_point(|&lo| lo <= u.index()) - 1] += 1;
+        }
+        if counts.into_iter().max().unwrap_or(0) as f64 * factor > busiest {
+            return false;
+        }
+        *self = Self::build_at(inst, state, &lows, run);
+        true
+    }
+
     /// The shards, in user order.
     #[inline]
     pub fn shards(&self) -> &[IndexShard] {
         &self.shards
-    }
-
-    /// Number of shards.
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of shards that own at least one user (a prefix).
-    pub fn num_nonempty_shards(&self) -> usize {
-        self.shards.iter().filter(|s| s.lo < s.hi).count().max(1)
     }
 
     /// Number of unsatisfied users as of the last sync.
@@ -161,7 +201,7 @@ impl ActiveIndex {
     /// Is `u` currently unsatisfied?
     #[inline]
     pub fn contains(&self, u: UserId) -> bool {
-        self.shards[u.index() / self.span].contains(u)
+        self.shards[self.shard_of(u)].contains(u)
     }
 
     /// The unsatisfied users in increasing user order, in
@@ -220,7 +260,7 @@ impl ActiveIndex {
             self.touch(mv.to, state.load(mv.to));
         }
         state.apply_moves(inst, moves);
-        self.close_batch(inst.instance(), state, None);
+        self.close_batch(inst.instance(), state);
     }
 
     /// Apply a batch of **driver-side reassignments** (churn: arrivals,
@@ -229,20 +269,15 @@ impl ActiveIndex {
     /// Unlike [`ActiveIndex::apply_moves`], the changes need not reference
     /// start-of-round positions — each entry `(u, to)` re-homes `u` from
     /// wherever it currently is. Cost is `O(batch + Σ occupancy of touched
-    /// non-exempt resources whose load crossed a class threshold)`.
-    ///
-    /// `exempt` marks a resource whose occupants' satisfaction can never
-    /// change (an effectively infinite-capacity *parking* resource, as used
-    /// by the open-system driver): its occupant list — typically the bulk
-    /// of the user population — is never rechecked. The moved users
-    /// themselves are always rechecked individually, so a user parked by
-    /// this batch leaves the unsatisfied set correctly.
+    /// resources whose load crossed a class threshold)`. A parking resource
+    /// of capacity `u32::MAX`, as the open-system driver and the serving
+    /// core keep, satisfies every occupant at every load, so its occupant
+    /// list — typically the bulk of the pool — is never rechecked.
     pub fn apply_reassignments(
         &mut self,
         inst: &Instance,
         state: &mut State,
         changes: &[(UserId, ResourceId)],
-        exempt: Option<ResourceId>,
     ) {
         debug_assert!(!self.unsynced, "previous batch not synced");
         for &(user, to) in changes {
@@ -253,10 +288,21 @@ impl ActiveIndex {
             self.touch(from, state.load(from));
             self.touch(to, state.load(to));
             state.reassign(user, to);
-            self.shard_mut(user).movers.push(Move { user, from, to });
+            self.shard_mut(user).relocate(user, from, to);
         }
-        self.close_batch(inst, state, exempt);
-        self.sync(inst, state);
+        self.close_batch(inst, state);
+        // the shard half, the movers already relocated
+        for shard in &mut self.shards {
+            shard.recheck_crossed(inst, state, &self.crossed);
+        }
+        for &(user, _) in changes {
+            self.shard_mut(user).recheck(inst, state, user);
+        }
+        self.crossed.clear();
+        self.unsynced = false;
+        self.shards
+            .iter()
+            .for_each(|s| s.debug_assert_synced(inst, state));
     }
 
     /// Sync every shard with the applied batch, in order on the caller's
@@ -280,23 +326,31 @@ impl ActiveIndex {
         out
     }
 
+    /// The position of the shard owning `u`: a count, not a search, so the
+    /// lookup has no branch to mispredict when owners alternate.
+    #[inline]
+    fn shard_of(&self, u: UserId) -> usize {
+        self.shards.iter().filter(|s| s.hi <= u.index()).count()
+    }
+
     /// The shard owning `u`.
     #[inline]
     fn shard_mut(&mut self, u: UserId) -> &mut IndexShard {
-        &mut self.shards[u.index() / self.span]
+        let s = self.shard_of(u);
+        &mut self.shards[s]
     }
 
-    /// Turn the touched resources but `exempt` whose load crossed a class
-    /// threshold into the crossing list, and clear the touched set.
+    /// Turn the touched resources whose load crossed a class threshold
+    /// into the crossing list, and clear the touched set.
     // `#[inline]` here and on the helpers below: the generic
     // `apply_moves` calling them is instantiated in the caller's crate,
     // where a non-inline private helper stays an opaque call
     #[inline]
-    fn close_batch(&mut self, inst: &Instance, state: &State, exempt: Option<ResourceId>) {
+    fn close_batch(&mut self, inst: &Instance, state: &State) {
         debug_assert!(self.crossed.is_empty(), "crossing list left over");
         for &(r, old) in &self.touched {
             self.is_touched[r.index()] = false;
-            if Some(r) != exempt && crosses_threshold(inst, r, old, state.load(r)) {
+            if crosses_threshold(inst, r, old, state.load(r)) {
                 self.crossed.push(r);
             }
         }
@@ -324,16 +378,18 @@ impl ActiveIndex {
         assert!(!self.unsynced, "applied batch not synced");
         assert!(self.touched.is_empty(), "touched set left over");
         let n = state.num_users();
+        let mut lo = 0;
         for (s, shard) in self.shards.iter().enumerate() {
-            let want = (s * self.span).min(n)..((s + 1) * self.span).min(n);
-            assert_eq!(shard.range(), want, "shard {s} owns the wrong users");
+            let aligned = shard.hi.is_multiple_of(SHARD_ALIGN) || shard.hi == n;
+            assert!(
+                shard.lo == lo && lo <= shard.hi && aligned,
+                "shard {s} owns {:?}: not {SHARD_ALIGN}-aligned from {lo}",
+                shard.range()
+            );
             shard.assert_consistent(inst, state);
+            lo = shard.hi;
         }
-        assert_eq!(
-            self.shards.last().map(|s| s.hi),
-            Some(n),
-            "shards miss users"
-        );
+        assert_eq!(lo, n, "shards miss users");
         for r in inst.instance().resource_ids() {
             let weight: u32 = self.occupants(r).map(|u| inst.weight(u)).sum();
             assert_eq!(
@@ -343,14 +399,6 @@ impl ActiveIndex {
             );
         }
     }
-}
-
-/// Users per shard when `n` users split into `shards` ranges: the even
-/// split rounded up to `SHARD_ALIGN`.
-fn shard_span(n: usize, shards: usize) -> usize {
-    n.div_ceil(shards.max(1))
-        .next_multiple_of(SHARD_ALIGN)
-        .max(SHARD_ALIGN)
 }
 
 /// One user range `[lo, hi)` of an [`ActiveIndex`], with everything the
@@ -456,7 +504,7 @@ impl IndexShard {
     pub fn active(&self) -> impl Iterator<Item = UserId> + '_ {
         let lo = self.lo;
         ones(&self.summary)
-            .flat_map(|w| Ones::at(self.bits[w], w))
+            .flat_map(|w| bits_of(self.bits[w], w))
             .map(move |i| UserId((lo + i) as u32))
     }
 
@@ -523,7 +571,18 @@ impl IndexShard {
         for mv in &movers {
             self.relocate(mv.user, mv.from, mv.to);
         }
-        let base = inst.instance();
+        self.recheck_crossed(inst.instance(), state, crossed);
+        for mv in &movers {
+            self.recheck(inst, state, mv.user);
+        }
+        self.movers = movers;
+        self.movers.clear();
+        self.debug_assert_synced(inst, state);
+    }
+
+    /// Recheck the shard's occupants of every `crossed` resource.
+    #[inline]
+    fn recheck_crossed(&mut self, base: &Instance, state: &State, crossed: &[ResourceId]) {
         for &r in crossed {
             let load = state.load(r);
             let mut u = self.head[r.index()];
@@ -534,15 +593,12 @@ impl IndexShard {
                 u = self.next[i];
             }
         }
-        for mv in &movers {
-            self.set_active(
-                mv.user.index() - self.lo,
-                !state.is_satisfied(inst, mv.user),
-            );
-        }
-        self.movers = movers;
-        self.movers.clear();
-        self.debug_assert_synced(inst, state);
+    }
+
+    /// Recheck the shard's user `u` on its own.
+    #[inline]
+    fn recheck<I: Demands>(&mut self, inst: &I, state: &State, u: UserId) {
+        self.set_active(u.index() - self.lo, !state.is_satisfied(inst, u));
     }
 
     /// Move `u` from `from`'s occupant list to the front of `to`'s.
@@ -677,39 +733,19 @@ fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words
         .iter()
         .enumerate()
-        .flat_map(|(w, &word)| Ones::at(word, w))
+        .flat_map(|(w, &word)| bits_of(word, w))
 }
 
-/// The set bits of one word, as indices `64 · w + bit`.
-struct Ones {
-    word: u64,
-    base: usize,
-}
-
-impl Ones {
-    #[inline]
-    fn at(word: u64, w: usize) -> Self {
-        Self { word, base: w * 64 }
-    }
-}
-
-impl Iterator for Ones {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        (self.word != 0).then(|| {
-            let bit = self.word.trailing_zeros() as usize;
-            self.word &= self.word - 1;
-            self.base + bit
+/// The set bits of `word`, word `w` of a bitset, as indices `64 · w + bit`.
+#[inline]
+fn bits_of(mut word: u64, w: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            64 * w + bit
         })
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let k = self.word.count_ones() as usize;
-        (k, Some(k))
-    }
+    })
 }
 
 #[cfg(test)]
@@ -912,7 +948,7 @@ mod tests {
         // the same shape through reassignments, with r0 visiting load 3
         // (within cap) mid-batch before returning to 4
         let batch = [(UserId(1), r(2)), (UserId(0), r(0))];
-        idx.apply_reassignments(&inst, &mut state, &batch, None);
+        idx.apply_reassignments(&inst, &mut state, &batch);
         assert_eq!(state.load(r(0)), 4);
         assert!(idx.contains(UserId(0)), "arrival on an overloaded resource");
         assert!(
@@ -934,7 +970,7 @@ mod tests {
         // arrivals: 5 users onto r0 (cap 3) → all 5 unsatisfied
         let arrivals: Vec<(UserId, ResourceId)> =
             (0..5).map(|u| (UserId(u), ResourceId(0))).collect();
-        idx.apply_reassignments(&inst, &mut state, &arrivals, Some(parking));
+        idx.apply_reassignments(&inst, &mut state, &arrivals);
         idx.assert_consistent(&inst, &state);
         assert_eq!(idx.num_active(), 5);
 
@@ -944,20 +980,74 @@ mod tests {
             (UserId(1), parking),
             (UserId(2), ResourceId(1)),
         ];
-        idx.apply_reassignments(&inst, &mut state, &batch, Some(parking));
+        idx.apply_reassignments(&inst, &mut state, &batch);
         idx.assert_consistent(&inst, &state);
         // r0 now holds users 3, 4 at load 2 ≤ 3; r1 holds user 2 at 1 ≤ 3
         assert!(idx.is_empty());
 
         // no-op entries (already there) change nothing
-        idx.apply_reassignments(
-            &inst,
-            &mut state,
-            &[(UserId(3), ResourceId(0))],
-            Some(parking),
-        );
+        idx.apply_reassignments(&inst, &mut state, &[(UserId(3), ResourceId(0))]);
         idx.assert_consistent(&inst, &state);
         assert!(idx.is_empty());
+    }
+
+    #[test]
+    fn infinite_capacity_resource_never_crosses() {
+        // r2 has capacity u32::MAX, as a parking resource: every load
+        // satisfies its occupants, so no batch puts it on the crossing list
+        let inst = Instance::with_capacities(8, vec![3, 3, u32::MAX]).unwrap();
+        let r = |i| ResourceId(i);
+        let mut state = State::new(&inst, [0, 0, 0, 0, 2, 2, 2, 2].map(r).to_vec()).unwrap();
+        let mut idx = ActiveIndex::new(&inst, &state);
+        assert_eq!(idx.num_active(), 4);
+        // three users park and one leaves parking: r2 goes 4 → 6, r0 4 → 1
+        let moves = [mv(0, 0, 2), mv(1, 0, 2), mv(2, 0, 2), mv(4, 2, 1)];
+        idx.shards[0].stage(&moves);
+        idx.apply_staged(&inst, &mut state, &moves);
+        assert_eq!(idx.crossed, [r(0)], "only r0 crossed its capacity");
+        idx.sync(&inst, &state);
+        idx.assert_consistent(&inst, &state);
+        assert!(idx.is_empty());
+    }
+
+    #[test]
+    fn resplit_follows_crowded_users() {
+        // 3000 users over 3 shards of 1024; r1 has cap 0, so whoever moves
+        // there is unsatisfied
+        let inst = Instance::with_capacities(3000, vec![3000, 0]).unwrap();
+        let mut state = State::all_on(&inst, ResourceId(0));
+        let mut idx = ActiveIndex::with_shards(&inst, &state, 3);
+        let serial = |shards: &mut [IndexShard], build: &(dyn Fn(&mut IndexShard) + Sync)| {
+            shards.iter_mut().for_each(build)
+        };
+        // the top 1200 users crowd into the top two shards
+        let moves: Vec<Move> = (1800..3000).map(|u| mv(u, 0, 1)).collect();
+        idx.apply_moves(&inst, &mut state, &moves);
+        let counts = |idx: &ActiveIndex| {
+            idx.shards()
+                .iter()
+                .map(|s| s.num_active())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(&idx), [0, 248, 952]);
+        let before: Vec<UserId> = idx.active().collect();
+        assert!(idx.resplit(&inst, &state, 1.5, serial));
+        let ranges: Vec<_> = idx.shards().iter().map(IndexShard::range).collect();
+        assert_eq!(ranges, [0..2048, 2048..2560, 2560..3000]);
+        assert_eq!(counts(&idx), [248, 512, 440]);
+        idx.assert_consistent(&inst, &state);
+        assert!(idx.active().eq(before));
+        // balanced as far as the blocks allow: no second rebuild
+        assert!(!idx.resplit(&inst, &state, 1.5, serial));
+        // a crowd inside one 512-user block cannot be spread
+        let back: Vec<Move> = (1800..2900).map(|u| mv(u, 1, 0)).collect();
+        idx.apply_moves(&inst, &mut state, &back);
+        assert_eq!(idx.num_active(), 100);
+        assert!(!idx.resplit(&inst, &state, 1.5, serial));
+        // a factor of 0 forces the rebuild; it still answers the same
+        assert!(idx.resplit(&inst, &state, 0.0, serial));
+        idx.assert_consistent(&inst, &state);
+        assert!(idx.active().map(|u| u.0).eq(2900..3000));
     }
 
     #[test]
@@ -969,7 +1059,6 @@ mod tests {
         let mut three = ActiveIndex::with_shards(&inst, &state, 3);
         let ranges: Vec<_> = three.shards().iter().map(IndexShard::range).collect();
         assert_eq!(ranges, [0..512, 512..1024, 1024..1300]);
-        assert_eq!(three.num_nonempty_shards(), 3);
         // occupant lists chain shard by shard, so a fresh build lists
         // users in user order
         assert!(three
@@ -993,8 +1082,8 @@ mod tests {
         assert!(three.is_empty() && one.is_empty());
         // more shards than 512-user ranges leaves trailing shards empty
         let wide = ActiveIndex::with_shards(&inst, &state, 8);
-        assert_eq!(wide.num_shards(), 8);
-        assert_eq!(wide.num_nonempty_shards(), 3);
+        let owners = wide.shards().iter().filter(|s| !s.range().is_empty());
+        assert_eq!((wide.shards().len(), owners.count()), (8, 3));
         wide.assert_consistent(&inst, &state);
     }
 

@@ -201,7 +201,8 @@ pub fn reference_run<I: Demands, P: Protocol + ?Sized>(
 }
 
 /// Decide a full round by visiting **only the unsatisfied users**, in user
-/// order, appending migrations to `out` — the sparse-executor primitive.
+/// order, appending migrations to `out` — the sequential form of the
+/// sparse executors' step, which tests and benches compare it against.
 ///
 /// Produces output identical to [`decide_round_into`] whenever the protocol
 /// never acts while satisfied ([`Protocol::acts_when_satisfied`] is
@@ -302,7 +303,8 @@ fn decide_block<I: Demands, P: Protocol + ?Sized>(
 }
 
 /// Decide an explicit, already-ordered user list, such as one slice of the
-/// sorted active set.
+/// sorted active set. No executor runs it; it is a reference for tests and
+/// benches.
 ///
 /// `users` is one contiguous slice of the sorted active set (see
 /// [`ActiveIndex::sorted_active_into`]); concatenating the outputs of the

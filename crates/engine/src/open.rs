@@ -14,12 +14,14 @@
 //! The driver supports the full [`Executor`] family. The sparse executors
 //! are the natural fit here: the steady-state active population is usually
 //! a small fraction of the user pool, so `O(pool)` dense rounds are almost
-//! entirely wasted scans of parked (always-satisfied) users. Arrivals,
-//! departures, **and** protocol migrations are all fed to the
-//! [`ActiveIndex`] as reassignment deltas with the parking resource
-//! exempted from occupant rechecks (its infinite capacity means its
-//! occupants' satisfaction never changes), keeping every round
-//! `O(churn + active)` instead of `O(pool)`.
+//! entirely wasted scans of parked (always-satisfied) users. Arrivals and
+//! departures are fed to the [`ActiveIndex`] as reassignment deltas, and
+//! each round is the stepper's active-set step, as in the closed loop. The
+//! parking resource's infinite capacity keeps its occupants satisfied at
+//! any load, so its occupant list is never rechecked and the index work of
+//! a round is `O(churn + active)` instead of `O(pool)`. Arrivals take the
+//! top of the user range, so the step moves the index's shard bounds to
+//! them.
 
 use crate::run::Executor;
 use crate::stepper::Stepper;
@@ -181,7 +183,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
     // stepper, whose full rounds apply to it.
     let mut sparse: Option<(ActiveIndex, State)> = None;
     if use_sparse {
-        sparse = Some((ActiveIndex::new(&inst, &state), state));
+        sparse = Some((stepper.build_index(&inst, &state), state));
     } else {
         stepper.hold(&inst, state);
     }
@@ -194,6 +196,19 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
     let mut driver_rng = SplitMix64::new(qlb_rng::mix64_pair(cfg.seed, OPEN_SALT));
     let mut arrival_credit = 0.0f64;
     let mut changes: Vec<(UserId, ResourceId)> = Vec::new();
+    // arrivals and departures re-home users through the index, or on the
+    // state the stepper holds
+    let rehome =
+        |sparse: &mut Option<(ActiveIndex, State)>, stepper: &mut Stepper, changes: &[_]| {
+            match sparse {
+                Some((index, state)) => index.apply_reassignments(&inst, state, changes),
+                None => {
+                    for &(u, r) in changes {
+                        stepper.view_mut().reassign(&inst, u, r);
+                    }
+                }
+            }
+        };
     let mut series = Vec::with_capacity(cfg.rounds as usize);
 
     for round in 0..cfg.rounds {
@@ -205,16 +220,10 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
             arrival_credit -= 1.0;
             let Some(u) = parked.pop() else { break };
             active[u.index()] = true;
-            let r = ResourceId(driver_rng.uniform_usize(m) as u32);
-            match sparse {
-                Some(_) => changes.push((u, r)),
-                None => stepper.view_mut().reassign(&inst, u, r),
-            }
+            changes.push((u, ResourceId(driver_rng.uniform_usize(m) as u32)));
             arrived += 1;
         }
-        if let Some((index, state)) = sparse.as_mut() {
-            index.apply_reassignments(&inst, state, &changes, Some(parking));
-        }
+        rehome(&mut sparse, &mut stepper, &changes);
         active_count += arrived;
         // Departures. The flag scan visits every pool slot, but the
         // bernoulli draw is consumed only for active users, so the driver
@@ -225,17 +234,12 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
             if *is_active && driver_rng.bernoulli(cfg.departure_prob) {
                 let u = UserId(idx as u32);
                 *is_active = false;
-                match sparse {
-                    Some(_) => changes.push((u, parking)),
-                    None => stepper.view_mut().reassign(&inst, u, parking),
-                }
+                changes.push((u, parking));
                 parked.push(u);
                 departed += 1;
             }
         }
-        if let Some((index, state)) = sparse.as_mut() {
-            index.apply_reassignments(&inst, state, &changes, Some(parking));
-        }
+        rehome(&mut sparse, &mut stepper, &changes);
         active_count -= departed;
         if S::ENABLED {
             if arrived > 0 {
@@ -265,17 +269,14 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
         // One protocol round (parked users are satisfied and never act).
         let moves = match sparse.as_mut() {
             Some((index, state)) => {
-                let moves = stepper.decide_active(&inst, state, index, proto, round, sink);
+                let moves = stepper.step_sparse(&inst, state, index, proto, round, true, sink);
                 if S::ENABLED {
                     sink.add(Counter::SparseRounds, 1);
                 }
-                // Protocol migrations are reassignment deltas too; the
-                // parking exemption keeps a stray move *into* parking from
-                // triggering an O(parked) occupant recheck.
-                changes.clear();
-                changes.extend(moves.iter().map(|mv| (mv.user, mv.to)));
+                // the next arrivals need a synced index: sync on the spot
                 timed(sink, Phase::Apply, || {
-                    index.apply_reassignments(&inst, state, &changes, Some(parking))
+                    index.apply_staged(&inst, state, moves);
+                    index.sync(&inst, state);
                 });
                 moves
             }
@@ -445,22 +446,35 @@ mod tests {
     #[test]
     fn every_executor_produces_identical_series() {
         // churn-heavy: high arrival rate against a modest system, so rounds
-        // mix large arrival batches, departures, and protocol migrations
-        let base = cfg(150, 6.0, 0.08);
-        let caps = [8u32; 24];
-        let dense = run_open_system(&caps, 400, &SlackDamped::default(), base);
-        for exec in [
-            Executor::Sparse,
-            Executor::Threaded(4),
-            Executor::SparseThreaded(3),
+        // mix large arrival batches, departures, and protocol migrations.
+        // The second case's 400 arrivals a round against 2 048 slots leave
+        // over 1 024 users unsatisfied within a few rounds, all at the top
+        // of the 8 192-user pool where arrivals land, so the pooled rounds
+        // run and the index bounds follow the arrivals.
+        use qlb_obs::Recorder;
+        for (caps, pool, base) in [
+            (vec![8u32; 24], 400, cfg(150, 6.0, 0.08)),
+            (vec![8u32; 256], 8192, cfg(30, 400.0, 0.02)),
         ] {
-            let other = run_open_system(
-                &caps,
-                400,
-                &SlackDamped::default(),
-                base.with_executor(exec),
-            );
-            assert_eq!(dense.series, other.series, "{exec:?}");
+            let dense = run_open_system(&caps, pool, &SlackDamped::default(), base);
+            let crowded = dense.series.iter().any(|s| s.unsatisfied >= 1024);
+            assert_eq!(crowded, pool == 8192);
+            for exec in [
+                Executor::Sparse,
+                Executor::Threaded(4),
+                Executor::SparseThreaded(2),
+                Executor::SparseThreaded(3),
+            ] {
+                let mut rec = Recorder::default();
+                let cfg = base.with_executor(exec);
+                let other =
+                    run_open_system_observed(&caps, pool, &SlackDamped::default(), cfg, &mut rec);
+                assert_eq!(dense.series, other.series, "{exec:?}");
+                if crowded && exec != Executor::Sparse {
+                    let pooled = rec.timers().histogram(Phase::Compute).count();
+                    assert!(pooled > 0, "{exec:?}: no pooled round");
+                }
+            }
         }
     }
 

@@ -129,7 +129,9 @@ impl RunConfig {
 /// start-of-round loads, satisfied users consume no randomness, and the
 /// active set is walked in user order.
 ///
-/// The index has one shard — a user range — per pool shard. An active-set
+/// The index has one shard — a user range — per pool shard, and a pooled
+/// step first moves the range bounds to the unsatisfied users when they
+/// crowd into a few shards ([`Stepper::step_sparse`]). An active-set
 /// round is one step in which every shard first syncs with the previous
 /// round's batch (relocating its movers, rechecking its occupants of the
 /// resources whose load crossed a threshold, rechecking its movers) and

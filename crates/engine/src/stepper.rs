@@ -5,24 +5,25 @@
 //! start-of-round loads. [`Stepper`] runs that step for the closed loop,
 //! the open-system driver and the serving core's tick. It owns everything
 //! the kernel choice needs — the optional [`WorkerPool`] and the reusable
-//! move and sorted-active buffers — and, while full rounds run, the round
-//! state itself: the driver's [`State`], moved into a [`RoundView`] that
-//! adds only the unsatisfied-resource bitmaps. A driver only says *which*
-//! users decide (the active set, or everyone); full rounds are applied by
-//! the stepper to the one copy it holds, active-set rounds by the driver
-//! to its own state.
+//! move buffer — and, while full rounds run, the round state itself: the
+//! driver's [`State`], moved into a [`RoundView`] that adds only the
+//! unsatisfied-resource bitmaps. A driver only says *which* users decide
+//! (the active set, or everyone); full rounds are applied by the stepper
+//! to the one copy it holds, active-set rounds by the driver to its own
+//! state.
 //!
-//! Full rounds run one kernel, [`RoundView::decide_shard_into`]: over the
-//! pool's shards, or inline as one shard without a pool. The dense scan
-//! [`decide_round_into`](qlb_core::step::decide_round_into) is not run
-//! here; it is the reference the tests compare the kernel against.
+//! Full rounds run one kernel, [`RoundView::decide_shard_into`], and
+//! active-set rounds another, [`decide_shard_into`] over the shards of an
+//! [`ActiveIndex`] built by [`Stepper::build_index`]: over the pool's
+//! shards, or inline without a pool. The dense scan and the sorted-set
+//! kernels of [`qlb_core::step`] are not run here; they are the references
+//! the tests compare the kernels against.
 
 use crate::pool::{pool_for, shard_chunk, shards_for, WorkerPool};
 use crate::run::Executor;
-use qlb_core::step::{decide_active_into, decide_shard_into, decide_users_into};
+use qlb_core::step::decide_shard_into;
 use qlb_core::{
     ActiveIndex, Demands, IndexShard, Move, Protocol, RoundView, ShardDeltas, ShardScratch, State,
-    UserId,
 };
 use qlb_obs::{timed, Phase, Sink};
 use std::sync::Mutex;
@@ -31,26 +32,38 @@ use std::time::Instant;
 /// Below this many active users (as of the last sync) an active-set round
 /// runs on the coordinator instead of dispatching to the pool. With the
 /// vectorised base fold a sequential sparse decision costs 14–15 ns
-/// (`decide_active_into` on `sim-crowded` seed-1 states after rounds 2, 5,
-/// 10 and 20, on a shared 2-vCPU Sapphire Rapids host with AVX-512; 19–20
-/// ns before, with the scalar fold), so 1024 of them cost about 15 µs,
-/// less than one condvar wake and join (a pooled round's `ForkJoin`
-/// averages about 55 µs there). A threshold of 4096 or 16384 made no difference that
-/// stood out of that host's noise, so it stays at 1024. Purely a cost
-/// decision — the shard outputs concatenate in user order either way, so
-/// the trajectory is unaffected.
+/// (`decide_active_into`, which runs [`decide_shard_into`] over the shards
+/// in order as an inline step does, on `sim-crowded` seed-1 states after
+/// rounds 2, 5, 10 and 20, on a shared 2-vCPU Sapphire Rapids host with
+/// AVX-512; 19–20 ns before, with the scalar fold), so 1024 of them cost
+/// about 15 µs, less than one condvar wake and join (a pooled round's
+/// `ForkJoin` averages about 55 µs there). A threshold of 4096 or 16384
+/// made no difference that stood out of that host's noise, so it stays at
+/// 1024. Purely a cost decision — the shard outputs concatenate in user
+/// order either way, so the trajectory is unaffected.
 const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
+
+/// A pooled active-set step (at least `SPARSE_POOL_MIN_ACTIVE` users)
+/// first moves the shard bounds to the unsatisfied users
+/// ([`ActiveIndex::resplit`]) when the busiest shard holds more than this
+/// multiple of the mean, and the new bounds would cut it by as much. On a
+/// 2-shard open run (8192 cap-10 resources, 327 680 users, ρ = 0.95 at
+/// departure probability 0.05, 200 rounds) 1.5 re-splits once, at round
+/// 19 with 1041 users unsatisfied, and the shards stay within it after;
+/// 1.25 re-splits again at round 32. A rebuild costs 2.8–3.7 ms there,
+/// about two rounds of that run, on a shared 2-vCPU host. Purely a cost
+/// decision, from counts alone: bounds decide which worker scans a user,
+/// never what it decides.
+const RESPLIT_IMBALANCE: f64 = 1.5;
 
 /// Decides one synchronous round for any driver.
 ///
-/// * [`Stepper::decide_active`] decides the unsatisfied users of a synced
-///   [`ActiveIndex`]: the sorted set split evenly by count across the pool
-///   when there is one and the set holds at least 1024 users, sequentially
-///   otherwise. The open driver and the serving core use it.
-/// * `Stepper::step_sparse` is the closed loop's active-set step: every
-///   shard of an index built by `Stepper::build_index` syncs with the
-///   previous batch and then decides its own users, one shard per pool
-///   worker (see [`run`](crate::run::run)).
+/// * `Stepper::step_sparse` is the active-set step: every shard of an
+///   index built by `Stepper::build_index` syncs with the previous batch
+///   and then decides its own users, one shard per pool worker. The closed
+///   loop defers each batch's sync to the next step (see
+///   [`run`](crate::run::run)); the open driver and the serving core sync
+///   eagerly, since their churn between rounds needs a synced index.
 /// * `Stepper::full_round` decides **and applies** a round of all `n`
 ///   users on the state handed over by `Stepper::hold`, which the stepper
 ///   keeps inside a [`RoundView`]: the SoA kernel decides, sharded across
@@ -68,7 +81,6 @@ pub struct Stepper {
     /// The round state of full rounds, between `Stepper::hold` and
     /// `Stepper::release`.
     held: Option<ViewShards>,
-    sorted: Vec<UserId>,
     moves: Vec<Move>,
 }
 
@@ -86,7 +98,6 @@ impl Stepper {
             shard_timing,
             pool: pool_for(executor, n),
             held: None,
-            sorted: Vec::new(),
             moves: Vec::new(),
         }
     }
@@ -137,9 +148,10 @@ impl Stepper {
         &mut self.held.as_mut().expect("the stepper holds no state").view
     }
 
-    /// Build the closed loop's [`ActiveIndex`] of `state` with one shard
-    /// per pool shard, each shard built on its own worker.
-    pub(crate) fn build_index<I: Demands>(&self, inst: &I, state: &State) -> ActiveIndex {
+    /// Build an [`ActiveIndex`] of `state` for `Stepper::step_sparse`: one
+    /// shard per pool shard, each built on its own worker, or one shard
+    /// without a pool.
+    pub fn build_index<I: Demands>(&self, inst: &I, state: &State) -> ActiveIndex {
         let shards = self.pool.as_ref().map_or(1, WorkerPool::threads);
         ActiveIndex::build_with(inst, state, shards, |shards, build| {
             match self.pool.as_ref() {
@@ -149,64 +161,22 @@ impl Stepper {
         })
     }
 
-    /// Decide round `round` for the users `index` holds unsatisfied, each
-    /// against `state`'s loads. `index` must be synced with `state`.
-    ///
-    /// The pooled split is by count, not by index shard: the open driver
-    /// and the serving core take arrivals from the high end of the user
-    /// range, so their unsatisfied users crowd into the last user ranges.
-    pub fn decide_active<I: Demands, P: Protocol + ?Sized, S: Sink>(
-        &mut self,
-        inst: &I,
-        state: &State,
-        index: &ActiveIndex,
-        proto: &P,
-        round: u64,
-        sink: &mut S,
-    ) -> &[Move] {
-        debug_assert!(self.held.is_none(), "the driver holds the state");
-        let seed = self.seed;
-        match self.pool.as_ref() {
-            Some(pool) if index.num_active() >= SPARSE_POOL_MIN_ACTIVE => {
-                index.sorted_active_into(&mut self.sorted);
-                let (users, len) = (&self.sorted, self.sorted.len());
-                let chunk = shard_chunk(len, pool.threads());
-                // wake only the shards the batch fills
-                pool.decide_round_observed_on(
-                    |shard, out| {
-                        let lo = (shard * chunk).min(len);
-                        let hi = ((shard + 1) * chunk).min(len);
-                        if lo < hi {
-                            decide_users_into(inst, state, &users[lo..hi], proto, seed, round, out);
-                        }
-                    },
-                    &mut self.moves,
-                    sink,
-                    self.shard_timing,
-                    shards_for(len, pool.threads()),
-                );
-            }
-            _ => {
-                let moves = &mut self.moves;
-                timed(sink, Phase::Decide, || {
-                    decide_active_into(inst, state, index, proto, seed, round, moves)
-                });
-            }
-        }
-        &self.moves
-    }
-
-    /// The closed loop's active-set step: every shard of `index` (built by
+    /// The active-set step: every shard of `index` (built by
     /// [`Stepper::build_index`]) syncs with the batch last passed to
     /// [`ActiveIndex::apply_staged`], then — with `decide` — decides round
     /// `round` for its users and stages the moves for its next sync. One
-    /// pool dispatch, or inline below `SPARSE_POOL_MIN_ACTIVE`.
+    /// pool dispatch, or inline below `SPARSE_POOL_MIN_ACTIVE` users. The
+    /// caller applies the moves with [`ActiveIndex::apply_staged`]; an index
+    /// synced before the step makes the step's sync a no-op.
     ///
-    /// The step records a round's phases only when it decided one: a step
-    /// without `decide`, or one whose sync left no user unsatisfied, is
-    /// index maintenance and records its wall time as [`Phase::Apply`].
+    /// A pooled step first moves the shard bounds to the unsatisfied users
+    /// when they crowd into a few shards (see `RESPLIT_IMBALANCE`),
+    /// recording the rebuild as [`Phase::Apply`]. The step records a
+    /// round's phases only when it decided one: a step without `decide`, or
+    /// one whose sync left no user unsatisfied, is index maintenance and
+    /// records its wall time as [`Phase::Apply`].
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step_sparse<I: Demands, P: Protocol + ?Sized, S: Sink>(
+    pub fn step_sparse<I: Demands, P: Protocol + ?Sized, S: Sink>(
         &mut self,
         inst: &I,
         state: &State,
@@ -218,15 +188,21 @@ impl Stepper {
     ) -> &[Move] {
         debug_assert!(self.held.is_none(), "the driver holds the state");
         let (seed, shard_timing) = (self.seed, self.shard_timing);
-        let nonempty = index.num_nonempty_shards();
-        let pool = self.pool.as_ref().filter(|pool| {
-            (2..=pool.threads()).contains(&nonempty) && index.num_active() >= SPARSE_POOL_MIN_ACTIVE
-        });
+        let crowded = index.num_active() >= SPARSE_POOL_MIN_ACTIVE;
+        let pool = self.pool.as_ref().filter(|_| crowded);
+        if let Some(pool) = pool {
+            let t0 = S::ENABLED.then(Instant::now);
+            let moved = index.resplit(inst, state, RESPLIT_IMBALANCE, |shards, build| {
+                pool.run_each(shards, build)
+            });
+            if let (true, Some(t0)) = (moved, t0) {
+                sink.time(Phase::Apply, t0.elapsed().as_nanos() as u64);
+            }
+        }
 
         let moves = &mut self.moves;
         moves.clear();
         index.step_shards(|crossed, shards| {
-            let shards = &mut shards[..nonempty];
             let fill = |shard: &mut IndexShard, out: &mut Vec<Move>| {
                 shard.sync(inst, state, crossed);
                 if decide {

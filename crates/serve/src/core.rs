@@ -442,7 +442,6 @@ impl ServeCore {
             free[inst.class_of(u).index()].push(u);
         }
         // LIFO from the high end: pop order is descending user id.
-        let index = ActiveIndex::new(&inst, &state);
         let admit_cap = (0..kk)
             .map(|k| {
                 inst.cap_row(ClassId(k as u32))[..real_m]
@@ -455,6 +454,7 @@ impl ServeCore {
         // one thread gets no pool: the stepper then decides sequentially
         let executor = Executor::SparseThreaded(cfg.threads.max(1));
         let stepper = Stepper::new(executor, pool, cfg.seed, true);
+        let index = stepper.build_index(&inst, &state);
         let state_base = state.assignment().iter().map(|r| r.0).collect();
         Self {
             inst,
@@ -580,9 +580,8 @@ impl ServeCore {
             self.group_next[slot.index()] = NO_NEXT;
             self.changes.push((slot, target));
         }
-        let exempt = Some(self.parking);
         self.index
-            .apply_reassignments(&self.inst, &mut self.state, &self.changes, exempt);
+            .apply_reassignments(&self.inst, &mut self.state, &self.changes);
         self.active_slots += weight as u64;
         self.class_active[k] += weight as u64;
         self.placements += 1;
@@ -662,9 +661,8 @@ impl ServeCore {
             released += 1;
         }
         self.is_leader[user.index()] = false;
-        let exempt = Some(self.parking);
         self.index
-            .apply_reassignments(&self.inst, &mut self.state, &self.changes, exempt);
+            .apply_reassignments(&self.inst, &mut self.state, &self.changes);
         let k = self.inst.class_of(user).index();
         self.active_slots -= released as u64;
         self.class_active[k] -= released as u64;
@@ -695,7 +693,7 @@ impl ServeCore {
         // Zero the capacity and rebuild the unsatisfied index against the
         // drained instance — O(pool + m), once per drain request.
         self.inst = self.inst.with_resource_drained(r);
-        self.index = ActiveIndex::new(&self.inst, &self.state);
+        self.index = self.stepper.build_index(&self.inst, &self.state);
         let occupants = self.state.load(r);
         self.drained_done[r.index()] = occupants == 0;
         self.drains += 1;
@@ -806,26 +804,23 @@ impl ServeCore {
                 active: self.index.num_active() as u64,
             });
         }
-        let (inst, state, index) = (&self.inst, &self.state, &self.index);
+        let (inst, state, index) = (&self.inst, &mut self.state, &mut self.index);
         let moves = self
             .stepper
-            .decide_active(inst, state, index, &self.proto, round, sink);
+            .step_sparse(inst, state, index, &self.proto, round, true, sink);
         let migrations = moves.len() as u64;
         self.migrations_total += migrations;
-        // Capture sources before the apply rewrites the assignment.
         if let Some(out) = moves_out {
             out.extend(moves.iter().map(|mv| MoveRecord {
                 user: mv.user,
-                from: self.state.resource_of(mv.user),
+                from: mv.from,
                 to: mv.to,
             }));
         }
-        self.changes.clear();
-        self.changes.extend(moves.iter().map(|mv| (mv.user, mv.to)));
-        let (state, index) = (&mut self.state, &mut self.index);
-        let (changes, parking) = (&self.changes, self.parking);
+        // the next place or depart needs a synced index: sync on the spot
         timed(sink, Phase::Apply, || {
-            index.apply_reassignments(inst, state, changes, Some(parking))
+            index.apply_staged(inst, state, moves);
+            index.sync(inst, state);
         });
         if S::ENABLED {
             sink.add(Counter::Rounds, 1);
@@ -1300,19 +1295,27 @@ mod tests {
     fn pooled_ticks_match_sequential_ticks() {
         // A hotspot start leaves ~6 000 users unsatisfied, so the first
         // ticks decide far above the 1024-active pooled threshold; the
-        // places between ticks add churn to the active set.
+        // places between ticks add churn to the active set. At tick 24 a
+        // burst of 30 groups of 100 slots, each group on one resource,
+        // leaves over 3 000 users unsatisfied at the top of the user range,
+        // where free slots are taken: the next pooled tick moves the index
+        // bounds to them.
         let sc = Scenario::single_class(
             "serve-pooled",
             6000,
             400,
             qlb_workload::CapacityDist::Constant { cap: 20 },
-            1.25,
+            2.0,
             qlb_workload::Placement::Hotspot,
         );
         let drive = |threads: usize| {
             let cfg = ServeConfig::new(3).with_threads(threads);
-            let mut c = ServeCore::from_scenario(&sc, 3, 2000, cfg).unwrap();
+            let mut c = ServeCore::from_scenario(&sc, 3, 4000, cfg).unwrap();
             assert!(c.unsatisfied() >= 1024);
+            let ranges = |c: &ServeCore| {
+                let shards = c.index.shards();
+                shards.iter().map(|s| s.range()).collect::<Vec<_>>()
+            };
             let mut rec = Recorder::default();
             let mut unsatisfied = Vec::new();
             for tick in 0..40 {
@@ -1321,7 +1324,17 @@ mod tests {
                         let _ = c.place(ClassId(0), 1, &mut rec);
                     }
                 }
+                let before = ranges(&c);
+                if tick == 24 {
+                    for _ in 0..30 {
+                        c.place(ClassId(0), 100, &mut rec).unwrap();
+                    }
+                    assert!(c.unsatisfied() >= 3000);
+                }
                 c.tick(0, false, &mut rec);
+                if tick == 24 && threads > 1 {
+                    assert_ne!(ranges(&c), before, "threads={threads}: bounds stayed");
+                }
                 unsatisfied.push(c.unsatisfied());
             }
             (c, rec, unsatisfied)

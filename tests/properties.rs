@@ -104,7 +104,7 @@ fn check_active_index<I: Demands>(inst: &I, mut state: State, seed: u64, hops: &
 }
 
 /// Drive [`ActiveIndex::apply_reassignments`] with random re-homing
-/// batches over `inst` plus an exempt parking resource, each followed by
+/// batches over `inst` plus a parking resource, each followed by
 /// one protocol round through `apply_moves` (the open driver's shape),
 /// checking the index against one built from scratch after every batch.
 fn check_reassignments(inst: &Instance, seed: u64, batches: &[Vec<(usize, usize)>]) {
@@ -118,7 +118,7 @@ fn check_reassignments(inst: &Instance, seed: u64, batches: &[Vec<(usize, usize)
             .iter()
             .map(|&(u, r)| (UserId((u % n) as u32), ResourceId((r % m) as u32)))
             .collect();
-        index.apply_reassignments(&parked, &mut state, &changes, Some(parking));
+        index.apply_reassignments(&parked, &mut state, &changes);
         index.assert_consistent(&parked, &state);
         prop_assert!(index
             .active()
@@ -224,6 +224,15 @@ fn assert_same_index<I: Demands>(
     }
 }
 
+/// Rebuild `index` at bounds that follow its unsatisfied users
+/// ([`ActiveIndex::resplit`]) on the caller's thread; a `factor` of 0
+/// forces the rebuild whenever any user is unsatisfied.
+fn resplit<I: Demands>(index: &mut ActiveIndex, inst: &I, state: &State, factor: f64) -> bool {
+    index.resplit(inst, state, factor, |shards, build| {
+        shards.iter_mut().for_each(build)
+    })
+}
+
 /// Drive a `shards`-shard index and a one-shard index through the same
 /// batches — protocol rounds, with adversarial hops on odd rounds — and
 /// compare both with a rebuild after every batch.
@@ -233,7 +242,9 @@ fn assert_same_index<I: Demands>(
 /// every shard syncs with the previous batch (in reverse shard order, as
 /// the order of shards must not matter), then decides its own users with
 /// the shard kernel or stages its hops; the coordinator then applies the
-/// batch with `apply_staged`. A final sync-only step closes the run.
+/// batch with `apply_staged`. Every third step first moves the shard
+/// bounds, taking in the unsynced batch with the rebuild. A final
+/// sync-only step closes the run.
 fn check_sharded_index<I: Demands>(
     inst: &I,
     start: State,
@@ -247,7 +258,7 @@ fn check_sharded_index<I: Demands>(
     let mut single_state = start;
     let mut index = ActiveIndex::with_shards(inst, &state, shards);
     let mut single = ActiveIndex::new(inst, &single_state);
-    prop_assert_eq!(index.num_shards(), shards);
+    prop_assert_eq!(index.shards().len(), shards);
     assert_same_index(inst, &state, &index, &single);
     for (round, picks) in hops.iter().enumerate() {
         let round = round as u64;
@@ -258,6 +269,9 @@ fn check_sharded_index<I: Demands>(
             hop_batch(&state, m, picks)
         };
         if deferred {
+            if round % 3 == 2 {
+                resplit(&mut index, inst, &state, 0.0);
+            }
             let mut decided = Vec::new();
             index.step_shards(|crossed, parts| {
                 for part in parts.iter_mut().rev() {
@@ -292,31 +306,42 @@ fn check_sharded_index<I: Demands>(
 }
 
 /// Drive a `shards`-shard index and a one-shard index through the same
-/// reassignment batches over `inst` plus a parking resource, exempting it
-/// from rechecks or not, and compare both with a rebuild after every batch.
+/// reassignment batches over `inst` plus a parking resource, and compare
+/// both with a rebuild after every batch. With `crowd`, the batches re-home
+/// only the top quarter of the users — where the open driver's arrivals
+/// land — and each is followed by a move of the shard bounds: forced on
+/// even batches, by the engine's 1.5 rule on odd ones, compared again.
 fn check_sharded_reassignments(
     inst: &Instance,
     shards: usize,
-    exempt: bool,
+    crowd: bool,
     batches: &[Vec<(usize, usize)>],
 ) {
     let parked = inst.with_parking(&[]).unwrap();
     let (n, m) = (parked.num_users(), parked.num_resources());
     let parking = ResourceId((m - 1) as u32);
-    let exempt = exempt.then_some(parking);
     let mut state = State::all_on(&parked, parking);
     let mut single_state = state.clone();
     let mut index = ActiveIndex::with_shards(&parked, &state, shards);
     let mut single = ActiveIndex::new(&parked, &single_state);
-    for batch in batches {
+    for (i, batch) in batches.iter().enumerate() {
+        let user = |u: usize| match crowd {
+            true => n - 1 - u % (n / 4),
+            false => u % n,
+        };
         let changes: Vec<(UserId, ResourceId)> = batch
             .iter()
-            .map(|&(u, r)| (UserId((u % n) as u32), ResourceId((r % m) as u32)))
+            .map(|&(u, r)| (UserId(user(u) as u32), ResourceId((r % m) as u32)))
             .collect();
-        index.apply_reassignments(&parked, &mut state, &changes, exempt);
-        single.apply_reassignments(&parked, &mut single_state, &changes, exempt);
+        index.apply_reassignments(&parked, &mut state, &changes);
+        single.apply_reassignments(&parked, &mut single_state, &changes);
         prop_assert_eq!(&state, &single_state);
         assert_same_index(&parked, &state, &index, &single);
+        if crowd {
+            let factor = if i % 2 == 0 { 0.0 } else { 1.5 };
+            resplit(&mut index, &parked, &state, factor);
+            assert_same_index(&parked, &state, &index, &single);
+        }
     }
 }
 
@@ -744,10 +769,10 @@ proptest! {
         check_active_index(&minst, mstate, mseed, &hops);
     }
 
-    /// Reassignment batches with an exempt parking resource (arrivals,
-    /// departures and hops, as the open and serve drivers issue them)
-    /// leave the index equal to one rebuilt from scratch, on unit and
-    /// multi-class instances.
+    /// Reassignment batches over a parking resource (arrivals, departures
+    /// and hops, as the open and serve drivers issue them) leave the index
+    /// equal to one rebuilt from scratch, on unit and multi-class
+    /// instances.
     #[test]
     fn reassignments_match_rebuilt_index(
         (inst, _state, seed) in small_instance(),
@@ -765,8 +790,9 @@ proptest! {
     /// multiple of the 512-user shard alignment — equals a one-shard index
     /// and a rebuild after every batch, on unit, weighted-lift and 2–3
     /// class instances: through eager `apply_moves`, through the engine's
-    /// deferred per-shard sync, and through `apply_reassignments` with and
-    /// without an exempt parking resource.
+    /// deferred per-shard sync with bounds moved between steps, and through
+    /// `apply_reassignments` over the whole range and crowded into its top,
+    /// with the bounds following the crowd.
     #[test]
     fn sharded_index_matches_one_shard(
         (inst, state, seed, shards) in sharded_instance(),
@@ -783,9 +809,9 @@ proptest! {
             check_sharded_index(&winst, wstate.clone(), seed, shards, deferred, &hops);
             check_sharded_index(&minst, mstate.clone(), mseed, shards, deferred, &hops);
         }
-        for exempt in [false, true] {
-            check_sharded_reassignments(&inst, shards, exempt, &hops);
-            check_sharded_reassignments(&minst, shards, exempt, &hops);
+        for crowd in [false, true] {
+            check_sharded_reassignments(&inst, shards, crowd, &hops);
+            check_sharded_reassignments(&minst, shards, crowd, &hops);
         }
     }
 }
