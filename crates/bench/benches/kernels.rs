@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the hot path: per-round decision kernels, batch
 //! application, and satisfaction checks. These dominate every experiment's
-//! runtime, so their throughput is the number to watch.
+//! run time, so their throughput is the number to watch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use qlb_bench::half_converged;

@@ -1,12 +1,11 @@
 //! Benchmarks of the supporting substrates: RNG streams, max-flow,
-//! matching, greedy assignment, and the runtime's message round-trip.
+//! matching, greedy assignment, topology and analysis kernels.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use qlb_bench::standard_pair;
-use qlb_core::{greedy_assign, SlackDamped};
+use qlb_core::greedy_assign;
 use qlb_flow::{bipartite_matching, FlowNetwork};
 use qlb_rng::{Rng64, RoundStream, SplitMix64, Xoshiro256pp};
-use qlb_runtime::{run_distributed, RuntimeConfig};
 use std::hint::black_box;
 
 fn bench_rng(c: &mut Criterion) {
@@ -85,27 +84,6 @@ fn bench_baselines(c: &mut Criterion) {
     });
 }
 
-fn bench_runtime_roundtrip(c: &mut Criterion) {
-    let mut g = c.benchmark_group("runtime");
-    g.sample_size(10);
-    let (inst, state) = standard_pair(1 << 10, 1);
-    g.bench_function("distributed_full_run_1k", |b| {
-        b.iter_batched(
-            || state.clone(),
-            |s| {
-                black_box(run_distributed(
-                    &inst,
-                    s,
-                    &SlackDamped::default(),
-                    RuntimeConfig::new(1, 100_000).with_shards(4, 2),
-                ))
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
 fn bench_topo(c: &mut Criterion) {
     use qlb_topo::Graph;
     let mut g = c.benchmark_group("topo");
@@ -155,7 +133,6 @@ criterion_group!(
     bench_rng,
     bench_flow,
     bench_baselines,
-    bench_runtime_roundtrip,
     bench_topo,
     bench_analysis,
 );

@@ -10,7 +10,6 @@ use qlb_core::{
     SlackDampedCapacitySampling, State, ThresholdLevels,
 };
 use qlb_engine::{perturb_uniform, run, run_observed, Executor, RunConfig, Trace};
-use qlb_runtime::{run_distributed, RuntimeConfig};
 use qlb_workload::{CapacityDist, ClassSpec, Placement, Scenario};
 use std::hint::black_box;
 
@@ -197,13 +196,11 @@ fn bench_e7_async(c: &mut Criterion) {
             b.iter_batched(
                 || state.clone(),
                 |s| {
-                    black_box(run_distributed(
+                    black_box(run(
                         &inst,
                         s,
                         &SlackDamped::default(),
-                        RuntimeConfig::new(1, 200_000)
-                            .with_shards(4, 2)
-                            .with_max_delay(d),
+                        RunConfig::new(1, 200_000).with_staleness(d, 0.0),
                     ))
                 },
                 BatchSize::SmallInput,
@@ -385,13 +382,11 @@ fn bench_e16_loss(c: &mut Criterion) {
             b.iter_batched(
                 || state.clone(),
                 |s| {
-                    black_box(run_distributed(
+                    black_box(run(
                         &inst,
                         s,
                         &SlackDamped::default(),
-                        RuntimeConfig::new(1, 200_000)
-                            .with_shards(4, 2)
-                            .with_stale_prob(p),
+                        RunConfig::new(1, 200_000).with_staleness(0, p),
                     ))
                 },
                 BatchSize::SmallInput,

@@ -8,7 +8,7 @@
 //! * `kernels` — micro-benchmarks of the hot protocol kernels (decision
 //!   rounds, sampling, state application);
 //! * `substrates` — the supporting machinery (RNG streams, max-flow,
-//!   greedy/best-response baselines, runtime round-trip).
+//!   greedy/best-response baselines, topology and analysis kernels).
 //!
 //! Shared scenario builders live here so benches and (future) profiling
 //! binaries agree on what "the standard workload" is. The [`checks`]

@@ -15,8 +15,6 @@
 //!
 //! * the **obs trailer** files a final (or periodic) snapshot record so a
 //!   trace alone can reproduce the end state;
-//! * the **actor runtime** ships each user shard's final positions as a
-//!   delta against the start state instead of a dense vector;
 //! * **`ServeCore`** exports its live placement map incrementally for
 //!   restart-survivable snapshots.
 //!

@@ -31,14 +31,14 @@
 //! * [`protocol`] — the migration protocol kernels (the paper's algorithms
 //!   and the strawmen they are compared against);
 //! * [`step`] — one synchronous round, factored so every executor (the
-//!   sequential engine, the threaded engine, and the message-passing actor
-//!   runtime in `qlb-runtime`) produces bit-identical trajectories;
+//!   sequential engine, the threaded engine, and the sparse active-set
+//!   walk in `qlb-engine`) produces bit-identical trajectories;
 //! * [`view`] — the cache-conscious struct-of-arrays round view (SoA
 //!   arrays, unsatisfied-resource bitmaps, per-shard delta merge) behind
 //!   the pooled executors' hot decide kernel;
 //! * [`delta`] — delta-compressed, generation-stamped assignment
 //!   snapshots (varint run-length over changed user ranges) for trace
-//!   trailers, runtime state reconstruction, and serve-daemon export;
+//!   trailers and serve-daemon export;
 //! * [`baseline`] — centralized greedy assignment and sequential
 //!   best-response dynamics, the classical comparison points;
 //! * [`weighted`] — the weighted-demand (bin-packing-flavoured) instance

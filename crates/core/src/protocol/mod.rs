@@ -123,8 +123,8 @@ pub enum SamplingStrategy {
 /// 2. [`Protocol::decide`] — consumes subsequent draws.
 ///
 /// Satisfied users consume **no** randomness. Executors must not reorder or
-/// interleave draws; both `qlb-engine` executors and the `qlb-runtime`
-/// actors follow this contract, which is what experiment E10 verifies.
+/// interleave draws; every `qlb-engine` executor follows this contract,
+/// which is what experiment E10 verifies.
 pub trait Protocol: Sync {
     /// Short stable name used in tables and benchmark ids.
     fn name(&self) -> &'static str;

@@ -8,8 +8,8 @@ use qlb_rng::{Rng64, SplitMix64};
 /// A migration: `user` leaves `from` for `to`.
 ///
 /// Carrying `from` makes application self-checking (a stale move — one whose
-/// user is no longer on `from` — is a bug in an executor) and lets the
-/// message-passing runtime route departures without a global lookup.
+/// user is no longer on `from` — is a bug in an executor) and lets a
+/// per-resource consumer apply departures without a global lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Move {
     /// The migrating user.

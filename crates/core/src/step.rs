@@ -1,8 +1,8 @@
 //! One synchronous round, factored for executor reuse.
 //!
-//! All executors — the sequential loop, the threaded engine, and the
-//! message-passing runtime — delegate the per-user logic to
-//! [`decide_user`], which encodes the protocol contract (who acts, in what
+//! Every kernel — the dense reference scan, the SoA round view, the
+//! active-set walk, and the engine's stale-observation loop — delegates
+//! the per-user logic to [`decide_user`] or its post-gate half, which encodes the protocol contract (who acts, in what
 //! draw order) exactly once. Because decisions read only the *start-of-round*
 //! congestion and user-private random streams, decisions for different users
 //! are independent and can be computed in any order or in parallel; the

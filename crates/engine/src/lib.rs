@@ -7,7 +7,9 @@
 //!
 //! * [`run()`](run()) / [`run_observed`] — the closed system of the paper,
 //!   configured by [`RunConfig`]; generic over `qlb_core::Demands`, so the
-//!   same loop runs unit and weighted (`qlb_core::weighted`) instances;
+//!   same loop runs unit and weighted (`qlb_core::weighted`) instances.
+//!   With [`RunConfig::with_staleness`] users decide on load snapshots
+//!   that are up to `D` rounds old or lost (experiments E7 and E16);
 //! * [`run_open_system`] / [`run_open_system_observed`] — users arriving
 //!   and departing while the protocol runs ([`open`]);
 //! * [`run_with_churn`] / [`run_with_churn_observed`] — churn and
@@ -55,6 +57,7 @@ pub mod dynamics;
 pub mod open;
 pub mod pool;
 pub mod run;
+mod stale;
 pub mod stepper;
 pub mod trace;
 
@@ -66,5 +69,6 @@ pub use open::{
 };
 pub use pool::{shard_bounds, shard_chunk, shards_for, WorkerPool};
 pub use run::{run, run_observed, Executor, RunConfig, RunOutcome};
+pub use stale::{Staleness, RESOURCE_BLOCKS, USER_BLOCKS};
 pub use stepper::Stepper;
 pub use trace::{RoundStats, Trace};

@@ -5,6 +5,7 @@
 //! runs the unit model and a [`qlb_core::weighted::WeightedInstance`] the
 //! weighted one.
 
+use crate::stale::{run_stale, Staleness};
 use crate::stepper::Stepper;
 pub use qlb_core::step::RunOutcome;
 use qlb_core::{overload_potential_loads, ActiveIndex, Demands, Move, Protocol, State};
@@ -75,6 +76,10 @@ pub struct RunConfig {
     /// (default on; irrelevant for sequential executors and disabled
     /// sinks).
     pub shard_timing: bool,
+    /// What the users observe (default: the fresh loads). A stale run
+    /// decides every user each round, on one thread, whatever the
+    /// executor; see [`RunConfig::with_staleness`].
+    pub staleness: Staleness,
 }
 
 impl RunConfig {
@@ -86,7 +91,26 @@ impl RunConfig {
             executor: Executor::Dense,
             topk_resources: 0,
             shard_timing: true,
+            staleness: Staleness::default(),
         }
+    }
+
+    /// Let users decide on stale loads: each observes a snapshot up to
+    /// `max_delay` rounds old, and each snapshot slice is lost with
+    /// probability `loss`, leaving the previous round's loads in its
+    /// place. The snapshots are split into
+    /// [`USER_BLOCKS`](crate::USER_BLOCKS) ×
+    /// [`RESOURCE_BLOCKS`](crate::RESOURCE_BLOCKS) slices per round, and a
+    /// run keeps the last `min(max_delay, rounds) + 1` snapshots of each
+    /// user block, `USER_BLOCKS · m` loads a round. With both values zero
+    /// the run is the fresh one.
+    ///
+    /// # Panics
+    /// Panics if `loss` is outside `[0, 1]`.
+    pub fn with_staleness(mut self, max_delay: u64, loss: f64) -> Self {
+        assert!((0.0..=1.0).contains(&loss), "loss probability out of range");
+        self.staleness = Staleness { max_delay, loss };
+        self
     }
 
     /// Sample the `k` hottest resources at each observed round end
@@ -184,7 +208,8 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
     config: RunConfig,
     sink: &mut S,
 ) -> RunOutcome {
-    let sparse = if config.executor.is_sparse() && proto.acts_when_satisfied() {
+    let stale = !config.staleness.is_fresh();
+    let sparse = if config.executor.is_sparse() && (stale || proto.acts_when_satisfied()) {
         // the active set would be unsound; record the decision and run dense
         if S::ENABLED {
             sink.event(Event::ExecutorSwitch {
@@ -196,6 +221,9 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
     } else {
         config.executor.is_sparse()
     };
+    if stale {
+        return run_stale(inst, state, proto, config, sink);
+    }
 
     let n = inst.instance().num_users();
     let mut stepper = Stepper::new(config.executor, n, config.seed, config.shard_timing);
@@ -380,7 +408,7 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
 
 /// Total demand of a round's movers: the batch size for unit demand.
 #[inline]
-fn moved_weight<I: Demands>(inst: &I, moves: &[Move]) -> u64 {
+pub(crate) fn moved_weight<I: Demands>(inst: &I, moves: &[Move]) -> u64 {
     if I::UNIT {
         moves.len() as u64
     } else {
@@ -399,7 +427,7 @@ fn moved_weight<I: Demands>(inst: &I, moves: &[Move]) -> u64 {
 /// [`Sink::unsatisfied_users`]. With `topk > 0` the `topk` hottest
 /// resources are offered to the sink as a congestion sample.
 #[allow(clippy::too_many_arguments)]
-fn emit_round_end<I: Demands, S: Sink>(
+pub(crate) fn emit_round_end<I: Demands, S: Sink>(
     inst: &I,
     loads: &[u32],
     sink: &mut S,

@@ -1,8 +1,7 @@
 //! Delta-compressed snapshots against live runs.
 //!
-//! `qlb_core::StateDelta` is the wire format the actor runtime's recovery
-//! path, the obs trailer checkpoint, and `ServeCore::state` export all
-//! ride on, so its contract is pinned end to end here: a **chain of
+//! `qlb_core::StateDelta` is the wire format the obs trailer checkpoint
+//! and `ServeCore::state` export ride on, so its contract is pinned end to end here: a **chain of
 //! per-round deltas** (each encoded old → new and serialized through the
 //! byte format) applied to the initial assignment must reproduce the dense
 //! final `State` bit-identically — across the full protocol registry, and
@@ -17,8 +16,8 @@ use qlb_core::{ActiveIndex, Instance, ResourceId, State, StateDelta};
 use qlb_engine::{perturb_uniform, run, Executor, RunConfig};
 
 /// Encode one generation step and push the round-tripped bytes — every
-/// delta in a chain crosses the serialized form, like the runtime's and
-/// the trailer's do.
+/// delta in a chain crosses the serialized form, like the trailer's
+/// does.
 fn encode_step(chain: &mut Vec<StateDelta>, old: &[u32], new: &[u32]) {
     let gen = chain.len() as u64;
     let d = StateDelta::encode(old, new, gen, gen + 1);

@@ -7,7 +7,7 @@
 //! ```text
 //! qlb-sim --preset flash-crowd                 # built-in demo scenario
 //! qlb-sim --scenario fleet.json --seed 7       # your scenario
-//! qlb-sim --scenario fleet.json --protocol conditional --driver runtime
+//! qlb-sim --scenario fleet.json --protocol conditional --max-delay 4 --loss 0.5
 //! qlb-sim --emit-preset > fleet.json           # starting template
 //! ```
 
@@ -18,7 +18,6 @@ use qlb_core::{
 };
 use qlb_engine::{run_observed, run_open_system_observed, Executor, OpenConfig, RunConfig, Trace};
 use qlb_obs::{replay::Summary, NoopSink, Sink, StreamSink};
-use qlb_runtime::{run_distributed_observed, RuntimeConfig};
 use qlb_stats::sparkline_fit;
 use qlb_topo::{Graph, GraphDiffusion};
 use qlb_workload::{CapacityDist, Placement, Scenario};
@@ -47,7 +46,7 @@ fn preset() -> Scenario {
 }
 
 /// The flags `--help` documents that take a value.
-const VALUE_FLAGS: [&str; 16] = [
+const VALUE_FLAGS: [&str; 18] = [
     "--scenario",
     "--preset",
     "--seed",
@@ -56,6 +55,8 @@ const VALUE_FLAGS: [&str; 16] = [
     "--executor",
     "--threads",
     "--max-rounds",
+    "--max-delay",
+    "--loss",
     "--topology",
     "--rounds",
     "--arrivals-per-round",
@@ -225,11 +226,15 @@ fn main() {
         }
     };
 
-    // Driver (which engine loops the rounds: closed | open | weighted |
-    // runtime) and executor (how one round is decided: dense | sparse |
+    // Driver (which engine loops the rounds: closed | open | weighted)
+    // and executor (how one round is decided: dense | sparse |
     // threaded | sparse-threaded) are orthogonal flags — every driver
     // accepts every executor.
     let driver = get("--driver").unwrap_or_else(|| "closed".into());
+    if !["closed", "open", "weighted"].contains(&driver.as_str()) {
+        eprintln!("unknown driver {driver}; choose closed | open | weighted");
+        exit(2);
+    }
     let exec_name = get("--executor").unwrap_or_else(|| "dense".into());
     let threads: usize = get("--threads").map_or(4, |s| {
         s.parse().unwrap_or_else(|_| {
@@ -253,6 +258,35 @@ fn main() {
             exit(2);
         }
     };
+    let max_delay: u64 = get("--max-delay").map_or(0, |s| {
+        s.parse().unwrap_or_else(|_| {
+            eprintln!("bad --max-delay {s}; need a round count");
+            exit(2)
+        })
+    });
+    let loss: f64 = get("--loss").map_or(0.0, |s| match s.parse() {
+        Ok(p) if (0.0..=1.0).contains(&p) => p,
+        _ => {
+            eprintln!("bad --loss {s}; need a probability in [0, 1]");
+            exit(2)
+        }
+    });
+    let stale = max_delay > 0 || loss > 0.0;
+    if stale && driver == "open" {
+        eprintln!("--max-delay and --loss need the closed or weighted driver");
+        exit(2);
+    }
+    if stale && exec != Executor::Dense {
+        println!(
+            "note: stale observers decide every user each round, sequentially; \
+             the executor does not apply"
+        );
+    }
+    let run_cfg = RunConfig::new(seed, max_rounds)
+        .with_executor(exec)
+        .with_topk_resources(topk_resources)
+        .with_shard_timing(shard_timing)
+        .with_staleness(max_delay, loss);
     // Validate the sparse-soundness fallback up front and announce the
     // decision rather than leaving the silent in-engine fallback as the
     // only record of it. (The weighted driver runs slack-damped or
@@ -323,8 +357,7 @@ fn main() {
             &driver,
             &proto_name,
             weight_max,
-            seed,
-            max_rounds,
+            run_cfg,
             open_cfg,
             &mut sink,
         );
@@ -363,8 +396,7 @@ fn main() {
             &driver,
             &proto_name,
             weight_max,
-            seed,
-            max_rounds,
+            run_cfg,
             open_cfg,
             &mut NoopSink,
         )
@@ -387,8 +419,9 @@ fn main() {
 /// Run the selected driver with the chosen sink monomorphized in, print
 /// its driver-specific digest, and return `(converged, rounds,
 /// migrations)` — or `None` for the open-system driver, which reports
-/// steady-state statistics instead of a convergence verdict. The round
-/// executor rides in `open_cfg.executor` (every driver honours it).
+/// steady-state statistics instead of a convergence verdict. The closed
+/// and weighted drivers run `run_cfg`, the open driver `open_cfg`; both
+/// carry the same executor.
 #[allow(clippy::too_many_arguments)]
 fn simulate<S: Sink>(
     inst: &Instance,
@@ -397,28 +430,16 @@ fn simulate<S: Sink>(
     driver: &str,
     proto_name: &str,
     weight_max: u32,
-    seed: u64,
-    max_rounds: u64,
+    run_cfg: RunConfig,
     open_cfg: OpenConfig,
     sink: &mut S,
 ) -> Option<(bool, u64, u64)> {
-    let exec = open_cfg.executor;
     match driver {
         "closed" => {
-            let config = RunConfig::new(seed, max_rounds)
-                .with_executor(exec)
-                .with_topk_resources(open_cfg.topk_resources)
-                .with_shard_timing(open_cfg.shard_timing);
             let mut trace = Trace::new(inst, &state);
-            let out = run_observed(inst, state, proto, config, &mut (&mut trace, sink));
+            let out = run_observed(inst, state, proto, run_cfg, &mut (&mut trace, sink));
             let unsat: Vec<f64> = trace.rounds.iter().map(|r| r.unsatisfied as f64).collect();
             println!("unsatisfied over rounds: {}", sparkline_fit(&unsat, 60));
-            Some((out.converged, out.rounds, out.migrations))
-        }
-        "runtime" => {
-            let config = RuntimeConfig::new(seed, max_rounds).with_shards(4, 2);
-            let out = run_distributed_observed(inst, state, proto, config, sink);
-            println!("messages exchanged: {}", out.messages);
             Some((out.converged, out.rounds, out.migrations))
         }
         "open" => {
@@ -484,21 +505,14 @@ fn simulate<S: Sink>(
                     exit(2);
                 }
             };
-            let config = RunConfig::new(seed, max_rounds)
-                .with_executor(exec)
-                .with_topk_resources(open_cfg.topk_resources)
-                .with_shard_timing(open_cfg.shard_timing);
-            let out = run_observed(&winst, wstate, wproto, config, sink);
+            let out = run_observed(&winst, wstate, wproto, run_cfg, sink);
             println!(
                 "weighted model: total demand {total_w}, weight moved {}",
                 out.weight_moved
             );
             Some((out.converged, out.rounds, out.migrations))
         }
-        other => {
-            eprintln!("unknown driver {other}; choose closed | open | weighted | runtime");
-            exit(2);
-        }
+        other => unreachable!("driver {other} is checked before the run"),
     }
 }
 
@@ -515,15 +529,19 @@ fn print_help() {
     println!(
         "qlb-sim — run a QoS load-balancing scenario\n\n\
          USAGE:\n  qlb-sim --scenario FILE [--seed N] [--protocol P] [--driver D] [--executor E]\n          \
-         [--threads T] [--max-rounds N]\n  \
+         [--threads T] [--max-rounds N] [--max-delay D] [--loss P]\n  \
          qlb-sim --preset flash-crowd\n  qlb-sim --emit-preset > fleet.json\n\n\
          PROTOCOLS: blind | conditional | slack-damped (default) | capacity-sampling | levels\n\
          TOPOLOGY:  --topology ring | torus | complete (neighbour-restricted diffusion)\n\
-         DRIVERS:   closed (default) | open | weighted | runtime — which loop runs the rounds\n\
+         DRIVERS:   closed (default) | open | weighted — which loop runs the rounds\n\
          EXECUTORS: dense (default) | sparse | threaded | sparse-threaded — how one round\n           \
          is decided; every driver accepts every executor, and every executor\n           \
          produces the same trajectory bit for bit. --threads N (default 4) sizes\n           \
          the persistent worker pool for the threaded executors.\n\
+         STALENESS: --max-delay D (each user decides on loads up to D rounds old) and\n           \
+         --loss P (each of the 4×2 snapshot slices is lost per round with\n           \
+         probability P, leaving the previous round's loads); closed and\n           \
+         weighted drivers, decided sequentially whatever the executor\n\
          OPEN:      --rounds N --arrivals-per-round X --departure-prob P (open-system driver;\n           \
          the scenario supplies capacities and the user pool)\n\
          WEIGHTED:  --weight-max W (demands cycle 1..=W; capacities rescale to keep γ)\n\

@@ -1037,7 +1037,7 @@ fn compare_cmd(args: &[String]) {
     // so they are the regression gate. Wall-clock deltas below are
     // informational only.
     let mut regressions: Vec<String> = Vec::new();
-    let gated = ["rounds", "migrations", "messages_sent", "weight_moved"];
+    let gated = ["rounds", "migrations", "weight_moved"];
     println!("protocol work (gated):");
     for name in gated {
         let (va, vb) = (counter_of(&a, name), counter_of(&b, name));

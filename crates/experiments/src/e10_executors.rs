@@ -1,8 +1,7 @@
 //! **E10 / Table 8 — executor equivalence and parallel scaling.**
 //!
 //! The determinism pillar: the sequential engine, the threaded engine (1–8
-//! threads) and the synchronous actor runtime must produce *identical*
-//! trajectories (rounds, migrations, final state) for the same seed, because
+//! threads) and the sparse executors must produce *identical* trajectories (rounds, migrations, final state) for the same seed, because
 //! decisions are pure functions of `(seed, user, round)`. The expected side
 //! is the dense reference loop (`qlb_core::step::reference_run`), which no
 //! executor runs. The table asserts equivalence and reports wall-clock
@@ -13,7 +12,6 @@ use qlb_core::step::{decide_round_into, reference_run};
 use qlb_core::{Move, ResourceId, RoundView, ShardDeltas, ShardScratch, SlackDamped, State};
 use qlb_engine::{run_observed, shard_chunk, shards_for, Executor, RunConfig, WorkerPool};
 use qlb_obs::{Counter, Phase, Recorder};
-use qlb_runtime::{run_distributed, RuntimeConfig};
 use qlb_stats::Table;
 use qlb_workload::{CapacityDist, Placement, Scenario};
 use std::sync::Mutex;
@@ -22,7 +20,7 @@ use std::time::Instant;
 /// Barrier-skew cell for an executor row: p95 of the per-round
 /// (max − min) shard compute time, from the per-shard profile the
 /// recorder collected. Executors that never dispatched a pooled round
-/// (sequential, pure sparse, actor runtime) have no shard profile and
+/// (sequential, pure sparse) have no shard profile and
 /// render as "—".
 fn skew_cell(rec: &Recorder) -> String {
     let st = rec.shard_timers();
@@ -144,13 +142,6 @@ pub fn run(quick: bool) -> ExperimentResult {
 
     let (out, sparse_rec, ms) = observed(Executor::Sparse);
     let (name, skew) = ("engine (sparse active-set)".into(), skew_cell(&sparse_rec));
-    row(name, out.rounds, out.migrations, &out.state, ms, skew);
-
-    let t0 = Instant::now();
-    let cfg = RuntimeConfig::new(seed, max_rounds).with_shards(4, 2);
-    let out = run_distributed(&inst, start_state, &proto, cfg);
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (name, skew) = ("actor runtime (4×2 shards, sync)".into(), "—".into());
     row(name, out.rounds, out.migrations, &out.state, ms, skew);
 
     // Phase breakdown from the qlb-obs timers: where each executor's
@@ -288,8 +279,8 @@ mod tests {
     fn quick_run_equivalence_passes() {
         let res = run(true);
         assert!(res.notes[0].contains("PASS"), "{:?}", res.notes);
-        // the reference loop, then nine executor rows
-        assert_eq!(res.tables[0].num_rows(), 10);
+        // the reference loop, then eight executor rows
+        assert_eq!(res.tables[0].num_rows(), 9);
         // phase breakdown covers both observed executors, and the SoA
         // scaling table has one row per thread count
         assert_eq!(res.tables.len(), 3);

@@ -1,17 +1,19 @@
 //! **E16 / Table 13 — failure injection: lossy snapshot links.**
 //!
-//! The actor runtime's resource→user snapshot links drop each slice with
-//! probability `p`; the observer then acts on the previous round's values.
+//! Each round every resource block publishes its slice of the loads to
+//! every user block ([`RunConfig::with_staleness`]), and each slice is lost
+//! with probability `p`; the observer then acts on the previous round's
+//! values.
 //! This is harsher than bounded delay (E7): losses are per-link and
-//! independent, so different user shards see *inconsistent* views of the
+//! independent, so different user blocks see *inconsistent* views of the
 //! same resource. Expectation: convergence degrades smoothly in `p` and
 //! survives even extreme loss (`p = 0.9`), because retained stale values
 //! are at most one round old — the protocol's damping absorbs the error.
 
 use crate::ExperimentResult;
 use qlb_core::{ResourceId, SlackDamped, State};
+use qlb_engine::{run_observed, RunConfig};
 use qlb_obs::{Counter, Recorder};
-use qlb_runtime::{run_distributed_observed, RuntimeConfig};
 use qlb_stats::{Summary, Table};
 use qlb_workload::{CapacityDist, Placement, Scenario};
 
@@ -37,8 +39,8 @@ pub fn run(quick: bool) -> ExperimentResult {
 
     let mut table = Table::new(
         format!(
-            "Table 13 — lossy snapshot links on the actor runtime \
-             (n = {n}, m = {m}, γ = 1.25, 4×2 shards)"
+            "Table 13 — lossy snapshot links \
+             (n = {n}, m = {m}, γ = 1.25, 4×2 blocks)"
         ),
         &[
             "loss p",
@@ -60,17 +62,15 @@ pub fn run(quick: bool) -> ExperimentResult {
         for seed in 0..seeds as u64 {
             let (inst, _) = sc.build(seed).expect("feasible");
             let state = State::all_on(&inst, ResourceId(0));
-            // The stale-slice accounting comes from the resource shards'
-            // own counters via the observability sink — not re-derived by
-            // the experiment.
+            // The stale-slice accounting comes from the loop's own
+            // counters via the observability sink — not re-derived by the
+            // experiment.
             let mut rec = Recorder::default();
-            let out = run_distributed_observed(
+            let out = run_observed(
                 &inst,
                 state,
                 &SlackDamped::default(),
-                RuntimeConfig::new(seed, max_rounds)
-                    .with_shards(4, 2)
-                    .with_stale_prob(p),
+                RunConfig::new(seed, max_rounds).with_staleness(0, p),
                 &mut rec,
             );
             if out.converged {

@@ -196,6 +196,44 @@ fn sim_rejects_unknown_flags_and_presets() {
             &format!("unknown argument {flag}"),
         );
     }
+    // stale observations are flags of the closed loop, not a driver; an
+    // unknown driver is refused before a metrics file is created
+    let trace = temp_path("unknown-driver");
+    assert_sim_usage_error(
+        &[
+            "--preset",
+            "flash-crowd",
+            "--driver",
+            "runtime",
+            "--metrics-out",
+            trace.to_str().unwrap(),
+        ],
+        "unknown driver runtime",
+    );
+    assert!(!trace.exists(), "an empty trace was left behind");
+    for delay in ["x", "-1", "1.5"] {
+        assert_sim_usage_error(
+            &["--preset", "flash-crowd", "--max-delay", delay],
+            &format!("bad --max-delay {delay}"),
+        );
+    }
+    for loss in ["1.5", "-0.1", "nan", "p"] {
+        assert_sim_usage_error(
+            &["--preset", "flash-crowd", "--loss", loss],
+            &format!("bad --loss {loss}"),
+        );
+    }
+    assert_sim_usage_error(
+        &[
+            "--preset",
+            "flash-crowd",
+            "--driver",
+            "open",
+            "--max-delay",
+            "2",
+        ],
+        "need the closed or weighted driver",
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// A structured trace event. One vocabulary for every executor and
-/// runtime mode; variants carry only derived quantities (never anything a
+/// driver; variants carry only derived quantities (never anything a
 /// protocol decision depends on), so recording them cannot perturb a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Event {
@@ -26,8 +26,7 @@ pub enum Event {
         /// Overload potential Φ after the round (single-class runs only).
         overload: Option<u64>,
     },
-    /// A batch of migrations was produced (engine: once per round; runtime:
-    /// once per user shard per round).
+    /// A round's batch of migrations was produced.
     MigrationBatch {
         /// Round the batch belongs to.
         round: u64,
@@ -47,20 +46,6 @@ pub enum Event {
         round: u64,
         /// True = dense → sparse (index built); false = running dense.
         sparse: bool,
-    },
-    /// A resource shard broadcast its snapshot slice for a round.
-    SnapshotSend {
-        /// Round the snapshot describes.
-        round: u64,
-        /// Resource-shard index.
-        shard: u64,
-    },
-    /// A user shard assembled a full snapshot and acted on it.
-    SnapshotRecv {
-        /// Round the snapshot describes.
-        round: u64,
-        /// User-shard index.
-        shard: u64,
     },
     /// A churn episode displaced users.
     ChurnEpisode {
@@ -94,8 +79,6 @@ impl Event {
             | Event::MigrationBatch { round, .. }
             | Event::ConvergenceCheck { round, .. }
             | Event::ExecutorSwitch { round, .. }
-            | Event::SnapshotSend { round, .. }
-            | Event::SnapshotRecv { round, .. }
             | Event::Arrivals { round, .. }
             | Event::Departures { round, .. } => Some(round),
             Event::ChurnEpisode { .. } => None,
@@ -238,7 +221,7 @@ mod tests {
                 round: 4,
                 sparse: true,
             },
-            Event::SnapshotSend { round: 0, shard: 1 },
+            Event::Arrivals { round: 0, count: 1 },
             Event::ChurnEpisode {
                 episode: 2,
                 displaced: 40,

@@ -1,12 +1,11 @@
 //! # qlb-obs — unified observability for the QoS load-balancing workspace
 //!
-//! Every executor, driver, and runtime mode in this workspace produces the
-//! same kinds of telemetry: per-round counters (rounds, migrations,
-//! messages), gauges (unsatisfied users, active-set size, snapshot
-//! staleness), wall-clock phase timings (decide / apply / snapshot /
-//! barrier / convergence), and a stream of structured events (round
-//! boundaries, migration batches, executor switches, shard snapshot
-//! traffic). This crate gives them one vocabulary and one emission point:
+//! Every executor and driver in this workspace produces the same kinds of
+//! telemetry: per-round counters (rounds, migrations, snapshot slices),
+//! gauges (unsatisfied users, active-set size, snapshot staleness),
+//! wall-clock phase timings (decide / apply / convergence), and a stream
+//! of structured events (round boundaries, migration batches, executor
+//! switches). This crate gives them one vocabulary and one emission point:
 //!
 //! * [`metrics`] — a dense-id **metrics registry**: counters, gauges, and
 //!   fixed-bucket histograms addressed by `#[repr(usize)]` enums, so the

@@ -20,16 +20,10 @@ pub enum Counter {
     SparseRounds,
     /// Dense→sparse executor switches (index builds).
     ExecutorSwitches,
-    /// Channel messages exchanged (runtime; all kinds).
-    MessagesSent,
-    /// Snapshot slices broadcast by resource shards.
+    /// Snapshot slices published to user blocks (stale-observation runs).
     SnapshotsSent,
-    /// Snapshot slices that re-delivered stale (previous-round) values.
+    /// Snapshot slices lost, which left the previous round's loads.
     StaleSnapshots,
-    /// Migration batches sent by user shards.
-    MoveBatches,
-    /// Per-round reports received by the coordinator.
-    Reports,
     /// Churn episodes driven.
     ChurnEpisodes,
     /// Users displaced by churn.
@@ -70,17 +64,14 @@ pub enum Gauge {
 
 impl Counter {
     /// Every counter, in storage order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 16] = [
         Counter::Rounds,
         Counter::Migrations,
         Counter::DenseRounds,
         Counter::SparseRounds,
         Counter::ExecutorSwitches,
-        Counter::MessagesSent,
         Counter::SnapshotsSent,
         Counter::StaleSnapshots,
-        Counter::MoveBatches,
-        Counter::Reports,
         Counter::ChurnEpisodes,
         Counter::DisplacedUsers,
         Counter::Arrivals,
@@ -100,11 +91,8 @@ impl Counter {
             Counter::DenseRounds => "dense_rounds",
             Counter::SparseRounds => "sparse_rounds",
             Counter::ExecutorSwitches => "executor_switches",
-            Counter::MessagesSent => "messages_sent",
             Counter::SnapshotsSent => "snapshots_sent",
             Counter::StaleSnapshots => "stale_snapshots",
-            Counter::MoveBatches => "move_batches",
-            Counter::Reports => "reports",
             Counter::ChurnEpisodes => "churn_episodes",
             Counter::DisplacedUsers => "displaced_users",
             Counter::Arrivals => "arrivals",

@@ -387,8 +387,7 @@ impl<L> Recorder<L> {
     }
 
     /// The retained delta-snapshot series (empty unless a driver offered
-    /// [`DeltaSnapshot`]s, e.g. the runtime's recovery checkpoints or the
-    /// serve daemon's drain export).
+    /// [`DeltaSnapshot`]s, e.g. the serve daemon's drain export).
     pub fn delta_series(&self) -> &DeltaSeries {
         &self.deltas
     }

@@ -148,8 +148,6 @@ fn event_kind(ev: &Event) -> &'static str {
         Event::MigrationBatch { .. } => "MigrationBatch",
         Event::ConvergenceCheck { .. } => "ConvergenceCheck",
         Event::ExecutorSwitch { .. } => "ExecutorSwitch",
-        Event::SnapshotSend { .. } => "SnapshotSend",
-        Event::SnapshotRecv { .. } => "SnapshotRecv",
         Event::ChurnEpisode { .. } => "ChurnEpisode",
         Event::Arrivals { .. } => "Arrivals",
         Event::Departures { .. } => "Departures",

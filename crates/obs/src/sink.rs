@@ -98,7 +98,7 @@ pub trait Sink {
     fn stats_snapshot(&mut self, _snap: &StatsSnapshot) {}
 
     /// Offer a delta-compressed assignment snapshot (end-of-run state
-    /// export, runtime recovery checkpoint, serve-daemon drain). Default:
+    /// export, serve-daemon drain). Default:
     /// ignored — the recording sinks retain the series and export it as
     /// hex-payload trailer records.
     #[inline]

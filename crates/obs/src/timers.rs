@@ -11,10 +11,6 @@ pub enum Phase {
     Decide,
     /// Applying the migration batch to the state.
     Apply,
-    /// Building/broadcasting load snapshots (runtime).
-    Snapshot,
-    /// Waiting for all shards to report (runtime barrier).
-    Barrier,
     /// Checking convergence.
     Convergence,
     /// Pool-executor dispatch + join overhead of a decide round: the wall
@@ -27,11 +23,9 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in storage order.
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 5] = [
         Phase::Decide,
         Phase::Apply,
-        Phase::Snapshot,
-        Phase::Barrier,
         Phase::Convergence,
         Phase::ForkJoin,
         Phase::Compute,
@@ -42,8 +36,6 @@ impl Phase {
         match self {
             Phase::Decide => "decide",
             Phase::Apply => "apply",
-            Phase::Snapshot => "snapshot",
-            Phase::Barrier => "barrier",
             Phase::Convergence => "convergence",
             Phase::ForkJoin => "fork_join",
             Phase::Compute => "compute",
@@ -131,9 +123,9 @@ mod tests {
     #[test]
     fn breakdown_lists_only_used_phases() {
         let mut t = PhaseTimers::default();
-        t.record(Phase::Barrier, 2_000_000);
+        t.record(Phase::Convergence, 2_000_000);
         let text = t.breakdown();
-        assert!(text.contains("barrier"));
+        assert!(text.contains("convergence"));
         assert!(!text.contains("decide"));
         assert!(text.contains("100.0%"));
     }

@@ -1,10 +1,10 @@
 //! # qlb-rng — deterministic randomness for distributed simulation
 //!
-//! Reproducing a randomized distributed protocol across *three* executors
-//! (a sequential engine, a multi-threaded engine, and a message-passing actor
-//! runtime) requires that the random draw a user makes in a given round is a
+//! Reproducing a randomized distributed protocol across several executors
+//! (a sequential engine, a multi-threaded engine, a sparse active-set walk)
+//! requires that the random draw a user makes in a given round is a
 //! **pure function of `(seed, user, round)`** — independent of the order in
-//! which threads or actors happen to evaluate users. Ordinary stateful RNGs
+//! which threads happen to evaluate users. Ordinary stateful RNGs
 //! cannot provide this: interleaving changes the draw sequence.
 //!
 //! This crate therefore provides *counter-based* random streams in the style
@@ -43,7 +43,7 @@ pub use xoshiro::Xoshiro256pp;
 /// protocol and generator in this workspace needs.
 ///
 /// The provided methods are implemented once here so that all executors
-/// (engine, runtime, workload generators) interpret raw bits identically —
+/// (engine, workload generators) interpret raw bits identically —
 /// a prerequisite for cross-executor determinism.
 pub trait Rng64 {
     /// Produce the next 64 uniformly random bits.

@@ -9,7 +9,7 @@ use crate::Rng64;
 /// in round `t` of the run identified by `seed`. The `k`-th draw is the pure
 /// function `mix64(base + k)` where `base` folds all three coordinates, so:
 ///
-/// * any executor — sequential loop, thread pool, actor runtime — that asks
+/// * any executor — sequential loop, thread pool, active-set walk — that asks
 ///   for the same `(seed, u, t, k)` gets the same bits;
 /// * streams for different users/rounds are statistically independent
 ///   (avalanche of [`mix64`] over well-separated bases);

@@ -1,9 +1,12 @@
-//! The protocol as an actual distributed system: actor runtime over
-//! channels, with and without observation delay.
+//! The protocol on stale information: users decide on load snapshots that
+//! arrive late or get lost, as they would across a real fleet.
 //!
-//! Demonstrates: the message-passing runtime, its bit-exact agreement with
-//! the in-memory engine in synchronous mode, and graceful degradation under
-//! bounded asynchrony (stale load observations).
+//! Demonstrates the closed loop's stale-observation mode
+//! (`RunConfig::with_staleness`): the fleet is split into 4 user blocks ×
+//! 2 resource blocks that exchange load snapshots each round. Bounded
+//! observation delay (theorem T4, experiment E7) and lossy snapshot links
+//! (experiment E16) slow convergence by a bounded factor and never break
+//! it; legality is always judged on the true loads.
 //!
 //! ```text
 //! cargo run --release --example distributed_cluster
@@ -19,47 +22,30 @@ fn main() {
     let proto = SlackDamped::default();
     let seed = 2718;
 
-    // Reference: the in-memory engine.
-    let engine = run(&inst, start.clone(), &proto, RunConfig::new(seed, 100_000));
+    let fresh = run(&inst, start.clone(), &proto, RunConfig::new(seed, 100_000));
     println!(
-        "engine (in-memory reference): {} rounds, {} migrations",
-        engine.rounds, engine.migrations
+        "fresh observations: {} rounds, {} migrations\n",
+        fresh.rounds, fresh.migrations
     );
 
-    // Synchronous runtime: 4 user-shard actors × 2 resource-shard actors.
-    let sync = run_distributed(
-        &inst,
-        start.clone(),
-        &proto,
-        RuntimeConfig::new(seed, 100_000).with_shards(4, 2),
-    );
-    println!(
-        "actor runtime (sync):         {} rounds, {} migrations, {} messages",
-        sync.rounds, sync.migrations, sync.messages
-    );
-    assert_eq!(sync.rounds, engine.rounds);
-    assert_eq!(sync.migrations, engine.migrations);
-    assert_eq!(sync.state, engine.state);
-    println!("  → bit-identical to the engine (same seed, same trajectory)\n");
-
-    // Asynchronous mode: observations up to D rounds stale.
-    println!("bounded asynchrony (stale observations):");
-    for d in [1u64, 2, 4, 8] {
-        let out = run_distributed(
-            &inst,
-            start.clone(),
-            &proto,
-            RuntimeConfig::new(seed, 200_000)
-                .with_shards(4, 2)
-                .with_max_delay(d),
-        );
-        assert!(out.converged, "bounded delay degrades, never diverges");
-        println!(
-            "  D = {d}: {} rounds ({:.2}× the synchronous run), {} migrations",
+    let stale = |max_delay, loss| {
+        let config = RunConfig::new(seed, 200_000).with_staleness(max_delay, loss);
+        let out = run(&inst, start.clone(), &proto, config);
+        assert!(out.converged, "stale information slows, never diverges");
+        format!(
+            "{} rounds ({:.2}× the fresh run), {} migrations",
             out.rounds,
-            out.rounds as f64 / engine.rounds.max(1) as f64,
+            out.rounds as f64 / fresh.rounds.max(1) as f64,
             out.migrations
-        );
+        )
+    };
+    println!("bounded delay (snapshots up to D rounds old):");
+    for d in [1u64, 2, 4, 8] {
+        println!("  D = {d}: {}", stale(d, 0.0));
+    }
+    println!("lossy links (a lost slice keeps the previous round's loads):");
+    for p in [0.25, 0.5, 0.9] {
+        println!("  p = {p:.2}: {}", stale(0, p));
     }
     println!("\nconvergence survives stale information — at a bounded slowdown");
 }

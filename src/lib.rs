@@ -11,8 +11,8 @@
 //! * [`core`] (`qlb-core`) — model (unit and weighted demand, one
 //!   `Demands` trait), protocols, potentials, baselines;
 //! * [`engine`] (`qlb-engine`) — sequential & threaded round executors,
-//!   one `run` for unit and weighted instances;
-//! * [`runtime`] (`qlb-runtime`) — message-passing actor runtime;
+//!   one `run` for unit and weighted instances, with fresh or stale
+//!   (delayed, lossy) observations;
 //! * [`workload`] (`qlb-workload`) — scenario generators;
 //! * [`flow`] (`qlb-flow`) — max-flow feasibility substrate;
 //! * [`obs`] (`qlb-obs`) — metrics, event tracing, phase timers
@@ -56,7 +56,6 @@ pub use qlb_engine as engine;
 pub use qlb_flow as flow;
 pub use qlb_obs as obs;
 pub use qlb_rng as rng;
-pub use qlb_runtime as runtime;
 pub use qlb_serve as serve;
 pub use qlb_stats as stats;
 pub use qlb_topo as topo;
@@ -68,7 +67,6 @@ pub mod prelude {
     pub use qlb_core::weighted::WeightedInstance;
     pub use qlb_engine::{run, run_observed, Executor, RunConfig, RunOutcome, Trace};
     pub use qlb_obs::{NoopSink, Recorder, Sink};
-    pub use qlb_runtime::{run_distributed, DistributedOutcome, RuntimeConfig};
     pub use qlb_serve::{RejectReason, ServeConfig, ServeCore};
     pub use qlb_workload::{CapacityDist, ClassSpec, Placement, Scenario};
 }

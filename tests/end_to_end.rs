@@ -1,4 +1,4 @@
-//! Cross-crate integration tests: scenario → engine/runtime → legal state,
+//! Cross-crate integration tests: scenario → engine → legal state,
 //! with every executor agreeing on the trajectory.
 
 use qoslb::engine::{run, Executor, RunConfig};
@@ -44,19 +44,14 @@ fn all_three_executors_agree() {
         &proto,
         cfg.with_executor(Executor::Threaded(4)),
     );
-    let dist = run_distributed(
-        &inst,
-        state,
-        &proto,
-        RuntimeConfig::new(9, 10_000).with_shards(3, 2),
-    );
+    let sparse = run(&inst, state, &proto, cfg.with_executor(Executor::Sparse));
 
     assert_eq!(seq.rounds, par.rounds);
-    assert_eq!(seq.rounds, dist.rounds);
+    assert_eq!(seq.rounds, sparse.rounds);
     assert_eq!(seq.migrations, par.migrations);
-    assert_eq!(seq.migrations, dist.migrations);
+    assert_eq!(seq.migrations, sparse.migrations);
     assert_eq!(seq.state, par.state);
-    assert_eq!(seq.state, dist.state);
+    assert_eq!(seq.state, sparse.state);
 }
 
 #[test]
@@ -222,15 +217,13 @@ fn open_system_pipeline() {
 }
 
 #[test]
-fn lossy_runtime_pipeline() {
+fn lossy_link_pipeline() {
     let (inst, state) = standard(512, 21);
-    let out = run_distributed(
+    let out = run(
         &inst,
         state,
         &SlackDamped::default(),
-        RuntimeConfig::new(21, 100_000)
-            .with_shards(4, 2)
-            .with_stale_prob(0.5),
+        RunConfig::new(21, 100_000).with_staleness(0, 0.5),
     );
     assert!(out.converged);
     assert!(out.state.is_legal(&inst));

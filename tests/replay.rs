@@ -84,13 +84,24 @@ fn executors_replay_each_other() {
         );
         assert_eq!(fingerprint(&par.state), fingerprint(&seq.state));
     }
-    let dist = run_distributed(
+    let sparse = run(
+        &inst,
+        s.clone(),
+        &proto,
+        RunConfig::new(7, 10_000).with_executor(Executor::SparseThreaded(3)),
+    );
+    assert_eq!(fingerprint(&sparse.state), fingerprint(&seq.state));
+    // a stale run decides every user in order, whatever the executor
+    let stale = RunConfig::new(7, 10_000).with_staleness(3, 0.25);
+    let a = run(&inst, s.clone(), &proto, stale);
+    let b = run(
         &inst,
         s,
         &proto,
-        RuntimeConfig::new(7, 10_000).with_shards(4, 3),
+        stale.with_executor(Executor::SparseThreaded(2)),
     );
-    assert_eq!(fingerprint(&dist.state), fingerprint(&seq.state));
+    assert_eq!((a.rounds, a.migrations), (b.rounds, b.migrations));
+    assert_eq!(a.state, b.state);
 }
 
 /// Cross-process pin: these values were produced by this crate and must
@@ -141,8 +152,9 @@ fn golden_print() {
     );
 }
 
-/// Randomized cross-executor equivalence: for arbitrary shard topologies
-/// and instances, the synchronous runtime must replay the engine exactly.
+/// Randomized cross-executor equivalence: for arbitrary instances and
+/// pool shardings, the pooled executors replay the sequential engine
+/// exactly, and a stale run replays itself under any of them.
 #[test]
 fn random_shardings_always_replay_engine() {
     use qoslb::rng::{Rng64, SplitMix64};
@@ -155,23 +167,24 @@ fn random_shardings_always_replay_engine() {
         let state = State::random(&inst, rng.next_u64());
         let seed = rng.next_u64();
         let max_rounds = 3 + rng.uniform(40);
-        let us = 1 + rng.uniform_usize(6);
-        let rs = 1 + rng.uniform_usize(5);
+        let threads = 1 + rng.uniform_usize(6);
+        let (max_delay, loss) = (rng.uniform(5), rng.uniform(4) as f64 / 4.0);
+        let cfg = RunConfig::new(seed, max_rounds);
+        let stale = cfg.with_staleness(max_delay, loss);
+        let proto = SlackDamped::default();
 
-        let eng = run(
-            &inst,
-            state.clone(),
-            &SlackDamped::default(),
-            RunConfig::new(seed, max_rounds),
-        );
-        let dist = run_distributed(
-            &inst,
-            state,
-            &SlackDamped::default(),
-            RuntimeConfig::new(seed, max_rounds).with_shards(us, rs),
-        );
-        assert_eq!(eng.rounds, dist.rounds, "case {case} (us={us}, rs={rs})");
-        assert_eq!(eng.migrations, dist.migrations, "case {case}");
-        assert_eq!(eng.state, dist.state, "case {case}");
+        for config in [cfg, stale] {
+            let want = run(&inst, state.clone(), &proto, config);
+            for exec in [
+                Executor::Threaded(threads),
+                Executor::SparseThreaded(threads),
+            ] {
+                let got = run(&inst, state.clone(), &proto, config.with_executor(exec));
+                let label = format!("case {case} {exec:?} D={max_delay} p={loss}");
+                assert_eq!(want.rounds, got.rounds, "{label}");
+                assert_eq!(want.migrations, got.migrations, "{label}");
+                assert_eq!(want.state, got.state, "{label}");
+            }
+        }
     }
 }
