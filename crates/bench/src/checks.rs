@@ -10,16 +10,15 @@
 use qlb_core::step::{decide_active_into, decide_range_into, decide_round_into};
 use qlb_core::weighted::WeightedInstance;
 use qlb_core::{
-    ActiveIndex, Demands, Instance, Move, ResourceId, RoundView, ShardDeltas, ShardScratch,
-    SlackDamped, State, UserId,
+    ActiveIndex, Demands, Move, ResourceId, RoundView, ShardDeltas, ShardScratch, SlackDamped,
+    State,
 };
-use qlb_engine::open::{OpenRoundStats, OPEN_SALT};
+use qlb_engine::open::reference_open_run;
 use qlb_engine::{
     run, run_observed, run_open_system, shard_bounds, shard_chunk, shards_for, Executor,
     OpenConfig, RunConfig, WorkerPool,
 };
 use qlb_obs::{NoopSink, Recorder};
-use qlb_rng::{mix64_pair, Rng64, SplitMix64};
 use std::hint::black_box;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -475,7 +474,7 @@ pub fn measure_open_sparse(m: usize, rounds: u64) -> OpenSparseRow {
     let mut mean_active = 0.0;
     for _ in 0..2 {
         let t0 = Instant::now();
-        let dense = open_scan(&caps, pool, base);
+        let dense = reference_open_run(&caps, pool, &proto, base);
         dense_ms = dense_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
         let sparse = run_open_system(&caps, pool, &proto, base.with_executor(Executor::Sparse));
@@ -491,53 +490,6 @@ pub fn measure_open_sparse(m: usize, rounds: u64) -> OpenSparseRow {
         dense_ms,
         sparse_ms,
     }
-}
-
-/// [`run_open_system`] over a plain [`State`] with a dense scan per round
-/// ([`decide_round_into`] and [`State::apply_moves`]): the dense side the
-/// committed `open_sparse` ratio was measured against, before the `Dense`
-/// open driver's full rounds moved to the SoA kernel. The same parking
-/// resource, driver stream and protocol seed, so the series must match.
-fn open_scan(caps: &[u32], pool: usize, cfg: OpenConfig) -> Vec<OpenRoundStats> {
-    let (m, parking) = (caps.len(), ResourceId(caps.len() as u32));
-    let caps = caps.iter().copied().chain([u32::MAX]).collect();
-    let inst = Instance::with_capacities(pool, caps).expect("non-empty capacities");
-    let mut state = State::all_on(&inst, parking);
-    let mut parked: Vec<UserId> = inst.users().collect();
-    let mut active = vec![false; pool];
-    let mut rng = SplitMix64::new(mix64_pair(cfg.seed, OPEN_SALT));
-    let (mut credit, mut moves, mut series) = (0.0, Vec::new(), Vec::new());
-    for round in 0..cfg.rounds {
-        credit += cfg.arrivals_per_round;
-        while credit >= 1.0 {
-            credit -= 1.0;
-            let Some(u) = parked.pop() else { break };
-            active[u.index()] = true;
-            state.reassign(u, ResourceId(rng.uniform_usize(m) as u32));
-        }
-        for (idx, on) in active.iter_mut().enumerate() {
-            if *on && rng.bernoulli(cfg.departure_prob) {
-                *on = false;
-                state.reassign(UserId(idx as u32), parking);
-                parked.push(UserId(idx as u32));
-            }
-        }
-        decide_round_into(
-            &inst,
-            &state,
-            &SlackDamped::default(),
-            cfg.seed,
-            round,
-            &mut moves,
-        );
-        state.apply_moves(&inst, &moves);
-        series.push(OpenRoundStats {
-            round,
-            active: (pool - parked.len()) as u64,
-            unsatisfied: state.num_unsatisfied(&inst) as u64,
-        });
-    }
-    series
 }
 
 /// Dense scan vs. sparse weighted engine on a tight-slack run.

@@ -29,9 +29,11 @@
 //! applies the moves to it in place and hands it back; active-set moves
 //! the driver applies to its own state and index. Identical output
 //! is guaranteed by the counter-based RNG streams of `qlb-rng` and
-//! verified by tests and experiment E10 against the dense reference loop
-//! of `qlb_core::step`, which no executor runs. A per-round [`Trace`] (potential decay, settling
-//! times, figure experiments) is a sink passed to [`run_observed`].
+//! verified by tests and experiments E10 and E14 against the dense
+//! reference loops, which no executor runs: `qlb_core::step::reference_run`
+//! for the closed loop and [`open::reference_open_run`] for the open
+//! driver. A per-round [`Trace`] (potential decay, settling times, figure
+//! experiments) is a sink passed to [`run_observed`].
 //!
 //! ```
 //! use qlb_core::prelude::*;

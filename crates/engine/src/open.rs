@@ -11,20 +11,26 @@
 //! itself is unchanged and unaware of the driver — exactly how churn would
 //! hit a deployed system.
 //!
-//! The driver supports the full [`Executor`] family. The sparse executors
-//! are the natural fit here: the steady-state active population is usually
-//! a small fraction of the user pool, so `O(pool)` dense rounds are almost
-//! entirely wasted scans of parked (always-satisfied) users. Arrivals and
-//! departures are fed to the [`ActiveIndex`] as reassignment deltas, and
-//! each round is the stepper's active-set step, as in the closed loop. The
-//! parking resource's infinite capacity keeps its occupants satisfied at
-//! any load, so its occupant list is never rechecked and the index work of
-//! a round is `O(churn + active)` instead of `O(pool)`. Arrivals take the
-//! top of the user range, so the step moves the index's shard bounds to
-//! them.
+//! The driver supports the full [`Executor`] family, and refuses protocols
+//! that act while satisfied: they would move parked users. The sparse
+//! executors are the natural fit here: the steady-state active population
+//! is usually a small fraction of the user pool, so `O(pool)` dense rounds
+//! are almost entirely wasted scans of parked (always-satisfied) users.
+//! Arrivals and departures are fed to the [`ActiveIndex`] as reassignment
+//! deltas, and each round is the stepper's active-set step, as in the
+//! closed loop. The parking resource's infinite capacity keeps its
+//! occupants satisfied at any load, so its occupant list is never
+//! rechecked and the index work of a round is `O(churn + active)` instead
+//! of `O(pool)`. Arrivals take the top of the user range, so the step moves
+//! the index's shard bounds to them.
+//!
+//! [`reference_open_run`] is the driver's reference: the same run on a
+//! plain [`State`] with the dense scan, which every executor's series must
+//! equal.
 
 use crate::run::Executor;
 use crate::stepper::Stepper;
+use qlb_core::step::decide_round_into;
 use qlb_core::{ActiveIndex, Instance, Protocol, ResourceId, State, UserId};
 use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink};
 use qlb_rng::{Rng64, SplitMix64};
@@ -127,7 +133,8 @@ pub struct OpenOutcome {
 ///
 /// # Panics
 /// Panics on nonsensical rates (negative arrivals, departure probability
-/// outside `[0, 1]`) and on a threaded executor with zero threads.
+/// outside `[0, 1]`), on empty `base_caps`, on a protocol that acts while
+/// satisfied, and on a threaded executor with zero threads.
 pub fn run_open_system<P: Protocol + ?Sized>(
     base_caps: &[u32],
     pool: usize,
@@ -143,7 +150,9 @@ pub fn run_open_system<P: Protocol + ?Sized>(
 /// bit-identical to the unobserved driver.
 ///
 /// # Panics
-/// Panics on nonsensical rates, as [`run_open_system`].
+/// Panics where [`run_open_system`] does. A protocol that acts while
+/// satisfied ([`Protocol::acts_when_satisfied`]) is refused because it
+/// would move parked users, which breaks the parking model.
 pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
     base_caps: &[u32],
     pool: usize,
@@ -151,39 +160,24 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
     cfg: OpenConfig,
     sink: &mut S,
 ) -> OpenOutcome {
-    assert!(cfg.arrivals_per_round >= 0.0, "negative arrival rate");
-    assert!(
-        (0.0..=1.0).contains(&cfg.departure_prob),
-        "departure probability out of range"
-    );
+    let (inst, parking) = parking_instance(base_caps, pool, proto, &cfg);
     let m = base_caps.len();
-    // Parking resource: effectively infinite capacity.
-    let mut caps = base_caps.to_vec();
-    caps.push(u32::MAX);
-    let parking = ResourceId(m as u32);
-    let inst = Instance::with_capacities(pool, caps).expect("non-empty capacities");
     let state = State::all_on(&inst, parking);
-
-    // Executor selection. The sparse index is unsound for protocols that
-    // act while satisfied — those fall back to full rounds, exactly as
-    // the closed-system engine does.
-    let sparse_requested = cfg.executor.is_sparse();
-    let use_sparse = sparse_requested && !proto.acts_when_satisfied();
-    if S::ENABLED && sparse_requested {
-        sink.add(Counter::ExecutorSwitches, 1);
-        sink.event(Event::ExecutorSwitch {
-            round: 0,
-            sparse: use_sparse,
-        });
-    }
     let mut stepper = Stepper::new(cfg.executor, pool, cfg.seed, cfg.shard_timing);
     // An open system starts all-parked (zero unsatisfied), so the index is
     // built upfront — there is no crowded warm-up phase to skip. The sparse
     // executors own the state with the index; the others hand it to the
     // stepper, whose full rounds apply to it.
     let mut sparse: Option<(ActiveIndex, State)> = None;
-    if use_sparse {
+    if cfg.executor.is_sparse() {
         sparse = Some((stepper.build_index(&inst, &state), state));
+        if S::ENABLED {
+            sink.add(Counter::ExecutorSwitches, 1);
+            sink.event(Event::ExecutorSwitch {
+                round: 0,
+                sparse: true,
+            });
+        }
     } else {
         stepper.hold(&inst, state);
     }
@@ -357,7 +351,83 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
 
 /// Salt separating the arrival/departure driver stream from protocol
 /// streams: changing the churn pattern never perturbs protocol coins.
-pub const OPEN_SALT: u64 = 0x4f50_454e; // "OPEN"
+pub(crate) const OPEN_SALT: u64 = 0x4f50_454e; // "OPEN"
+
+/// The open system's instance: `base_caps` plus the parking resource at
+/// index `m`, over a pool of `pool` users; and the parking resource. Checks
+/// what both the driver and its reference refuse.
+fn parking_instance<P: Protocol + ?Sized>(
+    base_caps: &[u32],
+    pool: usize,
+    proto: &P,
+    cfg: &OpenConfig,
+) -> (Instance, ResourceId) {
+    assert!(cfg.arrivals_per_round >= 0.0, "negative arrival rate");
+    assert!(
+        (0.0..=1.0).contains(&cfg.departure_prob),
+        "departure probability out of range"
+    );
+    assert!(
+        !proto.acts_when_satisfied(),
+        "the open driver needs a protocol that never acts while satisfied ({} does)",
+        proto.name()
+    );
+    let inst = Instance::with_capacities(0, base_caps.to_vec())
+        .expect("non-empty capacities")
+        .with_parking(&[pool])
+        .expect("a pool within the 32-bit user-id space");
+    (inst, ResourceId(base_caps.len() as u32))
+}
+
+/// The open driver's reference: [`run_open_system`]'s per-round series,
+/// computed on a plain [`State`] with the dense scan of
+/// [`qlb_core::step`] ([`decide_round_into`] and [`State::apply_moves`])
+/// and no executor, index or view. It draws the same parking instance,
+/// driver stream and protocol coins, so every executor's series must
+/// equal it; the tests, E14 and the `open_sparse` bench gate compare them.
+///
+/// # Panics
+/// Panics on nonsensical rates, on empty `base_caps` and on a protocol that
+/// acts while satisfied, as [`run_open_system`] does.
+pub fn reference_open_run<P: Protocol + ?Sized>(
+    base_caps: &[u32],
+    pool: usize,
+    proto: &P,
+    cfg: OpenConfig,
+) -> Vec<OpenRoundStats> {
+    let (inst, parking) = parking_instance(base_caps, pool, proto, &cfg);
+    let m = base_caps.len();
+    let mut state = State::all_on(&inst, parking);
+    let mut parked: Vec<UserId> = inst.users().collect();
+    let mut active = vec![false; pool];
+    let mut rng = SplitMix64::new(qlb_rng::mix64_pair(cfg.seed, OPEN_SALT));
+    let (mut credit, mut moves) = (0.0, Vec::new());
+    let mut series = Vec::with_capacity(cfg.rounds as usize);
+    for round in 0..cfg.rounds {
+        credit += cfg.arrivals_per_round;
+        while credit >= 1.0 {
+            credit -= 1.0;
+            let Some(u) = parked.pop() else { break };
+            active[u.index()] = true;
+            state.reassign(u, ResourceId(rng.uniform_usize(m) as u32));
+        }
+        for (idx, on) in active.iter_mut().enumerate() {
+            if *on && rng.bernoulli(cfg.departure_prob) {
+                *on = false;
+                state.reassign(UserId(idx as u32), parking);
+                parked.push(UserId(idx as u32));
+            }
+        }
+        decide_round_into(&inst, &state, proto, cfg.seed, round, &mut moves);
+        state.apply_moves(&inst, &moves);
+        series.push(OpenRoundStats {
+            round,
+            active: (pool - parked.len()) as u64,
+            unsatisfied: state.num_unsatisfied(&inst) as u64,
+        });
+    }
+    series
+}
 
 #[cfg(test)]
 mod tests {
@@ -444,58 +514,16 @@ mod tests {
     }
 
     #[test]
-    fn every_executor_produces_identical_series() {
-        // churn-heavy: high arrival rate against a modest system, so rounds
-        // mix large arrival batches, departures, and protocol migrations.
-        // The second case's 400 arrivals a round against 2 048 slots leave
-        // over 1 024 users unsatisfied within a few rounds, all at the top
-        // of the 8 192-user pool where arrivals land, so the pooled rounds
-        // run and the index bounds follow the arrivals.
-        use qlb_obs::Recorder;
-        for (caps, pool, base) in [
-            (vec![8u32; 24], 400, cfg(150, 6.0, 0.08)),
-            (vec![8u32; 256], 8192, cfg(30, 400.0, 0.02)),
-        ] {
-            let dense = run_open_system(&caps, pool, &SlackDamped::default(), base);
-            let crowded = dense.series.iter().any(|s| s.unsatisfied >= 1024);
-            assert_eq!(crowded, pool == 8192);
-            for exec in [
-                Executor::Sparse,
-                Executor::Threaded(4),
-                Executor::SparseThreaded(2),
-                Executor::SparseThreaded(3),
-            ] {
-                let mut rec = Recorder::default();
-                let cfg = base.with_executor(exec);
-                let other =
-                    run_open_system_observed(&caps, pool, &SlackDamped::default(), cfg, &mut rec);
-                assert_eq!(dense.series, other.series, "{exec:?}");
-                if crowded && exec != Executor::Sparse {
-                    let pooled = rec.timers().histogram(Phase::Compute).count();
-                    assert!(pooled > 0, "{exec:?}: no pooled round");
-                }
-            }
-        }
+    #[should_panic(expected = "never acts while satisfied")]
+    fn protocols_acting_while_satisfied_rejected() {
+        let drift = crate::stale::tests::Drift;
+        let _ = run_open_system(&[8u32; 8], 100, &drift, cfg(80, 3.0, 0.1));
     }
 
     #[test]
-    fn sparse_falls_back_for_acts_when_satisfied() {
-        // a protocol that acts while satisfied makes the active set
-        // unsound; the driver must fall back to dense and still match
-        let protos = qlb_core::registry(&Instance::with_capacities(4, vec![8; 8]).unwrap());
-        let Some(proto) = protos.iter().find(|p| p.acts_when_satisfied()) else {
-            return; // registry has no such protocol on this instance shape
-        };
-        let base = cfg(80, 3.0, 0.1);
-        let caps = [8u32; 8];
-        let dense = run_open_system(&caps, 100, proto.as_ref(), base);
-        let sparse = run_open_system(
-            &caps,
-            100,
-            proto.as_ref(),
-            base.with_executor(Executor::Sparse),
-        );
-        assert_eq!(dense.series, sparse.series);
+    #[should_panic(expected = "non-empty capacities")]
+    fn empty_capacities_rejected() {
+        let _ = run_open_system(&[], 10, &SlackDamped::default(), cfg(10, 1.0, 0.1));
     }
 
     #[test]

@@ -466,12 +466,9 @@ pub(crate) fn emit_round_end<I: Demands, S: Sink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{RoundStats, Trace};
-    use qlb_core::step::reference_run;
+    use crate::trace::Trace;
     use qlb_core::weighted::WeightedInstance;
-    use qlb_core::{
-        overload_potential, BlindUniform, ConditionalUniform, Instance, ResourceId, SlackDamped,
-    };
+    use qlb_core::{BlindUniform, ConditionalUniform, Instance, ResourceId, SlackDamped};
     use qlb_obs::Recorder;
 
     fn hotspot(n: usize, m: usize, cap: u32) -> (Instance, State) {
@@ -580,25 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_sequential_exactly() {
-        let (inst, s1) = hotspot(500, 16, 40);
-        let proto = SlackDamped::default();
-        let cfg = RunConfig::new(11, 10_000);
-        let (want, _) = oracle(&inst, &s1, &proto, cfg);
-        assert!(want.converged);
-        for exec in [
-            Executor::Dense,
-            Executor::Threaded(1),
-            Executor::Threaded(2),
-            Executor::Threaded(3),
-            Executor::Threaded(8),
-        ] {
-            let out = run(&inst, s1.clone(), &proto, cfg.with_executor(exec));
-            assert_same_run(&want, &out, &format!("{exec:?}"));
-        }
-    }
-
-    #[test]
     fn threaded_more_threads_than_users() {
         let (inst, state) = hotspot(4, 2, 3);
         let out = run(
@@ -686,133 +664,6 @@ mod tests {
         assert_eq!(out.state.num_unsatisfied(&inst), 1);
     }
 
-    /// Asserts two runs took the same trajectory.
-    fn assert_same_run(a: &RunOutcome, b: &RunOutcome, label: &str) {
-        assert_eq!(a.converged, b.converged, "{label}");
-        assert_eq!(a.rounds, b.rounds, "{label}");
-        assert_eq!(a.migrations, b.migrations, "{label}");
-        assert_eq!(a.weight_moved, b.weight_moved, "{label}");
-        assert_eq!(a.state, b.state, "{label}");
-    }
-
-    /// The expected side of the executor comparisons: the dense reference
-    /// loop of `qlb_core::step`, which shares no kernel with the
-    /// executors, and the settling-time trace it implies, counted on each
-    /// round's `State` with no sink involved.
-    fn oracle<I: Demands, P: Protocol + ?Sized>(
-        inst: &I,
-        state: &State,
-        proto: &P,
-        cfg: RunConfig,
-    ) -> (RunOutcome, Trace) {
-        let base = inst.instance();
-        let entry = |round, state: &State, migrations| RoundStats {
-            round,
-            unsatisfied: state.num_unsatisfied(inst) as u64,
-            overload: (base.num_classes() == 1).then(|| overload_potential(base, state)),
-            migrations,
-        };
-        let mut trace = Trace {
-            rounds: vec![entry(0, state, 0)],
-            last_unsatisfied: vec![None; base.num_users()],
-        };
-        let settle = |trace: &mut Trace, state: &State, round| {
-            for u in base.users().filter(|&u| !state.is_satisfied(inst, u)) {
-                trace.last_unsatisfied[u.index()] = Some(round);
-            }
-        };
-        settle(&mut trace, state, 0);
-        let (seed, budget) = (cfg.seed, cfg.max_rounds);
-        let want = reference_run(inst, state.clone(), proto, seed, budget, |s, moves| {
-            let round = trace.rounds.len() as u64;
-            trace.rounds.push(entry(round, s, moves.len() as u64));
-            settle(&mut trace, s, round);
-        });
-        (want, trace)
-    }
-
-    /// Asserts two traces hold the same rounds and settling times.
-    fn assert_same_trace(a: &Trace, b: &Trace, label: &str) {
-        assert_eq!(a.rounds, b.rounds, "{label}");
-        assert_eq!(a.last_unsatisfied, b.last_unsatisfied, "{label}");
-    }
-
-    #[test]
-    fn sparse_matches_dense_exactly() {
-        let (inst, s1) = hotspot(500, 16, 40);
-        for proto in qlb_core::registry(&inst) {
-            let cfg = RunConfig::new(11, 2_000);
-            let (want, want_trace) = oracle(&inst, &s1, proto.as_ref(), cfg);
-            for exec in [Executor::Dense, Executor::Sparse] {
-                let label = format!("{} {exec:?}", proto.name());
-                let (out, trace) = traced(&inst, &s1, proto.as_ref(), cfg.with_executor(exec));
-                assert_same_run(&want, &out, &label);
-                assert_same_trace(&want_trace, &trace, &label);
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_executors_match_sequential_exactly() {
-        let (inst, s1) = hotspot(500, 16, 40);
-        for proto in qlb_core::registry(&inst) {
-            let name = proto.name();
-            let cfg = RunConfig::new(11, 2_000);
-            let (want, want_trace) = oracle(&inst, &s1, proto.as_ref(), cfg);
-            for exec in [
-                Executor::Dense,
-                Executor::Sparse,
-                Executor::Threaded(3),
-                Executor::SparseThreaded(2),
-                Executor::SparseThreaded(8),
-            ] {
-                let label = format!("{name} {exec:?}");
-                // with no sink, and with a trace fed by the held view
-                let plain = run(&inst, s1.clone(), proto.as_ref(), cfg.with_executor(exec));
-                assert_same_run(&want, &plain, &label);
-                let (pooled, trace) = traced(&inst, &s1, proto.as_ref(), cfg.with_executor(exec));
-                assert_same_run(&want, &pooled, &label);
-                assert_same_trace(&want_trace, &trace, &label);
-            }
-        }
-    }
-
-    /// A budget that ends inside the full-round phase: the stepper holds
-    /// only the view when the budget runs out, and the `State` it hands
-    /// back equals the reference loop's, and so does the trace a recorder
-    /// feeds beside it. After 1 round every executor still holds the view;
-    /// after 2, `SparseThreaded` has handed it back for its index build.
-    #[test]
-    fn pooled_budget_cut_in_full_rounds_matches_dense() {
-        let (inst, s1) = hotspot(500, 16, 33);
-        let proto = SlackDamped::default();
-        for budget in [1, 2] {
-            let cfg = RunConfig::new(11, budget);
-            let (want, want_trace) = oracle(&inst, &s1, &proto, cfg);
-            assert!(!want.converged && want.rounds == budget);
-            for exec in [
-                Executor::Dense,
-                Executor::Threaded(2),
-                Executor::SparseThreaded(2),
-            ] {
-                let label = format!("{exec:?} budget {budget}");
-                let mut rec = Recorder::default();
-                let mut trace = Trace::with_settling_times(&inst, &s1);
-                let cfg = cfg.with_executor(exec);
-                let mut both = (&mut rec, &mut trace);
-                let out = run_observed(&inst, s1.clone(), &proto, cfg, &mut both);
-                assert_same_run(&want, &out, &label);
-                assert_same_trace(&want_trace, &trace, &label);
-                // every round was a full round, pooled but for `Dense`
-                // (`SparseThreaded` switches to the index at the end of
-                // round 2)
-                let compute = rec.timers().histogram(Phase::Compute).count();
-                let pooled = if exec == Executor::Dense { 0 } else { budget };
-                assert_eq!(compute, pooled, "{label}");
-            }
-        }
-    }
-
     #[test]
     fn pooled_observed_splits_decide_phase() {
         let (inst, s1) = hotspot(300, 16, 24);
@@ -846,27 +697,6 @@ mod tests {
             RunConfig::new(2, 1_000).with_executor(Executor::SparseThreaded(16)),
         );
         assert!(out.converged);
-    }
-
-    #[test]
-    fn config_executor_selects_sparse() {
-        let (inst, s1) = hotspot(128, 16, 10);
-        let dense = run(
-            &inst,
-            s1.clone(),
-            &SlackDamped::default(),
-            RunConfig::new(9, 10_000),
-        );
-        let sparse = run(
-            &inst,
-            s1,
-            &SlackDamped::default(),
-            RunConfig::new(9, 10_000).with_executor(Executor::Sparse),
-        );
-        assert!(dense.converged && sparse.converged);
-        assert_eq!(dense.rounds, sparse.rounds);
-        assert_eq!(dense.migrations, sparse.migrations);
-        assert_eq!(dense.state, sparse.state);
     }
 
     #[test]
@@ -971,54 +801,12 @@ mod tests {
         );
     }
 
-    /// The sequential and the pooled run end where the reference loop
-    /// does and emit the same event stream, and a recorder paired with a
-    /// trace records exactly what it records alone: the same events,
-    /// counters and gauges, beside the reference loop's trace.
-    #[test]
-    fn observed_threaded_matches_sequential() {
-        let (inst, s1) = hotspot(200, 16, 16);
-        let proto = SlackDamped::default();
-        let events = |r: &Recorder| r.events().iter().map(|(_, e)| e).collect::<Vec<_>>();
-        let counters = |r: &Recorder| Counter::ALL.map(|c| r.counter(c));
-        let gauges = |r: &Recorder| Gauge::ALL.map(|g| r.gauge(g));
-        let cfg = RunConfig::new(3, 10_000);
-        let (want, want_trace) = oracle(&inst, &s1, &proto, cfg);
-        let mut seq_events = None;
-        for exec in [Executor::Dense, Executor::Threaded(3)] {
-            let cfg = cfg.with_executor(exec);
-            let mut rec = Recorder::default();
-            let alone = run_observed(&inst, s1.clone(), &proto, cfg, &mut rec);
-            assert_same_run(&want, &alone, &format!("{exec:?}"));
-            assert_eq!(rec.counter(Counter::Rounds), alone.rounds, "{exec:?}");
-            let seq_events = seq_events.get_or_insert_with(|| events(&rec));
-            assert_eq!(&events(&rec), seq_events, "{exec:?}");
-
-            let mut paired = Recorder::default();
-            let mut trace = Trace::with_settling_times(&inst, &s1);
-            let mut both = (&mut paired, &mut trace);
-            let out = run_observed(&inst, s1.clone(), &proto, cfg, &mut both);
-            assert_eq!(out.state, alone.state, "{exec:?}");
-            assert_eq!(events(&paired), events(&rec), "{exec:?}");
-            assert_eq!(counters(&paired), counters(&rec), "{exec:?}");
-            assert_eq!(gauges(&paired), gauges(&rec), "{exec:?}");
-            assert_same_trace(&want_trace, &trace, &format!("{exec:?}"));
-        }
-    }
-
     /// `n` users of weight `w` on `m` resources of capacity `cap`, all on
     /// resource 0.
     fn weighted_hotspot(m: usize, cap: u32, weights: Vec<u32>) -> (WeightedInstance, State) {
         let inst = WeightedInstance::new(vec![cap; m], weights).unwrap();
         let state = State::all_on(&inst, ResourceId(0));
         (inst, state)
-    }
-
-    /// 80 users of weight 1 and 20 of weight 4 (Σw = 160) on 24 × cap 8.
-    fn mixed_weights() -> Vec<u32> {
-        let mut weights = vec![1u32; 80];
-        weights.extend(vec![4u32; 20]);
-        weights
     }
 
     #[test]
@@ -1056,31 +844,6 @@ mod tests {
         let out = run(&inst, state, &SlackDamped::default(), RunConfig::new(1, 1));
         assert_eq!(out.rounds, 1);
         assert!(!out.converged);
-    }
-
-    #[test]
-    fn weighted_executors_match_dense_exactly() {
-        let (inst, s1) = weighted_hotspot(24, 8, mixed_weights());
-        let protos: [&dyn Protocol; 2] = [&SlackDamped::default(), &ConditionalUniform];
-        for proto in protos {
-            let name = proto.name();
-            let cfg = RunConfig::new(11, 10_000);
-            let (want, want_trace) = oracle(&inst, &s1, proto, cfg);
-            for exec in [
-                Executor::Dense,
-                Executor::Sparse,
-                Executor::Threaded(3),
-                Executor::Threaded(64),
-                Executor::SparseThreaded(4),
-            ] {
-                let label = format!("{name} {exec:?}");
-                let plain = run(&inst, s1.clone(), proto, cfg.with_executor(exec));
-                assert_same_run(&want, &plain, &label);
-                let (other, trace) = traced(&inst, &s1, proto, cfg.with_executor(exec));
-                assert_same_run(&want, &other, &label);
-                assert_same_trace(&want_trace, &trace, &label);
-            }
-        }
     }
 
     #[test]
@@ -1132,66 +895,6 @@ mod tests {
         assert!(!entries0.is_empty() && entries0.len() <= 4);
         assert!(entries0.windows(2).all(|w| w[0].load >= w[1].load));
         assert_eq!(rec.shard_timers().num_shards(), 3);
-    }
-
-    /// A hotspot of 12 000 users (not a multiple of the 512-user index
-    /// shard) at slack 1.1, whose first active-set rounds hold more than
-    /// 1024 users, so the pooled executors run the fused sync-and-decide
-    /// dispatch. Every
-    /// executor ends on the same outcome with the same events — the
-    /// executor switch aside, which only the sparse ones take — both run
-    /// to legality and with a budget that ends inside the sparse phase.
-    #[test]
-    fn fused_sparse_dispatch_matches_sequential() {
-        let (inst, s1) = hotspot(12_000, 1_200, 11);
-        let events = |r: &Recorder| {
-            r.events()
-                .iter()
-                .map(|(_, e)| e)
-                .filter(|e| !matches!(e, Event::ExecutorSwitch { .. }))
-                .collect::<Vec<_>>()
-        };
-        let drive = |exec: Executor, budget: u64| {
-            let mut rec = Recorder::default();
-            let cfg = RunConfig::new(17, budget).with_executor(exec);
-            let out = run_observed(&inst, s1.clone(), &SlackDamped::default(), cfg, &mut rec);
-            (out, rec)
-        };
-        let (full, full_rec) = drive(Executor::Dense, 10_000);
-        assert!(full.converged);
-        let (_, sparse_rec) = drive(Executor::Sparse, 10_000);
-        let dense_rounds = sparse_rec.counter(Counter::DenseRounds);
-        let sparse_rounds = sparse_rec.counter(Counter::SparseRounds);
-        assert!(sparse_rounds > 4, "{sparse_rounds} active-set rounds");
-        // a budget that stops after half of the active-set rounds
-        let cut = dense_rounds + sparse_rounds / 2;
-        let (short, short_rec) = drive(Executor::Dense, cut);
-        assert!(!short.converged && short.rounds == cut);
-
-        for (want, want_rec, budget) in [(&full, &full_rec, 10_000), (&short, &short_rec, cut)] {
-            for exec in [
-                Executor::Sparse,
-                Executor::SparseThreaded(2),
-                Executor::SparseThreaded(3),
-            ] {
-                let (out, rec) = drive(exec, budget);
-                let label = format!("{exec:?} budget {budget}");
-                assert_same_run(want, &out, &label);
-                assert_eq!(events(&rec), events(want_rec), "{label}");
-                assert_eq!(rec.counter(Counter::Rounds), out.rounds, "{label}");
-                assert_eq!(rec.counter(Counter::ExecutorSwitches), 1, "{label}");
-                // the closing sync of the sparse phase is not a round
-                let decides = rec.timers().histogram(Phase::Decide).count();
-                assert_eq!(decides, out.rounds, "{label}: Decide samples");
-                if exec != Executor::Sparse {
-                    // one Compute sample per pooled round: more than the
-                    // dense ones means active-set rounds were dispatched
-                    let compute = rec.timers().histogram(Phase::Compute).count();
-                    let dense = rec.counter(Counter::DenseRounds);
-                    assert!(compute > dense, "{label}: {compute} ≤ {dense}");
-                }
-            }
-        }
     }
 
     #[test]

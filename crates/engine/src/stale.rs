@@ -200,7 +200,7 @@ fn split(n: usize, k: usize) -> Vec<(usize, usize)> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::run::run_observed;
     use crate::trace::Trace;
@@ -211,7 +211,7 @@ mod tests {
 
     /// A protocol that also moves satisfied users: toward a target with
     /// room for two more, on a fair coin.
-    struct Drift;
+    pub(crate) struct Drift;
 
     impl Protocol for Drift {
         fn name(&self) -> &'static str {

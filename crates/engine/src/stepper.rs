@@ -171,10 +171,11 @@ impl Stepper {
     ///
     /// A pooled step first moves the shard bounds to the unsatisfied users
     /// when they crowd into a few shards (see `RESPLIT_IMBALANCE`),
-    /// recording the rebuild as [`Phase::Apply`]. The step records a
-    /// round's phases only when it decided one: a step without `decide`, or
-    /// one whose sync left no user unsatisfied, is index maintenance and
-    /// records its wall time as [`Phase::Apply`].
+    /// recording the rebuild as [`Phase::Apply`]; debug builds check the
+    /// rebuilt index against a recount. The step records a round's phases
+    /// only when it decided one: a step without `decide`, or one whose sync
+    /// left no user unsatisfied, is index maintenance and records its wall
+    /// time as [`Phase::Apply`].
     #[allow(clippy::too_many_arguments)]
     pub fn step_sparse<I: Demands, P: Protocol + ?Sized, S: Sink>(
         &mut self,
@@ -197,6 +198,9 @@ impl Stepper {
             });
             if let (true, Some(t0)) = (moved, t0) {
                 sink.time(Phase::Apply, t0.elapsed().as_nanos() as u64);
+            }
+            if moved && cfg!(debug_assertions) {
+                index.assert_consistent(inst, state);
             }
         }
 

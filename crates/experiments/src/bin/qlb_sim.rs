@@ -144,6 +144,19 @@ fn main() {
         exit(1);
     });
 
+    // Driver: which engine loops the rounds (closed | open | weighted).
+    let driver = get("--driver").unwrap_or_else(|| "closed".into());
+    if !["closed", "open", "weighted"].contains(&driver.as_str()) {
+        eprintln!("unknown driver {driver}; choose closed | open | weighted");
+        exit(2);
+    }
+    // A topology runs graph diffusion, which acts while satisfied: it would
+    // move the open driver's parked users.
+    if driver == "open" && get("--topology").is_some() {
+        eprintln!("--topology cannot run on the open driver: graph diffusion acts while satisfied");
+        exit(2);
+    }
+
     // Optional topology restriction: users only probe graph neighbours
     // (forces the diffusion kernel, which handles sparse graphs).
     let topology = get("--topology").map(|t| {
@@ -226,15 +239,9 @@ fn main() {
         }
     };
 
-    // Driver (which engine loops the rounds: closed | open | weighted)
-    // and executor (how one round is decided: dense | sparse |
-    // threaded | sparse-threaded) are orthogonal flags — every driver
-    // accepts every executor.
-    let driver = get("--driver").unwrap_or_else(|| "closed".into());
-    if !["closed", "open", "weighted"].contains(&driver.as_str()) {
-        eprintln!("unknown driver {driver}; choose closed | open | weighted");
-        exit(2);
-    }
+    // Executor: how one round is decided (dense | sparse | threaded |
+    // sparse-threaded), orthogonal to the driver — every driver accepts
+    // every executor.
     let exec_name = get("--executor").unwrap_or_else(|| "dense".into());
     let threads: usize = get("--threads").map_or(4, |s| {
         s.parse().unwrap_or_else(|_| {
@@ -532,7 +539,8 @@ fn print_help() {
          [--threads T] [--max-rounds N] [--max-delay D] [--loss P]\n  \
          qlb-sim --preset flash-crowd\n  qlb-sim --emit-preset > fleet.json\n\n\
          PROTOCOLS: blind | conditional | slack-damped (default) | capacity-sampling | levels\n\
-         TOPOLOGY:  --topology ring | torus | complete (neighbour-restricted diffusion)\n\
+         TOPOLOGY:  --topology ring | torus | complete (neighbour-restricted diffusion;\n           \
+         refused by the open driver)\n\
          DRIVERS:   closed (default) | open | weighted — which loop runs the rounds\n\
          EXECUTORS: dense (default) | sparse | threaded | sparse-threaded — how one round\n           \
          is decided; every driver accepts every executor, and every executor\n           \

@@ -10,6 +10,7 @@
 
 use crate::ExperimentResult;
 use qlb_core::SlackDamped;
+use qlb_engine::open::reference_open_run;
 use qlb_engine::{run_open_system, OpenConfig};
 use qlb_stats::{Summary, Table};
 
@@ -40,6 +41,8 @@ pub fn run(quick: bool) -> ExperimentResult {
     );
     let mut first = f64::NAN;
     let mut last = f64::NAN;
+    // runs whose series equals the reference loop's
+    let mut matched = 0;
 
     for &rho in &rhos {
         let lambda = rho * mu * total_cap as f64;
@@ -49,12 +52,10 @@ pub fn run(quick: bool) -> ExperimentResult {
         let mut worst = Summary::new();
         let mut active = Summary::new();
         for seed in 0..seeds as u64 {
-            let out = run_open_system(
-                &caps,
-                pool,
-                &SlackDamped::default(),
-                OpenConfig::new(seed, rounds, lambda, mu).with_warmup(rounds / 4),
-            );
+            let proto = SlackDamped::default();
+            let cfg = OpenConfig::new(seed, rounds, lambda, mu).with_warmup(rounds / 4);
+            let out = run_open_system(&caps, pool, &proto, cfg);
+            matched += u32::from(out.series == reference_open_run(&caps, pool, &proto, cfg));
             unsat.push(out.mean_unsatisfied_frac);
             worst.push(out.max_unsatisfied_frac);
             active.push(out.mean_active);
@@ -73,11 +74,19 @@ pub fn run(quick: bool) -> ExperimentResult {
         last = unsat.mean();
     }
 
-    let notes = vec![format!(
-        "shape check: steady-state unsatisfied fraction stays small and grows toward ρ = 1 \
-         (ρ = 0.5: {first:.4} → ρ = 0.95: {last:.4}); the open system absorbs churn \
-         continuously without accumulating backlog"
-    )];
+    let runs = rhos.len() as u32 * seeds;
+    let notes = vec![
+        format!(
+            "oracle check: every run's series equals the dense reference loop's: {} \
+             ({matched}/{runs} runs)",
+            if matched == runs { "PASS" } else { "FAIL" }
+        ),
+        format!(
+            "shape check: steady-state unsatisfied fraction stays small and grows toward ρ = 1 \
+             (ρ = 0.5: {first:.4} → ρ = 0.95: {last:.4}); the open system absorbs churn \
+             continuously without accumulating backlog"
+        ),
+    ];
 
     ExperimentResult {
         id: "E14",
@@ -97,5 +106,10 @@ mod tests {
         let res = run(true);
         assert_eq!(res.tables[0].num_rows(), 5);
         assert_eq!(res.id, "E14");
+        assert!(
+            res.notes[0].contains("PASS (15/15 runs)"),
+            "{:?}",
+            res.notes
+        );
     }
 }

@@ -234,6 +234,18 @@ fn sim_rejects_unknown_flags_and_presets() {
         ],
         "need the closed or weighted driver",
     );
+    // graph diffusion would move the open driver's parked users
+    assert_sim_usage_error(
+        &[
+            "--preset",
+            "flash-crowd",
+            "--driver",
+            "open",
+            "--topology",
+            "ring",
+        ],
+        "--topology cannot run on the open driver",
+    );
 }
 
 #[test]

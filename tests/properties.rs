@@ -4,10 +4,7 @@ use proptest::prelude::*;
 use qoslb::core::potential::unsatisfied_potential;
 use qoslb::core::step::{decide_round, decide_shard_into, reference_run};
 use qoslb::core::weighted::WeightedInstance;
-use qoslb::engine::{
-    perturb_uniform, run, run_observed, run_open_system, run_with_churn, ChurnConfig, OpenConfig,
-    RunConfig,
-};
+use qoslb::engine::{perturb_uniform, run, run_observed, RunConfig};
 use qoslb::flow::{brute_force_feasible, flow_feasible};
 use qoslb::obs::{Counter, Event, Recorder};
 use qoslb::prelude::*;
@@ -616,8 +613,7 @@ proptest! {
     /// Churn displacement repairs an [`ActiveIndex`] exactly like a dense
     /// recount: replaying a churn episode's displacement as a move batch
     /// through `apply_moves` leaves the index identical to one rebuilt
-    /// from scratch, and the sparse-executor churn driver reproduces the
-    /// dense trajectory bit-for-bit.
+    /// from scratch.
     #[test]
     fn churn_repairs_active_index_like_dense_recount(
         (inst, state, seed) in small_instance(),
@@ -645,25 +641,6 @@ proptest! {
         let recount = ActiveIndex::new(&inst, &after);
         prop_assert_eq!(index.num_active(), recount.num_active());
         prop_assert_eq!(index.is_empty(), recount.is_empty());
-
-        // and the full churn driver: sparse executor == dense executor
-        let cfg = |executor| ChurnConfig {
-            seed,
-            fraction,
-            episodes: 3,
-            max_rounds_per_episode: 5_000,
-            executor,
-        };
-        let dense = run_with_churn(
-            &inst, settled.state.clone(), &SlackDamped::default(), cfg(Executor::Dense),
-        );
-        let sparse = run_with_churn(
-            &inst, settled.state, &SlackDamped::default(), cfg(Executor::Sparse),
-        );
-        prop_assert_eq!(&dense.state, &sparse.state);
-        prop_assert_eq!(dense.recovery_rounds, sparse.recovery_rounds);
-        prop_assert_eq!(dense.displaced, sparse.displaced);
-        prop_assert_eq!(dense.all_recovered, sparse.all_recovered);
     }
 
     /// The persistent worker-pool executors, and the dense one, reproduce
@@ -695,59 +672,6 @@ proptest! {
                 prop_assert_eq!(want.migrations, pooled.migrations, "{} {:?}", name, executor);
                 prop_assert_eq!(&want.state, &pooled.state, "{} {:?}", name, executor);
             }
-        }
-    }
-
-    /// The open-system driver produces an identical per-round series under
-    /// every executor, on churn-heavy workloads where the active set turns
-    /// over constantly (arrivals and departures every round).
-    #[test]
-    fn open_system_executors_produce_identical_series(
-        caps in proptest::collection::vec(2u32..12, 4..24),
-        seed in 0u64..=u64::MAX,
-        arrivals in 0.5f64..8.0,
-        departure in 0.01f64..0.25,
-    ) {
-        let total: u64 = caps.iter().map(|&c| c as u64).sum();
-        let pool = (total as usize).max(32);
-        let base = OpenConfig::new(seed, 120, arrivals, departure);
-        let dense = run_open_system(&caps, pool, &SlackDamped::default(), base);
-        for executor in [
-            Executor::Sparse,
-            Executor::Threaded(3),
-            Executor::SparseThreaded(4),
-        ] {
-            let cfg = base.with_executor(executor);
-            let out = run_open_system(&caps, pool, &SlackDamped::default(), cfg);
-            prop_assert_eq!(&dense.series, &out.series, "{:?}", executor);
-        }
-    }
-
-    /// Every executor reproduces the reference loop's trajectory of a
-    /// weighted run bit-for-bit.
-    #[test]
-    fn weighted_executors_match_dense(
-        (inst, state, seed) in small_instance(),
-        budget in 1u64..200,
-        weight_max in 1u32..6,
-    ) {
-        let winst = lift_weighted(&inst, weight_max);
-        let start = State::new(&winst, state.assignment().to_vec()).unwrap();
-        let proto = SlackDamped::default();
-        let want = reference_run(&winst, start.clone(), &proto, seed, budget, |_, _| {});
-        for executor in [
-            Executor::Dense,
-            Executor::Sparse,
-            Executor::Threaded(3),
-            Executor::SparseThreaded(4),
-        ] {
-            let cfg = RunConfig::new(seed, budget).with_executor(executor);
-            let out = run(&winst, start.clone(), &proto, cfg);
-            prop_assert_eq!(want.converged, out.converged, "{:?}", executor);
-            prop_assert_eq!(want.rounds, out.rounds, "{:?}", executor);
-            prop_assert_eq!(want.migrations, out.migrations, "{:?}", executor);
-            prop_assert_eq!(want.weight_moved, out.weight_moved, "{:?}", executor);
-            prop_assert_eq!(&want.state, &out.state, "{:?}", executor);
         }
     }
 
