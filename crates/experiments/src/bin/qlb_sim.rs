@@ -150,10 +150,11 @@ fn main() {
         eprintln!("unknown driver {driver}; choose closed | open | weighted");
         exit(2);
     }
-    // A topology runs graph diffusion, which acts while satisfied: it would
-    // move the open driver's parked users.
-    if driver == "open" && get("--topology").is_some() {
-        eprintln!("--topology cannot run on the open driver: graph diffusion acts while satisfied");
+    // A topology runs graph diffusion, on the closed driver only: it acts
+    // while satisfied, so it would move the open driver's parked users, and
+    // the weighted driver takes its protocol from `--protocol` alone.
+    if driver != "closed" && get("--topology").is_some() {
+        eprintln!("--topology cannot run on the {driver} driver: graph diffusion runs on the closed driver only");
         exit(2);
     }
 
@@ -540,7 +541,7 @@ fn print_help() {
          qlb-sim --preset flash-crowd\n  qlb-sim --emit-preset > fleet.json\n\n\
          PROTOCOLS: blind | conditional | slack-damped (default) | capacity-sampling | levels\n\
          TOPOLOGY:  --topology ring | torus | complete (neighbour-restricted diffusion;\n           \
-         refused by the open driver)\n\
+         closed driver only)\n\
          DRIVERS:   closed (default) | open | weighted — which loop runs the rounds\n\
          EXECUTORS: dense (default) | sparse | threaded | sparse-threaded — how one round\n           \
          is decided; every driver accepts every executor, and every executor\n           \

@@ -246,6 +246,19 @@ fn sim_rejects_unknown_flags_and_presets() {
         ],
         "--topology cannot run on the open driver",
     );
+    // the weighted driver used to print the topology banner, then run
+    // slack-damped without the graph
+    assert_sim_usage_error(
+        &[
+            "--preset",
+            "flash-crowd",
+            "--driver",
+            "weighted",
+            "--topology",
+            "ring",
+        ],
+        "--topology cannot run on the weighted driver",
+    );
 }
 
 #[test]

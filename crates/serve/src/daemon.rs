@@ -16,9 +16,12 @@
 //!   rebalancer a tick whose round budget shrinks as the backlog grows
 //!   ([`ServeCore::tick_budget`]) — requests have priority, the rebalancer
 //!   has a floor, neither starves;
-//! * each reply and its newline go to the socket in one nonblocking
-//!   `write`; what the socket does not take waits in the connection's
-//!   output buffer for `POLLOUT`.
+//! * a reply is appended to its connection's output buffer and written
+//!   at once when no other line of that connection waits for an answer;
+//!   otherwise it leaves with the rest of the connection's replies in one
+//!   nonblocking `write` at the end of the batch, so a pipelining client
+//!   costs one write per poll turn, not one per request. What the socket
+//!   does not take waits for `POLLOUT`.
 //!
 //! Each connection's memory is bounded. A request line longer than
 //! 64 KiB is answered once with `"line too long"` and the connection is
@@ -32,8 +35,10 @@
 //!
 //! Request latency (receipt → reply written) feeds the
 //! [`REQUEST_HIST_NAME`] histogram through the sink; placements
-//! additionally feed [`PLACE_HIST_NAME`]. Both ride the trace trailer, so
-//! `qlb-trace` reports daemon latency percentiles offline or live.
+//! additionally feed [`PLACE_HIST_NAME`]. A reply held for the end of the
+//! batch is stamped after that write, so the histograms include the wait.
+//! Both ride the trace trailer, so `qlb-trace` reports daemon latency
+//! percentiles offline or live.
 
 use crate::core::{MoveRecord, PlaceTrace, ServeCore};
 use crate::flight::{FlightOptions, FlightRecorder};
@@ -437,6 +442,9 @@ struct Conn {
     reading: bool,
     /// Reply bytes the socket has not taken yet.
     out: Vec<u8>,
+    /// Receipt instant and "is a placement" of each reply appended since
+    /// the last write attempt; their latency is recorded after it.
+    unstamped: Vec<(Instant, bool)>,
     /// A read or write failed: nothing more is read or sent.
     broken: bool,
 }
@@ -455,6 +463,7 @@ impl Conn {
             queued: 0,
             reading: true,
             out: Vec::new(),
+            unstamped: Vec::new(),
             broken: false,
         }
     }
@@ -605,17 +614,17 @@ impl Conn {
         &self.input[line.start - self.base..line.end - self.base]
     }
 
-    /// Append `parts` to the output and, when nothing was waiting before
-    /// them, offer them to the socket in one write.
+    /// Append `parts` to the output and, when no other line of this
+    /// connection waits for an answer, offer it to the socket; otherwise
+    /// it leaves in the end-of-batch flush.
     fn send(&mut self, parts: &[&[u8]]) {
         if self.broken {
             return;
         }
-        let idle = self.out.is_empty();
         for p in parts {
             self.out.extend_from_slice(p);
         }
-        if idle {
+        if self.queued == 0 {
             self.flush();
         }
     }
@@ -633,6 +642,22 @@ impl Conn {
             }
         }
         self.out.drain(..sent);
+    }
+}
+
+/// Record the latency (receipt → now) of `c`'s replies appended since its
+/// last write attempt, in the telemetry and, when recording, the sink.
+fn stamp_replies<S: Sink>(c: &mut Conn, tel: &mut ServeTelemetry, sink: &mut S) {
+    let now = Instant::now();
+    for (at, place) in c.unstamped.drain(..) {
+        let ns = now.saturating_duration_since(at).as_nanos() as u64;
+        tel.on_request(place, ns);
+        if S::ENABLED {
+            sink.latency(REQUEST_HIST_NAME, ns);
+            if place {
+                sink.latency(PLACE_HIST_NAME, ns);
+            }
+        }
     }
 }
 
@@ -816,20 +841,24 @@ pub fn run_daemon_telemetry<S: Sink>(
                 _ => {}
             }
             c.send(&[reply.text.as_bytes(), b"\n"]);
-            // latency is measured unconditionally: telemetry always wants
+            // latency is measured unconditionally, once the reply is
+            // written (now, or after the batch): telemetry always wants
             // it, and the sink gets a copy when recording
-            let ns = at.elapsed().as_nanos() as u64;
-            tel.on_request(reply.kind == OpKind::Place, ns);
-            if S::ENABLED {
-                sink.latency(REQUEST_HIST_NAME, ns);
-                if reply.kind == OpKind::Place {
-                    sink.latency(PLACE_HIST_NAME, ns);
-                }
+            c.unstamped.push((at, reply.kind == OpKind::Place));
+            if c.queued == 0 {
+                stamp_replies(c, &mut tel, sink);
             }
             served += 1;
             if reply.shutdown {
                 shutdown = true;
                 break;
+            }
+        }
+        // One write per connection for the replies the batch held back.
+        for c in conns.iter_mut().flatten() {
+            if !c.unstamped.is_empty() {
+                c.flush();
+                stamp_replies(c, &mut tel, sink);
             }
         }
         if S::ENABLED && placements + departures > 0 {
@@ -1212,6 +1241,127 @@ mod tests {
         writer.join().unwrap();
         shut_down(&path);
         assert_eq!(handle.join().unwrap(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Counts the request-latency records the daemon hands its sink.
+    #[derive(Default)]
+    struct LatencyCount {
+        requests: u64,
+        places: u64,
+    }
+
+    impl Sink for LatencyCount {
+        const ENABLED: bool = true;
+        fn event(&mut self, _ev: Event) {}
+        fn add(&mut self, _c: qlb_obs::Counter, _delta: u64) {}
+        fn set(&mut self, _g: qlb_obs::Gauge, _value: u64) {}
+        fn time(&mut self, _p: qlb_obs::Phase, _ns: u64) {}
+        fn latency(&mut self, name: &'static str, _ns: u64) {
+            if name == REQUEST_HIST_NAME {
+                self.requests += 1;
+            } else if name == PLACE_HIST_NAME {
+                self.places += 1;
+            }
+        }
+    }
+
+    /// A daemon cutting batches at 4 requests, on a fresh Unix socket.
+    fn small_batch_daemon(
+        tag: &str,
+    ) -> (std::path::PathBuf, thread::JoinHandle<(u64, LatencyCount)>) {
+        let path = temp_sock(tag);
+        let core = ServeCore::with_capacities(&[8; 4], 32, ServeConfig::new(2)).unwrap();
+        let listener = ServeListener::bind_unix(path.to_str().unwrap()).unwrap();
+        let opts = DaemonOptions {
+            max_batch: 4,
+            ..DaemonOptions::default()
+        };
+        let handle = thread::spawn(move || {
+            let mut sink = LatencyCount::default();
+            let served = run_daemon(core, listener, &mut sink, opts).unwrap();
+            (served, sink)
+        });
+        (path, handle)
+    }
+
+    /// `n` requests for one client write: every fifth a place, the rest
+    /// unknown ops named `{tag}-{i}`, whose replies echo the name. Returns
+    /// the bytes and, per request, a fragment its reply must contain.
+    fn burst(tag: &str, n: usize) -> (String, Vec<String>) {
+        let (mut bytes, mut expect) = (String::new(), Vec::new());
+        for i in 0..n {
+            let op = if i % 5 == 0 {
+                "place".to_string()
+            } else {
+                format!("{tag}-{i}")
+            };
+            bytes.push_str(&format!("{{\"op\":\"{op}\"}}\n"));
+            expect.push(format!("\"op\":\"{op}\""));
+        }
+        (bytes, expect)
+    }
+
+    fn read_replies(reader: &mut BufReader<UnixStream>, expect: &[String]) {
+        let mut line = String::new();
+        for (i, want) in expect.iter().enumerate() {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains(want), "reply {i}: want {want}, got {line}");
+        }
+    }
+
+    #[test]
+    fn pipelined_replies_arrive_in_order_across_batch_cuts() {
+        let (path, handle) = small_batch_daemon("pipelined");
+        let clients: Vec<_> = (0..2)
+            .map(|c| {
+                let s = UnixStream::connect(&path).unwrap();
+                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                let (bytes, expect) = burst(&format!("c{c}"), 50);
+                (s, bytes, expect)
+            })
+            .collect();
+        for (s, bytes, _) in &clients {
+            (&*s).write_all(bytes.as_bytes()).unwrap();
+        }
+        for (s, _, expect) in clients {
+            read_replies(&mut BufReader::new(s), &expect);
+        }
+        shut_down(&path);
+        let (served, sink) = handle.join().unwrap();
+        assert_eq!(served, 101);
+        // every reply, held or not, is stamped exactly once
+        assert_eq!(sink.requests, 101);
+        assert_eq!(sink.places, 20);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn shutdown_ending_a_burst_is_acknowledged_after_the_replies_before_it() {
+        let (path, handle) = small_batch_daemon("burst-shutdown");
+        let s = UnixStream::connect(&path).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (mut bytes, mut expect) = burst("b", 30);
+        bytes.push_str("{\"op\":\"shutdown\"}\n");
+        expect.push("\"op\":\"shutdown\"".to_string());
+        // lines after the shutdown hold its acknowledgement for the
+        // end-of-batch write, and go unanswered
+        bytes.push_str(&burst("late", 3).0);
+        (&s).write_all(bytes.as_bytes()).unwrap();
+        let mut reader = BufReader::new(s);
+        read_replies(&mut reader, &expect);
+        let (served, sink) = handle.join().unwrap();
+        assert_eq!(served, 31);
+        assert_eq!(sink.requests, 31);
+        // nothing follows the acknowledgement: the daemon closed the
+        // connection (a reset if it had not read the late lines yet)
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!("expected the connection closed, got {other:?}: {line}"),
+        }
         let _ = std::fs::remove_file(&path);
     }
 
