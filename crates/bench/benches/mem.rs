@@ -4,13 +4,14 @@
 //! in steady state. This bench measures that under the counting global
 //! allocator ([`qlb_obs::mem`]) instead of asserting it from the source:
 //!
-//! * **`dense-seq`** — the `Dense` executor: the round `State`, the
-//!   unsatisfied bitmaps its `RoundView` adds and one shard slot; 32
-//!   full steady-state rounds of the view kernel run inline as one shard;
-//! * **`pooled-soa`** — the same `State` and bitmaps, one slot per shard
-//!   and the pool; 32 full steady-state rounds (decide → merge → apply →
-//!   repair) which must allocate **nothing**, so their peak is 0 bytes —
-//!   the committed ≤ 12 bytes/user acceptance gate at n = 10⁶.
+//! * **`dense-seq`** — the `Dense` executor's stepper: the round `State`,
+//!   the unsatisfied bitmaps its `RoundView` adds and one view shard; 32
+//!   full steady-state rounds of `Stepper::full_round`, decided inline;
+//! * **`pooled-soa`** — the `Threaded` executor's stepper: the same
+//!   `State` and bitmaps, one view shard per pool shard and the pool; 32
+//!   full steady-state rounds (decide → merge → apply → repair) which must
+//!   allocate **nothing**, so their peak is 0 bytes — the committed
+//!   ≤ 12 bytes/user acceptance gate at n = 10⁶.
 //!
 //! The measurements live in [`qlb_bench::checks`] so this bench and the
 //! `qlb-bench-check` regression gate count exactly the same allocations.

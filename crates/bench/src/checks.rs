@@ -15,8 +15,8 @@ use qlb_core::{
 };
 use qlb_engine::open::reference_open_run;
 use qlb_engine::{
-    run, run_observed, run_open_system, shard_bounds, shard_chunk, shards_for, Executor,
-    OpenConfig, RunConfig, WorkerPool,
+    run, run_observed, run_open_system, shard_chunk, shards_for, Executor, OpenConfig, RunConfig,
+    Stepper, WorkerPool,
 };
 use qlb_obs::{NoopSink, Recorder};
 use std::hint::black_box;
@@ -298,7 +298,7 @@ pub struct PoolRoundRow {
 pub fn measure_pool_round(n: usize, threads: usize, budget_ms: u64) -> PoolRoundRow {
     let (inst, state) = crate::endgame_pair(n, BENCH_SEED, ACTIVE_FRAC);
     let proto = SlackDamped::default();
-    let shards = shard_bounds(n, threads).len();
+    let shards = shards_for(n, threads);
     let chunk = n.div_ceil(shards).max(1);
     let fill = |shard: usize, buf: &mut Vec<Move>| {
         let lo = (shard * chunk).min(n);
@@ -1263,89 +1263,55 @@ fn require_counting() {
     );
 }
 
-/// Memory row of the `Dense` executor: the view kernel run inline as one
-/// shard with one `(deltas, scratch)` slot and no pool, as the engine's
-/// stepper runs it; the row is otherwise measured as
-/// [`measure_mem_pooled`]'s.
+/// Memory row of the `Dense` executor: the engine's [`Stepper`] without a
+/// pool, deciding each full round inline as one view shard; the row is
+/// otherwise measured as [`measure_mem_pooled`]'s.
 pub fn measure_mem_dense(n: usize) -> MemRow {
     measure_mem_view(n, 1, "dense-seq")
 }
 
-/// Memory row of the view-only pooled SoA executor — the tentpole gate.
-/// Working set = the round `State` the `RoundView` takes over, the
-/// unsatisfied bitmaps it adds, per-shard delta/scratch slots, pool
-/// buffers, and the merged move buffer, all after warm-up; measured
-/// region = 32 full steady-state rounds (decide → merge loads → apply →
-/// repair), exactly the phases of every pooled full round the engine's
-/// stepper runs, which must allocate **nothing** and therefore peak at 0
-/// bytes.
+/// Memory row of the pooled SoA executor — the tentpole gate. Working set
+/// = the round `State` the stepper's `RoundView` takes over, the
+/// unsatisfied bitmaps it adds, the view shards (move buffer, deltas and
+/// scratch each) and the pool, all after warm-up; measured region = 32
+/// full steady-state rounds of [`Stepper::full_round`] (decide → merge
+/// loads → apply → repair), which must allocate **nothing** and therefore
+/// peak at 0 bytes.
 pub fn measure_mem_pooled(n: usize, threads: usize) -> MemRow {
     measure_mem_view(n, threads, "pooled-soa")
 }
 
-/// The full rounds of the stepper over `threads` shards (inline as one
-/// shard when one shard covers the population or `threads` is 1).
+/// The full rounds of the engine's stepper over `threads` shards (inline
+/// as one shard when `threads` is 1).
 fn measure_mem_view(n: usize, threads: usize, executor: &'static str) -> MemRow {
     require_counting();
     let (inst, seed_state) = crate::endgame_pair(n, BENCH_SEED, ACTIVE_FRAC);
     let proto = SlackDamped::default();
-    let active = shards_for(n, threads);
-    let chunk = shard_chunk(n, threads);
+    let exec = if threads > 1 {
+        Executor::Threaded(threads)
+    } else {
+        Executor::Dense
+    };
     let setup = qlb_obs::MemMark::here();
-    let mut view = RoundView::from_state(&inst, seed_state.clone());
-    let slots: Vec<Mutex<(ShardDeltas, ShardScratch)>> = (0..active)
-        .map(|_| Mutex::new((ShardDeltas::new(inst.num_resources()), ShardScratch::new())))
-        .collect();
-    let pool = (active > 1).then(|| WorkerPool::new(active));
-    let mut out = Vec::new();
+    let mut stepper = Stepper::new(exec, n, BENCH_SEED, false);
+    stepper.hold(&inst, seed_state.clone());
 
     let mut round = 0u64;
-    let mut full_round = |view: &mut RoundView, out: &mut Vec<Move>| {
-        {
-            let r = round;
-            let view_ref = &*view;
-            let slots_ref = &slots;
-            let inst_ref = &inst;
-            let proto_ref = &proto;
-            let fill = |shard: usize, buf: &mut Vec<Move>| {
-                let lo = (shard * chunk).min(n);
-                let hi = ((shard + 1) * chunk).min(n);
-                if lo < hi {
-                    let mut slot = slots_ref[shard].lock().unwrap();
-                    let (deltas, scratch) = &mut *slot;
-                    view_ref.decide_shard_into(
-                        inst_ref, proto_ref, BENCH_SEED, r, lo, hi, buf, scratch, deltas,
-                    );
-                }
-            };
-            match &pool {
-                Some(pool) => {
-                    pool.decide_round_on(fill, out, false, active);
-                }
-                None => {
-                    out.clear();
-                    fill(0, out);
-                }
-            }
-        }
-        for slot in &slots {
-            view.merge_loads(&slot.lock().unwrap().0);
-        }
-        view.apply_assignments(out);
-        for slot in &slots {
-            view.repair_touched(&inst, &mut slot.lock().unwrap().0);
-        }
+    let mut full_round = |stepper: &mut Stepper| {
+        black_box(
+            stepper
+                .full_round(&inst, &proto, round, &mut NoopSink)
+                .len(),
+        );
         round += 1;
     };
-
     for _ in 0..8 {
-        full_round(&mut view, &mut out); // warm-up: buffers grow once
+        full_round(&mut stepper); // warm-up: buffers grow once
     }
     let working_set_bytes = setup.live_since();
     let mark = qlb_obs::MemMark::here();
     for _ in 0..32 {
-        full_round(&mut view, &mut out);
-        black_box(out.len());
+        full_round(&mut stepper);
     }
     MemRow {
         executor,

@@ -330,7 +330,9 @@ impl RoundView {
         }
     }
 
-    /// Apply the round's concatenated moves to the assignment.
+    /// Apply moves of the round to the assignment: all of them at once, or
+    /// one shard's buffer per call, after every shard's
+    /// [`RoundView::merge_loads`].
     ///
     /// # Panics
     /// Panics on a move to a resource the state does not have.

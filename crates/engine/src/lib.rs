@@ -69,8 +69,8 @@ pub use dynamics::{
 pub use open::{
     run_open_system, run_open_system_observed, OpenConfig, OpenOutcome, OpenRoundStats,
 };
-pub use pool::{shard_bounds, shard_chunk, shards_for, WorkerPool};
+pub use pool::{shard_chunk, shards_for, WorkerPool};
 pub use run::{run, run_observed, Executor, RunConfig, RunOutcome};
 pub use stale::{Staleness, RESOURCE_BLOCKS, USER_BLOCKS};
-pub use stepper::Stepper;
+pub use stepper::{FullBatch, Stepper};
 pub use trace::{RoundStats, Trace};

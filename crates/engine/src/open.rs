@@ -261,7 +261,7 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
             });
         }
         // One protocol round (parked users are satisfied and never act).
-        let moves = match sparse.as_mut() {
+        let migrations = match sparse.as_mut() {
             Some((index, state)) => {
                 let moves = stepper.step_sparse(&inst, state, index, proto, round, true, sink);
                 if S::ENABLED {
@@ -272,17 +272,18 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
                     index.apply_staged(&inst, state, moves);
                     index.sync(&inst, state);
                 });
-                moves
+                debug_assert!(moves.iter().all(|mv| mv.from != parking));
+                moves.len() as u64
             }
             None => {
                 if S::ENABLED {
                     sink.add(Counter::DenseRounds, 1);
                 }
-                stepper.full_round(&inst, proto, round, sink)
+                let moves = stepper.full_round(&inst, proto, round, sink);
+                debug_assert!(moves.iter().all(|mv| mv.from != parking));
+                moves.len() as u64
             }
         };
-        debug_assert!(moves.iter().all(|mv| mv.from != parking));
-        let migrations = moves.len() as u64;
 
         let unsatisfied = match sparse.as_ref() {
             Some((index, _)) => index.num_active() as u64,

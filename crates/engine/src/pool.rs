@@ -12,36 +12,42 @@
 //!   `threads` spawns (measured in `BENCH_parallel.json`, gated by
 //!   `qlb-bench-check`);
 //! * dispatch wakes **only the shards that have work**
-//!   ([`WorkerPool::run_on`]): a sparse round whose active set fills two
+//!   (`WorkerPool::run_on`): a sparse round whose active set fills two
 //!   shards leaves the other six workers parked instead of paying their
 //!   wake latency every round;
-//! * each worker owns a reusable `Vec<Move>` shard buffer that keeps its
-//!   capacity across rounds, so steady-state rounds allocate nothing, and
-//!   sits on its own cache lines (`ShardBuf`) like the profiling slots;
-//! * [`WorkerPool::run_each`] and [`WorkerPool::decide_each_on`]
+//! * `WorkerPool::run_each` and `WorkerPool::decide_each_on`
 //!   hand each shard one mutable item of a slice — the engine's index
-//!   shards — so per-shard state lives with the worker that uses it;
+//!   shards and full-round view shards — so per-shard state lives with the
+//!   worker that uses it. A full round's shards own their move buffers,
+//!   and the coordinator applies them in place, in shard order; only
+//!   [`WorkerPool::decide_round_on`] (and the active-set rounds'
+//!   `decide_each_on` on top of it) concatenates, from one reusable
+//!   `Vec<Move>` per shard that keeps its capacity across rounds and sits
+//!   on its own cache lines (`ShardBuf`) like the profiling slots;
 //! * per-shard profiling slots are cache-line-isolated atomics
 //!   (`PaddedSlot`) — the previous `Vec<Mutex<u64>>` packed eight
 //!   hot-written slots into two cache lines, so every timed round
 //!   ping-ponged the lines across all workers;
 //! * jobs borrow the caller's stack (instance, state, protocol) for the
-//!   duration of one dispatch — the [`WorkerPool::run_on`] barrier
+//!   duration of one dispatch — the `WorkerPool::run_on` barrier
 //!   returns only after every worker has finished, which is what makes the
-//!   borrow sound.
+//!   borrow sound. A shard that panics still counts as finished: the
+//!   barrier holds, and the first panic is re-raised on the coordinator.
 //!
 //! The pool is deliberately *not* a work-stealing scheduler: round decisions
 //! are uniform-cost scans over contiguous shards, so static sharding (the
 //! same partition the scoped executor used) is both optimal and — more
 //! importantly — **deterministic**: shard boundaries never depend on timing,
-//! so concatenating shard outputs in index order reproduces the sequential
-//! move list byte for byte. Shard boundaries are rounded up to 16 users
+//! so reading shard outputs in index order reproduces the sequential move
+//! list byte for byte. Shard boundaries are rounded up to 16 users
 //! ([`shard_chunk`]), 64 bytes of the 32-bit assignment array that
 //! workers only read.
 
 use crate::run::Executor;
 use qlb_core::Move;
 use qlb_obs::{Phase, Sink};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -49,7 +55,7 @@ use std::time::Instant;
 
 /// Type-erased pointer to the per-dispatch job closure.
 ///
-/// The closure is borrowed from [`WorkerPool::run_on`]'s caller; the raw
+/// The closure is borrowed from `WorkerPool::run_on`'s caller; the raw
 /// pointer erases that lifetime so it can live in the shared slot. Safety
 /// rests on the dispatch barrier: `run_on` does not return until every
 /// worker has finished with the pointer.
@@ -74,6 +80,9 @@ struct PoolState {
     active: usize,
     /// Workers that have not yet finished the current epoch's job.
     pending: usize,
+    /// The first panic of the current epoch's job, re-raised by `run_on`
+    /// once every shard has finished.
+    panic: Option<Box<dyn Any + Send>>,
     /// Set once by `Drop`; workers exit at the next wake.
     shutdown: bool,
 }
@@ -112,7 +121,7 @@ const _: () = assert!(std::mem::size_of::<ShardBuf>() == 128);
 
 /// One mutable item per shard, shared with the dispatch closure.
 ///
-/// [`WorkerPool::run_on`] calls its closure exactly once per shard index
+/// `WorkerPool::run_on` calls its closure exactly once per shard index
 /// in `0..active`, and `active` never exceeds the item count, so every
 /// item is borrowed mutably by exactly one shard for the dispatch.
 struct PerShard<T>(*mut T);
@@ -132,7 +141,7 @@ impl<T> PerShard<T> {
 
 /// A pool of long-lived worker threads executing one sharded job at a time.
 ///
-/// Created once per run; [`WorkerPool::run_on`] dispatches a closure to a
+/// Created once per run; `WorkerPool::run_on` dispatches a closure to a
 /// prefix `0..active` of the shards and blocks until every one of them
 /// completed. The coordinator thread executes shard 0 itself, so a
 /// 1-thread pool spawns no OS threads at all and `run_on(f, 1)` is exactly
@@ -150,8 +159,8 @@ pub struct WorkerPool {
     /// dispatch lock + unpark cost rather than a real wake.
     wake_ns: Vec<PaddedSlot>,
     /// Reusable (compute, wake) snapshot buffers for
-    /// [`WorkerPool::decide_round_observed_on`], so per-shard profiling
-    /// adds no steady-state allocation.
+    /// `WorkerPool::observe`, so per-shard profiling adds no steady-state
+    /// allocation.
     profile_scratch: Mutex<(Vec<u64>, Vec<u64>)>,
 }
 
@@ -169,6 +178,7 @@ impl WorkerPool {
                 job: None,
                 active: 0,
                 pending: 0,
+                panic: None,
                 shutdown: false,
             }),
             done: Condvar::new(),
@@ -205,7 +215,11 @@ impl WorkerPool {
     /// barrier keeps the borrow alive for exactly the dispatch. `active` is
     /// clamped to `1..=threads()`; `run_on(f, 1)` is exactly `f(0)` with
     /// no wake at all.
-    pub fn run_on<F: Fn(usize) + Sync>(&self, f: &F, active: usize) {
+    ///
+    /// # Panics
+    /// If any shard panics, re-raises the first panic once every shard has
+    /// finished; the pool stays usable.
+    pub(crate) fn run_on<F: Fn(usize) + Sync>(&self, f: &F, active: usize) {
         let active = active.clamp(1, self.threads());
         if active == 1 {
             f(0);
@@ -218,7 +232,7 @@ impl WorkerPool {
             // SAFETY (lifetime erasure): the transmute only extends the
             // borrow's lifetime to `'static` so it fits the shared slot; the
             // pointer is cleared below after `pending` drains to zero,
-            // before this borrow of `f` ends.
+            // before this borrow of `f` ends — also when a shard panics.
             let long: &'static (dyn Fn(usize) + Sync + 'static) =
                 unsafe { std::mem::transmute(short) };
             st.job = Some(Job {
@@ -234,25 +248,81 @@ impl WorkerPool {
         for w in &self.workers[..active - 1] {
             w.thread().unpark();
         }
-        f(0);
+        // Shard 0's panic must not unwind past the barrier while workers
+        // still run the borrowed closure.
+        let own = panic::catch_unwind(AssertUnwindSafe(|| f(0)));
         let mut st = self.shared.state.lock().unwrap();
+        if let Err(payload) = own {
+            st.panic.get_or_insert(payload);
+        }
         while st.pending > 0 {
             st = self.shared.done.wait(st).unwrap();
         }
         st.job = None;
+        let first = st.panic.take();
+        drop(st);
+        if let Some(payload) = first {
+            panic::resume_unwind(payload);
+        }
+    }
+
+    /// `WorkerPool::run_on` that, when `timed`, records each shard's wake
+    /// latency and compute time in the profiling slots, and returns the
+    /// longest single-shard compute time in ns (0 untimed).
+    fn run_timed<F: Fn(usize) + Sync>(&self, f: &F, active: usize, timed: bool) -> u64 {
+        let active = active.clamp(1, self.threads());
+        if !timed {
+            self.run_on(f, active);
+            return 0;
+        }
+        let dispatched = Instant::now();
+        self.run_on(
+            &|shard: usize| {
+                self.wake_ns[shard]
+                    .0
+                    .store(dispatched.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let t0 = Instant::now();
+                f(shard);
+                self.compute_ns[shard]
+                    .0
+                    .store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            },
+            active,
+        );
+        self.compute_ns[..active]
+            .iter()
+            .map(|slot| slot.0.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Run `f(&mut items[i])` on shard `i` for every item, in parallel, and
-    /// return once all of them completed — [`WorkerPool::run_on`] with one
+    /// return once all of them completed — `WorkerPool::run_on` with one
     /// item owned by each shard.
     ///
     /// # Panics
     /// Panics if there are more items than shards.
-    pub fn run_each<T: Send, F: Fn(&mut T) + Sync + ?Sized>(&self, items: &mut [T], f: &F) {
+    pub(crate) fn run_each<T: Send, F: Fn(&mut T) + Sync + ?Sized>(&self, items: &mut [T], f: &F) {
+        self.run_each_timed(items, f, false);
+    }
+
+    /// `WorkerPool::run_each`, timed as `run_timed` is: with `timed`, each
+    /// shard's wake and compute time go to the profiling slots, and the
+    /// slowest shard's compute time is returned for
+    /// `WorkerPool::observe`.
+    ///
+    /// # Panics
+    /// Panics if there are more items than shards.
+    pub(crate) fn run_each_timed<T: Send, F: Fn(&mut T) + Sync + ?Sized>(
+        &self,
+        items: &mut [T],
+        f: &F,
+        timed: bool,
+    ) -> u64 {
         let len = items.len();
         assert!(len <= self.threads(), "more items than shards");
         let items = PerShard(items.as_mut_ptr());
-        self.run_on(
+        self.run_timed(
             &|shard| {
                 if shard < len {
                     // SAFETY: `shard < len`, and `run_on` runs each shard
@@ -261,7 +331,8 @@ impl WorkerPool {
                 }
             },
             len,
-        );
+            timed,
+        )
     }
 
     /// [`WorkerPool::decide_round_on`] with one item owned by each shard:
@@ -270,7 +341,7 @@ impl WorkerPool {
     ///
     /// # Panics
     /// Panics if there are more items than shards.
-    pub fn decide_each_on<T, F>(
+    pub(crate) fn decide_each_on<T, F>(
         &self,
         items: &mut [T],
         fill: F,
@@ -318,79 +389,30 @@ impl WorkerPool {
         F: Fn(usize, &mut Vec<Move>) + Sync,
     {
         let active = active.clamp(1, self.threads());
-        let dispatched = timed.then(Instant::now);
-        self.run_on(
+        let max_ns = self.run_timed(
             &|shard: usize| {
-                if let Some(d0) = dispatched {
-                    self.wake_ns[shard]
-                        .0
-                        .store(d0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-                let t0 = timed.then(Instant::now);
                 let mut buf = self.shards[shard].0.lock().unwrap();
                 buf.clear();
                 fill(shard, &mut buf);
-                drop(buf);
-                if let Some(t0) = t0 {
-                    self.compute_ns[shard]
-                        .0
-                        .store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
             },
             active,
+            timed,
         );
         out.clear();
-        let mut max_ns = 0u64;
-        for (i, shard) in self.shards.iter().take(active).enumerate() {
+        for shard in &self.shards[..active] {
             out.extend_from_slice(&shard.0.lock().unwrap());
-            if timed {
-                max_ns = max_ns.max(self.compute_ns[i].0.load(Ordering::Relaxed));
-            }
         }
         max_ns
     }
 
-    /// [`WorkerPool::decide_round_on`] with the observability emission all
-    /// observed pooled drivers share: `Decide` is the round's wall time,
-    /// `Compute` the longest single shard, `ForkJoin` the remainder
-    /// (dispatch, join, and shard-buffer drain). With `shard_timing` the
-    /// per-shard compute times of the participating shards (each clipped
-    /// to the round's wall time, so their per-round maximum sums exactly
-    /// to the `Compute` aggregate) and dispatch wake latencies are
-    /// forwarded to [`Sink::shard_round`] as well.
-    ///
-    /// With a disabled sink this is exactly the untimed
-    /// [`WorkerPool::decide_round_on`] — no clock reads, no emission.
-    pub fn decide_round_observed_on<S, F>(
-        &self,
-        fill: F,
-        out: &mut Vec<Move>,
-        sink: &mut S,
-        shard_timing: bool,
-        active: usize,
-    ) where
-        S: Sink,
-        F: Fn(usize, &mut Vec<Move>) + Sync,
-    {
-        let active = active.clamp(1, self.threads());
-        if !S::ENABLED {
-            self.decide_round_on(fill, out, false, active);
-            return;
-        }
-        let t0 = Instant::now();
-        let max_ns = self.decide_round_on(fill, out, true, active);
-        self.observe(
-            sink,
-            t0.elapsed().as_nanos() as u64,
-            max_ns,
-            active,
-            shard_timing,
-        );
-    }
-
     /// Record one timed decide dispatch over shards `0..active` that took
-    /// `wall` ns, its slowest shard `max_ns`, as
-    /// [`WorkerPool::decide_round_observed_on`] does.
+    /// `wall` ns, its slowest shard `max_ns`: `Decide` is the round's wall
+    /// time, `Compute` the slowest shard, `ForkJoin` the remainder
+    /// (dispatch and join). With `shard_timing` the per-shard compute
+    /// times of the participating shards (each clipped to the round's wall
+    /// time, so their per-round maximum sums exactly to the `Compute`
+    /// aggregate) and dispatch wake latencies go to [`Sink::shard_round`]
+    /// as well.
     pub(crate) fn observe<S: Sink>(
         &self,
         sink: &mut S,
@@ -459,8 +481,11 @@ fn worker_loop(shared: &Shared, index: usize) {
         };
         // SAFETY: the dispatching `run_on` call blocks until `pending == 0`,
         // so the borrow behind the pointer is alive for this call.
-        (unsafe { &*job.f })(index);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| (unsafe { &*job.f })(index)));
         let mut st = shared.state.lock().unwrap();
+        if let Err(payload) = result {
+            st.panic.get_or_insert(payload);
+        }
         st.pending -= 1;
         if st.pending == 0 {
             shared.done.notify_one();
@@ -480,7 +505,7 @@ pub fn shard_chunk(len: usize, threads: usize) -> usize {
 /// Number of non-empty shards a round over `len` items occupies (at least
 /// 1 — an empty round still runs the coordinator's no-op shard). This is
 /// the `active` argument the pooled drivers pass to
-/// [`WorkerPool::run_on`]-based dispatch so workers without a shard stay
+/// `WorkerPool::run_on`-based dispatch so workers without a shard stay
 /// parked.
 pub fn shards_for(len: usize, threads: usize) -> usize {
     len.div_ceil(shard_chunk(len, threads)).max(1)
@@ -489,7 +514,7 @@ pub fn shards_for(len: usize, threads: usize) -> usize {
 /// Split `0..n` into at most `threads` contiguous shards of near-equal
 /// size (boundaries cache-line-rounded per [`shard_chunk`]), dropping
 /// empty shards.
-pub fn shard_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
+pub(crate) fn shard_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
     let chunk = shard_chunk(n, threads);
     (0..threads)
         .map(|t| ((t * chunk).min(n), ((t + 1) * chunk).min(n)))
@@ -498,7 +523,7 @@ pub fn shard_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
 }
 
 /// The pool a pooled executor runs on for `n` users: one shard per
-/// non-empty [`shard_bounds`] range, or `None` for the sequential
+/// non-empty `shard_bounds` range, or `None` for the sequential
 /// executors and for populations a single shard covers (the sequential
 /// loop is then the same computation without the dispatch). More threads
 /// than shards would only park idle workers.
@@ -711,28 +736,17 @@ mod tests {
     }
 
     #[test]
-    fn decide_round_observed_profiles_every_shard() {
-        use qlb_core::{ResourceId, UserId};
+    fn timed_dispatch_profiles_every_shard() {
         use qlb_obs::Recorder;
         let pool = WorkerPool::new(3);
         let mut rec = Recorder::default();
-        let mut out = Vec::new();
-        for round in 0..20u32 {
-            pool.decide_round_observed_on(
-                |shard, buf| {
-                    buf.push(Move {
-                        user: UserId(shard as u32 * 10 + round),
-                        from: ResourceId(0),
-                        to: ResourceId(1),
-                    });
-                },
-                &mut out,
-                &mut rec,
-                true,
-                pool.threads(),
-            );
-            assert_eq!(out.len(), 3);
+        let mut items = [0u32; 3];
+        for _ in 0..20 {
+            let t0 = Instant::now();
+            let max_ns = pool.run_each_timed(&mut items, &|count: &mut u32| *count += 1, true);
+            pool.observe(&mut rec, t0.elapsed().as_nanos() as u64, max_ns, 3, true);
         }
+        assert_eq!(items, [20; 3]);
         let st = rec.shard_timers();
         assert_eq!(st.num_shards(), 3);
         assert_eq!(st.rounds(), 20);
@@ -745,13 +759,14 @@ mod tests {
     }
 
     #[test]
-    fn decide_round_observed_on_profiles_active_prefix() {
+    fn timed_dispatch_profiles_active_prefix() {
         use qlb_obs::Recorder;
         let pool = WorkerPool::new(4);
         let mut rec = Recorder::default();
-        let mut out = Vec::new();
+        let mut items = [(); 2];
         for _ in 0..10 {
-            pool.decide_round_observed_on(|_, _| {}, &mut out, &mut rec, true, 2);
+            let max_ns = pool.run_each_timed(&mut items, &|_: &mut ()| {}, true);
+            pool.observe(&mut rec, max_ns, max_ns, items.len(), true);
         }
         let st = rec.shard_timers();
         assert_eq!(st.num_shards(), 2, "only participating shards profiled");
@@ -759,14 +774,65 @@ mod tests {
     }
 
     #[test]
-    fn decide_round_observed_noop_sink_records_nothing() {
-        use qlb_obs::NoopSink;
+    fn untimed_dispatch_writes_no_profile() {
         let pool = WorkerPool::new(2);
-        let mut out = Vec::new();
-        pool.decide_round_observed_on(|_, _| {}, &mut out, &mut NoopSink, true, pool.threads());
-        // untimed path: the wake/compute slots were never written
+        let mut items = [(); 2];
+        assert_eq!(pool.run_each_timed(&mut items, &|_: &mut ()| {}, false), 0);
+        // the wake/compute slots were never written
         assert_eq!(pool.wake_ns[0].0.load(Ordering::Relaxed), 0);
         assert_eq!(pool.compute_ns[1].0.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn worker_panic_propagates() {
+        let pool = WorkerPool::new(2);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_on(
+                &|shard| {
+                    if shard == 1 {
+                        panic!("shard 1 failed");
+                    }
+                },
+                2,
+            )
+        }));
+        let payload = caught.expect_err("the worker's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard 1 failed"));
+        // the worker survived its job: the next dispatch runs both shards
+        let hits = [const { AtomicUsize::new(0) }; 2];
+        pool.run_on(
+            &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            },
+            2,
+        );
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn coordinator_panic_waits_for_the_workers() {
+        use std::sync::atomic::AtomicBool;
+        let pool = WorkerPool::new(2);
+        let finished = AtomicBool::new(false);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_on(
+                &|shard| {
+                    if shard == 0 {
+                        panic!("shard 0 failed");
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    finished.store(true, Ordering::Relaxed);
+                },
+                2,
+            )
+        }));
+        let payload = caught.expect_err("shard 0's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard 0 failed"));
+        // the barrier's lock orders the worker's store before this load
+        assert!(
+            finished.load(Ordering::Relaxed),
+            "run_on returned while shard 1 still ran its borrowed closure"
+        );
     }
 
     #[test]

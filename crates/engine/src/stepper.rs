@@ -7,26 +7,29 @@
 //! the kernel choice needs — the optional [`WorkerPool`] and the reusable
 //! move buffer — and, while full rounds run, the round state itself: the
 //! driver's [`State`], moved into a [`RoundView`] that adds only the
-//! unsatisfied-resource bitmaps. A driver only says *which* users decide
-//! (the active set, or everyone); full rounds are applied by the stepper
-//! to the one copy it holds, active-set rounds by the driver to its own
-//! state.
+//! unsatisfied-resource bitmaps, and the view's shards. A driver only says
+//! *which* users decide (the active set, or everyone); full rounds are
+//! applied by the stepper to the one copy it holds, active-set rounds by
+//! the driver to its own state.
 //!
 //! Full rounds run one kernel, [`RoundView::decide_shard_into`], and
 //! active-set rounds another, [`decide_shard_into`] over the shards of an
 //! [`ActiveIndex`] built by [`Stepper::build_index`]: over the pool's
-//! shards, or inline without a pool. The dense scan and the sorted-set
+//! shards, or inline without a pool. Both dispatch the same way: each pool
+//! shard works one item that owns its state. A full round's shard owns a
+//! user range and its move buffer, and the stepper applies the buffers in
+//! place; an active-set round's buffers concatenate into one list, which
+//! the driver applies. The dense scan and the sorted-set
 //! kernels of [`qlb_core::step`] are not run here; they are the references
 //! the tests compare the kernels against.
 
-use crate::pool::{pool_for, shard_chunk, shards_for, WorkerPool};
-use crate::run::Executor;
+use crate::pool::{pool_for, shard_bounds, WorkerPool};
+use crate::run::{moved_weight, Executor};
 use qlb_core::step::decide_shard_into;
 use qlb_core::{
     ActiveIndex, Demands, IndexShard, Move, Protocol, RoundView, ShardDeltas, ShardScratch, State,
 };
 use qlb_obs::{timed, Phase, Sink};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Below this many active users (as of the last sync) an active-set round
@@ -39,8 +42,9 @@ use std::time::Instant;
 /// about 15 µs, less than one condvar wake and join (a pooled round's
 /// `ForkJoin` averages about 55 µs there). A threshold of 4096 or 16384
 /// made no difference that stood out of that host's noise, so it stays at
-/// 1024. Purely a cost decision — the shard outputs concatenate in user
-/// order either way, so the trajectory is unaffected.
+/// 1024. Purely a cost decision — the inline step decides the shards in
+/// order and the pooled one concatenates their outputs in shard order,
+/// both user order, so the trajectory is unaffected.
 const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 
 /// A pooled active-set step (at least `SPARSE_POOL_MIN_ACTIVE` users)
@@ -67,13 +71,18 @@ const RESPLIT_IMBALANCE: f64 = 1.5;
 /// * `Stepper::full_round` decides **and applies** a round of all `n`
 ///   users on the state handed over by `Stepper::hold`, which the stepper
 ///   keeps inside a [`RoundView`]: the SoA kernel decides, sharded across
-///   the pool or as one inline shard without one, and the shards' deltas
-///   fold back into the state in place. `Stepper::view` reads it between
-///   rounds, and `Stepper::release` hands the [`State`] back.
+///   the pool or as one inline shard without one, each shard into its own
+///   move buffer, and the coordinator applies the buffers and folds the
+///   shards' deltas back into the state in place. `Stepper::view` reads it
+///   between rounds, and `Stepper::release` hands the [`State`] back and
+///   drops the shards.
 ///
-/// Each returns the round's moves in user order, byte-identical whichever
-/// kernel ran, and records [`Phase::Decide`] (plus [`Phase::Compute`] and
-/// [`Phase::ForkJoin`] for pooled rounds) on the sink.
+/// The active-set step returns the round's moves as one list in user
+/// order; a full round returns a [`FullBatch`] that reads them in place
+/// from the shard buffers, in the same order. Both are byte-identical
+/// whichever kernel ran, and both record [`Phase::Decide`] (plus
+/// [`Phase::Compute`] and [`Phase::ForkJoin`] for pooled rounds) on the
+/// sink.
 pub struct Stepper {
     seed: u64,
     shard_timing: bool,
@@ -81,6 +90,7 @@ pub struct Stepper {
     /// The round state of full rounds, between `Stepper::hold` and
     /// `Stepper::release`.
     held: Option<ViewShards>,
+    /// The concatenated moves of the last active-set step.
     moves: Vec<Move>,
 }
 
@@ -104,29 +114,39 @@ impl Stepper {
 
     /// Take over `state` for `Stepper::full_round`s: move it into a
     /// [`RoundView`] ([`RoundView::from_state`], `O(m·K)`: only the
-    /// bitmaps are built), with one shard slot per pool shard (one without
-    /// a pool).
+    /// bitmaps are built), with one view shard per pool shard (one without
+    /// a pool). A shard's buffers grow in its first round and keep their
+    /// capacity until `Stepper::release`.
     ///
     /// # Panics
     /// Panics if the stepper already holds a state.
-    pub(crate) fn hold<I: Demands>(&mut self, inst: &I, state: State) {
+    pub fn hold<I: Demands>(&mut self, inst: &I, state: State) {
         assert!(self.held.is_none(), "the stepper already holds a state");
-        let shards = self.pool.as_ref().map_or(1, WorkerPool::threads);
-        let m = inst.instance().num_resources();
+        let threads = self.pool.as_ref().map_or(1, WorkerPool::threads);
+        let base = inst.instance();
+        let m = base.num_resources();
+        let shards = shard_bounds(base.num_users(), threads)
+            .into_iter()
+            .map(|(lo, hi)| ViewShard {
+                lo,
+                hi,
+                moves: Vec::new(),
+                deltas: ShardDeltas::new(m),
+                scratch: ShardScratch::new(),
+            })
+            .collect();
         self.held = Some(ViewShards {
             view: RoundView::from_state(inst, state),
-            slots: (0..shards)
-                .map(|_| Mutex::new((ShardDeltas::new(m), ShardScratch::new())))
-                .collect(),
+            shards,
         });
     }
 
     /// Hand the held state back ([`RoundView::into_state`], `O(1)`),
-    /// dropping the bitmaps and the shard slots.
+    /// dropping the bitmaps and the view shards with their buffers.
     ///
     /// # Panics
     /// Panics if the stepper holds no state.
-    pub(crate) fn release(&mut self) -> State {
+    pub fn release(&mut self) -> State {
         let held = self.held.take().expect("the stepper holds no state");
         held.view.into_state()
     }
@@ -239,103 +259,123 @@ impl Stepper {
     }
 
     /// Decide round `round` for all users of the held state and apply the
-    /// moves to it, recording [`Phase::Apply`] for the apply.
+    /// moves to it, recording [`Phase::Apply`] for the apply. The returned
+    /// batch reads the round's moves from the shard buffers until the next
+    /// call.
     ///
     /// # Panics
     /// Panics if the stepper holds no state.
-    pub(crate) fn full_round<I: Demands, P: Protocol + ?Sized, S: Sink>(
+    pub fn full_round<I: Demands, P: Protocol + ?Sized, S: Sink>(
         &mut self,
         inst: &I,
         proto: &P,
         round: u64,
         sink: &mut S,
-    ) -> &[Move] {
-        let vs = self.held.as_mut().expect("the stepper holds no state");
-        let pool = self.pool.as_ref();
-        vs.full_round(
-            inst,
-            proto,
-            self.seed,
-            round,
-            pool,
-            &mut self.moves,
-            sink,
-            self.shard_timing,
-        );
-        if cfg!(debug_assertions) {
-            vs.view.assert_consistent(inst);
+    ) -> FullBatch<'_> {
+        let held = self.held.as_mut().expect("the stepper holds no state");
+        let (view, shards) = (&held.view, &mut held.shards);
+        let seed = self.seed;
+        let decide = |shard: &mut ViewShard| {
+            shard.moves.clear();
+            view.decide_shard_into(
+                inst,
+                proto,
+                seed,
+                round,
+                shard.lo,
+                shard.hi,
+                &mut shard.moves,
+                &mut shard.scratch,
+                &mut shard.deltas,
+            );
+        };
+        match self.pool.as_ref() {
+            Some(pool) => {
+                let t0 = S::ENABLED.then(Instant::now);
+                let max_ns = pool.run_each_timed(shards, &decide, S::ENABLED);
+                if let Some(t0) = t0 {
+                    let wall = t0.elapsed().as_nanos() as u64;
+                    pool.observe(sink, wall, max_ns, shards.len(), self.shard_timing);
+                }
+            }
+            None => timed(sink, Phase::Decide, || shards.iter_mut().for_each(decide)),
         }
-        &self.moves
+        timed(sink, Phase::Apply, || held.apply(inst));
+        if cfg!(debug_assertions) {
+            held.view.assert_consistent(inst);
+        }
+        FullBatch {
+            shards: &held.shards,
+        }
     }
 }
 
-/// Why locking a shard slot can fail: a worker panicked in the decide
-/// kernel while it held the slot.
-const POISONED: &str = "a decide worker panicked holding its shard slot";
-
 /// The full-round state: the [`RoundView`] holding the round's [`State`]
-/// plus one `(deltas, scratch)` slot per shard. During a pooled dispatch
-/// each shard locks only its own slot (uncontended by construction);
-/// between dispatches the coordinator folds the slots back into the view.
+/// plus its shards, in user order. During a pooled dispatch each worker
+/// writes only its own shard; between dispatches the coordinator folds
+/// the shards back into the view.
 struct ViewShards {
     view: RoundView,
-    slots: Vec<Mutex<(ShardDeltas, ShardScratch)>>,
+    shards: Vec<ViewShard>,
+}
+
+/// One full-round shard: the users `lo..hi` and the buffers only their
+/// decisions write — the round's moves (in user order), the load deltas
+/// and the kernel's pass-1 scratch.
+struct ViewShard {
+    lo: usize,
+    hi: usize,
+    moves: Vec<Move>,
+    deltas: ShardDeltas,
+    scratch: ShardScratch,
 }
 
 impl ViewShards {
-    /// One full round: decide all `n` users via the SoA two-pass kernel
-    /// (with a pool, sharded on cache-line boundaries, waking only
-    /// non-empty shards; without one, as one shard on the caller), then
-    /// merge the per-shard deltas so the held state is the post-round one.
-    /// The move list in `buf` is byte-identical to the dense reference
-    /// scan's.
-    #[allow(clippy::too_many_arguments)]
-    fn full_round<I: Demands, P: Protocol + ?Sized, S: Sink>(
-        &mut self,
-        inst: &I,
-        proto: &P,
-        seed: u64,
-        round: u64,
-        pool: Option<&WorkerPool>,
-        buf: &mut Vec<Move>,
-        sink: &mut S,
-        shard_timing: bool,
-    ) {
-        let n = inst.instance().num_users();
-        let threads = pool.map_or(1, WorkerPool::threads);
-        let chunk = shard_chunk(n, threads);
-        let (view, slots) = (&self.view, &self.slots);
-        let fill = |shard: usize, out: &mut Vec<Move>| {
-            let lo = (shard * chunk).min(n);
-            let hi = ((shard + 1) * chunk).min(n);
-            if lo < hi {
-                let mut slot = slots[shard].lock().expect(POISONED);
-                let (deltas, scratch) = &mut *slot;
-                view.decide_shard_into(inst, proto, seed, round, lo, hi, out, scratch, deltas);
-            }
-        };
-        match pool {
-            Some(pool) => {
-                let active = shards_for(n, threads);
-                pool.decide_round_observed_on(fill, buf, sink, shard_timing, active);
-            }
-            None => timed(sink, Phase::Decide, || {
-                buf.clear();
-                fill(0, buf);
-            }),
+    /// Apply a decided round, ordered per the [`RoundView`] contract: every
+    /// shard's loads first, then each shard's assignment writes, then the
+    /// bit repair of each shard's touched set (which needs final loads).
+    /// Shard order is user order, so the writes are the dense scan's.
+    fn apply<I: Demands>(&mut self, inst: &I) {
+        for shard in &self.shards {
+            self.view.merge_loads(&shard.deltas);
         }
-        // Coordinator merge, ordered per the RoundView contract: every
-        // shard's loads first, then the assignment writes, then the bit
-        // repair of each shard's touched set (which needs final loads).
-        timed(sink, Phase::Apply, || {
-            for slot in &self.slots {
-                self.view.merge_loads(&slot.lock().expect(POISONED).0);
-            }
-            self.view.apply_assignments(buf);
-            for slot in &self.slots {
-                self.view
-                    .repair_touched(inst, &mut slot.lock().expect(POISONED).0);
-            }
-        });
+        for shard in &self.shards {
+            self.view.apply_assignments(&shard.moves);
+        }
+        for shard in &mut self.shards {
+            self.view.repair_touched(inst, &mut shard.deltas);
+        }
+    }
+}
+
+/// The moves of one full round, read in place from the shard buffers in
+/// shard order — the user order of the dense scan's move list.
+#[derive(Clone, Copy)]
+pub struct FullBatch<'a> {
+    shards: &'a [ViewShard],
+}
+
+impl<'a> FullBatch<'a> {
+    /// The number of moves.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|shard| shard.moves.len()).sum()
+    }
+
+    /// Whether the round moved no one.
+    pub fn is_empty(&self) -> bool {
+        self.shards.iter().all(|shard| shard.moves.is_empty())
+    }
+
+    /// The moves, in user order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Move> + 'a {
+        self.shards.iter().flat_map(|shard| &shard.moves)
+    }
+
+    /// The total demand of the movers: the move count for unit demand.
+    pub fn weight<I: Demands>(&self, inst: &I) -> u64 {
+        self.shards
+            .iter()
+            .map(|shard| moved_weight(inst, &shard.moves))
+            .sum()
     }
 }
