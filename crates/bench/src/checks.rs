@@ -348,8 +348,9 @@ pub struct ScalingRow {
     /// Mean ns of one sequential dense reference round
     /// (`decide_round_into` over the `State`).
     pub seq_round_ns: f64,
-    /// Mean ns of the same round decided through the pooled
-    /// [`RoundView`] two-pass kernel.
+    /// Mean ns of the same round decided by the emit-mode [`RoundView`]
+    /// kernel ([`RoundView::decide_shard_into`]) through
+    /// `WorkerPool::decide_round_on`.
     pub pooled_round_ns: f64,
 }
 
@@ -362,11 +363,15 @@ impl ScalingRow {
 }
 
 /// Measure the SoA round kernel's scaling over the pinned endgame state at
-/// size `n`: one sequential dense reference, then the pooled
-/// [`RoundView`] round at each requested thread count — the exact decide
-/// path `Executor::Threaded` executes per round (bitmap filter, batched RNG,
-/// per-shard deltas), minus the coordinator merge (the round is re-decided
-/// from the same state every iteration, so there is nothing to merge).
+/// size `n`: one sequential dense reference, then at each requested thread
+/// count the [`RoundView`] kernel in emit mode
+/// ([`RoundView::decide_shard_into`], each shard's moves into the pool's
+/// buffer for it, `Mutex`-held per-shard deltas) through
+/// `WorkerPool::decide_round_on`, which concatenates the shards' moves.
+/// That is the engine's kernel (bitmap filter, batched RNG, per-shard
+/// deltas) but not the engine's round: `Stepper::full_round` writes the
+/// movers in place and keeps no move list. The round is re-decided from
+/// the same state every iteration, so there is nothing to merge.
 pub fn measure_scaling(n: usize, threads: &[usize], budget_ms: u64) -> Vec<ScalingRow> {
     let (inst, state) = crate::endgame_pair(n, BENCH_SEED, ACTIVE_FRAC);
     let proto = SlackDamped::default();
@@ -1298,11 +1303,7 @@ fn measure_mem_view(n: usize, threads: usize, executor: &'static str) -> MemRow 
 
     let mut round = 0u64;
     let mut full_round = |stepper: &mut Stepper| {
-        black_box(
-            stepper
-                .full_round(&inst, &proto, round, &mut NoopSink)
-                .len(),
-        );
+        black_box(stepper.full_round(&inst, &proto, round, &mut NoopSink).len);
         round += 1;
     };
     for _ in 0..8 {

@@ -5,8 +5,7 @@
 //! unchanged stretches cost one skip varint, and ranges of users that all
 //! moved to the same resource (the common shape after a flash-crowd round,
 //! a drain, or an `all_on` initialization) collapse to one repeat run.
-//! Deltas are **generation-stamped** like
-//! [`ShardDeltas`](crate::view::ShardDeltas): a delta applies only on top
+//! Deltas are **generation-stamped**: a delta applies only on top
 //! of the exact generation it was encoded against, so a chain of deltas
 //! reconstructs the dense state bit-identically or fails loudly — never
 //! silently drifts.

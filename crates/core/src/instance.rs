@@ -48,7 +48,11 @@ pub struct QosClass {
 pub struct Instance {
     resources: Vec<Resource>,
     classes: Vec<QosClass>,
-    /// `class_of[u]` = QoS class of user `u`.
+    /// Number of users `n`.
+    n: usize,
+    /// `class_of[u]` = QoS class of user `u`, for multi-class instances
+    /// only: a one-class instance holds no per-user array (every user is
+    /// class 0), which saves 4 B per user.
     pub(crate) class_of: Vec<ClassId>,
     /// Flattened `eff_cap[k * m + r]`.
     eff_cap: Vec<u32>,
@@ -85,7 +89,8 @@ impl Instance {
         Ok(Instance {
             resources,
             classes: vec![QosClass { threshold: 1.0 }],
-            class_of: vec![ClassId(0); n],
+            n,
+            class_of: Vec::new(),
             eff_cap: caps,
         })
     }
@@ -130,12 +135,15 @@ impl Instance {
             eff_cap.push(u32::MAX);
         }
         let mut class_of = self.class_of.clone();
-        for (k, &count) in extra.iter().enumerate() {
-            class_of.extend(std::iter::repeat_n(ClassId(k as u32), count));
+        if kk > 1 {
+            for (k, &count) in extra.iter().enumerate() {
+                class_of.extend(std::iter::repeat_n(ClassId(k as u32), count));
+            }
         }
         Ok(Instance {
             resources,
             classes: self.classes.clone(),
+            n: grown,
             class_of,
             eff_cap,
         })
@@ -167,7 +175,7 @@ impl Instance {
     /// Number of users `n`.
     #[inline]
     pub fn num_users(&self) -> usize {
-        self.class_of.len()
+        self.n
     }
 
     /// Number of resources `m`.
@@ -221,7 +229,19 @@ impl Instance {
     /// QoS class of user `u`.
     #[inline]
     pub fn class_of(&self, u: UserId) -> ClassId {
-        self.class_of[u.index()]
+        if self.classes.len() == 1 {
+            debug_assert!(u.index() < self.n, "{u} out of range");
+            ClassId(0)
+        } else {
+            self.class_of[u.index()]
+        }
+    }
+
+    /// The class ids of users `lo..hi`, or `None` for a one-class
+    /// instance, whose users are all class 0.
+    #[inline]
+    pub(crate) fn class_range(&self, lo: usize, hi: usize) -> Option<&[ClassId]> {
+        (self.classes.len() > 1).then(|| &self.class_of[lo..hi])
     }
 
     /// A class-`k` user is satisfied on `r` at congestion `load` iff
@@ -258,6 +278,9 @@ impl Instance {
 
     /// Number of users in each class (length `K`).
     pub fn class_sizes(&self) -> Vec<usize> {
+        if self.num_classes() == 1 {
+            return vec![self.n];
+        }
         let mut sizes = vec![0usize; self.num_classes()];
         for &k in &self.class_of {
             sizes[k.index()] += 1;
@@ -540,8 +563,10 @@ impl InstanceBuilder {
             }
         }
         let mut class_of = Vec::new();
-        for (k, c) in self.classes.iter().enumerate() {
-            class_of.extend(std::iter::repeat_n(ClassId(k as u32), c.count));
+        if self.classes.len() > 1 {
+            for (k, c) in self.classes.iter().enumerate() {
+                class_of.extend(std::iter::repeat_n(ClassId(k as u32), c.count));
+            }
         }
         Ok(Instance {
             resources: self.speeds.iter().map(|&s| Resource { speed: s }).collect(),
@@ -552,6 +577,7 @@ impl InstanceBuilder {
                     threshold: c.threshold,
                 })
                 .collect(),
+            n,
             class_of,
             eff_cap,
         })

@@ -102,7 +102,7 @@ pub mod prelude {
         SlackDampedCapacitySampling, ThresholdLevels,
     };
     pub use crate::state::{Move, State};
-    pub use crate::view::{RoundView, ShardDeltas, ShardScratch};
+    pub use crate::view::{RoundReads, RoundView, ShardDeltas, ShardScratch};
 }
 
 pub use prelude::*;

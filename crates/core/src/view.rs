@@ -18,22 +18,24 @@
 //!   class on that resource would be unsatisfied. At `m = 125k` a class
 //!   bitmap is ~15 KiB — it fits L1, so the per-user satisfaction test
 //!   collapses to one word fetch and a bit test;
-//! * a **two-pass shard kernel** ([`RoundView::decide_shard_into`]):
-//!   pass 1 streams the assignment array and collects the indices of
-//!   unsatisfied users into a small batch; pass 2 folds the batch's RNG
-//!   bases 256 users at a time into a stack buffer
-//!   ([`qlb_rng::fold_round_bases`], vectorised at run time) and runs the
-//!   full protocol kernel on batch users only;
+//! * a **blocked shard kernel** ([`RoundReads::decide_chunk`]): it
+//!   gathers 256 unsatisfied users at a time on the stack, folds their RNG
+//!   bases in one call ([`qlb_rng::fold_round_bases`], vectorised at run
+//!   time) and runs the protocol kernel on them only. The engine writes
+//!   each mover's new resource into its shard's chunk of the assignment;
+//!   the emit mode ([`RoundView::decide_shard_into`]) lists the moves;
 //! * **per-shard delta buffers** ([`ShardDeltas`]): shards record net
 //!   per-resource load deltas privately; the coordinator merges them after
 //!   the barrier ([`RoundView::merge_loads`] / [`RoundView::repair_touched`])
 //!   — no shared counters, no atomics, no cross-shard write traffic.
 //!
-//! Bit-identity with the dense reference scan
+//! Writing in place cannot change a decision: a user's decision reads
+//! only its own assignment entry and the start-of-round loads and bitmaps,
+//! which no shard writes. Bit-identity with the dense reference scan
 //! ([`decide_round_into`](crate::step::decide_round_into)) is by
-//! construction: the pass-1 filter is *exactly* the "satisfied users do
-//! nothing and consume no randomness" gate of [`decide_user`], and pass 2
-//! runs the same post-gate kernel ([`decide_unsatisfied_user`]) on
+//! construction: the scan's filter is *exactly* the "satisfied users do
+//! nothing and consume no randomness" gate of [`decide_user`], and the
+//! blocks run the same post-gate kernel ([`decide_unsatisfied_user`]) on
 //! the same `(seed, user, round)` streams. Protocols that act while
 //! satisfied bypass the filter and run the unfiltered kernel.
 //!
@@ -47,34 +49,40 @@ use crate::state::{Move, State};
 use crate::step::{decide_unsatisfied_user, decide_user, SHARD_BLOCK};
 use qlb_rng::{fold_round_bases, RoundStream};
 
-/// Per-shard reusable buffer of the two-pass kernel: the pass-1 batch of
-/// unsatisfied user indices. One per shard, reused every round —
-/// steady-state rounds allocate nothing.
+/// Holds nothing: the blocked kernel keeps its candidates on the stack. It
+/// remains because [`RoundView::decide_shard_into`] takes one, and that
+/// signature is public API that external benchmark drivers build against.
 #[derive(Default)]
-pub struct ShardScratch {
-    pub(crate) batch: Vec<u32>,
-}
+pub struct ShardScratch;
 
 impl ShardScratch {
     /// Fresh empty scratch.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
-/// A shard-private accumulator of net per-resource load deltas.
-///
-/// Shards record the `from → to` effect of every move they emit; after the
-/// barrier the coordinator folds every shard's deltas into the
-/// [`RoundView`] (and nothing else ever writes shared state), which is
-/// what keeps the pooled round free of atomics and cross-shard cache-line
-/// ping-pong. Touched resources are tracked with a generation stamp so a
-/// round's cleanup is `O(touched)`, not `O(m)`.
+/// A shard-private accumulator of net per-resource load deltas — a
+/// wrapping 32-bit delta per resource (exact whenever the load it lands on
+/// fits a `u32`) and a bitset of the touched resources, whose words merge,
+/// repair and reset walk. After the barrier the coordinator folds every
+/// shard's deltas into the [`RoundView`], so pooled rounds need no atomics
+/// and no shared cache lines.
 pub struct ShardDeltas {
-    delta: Vec<i64>,
-    stamp: Vec<u32>,
-    touched: Vec<u32>,
-    gen: u32,
+    delta: Vec<i32>,
+    touched: Vec<u64>,
+}
+
+/// Call `f` with the index of every set bit of `words`, in order.
+#[inline]
+fn for_each_bit(words: &[u64], mut f: impl FnMut(u32)) {
+    for (i, &word) in words.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            f(i as u32 * 64 + w.trailing_zeros());
+            w &= w - 1;
+        }
+    }
 }
 
 impl ShardDeltas {
@@ -82,55 +90,28 @@ impl ShardDeltas {
     pub fn new(m: usize) -> Self {
         Self {
             delta: vec![0; m],
-            stamp: vec![0; m],
-            touched: Vec::new(),
-            gen: 1,
-        }
-    }
-
-    #[inline]
-    fn bump(&mut self, r: u32, d: i64) {
-        let i = r as usize;
-        if self.stamp[i] != self.gen {
-            self.stamp[i] = self.gen;
-            self.delta[i] = d;
-            self.touched.push(r);
-        } else {
-            self.delta[i] += d;
+            touched: vec![0; m.div_ceil(64)],
         }
     }
 
     /// Record one move of a user with demand `w`.
+    ///
+    /// # Panics
+    /// Panics if either resource is out of range.
     #[inline]
     pub fn record(&mut self, from: ResourceId, to: ResourceId, w: u32) {
-        self.bump(from.0, -(w as i64));
-        self.bump(to.0, w as i64);
-    }
-
-    /// Resources touched since the last [`ShardDeltas::advance`].
-    pub fn touched(&self) -> &[u32] {
-        &self.touched
-    }
-
-    /// Net delta recorded for resource `r` this round.
-    #[inline]
-    pub fn delta_of(&self, r: u32) -> i64 {
-        if self.stamp[r as usize] == self.gen {
-            self.delta[r as usize]
-        } else {
-            0
+        for (r, d) in [(from.0, (w as i32).wrapping_neg()), (to.0, w as i32)] {
+            let slot = &mut self.delta[r as usize];
+            *slot = slot.wrapping_add(d);
+            self.touched[(r >> 6) as usize] |= 1 << (r & 63);
         }
     }
 
-    /// Start a new round: forget all recorded deltas in `O(touched)`.
+    /// Start a new round: zero the touched deltas and clear the bitset.
     pub fn advance(&mut self) {
-        self.touched.clear();
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // generation wrapped: stale stamps could collide, reset them
-            self.stamp.fill(0);
-            self.gen = 1;
-        }
+        let delta = &mut self.delta;
+        for_each_bit(&self.touched, |r| delta[r as usize] = 0);
+        self.touched.fill(0);
     }
 }
 
@@ -140,21 +121,131 @@ impl ShardDeltas {
 /// Owns the [`State`] it is built from ([`RoundView::from_state`], or
 /// [`RoundView::new`] from a copy) and hands it back with
 /// [`RoundView::into_state`]; [`RoundView::state`] reads it in between.
-/// It is updated incrementally: full rounds via [`RoundView::merge_loads`],
-/// [`RoundView::apply_assignments`] and [`RoundView::repair_touched`] on
-/// the coordinator, driver churn via [`RoundView::reassign`]. The
-/// capacity/alias tables and the users' class ids stay in the
-/// [`Instance`], shared by reference with every shard.
+/// Full rounds write their movers in place ([`RoundView::split_round`])
+/// before [`RoundView::merge_loads`] and [`RoundView::repair_touched`];
+/// driver churn goes through [`RoundView::reassign`]. The capacity tables
+/// and class ids stay in the [`Instance`], shared with every shard.
 pub struct RoundView {
-    /// The round state. Shards only read it; the coordinator writes a
-    /// round's moves after the barrier.
+    /// The round state. During a round, shards read its loads and write
+    /// only their own chunks of its assignment.
     state: State,
     /// `classes` bitmaps of `words` words each: bit `r` of bitmap `k` is
     /// set iff a class-`k` user on `r` would be **unsatisfied**.
     unsat: Vec<u64>,
-    /// Words per class bitmap.
     words: usize,
     classes: usize,
+}
+
+/// What every shard of an in-place round reads: the start-of-round loads
+/// and the unsatisfied bitmaps (see [`RoundView::split_round`]).
+#[derive(Clone, Copy)]
+pub struct RoundReads<'a> {
+    loads: &'a [u32],
+    unsat: &'a [u64],
+}
+
+impl RoundReads<'_> {
+    /// The shard kernel (see the module docs) over users
+    /// `lo..lo + assign.len()`, whose chunk of the assignment `assign` is:
+    /// each decided move goes into `deltas`, then to `moved` with `assign`
+    /// and the user's offset in it. Returns the move count and the movers'
+    /// total demand. The engine's `moved` writes the new resource into
+    /// `assign`; the round ends with every shard's
+    /// [`RoundView::merge_loads`], then every [`RoundView::repair_touched`].
+    ///
+    /// # Panics
+    /// Panics if `inst` has another class count than the view was built
+    /// for, on a resource out of range in `assign`, or on a move to one
+    /// (before `moved` sees it).
+    #[allow(clippy::too_many_arguments)]
+    pub fn decide_chunk<I: Demands, P: Protocol + ?Sized, A: AsRef<[ResourceId]>>(
+        &self,
+        inst: &I,
+        proto: &P,
+        seed: u64,
+        round: u64,
+        lo: usize,
+        mut assign: A,
+        deltas: &mut ShardDeltas,
+        mut moved: impl FnMut(&mut A, usize, Move),
+    ) -> (usize, u64) {
+        let (base, words) = (inst.instance(), self.loads.len().div_ceil(64));
+        let same_classes = self.unsat.len() == base.num_classes() * words;
+        assert!(same_classes, "view built for another instance");
+        let mut batch = (0, 0);
+        let mut act = |assign: &mut A, i: usize, mv: Option<Move>| {
+            if let Some(mv) = mv {
+                let w = inst.weight(mv.user);
+                deltas.record(mv.from, mv.to, w);
+                moved(assign, i, mv);
+                batch = (batch.0 + 1, batch.1 + w as u64);
+            }
+        };
+        let len = assign.as_ref().len();
+        if proto.acts_when_satisfied() {
+            // The filter would drop satisfied users the protocol wants to
+            // see; run the unfiltered reference kernel per user instead.
+            for i in 0..len {
+                let (own, user) = (assign.as_ref()[i], UserId((lo + i) as u32));
+                let mv = decide_user(inst, self.loads, own, user, proto, seed, round);
+                act(&mut assign, i, mv);
+            }
+            return batch;
+        }
+        let class_of = base.class_range(lo, lo + len);
+        let (mut ids, mut bases) = ([0u32; SHARD_BLOCK], [0u64; SHARD_BLOCK]);
+        let mut next = 0;
+        while next < len {
+            let count;
+            (count, next) = match class_of {
+                None => self.gather(assign.as_ref(), |_| 0, lo, next, &mut ids),
+                Some(c) => {
+                    let class_word = |i: usize| c[i].0 as usize * words;
+                    self.gather(assign.as_ref(), class_word, lo, next, &mut ids)
+                }
+            };
+            let (ids, bases) = (&ids[..count], &mut bases[..count]);
+            fold_round_bases(seed, round, ids, bases);
+            for (&id, &base) in ids.iter().zip(bases.iter()) {
+                let (user, i) = (UserId(id), id as usize - lo);
+                let mut rng = RoundStream::from_base(base);
+                let own = assign.as_ref()[i];
+                let mv =
+                    decide_unsatisfied_user(inst, self.loads, own, user, proto, round, &mut rng);
+                act(&mut assign, i, mv);
+            }
+        }
+        batch
+    }
+
+    /// Gather into `ids`, until it is full, the users from offset `from` of
+    /// `assign` (user `lo` first) whose bit is set in the class bitmap at
+    /// `class_word(offset)` — exactly the users the dense kernel would not
+    /// early-return for. Returns the count and the offset to resume at.
+    #[inline]
+    fn gather(
+        &self,
+        assign: &[ResourceId],
+        class_word: impl Fn(usize) -> usize,
+        lo: usize,
+        from: usize,
+        ids: &mut [u32; SHARD_BLOCK],
+    ) -> (usize, usize) {
+        let mut count = 0;
+        for (i, &ResourceId(r)) in assign.iter().enumerate().skip(from) {
+            // checked: `assign` comes from the caller, so `r` may be out of
+            // range
+            let w = self.unsat[class_word(i) + (r >> 6) as usize];
+            if (w >> (r & 63)) & 1 != 0 {
+                ids[count] = (lo + i) as u32;
+                count += 1;
+                if count == SHARD_BLOCK {
+                    return (count, i + 1);
+                }
+            }
+        }
+        (count, assign.len())
+    }
 }
 
 impl RoundView {
@@ -171,8 +262,6 @@ impl RoundView {
     pub fn from_state<I: Demands>(inst: &I, state: State) -> Self {
         let inst = inst.instance();
         let m = inst.num_resources();
-        // the kernel's unchecked bitmap reads rely on every assigned
-        // resource being below `m`
         assert_eq!(state.loads.len(), m, "state built for another instance");
         let classes = inst.num_classes();
         let words = m.div_ceil(64);
@@ -220,18 +309,23 @@ impl RoundView {
         }
     }
 
-    /// Decide the users of shard `[lo, hi)` with the two-pass kernel,
+    /// Split the view for one in-place round into the reads every shard
+    /// decides against and the whole assignment, which the caller cuts
+    /// into one disjoint chunk per shard (`split_at_mut` on the shard
+    /// bounds) for [`RoundReads::decide_chunk`].
+    pub fn split_round(&mut self) -> (RoundReads<'_>, &mut [ResourceId]) {
+        let (loads, unsat) = (&self.state.loads, &self.unsat);
+        (RoundReads { loads, unsat }, &mut self.state.assignment)
+    }
+
+    /// Decide the users of shard `[lo, hi)` with the kernel's emit mode,
     /// appending migrations to `out` (in user order) and recording their
-    /// load effects into `deltas`.
-    ///
-    /// Identical output to
-    /// [`decide_range_into`](crate::step::decide_range_into) on the held
-    /// state. `scratch` and `deltas` are this shard's private buffers;
-    /// nothing outside them (and `out`) is written.
+    /// load effects into `deltas`; the view is not changed. Identical
+    /// output to [`decide_range_into`](crate::step::decide_range_into) on
+    /// the held state. `scratch` is unused (see [`ShardScratch`]).
     ///
     /// # Panics
-    /// Panics if `inst` has another class count than the view was built
-    /// for.
+    /// As [`RoundReads::decide_chunk`].
     #[allow(clippy::too_many_arguments)]
     pub fn decide_shard_into<I: Demands, P: Protocol + ?Sized>(
         &self,
@@ -242,79 +336,14 @@ impl RoundView {
         lo: usize,
         hi: usize,
         out: &mut Vec<Move>,
-        scratch: &mut ShardScratch,
+        _scratch: &mut ShardScratch,
         deltas: &mut ShardDeltas,
     ) {
-        let base = inst.instance();
-        assert_eq!(
-            base.num_classes(),
-            self.classes,
-            "view built for another instance"
-        );
+        let (loads, unsat) = (&self.state.loads, &self.unsat);
+        let push = |_: &mut &[ResourceId], _: usize, mv: Move| out.push(mv);
         let assign = &self.state.assignment[lo..hi];
-        let loads = self.state.loads();
-        if proto.acts_when_satisfied() {
-            // The filter would drop satisfied users the protocol wants to
-            // see; run the unfiltered reference kernel per user instead.
-            for (i, &own) in assign.iter().enumerate() {
-                let user = UserId((lo + i) as u32);
-                if let Some(mv) = decide_user(inst, loads, own, user, proto, seed, round) {
-                    deltas.record(mv.from, mv.to, inst.weight(user));
-                    out.push(mv);
-                }
-            }
-            return;
-        }
-
-        // Pass 1: stream the assignment array, keep users whose resource's
-        // unsatisfied bit is set — exactly the users the dense kernel would
-        // not early-return for.
-        scratch.batch.clear();
-        if self.classes == 1 {
-            let bm = &self.unsat[..self.words];
-            for (i, &ResourceId(r)) in assign.iter().enumerate() {
-                // SAFETY: `r < m` (state invariant, and `from_state`
-                // checked the state has `m` loads) so `r >> 6 < words`.
-                let w = unsafe { *bm.get_unchecked((r >> 6) as usize) };
-                if (w >> (r & 63)) & 1 != 0 {
-                    scratch.batch.push((lo + i) as u32);
-                }
-            }
-        } else {
-            let class_of = &base.class_of[lo..hi];
-            for (i, (&ResourceId(r), &ClassId(k))) in assign.iter().zip(class_of).enumerate() {
-                // SAFETY: `k < classes` (instance invariant, and the class
-                // count was checked above) and `r < m`, so the flat index
-                // is within `classes * words`.
-                let w = unsafe {
-                    *self
-                        .unsat
-                        .get_unchecked(k as usize * self.words + (r >> 6) as usize)
-                };
-                if (w >> (r & 63)) & 1 != 0 {
-                    scratch.batch.push((lo + i) as u32);
-                }
-            }
-        }
-
-        // Pass 2: fold one block of the batch's RNG bases, then run the
-        // post-gate kernel on that block's users only.
-        let mut bases = [0u64; SHARD_BLOCK];
-        for block in scratch.batch.chunks(SHARD_BLOCK) {
-            let bases = &mut bases[..block.len()];
-            fold_round_bases(seed, round, block, bases);
-            for (&idx, &base) in block.iter().zip(bases.iter()) {
-                let user = UserId(idx);
-                let own = self.state.assignment[idx as usize];
-                let mut rng = RoundStream::from_base(base);
-                if let Some(mv) =
-                    decide_unsatisfied_user(inst, loads, own, user, proto, round, &mut rng)
-                {
-                    deltas.record(mv.from, mv.to, inst.weight(user));
-                    out.push(mv);
-                }
-            }
-        }
+        RoundReads { loads, unsat }
+            .decide_chunk(inst, proto, seed, round, lo, assign, deltas, push);
     }
 
     /// Coordinator merge, phase 1 of 2: fold one shard's load deltas into
@@ -322,16 +351,15 @@ impl RoundView {
     /// [`RoundView::repair_touched`]** — a resource touched by two shards
     /// must see both deltas before its bit is recomputed.
     pub fn merge_loads(&mut self, deltas: &ShardDeltas) {
-        for &r in &deltas.touched {
-            let l = &mut self.state.loads[r as usize];
-            let next = *l as i64 + deltas.delta[r as usize];
-            debug_assert!((0..=u32::MAX as i64).contains(&next), "load underflow");
-            *l = next as u32;
-        }
+        let loads = &mut self.state.loads;
+        for_each_bit(&deltas.touched, |r| {
+            let l = &mut loads[r as usize];
+            *l = l.wrapping_add_signed(deltas.delta[r as usize]);
+        });
     }
 
-    /// Apply moves of the round to the assignment: all of them at once, or
-    /// one shard's buffer per call, after every shard's
+    /// Apply the moves of an emit-mode round to the assignment: all of
+    /// them at once, or one shard's list per call, after every shard's
     /// [`RoundView::merge_loads`].
     ///
     /// # Panics
@@ -341,36 +369,28 @@ impl RoundView {
         let assign = &mut self.state.assignment;
         for mv in moves {
             debug_assert_eq!(assign[mv.user.index()], mv.from, "stale move");
-            // the kernel's unchecked bitmap reads rely on this
             assert!(mv.to.index() < m, "move to a resource out of range");
             assign[mv.user.index()] = mv.to;
         }
     }
 
     /// The unsatisfied users in increasing order: an `O(n)` walk of the
-    /// assignment (and the instance's class ids) probing each user's
-    /// resource bit.
+    /// assignment probing each user's resource bit for its class.
     pub fn unsatisfied_users<'a, I: Demands>(
         &'a self,
         inst: &'a I,
     ) -> impl Iterator<Item = UserId> + 'a {
-        let class_of = &inst.instance().class_of;
-        self.state
-            .assignment
-            .iter()
-            .enumerate()
-            .filter(move |&(u, &r)| self.is_unsat(class_of[u], r))
-            .map(|(u, _)| UserId(u as u32))
+        let (base, assign) = (inst.instance(), &self.state.assignment);
+        (0..assign.len() as u32)
+            .map(UserId)
+            .filter(move |&u| self.is_unsat(base.class_of(u), assign[u.index()]))
     }
 
     /// Coordinator merge, phase 2 of 2: recompute the unsatisfied bits of
     /// one shard's touched resources (loads already final) and reset the
     /// shard's deltas for the next round.
     pub fn repair_touched<I: Demands>(&mut self, inst: &I, deltas: &mut ShardDeltas) {
-        let inst = inst.instance();
-        for &r in &deltas.touched {
-            self.refresh_bits(inst, r);
-        }
+        for_each_bit(&deltas.touched, |r| self.refresh_bits(inst.instance(), r));
         deltas.advance();
     }
 
@@ -389,20 +409,15 @@ impl RoundView {
 
     /// Consistency check: the loads equal a recount of the assignment, and
     /// every bitmap bit equals `!`[`Instance::satisfies`] at its resource's
-    /// load. `O(n + m·K)` — test/debug use only.
-    pub fn assert_consistent<I: Demands>(&self, inst: &I) {
+    /// load. `O(n + m·K)` — test/debug use only. It allocates nothing (it
+    /// takes every user's demand off its load, checks that all loads
+    /// reached zero and puts the demands back), so debug builds run it
+    /// after every full round.
+    pub fn assert_consistent<I: Demands>(&mut self, inst: &I) {
         let base = inst.instance();
         assert_eq!(self.state.num_users(), base.num_users(), "user count");
-        let mut recount = vec![0u32; base.num_resources()];
-        for (u, &r) in self.state.assignment.iter().enumerate() {
-            recount[r.index()] += inst.weight(UserId(u as u32));
-        }
-        assert_eq!(
-            self.state.loads, recount,
-            "loads drifted from the assignment"
-        );
         for k in 0..self.classes {
-            for (r, &load) in recount.iter().enumerate() {
+            for (r, &load) in self.state.loads.iter().enumerate() {
                 let (k, r) = (ClassId(k as u32), ResourceId(r as u32));
                 assert_eq!(
                     self.is_unsat(k, r),
@@ -411,6 +426,13 @@ impl RoundView {
                 );
             }
         }
+        let (assign, loads) = (&self.state.assignment, &mut self.state.loads);
+        let demands =
+            || (0..assign.len()).map(|u| (assign[u].index(), inst.weight(UserId(u as u32))));
+        demands().for_each(|(r, w)| loads[r] = loads[r].wrapping_sub(w));
+        let drifted = loads.iter().position(|&l| l != 0);
+        demands().for_each(|(r, w)| loads[r] = loads[r].wrapping_add(w));
+        assert_eq!(drifted, None, "loads drifted from the assignment");
     }
 }
 
@@ -431,7 +453,7 @@ mod tests {
     #[test]
     fn view_mirrors_state_and_bitmap_matches_satisfaction() {
         let (inst, state) = hotspot(100, 16, 5);
-        let view = RoundView::new(&inst, &state);
+        let mut view = RoundView::new(&inst, &state);
         assert_eq!(view.state(), &state);
         view.assert_consistent(&inst);
         // resource 0 overloaded (100 > 5) ⇒ unsatisfied; the rest empty
@@ -495,7 +517,7 @@ mod tests {
         let mut scratch = ShardScratch::new();
         let mut deltas = ShardDeltas::new(inst.num_resources());
         for state in [State::all_on(&inst, ResourceId(0)), State::random(&inst, 5)] {
-            let view = RoundView::new(&inst, &state);
+            let mut view = RoundView::new(&inst, &state);
             view.assert_consistent(&inst);
             for proto in registry(&inst) {
                 for round in 0..4 {
@@ -638,20 +660,125 @@ mod tests {
     }
 
     #[test]
-    fn shard_deltas_generation_reset() {
-        let mut d = ShardDeltas::new(4);
-        d.record(ResourceId(0), ResourceId(1), 1);
-        d.record(ResourceId(2), ResourceId(1), 1);
-        assert_eq!(d.delta_of(0), -1);
-        assert_eq!(d.delta_of(1), 2);
-        assert_eq!(d.touched(), &[0, 1, 2]);
+    fn shard_deltas_reset_clears_touched_bits() {
+        let mut d = ShardDeltas::new(70);
+        d.record(ResourceId(0), ResourceId(65), 1);
+        d.record(ResourceId(2), ResourceId(65), 1);
+        assert_eq!((d.delta[0], d.delta[65], d.delta[2]), (-1, 2, -1));
+        assert_eq!(d.touched, [0b101, 0b10]);
         d.advance();
-        assert_eq!(d.touched(), &[] as &[u32]);
-        assert_eq!(d.delta_of(1), 0);
+        assert_eq!(d.touched, [0, 0]);
+        assert!(d.delta.iter().all(|&x| x == 0));
         d.record(ResourceId(3), ResourceId(0), 4);
-        assert_eq!(d.delta_of(3), -4);
-        assert_eq!(d.delta_of(0), 4);
-        assert_eq!(d.touched(), &[3, 0]);
+        assert_eq!((d.delta[3], d.delta[0]), (-4, 4));
+        assert_eq!(d.touched, [0b1001, 0]);
+        // a move and its return leave a touched resource at net zero
+        d.record(ResourceId(0), ResourceId(3), 4);
+        assert_eq!((d.delta[3], d.delta[0]), (0, 0));
+        assert_eq!(d.touched, [0b1001, 0]);
+    }
+
+    #[test]
+    fn merge_wraps_back_to_exact_loads() {
+        // deltas are 32-bit and wrap; a load plus its delta is still exact
+        let inst = Instance::with_capacities(4, vec![u32::MAX, u32::MAX]).unwrap();
+        let state = State::all_on(&inst, ResourceId(0));
+        let mut view = RoundView::new(&inst, &state);
+        let mut d = ShardDeltas::new(2);
+        for u in 0..4 {
+            d.record(ResourceId(0), ResourceId(1), 1);
+            view.state.assignment[u] = ResourceId(1);
+        }
+        view.merge_loads(&d);
+        view.repair_touched(&inst, &mut d);
+        assert_eq!(view.state().loads(), &[0, 4]);
+        view.assert_consistent(&inst);
+    }
+
+    /// Run rounds of `proto` from `state` twice, in place over `bounds` and
+    /// by emitting the moves over the same bounds, and check after each
+    /// round that both reach the same state and that the in-place counts
+    /// match the emitted moves.
+    fn in_place_matches_emit<I: Demands>(
+        inst: &I,
+        state: &State,
+        proto: &dyn Protocol,
+        bounds: &[(usize, usize)],
+    ) {
+        let m = inst.instance().num_resources();
+        let mut emit = RoundView::new(inst, state);
+        let mut in_place = RoundView::new(inst, state);
+        let mut emit_deltas: Vec<ShardDeltas> =
+            bounds.iter().map(|_| ShardDeltas::new(m)).collect();
+        let mut deltas: Vec<ShardDeltas> = bounds.iter().map(|_| ShardDeltas::new(m)).collect();
+        let mut scratch = ShardScratch::new();
+        for round in 0..6u64 {
+            let mut moves = Vec::new();
+            for (&(lo, hi), d) in bounds.iter().zip(emit_deltas.iter_mut()) {
+                emit.decide_shard_into(inst, proto, 9, round, lo, hi, &mut moves, &mut scratch, d);
+            }
+            for d in &emit_deltas {
+                emit.merge_loads(d);
+            }
+            emit.apply_assignments(&moves);
+            for d in emit_deltas.iter_mut() {
+                emit.repair_touched(inst, d);
+            }
+
+            let (mut count, mut weight) = (0, 0);
+            let (reads, mut rest) = in_place.split_round();
+            for (&(lo, hi), d) in bounds.iter().zip(deltas.iter_mut()) {
+                let (chunk, tail) = rest.split_at_mut(hi - lo);
+                rest = tail;
+                let write = |assign: &mut &mut [ResourceId], i: usize, mv: Move| assign[i] = mv.to;
+                let (c, w) = reads.decide_chunk(inst, proto, 9, round, lo, chunk, d, write);
+                count += c;
+                weight += w;
+            }
+            for d in &deltas {
+                in_place.merge_loads(d);
+            }
+            for d in deltas.iter_mut() {
+                in_place.repair_touched(inst, d);
+            }
+
+            let name = proto.name();
+            assert_eq!(in_place.state(), emit.state(), "{name} round {round}");
+            assert_eq!(count, moves.len(), "{name} round {round}");
+            let emitted: u64 = moves.iter().map(|mv| inst.weight(mv.user) as u64).sum();
+            assert_eq!(weight, emitted, "{name} round {round}");
+            in_place.assert_consistent(inst);
+        }
+    }
+
+    #[test]
+    fn in_place_rounds_match_emitted_rounds() {
+        let (inst, state) = hotspot(500, 16, 40);
+        for proto in registry(&inst) {
+            in_place_matches_emit(
+                &inst,
+                &state,
+                proto.as_ref(),
+                &[(0, 128), (128, 129), (129, 500)],
+            );
+        }
+        let multi = InstanceBuilder::new()
+            .speeds(vec![60.0; 10])
+            .latency_class(0.5, 140)
+            .latency_class(1.0, 160)
+            .build()
+            .unwrap();
+        let state = State::random(&multi, 5);
+        for proto in registry(&multi) {
+            in_place_matches_emit(&multi, &state, proto.as_ref(), &[(0, 150), (150, 300)]);
+        }
+        let (weighted, state) = weighted_crowd(300);
+        in_place_matches_emit(
+            &weighted,
+            &state,
+            &SlackDamped::default(),
+            &[(0, 100), (100, 300)],
+        );
     }
 
     /// Weights cycling 1..=4 over `n` users, 16 resources with room for the
@@ -667,7 +794,7 @@ mod tests {
     #[test]
     fn weighted_shard_kernel_matches_range_reference() {
         let (inst, state) = weighted_crowd(300);
-        let view = RoundView::new(&inst, &state);
+        let mut view = RoundView::new(&inst, &state);
         view.assert_consistent(&inst);
         assert_eq!(
             view.unsatisfied_users(&inst).count(),

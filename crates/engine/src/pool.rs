@@ -18,16 +18,17 @@
 //! * `WorkerPool::run_each` and `WorkerPool::decide_each_on`
 //!   hand each shard one mutable item of a slice — the engine's index
 //!   shards and full-round view shards — so per-shard state lives with the
-//!   worker that uses it. A full round's shards own their move buffers,
-//!   and the coordinator applies them in place, in shard order; only
+//!   worker that uses it. A full round's shards write their movers into
+//!   their own chunks of the assignment and keep no move list; only
 //!   [`WorkerPool::decide_round_on`] (and the active-set rounds'
 //!   `decide_each_on` on top of it) concatenates, from one reusable
 //!   `Vec<Move>` per shard that keeps its capacity across rounds and sits
 //!   on its own cache lines (`ShardBuf`) like the profiling slots;
 //! * per-shard profiling slots are cache-line-isolated atomics
-//!   (`PaddedSlot`) — the previous `Vec<Mutex<u64>>` packed eight
-//!   hot-written slots into two cache lines, so every timed round
-//!   ping-ponged the lines across all workers;
+//!   (`PaddedSlot`, one per shard holding both of its times) — the
+//!   previous `Vec<Mutex<u64>>` packed eight hot-written slots into two
+//!   cache lines, so every timed round ping-ponged the lines across all
+//!   workers;
 //! * jobs borrow the caller's stack (instance, state, protocol) for the
 //!   duration of one dispatch — the `WorkerPool::run_on` barrier
 //!   returns only after every worker has finished, which is what makes the
@@ -78,7 +79,8 @@ struct PoolState {
     /// Shards participating in the current epoch (`1..=threads`); workers
     /// with shard index `>= active` sit the epoch out and stay parked.
     active: usize,
-    /// Workers that have not yet finished the current epoch's job.
+    /// Workers that have not yet finished the current epoch's job (or,
+    /// while `WorkerPool::new` waits, not yet started).
     pending: usize,
     /// The first panic of the current epoch's job, re-raised by `run_on`
     /// once every shard has finished.
@@ -96,7 +98,11 @@ struct Shared {
     done: Condvar,
 }
 
-/// A per-shard profiling slot on its own pair of cache lines.
+/// A shard's profiling slot on its own pair of cache lines: its compute
+/// time and its dispatch wake latency of the last timed dispatch, in ns —
+/// the wake from just before the epoch bump to the closure starting on the
+/// shard. Shard 0 is the coordinator, so its wake sample measures the
+/// dispatch lock + unpark cost rather than a real wake.
 ///
 /// Every worker writes its slot on every timed round; padding to 128 bytes
 /// (two lines, defeating the adjacent-line prefetcher) keeps those writes
@@ -106,7 +112,10 @@ struct Shared {
 /// mutex acquire), so the barrier orders the accesses.
 #[repr(align(128))]
 #[derive(Default)]
-struct PaddedSlot(AtomicU64);
+struct PaddedSlot {
+    compute_ns: AtomicU64,
+    wake_ns: AtomicU64,
+}
 
 const _: () = assert!(std::mem::size_of::<PaddedSlot>() == 128);
 
@@ -151,13 +160,8 @@ pub struct WorkerPool {
     workers: Vec<JoinHandle<()>>,
     /// Per-shard reusable move buffers (index 0 = coordinator's shard).
     shards: Vec<ShardBuf>,
-    /// Per-shard compute time of the last timed dispatch, in ns.
-    compute_ns: Vec<PaddedSlot>,
-    /// Per-shard dispatch wake latency of the last timed dispatch, in ns:
-    /// from just before the epoch bump to the closure starting on the
-    /// shard. Shard 0 is the coordinator, so its sample measures the
-    /// dispatch lock + unpark cost rather than a real wake.
-    wake_ns: Vec<PaddedSlot>,
+    /// Per-shard profiling slots (index 0 = coordinator's shard).
+    slots: Vec<PaddedSlot>,
     /// Reusable (compute, wake) snapshot buffers for
     /// `WorkerPool::observe`, so per-shard profiling adds no steady-state
     /// allocation.
@@ -166,7 +170,9 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn a pool driving `threads` shards (`threads - 1` OS threads; the
-    /// coordinator works shard 0).
+    /// coordinator works shard 0). Returns once every worker has started,
+    /// so the threads' own start-up allocations are over before the first
+    /// dispatch.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
@@ -177,7 +183,8 @@ impl WorkerPool {
                 epoch: 0,
                 job: None,
                 active: 0,
-                pending: 0,
+                // each worker counts itself off once it has started
+                pending: threads - 1,
                 panic: None,
                 shutdown: false,
             }),
@@ -192,12 +199,16 @@ impl WorkerPool {
                     .expect("spawn pool worker")
             })
             .collect();
+        let mut st = shared.state.lock().unwrap();
+        while st.pending > 0 {
+            st = shared.done.wait(st).unwrap();
+        }
+        drop(st);
         Self {
             shared,
             workers,
             shards: (0..threads).map(|_| ShardBuf::default()).collect(),
-            compute_ns: (0..threads).map(|_| PaddedSlot::default()).collect(),
-            wake_ns: (0..threads).map(|_| PaddedSlot::default()).collect(),
+            slots: (0..threads).map(|_| PaddedSlot::default()).collect(),
             profile_scratch: Mutex::new((Vec::new(), Vec::new())),
         }
     }
@@ -278,20 +289,19 @@ impl WorkerPool {
         let dispatched = Instant::now();
         self.run_on(
             &|shard: usize| {
-                self.wake_ns[shard]
-                    .0
-                    .store(dispatched.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let slot = &self.slots[shard];
+                let wake = dispatched.elapsed().as_nanos() as u64;
+                slot.wake_ns.store(wake, Ordering::Relaxed);
                 let t0 = Instant::now();
                 f(shard);
-                self.compute_ns[shard]
-                    .0
-                    .store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let compute = t0.elapsed().as_nanos() as u64;
+                slot.compute_ns.store(compute, Ordering::Relaxed);
             },
             active,
         );
-        self.compute_ns[..active]
+        self.slots[..active]
             .iter()
-            .map(|slot| slot.0.load(Ordering::Relaxed))
+            .map(|slot| slot.compute_ns.load(Ordering::Relaxed))
             .max()
             .unwrap_or(0)
     }
@@ -430,9 +440,9 @@ impl WorkerPool {
             let (compute_v, wake_v) = &mut *scratch;
             compute_v.clear();
             wake_v.clear();
-            for i in 0..active {
-                compute_v.push(self.compute_ns[i].0.load(Ordering::Relaxed).min(wall));
-                wake_v.push(self.wake_ns[i].0.load(Ordering::Relaxed));
+            for slot in &self.slots[..active] {
+                compute_v.push(slot.compute_ns.load(Ordering::Relaxed).min(wall));
+                wake_v.push(slot.wake_ns.load(Ordering::Relaxed));
             }
             sink.shard_round(compute_v, wake_v);
         }
@@ -455,6 +465,7 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: &Shared, index: usize) {
+    finish(shared, Ok(()));
     let mut seen_epoch = 0u64;
     loop {
         let job = {
@@ -482,14 +493,21 @@ fn worker_loop(shared: &Shared, index: usize) {
         // SAFETY: the dispatching `run_on` call blocks until `pending == 0`,
         // so the borrow behind the pointer is alive for this call.
         let result = panic::catch_unwind(AssertUnwindSafe(|| (unsafe { &*job.f })(index)));
-        let mut st = shared.state.lock().unwrap();
-        if let Err(payload) = result {
-            st.panic.get_or_insert(payload);
-        }
-        st.pending -= 1;
-        if st.pending == 0 {
-            shared.done.notify_one();
-        }
+        finish(shared, result);
+    }
+}
+
+/// Count one worker off the current barrier (a job, or the pool's
+/// start-up), keeping the first panic, and wake the coordinator when it is
+/// the last.
+fn finish(shared: &Shared, result: std::thread::Result<()>) {
+    let mut st = shared.state.lock().unwrap();
+    if let Err(payload) = result {
+        st.panic.get_or_insert(payload);
+    }
+    st.pending -= 1;
+    if st.pending == 0 {
+        shared.done.notify_one();
     }
 }
 
@@ -779,8 +797,8 @@ mod tests {
         let mut items = [(); 2];
         assert_eq!(pool.run_each_timed(&mut items, &|_: &mut ()| {}, false), 0);
         // the wake/compute slots were never written
-        assert_eq!(pool.wake_ns[0].0.load(Ordering::Relaxed), 0);
-        assert_eq!(pool.compute_ns[1].0.load(Ordering::Relaxed), 0);
+        assert_eq!(pool.slots[0].wake_ns.load(Ordering::Relaxed), 0);
+        assert_eq!(pool.slots[1].compute_ns.load(Ordering::Relaxed), 0);
     }
 
     #[test]

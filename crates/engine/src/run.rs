@@ -268,8 +268,8 @@ pub fn run_observed<I: Demands, P: Protocol + ?Sized, S: Sink>(
                 });
             }
             let moves = stepper.full_round(inst, proto, rounds, sink);
-            let batch = moves.len() as u64;
-            let batch_weight = moves.weight(inst);
+            let batch = moves.len as u64;
+            let batch_weight = moves.weight;
             if S::ENABLED {
                 sink.add(Counter::DenseRounds, 1);
                 sink.event(Event::MigrationBatch {

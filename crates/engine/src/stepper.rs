@@ -12,22 +12,23 @@
 //! applied by the stepper to the one copy it holds, active-set rounds by
 //! the driver to its own state.
 //!
-//! Full rounds run one kernel, [`RoundView::decide_shard_into`], and
+//! Full rounds run one kernel,
+//! [`RoundReads::decide_chunk`](qlb_core::RoundReads::decide_chunk), and
 //! active-set rounds another, [`decide_shard_into`] over the shards of an
 //! [`ActiveIndex`] built by [`Stepper::build_index`]: over the pool's
 //! shards, or inline without a pool. Both dispatch the same way: each pool
-//! shard works one item that owns its state. A full round's shard owns a
-//! user range and its move buffer, and the stepper applies the buffers in
-//! place; an active-set round's buffers concatenate into one list, which
-//! the driver applies. The dense scan and the sorted-set
-//! kernels of [`qlb_core::step`] are not run here; they are the references
-//! the tests compare the kernels against.
+//! shard works one item that owns its state — for a full round, a user
+//! range's load deltas and its chunk of the assignment, into which it
+//! writes its movers, so no move list exists; an active-set round's
+//! buffers concatenate into one list, which the driver applies. The dense
+//! scan and the sorted-set kernels of [`qlb_core::step`] are the tests'
+//! references, not run here.
 
 use crate::pool::{pool_for, shard_bounds, WorkerPool};
-use crate::run::{moved_weight, Executor};
+use crate::run::Executor;
 use qlb_core::step::decide_shard_into;
 use qlb_core::{
-    ActiveIndex, Demands, IndexShard, Move, Protocol, RoundView, ShardDeltas, ShardScratch, State,
+    ActiveIndex, Demands, IndexShard, Move, Protocol, ResourceId, RoundView, ShardDeltas, State,
 };
 use qlb_obs::{timed, Phase, Sink};
 use std::time::Instant;
@@ -70,19 +71,16 @@ const RESPLIT_IMBALANCE: f64 = 1.5;
 ///   eagerly, since their churn between rounds needs a synced index.
 /// * `Stepper::full_round` decides **and applies** a round of all `n`
 ///   users on the state handed over by `Stepper::hold`, which the stepper
-///   keeps inside a [`RoundView`]: the SoA kernel decides, sharded across
-///   the pool or as one inline shard without one, each shard into its own
-///   move buffer, and the coordinator applies the buffers and folds the
-///   shards' deltas back into the state in place. `Stepper::view` reads it
-///   between rounds, and `Stepper::release` hands the [`State`] back and
-///   drops the shards.
+///   keeps inside a [`RoundView`]: each shard (one per pool worker, or one
+///   inline) writes its movers into its own chunk of the assignment and
+///   their load effects into its own deltas, which the coordinator then
+///   folds into the loads and bitmaps. `Stepper::view` reads the state
+///   between rounds; `Stepper::release` hands it back.
 ///
-/// The active-set step returns the round's moves as one list in user
-/// order; a full round returns a [`FullBatch`] that reads them in place
-/// from the shard buffers, in the same order. Both are byte-identical
+/// The active-set step returns the round's moves in user order, a full
+/// round their count and weight ([`FullBatch`]); both are the same
 /// whichever kernel ran, and both record [`Phase::Decide`] (plus
-/// [`Phase::Compute`] and [`Phase::ForkJoin`] for pooled rounds) on the
-/// sink.
+/// [`Phase::Compute`] and [`Phase::ForkJoin`] for pooled rounds).
 pub struct Stepper {
     seed: u64,
     shard_timing: bool,
@@ -115,8 +113,8 @@ impl Stepper {
     /// Take over `state` for `Stepper::full_round`s: move it into a
     /// [`RoundView`] ([`RoundView::from_state`], `O(m·K)`: only the
     /// bitmaps are built), with one view shard per pool shard (one without
-    /// a pool). A shard's buffers grow in its first round and keep their
-    /// capacity until `Stepper::release`.
+    /// a pool). Everything the rounds use is allocated here, so a full
+    /// round allocates nothing.
     ///
     /// # Panics
     /// Panics if the stepper already holds a state.
@@ -130,13 +128,13 @@ impl Stepper {
             .map(|(lo, hi)| ViewShard {
                 lo,
                 hi,
-                moves: Vec::new(),
                 deltas: ShardDeltas::new(m),
-                scratch: ShardScratch::new(),
+                batch: (0, 0),
             })
-            .collect();
+            .collect::<Vec<_>>();
         self.held = Some(ViewShards {
             view: RoundView::from_state(inst, state),
+            work: Vec::with_capacity(shards.len()),
             shards,
         });
     }
@@ -259,9 +257,7 @@ impl Stepper {
     }
 
     /// Decide round `round` for all users of the held state and apply the
-    /// moves to it, recording [`Phase::Apply`] for the apply. The returned
-    /// batch reads the round's moves from the shard buffers until the next
-    /// call.
+    /// moves to it, recording [`Phase::Apply`] for the merge.
     ///
     /// # Panics
     /// Panics if the stepper holds no state.
@@ -271,111 +267,86 @@ impl Stepper {
         proto: &P,
         round: u64,
         sink: &mut S,
-    ) -> FullBatch<'_> {
+    ) -> FullBatch {
         let held = self.held.as_mut().expect("the stepper holds no state");
-        let (view, shards) = (&held.view, &mut held.shards);
         let seed = self.seed;
-        let decide = |shard: &mut ViewShard| {
-            shard.moves.clear();
-            view.decide_shard_into(
-                inst,
-                proto,
-                seed,
-                round,
-                shard.lo,
-                shard.hi,
-                &mut shard.moves,
-                &mut shard.scratch,
-                &mut shard.deltas,
-            );
+        let (reads, mut rest) = held.view.split_round();
+        let mut work = recycle(std::mem::take(&mut held.work));
+        for shard in held.shards.iter_mut() {
+            let (assign, tail) = rest.split_at_mut(shard.hi - shard.lo);
+            rest = tail;
+            work.push((shard, assign));
+        }
+        let write = |assign: &mut &mut [ResourceId], i: usize, mv: Move| assign[i] = mv.to;
+        let decide = |(shard, assign): &mut (&mut ViewShard, &mut [ResourceId])| {
+            let (lo, deltas) = (shard.lo, &mut shard.deltas);
+            shard.batch =
+                reads.decide_chunk(inst, proto, seed, round, lo, &mut **assign, deltas, write);
         };
         match self.pool.as_ref() {
             Some(pool) => {
                 let t0 = S::ENABLED.then(Instant::now);
-                let max_ns = pool.run_each_timed(shards, &decide, S::ENABLED);
+                let max_ns = pool.run_each_timed(&mut work, &decide, S::ENABLED);
                 if let Some(t0) = t0 {
                     let wall = t0.elapsed().as_nanos() as u64;
-                    pool.observe(sink, wall, max_ns, shards.len(), self.shard_timing);
+                    pool.observe(sink, wall, max_ns, work.len(), self.shard_timing);
                 }
             }
-            None => timed(sink, Phase::Decide, || shards.iter_mut().for_each(decide)),
+            None => timed(sink, Phase::Decide, || work.iter_mut().for_each(decide)),
         }
-        timed(sink, Phase::Apply, || held.apply(inst));
+        held.work = recycle(work);
+        // every shard's loads before any bit repair, which needs final loads
+        let (view, shards) = (&mut held.view, &mut held.shards);
+        timed(sink, Phase::Apply, || {
+            for shard in shards.iter() {
+                view.merge_loads(&shard.deltas);
+            }
+            for shard in shards.iter_mut() {
+                view.repair_touched(inst, &mut shard.deltas);
+            }
+        });
         if cfg!(debug_assertions) {
             held.view.assert_consistent(inst);
         }
-        FullBatch {
-            shards: &held.shards,
-        }
+        let (len, weight) = held.shards.iter().fold((0, 0), |(len, weight), shard| {
+            (len + shard.batch.0, weight + shard.batch.1)
+        });
+        FullBatch { len, weight }
     }
 }
 
-/// The full-round state: the [`RoundView`] holding the round's [`State`]
-/// plus its shards, in user order. During a pooled dispatch each worker
-/// writes only its own shard; between dispatches the coordinator folds
-/// the shards back into the view.
+/// An empty vector on `v`'s allocation, for items of another lifetime: a
+/// `collect` over a vector's own `into_iter` reuses its buffer when the item
+/// layouts match, so the per-round work list allocates nothing.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!()).collect()
+}
+
+/// The full-round state: the [`RoundView`] holding the round's [`State`],
+/// its shards in user order, and the buffer of each round's list pairing
+/// every shard with its chunk of the assignment (empty between rounds).
 struct ViewShards {
     view: RoundView,
     shards: Vec<ViewShard>,
+    work: Vec<(&'static mut ViewShard, &'static mut [ResourceId])>,
 }
 
-/// One full-round shard: the users `lo..hi` and the buffers only their
-/// decisions write — the round's moves (in user order), the load deltas
-/// and the kernel's pass-1 scratch.
+/// One full-round shard: the users `lo..hi`, the load deltas only their
+/// decisions write, and their last round's move count and moved weight.
 struct ViewShard {
     lo: usize,
     hi: usize,
-    moves: Vec<Move>,
     deltas: ShardDeltas,
-    scratch: ShardScratch,
+    batch: (usize, u64),
 }
 
-impl ViewShards {
-    /// Apply a decided round, ordered per the [`RoundView`] contract: every
-    /// shard's loads first, then each shard's assignment writes, then the
-    /// bit repair of each shard's touched set (which needs final loads).
-    /// Shard order is user order, so the writes are the dense scan's.
-    fn apply<I: Demands>(&mut self, inst: &I) {
-        for shard in &self.shards {
-            self.view.merge_loads(&shard.deltas);
-        }
-        for shard in &self.shards {
-            self.view.apply_assignments(&shard.moves);
-        }
-        for shard in &mut self.shards {
-            self.view.repair_touched(inst, &mut shard.deltas);
-        }
-    }
-}
-
-/// The moves of one full round, read in place from the shard buffers in
-/// shard order — the user order of the dense scan's move list.
-#[derive(Clone, Copy)]
-pub struct FullBatch<'a> {
-    shards: &'a [ViewShard],
-}
-
-impl<'a> FullBatch<'a> {
+/// The size of a full round's batch, whose moves went into the held state
+/// in place.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FullBatch {
     /// The number of moves.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.moves.len()).sum()
-    }
-
-    /// Whether the round moved no one.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|shard| shard.moves.is_empty())
-    }
-
-    /// The moves, in user order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a Move> + 'a {
-        self.shards.iter().flat_map(|shard| &shard.moves)
-    }
-
-    /// The total demand of the movers: the move count for unit demand.
-    pub fn weight<I: Demands>(&self, inst: &I) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| moved_weight(inst, &shard.moves))
-            .sum()
-    }
+    pub len: usize,
+    /// The movers' total demand: the move count for unit demand.
+    pub weight: u64,
 }

@@ -168,11 +168,14 @@ pub fn run(quick: bool) -> ExperimentResult {
     }
 
     // Table 8c — the SoA round-view kernel that every executor's full
-    // rounds run against the dense reference scan (the oracle's decide) on
-    // one endgame round (most users satisfied, where the bitmap pre-filter
-    // turns the round into a streaming scan). Decide phase only, same
-    // measurement the `parallel/scaling` gate of `qlb-bench-check` re-runs
-    // against `BENCH_parallel.json`.
+    // rounds run, in its emit mode (`decide_shard_into`, moves into the
+    // pool's per-shard buffers, concatenated by `decide_round_on`), against
+    // the dense reference scan (the oracle's decide) on one endgame round
+    // (most users satisfied, where the bitmap pre-filter turns the round
+    // into a streaming scan). Decide phase only, and not the engine's
+    // round, which writes its movers in place and keeps no move list; the
+    // same measurement the `parallel/scaling` gate of `qlb-bench-check`
+    // re-runs against `BENCH_parallel.json`.
     let endgame = qlb_engine::run(
         &inst,
         State::all_on(&inst, ResourceId(0)),
@@ -195,11 +198,14 @@ pub fn run(quick: bool) -> ExperimentResult {
         decide_round_into(&inst, &eg_state, &proto, seed, 9, &mut out);
     });
     let mut scale_table = Table::new(
-        format!("Table 8c — SoA round-view kernel scaling (endgame round, decide only, n = {n})"),
+        format!(
+            "Table 8c — SoA kernel in emit mode through decide_round_on (endgame round, decide \
+             only, n = {n})"
+        ),
         &[
             "threads",
             "seq decide (µs)",
-            "SoA pooled decide (µs)",
+            "emit-mode decide_round_on (µs)",
             "speedup",
         ],
     );
