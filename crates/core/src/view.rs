@@ -122,9 +122,9 @@ impl ShardDeltas {
 /// [`RoundView::new`] from a copy) and hands it back with
 /// [`RoundView::into_state`]; [`RoundView::state`] reads it in between.
 /// Full rounds write their movers in place ([`RoundView::split_round`])
-/// before [`RoundView::merge_loads`] and [`RoundView::repair_touched`];
-/// driver churn goes through [`RoundView::reassign`]. The capacity tables
-/// and class ids stay in the [`Instance`], shared with every shard.
+/// before [`RoundView::merge_loads`] and [`RoundView::repair_touched`].
+/// The capacity tables and class ids stay in the [`Instance`], shared with
+/// every shard.
 pub struct RoundView {
     /// The round state. During a round, shards read its loads and write
     /// only their own chunks of its assignment.
@@ -394,19 +394,6 @@ impl RoundView {
         deltas.advance();
     }
 
-    /// Driver-side single-user reassignment (churn, arrivals, departures):
-    /// [`State::reassign`] plus the bits of the two resources it touches.
-    /// Unit demand only, like the drivers that call it.
-    pub fn reassign(&mut self, inst: &Instance, u: UserId, to: ResourceId) {
-        let from = self.state.resource_of(u);
-        if from == to {
-            return;
-        }
-        self.state.reassign(u, to);
-        self.refresh_bits(inst, from.0);
-        self.refresh_bits(inst, to.0);
-    }
-
     /// Consistency check: the loads equal a recount of the assignment, and
     /// every bitmap bit equals `!`[`Instance::satisfies`] at its resource's
     /// load. `O(n + m·K)` — test/debug use only. It allocates nothing (it
@@ -586,21 +573,6 @@ mod tests {
             }
         }
         assert!(state.is_legal(&inst), "sanity: run converges");
-    }
-
-    #[test]
-    fn reassign_keeps_view_synced() {
-        // twelve users on resource 0 (cap 10): the moves below flip its
-        // bit from the `from` side (11 → 10), then from the `to` side
-        // (10 → 11), then from the `from` side again
-        let (inst, mut state) = hotspot(12, 4, 10);
-        let mut view = RoundView::new(&inst, &state);
-        for (u, to) in [(0u32, 1u32), (1, 2), (2, 3), (1, 0), (2, 0), (3, 3)] {
-            state.reassign(UserId(u), ResourceId(to));
-            view.reassign(&inst, UserId(u), ResourceId(to));
-            assert_eq!(view.state(), &state);
-            view.assert_consistent(&inst);
-        }
     }
 
     #[test]

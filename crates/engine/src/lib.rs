@@ -11,7 +11,9 @@
 //!   With [`RunConfig::with_staleness`] users decide on load snapshots
 //!   that are up to `D` rounds old or lost (experiments E7 and E16);
 //! * [`run_open_system`] / [`run_open_system_observed`] — users arriving
-//!   and departing while the protocol runs ([`open`]);
+//!   and departing while the protocol runs ([`open`]), on the
+//!   [`ParkedSystem`] ([`parked`]) that the `qlb-serve` daemon's core also
+//!   runs;
 //! * [`run_with_churn`] / [`run_with_churn_observed`] — churn and
 //!   re-convergence episodes ([`dynamics`]).
 //!
@@ -22,18 +24,20 @@
 //! [`WorkerPool`] (long-lived parked workers, one epoch bump + unpark of
 //! the non-empty shards per round); or the active-set walk sharded over
 //! the pool. Whatever the driver, one [`Stepper`] picks and runs each
-//! round's kernel: the closed loop, the open driver and the serving
-//! core's tick only say whether the active set or every user decides. For
-//! full rounds the driver hands its state to the stepper, which moves it
-//! into a `RoundView` (the state plus its unsatisfied-resource bitmaps),
-//! applies the moves to it in place and hands it back; active-set moves
-//! the driver applies to its own state and index. Identical output
-//! is guaranteed by the counter-based RNG streams of `qlb-rng` and
-//! verified by tests and experiments E10 and E14 against the dense
-//! reference loops, which no executor runs: `qlb_core::step::reference_run`
-//! for the closed loop and [`open::reference_open_run`] for the open
-//! driver. A per-round [`Trace`] (potential decay, settling times, figure
-//! experiments) is a sink passed to [`run_observed`].
+//! round's kernel: the closed loop and the parked system only say whether
+//! the active set or every user decides. For full rounds the closed loop
+//! hands its state to the stepper, which moves it into a `RoundView` (the
+//! state plus its unsatisfied-resource bitmaps), applies the moves to it in
+//! place and hands it back; active-set moves the driver applies to its own
+//! state and index. The parked system runs only active-set rounds, on every
+//! executor. Identical output is guaranteed by the counter-based RNG
+//! streams of `qlb-rng` and verified by tests and experiments E10 and E14
+//! against the dense reference loops, which no executor runs:
+//! `qlb_core::step::reference_run` for the closed loop and
+//! [`ParkedReference`] for the parked system, fed by
+//! [`open::reference_open_run`] for the open driver. A per-round [`Trace`]
+//! (potential decay, settling times, figure experiments) is a sink passed
+//! to [`run_observed`].
 //!
 //! ```
 //! use qlb_core::prelude::*;
@@ -57,6 +61,7 @@
 
 pub mod dynamics;
 pub mod open;
+pub mod parked;
 pub mod pool;
 pub mod run;
 mod stale;
@@ -69,6 +74,7 @@ pub use dynamics::{
 pub use open::{
     run_open_system, run_open_system_observed, OpenConfig, OpenOutcome, OpenRoundStats,
 };
+pub use parked::{ParkedOp, ParkedReference, ParkedSystem};
 pub use pool::{shard_chunk, shards_for, WorkerPool};
 pub use run::{run, run_observed, Executor, RunConfig, RunOutcome};
 pub use stale::{Staleness, RESOURCE_BLOCKS, USER_BLOCKS};

@@ -3,36 +3,23 @@
 //! The paper's model is closed (`n` fixed); the natural open-system
 //! question is whether the protocol keeps *almost everyone* satisfied under
 //! continuous arrivals and departures, as long as the offered load stays
-//! below capacity. We model it with the **parking trick**: the instance is
-//! augmented with one virtual resource of effectively infinite capacity
-//! where inactive users "live". Parked users are always satisfied, so they
-//! never act; arrivals are reassignments out of parking onto a uniformly
-//! random real resource, departures are reassignments back. The protocol
-//! itself is unchanged and unaware of the driver — exactly how churn would
-//! hit a deployed system.
+//! below capacity. The driver runs a [`ParkedSystem`]: arrivals re-home
+//! free slots onto uniformly random real resources and departures park
+//! them, while the protocol, unchanged and unaware of the driver, keeps
+//! re-converging — exactly how churn would hit a deployed system. The
+//! driver itself is only those draws and the statistics. Every round is the
+//! parked system's active-set round, whose executor sets only the pool
+//! width, and protocols that act while satisfied are refused: they would
+//! move parked users.
 //!
-//! The driver supports the full [`Executor`] family, and refuses protocols
-//! that act while satisfied: they would move parked users. The sparse
-//! executors are the natural fit here: the steady-state active population
-//! is usually a small fraction of the user pool, so `O(pool)` dense rounds
-//! are almost entirely wasted scans of parked (always-satisfied) users.
-//! Arrivals and departures are fed to the [`ActiveIndex`] as reassignment
-//! deltas, and each round is the stepper's active-set step, as in the
-//! closed loop. The parking resource's infinite capacity keeps its
-//! occupants satisfied at any load, so its occupant list is never
-//! rechecked and the index work of a round is `O(churn + active)` instead
-//! of `O(pool)`. Arrivals take the top of the user range, so the step moves
-//! the index's shard bounds to them.
-//!
-//! [`reference_open_run`] is the driver's reference: the same run on a
-//! plain [`State`] with the dense scan, which every executor's series must
-//! equal.
+//! [`reference_open_run`] is the driver's reference: the same run replayed
+//! by [`ParkedReference`] on a plain [`State`], which every executor's
+//! series must equal.
 
+use crate::parked::{ParkedOp, ParkedReference, ParkedSystem};
 use crate::run::Executor;
-use crate::stepper::Stepper;
-use qlb_core::step::decide_round_into;
-use qlb_core::{ActiveIndex, Instance, Protocol, ResourceId, State, UserId};
-use qlb_obs::{timed, Counter, Event, Gauge, NoopSink, Phase, Sink};
+use qlb_core::{ClassId, Instance, Protocol, ResourceId, State, UserId};
+use qlb_obs::{Counter, Event, Gauge, NoopSink, Sink};
 use qlb_rng::{Rng64, SplitMix64};
 
 /// Configuration of an open-system run.
@@ -49,8 +36,10 @@ pub struct OpenConfig {
     pub departure_prob: f64,
     /// Rounds to discard before computing steady-state statistics.
     pub warmup: u64,
-    /// Round-execution strategy (default [`Executor::Dense`]; every
-    /// executor produces a bit-identical series).
+    /// Pool width of the rounds (default [`Executor::Dense`]). Every
+    /// executor runs the same active-set rounds and produces a
+    /// bit-identical series: `Dense` and `Sparse` run them without a pool,
+    /// `Threaded(t)` and `SparseThreaded(t)` on `t` threads.
     pub executor: Executor,
     /// Sample the `k` hottest *real* resources (parking excluded) at each
     /// observed round end (0 = off).
@@ -163,160 +152,64 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
     let (inst, parking) = parking_instance(base_caps, pool, proto, &cfg);
     let m = base_caps.len();
     let state = State::all_on(&inst, parking);
-    let mut stepper = Stepper::new(cfg.executor, pool, cfg.seed, cfg.shard_timing);
-    // An open system starts all-parked (zero unsatisfied), so the index is
-    // built upfront — there is no crowded warm-up phase to skip. The sparse
-    // executors own the state with the index; the others hand it to the
-    // stepper, whose full rounds apply to it.
-    let mut sparse: Option<(ActiveIndex, State)> = None;
-    if cfg.executor.is_sparse() {
-        sparse = Some((stepper.build_index(&inst, &state), state));
-        if S::ENABLED {
-            sink.add(Counter::ExecutorSwitches, 1);
-            sink.event(Event::ExecutorSwitch {
-                round: 0,
-                sparse: true,
-            });
-        }
-    } else {
-        stepper.hold(&inst, state);
-    }
-
-    // Parked users as a LIFO stack; active set as a boolean map.
-    let mut parked: Vec<UserId> = inst.users().collect();
+    let mut sys = ParkedSystem::new(inst, state, cfg.executor, cfg.seed, cfg.shard_timing);
+    // Arrived and not departed. Not the users off the parking resource: the
+    // protocol samples it like any other, so active users can move there.
     let mut active = vec![false; pool];
-    let mut active_count = 0u64;
-
     let mut driver_rng = SplitMix64::new(qlb_rng::mix64_pair(cfg.seed, OPEN_SALT));
     let mut arrival_credit = 0.0f64;
-    let mut changes: Vec<(UserId, ResourceId)> = Vec::new();
-    // arrivals and departures re-home users through the index, or on the
-    // state the stepper holds
-    let rehome =
-        |sparse: &mut Option<(ActiveIndex, State)>, stepper: &mut Stepper, changes: &[_]| {
-            match sparse {
-                Some((index, state)) => index.apply_reassignments(&inst, state, changes),
-                None => {
-                    for &(u, r) in changes {
-                        stepper.view_mut().reassign(&inst, u, r);
-                    }
-                }
-            }
-        };
     let mut series = Vec::with_capacity(cfg.rounds as usize);
 
     for round in 0..cfg.rounds {
-        // Arrivals.
+        // Arrivals: one per whole credit while free slots last; the credit
+        // of the first arrival the pool cannot take is spent too.
         arrival_credit += cfg.arrivals_per_round;
-        let mut arrived = 0u64;
-        changes.clear();
+        let (free, mut arrivals) = (sys.free(ClassId(0)), 0);
         while arrival_credit >= 1.0 {
             arrival_credit -= 1.0;
-            let Some(u) = parked.pop() else { break };
-            active[u.index()] = true;
-            changes.push((u, ResourceId(driver_rng.uniform_usize(m) as u32)));
-            arrived += 1;
-        }
-        rehome(&mut sparse, &mut stepper, &changes);
-        active_count += arrived;
-        // Departures. The flag scan visits every pool slot, but the
-        // bernoulli draw is consumed only for active users, so the driver
-        // stream is independent of the pool layout.
-        let mut departed = 0u64;
-        changes.clear();
-        for (idx, is_active) in active.iter_mut().enumerate() {
-            if *is_active && driver_rng.bernoulli(cfg.departure_prob) {
-                let u = UserId(idx as u32);
-                *is_active = false;
-                changes.push((u, parking));
-                parked.push(u);
-                departed += 1;
+            if arrivals == free {
+                break;
             }
+            arrivals += 1;
         }
-        rehome(&mut sparse, &mut stepper, &changes);
-        active_count -= departed;
+        let to = || ResourceId(driver_rng.uniform_usize(m) as u32);
+        for u in sys.arrive(ClassId(0), arrivals, to) {
+            active[u.index()] = true;
+        }
+        // Departures, in ascending user id. The flag scan visits every
+        // pool slot, but the bernoulli draw is consumed only for active
+        // users, so the driver stream is independent of the pool layout.
+        let leaving = active.iter_mut().enumerate().filter_map(|(idx, on)| {
+            let leaves = *on && driver_rng.bernoulli(cfg.departure_prob);
+            *on &= !leaves;
+            leaves.then_some(UserId(idx as u32))
+        });
+        let departed = sys.depart(leaving) as u64;
         if S::ENABLED {
-            if arrived > 0 {
-                sink.add(Counter::Arrivals, arrived);
-                sink.event(Event::Arrivals {
-                    round,
-                    count: arrived,
-                });
+            if arrivals > 0 {
+                let count = arrivals as u64;
+                sink.add(Counter::Arrivals, count);
+                sink.event(Event::Arrivals { round, count });
             }
             if departed > 0 {
-                sink.add(Counter::Departures, departed);
-                sink.event(Event::Departures {
-                    round,
-                    count: departed,
-                });
+                let count = departed;
+                sink.add(Counter::Departures, count);
+                sink.event(Event::Departures { round, count });
             }
-        }
-        if S::ENABLED {
-            sink.event(Event::RoundStart {
-                round,
-                active: match sparse.as_ref() {
-                    Some((index, _)) => index.num_active() as u64,
-                    None => stepper.view().state().num_unsatisfied(&inst) as u64,
-                },
-            });
         }
         // One protocol round (parked users are satisfied and never act).
-        let migrations = match sparse.as_mut() {
-            Some((index, state)) => {
-                let moves = stepper.step_sparse(&inst, state, index, proto, round, true, sink);
-                if S::ENABLED {
-                    sink.add(Counter::SparseRounds, 1);
-                }
-                // the next arrivals need a synced index: sync on the spot
-                timed(sink, Phase::Apply, || {
-                    index.apply_staged(&inst, state, moves);
-                    index.sync(&inst, state);
-                });
-                debug_assert!(moves.iter().all(|mv| mv.from != parking));
-                moves.len() as u64
-            }
-            None => {
-                if S::ENABLED {
-                    sink.add(Counter::DenseRounds, 1);
-                }
-                let parked = stepper.view().state().loads()[parking.index()];
-                let moves = stepper.full_round(&inst, proto, round, sink);
-                // parked users never act, so nobody leaves the parking
-                // resource: its load can only grow
-                debug_assert!(
-                    stepper.view().state().loads()[parking.index()] >= parked,
-                    "a parked user moved"
-                );
-                moves.len as u64
-            }
-        };
+        sys.round(proto, round, sink);
 
-        let unsatisfied = match sparse.as_ref() {
-            Some((index, _)) => index.num_active() as u64,
-            None => stepper.view().state().num_unsatisfied(&inst) as u64,
-        };
+        let active_count = (pool - sys.free(ClassId(0))) as u64;
+        let unsatisfied = sys.index().num_active() as u64;
         if S::ENABLED {
-            sink.add(Counter::Rounds, 1);
-            sink.add(Counter::Migrations, migrations);
             sink.set(Gauge::ActiveUsers, active_count);
             sink.set(Gauge::Unsatisfied, unsatisfied);
-            if let Some((index, _)) = sparse.as_ref() {
-                sink.set(Gauge::ActiveSetSize, index.num_active() as u64);
-            }
-            sink.event(Event::RoundEnd {
-                round,
-                migrations,
-                unsatisfied,
-                overload: None,
-            });
+            sink.set(Gauge::ActiveSetSize, unsatisfied);
             if cfg.topk_resources > 0 {
                 // Slice off the parking resource (index m): its load is the
                 // parked population and would swamp any congestion sample.
-                let loads = match sparse.as_ref() {
-                    Some((_, state)) => state.loads(),
-                    None => stepper.view().state().loads(),
-                };
-                let loads = &loads[..m];
+                let loads = &sys.state().loads()[..m];
                 sink.topk(round, &qlb_obs::top_k_entries(loads, cfg.topk_resources));
             }
         }
@@ -327,26 +220,13 @@ pub fn run_open_system_observed<P: Protocol + ?Sized, S: Sink>(
         });
     }
 
-    // Steady-state statistics.
+    // Steady-state statistics (all 0 when no round is past the warmup).
     let post: Vec<&OpenRoundStats> = series.iter().filter(|s| s.round >= cfg.warmup).collect();
-    let frac = |s: &OpenRoundStats| {
-        if s.active == 0 {
-            0.0
-        } else {
-            s.unsatisfied as f64 / s.active as f64
-        }
-    };
-    let mean_unsatisfied_frac = if post.is_empty() {
-        0.0
-    } else {
-        post.iter().map(|s| frac(s)).sum::<f64>() / post.len() as f64
-    };
-    let max_unsatisfied_frac = post.iter().map(|s| frac(s)).fold(0.0, f64::max);
-    let mean_active = if post.is_empty() {
-        0.0
-    } else {
-        post.iter().map(|s| s.active as f64).sum::<f64>() / post.len() as f64
-    };
+    let frac = |s: &&OpenRoundStats| s.unsatisfied as f64 / s.active.max(1) as f64;
+    let rounds = post.len().max(1) as f64;
+    let mean_unsatisfied_frac = post.iter().map(frac).sum::<f64>() / rounds;
+    let max_unsatisfied_frac = post.iter().map(frac).fold(0.0, f64::max);
+    let mean_active = post.iter().map(|s| s.active as f64).sum::<f64>() / rounds;
 
     OpenOutcome {
         series,
@@ -387,11 +267,12 @@ fn parking_instance<P: Protocol + ?Sized>(
 }
 
 /// The open driver's reference: [`run_open_system`]'s per-round series,
-/// computed on a plain [`State`] with the dense scan of
-/// [`qlb_core::step`] ([`decide_round_into`] and [`State::apply_moves`])
-/// and no executor, index or view. It draws the same parking instance,
-/// driver stream and protocol coins, so every executor's series must
-/// equal it; the tests, E14 and the `open_sparse` bench gate compare them.
+/// computed by [`ParkedReference`] on a plain [`State`] with the dense scan
+/// of [`qlb_core::step`] and no executor, index or stepper. It draws the
+/// same parking instance, driver stream and protocol coins, and feeds each
+/// round's arrivals and departures to the reference as one reassignment
+/// batch, so every executor's series must equal it; the tests, E14 and the
+/// `open_sparse` bench gate compare them.
 ///
 /// # Panics
 /// Panics on nonsensical rates, on empty `base_caps` and on a protocol that
@@ -404,33 +285,36 @@ pub fn reference_open_run<P: Protocol + ?Sized>(
 ) -> Vec<OpenRoundStats> {
     let (inst, parking) = parking_instance(base_caps, pool, proto, &cfg);
     let m = base_caps.len();
-    let mut state = State::all_on(&inst, parking);
-    let mut parked: Vec<UserId> = inst.users().collect();
+    let state = State::all_on(&inst, parking);
+    let seed = cfg.seed;
+    let mut reference = ParkedReference { inst, state, seed };
+    let mut parked: Vec<UserId> = (0..pool as u32).map(UserId).collect();
     let mut active = vec![false; pool];
     let mut rng = SplitMix64::new(qlb_rng::mix64_pair(cfg.seed, OPEN_SALT));
-    let (mut credit, mut moves) = (0.0, Vec::new());
+    let mut credit = 0.0;
     let mut series = Vec::with_capacity(cfg.rounds as usize);
     for round in 0..cfg.rounds {
+        let mut changes = Vec::new();
         credit += cfg.arrivals_per_round;
         while credit >= 1.0 {
             credit -= 1.0;
             let Some(u) = parked.pop() else { break };
             active[u.index()] = true;
-            state.reassign(u, ResourceId(rng.uniform_usize(m) as u32));
+            changes.push((u, ResourceId(rng.uniform_usize(m) as u32)));
         }
         for (idx, on) in active.iter_mut().enumerate() {
             if *on && rng.bernoulli(cfg.departure_prob) {
                 *on = false;
-                state.reassign(UserId(idx as u32), parking);
+                changes.push((UserId(idx as u32), parking));
                 parked.push(UserId(idx as u32));
             }
         }
-        decide_round_into(&inst, &state, proto, cfg.seed, round, &mut moves);
-        state.apply_moves(&inst, &moves);
+        reference.apply(proto, &ParkedOp::Reassign(changes));
+        reference.apply(proto, &ParkedOp::Round(round));
         series.push(OpenRoundStats {
             round,
             active: (pool - parked.len()) as u64,
-            unsatisfied: state.num_unsatisfied(&inst) as u64,
+            unsatisfied: reference.num_unsatisfied(),
         });
     }
     series

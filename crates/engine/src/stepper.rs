@@ -2,8 +2,9 @@
 //!
 //! A round of the paper is the same step in every driver: each
 //! unsatisfied user samples a target and flips its coin against the
-//! start-of-round loads. [`Stepper`] runs that step for the closed loop,
-//! the open-system driver and the serving core's tick. It owns everything
+//! start-of-round loads. [`Stepper`] runs that step for the closed loop
+//! and for the parked system ([`crate::parked`]) under the open-system
+//! driver and the serving core's tick. It owns everything
 //! the kernel choice needs — the optional [`WorkerPool`] and the reusable
 //! move buffer — and, while full rounds run, the round state itself: the
 //! driver's [`State`], moved into a [`RoundView`] that adds only the
@@ -67,8 +68,8 @@ const RESPLIT_IMBALANCE: f64 = 1.5;
 ///   index built by `Stepper::build_index` syncs with the previous batch
 ///   and then decides its own users, one shard per pool worker. The closed
 ///   loop defers each batch's sync to the next step (see
-///   [`run`](crate::run::run)); the open driver and the serving core sync
-///   eagerly, since their churn between rounds needs a synced index.
+///   [`run`](crate::run::run)); the parked system syncs eagerly, since its
+///   churn between rounds needs a synced index.
 /// * `Stepper::full_round` decides **and applies** a round of all `n`
 ///   users on the state handed over by `Stepper::hold`, which the stepper
 ///   keeps inside a [`RoundView`]: each shard (one per pool worker, or one
@@ -155,15 +156,6 @@ impl Stepper {
     /// Panics if the stepper holds no state.
     pub(crate) fn view(&self) -> &RoundView {
         &self.held.as_ref().expect("the stepper holds no state").view
-    }
-
-    /// The held round state, for a driver's reassignments
-    /// ([`RoundView::reassign`]).
-    ///
-    /// # Panics
-    /// Panics if the stepper holds no state.
-    pub(crate) fn view_mut(&mut self) -> &mut RoundView {
-        &mut self.held.as_mut().expect("the stepper holds no state").view
     }
 
     /// Build an [`ActiveIndex`] of `state` for `Stepper::step_sparse`: one

@@ -1,9 +1,11 @@
 //! The serving core: a live open-system instance with admission control.
 //!
-//! [`ServeCore`] owns the daemon's world: a parking-augmented
-//! [`Instance`], the live [`State`], and the [`ActiveIndex`] that keeps
-//! rebalance rounds `O(churn + unsatisfied)`. It is deliberately free of
-//! any I/O — the wire protocol ([`crate::proto`]) and the socket daemon
+//! [`ServeCore`] owns the daemon's world: the engine's [`ParkedSystem`],
+//! the machine the open-system driver runs, whose index of unsatisfied
+//! users keeps rebalance rounds `O(churn + unsatisfied)`, and on top of it
+//! admission, placement probes, weighted groups, drain bookkeeping,
+//! telemetry and delta export. It is deliberately free of any I/O — the
+//! wire protocol ([`crate::proto`]) and the socket daemon
 //! ([`crate::daemon`]) drive it, and so do the in-process serve bench and
 //! the unit tests, all through the same five verbs:
 //!
@@ -15,7 +17,7 @@
 //!   it and zero its effective capacity so the *protocol kernel itself*
 //!   migrates the occupants away over subsequent ticks;
 //! * [`tick`](ServeCore::tick) — run a bounded number of
-//!   sampling-protocol rounds, each the engine stepper's active-set round
+//!   sampling-protocol rounds, each the parked system's active-set round
 //!   (sharded over a worker pool when configured and the unsatisfied set
 //!   is large), with the budget adapting to request backlog;
 //! * the query accessors — per-resource congestion and per-class
@@ -48,11 +50,11 @@
 //! sequence reproduces the exact trajectory, whatever the socket timing.
 
 use qlb_core::{
-    ActiveIndex, ClassId, ConditionalUniform, Instance, Protocol, ResourceId, RestrictTargets,
-    SlackDamped, State, StateDelta, UserId,
+    ClassId, ConditionalUniform, Instance, Protocol, ResourceId, RestrictTargets, SlackDamped,
+    State, StateDelta, UserId,
 };
-use qlb_engine::{Executor, Stepper};
-use qlb_obs::{timed, Counter, Event, Gauge, Phase, Sink};
+use qlb_engine::{Executor, ParkedSystem};
+use qlb_obs::{Counter, Event, Gauge, Sink};
 use qlb_rng::{Rng64, SplitMix64};
 use qlb_workload::Scenario;
 use std::time::Instant;
@@ -180,7 +182,8 @@ impl ServeConfig {
 }
 
 /// Why a placement was refused. These are *answers*, not errors: the wire
-/// protocol reports them as `admitted: false` with this reason.
+/// protocol reports them as `admitted: false` with this reason. The
+/// declaration order indexes [`ServeCore::reject_reasons`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// No (enough) free pool slots of the requested class.
@@ -198,16 +201,6 @@ impl RejectReason {
             Self::PoolExhausted => "pool",
             Self::Capacity => "capacity",
             Self::AllDraining => "draining",
-        }
-    }
-
-    /// Dense index into per-reason breakdown arrays
-    /// ([`ServeCore::reject_reasons`]).
-    fn index(self) -> usize {
-        match self {
-            Self::PoolExhausted => 0,
-            Self::Capacity => 1,
-            Self::AllDraining => 2,
         }
     }
 }
@@ -324,38 +317,31 @@ pub struct ResourceStats {
 
 /// The daemon's live world — see the module docs.
 pub struct ServeCore {
-    inst: Instance,
-    state: State,
-    index: ActiveIndex,
+    sys: ParkedSystem,
     proto: RestrictTargets<dyn Protocol + Send>,
     cfg: ServeConfig,
-    parking: ResourceId,
     real_m: usize,
-    /// Free parking slots per class, LIFO.
-    free: Vec<Vec<UserId>>,
     /// Weighted-group chain: `group_next[u]` is the next slot of `u`'s
-    /// group ([`NO_NEXT`] terminates). Only leaders are valid tickets.
+    /// group ([`NO_NEXT`] terminates; free slots carry no link). Only
+    /// leaders are valid tickets.
     group_next: Vec<u32>,
     is_leader: Vec<bool>,
     draining: Vec<bool>,
-    drained_done: Vec<bool>,
     draining_count: usize,
+    /// Draining resources whose load has not reached 0 yet: the others
+    /// are drained.
+    pending_drains: Vec<ResourceId>,
     /// Per class: Σ effective capacity over non-draining real resources.
     admit_cap: Vec<u64>,
-    active_slots: u64,
-    class_active: Vec<u64>,
+    /// Per class: pool slots, free or placed.
+    class_slots: Vec<usize>,
     round: u64,
     place_rng: SplitMix64,
-    stepper: Stepper,
     // lifetime statistics (also exported as counters via the sink)
     placements: u64,
-    rejects: u64,
     rejects_by_reason: [u64; 3],
     departures: u64,
-    drains: u64,
     migrations_total: u64,
-    // reusable reassignment scratch
-    changes: Vec<(UserId, ResourceId)>,
     /// Assignment at the last [`ServeCore::export_delta`] (the delta
     /// base), stamped with `export_gen`; starts at the initial state.
     export_base: Vec<u32>,
@@ -368,12 +354,7 @@ impl ServeCore {
     pub fn with_capacities(caps: &[u32], pool: usize, cfg: ServeConfig) -> Result<Self, String> {
         let base = Instance::with_capacities(0, caps.to_vec())
             .map_err(|e| format!("bad capacities: {e}"))?;
-        let inst = base
-            .with_parking(&[pool])
-            .map_err(|e| format!("cannot augment instance: {e}"))?;
-        let parking = ResourceId(caps.len() as u32);
-        let state = State::all_on(&inst, parking);
-        Ok(Self::from_parts(inst, state, caps.len(), cfg))
+        Self::from_parts(base, &[pool], &[], cfg)
     }
 
     /// Core populated from a [`Scenario`]: the scenario's instance gains a
@@ -390,58 +371,37 @@ impl ServeCore {
             .build(build_seed)
             .map_err(|e| format!("scenario build failed: {e}"))?;
         let n0 = base.num_users();
-        let sizes = base.class_sizes();
-        // Spread spare slots proportionally; remainder round-robin so the
-        // total is exact.
-        let mut extra = vec![0usize; sizes.len()];
-        if extra_slots > 0 && n0 > 0 {
-            let mut assigned = 0usize;
-            for (k, &sz) in sizes.iter().enumerate() {
-                extra[k] = extra_slots * sz / n0;
-                assigned += extra[k];
-            }
-            let classes = extra.len();
-            let mut k = 0usize;
-            while assigned < extra_slots {
-                extra[k % classes] += 1;
-                assigned += 1;
-                k += 1;
-            }
-        } else if n0 == 0 {
-            extra[0] = extra_slots;
+        // Spread spare slots proportionally, the remainder round-robin so
+        // that the total is exact (all to class 0 without a population).
+        let share = |size: usize| (extra_slots * size).checked_div(n0).unwrap_or(0);
+        let mut extra: Vec<usize> = base.class_sizes().into_iter().map(share).collect();
+        let classes = if n0 == 0 { 1 } else { extra.len() };
+        for k in 0..extra_slots - extra.iter().sum::<usize>() {
+            extra[k % classes] += 1;
         }
-        let real_m = base.num_resources();
-        let inst = base
-            .with_parking(&extra)
-            .map_err(|e| format!("cannot augment instance: {e}"))?;
-        let parking = ResourceId(real_m as u32);
-        let mut state = State::all_on(&inst, parking);
-        for u in 0..n0 {
-            let u = UserId(u as u32);
-            state.reassign(u, start.resource_of(u));
-        }
-        let mut core = Self::from_parts(inst, state, real_m, cfg);
+        let mut core = Self::from_parts(base, &extra, start.assignment(), cfg)?;
         // The scenario population is grandfathered in as weight-1 tickets.
-        for u in 0..n0 {
-            let u = UserId(u as u32);
-            core.is_leader[u.index()] = true;
-            let k = core.inst.class_of(u).index();
-            core.free[k].retain(|&s| s != u);
-            core.class_active[k] += 1;
-            core.active_slots += 1;
-        }
+        core.is_leader[..n0].fill(true);
         Ok(core)
     }
 
-    fn from_parts(inst: Instance, state: State, real_m: usize, cfg: ServeConfig) -> Self {
+    /// `base` with a parking resource and `extra[k]` more class-`k` slots,
+    /// its users `u` placed on `placed[u]` and the other slots free.
+    fn from_parts(
+        base: Instance,
+        extra: &[usize],
+        placed: &[ResourceId],
+        cfg: ServeConfig,
+    ) -> Result<Self, String> {
+        let real_m = base.num_resources();
+        let inst = base
+            .with_parking(extra)
+            .map_err(|e| format!("cannot augment instance: {e}"))?;
         let pool = inst.num_users();
-        let parking = ResourceId(real_m as u32);
+        let mut assignment = placed.to_vec();
+        assignment.resize(pool, ResourceId(real_m as u32));
+        let state = State::new(&inst, assignment).map_err(|e| e.to_string())?;
         let kk = inst.num_classes();
-        let mut free: Vec<Vec<UserId>> = vec![Vec::new(); kk];
-        for u in inst.users() {
-            free[inst.class_of(u).index()].push(u);
-        }
-        // LIFO from the high end: pop order is descending user id.
         let admit_cap = (0..kk)
             .map(|k| {
                 inst.cap_row(ClassId(k as u32))[..real_m]
@@ -451,41 +411,31 @@ impl ServeCore {
             })
             .collect();
         let proto = cfg.protocol.build(real_m);
-        // one thread gets no pool: the stepper then decides sequentially
-        let executor = Executor::SparseThreaded(cfg.threads.max(1));
-        let stepper = Stepper::new(executor, pool, cfg.seed, true);
-        let index = stepper.build_index(&inst, &state);
         let state_base = state.assignment().iter().map(|r| r.0).collect();
-        Self {
-            inst,
-            state,
-            index,
+        let class_slots = inst.class_sizes();
+        // one thread gets no pool: the rounds then decide sequentially
+        let executor = Executor::SparseThreaded(cfg.threads.max(1));
+        Ok(Self {
+            sys: ParkedSystem::new(inst, state, executor, cfg.seed, true),
             proto,
             cfg,
-            parking,
             real_m,
-            free,
             group_next: vec![NO_NEXT; pool],
             is_leader: vec![false; pool],
             draining: vec![false; real_m],
-            drained_done: vec![false; real_m],
             draining_count: 0,
+            pending_drains: Vec::new(),
             admit_cap,
-            active_slots: 0,
-            class_active: vec![0; kk],
+            class_slots,
             round: 0,
             place_rng: SplitMix64::new(qlb_rng::mix64_pair(cfg.seed, SERVE_SALT)),
-            stepper,
             placements: 0,
-            rejects: 0,
             rejects_by_reason: [0; 3],
             departures: 0,
-            drains: 0,
             migrations_total: 0,
-            changes: Vec::new(),
             export_base: state_base,
             export_gen: 0,
-        }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -530,17 +480,14 @@ impl ServeCore {
         sink: &mut S,
         trace: Option<&mut PlaceTrace>,
     ) -> Result<PlaceOutcome, RejectReason> {
-        assert!(
-            class.index() < self.inst.num_classes(),
-            "class out of range"
-        );
+        assert!(class.index() < self.num_classes(), "class out of range");
         assert!(weight > 0, "weight must be positive");
         let k = class.index();
         let verdict = if self.draining_count == self.real_m {
             Err(RejectReason::AllDraining)
-        } else if self.free[k].len() < weight as usize {
+        } else if self.sys.free(class) < weight as usize {
             Err(RejectReason::PoolExhausted)
-        } else if self.active_slots + weight as u64
+        } else if self.active_slots() + weight as u64
             > (self.cfg.admit_frac * self.admit_cap[k] as f64) as u64
         {
             Err(RejectReason::Capacity)
@@ -548,8 +495,7 @@ impl ServeCore {
             Ok(())
         };
         if let Err(reason) = verdict {
-            self.rejects += 1;
-            self.rejects_by_reason[reason.index()] += 1;
+            self.rejects_by_reason[reason as usize] += 1;
             if S::ENABLED {
                 sink.add(Counter::AdmissionRejects, 1);
             }
@@ -565,31 +511,20 @@ impl ServeCore {
             }
             None => self.probe_target(class, None),
         };
-        let mut leader = UserId(0);
-        let mut prev = NO_NEXT;
-        self.changes.clear();
-        for i in 0..weight {
-            let slot = self.free[k].pop().expect("checked free slots");
-            if i == 0 {
-                leader = slot;
-                self.is_leader[slot.index()] = true;
-            } else {
-                self.group_next[prev as usize] = slot.0;
-            }
-            prev = slot.0;
-            self.group_next[slot.index()] = NO_NEXT;
-            self.changes.push((slot, target));
+        let mut slots = self.sys.arrive(class, weight as usize, || target);
+        let leader = slots.next().expect("checked free slots");
+        self.is_leader[leader.index()] = true;
+        let mut prev = leader;
+        for slot in slots {
+            self.group_next[prev.index()] = slot.0;
+            prev = slot;
         }
-        self.index
-            .apply_reassignments(&self.inst, &mut self.state, &self.changes);
-        self.active_slots += weight as u64;
-        self.class_active[k] += weight as u64;
         self.placements += 1;
         if S::ENABLED {
             sink.add(Counter::Placements, 1);
         }
-        let load = self.state.load(target);
-        let cap = self.inst.cap(class, target);
+        let load = self.sys.state().load(target);
+        let cap = self.sys.instance().cap(class, target);
         Ok(PlaceOutcome {
             user: leader,
             resource: target,
@@ -626,7 +561,8 @@ impl ServeCore {
                 ResourceId(idx as u32)
             };
             probes_left -= 1;
-            let headroom = self.inst.cap(class, r) as i64 - self.state.load(r) as i64;
+            let (inst, state) = (self.sys.instance(), self.sys.state());
+            let headroom = inst.cap(class, r) as i64 - state.load(r) as i64;
             if let Some(t) = trace.as_deref_mut() {
                 t.probes += 1;
                 t.headroom.push(headroom);
@@ -642,30 +578,22 @@ impl ServeCore {
     /// [`ServeCore::place`], or an initially-populated scenario user).
     /// All slots of the ticket's group return to the parking pool.
     pub fn depart<S: Sink>(&mut self, user: UserId, sink: &mut S) -> Result<DepartOutcome, String> {
-        if user.index() >= self.inst.num_users() {
+        if user.index() >= self.is_leader.len() {
             return Err(format!("unknown user {}", user.0));
         }
         if !self.is_leader[user.index()] {
             return Err(format!("user {} is not an active placement", user.0));
         }
-        self.changes.clear();
-        let mut slot = user.0;
-        let mut released = 0u32;
-        while slot != NO_NEXT {
+        let (group_next, mut slot) = (&mut self.group_next, user.0);
+        let group = std::iter::from_fn(|| {
             let u = UserId(slot);
-            let next = self.group_next[u.index()];
-            self.group_next[u.index()] = NO_NEXT;
-            self.changes.push((u, self.parking));
-            self.free[self.inst.class_of(u).index()].push(u);
-            slot = next;
-            released += 1;
-        }
+            (slot != NO_NEXT).then(|| {
+                slot = std::mem::replace(&mut group_next[u.index()], NO_NEXT);
+                u
+            })
+        });
+        let released = self.sys.depart(group) as u32;
         self.is_leader[user.index()] = false;
-        self.index
-            .apply_reassignments(&self.inst, &mut self.state, &self.changes);
-        let k = self.inst.class_of(user).index();
-        self.active_slots -= released as u64;
-        self.class_active[k] -= released as u64;
         self.departures += 1;
         if S::ENABLED {
             sink.add(Counter::ServeDeparts, released as u64);
@@ -687,21 +615,20 @@ impl ServeCore {
         }
         self.draining[r.index()] = true;
         self.draining_count += 1;
-        for k in 0..self.inst.num_classes() {
-            self.admit_cap[k] -= self.inst.cap(ClassId(k as u32), r) as u64;
+        for (k, cap) in self.admit_cap.iter_mut().enumerate() {
+            *cap -= self.sys.instance().cap(ClassId(k as u32), r) as u64;
         }
-        // Zero the capacity and rebuild the unsatisfied index against the
-        // drained instance — O(pool + m), once per drain request.
-        self.inst = self.inst.with_resource_drained(r);
-        self.index = self.stepper.build_index(&self.inst, &self.state);
-        let occupants = self.state.load(r);
-        self.drained_done[r.index()] = occupants == 0;
-        self.drains += 1;
+        // O(pool + m), once per drain request
+        self.sys.drain(r);
+        let occupants = self.sys.state().load(r);
+        if occupants > 0 {
+            self.pending_drains.push(r);
+        }
         if S::ENABLED {
             sink.add(Counter::Drains, 1);
             // A drain is a churn episode: `displaced` users must re-place.
             sink.event(Event::ChurnEpisode {
-                episode: self.drains - 1,
+                episode: self.draining_count as u64 - 1,
                 displaced: occupants as u64,
             });
         }
@@ -762,12 +689,22 @@ impl ServeCore {
         let mut out = TickOutcome::default();
         let budget = self.tick_budget(pending);
         for _ in 0..budget {
-            if self.index.is_empty() {
+            if self.sys.index().is_empty() {
                 break;
             }
-            out.migrations += self.run_round(sink, moves_out.as_deref_mut());
+            let moves = self.sys.round(&self.proto, self.round, sink);
+            if let Some(out) = moves_out.as_deref_mut() {
+                out.extend(moves.iter().map(|mv| MoveRecord {
+                    user: mv.user,
+                    from: mv.from,
+                    to: mv.to,
+                }));
+            }
+            self.round += 1;
+            out.migrations += moves.len() as u64;
             out.rounds += 1;
         }
+        self.migrations_total += out.migrations;
         if out.rounds == 0 && heartbeat {
             let round = self.round;
             self.round += 1;
@@ -783,9 +720,9 @@ impl ServeCore {
             }
             out.rounds = 1;
         }
-        out.unsatisfied = self.index.num_active() as u64;
+        out.unsatisfied = self.unsatisfied();
         if S::ENABLED {
-            sink.set(Gauge::ActiveUsers, self.active_slots);
+            sink.set(Gauge::ActiveUsers, self.active_slots());
             sink.set(Gauge::Unsatisfied, out.unsatisfied);
             sink.set(Gauge::ActiveSetSize, out.unsatisfied);
         }
@@ -793,61 +730,11 @@ impl ServeCore {
         out
     }
 
-    /// One protocol round over the unsatisfied set: the shared stepper's
-    /// active-set round, the same one the open-system driver runs.
-    fn run_round<S: Sink>(&mut self, sink: &mut S, moves_out: Option<&mut Vec<MoveRecord>>) -> u64 {
-        let round = self.round;
-        self.round += 1;
-        if S::ENABLED {
-            sink.event(Event::RoundStart {
-                round,
-                active: self.index.num_active() as u64,
-            });
-        }
-        let (inst, state, index) = (&self.inst, &mut self.state, &mut self.index);
-        let moves = self
-            .stepper
-            .step_sparse(inst, state, index, &self.proto, round, true, sink);
-        let migrations = moves.len() as u64;
-        self.migrations_total += migrations;
-        if let Some(out) = moves_out {
-            out.extend(moves.iter().map(|mv| MoveRecord {
-                user: mv.user,
-                from: mv.from,
-                to: mv.to,
-            }));
-        }
-        // the next place or depart needs a synced index: sync on the spot
-        timed(sink, Phase::Apply, || {
-            index.apply_staged(inst, state, moves);
-            index.sync(inst, state);
-        });
-        if S::ENABLED {
-            sink.add(Counter::Rounds, 1);
-            sink.add(Counter::SparseRounds, 1);
-            sink.add(Counter::Migrations, migrations);
-            sink.event(Event::RoundEnd {
-                round,
-                migrations,
-                unsatisfied: self.index.num_active() as u64,
-                overload: None,
-            });
-        }
-        migrations
-    }
-
+    /// Drop the pending drains whose load reached 0, in
+    /// `O(pending drains)`.
     fn check_drains(&mut self) {
-        if self.draining_count == 0 {
-            return;
-        }
-        for r in 0..self.real_m {
-            if self.draining[r]
-                && !self.drained_done[r]
-                && self.state.load(ResourceId(r as u32)) == 0
-            {
-                self.drained_done[r] = true;
-            }
-        }
+        let state = self.sys.state();
+        self.pending_drains.retain(|&r| state.load(r) > 0);
     }
 
     // ------------------------------------------------------------------
@@ -856,17 +743,19 @@ impl ServeCore {
 
     /// Placed slots (total weight currently admitted).
     pub fn active_slots(&self) -> u64 {
-        self.active_slots
+        self.sys.instance().num_users() as u64 - self.free_slots()
     }
 
     /// Free parking slots over all classes.
     pub fn free_slots(&self) -> u64 {
-        self.free.iter().map(|f| f.len() as u64).sum()
+        (0..self.num_classes())
+            .map(|k| self.sys.free(ClassId(k as u32)) as u64)
+            .sum()
     }
 
     /// Currently unsatisfied users.
     pub fn unsatisfied(&self) -> u64 {
-        self.index.num_active() as u64
+        self.sys.index().num_active() as u64
     }
 
     /// Protocol rounds executed so far.
@@ -876,7 +765,9 @@ impl ServeCore {
 
     /// Lifetime `(placements, rejects, departures, drains)`.
     pub fn totals(&self) -> (u64, u64, u64, u64) {
-        (self.placements, self.rejects, self.departures, self.drains)
+        let rejects = self.rejects_by_reason.iter().sum();
+        let drains = self.draining_count as u64;
+        (self.placements, rejects, self.departures, drains)
     }
 
     /// Lifetime admission rejects broken down by reason:
@@ -906,7 +797,7 @@ impl ServeCore {
 
     /// Number of QoS classes.
     pub fn num_classes(&self) -> usize {
-        self.inst.num_classes()
+        self.sys.instance().num_classes()
     }
 
     /// Per-class unsatisfied counts into a caller-owned buffer
@@ -915,10 +806,11 @@ impl ServeCore {
     /// `k`. The per-tick shape of [`ServeCore::class_stats`] for the
     /// telemetry path.
     pub fn class_unsatisfied_into(&self, out: &mut Vec<u64>) {
+        let inst = self.sys.instance();
         out.clear();
-        out.resize(self.inst.num_classes(), 0);
-        for u in self.index.active() {
-            out[self.inst.class_of(u).index()] += 1;
+        out.resize(inst.num_classes(), 0);
+        for u in self.sys.index().active() {
+            out[inst.class_of(u).index()] += 1;
         }
     }
 
@@ -926,10 +818,10 @@ impl ServeCore {
     pub fn class_stats(&self) -> Vec<ClassStats> {
         let mut unsat = Vec::new();
         self.class_unsatisfied_into(&mut unsat);
-        (0..self.inst.num_classes())
+        (0..self.num_classes())
             .map(|k| ClassStats {
                 class: ClassId(k as u32),
-                active: self.class_active[k],
+                active: (self.class_slots[k] - self.sys.free(ClassId(k as u32))) as u64,
                 unsatisfied: unsat[k],
             })
             .collect()
@@ -944,10 +836,10 @@ impl ServeCore {
         assert!(r.index() < self.real_m, "resource out of range");
         ResourceStats {
             resource: r,
-            load: self.state.load(r),
-            cap: self.inst.capacity(r),
+            load: self.sys.state().load(r),
+            cap: self.sys.instance().capacity(r),
             draining: self.draining[r.index()],
-            drained: self.drained_done[r.index()],
+            drained: self.draining[r.index()] && !self.pending_drains.contains(&r),
         }
     }
 
@@ -961,12 +853,12 @@ impl ServeCore {
     /// The `k` hottest real resources by load (for `query` and top-k
     /// trace samples).
     pub fn top_loads(&self, k: usize) -> Vec<qlb_obs::TopKEntry> {
-        qlb_obs::top_k_entries(&self.state.loads()[..self.real_m], k)
+        qlb_obs::top_k_entries(&self.sys.state().loads()[..self.real_m], k)
     }
 
     /// Direct state access for tests and the bench.
     pub fn state(&self) -> &State {
-        &self.state
+        self.sys.state()
     }
 
     /// Export the placement changes since the previous export as a
@@ -976,7 +868,7 @@ impl ServeCore {
     /// reproduces [`ServeCore::state`] exactly, so a supervisor can keep
     /// a live replica paying only for the users that actually moved.
     pub fn export_delta(&mut self) -> StateDelta {
-        let current: Vec<u32> = self.state.assignment().iter().map(|r| r.0).collect();
+        let current: Vec<u32> = self.state().assignment().iter().map(|r| r.0).collect();
         let d = StateDelta::encode(
             &self.export_base,
             &current,
@@ -996,14 +888,14 @@ impl ServeCore {
 
     /// The (parking-augmented, possibly drained) instance.
     pub fn instance(&self) -> &Instance {
-        &self.inst
+        self.sys.instance()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qlb_obs::{NoopSink, Recorder};
+    use qlb_obs::{NoopSink, Phase, Recorder};
 
     fn small() -> ServeCore {
         ServeCore::with_capacities(&[4; 8], 64, ServeConfig::new(7)).unwrap()
@@ -1286,9 +1178,34 @@ mod tests {
         let d = c.depart(UserId(0), &mut sink).unwrap();
         assert_eq!(d.released, 1);
         assert_eq!(c.active_slots(), 95);
-        // and new arrivals use the spare slots
-        let p = c.place(ClassId(0), 1, &mut sink).unwrap();
-        assert!(p.user.index() < 128);
+        // and new arrivals take the freed ticket, then the spare slots
+        // from the top
+        let tickets: Vec<u32> = [1, 3, 1, 2]
+            .map(|w| c.place(ClassId(0), w, &mut sink).unwrap().user.0)
+            .into();
+        assert_eq!(tickets, [0, 127, 124, 123]);
+
+        // the constructor makes one pass over the pool
+        let sc = Scenario::single_class(
+            "serve-big",
+            65_536,
+            8192,
+            qlb_workload::CapacityDist::Constant { cap: 8 },
+            1.25,
+            qlb_workload::Placement::RoundRobin,
+        );
+        let t0 = Instant::now();
+        let mut c = ServeCore::from_scenario(&sc, 1, 16_384, ServeConfig::new(4)).unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        assert!(
+            secs < if cfg!(debug_assertions) { 10.0 } else { 1.0 },
+            "{secs} s"
+        );
+        assert_eq!((c.active_slots(), c.free_slots()), (65_536, 16_384));
+        let tickets: Vec<u32> = [1, 3, 1, 2]
+            .map(|w| c.place(ClassId(0), w, &mut sink).unwrap().user.0)
+            .into();
+        assert_eq!(tickets, [81_919, 81_918, 81_915, 81_914]);
     }
 
     #[test]
@@ -1313,7 +1230,7 @@ mod tests {
             let mut c = ServeCore::from_scenario(&sc, 3, 4000, cfg).unwrap();
             assert!(c.unsatisfied() >= 1024);
             let ranges = |c: &ServeCore| {
-                let shards = c.index.shards();
+                let shards = c.sys.index().shards();
                 shards.iter().map(|s| s.range()).collect::<Vec<_>>()
             };
             let mut rec = Recorder::default();

@@ -7,13 +7,14 @@
 //!   weighted lift (demand `1 + i mod w`, capacities scaled by the mean
 //!   demand), seeded random small instances of each, and the open driver's
 //!   parking instance;
-//! * drivers: the closed loop, the churn driver, the open driver, and the
-//!   stale-observation mode as an executor-independence row;
+//! * drivers: the closed loop, the churn driver, the open driver, the
+//!   serving core's ops and ticks, and the stale-observation mode as an
+//!   executor-independence row;
 //! * protocols: the whole registry, plus graph diffusion (which acts while
 //!   satisfied) for the closed loop's dense fallback;
 //! * executors: `Dense`, `Sparse`, and `Threaded` / `SparseThreaded` at 1, 2,
 //!   3 and 8 threads (and 128 on the small instances, wider than any of
-//!   them);
+//!   them), and the serving core at 0, 1, 2, 3 and 8 threads;
 //! * budgets: cuts inside the full-round phase, at the round the sparse
 //!   executors switch to the active set, and inside the active-set phase.
 //!
@@ -21,9 +22,10 @@
 //! [`reference_run`], the dense scan of `qlb_core::step` on a plain
 //! `State`, with the settling-time trace its per-round hook implies, for
 //! the closed and churn drivers; [`reference_open_run`] for the open
-//! driver. Each case checks its outcome and its trace against the oracle,
-//! and its event stream: without `ExecutorSwitch`, the stream equals the
-//! `Dense` run's, whose `RoundEnd` series equals the oracle's per-round
+//! driver; [`ParkedReference`], which `reference_open_run` also feeds, over
+//! the serving core's recorded op log. Each case checks its outcome and its
+//! trace against the oracle, and its event stream: without
+//! `ExecutorSwitch`, the stream equals the `Dense` run's, whose `RoundEnd` series equals the oracle's per-round
 //! series. A run with no sink must end where the observed one does (at
 //! the closed rows' full budgets, and on the churn, stale and small open
 //! rows). Stale runs decide sequentially whatever the executor, so their
@@ -40,7 +42,7 @@ use qoslb::core::weighted::WeightedInstance;
 use qoslb::engine::open::reference_open_run;
 use qoslb::engine::{
     perturb_uniform, run_open_system, run_open_system_observed, run_with_churn,
-    run_with_churn_observed, ChurnConfig, OpenConfig, RoundStats,
+    run_with_churn_observed, ChurnConfig, OpenConfig, ParkedOp, ParkedReference, RoundStats,
 };
 use qoslb::obs::{Counter, Event, Phase};
 use qoslb::prelude::*;
@@ -697,4 +699,109 @@ fn stale_executor_independence() {
             }
         }
     }
+}
+
+/// What moved between two states, as a reassignment batch.
+fn reassignments(before: &State, after: &State) -> Vec<(UserId, ResourceId)> {
+    let pairs = before.assignment().iter().zip(after.assignment());
+    let moved = pairs.enumerate().filter(|(_, (a, b))| a != b);
+    moved.map(|(u, (_, &b))| (UserId(u as u32), b)).collect()
+}
+
+#[test]
+fn serve_core() {
+    // The serving core on every thread count against `ParkedReference`
+    // over the ops it recorded: places of weight 1–4, departures of random
+    // tickets, one drain and ticks under a varying backlog, some with a
+    // heartbeat. As in `pooled_ticks_match_sequential_ticks`, the hotspot
+    // start leaves 6 000 users unsatisfied, and a burst of 30 groups of 100
+    // slots, each group on one resource, over 3 000 at the top of the
+    // 10 000-slot pool, so pooled ticks run and move the index bounds.
+    let sc = Scenario::single_class(
+        "serve-diff",
+        6000,
+        400,
+        CapacityDist::Constant { cap: 20 },
+        2.0,
+        Placement::Hotspot,
+    );
+    let (mut crowded, mut pooled) = (false, false);
+    let mut want_events: Option<Vec<Event>> = None;
+    for threads in [0, 1, 2, 3, 8] {
+        let mut core =
+            ServeCore::from_scenario(&sc, 3, 4000, ServeConfig::new(3).with_threads(threads))
+                .unwrap();
+        let inner: Box<dyn Protocol> = Box::new(SlackDamped::default());
+        let proto = RestrictTargets::new(inner, core.num_resources());
+        let (inst, state) = (core.instance().clone(), core.state().clone());
+        let mut reference = ParkedReference {
+            inst,
+            state,
+            seed: 3,
+        };
+        let mut tickets: Vec<UserId> = (0..6000).map(UserId).collect();
+        let (mut rng, mut rec, mut migrations) = (SplitMix64::new(0x5E4E), Recorder::default(), 0);
+        for step in 0..400 {
+            let label = format!("threads={threads} step {step}");
+            let (before, mut tick) = (core.state().clone(), None);
+            let draw = rng.uniform(20);
+            let ops = if step == 200 {
+                let r = ResourceId(rng.uniform(core.num_resources() as u64) as u32);
+                core.drain(r, &mut rec).unwrap();
+                vec![ParkedOp::Drain(r)]
+            } else if (250..280).contains(&step) || (8..14).contains(&draw) {
+                let weight = match step {
+                    250..280 => 100,
+                    _ => 1 + rng.uniform(4) as u32,
+                };
+                if let Ok(p) = core.place(ClassId(0), weight, &mut rec) {
+                    tickets.push(p.user);
+                }
+                vec![ParkedOp::Reassign(reassignments(&before, core.state()))]
+            } else if draw < 8 {
+                let (pending, first) = (rng.uniform_usize(40), core.round());
+                crowded |= core.unsatisfied() >= 1024;
+                let out = core.tick(pending, draw == 0, &mut rec);
+                tick = Some((out, core.tick_budget(pending)));
+                (first..core.round()).map(ParkedOp::Round).collect()
+            } else {
+                // half the time the newest ticket, whose group may still
+                // crowd its resource: its departure uncrowds the others
+                let newest = tickets.len() - 1;
+                let i = if draw < 17 {
+                    rng.uniform_usize(newest)
+                } else {
+                    newest
+                };
+                let ticket = tickets.swap_remove(i);
+                core.depart(ticket, &mut rec).unwrap();
+                vec![ParkedOp::Reassign(reassignments(&before, core.state()))]
+            };
+            for op in &ops {
+                migrations += reference.apply(&proto, op) as u64;
+            }
+            let unsatisfied = reference.num_unsatisfied();
+            // (the states' Debug output would run to megabytes)
+            assert!(core.state() == &reference.state, "{label}: state");
+            assert_eq!(core.unsatisfied(), unsatisfied, "{label}");
+            assert_eq!(core.migrations_total(), migrations, "{label}");
+            if let Some((out, budget)) = tick {
+                assert_eq!(out.unsatisfied, unsatisfied, "{label}");
+                if out.rounds < budget {
+                    assert_eq!(unsatisfied, 0, "{label}: the tick stopped early");
+                }
+            }
+        }
+        let evs = events(&rec);
+        assert_eq!(
+            &evs,
+            want_events.get_or_insert_with(|| evs.clone()),
+            "threads={threads}"
+        );
+        if threads > 1 {
+            pooled |= rec.timers().histogram(Phase::Compute).count() > 0;
+        }
+    }
+    assert!(crowded, "no tick with ≥ 1024 unsatisfied");
+    assert!(pooled, "no pooled serve tick");
 }
