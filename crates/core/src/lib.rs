@@ -99,7 +99,7 @@ pub mod prelude {
     pub use crate::protocol::{
         registry, BlindUniform, ConditionalUniform, Decision, LocalView, PartialParticipation,
         Protocol, ResourceView, RestrictTargets, SamplingStrategy, SlackDamped,
-        SlackDampedCapacitySampling, ThresholdLevels,
+        SlackDampedCapacitySampling, ThresholdLevels, UserBlock,
     };
     pub use crate::state::{Move, State};
     pub use crate::view::{RoundReads, RoundView, ShardDeltas, ShardScratch};

@@ -25,6 +25,7 @@
 //! property the herding strawmen lack.
 
 mod blind;
+mod block;
 mod capacity_sampling;
 mod conditional;
 mod levels;
@@ -33,6 +34,7 @@ mod restricted;
 mod slack;
 
 pub use blind::BlindUniform;
+pub use block::UserBlock;
 pub use capacity_sampling::SlackDampedCapacitySampling;
 pub use conditional::ConditionalUniform;
 pub use levels::ThresholdLevels;
@@ -125,6 +127,9 @@ pub enum SamplingStrategy {
 /// Satisfied users consume **no** randomness. Executors must not reorder or
 /// interleave draws; every `qlb-engine` executor follows this contract,
 /// which is what experiment E10 verifies.
+///
+/// Production rounds decide through [`Protocol::decide_block`], whose
+/// default runs exactly these steps per user.
 pub trait Protocol: Sync {
     /// Short stable name used in tables and benchmark ids.
     fn name(&self) -> &'static str;
@@ -167,6 +172,25 @@ pub trait Protocol: Sync {
     /// randomness like everyone else (the executors stay deterministic).
     fn acts_when_satisfied(&self) -> bool {
         false
+    }
+
+    /// Decide a block of unsatisfied users (see [`UserBlock`]): set
+    /// `moves[i]` iff user `i` migrates this round, and then `targets[i]`
+    /// to its new resource (the sampled target). A user that stays gets
+    /// `moves[i] = false` and an unspecified `targets[i]`.
+    ///
+    /// The default runs [`decide_unsatisfied_user`] on each user, drawing
+    /// its target over `0..k` instead of calling
+    /// [`Protocol::sample_target`] when the block fixes a universe
+    /// `Some(k)`. An override must decide draw-for-draw the same.
+    ///
+    /// # Panics
+    /// Panics if `targets` or `moves` is shorter than the block, or if a
+    /// per-user slice of the block is.
+    ///
+    /// [`decide_unsatisfied_user`]: crate::step::decide_unsatisfied_user
+    fn decide_block(&self, block: &UserBlock<'_>, targets: &mut [ResourceId], moves: &mut [bool]) {
+        block::decide_each(self, block, targets, moves)
     }
 }
 

@@ -11,8 +11,11 @@
 //! sampling universe to the first `real` resources while delegating every
 //! decision to the inner kernel, preserving the executor draw-order
 //! contract (one uniform draw for the target, then the kernel's coins).
+//! Blocks go to the inner kernel's [`Protocol::decide_block`] with `real`
+//! as their sampling universe, so a wrapped [`SlackDamped`](super::SlackDamped)
+//! decides in its batched pass.
 
-use super::{Decision, LocalView, Protocol, SamplingStrategy};
+use super::{Decision, LocalView, Protocol, SamplingStrategy, UserBlock};
 use crate::ids::{ClassId, ResourceId};
 use crate::instance::Instance;
 use qlb_rng::{Rng64, RoundStream};
@@ -57,7 +60,61 @@ impl<P: Protocol + ?Sized> RestrictTargets<P> {
     }
 }
 
+impl<P: Protocol + ?Sized> RestrictTargets<P> {
+    /// The per-user rule, borrowed.
+    fn borrowed(&self) -> Restricted<'_, P> {
+        Restricted {
+            inner: &self.inner,
+            real: self.real,
+        }
+    }
+}
+
 impl<P: Protocol + ?Sized> Protocol for RestrictTargets<P> {
+    fn name(&self) -> &'static str {
+        self.borrowed().name()
+    }
+
+    fn sampling(&self) -> SamplingStrategy {
+        self.borrowed().sampling()
+    }
+
+    fn sample_target(&self, inst: &Instance, own: ResourceId, rng: &mut RoundStream) -> ResourceId {
+        self.borrowed().sample_target(inst, own, rng)
+    }
+
+    fn decide(&self, view: &LocalView, rng: &mut RoundStream) -> Decision {
+        self.borrowed().decide(view, rng)
+    }
+
+    fn is_active(&self, class: ClassId, round: u64) -> bool {
+        self.borrowed().is_active(class, round)
+    }
+
+    fn acts_when_satisfied(&self) -> bool {
+        self.borrowed().acts_when_satisfied()
+    }
+
+    /// The inner kernel's block decision over the universe `0..real`, or
+    /// over an enclosing wrapper's universe, whose sampling replaces this
+    /// one's.
+    fn decide_block(&self, block: &UserBlock<'_>, targets: &mut [ResourceId], moves: &mut [bool]) {
+        let universe = block.universe.or(Some(self.real));
+        let block = UserBlock { universe, ..*block };
+        self.inner.decide_block(&block, targets, moves)
+    }
+}
+
+/// `inner` with its target drawn uniformly from resources `0..real`: the
+/// per-user rule of [`RestrictTargets`], over a borrowed kernel, and what
+/// the default [`Protocol::decide_block`] runs per user of a block with a
+/// fixed [`UserBlock::universe`].
+pub(super) struct Restricted<'a, P: ?Sized> {
+    pub(super) inner: &'a P,
+    pub(super) real: usize,
+}
+
+impl<P: Protocol + ?Sized> Protocol for Restricted<'_, P> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -66,12 +123,7 @@ impl<P: Protocol + ?Sized> Protocol for RestrictTargets<P> {
         SamplingStrategy::Uniform
     }
 
-    fn sample_target(
-        &self,
-        _inst: &Instance,
-        _view_of_own: ResourceId,
-        rng: &mut RoundStream,
-    ) -> ResourceId {
+    fn sample_target(&self, _: &Instance, _: ResourceId, rng: &mut RoundStream) -> ResourceId {
         ResourceId(rng.uniform_usize(self.real) as u32)
     }
 

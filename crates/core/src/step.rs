@@ -1,9 +1,14 @@
 //! One synchronous round, factored for executor reuse.
 //!
-//! Every kernel — the dense reference scan, the SoA round view, the
-//! active-set walk, and the engine's stale-observation loop — delegates
-//! the per-user logic to [`decide_user`] or its post-gate half, which encodes the protocol contract (who acts, in what
-//! draw order) exactly once. Because decisions read only the *start-of-round*
+//! The per-user logic lives in [`decide_user`] and its post-gate half
+//! [`decide_unsatisfied_user`], which encode the protocol contract (who
+//! acts, in what draw order) exactly once. The dense reference scan and
+//! the engine's stale-observation loop run them per user. The production
+//! kernels — the SoA round view and the active-set walk — hand blocks of
+//! up to 256 unsatisfied users to one batched call,
+//! [`Protocol::decide_block`], whose default runs the post-gate half per
+//! user and whose overrides decide draw-for-draw the same (checked against
+//! it). Because decisions read only the *start-of-round*
 //! congestion and user-private random streams, decisions for different users
 //! are independent and can be computed in any order or in parallel; the
 //! result is identical by construction.
@@ -15,7 +20,7 @@
 use crate::active::{ActiveIndex, IndexShard};
 use crate::ids::{ResourceId, UserId};
 use crate::instance::Demands;
-use crate::protocol::{Decision, LocalView, Protocol, ResourceView};
+use crate::protocol::{Decision, LocalView, Protocol, ResourceView, UserBlock};
 use crate::state::{Move, State};
 use qlb_rng::{fold_round_bases, RoundStream};
 
@@ -59,9 +64,9 @@ pub fn decide_user<I: Demands, P: Protocol + ?Sized>(
 /// The caller must already have applied the satisfied-users-do-nothing
 /// gate (or the protocol must act while satisfied), and `rng` must be the
 /// **fresh** `(seed, user, round)` stream — typically rebuilt from a
-/// precomputed base via [`RoundStream::from_base`] by the batched SoA
-/// kernel ([`RoundView`](crate::RoundView)). Draw-for-draw identical to
-/// the tail of [`decide_user`] by construction.
+/// precomputed base via [`RoundStream::from_base`] by the default of
+/// [`Protocol::decide_block`]. Draw-for-draw identical to the tail of
+/// [`decide_user`] by construction.
 #[inline]
 pub fn decide_unsatisfied_user<I: Demands, P: Protocol + ?Sized>(
     inst: &I,
@@ -168,8 +173,9 @@ pub struct RunOutcome {
 /// `each_round` sees the state after every round and that round's moves.
 /// No executor runs this loop: it is the expected side the executors are
 /// tested (and E10 checks them) against. It shares only the per-user
-/// protocol step [`decide_unsatisfied_user`] with them, not their
-/// satisfaction filter, base fold, sharding, merge or apply.
+/// protocol step [`decide_unsatisfied_user`] with them (the default of
+/// their block call), not their satisfaction filter, base fold, batched
+/// decision, sharding, merge or apply.
 pub fn reference_run<I: Demands, P: Protocol + ?Sized>(
     inst: &I,
     mut state: State,
@@ -246,7 +252,7 @@ pub(crate) const SHARD_BLOCK: usize = 256;
 /// The shard's ordered bit scan writes blocks of up to 256 user ids
 /// straight from its bit words; each block folds its [`RoundStream`] bases
 /// with one call to [`qlb_rng::fold_round_bases`] (eight per instruction on
-/// AVX-512) and then runs [`decide_unsatisfied_user`] per user with no
+/// AVX-512) and is decided by one [`Protocol::decide_block`] call with no
 /// second satisfaction test: the shard, synced with `state`, holds exactly
 /// the unsatisfied users.
 /// Concatenating the shards' outputs in order reproduces the sequential
@@ -287,19 +293,75 @@ fn decide_block<I: Demands, P: Protocol + ?Sized>(
     round: u64,
     out: &mut Vec<Move>,
 ) {
-    let mut bases = [0u64; SHARD_BLOCK];
-    let bases = &mut bases[..users.len()];
-    fold_round_bases(seed, round, users, bases);
-    let (loads, assignment) = (state.loads(), state.assignment());
-    for (&id, &base) in users.iter().zip(bases.iter()) {
-        let user = UserId(id);
-        let own = assignment[user.index()];
-        debug_assert!(!state.is_satisfied(inst, user), "{user} is satisfied");
-        let mut rng = RoundStream::from_base(base);
-        if let Some(mv) = decide_unsatisfied_user(inst, loads, own, user, proto, round, &mut rng) {
-            out.push(mv);
-        }
+    for &id in users {
+        debug_assert!(!state.is_satisfied(inst, UserId(id)), "u{id} is satisfied");
     }
+    let push = |_: &mut &[ResourceId], _: usize, mv: Move| out.push(mv);
+    let (loads, mut assign) = (state.loads(), state.assignment());
+    decide_ids(inst, loads, users, 0, &mut assign, proto, seed, round, push);
+}
+
+/// The batched kernel of every production round, active-set
+/// ([`decide_shard_into`]) or full
+/// ([`RoundReads::decide_chunk`](crate::RoundReads::decide_chunk)): decide
+/// the at most [`SHARD_BLOCK`] unsatisfied users `ids`, whose resources are
+/// `assign[id - lo]`, against the start-of-round `loads`. It folds their
+/// stream bases, gathers their resources and demands on the stack, decides
+/// them with one [`Protocol::decide_block`] call, and hands each move to
+/// `moved`, in user order, with `assign` and the mover's offset in it.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn decide_ids<I: Demands, P: Protocol + ?Sized, A: AsRef<[ResourceId]>>(
+    inst: &I,
+    loads: &[u32],
+    ids: &[u32],
+    lo: usize,
+    assign: &mut A,
+    proto: &P,
+    seed: u64,
+    round: u64,
+    mut moved: impl FnMut(&mut A, usize, Move),
+) {
+    let len = ids.len();
+    let mut bases = [0u64; SHARD_BLOCK];
+    let bases = &mut bases[..len];
+    fold_round_bases(seed, round, ids, bases);
+    let (mut own, mut weights) = ([ResourceId(0); SHARD_BLOCK], [0u32; SHARD_BLOCK]);
+    let (own, weights) = (&mut own[..len], &mut weights[..len]);
+    for ((&id, r), w) in ids.iter().zip(own.iter_mut()).zip(weights.iter_mut()) {
+        (*r, *w) = (assign.as_ref()[id as usize - lo], inst.weight(UserId(id)));
+    }
+    let block = UserBlock {
+        inst: inst.instance(),
+        round,
+        loads,
+        users: ids,
+        own,
+        bases,
+        weights,
+        universe: None,
+    };
+    let (mut targets, mut moves) = ([ResourceId(0); SHARD_BLOCK], [false; SHARD_BLOCK]);
+    proto.decide_block(&block, &mut targets, &mut moves);
+    for i in movers(&moves[..len], &mut [0; SHARD_BLOCK]) {
+        let (user, from, to) = (UserId(ids[i]), own[i], targets[i]);
+        moved(assign, ids[i] as usize - lo, Move { user, from, to });
+    }
+}
+
+/// The offsets `i` with `moves[i]`, in order, listed into `idx` without a
+/// branch per offset: a block's moves fall at random, so a loop that
+/// branched on each would mispredict about once per mover. On `sim-crowded`
+/// the listing takes about 8 % off `Phase::Decide` against that loop.
+#[inline]
+fn movers<'a>(moves: &[bool], idx: &'a mut [u8; SHARD_BLOCK]) -> impl Iterator<Item = usize> + 'a {
+    let mut count = 0;
+    for (i, &moved) in moves.iter().enumerate().take(SHARD_BLOCK) {
+        // `count ≤ i`: in bounds
+        idx[count] = i as u8;
+        count += moved as usize;
+    }
+    idx[..count].iter().map(|&i| i as usize)
 }
 
 /// Decide an explicit, already-ordered user list, such as one slice of the

@@ -21,7 +21,8 @@
 //! * a **blocked shard kernel** ([`RoundReads::decide_chunk`]): it
 //!   gathers 256 unsatisfied users at a time on the stack, folds their RNG
 //!   bases in one call ([`qlb_rng::fold_round_bases`], vectorised at run
-//!   time) and runs the protocol kernel on them only. The engine writes
+//!   time) and decides them in one [`Protocol::decide_block`] call (for
+//!   [`SlackDamped`](crate::SlackDamped), in AVX-512 lanes). The engine writes
 //!   each mover's new resource into its shard's chunk of the assignment;
 //!   the emit mode ([`RoundView::decide_shard_into`]) lists the moves;
 //! * **per-shard delta buffers** ([`ShardDeltas`]): shards record net
@@ -35,9 +36,11 @@
 //! ([`decide_round_into`](crate::step::decide_round_into)) is by
 //! construction: the scan's filter is *exactly* the "satisfied users do
 //! nothing and consume no randomness" gate of [`decide_user`], and the
-//! blocks run the same post-gate kernel ([`decide_unsatisfied_user`]) on
-//! the same `(seed, user, round)` streams. Protocols that act while
-//! satisfied bypass the filter and run the unfiltered kernel.
+//! block call decides each user draw-for-draw as the post-gate step
+//! ([`decide_unsatisfied_user`](crate::step::decide_unsatisfied_user),
+//! its default) does on the same `(seed, user, round)` streams. Protocols
+//! that act while satisfied bypass the filter and run the unfiltered
+//! kernel.
 //!
 //! The view serves weighted instances too (see [`Demands`]): loads are
 //! total demand and shard deltas carry each mover's weight.
@@ -46,8 +49,7 @@ use crate::ids::{ClassId, ResourceId, UserId};
 use crate::instance::{Demands, Instance};
 use crate::protocol::Protocol;
 use crate::state::{Move, State};
-use crate::step::{decide_unsatisfied_user, decide_user, SHARD_BLOCK};
-use qlb_rng::{fold_round_bases, RoundStream};
+use crate::step::{decide_ids, decide_user, SHARD_BLOCK};
 
 /// Holds nothing: the blocked kernel keeps its candidates on the stack. It
 /// remains because [`RoundView::decide_shard_into`] takes one, and that
@@ -173,13 +175,11 @@ impl RoundReads<'_> {
         let same_classes = self.unsat.len() == base.num_classes() * words;
         assert!(same_classes, "view built for another instance");
         let mut batch = (0, 0);
-        let mut act = |assign: &mut A, i: usize, mv: Option<Move>| {
-            if let Some(mv) = mv {
-                let w = inst.weight(mv.user);
-                deltas.record(mv.from, mv.to, w);
-                moved(assign, i, mv);
-                batch = (batch.0 + 1, batch.1 + w as u64);
-            }
+        let mut act = |assign: &mut A, i: usize, mv: Move| {
+            let w = inst.weight(mv.user);
+            deltas.record(mv.from, mv.to, w);
+            moved(assign, i, mv);
+            batch = (batch.0 + 1, batch.1 + w as u64);
         };
         let len = assign.as_ref().len();
         if proto.acts_when_satisfied() {
@@ -187,13 +187,14 @@ impl RoundReads<'_> {
             // see; run the unfiltered reference kernel per user instead.
             for i in 0..len {
                 let (own, user) = (assign.as_ref()[i], UserId((lo + i) as u32));
-                let mv = decide_user(inst, self.loads, own, user, proto, seed, round);
-                act(&mut assign, i, mv);
+                if let Some(mv) = decide_user(inst, self.loads, own, user, proto, seed, round) {
+                    act(&mut assign, i, mv);
+                }
             }
             return batch;
         }
         let class_of = base.class_range(lo, lo + len);
-        let (mut ids, mut bases) = ([0u32; SHARD_BLOCK], [0u64; SHARD_BLOCK]);
+        let mut ids = [0u32; SHARD_BLOCK];
         let mut next = 0;
         while next < len {
             let count;
@@ -204,16 +205,18 @@ impl RoundReads<'_> {
                     self.gather(assign.as_ref(), class_word, lo, next, &mut ids)
                 }
             };
-            let (ids, bases) = (&ids[..count], &mut bases[..count]);
-            fold_round_bases(seed, round, ids, bases);
-            for (&id, &base) in ids.iter().zip(bases.iter()) {
-                let (user, i) = (UserId(id), id as usize - lo);
-                let mut rng = RoundStream::from_base(base);
-                let own = assign.as_ref()[i];
-                let mv =
-                    decide_unsatisfied_user(inst, self.loads, own, user, proto, round, &mut rng);
-                act(&mut assign, i, mv);
-            }
+            let ids = &ids[..count];
+            decide_ids(
+                inst,
+                self.loads,
+                ids,
+                lo,
+                &mut assign,
+                proto,
+                seed,
+                round,
+                &mut act,
+            );
         }
         batch
     }

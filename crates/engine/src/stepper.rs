@@ -17,7 +17,9 @@
 //! [`RoundReads::decide_chunk`](qlb_core::RoundReads::decide_chunk), and
 //! active-set rounds another, [`decide_shard_into`] over the shards of an
 //! [`ActiveIndex`] built by [`Stepper::build_index`]: over the pool's
-//! shards, or inline without a pool. Both dispatch the same way: each pool
+//! shards, or inline without a pool. Both decide their 256-user blocks
+//! through one batched call, [`Protocol::decide_block`]. Both dispatch the
+//! same way: each pool
 //! shard works one item that owns its state — for a full round, a user
 //! range's load deltas and its chunk of the assignment, into which it
 //! writes its movers, so no move list exists; an active-set round's
@@ -36,17 +38,20 @@ use std::time::Instant;
 
 /// Below this many active users (as of the last sync) an active-set round
 /// runs on the coordinator instead of dispatching to the pool. With the
-/// vectorised base fold a sequential sparse decision costs 14–15 ns
-/// (`decide_active_into`, which runs [`decide_shard_into`] over the shards
-/// in order as an inline step does, on `sim-crowded` seed-1 states after
-/// rounds 2, 5, 10 and 20, on a shared 2-vCPU Sapphire Rapids host with
-/// AVX-512; 19–20 ns before, with the scalar fold), so 1024 of them cost
-/// about 15 µs, less than one condvar wake and join (a pooled round's
-/// `ForkJoin` averages about 55 µs there). A threshold of 4096 or 16384
-/// made no difference that stood out of that host's noise, so it stays at
-/// 1024. Purely a cost decision — the inline step decides the shards in
-/// order and the pooled one concatenates their outputs in shard order,
-/// both user order, so the trajectory is unaffected.
+/// batched slack-damped decision in AVX-512 lanes a sequential sparse
+/// decision costs 6.3–7.1 ns (`decide_active_into`, which runs
+/// [`decide_shard_into`] over the shards in order as an inline step does,
+/// on `sim-crowded` seed-1 states after rounds 2, 5, 10 and 20, on a
+/// shared 2-vCPU Sapphire Rapids host; 14–15 ns with the per-user loop
+/// and the vectorised base fold, 19–20 ns with the scalar fold), so 1024
+/// of them cost about 7 µs, still well under one condvar wake and join (a
+/// pooled round's `ForkJoin` averages about 55 µs there). A threshold of
+/// 4096 or 16384 again made no difference that stood out of that host's
+/// noise (`SparseThreaded(2)` runs over the eight `sim-crowded` seeds,
+/// three alternations: 12.4–13.0 ms per run for each threshold), so 1024
+/// stays the crossover. Purely a cost decision — the inline step decides
+/// the shards in order and the pooled one concatenates their outputs in
+/// shard order, both user order, so the trajectory is unaffected.
 const SPARSE_POOL_MIN_ACTIVE: usize = 1024;
 
 /// A pooled active-set step (at least `SPARSE_POOL_MIN_ACTIVE` users)

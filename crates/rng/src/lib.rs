@@ -35,9 +35,18 @@ mod stream;
 mod xoshiro;
 
 pub use mix::{mix64, mix64_pair};
+#[doc(hidden)]
+pub use mix::{unmix64, unmix64_pair};
 pub use splitmix::SplitMix64;
 pub use stream::{fold_round_bases, RoundStream};
 pub use xoshiro::Xoshiro256pp;
+
+/// The uniform `f64` in `[0, 1)` that [`Rng64::next_f64`] makes of the
+/// 64 random bits `bits`: their top 53 bits over 2⁵³.
+#[inline]
+pub fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
 
 /// A minimal 64-bit random generator interface with the derived draws every
 /// protocol and generator in this workspace needs.
@@ -52,8 +61,7 @@ pub trait Rng64 {
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     fn next_f64(&mut self) -> f64 {
-        // Take the top 53 bits; dividing by 2^53 yields [0,1).
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform integer in `[0, n)`.

@@ -21,12 +21,45 @@ pub fn mix64(mut z: u64) -> u64 {
 /// `stream + 1`) land far apart in the mixed space.
 #[inline]
 pub fn mix64_pair(a: u64, b: u64) -> u64 {
+    mix64(a ^ pair_key(b))
+}
+
+/// The key [`mix64_pair`] folds its second argument into:
+/// `mix64_pair(a, b) == mix64(a ^ pair_key(b))`.
+#[inline]
+fn pair_key(b: u64) -> u64 {
     mix64(
-        a ^ mix64(
-            b.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(0x2545_f491_4f6c_dd1d),
-        ),
+        b.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(0x2545_f491_4f6c_dd1d),
     )
+}
+
+/// The inverse of [`mix64`]: `mix64(unmix64(x)) == x`. For tests that
+/// need a stream whose draws start where they choose.
+#[doc(hidden)]
+pub fn unmix64(x: u64) -> u64 {
+    // undo `z ^= z >> s` by re-applying it until every bit is recovered
+    fn unshift(y: u64, s: u32) -> u64 {
+        (0..64 / s).fold(y, |x, _| y ^ (x >> s))
+    }
+    // the inverse of an odd multiplier mod 2⁶⁴, by Newton's iteration
+    fn inverse(c: u64) -> u64 {
+        (0..6).fold(c, |inv, _| {
+            inv.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(inv)))
+        })
+    }
+    let z = unshift(x, 31).wrapping_mul(inverse(0x94d0_49bb_1331_11eb));
+    unshift(
+        unshift(z, 27).wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9)),
+        30,
+    )
+}
+
+/// The `a` with `mix64_pair(a, b) == y`: [`mix64_pair`] is a bijection in
+/// its first argument.
+#[doc(hidden)]
+pub fn unmix64_pair(y: u64, b: u64) -> u64 {
+    unmix64(y) ^ pair_key(b)
 }
 
 #[cfg(test)]
@@ -59,6 +92,17 @@ mod tests {
             (avg - 32.0).abs() < 1.0,
             "avalanche average {avg} far from 32"
         );
+    }
+
+    #[test]
+    fn unmix_inverts_mix() {
+        for x in [0, 1, 42, u64::MAX, 0x0123_4567_89ab_cdef] {
+            assert_eq!(mix64(unmix64(x)), x);
+            assert_eq!(unmix64(mix64(x)), x);
+            for b in [0, 7, u64::MAX] {
+                assert_eq!(mix64_pair(unmix64_pair(x, b), b), x);
+            }
+        }
     }
 
     #[test]

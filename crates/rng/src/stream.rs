@@ -1,6 +1,6 @@
 //! Counter-based per-(stream, round) random streams.
 
-use crate::mix::{mix64, mix64_pair};
+use crate::mix::{mix64, mix64_pair, unmix64_pair};
 use crate::Rng64;
 
 /// A counter-based random stream addressed by `(seed, stream, round)`.
@@ -45,6 +45,13 @@ impl RoundStream {
         mix64_pair(lane, round)
     }
 
+    /// The `seed` with `base(seed, stream, round) == base`, for tests that
+    /// build a run whose streams start where they choose.
+    #[doc(hidden)]
+    pub fn seed_of_base(base: u64, stream: u64, round: u64) -> u64 {
+        unmix64_pair(unmix64_pair(base, round), stream)
+    }
+
     /// Rebuild a fresh (zero-draw) stream from a precomputed base.
     #[inline]
     pub fn from_base(base: u64) -> Self {
@@ -60,19 +67,23 @@ impl RoundStream {
     /// Jump directly to draw index `k` (used by tests to verify purity).
     #[inline]
     pub fn at(seed: u64, stream: u64, round: u64, k: u64) -> u64 {
-        let mut s = Self::new(seed, stream, round);
-        s.counter = k;
-        s.next_u64()
+        Self::draw(Self::base(seed, stream, round), k)
+    }
+
+    /// Draw `k` of the stream with base `base`: what the `k`-th
+    /// [`Rng64::next_u64`] of [`RoundStream::from_base`]`(base)` returns,
+    /// for batch kernels that compute a block's draws side by side.
+    #[inline]
+    pub fn draw(base: u64, k: u64) -> u64 {
+        // odd multiplier spreads consecutive counters across the space
+        mix64(base.wrapping_add(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
     }
 }
 
 impl Rng64 for RoundStream {
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        let out = mix64(self.base.wrapping_add(self.counter.wrapping_mul(
-            // odd multiplier spreads consecutive counters across the space
-            0x9e37_79b9_7f4a_7c15,
-        )));
+        let out = Self::draw(self.base, self.counter);
         self.counter += 1;
         out
     }
@@ -148,6 +159,14 @@ mod tests {
         let mut b = RoundStream::new(1, 2, 3);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn seed_of_base_inverts_the_fold() {
+        for (base, stream, round) in [(0, 0, 0), (42, 7, 3), (u64::MAX, 1 << 31, 99)] {
+            let seed = RoundStream::seed_of_base(base, stream, round);
+            assert_eq!(RoundStream::base(seed, stream, round), base);
         }
     }
 

@@ -37,7 +37,7 @@
 //! builds also check the stepper's view against a recount every full
 //! round, and its index after every re-split of the shard bounds.
 
-use qoslb::core::step::reference_run;
+use qoslb::core::step::{decide_user, reference_run};
 use qoslb::core::weighted::WeightedInstance;
 use qoslb::engine::open::reference_open_run;
 use qoslb::engine::{
@@ -46,7 +46,7 @@ use qoslb::engine::{
 };
 use qoslb::obs::{Counter, Event, Phase};
 use qoslb::prelude::*;
-use qoslb::rng::{mix64_pair, Rng64, SplitMix64};
+use qoslb::rng::{mix64_pair, unmix64, Rng64, RoundStream, SplitMix64};
 use qoslb::topo::{Graph, GraphDiffusion};
 use qoslb::workload::calibrate_slack;
 
@@ -491,6 +491,68 @@ fn closed_random_small() {
         );
     }
     assert!(reached.cut_full && reached.cut_switch && reached.cut_sparse);
+    assert!(reached.fallback, "no recorded dense fallback");
+}
+
+/// The run seed whose stream for `user` in round 0 starts with draw `x`.
+fn seed_with_first_draw(user: u64, x: u64) -> u64 {
+    let seed = RoundStream::seed_of_base(unmix64(x), user, 0);
+    assert_eq!(RoundStream::new(seed, user, 0).next_u64(), x);
+    seed
+}
+
+#[test]
+fn closed_rejection_zone() {
+    // A seed built so that user 0's round-0 target draw falls in the
+    // rejection zone of Lemire's method over m = 30 (2⁶⁴ mod 30 = 16: a
+    // low product word below 16 redraws), with a target the redraw does
+    // not repeat. A batched kernel has to hand that user to the per-user
+    // step. From the hotspot round 0 is a full round on every executor;
+    // from the near-legal start (11 of 200 users unsatisfied) the sparse
+    // executors decide it on the active set.
+    let mut reached = Reached::default();
+    let (inst, hot_start) = hotspot(200, 30, 10);
+    let mut near = State::round_robin(&inst).assignment().to_vec();
+    near[..11].fill(ResourceId(0));
+    let near_start = State::new(&inst, near).unwrap();
+    for (name, start) in [
+        ("rejection hotspot", &hot_start),
+        ("rejection near-legal", &near_start),
+    ] {
+        assert!(!start.is_satisfied(&inst, UserId(0)));
+        let proto = SlackDamped::default();
+        let seed = (1..30u64)
+            .map(|k| ((k as u128) << 64).div_ceil(30) as u64)
+            .filter(|&x| ((x as u128 * 30) as u64) < 16)
+            .map(|x| {
+                (
+                    seed_with_first_draw(0, x),
+                    ResourceId(((x as u128 * 30) >> 64) as u32),
+                )
+            })
+            .find(|&(seed, first)| {
+                let mv = decide_user(
+                    &inst,
+                    start.loads(),
+                    ResourceId(0),
+                    UserId(0),
+                    &proto,
+                    seed,
+                    0,
+                );
+                mv.is_none_or(|mv| mv.to != first)
+            })
+            .map(|(seed, _)| seed)
+            .expect("a rejection draw whose redraw changes the decision");
+        let row = Closed {
+            name,
+            inst: &inst,
+            start,
+            seed,
+            budget: 60,
+        };
+        row.check(&protocols(&inst), &executors(), &mut reached);
+    }
     assert!(reached.fallback, "no recorded dense fallback");
 }
 
