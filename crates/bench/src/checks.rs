@@ -1009,13 +1009,13 @@ pub struct SpansRow {
 }
 
 /// The daemon's head-sampling span plane, reproduced for the bench: an
-/// every-op clock decides which requests are traced, a separate counter
+/// every-op countdown decides which requests are traced, a separate counter
 /// names the spans, and the probe trace + move buffer are reused scratch
 /// (mirrors `qlb-serve`'s internal `SpanPlane`). `sample = 0` keeps the
 /// plane present but inert — the daemon's spans-off branch.
 struct SpanClock {
     sample: u64,
-    ops: u64,
+    until_next: u64,
     next_id: u64,
     trace: qlb_serve::PlaceTrace,
     moves: Vec<qlb_serve::MoveRecord>,
@@ -1025,7 +1025,7 @@ impl SpanClock {
     fn new(sample: u64) -> Self {
         SpanClock {
             sample,
-            ops: 0,
+            until_next: 0,
             next_id: 1,
             trace: qlb_serve::PlaceTrace::default(),
             moves: Vec::new(),
@@ -1037,9 +1037,11 @@ impl SpanClock {
 /// span plane: head-sampled requests go through
 /// [`qlb_serve::handle_line_spanned`] with a span context and the
 /// assembled [`qlb_obs::SpanRecord`] is consumed via `black_box` (the
-/// daemon hands it to the sink and the flight ring); sampled-out requests
-/// take the `span = None` path; a disabled or absent plane is the plain
-/// [`qlb_serve::handle_line`] baseline.
+/// daemon hands it to the sink and the flight ring); sampled-out requests,
+/// and every request of a disabled or absent plane, take the plain
+/// [`qlb_serve::handle_line`] baseline, which is the same dispatch with
+/// `span = None`. A traced reply comes back in a new `String`, as
+/// [`qlb_serve::handle_line`] returns it.
 fn span_dispatch(
     core: &mut qlb_serve::ServeCore,
     line: &str,
@@ -1047,30 +1049,33 @@ fn span_dispatch(
     plane: &mut Option<&mut SpanClock>,
     built: &mut u64,
 ) -> qlb_serve::Reply {
-    match plane.as_deref_mut() {
+    let traced = match plane.as_deref_mut() {
         Some(p) if p.sample > 0 => {
-            let traced = p.ops.is_multiple_of(p.sample);
-            p.ops += 1;
-            if traced {
-                let id = p.next_id;
-                p.next_id += 1;
-                let (reply, span) = qlb_serve::handle_line_spanned(
-                    core,
-                    None,
-                    line,
-                    sink,
-                    Some((id, &mut p.trace)),
-                );
-                if let Some(span) = span {
-                    *built += 1;
-                    black_box(&span);
-                }
-                reply
+            if p.until_next > 0 {
+                p.until_next -= 1;
+                None
             } else {
-                qlb_serve::handle_line_spanned(core, None, line, sink, None).0
+                p.until_next = p.sample - 1;
+                p.next_id += 1;
+                Some((p.next_id - 1, &mut p.trace))
             }
         }
-        _ => qlb_serve::handle_line(core, line, sink),
+        _ => None,
+    };
+    let Some(span) = traced else {
+        return qlb_serve::handle_line(core, line, sink);
+    };
+    let mut text = Vec::with_capacity(qlb_serve::proto::REPLY_CAPACITY);
+    let (replied, span) =
+        qlb_serve::handle_line_spanned(core, None, line.as_bytes(), sink, Some(span), &mut text);
+    if let Some(span) = span {
+        *built += 1;
+        black_box(&span);
+    }
+    qlb_serve::Reply {
+        text: String::from_utf8(text).expect("replies are UTF-8"),
+        kind: replied.kind,
+        shutdown: replied.shutdown,
     }
 }
 
@@ -1436,8 +1441,8 @@ mod tests {
         let per_snap = t0.elapsed().as_nanos() as f64 / (reps / 100) as f64;
         println!(
             "on_request {per_req:.1} ns | on_tick {per_tick:.1} ns | snapshot {per_snap:.1} ns\n\
-             per-pair estimate: {:.1} ns (3 observes) + {:.1} ns (tick/64) + {:.1} ns (snap/2048)",
-            per_req * 3.0 / 2.0,
+             per-pair estimate: {:.1} ns (2 requests) + {:.1} ns (tick/64) + {:.1} ns (snap/2048)",
+            per_req * 2.0,
             per_tick / 64.0,
             per_snap / 2_048.0,
         );

@@ -237,6 +237,18 @@ impl Serialize for str {
     }
 }
 
+impl Serialize for std::borrow::Cow<'_, str> {
+    fn serialize_value(&self) -> Value {
+        Value::String(self.to_string())
+    }
+}
+
+impl Deserialize for std::borrow::Cow<'static, str> {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        String::deserialize_value(v).map(std::borrow::Cow::Owned)
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize_value(&self) -> Value {
         (**self).serialize_value()

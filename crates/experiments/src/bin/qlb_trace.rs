@@ -796,12 +796,10 @@ fn spans_report(summary: &Summary, slowest: usize, only_ticket: Option<u64>) -> 
     let mut out = format!("causal spans: {} retained\n", spans.len());
 
     // op / verdict counts
-    let mut by_kind: std::collections::BTreeMap<(String, String), u64> =
+    let mut by_kind: std::collections::BTreeMap<(&str, &str), u64> =
         std::collections::BTreeMap::new();
     for s in spans {
-        *by_kind
-            .entry((s.op.clone(), s.verdict.clone()))
-            .or_insert(0) += 1;
+        *by_kind.entry((&s.op, &s.verdict)).or_insert(0) += 1;
     }
     for ((op, verdict), count) in &by_kind {
         out.push_str(&format!("  {op:<8} {verdict:<10} {count:>8}\n"));
@@ -888,7 +886,7 @@ fn spans_report(summary: &Summary, slowest: usize, only_ticket: Option<u64>) -> 
         for (ticket, story) in &stories[..shown] {
             let mut steps: Vec<String> = Vec::new();
             for s in story.iter() {
-                let step = match (s.op.as_str(), s.verdict.as_str()) {
+                let step = match (&*s.op, &*s.verdict) {
                     ("place", "admitted") => match s.resource {
                         Some(r) => format!("admitted r{r}"),
                         None => "admitted".to_string(),

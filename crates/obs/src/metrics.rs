@@ -149,7 +149,8 @@ pub const HIST_BUCKETS: usize = 65;
 ///
 /// Recording is an increment at a computed index — no allocation, no
 /// comparison ladder — which is what lets phase timers run inside the
-/// round loop.
+/// round loop. No sample exceeds [`Histogram::max`], so every bucket past
+/// the maximum's is empty and [`Histogram::merge`] stops there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; HIST_BUCKETS],
@@ -183,6 +184,38 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
+    }
+
+    /// The histogram of `values`: the same as observing each in turn, but
+    /// counted in four interleaved lanes, so a run of samples in one bucket
+    /// does not wait on each increment, with the sum and maximum kept in
+    /// registers.
+    pub fn of_samples(values: &[u64]) -> Histogram {
+        let mut lanes = [[0u64; HIST_BUCKETS]; 4];
+        let mut sum = 0u128;
+        let mut max = 0u64;
+        let mut quads = values.chunks_exact(4);
+        for q in &mut quads {
+            lanes[0][Self::bucket_of(q[0])] += 1;
+            lanes[1][Self::bucket_of(q[1])] += 1;
+            lanes[2][Self::bucket_of(q[2])] += 1;
+            lanes[3][Self::bucket_of(q[3])] += 1;
+            sum += (q[0] as u128 + q[1] as u128) + (q[2] as u128 + q[3] as u128);
+            max = max.max(q[0].max(q[1]).max(q[2].max(q[3])));
+        }
+        for &v in quads.remainder() {
+            lanes[0][Self::bucket_of(v)] += 1;
+            sum += v as u128;
+            max = max.max(v);
+        }
+        let mut h = Histogram::default();
+        for b in 0..=Self::bucket_of(max) {
+            h.buckets[b] = lanes.iter().map(|lane| lane[b]).sum();
+        }
+        h.count = values.len() as u64;
+        h.sum = sum.min(u64::MAX as u128) as u64;
+        h.max = max;
+        h
     }
 
     /// Samples recorded.
@@ -248,7 +281,8 @@ impl Histogram {
 
     /// Fold another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        let top = Self::bucket_of(other.max);
+        for (a, b) in self.buckets[..=top].iter_mut().zip(&other.buckets[..=top]) {
             *a += b;
         }
         self.count += other.count;
@@ -282,35 +316,6 @@ impl Histogram {
             Self::bucket_limit(highest).min(self.max)
         };
         d
-    }
-
-    /// Fold the period since `last` into `into` — exactly
-    /// [`Histogram::merge`] of [`Histogram::delta_since`], fused into a
-    /// single pass with no temporary — then advance `last` to `self`.
-    /// This is the per-tick hot path of a windowed aggregation
-    /// differencing cumulative histograms, so the common all-zero-delta
-    /// bucket work is skipped entirely.
-    pub fn fold_delta(&self, last: &mut Histogram, into: &mut Histogram) {
-        let dcount = self.count.saturating_sub(last.count);
-        let mut highest = 0usize;
-        if dcount > 0 {
-            for i in 0..HIST_BUCKETS {
-                let c = self.buckets[i].saturating_sub(last.buckets[i]);
-                if c > 0 {
-                    into.buckets[i] += c;
-                    highest = i;
-                }
-            }
-        }
-        into.count += dcount;
-        into.sum = into.sum.saturating_add(self.sum.saturating_sub(last.sum));
-        let dmax = if self.max > last.max || dcount == 0 {
-            self.max
-        } else {
-            Self::bucket_limit(highest).min(self.max)
-        };
-        into.max = into.max.max(dmax);
-        last.clone_from(self);
     }
 }
 
@@ -379,30 +384,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fold_delta_matches_merge_of_delta_since() {
-        // fold_delta is the fused form of merge(delta_since): drive a
-        // cumulative histogram through several periods and check both
-        // the folded slot and the advanced `last` agree with the
-        // two-step form at every period boundary.
-        let mut cum = Histogram::default();
-        let mut last_fused = Histogram::default();
-        let mut slot_fused = Histogram::default();
-        let mut last_two = Histogram::default();
-        let mut slot_two = Histogram::default();
-        let samples: [&[u64]; 4] = [&[3, 900, 17], &[], &[1 << 40, 2], &[55, 55, 55, 0]];
-        for period in samples {
-            for &v in period {
-                cum.observe(v);
+    fn of_samples_matches_observing_each() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for len in [0usize, 1, 3, 4, 5, 64, 255, 256, 1000] {
+            let values: Vec<u64> = (0..len)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    match i % 5 {
+                        0 => 0,
+                        1 => x >> (x % 64),
+                        _ => 100 + x % 400,
+                    }
+                })
+                .collect();
+            let mut one_by_one = Histogram::default();
+            for &v in &values {
+                one_by_one.observe(v);
             }
-            cum.fold_delta(&mut last_fused, &mut slot_fused);
-            slot_two.merge(&cum.delta_since(&last_two));
-            last_two = cum.clone();
-            assert_eq!(slot_fused, slot_two);
-            assert_eq!(last_fused, cum);
+            assert_eq!(Histogram::of_samples(&values), one_by_one, "len {len}");
         }
-        assert_eq!(slot_fused.count(), cum.count());
-        assert_eq!(slot_fused.sum(), cum.sum());
-        assert_eq!(slot_fused.quantile(0.5), cum.quantile(0.5));
+        // the sum saturates as repeated observes do
+        let huge = [u64::MAX, u64::MAX, 7, u64::MAX - 1, 1];
+        let mut one_by_one = Histogram::default();
+        for &v in &huge {
+            one_by_one.observe(v);
+        }
+        assert_eq!(Histogram::of_samples(&huge), one_by_one);
+        assert_eq!(one_by_one.sum(), u64::MAX);
     }
 
     #[test]

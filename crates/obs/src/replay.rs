@@ -743,10 +743,10 @@ mod tests {
         let mut rec = sample_recorder();
         rec.span(&SpanRecord {
             id: 42,
-            op: crate::span::SPAN_OP_PLACE.to_string(),
+            op: crate::span::SPAN_OP_PLACE.into(),
             ticket: Some(7),
             class: Some(1),
-            verdict: "admitted".to_string(),
+            verdict: "admitted".into(),
             probes: 2,
             headroom: vec![6, -1],
             resource: Some(3),

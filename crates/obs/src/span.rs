@@ -24,6 +24,7 @@
 //! the same ticket (migrations, depart) is emitted too.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Default cap on spans retained by a [`SpanSeries`].
@@ -52,8 +53,9 @@ pub struct SpanRecord {
     /// the same counter and point back at their placement via `ticket`.
     pub id: u64,
     /// What the op was (`SPAN_OP_PLACE` / `SPAN_OP_DEPART` /
-    /// `SPAN_OP_DRAIN` / `SPAN_OP_MIGRATE`).
-    pub op: String,
+    /// `SPAN_OP_DRAIN` / `SPAN_OP_MIGRATE`, borrowed, so a span costs no
+    /// allocation for it; a misspelled wire op is owned).
+    pub op: Cow<'static, str>,
     /// The placement ticket (user id) the span is about — the causal key.
     /// `None` for ops with no ticket (rejected places, drains, parse
     /// errors).
@@ -62,7 +64,7 @@ pub struct SpanRecord {
     pub class: Option<u64>,
     /// Outcome: `admitted`, `pool`, `capacity`, `draining`, `departed`,
     /// `drained`, `moved`, or `error`.
-    pub verdict: String,
+    pub verdict: Cow<'static, str>,
     /// Placement probes evaluated (the admission path's sampled probes;
     /// 0 for non-place ops).
     pub probes: u64,
@@ -151,10 +153,10 @@ mod tests {
     fn span(id: u64) -> SpanRecord {
         SpanRecord {
             id,
-            op: SPAN_OP_PLACE.to_string(),
+            op: SPAN_OP_PLACE.into(),
             ticket: Some(id),
             class: Some(0),
-            verdict: "admitted".to_string(),
+            verdict: "admitted".into(),
             probes: 2,
             headroom: vec![3, 1],
             resource: Some(4),

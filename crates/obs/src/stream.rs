@@ -179,10 +179,10 @@ mod tests {
             sink.latency(crate::profile::REQUEST_HIST_NAME, 3_000 + round);
             sink.span(&SpanRecord {
                 id: round,
-                op: crate::span::SPAN_OP_PLACE.to_string(),
+                op: crate::span::SPAN_OP_PLACE.into(),
                 ticket: Some(round),
                 class: Some(round % 3),
-                verdict: "admitted".to_string(),
+                verdict: "admitted".into(),
                 probes: 2,
                 headroom: vec![5 - round as i64, 2],
                 resource: Some(round % 4),

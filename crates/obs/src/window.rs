@@ -5,16 +5,19 @@
 //! trailer, useless for "what is the request rate right now". This module
 //! adds the rolling view without touching a single hot-path emission
 //! site: a [`WindowedAggregator`] is fed **cumulative snapshots** (counter
-//! totals, whole histograms, per-class satisfaction flags) at whatever
-//! cadence the owner likes, differences them itself, and files the deltas
-//! into a ring of fixed-width time buckets. Rolling rates and quantiles
-//! are then sums/merges over the buckets inside a query window.
+//! totals, per-class satisfaction flags) at whatever cadence the owner
+//! likes, differences them itself, and files the deltas into a ring of
+//! fixed-width time buckets; histograms come as the samples taken since
+//! the previous upload, which the owner has at hand when it batches them.
+//! Rolling rates and quantiles are then sums/merges over the buckets
+//! inside a query window.
 //!
 //! Three design constraints shape the API:
 //!
 //! * **derived-only** — the aggregator never observes raw samples; it
-//!   differences totals the run already maintains, so attaching it cannot
-//!   change a trajectory (the workspace determinism contract);
+//!   differences totals and merges histograms the run already maintains,
+//!   so attaching it cannot change a trajectory (the workspace
+//!   determinism contract);
 //! * **caller-supplied clock** — every mutation takes a relative `now_ms`.
 //!   The serve daemon passes wall-clock uptime; tests pass integers. The
 //!   aggregator itself never reads a clock;
@@ -111,8 +114,6 @@ pub struct WindowedAggregator {
     last_counters: [u64; Counter::ALL.len()],
     /// Named histograms: name, in first-seen order.
     hist_names: Vec<&'static str>,
-    /// Last cumulative histogram snapshots (parallel to `hist_names`).
-    last_hists: Vec<Histogram>,
     /// Current per-class violation flags (credited on the next observe).
     in_violation: Vec<bool>,
     /// Cumulative per-class violation time (ms).
@@ -144,7 +145,6 @@ impl WindowedAggregator {
             started: false,
             last_counters: [0; Counter::ALL.len()],
             hist_names: Vec::new(),
-            last_hists: Vec::new(),
             in_violation: vec![false; classes],
             cum_violation_ms: vec![0; classes],
             cum_covered_ms: 0,
@@ -167,6 +167,12 @@ impl WindowedAggregator {
         self.classes
     }
 
+    /// Absolute id (`now_ms / bucket_ms`) of the bucket the last
+    /// observation fell in; `None` before the first observation.
+    pub fn current_bucket(&self) -> Option<u64> {
+        (self.cur_bucket != u64::MAX).then_some(self.cur_bucket)
+    }
+
     /// Total observed time (ms) since the first observation.
     pub fn covered_ms(&self) -> u64 {
         self.cum_covered_ms
@@ -177,7 +183,8 @@ impl WindowedAggregator {
     /// bucket's coverage and to every class currently flagged in
     /// violation. Call this once per observation cadence, **before** the
     /// `record_*` calls of the same observation. `now_ms` must not go
-    /// backwards (a stale value is clamped to the last one).
+    /// backwards (a stale value is clamped to the last one). What was
+    /// recorded before the first observation counts toward its bucket.
     pub fn observe(&mut self, now_ms: u64) {
         let now_ms = now_ms.max(self.last_now_ms);
         let elapsed = if self.started {
@@ -189,8 +196,9 @@ impl WindowedAggregator {
         self.started = true;
         let bucket = now_ms / self.bucket_ms;
         if self.cur_bucket == u64::MAX {
+            // the first bucket keeps what was recorded before it opened
             self.cur_bucket = bucket;
-            self.slots[self.cur].reset(bucket);
+            self.slots[self.cur].bucket = bucket;
         } else if bucket > self.cur_bucket {
             let jump = bucket - self.cur_bucket;
             // Walk the ring forward, resetting every bucket we pass; a
@@ -230,16 +238,14 @@ impl WindowedAggregator {
         self.slots[self.cur].gauges[g as usize] = value;
     }
 
-    /// Record a named histogram's **cumulative** state; the per-bucket
-    /// delta (via [`Histogram::delta_since`]) lands in the current bucket.
-    /// Names are interned in first-seen order, same as
-    /// [`crate::LatencyHists`].
-    pub fn record_hist(&mut self, name: &'static str, cumulative: &Histogram) {
+    /// Record the samples a named histogram took since its previous
+    /// upload; they merge into the current bucket. Names are interned in
+    /// first-seen order, same as [`crate::LatencyHists`].
+    pub fn record_hist_samples(&mut self, name: &'static str, samples: &Histogram) {
         let idx = match self.hist_names.iter().position(|&n| n == name) {
             Some(i) => i,
             None => {
                 self.hist_names.push(name);
-                self.last_hists.push(Histogram::default());
                 for slot in &mut self.slots {
                     slot.hists.push(Histogram::default());
                 }
@@ -247,7 +253,7 @@ impl WindowedAggregator {
             }
         };
         let cur = self.cur;
-        cumulative.fold_delta(&mut self.last_hists[idx], &mut self.slots[cur].hists[idx]);
+        self.slots[cur].hists[idx].merge(samples);
     }
 
     /// Flag whether class `k` is currently in SLO violation (any
@@ -595,12 +601,10 @@ mod tests {
     #[test]
     fn windowed_hist_merges_bucket_deltas() {
         let mut w = agg(100, 16);
-        let mut cum = Histogram::default();
         w.observe(0);
         for t in 1..=4u64 {
-            cum.observe(1_000 * t);
             w.observe(t * 100);
-            w.record_hist("lat", &cum);
+            w.record_hist_samples("lat", &Histogram::of_samples(&[1_000 * t]));
         }
         let merged = w.window_hist("lat", 1_000);
         assert_eq!(merged.count(), 4);

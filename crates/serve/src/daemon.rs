@@ -16,8 +16,9 @@
 //!   rebalancer a tick whose round budget shrinks as the backlog grows
 //!   ([`ServeCore::tick_budget`]) — requests have priority, the rebalancer
 //!   has a floor, neither starves;
-//! * a reply is appended to its connection's output buffer and written
-//!   at once when no other line of that connection waits for an answer;
+//! * the dispatch writes a reply straight into its connection's output
+//!   buffer (no reply `String` in between), and the buffer is written at
+//!   once when no other line of that connection waits for an answer;
 //!   otherwise it leaves with the rest of the connection's replies in one
 //!   nonblocking `write` at the end of the batch, so a pipelining client
 //!   costs one write per poll turn, not one per request. What the socket
@@ -42,7 +43,7 @@
 
 use crate::core::{MoveRecord, PlaceTrace, ServeCore};
 use crate::flight::{FlightOptions, FlightRecorder};
-use crate::proto::{handle_line_spanned, handle_line_with_stats, OpKind, Reply};
+use crate::proto::{handle_line_spanned, OpKind, Replied};
 use crate::telemetry::{render_prometheus, ServeTelemetry};
 use qlb_obs::profile::{PLACE_HIST_NAME, REQUEST_HIST_NAME};
 use qlb_obs::span::{SPAN_OP_DEPART, SPAN_OP_MIGRATE, SPAN_OP_PLACE};
@@ -71,6 +72,8 @@ const READ_CHUNK: usize = 16 * 1024;
 const MAX_HTTP_HEAD: usize = 8 * 1024;
 /// How long shutdown waits for clients to take their unsent replies.
 const FLUSH_TIMEOUT: Duration = Duration::from_millis(500);
+/// The answer to a line longer than [`MAX_LINE`].
+const LINE_TOO_LONG: &[u8] = b"{\"ok\":false,\"error\":\"line too long\"}";
 
 /// A bound listening socket.
 #[derive(Debug)]
@@ -204,8 +207,9 @@ impl TelemetryOptions {
 struct SpanPlane {
     /// Trace every `sample`th op (0 = off).
     sample: u64,
-    /// Wire ops seen (the head-sampling clock).
-    ops: u64,
+    /// Wire ops to pass before the next traced one (the head-sampling
+    /// clock: a countdown, so sampling costs no division per op).
+    until_next: u64,
     /// Next span id (migration spans share the counter).
     next_id: u64,
     trace: PlaceTrace,
@@ -220,7 +224,7 @@ impl SpanPlane {
     fn new(sample: u64) -> Self {
         Self {
             sample,
-            ops: 0,
+            until_next: 0,
             next_id: 0,
             trace: PlaceTrace::default(),
             tickets: HashSet::new(),
@@ -235,13 +239,13 @@ impl SpanPlane {
     /// Head-sampling decision for the next wire op: `Some(span id)` when
     /// this op is traced. Every op advances the clock.
     fn sample_next(&mut self) -> Option<u64> {
-        let take = self.ops.is_multiple_of(self.sample);
-        self.ops += 1;
-        take.then(|| {
-            let id = self.next_id;
-            self.next_id += 1;
-            id
-        })
+        if self.until_next > 0 {
+            self.until_next -= 1;
+            return None;
+        }
+        self.until_next = self.sample - 1;
+        self.next_id += 1;
+        Some(self.next_id - 1)
     }
 
     /// Track the causal set: a sampled admission opens a ticket's story,
@@ -609,22 +613,22 @@ impl Conn {
         });
     }
 
-    /// The bytes of a queued line.
-    fn line(&self, line: &Range<usize>) -> &[u8] {
-        &self.input[line.start - self.base..line.end - self.base]
-    }
-
-    /// Append `parts` to the output and, when no other line of this
-    /// connection waits for an answer, offer it to the socket; otherwise
-    /// it leaves in the end-of-batch flush.
+    /// Append `parts` to the output and [`offer`](Self::offer) it.
     fn send(&mut self, parts: &[&[u8]]) {
-        if self.broken {
-            return;
-        }
         for p in parts {
             self.out.extend_from_slice(p);
         }
-        if self.queued == 0 {
+        self.offer();
+    }
+
+    /// After a reply went into the output: when no other line of this
+    /// connection waits for an answer, offer the output to the socket;
+    /// otherwise it leaves in the end-of-batch flush. A broken
+    /// connection drops it.
+    fn offer(&mut self) {
+        if self.broken {
+            self.out.clear();
+        } else if self.queued == 0 {
             self.flush();
         }
     }
@@ -805,51 +809,52 @@ pub fn run_daemon_telemetry<S: Sink>(
                 .as_mut()
                 .expect("a connection with queued lines stays open");
             c.queued -= 1;
-            let reply = match line {
-                None => Reply {
-                    text: "{\"ok\":false,\"error\":\"line too long\"}".to_string(),
-                    kind: OpKind::Invalid,
-                    shutdown: false,
-                },
-                Some(line) => {
-                    c.answered = line.end;
-                    // invalid UTF-8 is replaced, so the parser rejects it
-                    // with an `ok:false` reply
-                    let text = String::from_utf8_lossy(c.line(&line));
-                    if spans.active() {
-                        let ctx = spans.sample_next().map(|id| (id, &mut spans.trace));
-                        let (reply, span) =
-                            handle_line_spanned(&mut core, Some(&tel), &text, sink, ctx);
-                        if let Some(span) = span {
-                            spans.note(&span);
-                            if S::ENABLED {
-                                sink.span(&span);
-                            }
-                            if let Some(f) = flight.as_mut() {
-                                f.record_span(&span);
-                            }
-                        }
-                        reply
-                    } else {
-                        handle_line_with_stats(&mut core, Some(&tel), &text, sink)
+            let replied = match line {
+                None => {
+                    c.out.extend_from_slice(LINE_TOO_LONG);
+                    Replied {
+                        kind: OpKind::Invalid,
+                        shutdown: false,
                     }
                 }
+                Some(line) => {
+                    c.answered = line.end;
+                    let text = &c.input[line.start - c.base..line.end - c.base];
+                    let ctx = if spans.active() {
+                        spans.sample_next().map(|id| (id, &mut spans.trace))
+                    } else {
+                        None
+                    };
+                    let (replied, span) =
+                        handle_line_spanned(&mut core, Some(&tel), text, sink, ctx, &mut c.out);
+                    if let Some(span) = span {
+                        spans.note(&span);
+                        if S::ENABLED {
+                            sink.span(&span);
+                        }
+                        if let Some(f) = flight.as_mut() {
+                            f.record_span(&span);
+                        }
+                    }
+                    replied
+                }
             };
-            match reply.kind {
+            match replied.kind {
                 OpKind::Place => placements += 1,
                 OpKind::Depart => departures += 1,
                 _ => {}
             }
-            c.send(&[reply.text.as_bytes(), b"\n"]);
+            c.out.push(b'\n');
+            c.offer();
             // latency is measured unconditionally, once the reply is
             // written (now, or after the batch): telemetry always wants
             // it, and the sink gets a copy when recording
-            c.unstamped.push((at, reply.kind == OpKind::Place));
+            c.unstamped.push((at, replied.kind == OpKind::Place));
             if c.queued == 0 {
                 stamp_replies(c, &mut tel, sink);
             }
             served += 1;
-            if reply.shutdown {
+            if replied.shutdown {
                 shutdown = true;
                 break;
             }
@@ -896,10 +901,10 @@ pub fn run_daemon_telemetry<S: Sink>(
                 spans.next_id += 1;
                 let span = SpanRecord {
                     id,
-                    op: SPAN_OP_MIGRATE.to_string(),
+                    op: SPAN_OP_MIGRATE.into(),
                     ticket: Some(ticket),
                     class: None,
-                    verdict: "moved".to_string(),
+                    verdict: "moved".into(),
                     probes: 0,
                     headroom: Vec::new(),
                     resource: Some(mv.to.0 as u64),
@@ -1362,6 +1367,67 @@ mod tests {
             Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
             other => panic!("expected the connection closed, got {other:?}: {line}"),
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn pipelined_lines_get_the_replies_of_handle_line() {
+        // canonical lines and their non-canonical twins, a CRLF line,
+        // invalid UTF-8 and malformed lines, in one write: every reply is
+        // written into the connection buffer and must equal, in order,
+        // what `handle_line` answers on a twin core (every placement on
+        // this fleet is satisfied, so no tick moves anyone)
+        let lines: &[&[u8]] = &[
+            b"{\"op\":\"place\"}",
+            b"{ \"op\": \"place\" }",
+            b"{\"op\":\"place\",\"weight\":3}",
+            b"{\"weight\":3,\"op\":\"place\"}",
+            b"{\"op\":\"place\",\"class\":0,\"weight\":2}\r",
+            b"{\"op\":\"place\",\"weight\":02}",
+            b"{\"op\":\"depart\",\"user\":0}",
+            b"{\"op\":\"depart\",\"user\":0}",
+            b"{\"op\":\"depart\",\"user\":1,\"user\":2}",
+            b"{\"op\":\"depart\",\"user\":2}",
+            b"{\"op\":\"pl\\u0061ce\"}",
+            b"{\"op\":\"query\",\"resource\":2}",
+            b"{\"op\":\"query\",\"resource\":2,\"extra\":1}",
+            b"{\"op\":\"query\",\"resource\":9}",
+            b"{\"op\":\"place\",\"weight\":0}",
+            b"{\"op\":\"place\",\"class\":1}",
+            b"{\"op\":\"depart\",\"user\":4294967296}",
+            b"{\"op\":\"query\xff\"}",
+            b"{\"op\":\"place\"",
+            b"{\"op\":\"fly\"}",
+            b"{\"op\":\"place\",\"weight\":4}",
+        ];
+        let mut twin = ServeCore::with_capacities(&[8; 4], 32, ServeConfig::new(2)).unwrap();
+        let want: Vec<String> = lines
+            .iter()
+            .map(|line| {
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                let text = String::from_utf8_lossy(line);
+                crate::proto::handle_line(&mut twin, &text, &mut qlb_obs::NoopSink).text + "\n"
+            })
+            .collect();
+
+        let (path, handle) = unix_daemon("twin");
+        let s = UnixStream::connect(&path).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        (&s).write_all(&lines.join(&b'\n')).unwrap();
+        (&s).write_all(b"\n").unwrap();
+        let mut reader = BufReader::new(s);
+        for (i, want) in want.iter().enumerate() {
+            let mut got = String::new();
+            reader.read_line(&mut got).unwrap();
+            assert_eq!(
+                &got,
+                want,
+                "reply {i} to {:?}",
+                String::from_utf8_lossy(lines[i])
+            );
+        }
+        shut_down(&path);
+        assert_eq!(handle.join().unwrap(), lines.len() as u64 + 1);
         let _ = std::fs::remove_file(&path);
     }
 

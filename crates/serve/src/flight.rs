@@ -159,8 +159,8 @@ impl FlightRecorder {
             return Some("reject-spike");
         }
         if self.opts.p99_bound_ns > 0
-            && agg
-                .window_hist(REQUEST_HIST_NAME, TRIGGER_WINDOW_MS)
+            && tel
+                .window_latency(REQUEST_HIST_NAME, TRIGGER_WINDOW_MS)
                 .quantile(0.99)
                 > self.opts.p99_bound_ns
         {
@@ -251,10 +251,10 @@ mod tests {
     fn span(id: u64) -> SpanRecord {
         SpanRecord {
             id,
-            op: SPAN_OP_PLACE.to_string(),
+            op: SPAN_OP_PLACE.into(),
             ticket: Some(id),
             class: Some(0),
-            verdict: "admitted".to_string(),
+            verdict: "admitted".into(),
             probes: 2,
             headroom: vec![3, 1],
             resource: Some(1),

@@ -13,7 +13,9 @@
 //!   compute, no I/O; the serve bench and the unit tests drive it
 //!   directly.
 //! * [`proto`] — the line-delimited JSON wire protocol: request parsing
-//!   and reply formatting, one dispatch point ([`proto::handle_line`]).
+//!   and reply formatting, one dispatch point
+//!   ([`proto::handle_line_spanned`], which writes each reply into the
+//!   caller's buffer; [`proto::handle_line`] returns it as a `String`).
 //! * [`daemon`] — the socket front-end: Unix/TCP listeners and one
 //!   single-threaded serve loop that waits on every socket with `poll(2)`,
 //!   splits request lines in per-connection buffers, and alternates
@@ -55,7 +57,6 @@ pub use crate::daemon::{
 };
 pub use crate::flight::{FlightOptions, FlightRecorder, TRIGGER_WINDOW_MS};
 pub use crate::proto::{
-    handle_line, handle_line_spanned, handle_line_with_stats, parse_request, OpKind, ParseError,
-    Reply, Request,
+    handle_line, handle_line_spanned, parse_request, OpKind, ParseError, Replied, Reply, Request,
 };
 pub use crate::telemetry::{cumulative_snapshot, render_prometheus, ServeTelemetry};

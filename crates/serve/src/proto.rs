@@ -17,9 +17,17 @@
 //! (`"ok":true,"admitted":false,"reason":…`), not an error. `"ok":false`
 //! is reserved for malformed or invalid requests and carries `"error"`.
 //!
-//! Parsing uses the vendored `serde_json` value parser; replies are
-//! hand-formatted (the schema is flat and fixed, and this keeps the
-//! response path allocation-light).
+//! Parsing reads the line's bytes in place first ([`scan_compact`]): the
+//! compact form every bundled client sends — `{"op":"<op>"`, then
+//! `,"<key>":<digits>` fields, then `}`, with no whitespace, escapes,
+//! duplicate or unknown keys — becomes a [`Request`] without an
+//! allocation. Every other line goes to the reference parser
+//! ([`parse_request_value`], the vendored `serde_json` value tree), which
+//! also gives every error its message; the scan only ever returns what
+//! the reference parser would. Replies are written straight into a
+//! buffer the caller passes ([`handle_line_spanned`]) — the daemon's
+//! connection output buffer — with a small integer writer for the place,
+//! reject and depart replies.
 
 use crate::core::{PlaceOutcome, PlaceTrace, RejectReason, ServeCore};
 use crate::telemetry::{cumulative_snapshot, ServeTelemetry};
@@ -27,6 +35,7 @@ use qlb_core::{ClassId, ResourceId, UserId};
 use qlb_obs::span::{SPAN_OP_DEPART, SPAN_OP_DRAIN, SPAN_OP_PLACE};
 use qlb_obs::{Sink, SpanRecord};
 use serde_json::{parse_value_str, Value};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// A parsed request.
@@ -85,6 +94,95 @@ impl ParseError {
 /// Parse one request line. The `Err` carries both the reason and (when
 /// known) the offending op string for the structured error reply.
 pub fn parse_request(line: &str) -> Result<Request, ParseError> {
+    parse_request_bytes(line.as_bytes())
+}
+
+/// [`parse_request`] over the raw bytes of a line: the in-place
+/// [`scan_compact`], else the reference parser over the line as UTF-8
+/// text, invalid sequences replaced (so the parser rejects them).
+fn parse_request_bytes(line: &[u8]) -> Result<Request, ParseError> {
+    match scan_compact(line) {
+        Some(req) => Ok(req),
+        None => parse_request_value(&String::from_utf8_lossy(line)),
+    }
+}
+
+/// The fields of the compact form, in the order [`scan_compact`] keeps
+/// their values.
+const FIELDS: [&[u8]; 4] = [b"class", b"weight", b"user", b"resource"];
+
+/// Read a request in the compact form without an allocation: exactly
+/// `{"op":"<op>"`, then `,"<key>":<value>` for each of up to four
+/// distinct keys among `class`, `weight`, `user` and `resource`, then
+/// `}`. A value is decimal digits with no sign, fraction, exponent or
+/// leading zero, at most `u32::MAX`.
+///
+/// Returns the request only where [`parse_request_value`] returns the
+/// same `Ok`; `None` declines the line (any other shape, an unknown op, a
+/// `weight` of 0, a `depart` or `drain` missing its field) and leaves it
+/// to that parser. Public only for the wire property tests; callers use
+/// [`parse_request`].
+#[doc(hidden)]
+pub fn scan_compact(line: &[u8]) -> Option<Request> {
+    let rest = line.strip_prefix(b"{\"op\":\"")?;
+    let end = rest.iter().position(|&b| b == b'"')?;
+    let (op, mut rest) = (&rest[..end], &rest[end + 1..]);
+    let mut values = [None; FIELDS.len()];
+    while rest != b"}" {
+        let field = rest.strip_prefix(b",\"")?;
+        let end = field.iter().position(|&b| b == b'"')?;
+        let slot = FIELDS.iter().position(|&k| k == &field[..end])?;
+        let digits = field[end + 1..].strip_prefix(b":")?;
+        let len = digits.iter().take_while(|b| b.is_ascii_digit()).count();
+        if values[slot].replace(scan_u32(&digits[..len])?).is_some() {
+            return None;
+        }
+        rest = &digits[len..];
+    }
+    let [class, weight, user, resource] = values;
+    match op {
+        b"place" => match weight.unwrap_or(1) {
+            0 => None,
+            weight => Some(Request::Place {
+                class: class.unwrap_or(0),
+                weight,
+            }),
+        },
+        b"depart" => Some(Request::Depart { user: user? }),
+        b"query" => Some(Request::Query { resource }),
+        b"stats" => Some(Request::Stats),
+        b"drain" => Some(Request::Drain {
+            resource: resource?,
+        }),
+        b"shutdown" => Some(Request::Shutdown),
+        _ => None,
+    }
+}
+
+/// A run of decimal digits as a `u32`: `None` when empty, with a leading
+/// zero, or past `u32::MAX`.
+fn scan_u32(digits: &[u8]) -> Option<u32> {
+    match digits {
+        [] => None,
+        [b'0'] => Some(0),
+        [b'0', ..] => None,
+        _ if digits.len() > 10 => None,
+        _ => {
+            let n = digits
+                .iter()
+                .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
+            u32::try_from(n).ok()
+        }
+    }
+}
+
+/// The reference parser: the line as a vendored `serde_json` value tree.
+/// It takes any JSON object (whitespace, escapes, any key order, unknown
+/// keys ignored, the first of duplicate keys); [`parse_request`] calls it
+/// for every line [`scan_compact`] declines. Public only for the wire
+/// property tests; callers use [`parse_request`].
+#[doc(hidden)]
+pub fn parse_request_value(line: &str) -> Result<Request, ParseError> {
     let v = parse_value_str(line).map_err(|e| ParseError::new(format!("bad json: {e}")))?;
     let op = v
         .get("op")
@@ -163,28 +261,63 @@ pub struct Reply {
     pub shutdown: bool,
 }
 
-impl Reply {
-    fn new(text: String, kind: OpKind) -> Self {
+/// The routing facts of one dispatch whose reply line went into the
+/// caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Replied {
+    /// What kind of request this answered.
+    pub kind: OpKind,
+    /// Whether the daemon should stop after sending this reply.
+    pub shutdown: bool,
+}
+
+impl Replied {
+    fn new(kind: OpKind) -> Self {
         Self {
-            text,
             kind,
             shutdown: false,
         }
     }
 }
 
-fn error_reply(op: OpKind, msg: &str) -> Reply {
-    Reply::new(format!("{{\"ok\":false,\"error\":{}}}", json_str(msg)), op)
+/// Bytes that hold any place, reject or depart reply line (the longest,
+/// an admitted place with five 10-digit fields, takes 153), so
+/// [`handle_line`] allocates its reply once.
+pub const REPLY_CAPACITY: usize = 160;
+
+/// Append `n` in decimal.
+fn push_u32(out: &mut Vec<u8>, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
-fn parse_error_reply(e: &ParseError) -> Reply {
-    let mut text = format!("{{\"ok\":false,\"error\":{}", json_str(&e.msg));
+fn push_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+fn write_error(out: &mut Vec<u8>, msg: &str) {
+    out.extend_from_slice(b"{\"ok\":false,\"error\":");
+    out.extend_from_slice(json_str(msg).as_bytes());
+    out.push(b'}');
+}
+
+fn write_parse_error(out: &mut Vec<u8>, e: &ParseError) {
+    out.extend_from_slice(b"{\"ok\":false,\"error\":");
+    out.extend_from_slice(json_str(&e.msg).as_bytes());
     if let Some(op) = &e.op {
-        text.push_str(",\"op\":");
-        text.push_str(&json_str(op));
+        out.extend_from_slice(b",\"op\":");
+        out.extend_from_slice(json_str(op).as_bytes());
     }
-    text.push('}');
-    Reply::new(text, OpKind::Invalid)
+    out.push(b'}');
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars) —
@@ -207,27 +340,37 @@ fn json_str(s: &str) -> String {
     out
 }
 
-fn place_reply(out: &PlaceOutcome) -> Reply {
-    Reply::new(
-        format!(
-            "{{\"ok\":true,\"op\":\"place\",\"admitted\":true,\"user\":{},\"resource\":{},\"weight\":{},\"load\":{},\"cap\":{},\"satisfied\":{}}}",
-            out.user.0, out.resource.0, out.weight, out.load, out.cap, out.satisfied
-        ),
-        OpKind::Place,
-    )
+fn write_place(out: &mut Vec<u8>, o: &PlaceOutcome) {
+    out.extend_from_slice(b"{\"ok\":true,\"op\":\"place\",\"admitted\":true,\"user\":");
+    push_u32(out, o.user.0);
+    out.extend_from_slice(b",\"resource\":");
+    push_u32(out, o.resource.0);
+    out.extend_from_slice(b",\"weight\":");
+    push_u32(out, o.weight);
+    out.extend_from_slice(b",\"load\":");
+    push_u32(out, o.load);
+    out.extend_from_slice(b",\"cap\":");
+    push_u32(out, o.cap);
+    out.extend_from_slice(b",\"satisfied\":");
+    push_bool(out, o.satisfied);
+    out.push(b'}');
 }
 
-fn reject_reply(reason: RejectReason) -> Reply {
-    Reply::new(
-        format!(
-            "{{\"ok\":true,\"op\":\"place\",\"admitted\":false,\"reason\":\"{}\"}}",
-            reason.as_str()
-        ),
-        OpKind::Place,
-    )
+fn write_reject(out: &mut Vec<u8>, reason: RejectReason) {
+    out.extend_from_slice(b"{\"ok\":true,\"op\":\"place\",\"admitted\":false,\"reason\":\"");
+    out.extend_from_slice(reason.as_str().as_bytes());
+    out.extend_from_slice(b"\"}");
 }
 
-fn query_reply(core: &ServeCore, resource: Option<u32>) -> Reply {
+fn write_depart(out: &mut Vec<u8>, user: u32, released: u32) {
+    out.extend_from_slice(b"{\"ok\":true,\"op\":\"depart\",\"user\":");
+    push_u32(out, user);
+    out.extend_from_slice(b",\"released\":");
+    push_u32(out, released);
+    out.push(b'}');
+}
+
+fn query_reply(core: &ServeCore, resource: Option<u32>) -> String {
     let (placements, rejects, departures, drains) = core.totals();
     let (pool, capacity, draining) = core.reject_reasons();
     let mut s = format!(
@@ -270,71 +413,91 @@ fn query_reply(core: &ServeCore, resource: Option<u32>) -> Reply {
         ));
     }
     s.push('}');
-    Reply::new(s, OpKind::Query)
+    s
 }
 
-fn stats_reply(core: &ServeCore, tel: Option<&ServeTelemetry>) -> Reply {
+fn stats_reply(core: &ServeCore, tel: Option<&ServeTelemetry>) -> String {
     let snap = match tel {
         Some(tel) => tel.snapshot(core),
         None => cumulative_snapshot(core),
     };
     let body = serde_json::to_string(&snap).expect("snapshot serializes");
-    Reply::new(
-        format!("{{\"ok\":true,\"op\":\"stats\",\"stats\":{body}}}"),
-        OpKind::Stats,
-    )
+    format!("{{\"ok\":true,\"op\":\"stats\",\"stats\":{body}}}")
 }
 
 /// Parse and execute one request line against the core, producing the
-/// reply line. This is the single dispatch point shared by the socket
-/// daemon, the serve bench, and the lifecycle tests. A `stats` request
+/// reply line. This is the entry point of the serve bench and the
+/// lifecycle tests; the daemon calls [`handle_line_spanned`], which
+/// writes the same reply into its connection buffer. A `stats` request
 /// through this entry point answers with cumulative tallies only (no
-/// windowed telemetry) — the daemon routes through
-/// [`handle_line_with_stats`] instead.
+/// windowed telemetry).
 pub fn handle_line<S: Sink>(core: &mut ServeCore, line: &str, sink: &mut S) -> Reply {
-    handle_line_with_stats(core, None, line, sink)
+    let mut text = Vec::with_capacity(REPLY_CAPACITY);
+    let (replied, _) = handle_line_spanned(core, None, line.as_bytes(), sink, None, &mut text);
+    Reply {
+        text: String::from_utf8(text).expect("replies are UTF-8"),
+        kind: replied.kind,
+        shutdown: replied.shutdown,
+    }
 }
 
-/// [`handle_line`] with a live [`ServeTelemetry`] behind the `stats` op:
-/// the daemon's dispatch point for sampled-out (and untraced) requests.
-pub fn handle_line_with_stats<S: Sink>(
-    core: &mut ServeCore,
-    tel: Option<&ServeTelemetry>,
-    line: &str,
-    sink: &mut S,
-) -> Reply {
-    handle_line_spanned(core, tel, line, sink, None).0
+/// The clock of a traced dispatch. Each phase starts where the previous
+/// one ended, so one clock read closes a phase and opens the next; an
+/// untraced dispatch reads no clock.
+struct Laps(Option<Instant>);
+
+impl Laps {
+    fn start(traced: bool) -> Self {
+        Self(traced.then(Instant::now))
+    }
+
+    /// Nanoseconds since the previous lap (0 when untraced).
+    fn lap(&mut self) -> u64 {
+        self.0.as_mut().map_or(0, |at| {
+            let now = Instant::now();
+            let ns = now.duration_since(*at).as_nanos() as u64;
+            *at = now;
+            ns
+        })
+    }
 }
 
-/// The full dispatch: [`handle_line_with_stats`] plus optional causal-span
-/// capture. With `span = Some((id, trace))` the request is *traced*: the
-/// parse / admit / probe / reply phases are individually clocked and a
+/// The dispatch: parse the request line (as [`parse_request`] does),
+/// execute it against the core and append its reply line (no newline) to
+/// `out`. A live [`ServeTelemetry`] answers the `stats` op with windowed
+/// rates; `None` answers it with cumulative tallies.
+///
+/// With `span = Some((id, trace))` the request is *traced*: the parse /
+/// admit / probe / reply phases are individually clocked (the first three
+/// back to back, so `total_ns` is their sum) and a
 /// `place`/`depart`/`drain` (or malformed) request yields a
-/// [`SpanRecord`] the caller emits. With `span = None` no clock is read
-/// beyond what the untraced path always did — sampled-out requests fold
-/// to a handful of branches.
+/// [`SpanRecord`] the caller emits. With `span = None` no clock is read —
+/// sampled-out requests fold to a handful of branches.
 pub fn handle_line_spanned<S: Sink>(
     core: &mut ServeCore,
     tel: Option<&ServeTelemetry>,
-    line: &str,
+    line: &[u8],
     sink: &mut S,
     span: Option<(u64, &mut PlaceTrace)>,
-) -> (Reply, Option<SpanRecord>) {
+    out: &mut Vec<u8>,
+) -> (Replied, Option<SpanRecord>) {
     let (span_id, mut trace) = match span {
         Some((id, t)) => (id, Some(t)),
         None => (0, None),
     };
     let traced = trace.is_some();
-    let t0 = traced.then(Instant::now);
+    let mut laps = Laps::start(traced);
     // A traced span for an op that never reached (or was refused by) the
-    // core: every phase after parse is zero.
-    let error_span = |t0: Option<Instant>, op: &str, parse_ns: u64| {
-        t0.map(|t| SpanRecord {
+    // core, taken once its error reply is written: every phase after
+    // parse is zero.
+    let error_span = |laps: &mut Laps, op: Cow<'static, str>, parse_ns: u64| {
+        let total_ns = parse_ns + laps.lap();
+        traced.then(|| SpanRecord {
             id: span_id,
-            op: op.to_string(),
+            op,
             ticket: None,
             class: None,
-            verdict: "error".to_string(),
+            verdict: "error".into(),
             probes: 0,
             headroom: Vec::new(),
             resource: None,
@@ -343,84 +506,73 @@ pub fn handle_line_spanned<S: Sink>(
             admit_ns: 0,
             probe_ns: 0,
             reply_ns: 0,
-            total_ns: t.elapsed().as_nanos() as u64,
+            total_ns,
         })
     };
-    let req = match parse_request(line) {
+    let parsed = parse_request_bytes(line);
+    let parse_ns = laps.lap();
+    let req = match parsed {
         Ok(r) => r,
         Err(e) => {
-            let parse_ns = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-            let op = e.op.as_deref().unwrap_or("invalid").to_string();
-            let reply = parse_error_reply(&e);
-            return (reply, error_span(t0, &op, parse_ns));
+            write_parse_error(out, &e);
+            let op = e.op.map_or(Cow::Borrowed("invalid"), Cow::Owned);
+            let span = error_span(&mut laps, op, parse_ns);
+            return (Replied::new(OpKind::Invalid), span);
         }
     };
-    let parse_ns = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
     match req {
         Request::Place { class, weight } => {
             if (class as usize) >= core.num_classes() {
-                let reply = error_reply(
-                    OpKind::Place,
-                    &format!("class {class} out of range (have {})", core.num_classes()),
-                );
-                return (reply, error_span(t0, SPAN_OP_PLACE, parse_ns));
+                let msg = format!("class {class} out of range (have {})", core.num_classes());
+                write_error(out, &msg);
+                let span = error_span(&mut laps, SPAN_OP_PLACE.into(), parse_ns);
+                return (Replied::new(OpKind::Place), span);
             }
-            let t1 = traced.then(Instant::now);
             let res = match trace.as_deref_mut() {
                 Some(tr) => core.place_traced(ClassId(class), weight, sink, tr),
                 None => core.place(ClassId(class), weight, sink),
             };
-            let admit_ns = t1.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-            let t2 = traced.then(Instant::now);
-            let reply = match &res {
-                Ok(out) => place_reply(out),
-                Err(reason) => reject_reply(*reason),
-            };
-            let span = t0.map(|t| SpanRecord {
+            let admit_ns = laps.lap();
+            match &res {
+                Ok(o) => write_place(out, o),
+                Err(reason) => write_reject(out, *reason),
+            }
+            let reply_ns = laps.lap();
+            let span = trace.map(|tr| SpanRecord {
                 id: span_id,
-                op: SPAN_OP_PLACE.to_string(),
+                op: SPAN_OP_PLACE.into(),
                 ticket: res.as_ref().ok().map(|o| o.user.0 as u64),
                 class: Some(class as u64),
                 verdict: match &res {
-                    Ok(_) => "admitted".to_string(),
-                    Err(reason) => reason.as_str().to_string(),
+                    Ok(_) => "admitted".into(),
+                    Err(reason) => reason.as_str().into(),
                 },
-                probes: trace.as_ref().map(|tr| tr.probes).unwrap_or(0),
-                headroom: trace
-                    .as_ref()
-                    .map(|tr| tr.headroom.clone())
-                    .unwrap_or_default(),
+                probes: tr.probes,
+                headroom: tr.headroom.clone(),
                 resource: res.as_ref().ok().map(|o| o.resource.0 as u64),
                 from: None,
                 parse_ns,
                 admit_ns,
-                probe_ns: trace.as_ref().map(|tr| tr.probe_ns).unwrap_or(0),
-                reply_ns: t2.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                total_ns: t.elapsed().as_nanos() as u64,
+                probe_ns: tr.probe_ns,
+                reply_ns,
+                total_ns: parse_ns + admit_ns + reply_ns,
             });
-            (reply, span)
+            (Replied::new(OpKind::Place), span)
         }
         Request::Depart { user } => {
-            let t1 = traced.then(Instant::now);
             let res = core.depart(UserId(user), sink);
-            let admit_ns = t1.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-            let t2 = traced.then(Instant::now);
-            let reply = match &res {
-                Ok(out) => Reply::new(
-                    format!(
-                        "{{\"ok\":true,\"op\":\"depart\",\"user\":{user},\"released\":{}}}",
-                        out.released
-                    ),
-                    OpKind::Depart,
-                ),
-                Err(e) => error_reply(OpKind::Depart, e),
-            };
-            let span = t0.map(|t| SpanRecord {
+            let admit_ns = laps.lap();
+            match &res {
+                Ok(o) => write_depart(out, user, o.released),
+                Err(e) => write_error(out, e),
+            }
+            let reply_ns = laps.lap();
+            let span = traced.then(|| SpanRecord {
                 id: span_id,
-                op: SPAN_OP_DEPART.to_string(),
+                op: SPAN_OP_DEPART.into(),
                 ticket: Some(user as u64),
                 class: None,
-                verdict: if res.is_ok() { "departed" } else { "error" }.to_string(),
+                verdict: if res.is_ok() { "departed" } else { "error" }.into(),
                 probes: 0,
                 headroom: Vec::new(),
                 resource: None,
@@ -428,55 +580,54 @@ pub fn handle_line_spanned<S: Sink>(
                 parse_ns,
                 admit_ns,
                 probe_ns: 0,
-                reply_ns: t2.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                total_ns: t.elapsed().as_nanos() as u64,
+                reply_ns,
+                total_ns: parse_ns + admit_ns + reply_ns,
             });
-            (reply, span)
+            (Replied::new(OpKind::Depart), span)
         }
         Request::Query { resource } => {
-            if let Some(r) = resource {
-                if (r as usize) >= core.num_resources() {
-                    let reply = error_reply(
-                        OpKind::Query,
-                        &format!("resource {r} out of range (have {})", core.num_resources()),
-                    );
-                    return (reply, None);
+            match resource {
+                Some(r) if (r as usize) >= core.num_resources() => {
+                    let msg = format!("resource {r} out of range (have {})", core.num_resources());
+                    write_error(out, &msg);
                 }
+                _ => out.extend_from_slice(query_reply(core, resource).as_bytes()),
             }
-            (query_reply(core, resource), None)
+            (Replied::new(OpKind::Query), None)
         }
-        Request::Stats => (stats_reply(core, tel), None),
+        Request::Stats => {
+            out.extend_from_slice(stats_reply(core, tel).as_bytes());
+            (Replied::new(OpKind::Stats), None)
+        }
         Request::Drain { resource } => {
             if (resource as usize) >= core.num_resources() {
-                let reply = error_reply(
-                    OpKind::Drain,
-                    &format!(
-                        "resource {resource} out of range (have {})",
-                        core.num_resources()
-                    ),
+                let msg = format!(
+                    "resource {resource} out of range (have {})",
+                    core.num_resources()
                 );
-                return (reply, error_span(t0, SPAN_OP_DRAIN, parse_ns));
+                write_error(out, &msg);
+                let span = error_span(&mut laps, SPAN_OP_DRAIN.into(), parse_ns);
+                return (Replied::new(OpKind::Drain), span);
             }
-            let t1 = traced.then(Instant::now);
             let res = core.drain(ResourceId(resource), sink);
-            let admit_ns = t1.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-            let t2 = traced.then(Instant::now);
-            let reply = match &res {
-                Ok(out) => Reply::new(
+            let admit_ns = laps.lap();
+            match &res {
+                Ok(o) => out.extend_from_slice(
                     format!(
                         "{{\"ok\":true,\"op\":\"drain\",\"resource\":{},\"occupants\":{}}}",
-                        out.resource.0, out.occupants
-                    ),
-                    OpKind::Drain,
+                        o.resource.0, o.occupants
+                    )
+                    .as_bytes(),
                 ),
-                Err(e) => error_reply(OpKind::Drain, e),
-            };
-            let span = t0.map(|t| SpanRecord {
+                Err(e) => write_error(out, e),
+            }
+            let reply_ns = laps.lap();
+            let span = traced.then(|| SpanRecord {
                 id: span_id,
-                op: SPAN_OP_DRAIN.to_string(),
+                op: SPAN_OP_DRAIN.into(),
                 ticket: None,
                 class: None,
-                verdict: if res.is_ok() { "drained" } else { "error" }.to_string(),
+                verdict: if res.is_ok() { "drained" } else { "error" }.into(),
                 probes: 0,
                 headroom: Vec::new(),
                 resource: Some(resource as u64),
@@ -484,18 +635,18 @@ pub fn handle_line_spanned<S: Sink>(
                 parse_ns,
                 admit_ns,
                 probe_ns: 0,
-                reply_ns: t2.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                total_ns: t.elapsed().as_nanos() as u64,
+                reply_ns,
+                total_ns: parse_ns + admit_ns + reply_ns,
             });
-            (reply, span)
+            (Replied::new(OpKind::Drain), span)
         }
         Request::Shutdown => {
-            let mut r = Reply::new(
-                "{\"ok\":true,\"op\":\"shutdown\"}".to_string(),
-                OpKind::Shutdown,
-            );
-            r.shutdown = true;
-            (r, None)
+            out.extend_from_slice(b"{\"ok\":true,\"op\":\"shutdown\"}");
+            let replied = Replied {
+                kind: OpKind::Shutdown,
+                shutdown: true,
+            };
+            (replied, None)
         }
     }
 }
@@ -505,6 +656,7 @@ mod tests {
     use super::*;
     use crate::core::ServeConfig;
     use qlb_obs::NoopSink;
+    use qlb_rng::{Rng64, SplitMix64};
 
     fn core() -> ServeCore {
         ServeCore::with_capacities(&[4; 8], 64, ServeConfig::new(7)).unwrap()
@@ -512,6 +664,19 @@ mod tests {
 
     fn get<'v>(v: &'v Value, k: &str) -> &'v Value {
         v.get(k).unwrap_or_else(|| panic!("missing key {k}"))
+    }
+
+    /// [`handle_line_spanned`] into a fresh buffer: the reply line and the
+    /// span.
+    fn spanned(
+        c: &mut ServeCore,
+        tel: Option<&ServeTelemetry>,
+        line: &str,
+        span: Option<(u64, &mut PlaceTrace)>,
+    ) -> (String, Option<SpanRecord>) {
+        let mut out = Vec::new();
+        let (_, span) = handle_line_spanned(c, tel, line.as_bytes(), &mut NoopSink, span, &mut out);
+        (String::from_utf8(out).unwrap(), span)
     }
 
     #[test]
@@ -660,8 +825,8 @@ mod tests {
         tel.on_request(true, 1_000);
         tel.on_tick_at(&c, 0, 0);
         tel.on_tick_at(&c, 0, 500);
-        let r = handle_line_with_stats(&mut c, Some(&tel), "{\"op\":\"stats\"}", &mut sink);
-        let v = parse_value_str(&r.text).unwrap();
+        let (text, _) = spanned(&mut c, Some(&tel), "{\"op\":\"stats\"}", None);
+        let v = parse_value_str(&text).unwrap();
         let stats = get(&v, "stats");
         assert_eq!(get(stats, "tick").as_u64(), Some(2));
         let rates = match get(stats, "rates") {
@@ -731,15 +896,8 @@ mod tests {
     #[test]
     fn spanned_dispatch_captures_phases_and_evidence() {
         let mut c = core();
-        let mut sink = NoopSink;
         let mut trace = PlaceTrace::default();
-        let (r, span) = handle_line_spanned(
-            &mut c,
-            None,
-            "{\"op\":\"place\"}",
-            &mut sink,
-            Some((5, &mut trace)),
-        );
+        let (text, span) = spanned(&mut c, None, "{\"op\":\"place\"}", Some((5, &mut trace)));
         let span = span.expect("place yields a span");
         assert_eq!(span.id, 5);
         assert_eq!(span.op, SPAN_OP_PLACE);
@@ -748,35 +906,24 @@ mod tests {
         assert_eq!(span.headroom.len(), 2);
         assert!(span.total_ns >= span.parse_ns + span.admit_ns);
         assert!(span.admit_ns >= span.probe_ns);
-        let v = parse_value_str(&r.text).unwrap();
+        let v = parse_value_str(&text).unwrap();
         let user = get(&v, "user").as_u64().unwrap();
         assert_eq!(span.ticket, Some(user));
         assert_eq!(span.resource, Some(get(&v, "resource").as_u64().unwrap()));
         // depart closes the lifecycle with the same ticket
-        let (_, span) = handle_line_spanned(
-            &mut c,
-            None,
-            &format!("{{\"op\":\"depart\",\"user\":{user}}}"),
-            &mut sink,
-            Some((6, &mut trace)),
-        );
+        let depart = format!("{{\"op\":\"depart\",\"user\":{user}}}");
+        let (_, span) = spanned(&mut c, None, &depart, Some((6, &mut trace)));
         let span = span.expect("depart yields a span");
         assert_eq!(span.op, SPAN_OP_DEPART);
         assert_eq!(span.verdict, "departed");
         assert_eq!(span.ticket, Some(user));
         // a malformed line yields an error span naming the op
-        let (_, span) = handle_line_spanned(
-            &mut c,
-            None,
-            "{\"op\":\"fly\"}",
-            &mut sink,
-            Some((7, &mut trace)),
-        );
+        let (_, span) = spanned(&mut c, None, "{\"op\":\"fly\"}", Some((7, &mut trace)));
         let span = span.expect("parse error yields a span");
         assert_eq!(span.op, "fly");
         assert_eq!(span.verdict, "error");
         // untraced calls yield no span and no panic
-        let (_, span) = handle_line_spanned(&mut c, None, "{\"op\":\"place\"}", &mut sink, None);
+        let (_, span) = spanned(&mut c, None, "{\"op\":\"place\"}", None);
         assert!(span.is_none());
     }
 
@@ -786,7 +933,6 @@ mod tests {
         // identical trajectory (same placement targets) as the untraced one
         let run = |traced: bool| {
             let mut c = core();
-            let mut sink = NoopSink;
             let mut trace = PlaceTrace::default();
             let mut replies = Vec::new();
             for i in 0..20u32 {
@@ -795,22 +941,162 @@ mod tests {
                     2 => format!("{{\"op\":\"depart\",\"user\":{}}}", 63 - i / 4),
                     _ => "{\"op\":\"query\"}".to_string(),
                 };
-                let r = if traced {
-                    handle_line_spanned(
-                        &mut c,
-                        None,
-                        &line,
-                        &mut sink,
-                        Some((i as u64, &mut trace)),
-                    )
-                    .0
+                let text = if traced {
+                    spanned(&mut c, None, &line, Some((i as u64, &mut trace))).0
                 } else {
-                    handle_line(&mut c, &line, &mut sink)
+                    handle_line(&mut c, &line, &mut NoopSink).text
                 };
-                replies.push(r.text);
+                replies.push(text);
             }
             replies
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn dispatch_appends_to_the_buffer() {
+        let mut c = core();
+        let mut out = b"held\n".to_vec();
+        let line = b"{\"op\":\"place\"}";
+        let (replied, _) = handle_line_spanned(&mut c, None, line, &mut NoopSink, None, &mut out);
+        assert_eq!(replied.kind, OpKind::Place);
+        assert!(!replied.shutdown);
+        let text = std::str::from_utf8(&out).unwrap();
+        let reply = text.strip_prefix("held\n").expect("earlier bytes kept");
+        assert!(
+            reply.starts_with("{\"ok\":true,\"op\":\"place\""),
+            "{reply}"
+        );
+    }
+
+    #[test]
+    fn scan_reads_the_compact_form() {
+        for (line, want) in [
+            (
+                "{\"op\":\"place\"}",
+                Request::Place {
+                    class: 0,
+                    weight: 1,
+                },
+            ),
+            (
+                "{\"op\":\"place\",\"weight\":4,\"class\":0}",
+                Request::Place {
+                    class: 0,
+                    weight: 4,
+                },
+            ),
+            (
+                "{\"op\":\"depart\",\"user\":4294967295}",
+                Request::Depart { user: u32::MAX },
+            ),
+            (
+                "{\"op\":\"query\",\"resource\":10}",
+                Request::Query { resource: Some(10) },
+            ),
+            ("{\"op\":\"stats\"}", Request::Stats),
+            (
+                "{\"op\":\"drain\",\"resource\":0}",
+                Request::Drain { resource: 0 },
+            ),
+            ("{\"op\":\"shutdown\"}", Request::Shutdown),
+            // a field another op reads is ignored, as the value tree does
+            (
+                "{\"op\":\"depart\",\"user\":3,\"weight\":0}",
+                Request::Depart { user: 3 },
+            ),
+        ] {
+            assert_eq!(scan_compact(line.as_bytes()), Some(want), "{line}");
+            assert_eq!(parse_request_value(line), Ok(want), "{line}");
+        }
+        for line in [
+            "{\"op\":\"place\",\"weight\":0}",
+            "{\"op\":\"place\",\"weight\":01}",
+            "{\"op\":\"place\",\"weight\":-0}",
+            "{\"op\":\"place\",\"weight\":2,\"weight\":3}",
+            "{\"op\":\"depart\",\"user\":4294967296}",
+            "{\"op\":\"depart\",\"user\":99999999999}",
+            "{\"op\":\"depart\"}",
+            "{\"op\":\"drain\"}",
+            "{\"op\":\"place\", \"weight\":2}",
+            "{\"op\":\"place\"}\r",
+            "{\"op\":\"pl\\u0061ce\"}",
+            "{\"op\":\"place\",\"extra\":1}",
+            "{\"op\":\"place\",\"op\":1}",
+            "{\"op\":\"place\",\"weight\":null}",
+            "{\"op\":\"fly\"}",
+            "{\"weight\":2,\"op\":\"place\"}",
+            "{\"op\":\"place\"}}",
+            "{\"op\":\"place\",}",
+            "{\"op\":\"place\"",
+            "",
+        ] {
+            assert_eq!(scan_compact(line.as_bytes()), None, "{line}");
+        }
+    }
+
+    #[test]
+    fn writers_match_the_format_templates() {
+        // the templates the replies were formatted with before the writers
+        let place = |o: &PlaceOutcome| {
+            format!(
+                "{{\"ok\":true,\"op\":\"place\",\"admitted\":true,\"user\":{},\"resource\":{},\"weight\":{},\"load\":{},\"cap\":{},\"satisfied\":{}}}",
+                o.user.0, o.resource.0, o.weight, o.load, o.cap, o.satisfied
+            )
+        };
+        let reject = |r: RejectReason| {
+            format!(
+                "{{\"ok\":true,\"op\":\"place\",\"admitted\":false,\"reason\":\"{}\"}}",
+                r.as_str()
+            )
+        };
+        let depart = |user: u32, released: u32| {
+            format!("{{\"ok\":true,\"op\":\"depart\",\"user\":{user},\"released\":{released}}}")
+        };
+        let written = |write: &dyn Fn(&mut Vec<u8>)| {
+            let mut out = Vec::new();
+            write(&mut out);
+            String::from_utf8(out).unwrap()
+        };
+        let mut rng = SplitMix64::new(0x5EED);
+        // every digit count, with the extremes of each
+        let mut value = || match rng.uniform(4) {
+            0 => u32::MAX >> rng.uniform(32),
+            1 => 10u32.pow(rng.uniform(10) as u32),
+            2 => rng.uniform(10) as u32,
+            _ => rng.next_u64() as u32,
+        };
+        for _ in 0..20_000 {
+            let o = PlaceOutcome {
+                user: UserId(value()),
+                resource: ResourceId(value()),
+                weight: value(),
+                load: value(),
+                cap: value(),
+                satisfied: value() % 2 == 0,
+            };
+            assert_eq!(written(&|out| write_place(out, &o)), place(&o));
+            let (user, released) = (value(), value());
+            assert_eq!(
+                written(&|out| write_depart(out, user, released)),
+                depart(user, released)
+            );
+        }
+        let longest = PlaceOutcome {
+            user: UserId(u32::MAX),
+            resource: ResourceId(u32::MAX),
+            weight: u32::MAX,
+            load: u32::MAX,
+            cap: u32::MAX,
+            satisfied: false,
+        };
+        assert!(written(&|out| write_place(out, &longest)).len() <= REPLY_CAPACITY);
+        for r in [
+            RejectReason::PoolExhausted,
+            RejectReason::Capacity,
+            RejectReason::AllDraining,
+        ] {
+            assert_eq!(written(&|out| write_reject(out, r)), reject(r));
+        }
     }
 }

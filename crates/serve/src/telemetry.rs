@@ -8,9 +8,14 @@
 //! [`WindowedAggregator`], and keeps its own cumulative request/placement
 //! latency histograms, so a daemon running with a [`qlb_obs::NoopSink`]
 //! still answers `stats` and serves `/metrics`. The hot-path emission
-//! sites in the core are untouched; the marginal cost is one
-//! `observe` + a handful of u64 subtractions per scheduler tick, gated
-//! below 2% by the workspace bench (`BENCH_obs.json`).
+//! sites in the core are untouched. An answered request only stores its
+//! latency in a buffer for its kind (placement or other); the buffers are
+//! folded into the histograms in one pass ([`Histogram::of_samples`])
+//! when one fills or when a tick moves the window on to its next bucket,
+//! so a latency lands in the bucket it was answered in, to within a tick.
+//! Every reader counts the buffered latencies too. A scheduler tick adds
+//! a handful of u64 subtractions; the whole plane is gated below 2% of
+//! the serving loop by the workspace bench (`BENCH_obs.json`).
 //!
 //! ## SLO accounting
 //!
@@ -50,16 +55,28 @@ const RATE_COUNTERS: [Counter; 6] = [
 /// fractions: the middle of [`qlb_obs::RATE_WINDOWS_MS`] (10 s).
 const DIGEST_WINDOW_MS: u64 = 10_000;
 
+/// Latencies each kind of request buffers between folds.
+const PENDING_LATENCIES: usize = 256;
+
+/// Latency buffer of requests other than placements.
+const OTHER: usize = 0;
+
+/// Latency buffer of placements.
+const PLACE: usize = 1;
+
 /// Live telemetry state for one serving daemon — see the module docs.
 #[derive(Debug)]
 pub struct ServeTelemetry {
     agg: WindowedAggregator,
-    /// Cumulative request/placement latency (daemon-side copies; the
-    /// sink's histograms are not readable through the `Sink` trait).
-    /// Held as direct fields so the per-request path is two array-index
-    /// observes with no name lookup.
+    /// Cumulative request/placement latency up to the last fold
+    /// (daemon-side copies; the sink's histograms are not readable through
+    /// the `Sink` trait).
     req_hist: Histogram,
     place_hist: Histogram,
+    /// Latencies answered since the last fold, at [`OTHER`] and [`PLACE`],
+    /// with the length of each.
+    pending: [[u64; PENDING_LATENCIES]; 2],
+    pending_len: [usize; 2],
     /// Scratch for the per-tick class violation scan (no per-tick
     /// allocation).
     scratch_unsat: Vec<u64>,
@@ -79,6 +96,8 @@ impl ServeTelemetry {
             agg: WindowedAggregator::new(classes),
             req_hist: Histogram::default(),
             place_hist: Histogram::default(),
+            pending: [[0; PENDING_LATENCIES]; 2],
+            pending_len: [0; 2],
             scratch_unsat: Vec::new(),
             epoch: Instant::now(),
             ticks: 0,
@@ -108,13 +127,37 @@ impl ServeTelemetry {
 
     /// Record one answered request: its receipt→reply latency, and
     /// whether it was a placement (which also feeds the placement
-    /// histogram).
+    /// histogram). The latency is buffered; see the module docs.
     #[inline]
     pub fn on_request(&mut self, is_place: bool, ns: u64) {
-        self.req_hist.observe(ns);
-        if is_place {
-            self.place_hist.observe(ns);
+        let kind = is_place as usize;
+        let n = self.pending_len[kind];
+        self.pending[kind][n] = ns;
+        self.pending_len[kind] = n + 1;
+        if n + 1 == PENDING_LATENCIES {
+            self.fold_latencies();
         }
+    }
+
+    /// The latencies buffered since the last fold as samples of the
+    /// request and placement series, with their export names.
+    fn pending_samples(&self) -> [(&'static str, Histogram); 2] {
+        let [mut requests, place] = [OTHER, PLACE]
+            .map(|kind| Histogram::of_samples(&self.pending[kind][..self.pending_len[kind]]));
+        requests.merge(&place);
+        [(REQUEST_HIST_NAME, requests), (PLACE_HIST_NAME, place)]
+    }
+
+    /// Fold the buffered latencies into the cumulative histograms and the
+    /// window's current bucket.
+    #[inline(never)]
+    fn fold_latencies(&mut self) {
+        let [(_, requests), (_, place)] = self.pending_samples();
+        self.pending_len = [0; 2];
+        self.req_hist.merge(&requests);
+        self.place_hist.merge(&place);
+        self.agg.record_hist_samples(REQUEST_HIST_NAME, &requests);
+        self.agg.record_hist_samples(PLACE_HIST_NAME, &place);
     }
 
     /// Fold one scheduler tick into the window, stamped with wall-clock
@@ -126,6 +169,15 @@ impl ServeTelemetry {
     /// [`ServeTelemetry::on_tick`] with an explicit clock (tests).
     pub fn on_tick_at(&mut self, core: &ServeCore, backlog: usize, now_ms: u64) {
         self.ticks += 1;
+        // The buffered latencies were answered in the bucket in force until
+        // now: fold them before the ring moves on.
+        if self
+            .agg
+            .current_bucket()
+            .is_some_and(|bucket| now_ms / self.agg.bucket_ms() > bucket)
+        {
+            self.fold_latencies();
+        }
         self.agg.observe(now_ms);
         let (placements, rejects, departures, drains) = core.totals();
         self.agg.record_counter(Counter::Placements, placements);
@@ -139,8 +191,6 @@ impl ServeTelemetry {
             .record_gauge(Gauge::Unsatisfied, core.unsatisfied());
         self.agg
             .record_gauge(Gauge::ActiveUsers, core.active_slots());
-        self.agg.record_hist(REQUEST_HIST_NAME, &self.req_hist);
-        self.agg.record_hist(PLACE_HIST_NAME, &self.place_hist);
         core.class_unsatisfied_into(&mut self.scratch_unsat);
         for (k, &unsat) in self.scratch_unsat.iter().enumerate() {
             self.agg.set_class_violation(k, unsat > 0);
@@ -161,22 +211,42 @@ impl ServeTelemetry {
 
     /// The cumulative (request, placement) latency histograms with their
     /// interned export names.
-    pub fn latency_hists(&self) -> [(&'static str, &Histogram); 2] {
-        [
-            (REQUEST_HIST_NAME, &self.req_hist),
-            (PLACE_HIST_NAME, &self.place_hist),
-        ]
+    pub fn latency_hists(&self) -> [(&'static str, Histogram); 2] {
+        let mut series = self.pending_samples();
+        series[0].1.merge(&self.req_hist);
+        series[1].1.merge(&self.place_hist);
+        series
+    }
+
+    /// The latency histogram `name` ([`REQUEST_HIST_NAME`] or
+    /// [`PLACE_HIST_NAME`]) over the trailing window. The buffered
+    /// latencies count: they were answered after the current bucket
+    /// opened.
+    pub(crate) fn window_latency(&self, name: &str, window_ms: u64) -> Histogram {
+        let mut h = self.agg.window_hist(name, window_ms);
+        if let Some((_, pending)) = self.pending_samples().iter().find(|(n, _)| *n == name) {
+            h.merge(pending);
+        }
+        h
     }
 
     /// One latency digest: cumulative count, windowed p50/p95/p99 —
     /// falling back to whole-run quantiles while the window is empty
-    /// (e.g. right after start, before any windowed samples).
-    fn digest(&self, name: &str, cum: &Histogram) -> LatencyDigest {
-        let windowed = self.agg.window_hist(name, DIGEST_WINDOW_MS);
-        let h = if windowed.count() > 0 { &windowed } else { cum };
+    /// (e.g. right after start, before any windowed samples). `pending`
+    /// are the series' buffered samples, which count in both.
+    fn digest(&self, name: &str, cum: &Histogram, pending: &Histogram) -> LatencyDigest {
+        let mut windowed = self.agg.window_hist(name, DIGEST_WINDOW_MS);
+        windowed.merge(pending);
+        let mut total = cum.clone();
+        total.merge(pending);
+        let h = if windowed.count() > 0 {
+            &windowed
+        } else {
+            &total
+        };
         LatencyDigest {
             name: name.to_string(),
-            count: cum.count(),
+            count: total.count(),
             p50_ns: h.quantile(0.50),
             p95_ns: h.quantile(0.95),
             p99_ns: h.quantile(0.99),
@@ -199,7 +269,9 @@ impl ServeTelemetry {
         };
         // Request rate is derived from the windowed latency histogram
         // counts (there is no dense counter for raw requests).
-        let req = RATE_WINDOWS_MS.map(|w| self.agg.window_hist_count(REQUEST_HIST_NAME, w));
+        let pending = (self.pending_len[OTHER] + self.pending_len[PLACE]) as u64;
+        let req =
+            RATE_WINDOWS_MS.map(|w| self.agg.window_hist_count(REQUEST_HIST_NAME, w) + pending);
         rates.push(RateSample {
             name: "requests".to_string(),
             r1s: per_sec(req[0], covered[0]),
@@ -216,10 +288,11 @@ impl ServeTelemetry {
             });
         }
         let latency = self
-            .latency_hists()
-            .into_iter()
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(name, h)| self.digest(name, h))
+            .pending_samples()
+            .iter()
+            .zip([&self.req_hist, &self.place_hist])
+            .filter(|((_, pending), cum)| cum.count() + pending.count() > 0)
+            .map(|((name, pending), cum)| self.digest(name, cum, pending))
             .collect();
         let classes = core
             .class_stats()
@@ -462,6 +535,47 @@ mod tests {
             .unwrap();
         assert_eq!(lat.count, 100);
         assert!(lat.p50_ns >= 5_000 && lat.p50_ns <= 8_192);
+    }
+
+    #[test]
+    fn buffered_latencies_count_at_once_and_fold_into_their_bucket() {
+        let core = loaded_core();
+        let mut tel = ServeTelemetry::new(core.num_classes(), core.max_tick_rounds());
+        let bucket_ms = tel.aggregator().bucket_ms();
+        // more placements than one buffer holds, answered before the first
+        // tick opens bucket 0
+        let placed = PENDING_LATENCIES as u64 + 7;
+        for i in 0..placed {
+            tel.on_request(true, 1_000 + i);
+        }
+        tel.on_request(false, 300);
+        tel.on_tick_at(&core, 0, 0);
+        // read before any further tick: nothing is left behind in a buffer
+        let [(_, req), (_, place)] = tel.latency_hists();
+        assert_eq!((req.count(), place.count()), (placed + 1, placed));
+        assert_eq!(req.max(), 1_000 + placed - 1);
+        assert_eq!(
+            tel.window_latency(REQUEST_HIST_NAME, bucket_ms).count(),
+            placed + 1
+        );
+        let snap = tel.snapshot(&core);
+        let lat = |name: &str| snap.latency.iter().find(|d| d.name == name).unwrap().count;
+        assert_eq!(
+            (lat(REQUEST_HIST_NAME), lat(PLACE_HIST_NAME)),
+            (placed + 1, placed)
+        );
+        // a tick in the next bucket files them all under bucket 0
+        tel.on_tick_at(&core, 0, bucket_ms);
+        let agg = tel.aggregator();
+        assert_eq!(agg.window_hist_count(REQUEST_HIST_NAME, bucket_ms), 0);
+        assert_eq!(
+            agg.window_hist_count(REQUEST_HIST_NAME, 2 * bucket_ms),
+            placed + 1
+        );
+        assert_eq!(
+            agg.window_hist_count(PLACE_HIST_NAME, 2 * bucket_ms),
+            placed
+        );
     }
 
     #[test]

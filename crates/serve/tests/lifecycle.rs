@@ -456,7 +456,7 @@ fn spans_reconstruct_a_placements_full_lifecycle() {
         .iter()
         .filter(|s| s.ticket == Some(ticket))
         .collect();
-    let ops: Vec<&str> = mine.iter().map(|s| s.op.as_str()).collect();
+    let ops: Vec<&str> = mine.iter().map(|s| &*s.op).collect();
     assert_eq!(
         ops.first(),
         Some(&"place"),

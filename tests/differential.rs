@@ -427,7 +427,9 @@ fn closed_multi_class() {
 
 #[test]
 fn closed_weighted() {
-    // the unit hotspot's weighted lift, and a 1/4 demand mix
+    // the unit hotspot's weighted lift, a 1/4 demand mix, and weight 2 on
+    // capacity 4, where a resource holding one group has slack 2, exactly
+    // a user's weight, and a coin of 1/2
     let mut reached = Reached::default();
     let (hot, hot_start) = hotspot(1600, 32, 120);
     let (lifted, lifted_start) = lift(&hot, &hot_start, 4);
@@ -435,20 +437,49 @@ fn closed_weighted() {
     weights.extend([4u32; 300]);
     let mixed = WeightedInstance::new(vec![60; 48], weights).unwrap();
     let mixed_start = State::all_on(&mixed, ResourceId(0));
-    for (name, inst, start) in [
-        ("lifted hotspot", &lifted, &lifted_start),
-        ("1/4 mix", &mixed, &mixed_start),
+    let boundary = WeightedInstance::new(vec![4; 16], vec![2; 24]).unwrap();
+    let boundary_start = State::all_on(&boundary, ResourceId(0));
+    // so a fit test that wanted slack above the weight misses a move of
+    // the boundary row on every executor
+    assert!(moves_onto_equal_slack(&boundary, &boundary_start, 0, 30));
+    for (name, inst, start, seed) in [
+        ("lifted hotspot", &lifted, &lifted_start, 23),
+        ("1/4 mix", &mixed, &mixed_start, 23),
+        ("fit boundary", &boundary, &boundary_start, 0),
     ] {
         let row = Closed {
             name,
             inst,
             start,
-            seed: 23,
+            seed,
             budget: 30,
         };
         row.check(&protocols(inst.instance()), &executors(), &mut reached);
     }
     assert!(reached.cut_sparse && reached.fallback);
+}
+
+/// Whether the slack-damped reference run moves some user, within the
+/// budget, onto a resource whose slack equals the user's weight.
+fn moves_onto_equal_slack(inst: &WeightedInstance, start: &State, seed: u64, budget: u64) -> bool {
+    let caps = inst.instance().cap_row(ClassId(0));
+    let mut loads = start.loads().to_vec();
+    let mut hit = false;
+    reference_run(
+        inst,
+        start.clone(),
+        &SlackDamped::default(),
+        seed,
+        budget,
+        |s, moves| {
+            hit |= moves.iter().any(|mv| {
+                let r = mv.to.index();
+                caps[r].saturating_sub(loads[r]) == inst.weight(mv.user)
+            });
+            loads.copy_from_slice(s.loads());
+        },
+    );
+    hit
 }
 
 #[test]
